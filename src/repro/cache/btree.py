@@ -18,6 +18,7 @@ sequences in the test suite.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = ["BPlusTree"]
@@ -67,25 +68,18 @@ class BPlusTree:
         path: List[Tuple[_Node, int]] = []
         while not node.is_leaf:
             self.node_visits += 1
-            slot = self._child_slot(node, key)
+            slot = bisect_right(node.keys, key)  # keys <= key go right
             path.append((node, slot))
             node = node.children[slot]
         self.node_visits += 1
         return node, path
 
-    @staticmethod
-    def _child_slot(node: _Node, key: int) -> int:
-        slot = 0
-        while slot < len(node.keys) and key >= node.keys[slot]:
-            slot += 1
-        return slot
-
     def search(self, key: int) -> Optional[Any]:
         """Return the value for ``key`` or None."""
         leaf, _ = self._find_leaf(key)
-        for position, stored in enumerate(leaf.keys):
-            if stored == key:
-                return leaf.values[position]
+        position = bisect_left(leaf.keys, key)
+        if position < len(leaf.keys) and leaf.keys[position] == key:
+            return leaf.values[position]
         return None
 
     def __contains__(self, key: int) -> bool:
@@ -97,11 +91,10 @@ class BPlusTree:
         if value is None:
             raise ValueError("None values are indistinguishable from misses")
         leaf, path = self._find_leaf(key)
-        for position, stored in enumerate(leaf.keys):
-            if stored == key:
-                leaf.values[position] = value
-                return
-        position = self._child_slot(leaf, key)
+        position = bisect_left(leaf.keys, key)
+        if position < len(leaf.keys) and leaf.keys[position] == key:
+            leaf.values[position] = value
+            return
         leaf.keys.insert(position, key)
         leaf.values.insert(position, value)
         self._size += 1
@@ -142,14 +135,14 @@ class BPlusTree:
     def delete(self, key: int) -> bool:
         """Remove ``key``; returns whether it was present."""
         leaf, path = self._find_leaf(key)
-        for position, stored in enumerate(leaf.keys):
-            if stored == key:
-                del leaf.keys[position]
-                del leaf.values[position]
-                self._size -= 1
-                self._rebalance(leaf, path)
-                return True
-        return False
+        position = bisect_left(leaf.keys, key)
+        if position == len(leaf.keys) or leaf.keys[position] != key:
+            return False
+        del leaf.keys[position]
+        del leaf.values[position]
+        self._size -= 1
+        self._rebalance(leaf, path)
+        return True
 
     def _rebalance(self, node: _Node, path: List[Tuple[_Node, int]]) -> None:
         if not path:

@@ -108,6 +108,27 @@ class SpeculativeTreeEngine:
         """Search pipeline: reads never conflict with speculation."""
         return self.tree.search(key)
 
+    # -- lone update: one op into an empty window --------------------------------------
+    # Between ``execute`` calls nothing is in flight, so a lone op cannot
+    # crash: it claims nothing and commits directly.  The search
+    # pipeline's descent (Algorithm 1) visits the nodes the update's own
+    # descent does, so it is charged to ``node_visits``, not walked.
+    def insert(self, key: int, value: Any) -> None:
+        """``execute([TreeOp("insert", key, value)])`` in one descent."""
+        visits = self.tree.node_visits
+        self.tree.insert(key, value)
+        self.tree.node_visits += self.tree.node_visits - visits
+        self.commit_count += 1
+
+    def delete(self, key: int) -> bool:
+        """``execute([TreeOp("delete", key)])`` in one descent; returns
+        whether the key was present."""
+        visits = self.tree.node_visits
+        applied = self.tree.delete(key)
+        self.tree.node_visits += self.tree.node_visits - visits
+        self.commit_count += 1
+        return applied
+
     # -- Algorithm 1: issue -----------------------------------------------------------
     def _issue(self, op: TreeOp) -> Tuple[bool, List[Any]]:
         """Try to claim the op's path; returns (is_crash, claimed nodes).

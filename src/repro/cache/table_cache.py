@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Protocol, Set
 from ..datared.hash_pbn import BUCKET_SIZE, BucketStore
 from .btree import BPlusTree
 from .freelist import CircularFreeList
-from .hwtree import SpeculativeTreeEngine, TreeOp
+from .hwtree import SpeculativeTreeEngine
 from .lru import LruList
 
 __all__ = ["CacheIndex", "BTreeIndex", "HwTreeIndex", "CacheStats", "TableCache"]
@@ -99,16 +99,11 @@ class HwTreeIndex:
 
     def insert(self, bucket: int, slot: int) -> None:
         self.updates += 1
-        self.engine.execute([TreeOp("insert", bucket, slot)])
+        self.engine.insert(bucket, slot)
 
     def delete(self, bucket: int) -> None:
         self.updates += 1
-        self.engine.execute([TreeOp("delete", bucket)])
-
-    def execute_batch(self, ops: List[TreeOp]) -> None:
-        """Concurrent batch path (the engine's real operating mode)."""
-        self.updates += len(ops)
-        self.engine.execute(ops)
+        self.engine.delete(bucket)
 
 
 @dataclass

@@ -73,6 +73,7 @@ __all__ = [
     "LbaStore",
     "MetadataObserver",
     "StageTimer",
+    "flush_stages",
     "READ_FANOUT_MIN_CHUNKS",
 ]
 
@@ -170,10 +171,20 @@ class StageTimer(Protocol):
     The engine calls ``stage(name)`` around each hot-path stage when a
     timer is installed on :attr:`DedupEngine.stage_clock`; with the
     default ``None`` the hot path pays a single identity check per
-    stage.
+    stage.  lookup/pack/publish are entered once per chunk, so timers
+    hand out cached accumulators; one that publishes per batch also
+    has ``flush()`` (see :func:`flush_stages`).
     """
 
     def stage(self, name: str) -> ContextManager[None]: ...
+
+
+def flush_stages(clock: Optional[StageTimer]) -> None:
+    """End of a write/write_many/read: a per-batch timer publishes
+    (``repro.perf.StageClock`` keeps running totals and has no flush)."""
+    flush = getattr(clock, "flush", None)
+    if flush is not None:
+        flush()
 
 
 class MetadataObserver(Protocol):
@@ -604,8 +615,10 @@ class DedupEngine:
             else:
                 report = self._new_report()
                 sealed_before = self.containers.sealed_count
+                clock = self._active_clock()
                 for chunk in self.chunker.split(lba, payload):
-                    report.add(self._write_chunk(chunk, report))
+                    report.add(self._write_chunk(chunk, report, clock))
+                flush_stages(clock)
                 report.containers_sealed = (
                     self.containers.sealed_count - sealed_before
                 )
@@ -750,7 +763,7 @@ class DedupEngine:
                     sealed_before = self.containers.sealed_count
                 precompressed = staged.pop(position, None)
                 outcome = self._write_chunk(
-                    chunk, reports[index],
+                    chunk, reports[index], clock,
                     digest=digest, precompressed=precompressed,
                     resolved=(
                         resolved[position] if resolved is not None else _UNSET
@@ -767,6 +780,7 @@ class DedupEngine:
                     self.plan_fallback_compressions += 1
         finally:
             self._batch_overrides = None
+            flush_stages(clock)
         reports[current].containers_sealed = (
             self.containers.sealed_count - sealed_before
         )
@@ -843,11 +857,11 @@ class DedupEngine:
         self,
         chunk: Chunk,
         report: WriteReport,
+        clock: Optional[StageTimer],
         digest: Optional[bytes] = None,
         precompressed: Optional[CompressedChunk] = None,
         resolved: Optional[int] = _UNSET,
     ) -> ChunkOutcome:
-        clock = self._active_clock()
         if digest is None:
             digest = self.fingerprinter.digest(chunk.data)
         if resolved is not _UNSET:
@@ -1006,7 +1020,9 @@ class DedupEngine:
             if clock is None:
                 return self._read_locked(lba, num_chunks)
             with clock.stage("read"):
-                return self._read_locked(lba, num_chunks)
+                report = self._read_locked(lba, num_chunks)
+            flush_stages(clock)
+            return report
 
     def _read_locked(  # repro-lint: holds self.lock, hot-path
         self, lba: int, num_chunks: int,

@@ -63,6 +63,7 @@ from .dedup import (
     WriteOptions,
     WriteReport,
     _NO_OPTIONS,
+    flush_stages,
 )
 from .hashing import Fingerprinter
 
@@ -388,6 +389,8 @@ class ShardedDedupEngine:
                 raise ValueError(
                     f"got {len(digests)} digests for {len(flat)} chunks"
                 )
+
+        flush_stages(clock)  # the front door's stages; shards flush their own
 
         # Stage 2: partition by digest prefix, preserving flat order
         # within each shard's sub-batch.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from ..datared.hashing import SHA256, Fingerprinter
@@ -46,7 +47,9 @@ class NicTraffic:
 
 @dataclass(frozen=True)
 class BufferedWrite:
-    """One chunk staged in the FIDR NIC's write buffer."""
+    """One chunk staged in the FIDR NIC's write buffer; ``data`` is the
+    object ``buffer_write`` was handed, not a copy — the host recognises
+    its own entries by identity (DESIGN.md §5.4)."""
 
     lba: int
     data: bytes
@@ -126,7 +129,7 @@ class FidrNic:
         Only 32-byte digests cross PCIe here — the chunks themselves stay
         buffered (the memory-bandwidth win of §5.1).
         """
-        batch = list(self._buffer.values())[:batch_size]
+        batch = list(islice(self._buffer.values(), batch_size))
         self.traffic.pcie_to_host += 32 * len(batch)
         return batch
 

@@ -296,6 +296,24 @@ def clear() -> None:
 
 
 # -- the engine's StageTimer ------------------------------------------------
+class _StageTotal:
+    """One stage's busy time and entry count on one thread since the
+    last flush (re-enterable, non-reentrant)."""
+
+    __slots__ = ("name", "busy_ns", "entries", "_t0")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.busy_ns = self.entries = self._t0 = 0
+
+    def __enter__(self) -> None:
+        self._t0 = now_ns()
+
+    def __exit__(self, *exc: object) -> None:
+        self.busy_ns += now_ns() - self._t0
+        self.entries += 1
+
+
 class TracedStages:
     """A :class:`~repro.datared.dedup.StageTimer` publishing spans.
 
@@ -304,24 +322,41 @@ class TracedStages:
     while tracing is disabled the engine treats the clock as absent
     (``None`` path — no context managers, no batch shadow-plan), so an
     installed-but-inactive clock costs one attribute read per call.
+
+    Stages are **per batch**: ``stage(name)`` is the calling thread's
+    accumulator, and :meth:`flush` — called by the engine once per
+    write/write_many/read — records one ``<prefix>.<name>`` span per
+    stage entered since the last flush: its summed busy time, tagged
+    ``chunks=<entries>`` (lookup/pack/publish enter once per chunk they
+    handle, the vectorised chunk/hash/compress once per batch).  Totals
+    are per thread, so shards on pool threads can share one clock.
     """
 
-    __slots__ = ("_prefix", "_names")
+    __slots__ = ("_prefix", "_local")
 
     def __init__(self, prefix: str = "engine.stage") -> None:
         self._prefix = prefix
-        self._names: Dict[str, str] = {}
+        self._local = threading.local()
 
     @property
     def active(self) -> bool:
         return _STATE["enabled"]
 
     def stage(self, name: str) -> ContextManager[Any]:
-        qualified = self._names.get(name)
-        if qualified is None:
-            qualified = f"{self._prefix}.{name}"
-            self._names[name] = qualified
-        return span(qualified)
+        if not _STATE["enabled"]:
+            return _NOOP
+        totals = self._local.__dict__
+        total = totals.get(name)
+        if total is None:
+            total = totals[name] = _StageTotal(f"{self._prefix}.{name}")
+        return total
+
+    def flush(self) -> None:
+        """Record this thread's accumulated stages, one span each."""
+        for total in self._local.__dict__.values():
+            if total.entries:
+                observe(total.name, total.busy_ns, chunks=total.entries)
+                total.busy_ns = total.entries = 0
 
 
 Span = Union[_NoopSpan, _Span]

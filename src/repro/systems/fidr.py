@@ -143,18 +143,24 @@ class FidrSystem(ReductionSystem):
         # Steps 4-5: the engine resolves cache lines (tree + fetches run
         # on the engine); the host scans the cached content in DRAM.
         # Idea (a) end-to-end: the digests the NIC computed on ingest are
-        # handed to the engine, which skips its host-side hash stage — a
-        # chunk is re-fingerprinted only when its buffer entry was
-        # superseded by a newer same-LBA write (the entry then carries
-        # the *newer* payload's digest, which is not this chunk's).
+        # handed to the engine, which skips its host-side hash stage.  A
+        # chunk owns its LBA's buffer entry when the entry holds the very
+        # object the chunk does (identity: the host reads no payload) or,
+        # being another write's, equal bytes (same content rewritten).
+        # Otherwise a newer same-LBA write superseded it — the entry
+        # carries *that* payload's digest — and it is re-fingerprinted.
         staged_by_lba = {entry.lba: entry for entry in staged}
         digests = []
+        owned = []  # per chunk: its buffer entry, None once superseded
         for chunk in chunks:
             entry = staged_by_lba.get(chunk.lba)
-            if entry is not None and entry.data == chunk.data:
-                digests.append(entry.digest)
+            data = chunk.data
+            if entry is None or (entry.data is not data and entry.data != data):
+                entry = None
+                digests.append(self.engine.fingerprinter.digest(data))
             else:
-                digests.append(self.engine.fingerprinter.digest(chunk.data))
+                digests.append(entry.digest)
+            owned.append(entry)
         outcomes, delta = self._dedup_batch(chunks, digests=digests)
         self._charge_table_cache(delta)
         self.pcie.transfer(_CACHE_ENGINE, HOST, self.config.bucket_index_bytes * count)
@@ -166,15 +172,12 @@ class FidrSystem(ReductionSystem):
         # peer-to-peer to the Compression Engine.
         flags = []
         unique_bytes = 0
-        for chunk, outcome in zip(chunks, outcomes):
-            entry = staged_by_lba.get(chunk.lba)
+        for chunk, outcome, entry in zip(chunks, outcomes, owned):
             if entry is None:
-                continue  # superseded by a newer write to the same LBA
-            if entry.data != chunk.data:
-                # The buffer entry is a *newer* write to this LBA that
-                # belongs to a later batch.  It must stay buffered (and
-                # readable via LBA Lookup) until that batch commits, or
-                # reads in between would see the stale mapping.
+                # Superseded: whatever the buffer holds for this LBA is a
+                # *newer* write.  It must stay buffered (and readable via
+                # LBA Lookup) until its own batch commits, or reads in
+                # between would see the stale mapping.
                 continue
             is_unique = not outcome.duplicate
             flags.append((entry, is_unique))

@@ -155,10 +155,91 @@ class TestTracedStages:
         with trace.enabled():
             with clock.stage("lookup"):
                 pass
+            assert trace.tail() == []  # accumulated, not yet a span
+            clock.flush()
         (record,) = trace.tail()
         assert record.name == "engine.stage.lookup"
+        assert record.tags == {"chunks": 1}
 
     def test_stage_is_noop_while_disabled(self):
         clock = trace.TracedStages()
         assert clock.stage("lookup") is trace.span("anything")
         assert trace.tail() == []
+
+
+class TestPerBatchStageSpans:
+    """The engine's write stages are one span per stage per batch."""
+
+    @staticmethod
+    def _stage_spans(uniques: int, duplicates: int):
+        from repro.datared.compression import ZlibCompressor
+        from repro.datared.dedup import DedupEngine
+
+        # Per-chunk table lookups, as over the FIDR table cache (a private
+        # in-memory index resolves the whole batch in one lookup_many).
+        engine = DedupEngine(
+            num_buckets=1 << 10,
+            compressor=ZlibCompressor(),
+            batched_resolve=False,
+        )
+        engine.stage_clock = trace.TracedStages()
+        unique = [index.to_bytes(2, "big") * 2048 for index in range(uniques)]
+        batch = unique + [unique[0]] * duplicates
+        with trace.enabled():
+            engine.write_many(
+                [(lba, data) for lba, data in enumerate(batch)]
+            )
+        records = [
+            record for record in trace.tail()
+            if record.name.startswith("engine.stage.")
+        ]
+        trace.clear()
+        return records
+
+    def test_one_span_per_stage_tagged_with_its_chunk_count(self):
+        uniques, duplicates = 5, 11
+        records = self._stage_spans(uniques, duplicates)
+        by_name = {record.name: record for record in records}
+        assert len(by_name) == len(records)  # exactly one span per stage
+        assert by_name["engine.stage.lookup"].tags == {
+            "chunks": uniques + duplicates
+        }
+        assert by_name["engine.stage.pack"].tags == {"chunks": uniques}
+        assert by_name["engine.stage.publish"].tags == {"chunks": uniques}
+        assert len({record.trace_id for record in records}) == 1
+        assert all(record.dur_ns > 0 for record in records)
+
+    def test_span_count_does_not_grow_with_the_batch(self):
+        small = self._stage_spans(uniques=2, duplicates=2)
+        large = self._stage_spans(uniques=64, duplicates=128)
+        six = sorted(
+            f"engine.stage.{name}"
+            for name in ("chunk", "hash", "lookup", "compress", "pack", "publish")
+        )
+        assert sorted(r.name for r in small) == six
+        assert sorted(r.name for r in large) == six
+
+    def test_totals_are_per_thread(self):
+        """Shards share one clock from pool threads; a flush publishes
+        only the calling thread's stages."""
+        import threading
+
+        clock = trace.TracedStages()
+        with trace.enabled():
+            with clock.stage("lookup"):
+                pass
+
+            def other() -> None:
+                with clock.stage("pack"):
+                    pass
+                clock.flush()
+
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert [r.name for r in trace.tail()] == ["engine.stage.pack"]
+            clock.flush()
+        assert [r.name for r in trace.tail()] == [
+            "engine.stage.pack", "engine.stage.lookup",
+        ]

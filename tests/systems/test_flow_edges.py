@@ -5,13 +5,20 @@ batch in flight, the predictor's correction pass, and the FIDR NIC's
 buffer semantics across batch boundaries.
 """
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.datared.chunking import Chunk
 from repro.datared.compression import ModeledCompressor
+from repro.hw.nic import FidrNic
 from repro.systems.accounting import CpuTask, MemPath
 from repro.systems.baseline import BaselineSystem
 from repro.systems.config import SystemConfig
 from repro.systems.fidr import FidrSystem
+
+from .test_parallel_differential import ledger_view
 
 CHUNK = 4096
 
@@ -155,3 +162,95 @@ class TestReadMixedAccounting:
         cycles_before = system.cpu.total_cycles
         assert system.read(0, 1) == data
         assert system.cpu.total_cycles == cycles_before
+
+
+class _CopyingNic(FidrNic):
+    """Buffers a ``bytes`` copy of every payload, so no staged entry is
+    ever the chunk's own object and every ownership check in
+    ``FidrSystem._process_batch`` has to resolve by byte comparison."""
+
+    def buffer_write(self, lba, data):
+        super().buffer_write(lba, bytes(data))
+
+
+def _rewrite_scenario(copying_nic):
+    """Same-LBA rewrites, identical and different content, inside one
+    batch and straddling a batch boundary; returns every observable."""
+    rng = random.Random(0x5AFE)
+    system = tiny_batches(FidrSystem, batch=4)
+    if copying_nic:
+        system.nic = _CopyingNic(
+            system.server.nic, fingerprinter=system.engine.fingerprinter
+        )
+
+    def fresh():
+        return rng.randbytes(CHUNK)
+
+    same, old, new = fresh(), fresh(), fresh()
+    reads = []
+
+    # Batch 1 holds both writes of each pair.
+    system.write(0, same)
+    system.write(0, bytes(bytearray(same)))  # equal bytes, another object
+    system.write(1, old)
+    system.write(1, new)
+    reads.append(system.read(0, 2))
+    assert reads[-1] == same + new
+
+    # Batch 2 takes the older write of each pair; the three-chunk write
+    # at LBA 15 completes it with its first chunk and leaves the two
+    # rewrites pending (and NIC-buffered) for batch 3.
+    keep, old17, new17 = fresh(), fresh(), fresh()
+    system.write(16, keep)
+    system.write(17, old17)
+    system.write(32, fresh())
+    system.write(15, fresh() + bytes(bytearray(keep)) + new17)
+    assert len(system._pending) == 2
+    reads.append(system.read(16, 2))  # between the two batches
+    assert reads[-1] == keep + new17  # the newest acked bytes
+
+    system.flush()
+    reads.append(system.read(0, 2) + system.read(15, 3))
+    assert reads[-1][3 * CHUNK:] == keep + new17
+    view = ledger_view(SimpleNamespace(system=system))
+    view["nic"] = (
+        system.nic.traffic,
+        system.nic.read_buffer_hits,
+        system.nic.read_buffer_misses,
+        system.nic.buffered_bytes,
+    )
+    view["engine"] = system.engine.stats_snapshot()
+    view["pcie_p2p"] = system.report().pcie.p2p_bytes
+    return reads, view
+
+
+class TestSupersedeCheckReadsNoPayload:
+    def test_identity_and_byte_comparison_agree_on_every_ledger(self):
+        """The host decides whose buffer entry it is by identity (the NIC
+        stores the caller's object); a NIC that stores copies forces the
+        byte comparison instead.  Device ledgers, NIC traffic, engine
+        stats and every read must not be able to tell the two apart."""
+        by_identity, identity_view = _rewrite_scenario(copying_nic=False)
+        by_bytes, bytes_view = _rewrite_scenario(copying_nic=True)
+        assert by_identity == by_bytes
+        for key in identity_view:
+            assert identity_view[key] == bytes_view[key], key
+
+    def test_own_entries_resolve_without_a_payload_compare(self, rng):
+        """Every entry that is the chunk's own object short-circuits:
+        a payload type that cannot be compared proves no compare ran."""
+
+        class Opaque(bytes):
+            def __eq__(self, other):
+                raise AssertionError("host compared payload bytes")
+
+            __ne__ = __eq__
+            __hash__ = bytes.__hash__
+
+        system = tiny_batches(FidrSystem, batch=4)
+        chunks = [Chunk(lba, Opaque(rng.randbytes(CHUNK))) for lba in range(4)]
+        for chunk in chunks:
+            system._enqueue(chunk)
+        system._process_batch(chunks)
+        assert system.nic.pending_chunks() == 0
+        assert system.engine.stats.unique_chunks == 4
