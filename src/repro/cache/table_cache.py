@@ -22,17 +22,15 @@ the :class:`CacheStats` event counts it maintains.
 
 Packed-index interplay (DESIGN.md §5.9): the cache implements only the
 byte-page half of the :class:`~repro.datared.hash_pbn.BucketStore`
-interface, so a packed table running over it uses the inherited
-``load_packed``/``store_packed`` defaults — every bucket access still
+interface, so the table running over it uses the inherited
+``load_packed``/``store_packed`` defaults — every bucket access
 flows through :meth:`read_bucket`/:meth:`write_bucket` and the
 :class:`CacheStats` counts (hence the calibrated device charges) are
-bit-for-bit what the legacy decoded path produced.  What changes is
-only the CPU-side cost of one access: wrapping the 4-KB page in a
-:class:`~repro.datared.hash_pbn.PackedBucket` cursor replaces the
-per-entry decode into tuple lists.  The table's *negative filter* and
-*batched resolve* stay off over this store (the auto rule keys on
-private in-memory stores) precisely because they would elide bucket
-accesses the device models are calibrated to observe.
+bit-for-bit what they were calibrated at.  The table's *negative
+filter* and *batched resolve* are off over this store
+(:attr:`~repro.datared.hash_pbn.HashPbnTable.private_store` is false
+for it) precisely because they would elide bucket accesses the device
+models are calibrated to observe.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ from .hash_pbn import (
     BUCKET_CAPACITY,
     BUCKET_SIZE,
     ENTRY_SIZE,
-    Bucket,
     BucketStore,
     HashPbnTable,
     InMemoryBucketStore,
@@ -76,7 +75,6 @@ from .journal import (
     RecoveryImage,
     RecoveryReport,
     reconcile_containers,
-    recover_engine,
     recover_into,
     replay_journal,
     validate_placements,
@@ -146,7 +144,6 @@ __all__ = [
     "RecoveryReport",
     "StreamStats",
     "reconcile_containers",
-    "recover_engine",
     "recover_into",
     "replay_journal",
     "validate_placements",
@@ -187,7 +184,6 @@ __all__ = [
     "shard_for_digest",
     "WriteOptions",
     "WriteReport",
-    "Bucket",
     "BucketStore",
     "bucket_index",
     "buckets_for_capacity",

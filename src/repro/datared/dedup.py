@@ -15,6 +15,7 @@ device ledgers from those reports according to their own flow topology.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections import OrderedDict
@@ -37,7 +38,7 @@ from typing import (
     Union,
 )
 
-from ..errors import SnapshotError
+from ..errors import CapacityError, SnapshotError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..parallel import StagePool
 from ..sync import DisciplinedLock
@@ -66,6 +67,7 @@ __all__ = [
     "ChunkOutcome",
     "WriteOptions",
     "EngineStats",
+    "publish_engine_gauges",
     "WriteReport",
     "ReadReport",
     "ReductionStats",
@@ -73,6 +75,9 @@ __all__ = [
     "LbaStore",
     "MetadataObserver",
     "StageTimer",
+    "active_clock",
+    "batch_stage",
+    "chunk_and_hash",
     "flush_stages",
     "READ_FANOUT_MIN_CHUNKS",
 ]
@@ -107,8 +112,44 @@ class WriteOptions:
 _NO_OPTIONS = WriteOptions()
 
 
+class _ReductionRatios:
+    """The derived figures of a reduction ledger, defined once for the
+    live :class:`ReductionStats` and the frozen :class:`EngineStats`."""
+
+    logical_bytes: int
+    unique_logical_bytes: int
+    stored_bytes: int
+    reclaimed_stored_bytes: int
+    duplicate_chunks: int
+    unique_chunks: int
+
+    @property
+    def live_stored_bytes(self) -> int:
+        return self.stored_bytes - self.reclaimed_stored_bytes
+
+    @property
+    def dedup_ratio(self) -> float:
+        """Fraction of written chunks removed by deduplication."""
+        total = self.duplicate_chunks + self.unique_chunks
+        return self.duplicate_chunks / total if total else 0.0
+
+    @property
+    def compression_ratio(self) -> float:
+        """Stored fraction of unique bytes (0.5 = halved)."""
+        if self.unique_logical_bytes == 0:
+            return 1.0
+        return self.stored_bytes / self.unique_logical_bytes
+
+    @property
+    def reduction_factor(self) -> float:
+        """Logical bytes written per stored byte (higher is better)."""
+        if self.stored_bytes == 0:
+            return float("inf") if self.logical_bytes else 1.0
+        return self.logical_bytes / self.stored_bytes
+
+
 @dataclass(frozen=True)
-class EngineStats:
+class EngineStats(_ReductionRatios):
     """Point-in-time, lock-consistent snapshot of one engine's ledgers.
 
     The typed return of :meth:`DedupEngine.stats_snapshot` — all raw
@@ -140,29 +181,52 @@ class EngineStats:
     index_saved_lookups: int = 0
     index_probes: int = 0
 
-    @property
-    def live_stored_bytes(self) -> int:
-        return self.stored_bytes - self.reclaimed_stored_bytes
 
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of written chunks removed by deduplication."""
-        total = self.duplicate_chunks + self.unique_chunks
-        return self.duplicate_chunks / total if total else 0.0
+def publish_engine_gauges(registry: MetricsRegistry, snap: EngineStats) -> None:
+    """Export one snapshot as the ``engine.*`` / ``index.*`` gauges.
 
-    @property
-    def compression_ratio(self) -> float:
-        """Stored fraction of unique bytes (0.5 = halved)."""
-        if self.unique_logical_bytes == 0:
-            return 1.0
-        return self.stored_bytes / self.unique_logical_bytes
-
-    @property
-    def reduction_factor(self) -> float:
-        """Logical bytes written per stored byte (higher is better)."""
-        if self.stored_bytes == 0:
-            return float("inf") if self.logical_bytes else 1.0
-        return self.logical_bytes / self.stored_bytes
+    The one definition of the ``repro.stats/v1`` engine gauge set, for
+    the plain engine and for the sharded engine's summed snapshot.
+    Integral ledgers publish as integer gauges; the derived ratios are
+    the only floats, clamped finite so the snapshot stays strict-JSON
+    (``reduction_factor`` is ``inf`` before the first stored byte).
+    """
+    registry.gauge("engine.logical_bytes").set(snap.logical_bytes)
+    registry.gauge("engine.unique_logical_bytes").set(
+        snap.unique_logical_bytes
+    )
+    registry.gauge("engine.stored_bytes").set(snap.stored_bytes)
+    registry.gauge("engine.live_stored_bytes").set(snap.live_stored_bytes)
+    registry.gauge("engine.reclaimed_stored_bytes").set(
+        snap.reclaimed_stored_bytes
+    )
+    registry.gauge("engine.duplicate_chunks").set(snap.duplicate_chunks)
+    registry.gauge("engine.unique_chunks").set(snap.unique_chunks)
+    registry.gauge("engine.read_cache.hits").set(snap.read_cache_hits)
+    registry.gauge("engine.read_cache.misses").set(snap.read_cache_misses)
+    registry.gauge("engine.gc.containers_reclaimed").set(
+        snap.gc_containers_reclaimed
+    )
+    registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
+    registry.gauge("engine.plan.fallback_compressions").set(
+        snap.plan_fallback_compressions
+    )
+    registry.gauge("engine.plan.wasted_compressions").set(
+        snap.plan_wasted_compressions
+    )
+    registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
+    registry.gauge("index.filter.hits").set(snap.index_filter_hits)
+    registry.gauge("index.filter.misses").set(snap.index_filter_misses)
+    registry.gauge("index.batch.saved_lookups").set(
+        snap.index_saved_lookups
+    )
+    registry.gauge("index.probes").set(snap.index_probes)
+    registry.gauge("engine.dedup_ratio").set(snap.dedup_ratio)
+    registry.gauge("engine.compression_ratio").set(snap.compression_ratio)
+    reduction = snap.reduction_factor
+    if not math.isfinite(reduction):
+        reduction = 0.0
+    registry.gauge("engine.reduction_factor").set(reduction)
 
 
 class StageTimer(Protocol):
@@ -177,6 +241,71 @@ class StageTimer(Protocol):
     """
 
     def stage(self, name: str) -> ContextManager[None]: ...
+
+
+def active_clock(clock: Optional[StageTimer]) -> Optional[StageTimer]:
+    """``clock``, or ``None`` when it reports itself inactive.
+
+    The hook behind the zero-overhead tracing contract: an installed
+    :class:`~repro.obs.trace.TracedStages` exposes ``active=False``
+    while tracing is disabled, and the hot paths then take the exact
+    clock-less path (no stage context managers) they would with no
+    clock at all.  Clocks without an ``active`` attribute
+    (``repro.perf``'s ``StageClock``) are always live.
+    """
+    if clock is None or not getattr(clock, "active", True):
+        return None
+    return clock
+
+
+#: What :func:`batch_stage` hands out when no clock is live (stateless,
+#: so one shared instance serves every engine and thread).
+_NO_STAGE: ContextManager[None] = contextlib.nullcontext()
+
+
+def batch_stage(
+    clock: Optional[StageTimer], name: str
+) -> ContextManager[None]:
+    """``clock.stage(name)``, or a no-op when no clock is live.
+
+    For the stages entered once per *batch* (chunk, hash, batched
+    lookup, compress, read), where a no-op ``with`` costs nothing
+    measurable.  The per-*chunk* stages (lookup/pack/publish in
+    ``_write_chunk``) keep an explicit ``clock is None`` check instead:
+    a context manager per chunk is a cost the clock-less path must not
+    pay.
+    """
+    return _NO_STAGE if clock is None else clock.stage(name)
+
+
+def chunk_and_hash(
+    chunker: FixedChunker,
+    fingerprinter: Fingerprinter,
+    pool: StagePool,
+    clock: Optional[StageTimer],
+    requests: Sequence[Tuple[int, Union[bytes, bytearray, memoryview]]],
+    digests: Optional[Sequence[bytes]],
+) -> Tuple[List[Tuple[int, Chunk]], List[bytes]]:
+    """The front of every write batch, for the plain and the sharded
+    engine alike: split the requests into ``(request index, chunk)``
+    pairs and fingerprint each chunk on ``pool`` — or check that the
+    caller's precomputed ``digests`` number one per chunk."""
+    with batch_stage(clock, "chunk"):
+        flat = [
+            (index, chunk)
+            for index, (lba, payload) in enumerate(requests)
+            for chunk in chunker.split(lba, payload)
+        ]
+    if not flat:
+        return flat, []
+    if digests is None:
+        with batch_stage(clock, "hash"):
+            return flat, fingerprinter.digest_many(
+                [chunk.data for _, chunk in flat], pool=pool
+            )
+    if len(digests) != len(flat):
+        raise ValueError(f"got {len(digests)} digests for {len(flat)} chunks")
+    return flat, list(digests)
 
 
 def flush_stages(clock: Optional[StageTimer]) -> None:
@@ -309,7 +438,7 @@ class ReadReport:
 
 
 @dataclass
-class ReductionStats:
+class ReductionStats(_ReductionRatios):
     """Cumulative data-reduction effectiveness of an engine.
 
     ``stored_bytes`` is cumulative (never decremented);
@@ -323,30 +452,6 @@ class ReductionStats:
     reclaimed_stored_bytes: int = 0
     duplicate_chunks: int = 0
     unique_chunks: int = 0
-
-    @property
-    def live_stored_bytes(self) -> int:
-        return self.stored_bytes - self.reclaimed_stored_bytes
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of written chunks removed by deduplication."""
-        total = self.duplicate_chunks + self.unique_chunks
-        return self.duplicate_chunks / total if total else 0.0
-
-    @property
-    def compression_ratio(self) -> float:
-        """Stored fraction of unique bytes (0.5 = halved)."""
-        if self.unique_logical_bytes == 0:
-            return 1.0
-        return self.stored_bytes / self.unique_logical_bytes
-
-    @property
-    def reduction_factor(self) -> float:
-        """Logical bytes written per stored byte (higher is better)."""
-        if self.stored_bytes == 0:
-            return float("inf") if self.logical_bytes else 1.0
-        return self.logical_bytes / self.stored_bytes
 
 
 class DedupEngine:
@@ -365,7 +470,6 @@ class DedupEngine:
         read_cache_chunks: int = 0,
         registry: Optional[MetricsRegistry] = None,
         fingerprinter: Optional[Fingerprinter] = None,
-        batched_resolve: Optional[bool] = None,
         journal: Optional["MetadataJournal"] = None,
     ) -> None:
         """``observer`` receives metadata-mutation callbacks
@@ -389,15 +493,7 @@ class DedupEngine:
         :class:`~repro.datared.hashing.Fingerprinter`, default SHA-256);
         switching it stops deduplicating against chunks hashed by the
         old algorithm but never corrupts data — digests are identity,
-        not payload.
-        ``batched_resolve`` routes :meth:`write_many`'s Hash-PBN stage
-        through :meth:`~repro.datared.hash_pbn.HashPbnTable.lookup_many`
-        (one home-sorted, digest-deduped batch probe instead of a table
-        lookup per chunk; DESIGN.md §5.9).  Default ``None`` = auto:
-        enabled exactly when the table's store is private — an
-        interposing store (the table cache under a calibrated device
-        model) must see the per-lookup access pattern its accounting
-        was calibrated against."""
+        not payload."""
         #: Guards every piece of mutable metadata below.  Concurrent
         #: callers (the race-stress harness, any future multi-threaded
         #: front end) serialize on it; the single-threaded serving
@@ -465,15 +561,10 @@ class DedupEngine:
         #: counts uniques the planner missed (compressed inline on the
         #: serial stage), ``plan_wasted_compressions`` counts duplicates
         #: it compressed needlessly.  Both stay 0 unless the planner's
-        #: shadow walk diverges from execution — a correctness canary.
+        #: shadow walk diverges from execution — a correctness canary,
+        #: live on every batch since every batch plans.
         self.plan_fallback_compressions = 0  # guarded-by: self.lock
         self.plan_wasted_compressions = 0  # guarded-by: self.lock
-        #: Whether write_many resolves digests via table.lookup_many
-        #: (auto: only over a private in-memory bucket store).
-        self.batched_resolve = (
-            self.table.private_store if batched_resolve is None
-            else batched_resolve
-        )
         #: Live only during a batched-resolve serial walk: digest →
         #: current PBN (or None) for every fingerprint the walk has
         #: mutated since the batch lookup, so later chunks in the batch
@@ -504,21 +595,6 @@ class DedupEngine:
             report = self._watch_report(report, name="write-report")
         return report
 
-    def _active_clock(self) -> Optional[StageTimer]:
-        """The stage clock, or ``None`` when it reports itself inactive.
-
-        The hook behind the zero-overhead tracing contract: an installed
-        :class:`~repro.obs.trace.TracedStages` exposes ``active=False``
-        while tracing is disabled, and the hot paths then take the exact
-        clock-less fast path (no context managers, no batch shadow-plan)
-        they would with no clock at all.  Clocks without an ``active``
-        attribute (``repro.perf``'s ``StageClock``) are always live.
-        """
-        clock = self.stage_clock
-        if clock is None or not getattr(clock, "active", True):
-            return None
-        return clock
-
     def stats_snapshot(self) -> EngineStats:
         """A lock-consistent :class:`EngineStats` of every ledger."""
         with self.lock:
@@ -544,50 +620,8 @@ class DedupEngine:
             )
 
     def _publish_metrics(self, registry: MetricsRegistry) -> None:
-        """Collector: export the ledgers as ``engine.*`` gauges.
-
-        Integral ledgers publish as integer gauges; the derived ratios
-        are the only floats, clamped finite so the snapshot stays
-        strict-JSON (``reduction_factor`` is ``inf`` before the first
-        stored byte).
-        """
-        snap = self.stats_snapshot()
-        registry.gauge("engine.logical_bytes").set(snap.logical_bytes)
-        registry.gauge("engine.unique_logical_bytes").set(
-            snap.unique_logical_bytes
-        )
-        registry.gauge("engine.stored_bytes").set(snap.stored_bytes)
-        registry.gauge("engine.live_stored_bytes").set(snap.live_stored_bytes)
-        registry.gauge("engine.reclaimed_stored_bytes").set(
-            snap.reclaimed_stored_bytes
-        )
-        registry.gauge("engine.duplicate_chunks").set(snap.duplicate_chunks)
-        registry.gauge("engine.unique_chunks").set(snap.unique_chunks)
-        registry.gauge("engine.read_cache.hits").set(snap.read_cache_hits)
-        registry.gauge("engine.read_cache.misses").set(snap.read_cache_misses)
-        registry.gauge("engine.gc.containers_reclaimed").set(
-            snap.gc_containers_reclaimed
-        )
-        registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
-        registry.gauge("engine.plan.fallback_compressions").set(
-            snap.plan_fallback_compressions
-        )
-        registry.gauge("engine.plan.wasted_compressions").set(
-            snap.plan_wasted_compressions
-        )
-        registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
-        registry.gauge("index.filter.hits").set(snap.index_filter_hits)
-        registry.gauge("index.filter.misses").set(snap.index_filter_misses)
-        registry.gauge("index.batch.saved_lookups").set(
-            snap.index_saved_lookups
-        )
-        registry.gauge("index.probes").set(snap.index_probes)
-        registry.gauge("engine.dedup_ratio").set(snap.dedup_ratio)
-        registry.gauge("engine.compression_ratio").set(snap.compression_ratio)
-        reduction = snap.reduction_factor
-        if not math.isfinite(reduction):
-            reduction = 0.0
-        registry.gauge("engine.reduction_factor").set(reduction)
+        """Collector: export the ledgers as ``engine.*`` gauges."""
+        publish_engine_gauges(registry, self.stats_snapshot())
 
     # -- write path (Figure 1a) ------------------------------------------------
     def write(
@@ -603,29 +637,10 @@ class DedupEngine:
         §5.4) — the caller's buffer may be reused once it returns.
 
         Per-call behaviour (precomputed digests, trailing flush) is
-        configured by ``options``; see :class:`WriteOptions`.
+        configured by ``options``; see :class:`WriteOptions`.  A single
+        write is a batch of one — there is no second write path.
         """
-        if options is None:
-            options = _NO_OPTIONS
-        with self.lock:
-            if options.digests is not None:
-                report = self._write_many_locked(
-                    [(lba, payload)], list(options.digests)
-                )[0]
-            else:
-                report = self._new_report()
-                sealed_before = self.containers.sealed_count
-                clock = self._active_clock()
-                for chunk in self.chunker.split(lba, payload):
-                    report.add(self._write_chunk(chunk, report, clock))
-                flush_stages(clock)
-                report.containers_sealed = (
-                    self.containers.sealed_count - sealed_before
-                )
-            if options.flush:
-                self.containers.seal_open()
-            self._commit_locked()
-            return report
+        return self.write_many([(lba, payload)], options)[0]
 
     def write_many(
         self,
@@ -643,7 +658,15 @@ class DedupEngine:
         write path with the precomputed artifacts injected.  Results —
         bytes, :class:`ReductionStats`, container placements, journal
         event order — are identical to calling :meth:`write` per
-        request; with a serial pool the code path *is* the serial one.
+        request, and every batch takes these stages whatever the pool
+        or the tracing state: batching the compress stage is faster and
+        smaller-heap than compressing inside the walk even serially
+        (DESIGN.md §5.4).
+
+        A chunk the index has no room for raises
+        :class:`~repro.errors.CapacityError` before it mutates
+        anything; the chunks before it stay applied (per-chunk
+        atomicity, like the sharded engine's split write).
 
         Per-call behaviour is configured by ``options``
         (:class:`WriteOptions`): precomputed digests skip the hash
@@ -655,13 +678,15 @@ class DedupEngine:
         if options is None:
             options = _NO_OPTIONS
         with self.lock:
-            reports = self._write_many_locked(
-                requests,
-                list(options.digests) if options.digests is not None else None,
-            )
-            if options.flush:
-                self.containers.seal_open()
-            self._commit_locked()
+            try:
+                reports = self._write_many_locked(requests, options.digests)
+                if options.flush:
+                    self.containers.seal_open()
+            finally:
+                # Also on a refused chunk: the chunks applied before it
+                # are fenced and their deferred frees drained, so the
+                # engine is at rest whichever way the batch ended.
+                self._commit_locked()
             return reports
 
     def _write_many_locked(  # repro-lint: holds self.lock, hot-path
@@ -669,83 +694,50 @@ class DedupEngine:
         requests: Iterable[Tuple[int, Union[bytes, bytearray, memoryview]]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
-        clock = self._active_clock()
+        clock = active_clock(self.stage_clock)
         requests = list(requests)
         reports = [self._new_report() for _ in requests]
-        flat: List[Tuple[int, Chunk]] = []
-        if clock is None:
-            for index, (lba, payload) in enumerate(requests):
-                for chunk in self.chunker.split(lba, payload):
-                    flat.append((index, chunk))
-        else:
-            with clock.stage("chunk"):
-                for index, (lba, payload) in enumerate(requests):
-                    for chunk in self.chunker.split(lba, payload):
-                        flat.append((index, chunk))
+        # Stages 0-1: chunk, then fingerprint (parallel) every chunk.
+        flat, digests = chunk_and_hash(
+            self.chunker, self.fingerprinter, self.pool, clock,
+            requests, digests,
+        )
         if not flat:
             return reports
+        chunks = [chunk for _, chunk in flat]
 
-        # Stage 1 (parallel): fingerprint every chunk.
-        if digests is None:
-            views = [chunk.data for _, chunk in flat]
-            if clock is None:
-                digests = self.fingerprinter.digest_many(views, pool=self.pool)
-            else:
-                with clock.stage("hash"):
-                    digests = self.fingerprinter.digest_many(views, pool=self.pool)
-        else:
-            digests = list(digests)
-            if len(digests) != len(flat):
-                raise ValueError(
-                    f"got {len(digests)} digests for {len(flat)} chunks"
-                )
-
-        # Stage 1.5 (serial, batched-resolve mode): resolve the whole
+        # Stage 1.5 (serial, private stores only): resolve the whole
         # batch against the table in one home-sorted, digest-deduped
         # probe pass.  The serial walk then consults the result plus an
         # override map of its own intra-batch mutations instead of
-        # issuing one table lookup per chunk.
+        # issuing one table lookup per chunk.  An interposing store
+        # (the table cache under a calibrated device model) must see
+        # the per-lookup access pattern its accounting was calibrated
+        # against, so over one the walk looks up chunk by chunk.
         resolved: Optional[List[Optional[int]]] = None
-        if self.batched_resolve:
-            if clock is None:
+        if self.table.private_store:
+            with batch_stage(clock, "lookup"):
                 resolved = self.table.lookup_many(digests)
-            else:
-                with clock.stage("lookup"):
-                    resolved = self.table.lookup_many(digests)
 
         # Stage 2 (serial): plan which chunks the serial walk will find
         # unique — a pure shadow simulation, no engine state is touched.
-        # With a serial pool there is nothing to fan out, so the plan is
-        # skipped entirely and stage 4 compresses inline (identical
-        # bytes, one less walk per batch); a stage clock keeps the full
-        # decomposition so repro.perf can attribute the compress stage.
-        planned = clock is not None or self.pool.is_parallel
-        plan = (
-            self._plan_batch([chunk for _, chunk in flat], digests)
-            if planned
-            else []
-        )
+        plan = self._plan_batch(chunks, digests)
 
         # Stage 3 (parallel): compress exactly those chunks.  The
         # compressor handles a process-backed pool itself (views must
         # materialize before crossing the IPC boundary).
         staged: Dict[int, CompressedChunk] = {}
         if plan:
-            planned_views = [flat[position][1].data for position in plan]
-            if clock is None:
+            with batch_stage(clock, "compress"):
                 packed = self.compressor.compress_many(
-                    planned_views, pool=self.pool
+                    [chunks[position].data for position in plan],
+                    pool=self.pool,
                 )
-            else:
-                with clock.stage("compress"):
-                    packed = self.compressor.compress_many(
-                        planned_views, pool=self.pool
-                    )
             staged = dict(zip(plan, packed))
 
-        # Stage 4 (serial): the unmodified per-chunk write path, with
-        # digest and compression injected.  Per-request sealed-container
-        # deltas mirror what per-request write() calls would report.
+        # Stage 4 (serial): the per-chunk write path, with digest and
+        # compression injected.  Per-request sealed-container deltas
+        # mirror what per-request write() calls would report.
         current = -1
         sealed_before = self.containers.sealed_count
         if resolved is not None:
@@ -763,20 +755,14 @@ class DedupEngine:
                     sealed_before = self.containers.sealed_count
                 precompressed = staged.pop(position, None)
                 outcome = self._write_chunk(
-                    chunk, reports[index], clock,
-                    digest=digest, precompressed=precompressed,
-                    resolved=(
-                        resolved[position] if resolved is not None else _UNSET
-                    ),
+                    chunk, reports[index], clock, digest, precompressed,
+                    resolved[position] if resolved is not None else _UNSET,
                 )
                 reports[index].add(outcome)
                 if outcome.duplicate:
                     if precompressed is not None:
                         self.plan_wasted_compressions += 1
-                elif precompressed is None and planned:
-                    # Only a computed plan that *missed* a unique counts
-                    # as a fallback; the serial fast path compresses
-                    # inline by design.
+                elif precompressed is None:
                     self.plan_fallback_compressions += 1
         finally:
             self._batch_overrides = None
@@ -802,7 +788,7 @@ class DedupEngine:
         :meth:`~repro.datared.lba_map.PbnMap.find_by_fingerprint`).
         """
         plan: List[int] = []
-        planned: Dict[bytes, Dict[str, Any]] = {}  # digest -> live batch-unique token
+        fresh: Dict[bytes, Dict[str, Any]] = {}  # digest -> live batch-unique token
         retired: Set[bytes] = set()  # fingerprints the walk removes from the table
         ref_delta: Dict[int, int] = {}  # pre-existing pbn -> refcount delta
         dead: Set[int] = set()  # pre-existing pbns fully released
@@ -814,9 +800,9 @@ class DedupEngine:
                 target["refs"] -= 1
                 if (
                     target["refs"] == 0
-                    and planned.get(target["digest"]) is target
+                    and fresh.get(target["digest"]) is target
                 ):
-                    del planned[target["digest"]]
+                    del fresh[target["digest"]]
             else:
                 ref_delta[target] = ref_delta.get(target, 0) - 1
                 record = self.pbn_map.get(target)
@@ -825,7 +811,7 @@ class DedupEngine:
                     retired.add(record.fingerprint)
 
         for position, (chunk, digest) in enumerate(zip(chunks, digests)):
-            token = planned.get(digest)
+            token = fresh.get(digest)
             if token is not None:
                 hit: Optional[Tuple[str, Any]] = ("new", token)
             else:
@@ -836,7 +822,7 @@ class DedupEngine:
                         hit = ("pre", pbn)
             if hit is None:
                 token = {"digest": digest, "refs": 1}
-                planned[digest] = token
+                fresh[digest] = token
                 plan.append(position)
                 hit = ("new", token)
             elif hit[0] == "new":
@@ -858,12 +844,15 @@ class DedupEngine:
         chunk: Chunk,
         report: WriteReport,
         clock: Optional[StageTimer],
-        digest: Optional[bytes] = None,
-        precompressed: Optional[CompressedChunk] = None,
-        resolved: Optional[int] = _UNSET,
+        digest: bytes,
+        precompressed: Optional[CompressedChunk],
+        resolved: Optional[int],
     ) -> ChunkOutcome:
-        if digest is None:
-            digest = self.fingerprinter.digest(chunk.data)
+        """One chunk of the serial walk.  ``precompressed`` is the
+        batch plan's artifact (``None`` = the plan missed this unique:
+        compress inline, counted in ``plan_fallback_compressions``);
+        ``resolved`` is the batched lookup's answer, or ``_UNSET`` to
+        look the digest up here."""
         if resolved is not _UNSET:
             # Batched resolve: the batch lookup answered for table state
             # at batch start; the override map carries every mutation
@@ -879,6 +868,14 @@ class DedupEngine:
         else:
             with clock.stage("lookup"):
                 existing_pbn = self.table.lookup(digest)
+        if existing_pbn is None and self.table.is_full:
+            # Refuse before anything is stored or counted: past this
+            # point a failed index insert would leave a container
+            # payload and a PBN record nothing points at.
+            raise CapacityError(
+                f"Hash-PBN table is full ({self.table.entry_count} "
+                f"entries): cannot index the chunk at LBA {chunk.lba}"
+            )
         self.stats.logical_bytes += len(chunk.data)
 
         if existing_pbn is not None:
@@ -895,7 +892,8 @@ class DedupEngine:
             )
             return outcome
 
-        # Unique: compress, pack, allocate a PBN, publish metadata.
+        # Unique: pack, allocate a PBN, publish metadata (compressing
+        # first only if the batch plan missed this chunk).
         compressed = (
             precompressed
             if precompressed is not None
@@ -963,10 +961,9 @@ class DedupEngine:
         old_pbn = self.lba_map.set(lba, new_pbn)
         if self.observer is not None:
             self.observer.on_map(lba, new_pbn)
-        if old_pbn is not None and old_pbn != new_pbn:
-            self._release(old_pbn, report)
-        elif old_pbn == new_pbn:
-            # Same content rewritten in place: undo the extra reference.
+        if old_pbn is not None:
+            # Also when old_pbn == new_pbn (same content rewritten in
+            # place): that undoes the extra reference just taken.
             self._release(old_pbn, report)
 
     def _release(  # repro-lint: holds self.lock
@@ -1016,10 +1013,8 @@ class DedupEngine:
         if lba % self.chunker.blocks_per_chunk != 0:
             raise ValueError(f"LBA {lba} is not chunk-aligned")
         with self.lock:
-            clock = self._active_clock()
-            if clock is None:
-                return self._read_locked(lba, num_chunks)
-            with clock.stage("read"):
+            clock = active_clock(self.stage_clock)
+            with batch_stage(clock, "read"):
                 report = self._read_locked(lba, num_chunks)
             flush_stages(clock)
             return report

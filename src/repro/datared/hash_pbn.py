@@ -14,35 +14,36 @@ insertion history.
 
 Memory discipline (DESIGN.md §5.9): the hot path operates on **packed**
 4-KB pages in place.  :class:`PackedBucket` is a cursor over the raw
-page bytes — no per-entry tuples, no decode allocation — and is proven
-byte-identical to the legacy decoded :class:`Bucket` by the differential
-suite.  :class:`NegativeFilter` keeps a compact per-home-bucket multiset
+page bytes — no per-entry tuples, no decode allocation — and the only
+page representation the table knows; the decoded entry-list bucket it
+replaced lives on in ``tests/datared/reference.py`` as the model the
+differential suites compare every page against.
+:class:`NegativeFilter` keeps a compact per-home-bucket multiset
 of 16-bit digest prefixes so lookups of absent fingerprints (the
 unique-heavy common case) skip bucket probing entirely, and
 :meth:`HashPbnTable.lookup_many` batches resolution: repeated digests
 within a batch resolve once and unique digests probe in home-bucket
 order so bucket loads (and table-cache lines) are touched once per
 batch.  Stores that *account* page traffic (the table cache under the
-calibrated device models) keep the exact legacy access pattern: the
-filter and batched resolve default on only over the private in-memory
-stores.
+calibrated device models) keep the exact per-lookup access pattern: the
+filter and batched resolve are on exactly over the private in-memory
+stores (:attr:`HashPbnTable.private_store`).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import BucketFullError
+from ..errors import BucketFullError, CapacityError
 from .hashing import FINGERPRINT_SIZE, MAX_PBN, PBN_SIZE
 
 __all__ = [
     "ENTRY_SIZE",
     "BUCKET_SIZE",
     "BUCKET_CAPACITY",
+    "EMPTY_PAGE",
     "PREFIX_SIZE",
-    "Bucket",
     "PackedBucket",
     "NegativeFilter",
     "BucketStore",
@@ -65,88 +66,12 @@ _FLAG_OVERFLOWED = 0x01
 #: Entries that fit in one bucket after the 3-byte header (107).
 BUCKET_CAPACITY = (BUCKET_SIZE - _HEADER.size) // ENTRY_SIZE
 
+#: An empty bucket — zero entries, no flags — is the all-zero page; what
+#: every store reads back for a bucket that was never written.
+EMPTY_PAGE = bytes(BUCKET_SIZE)
+
 #: Digest-prefix width the negative filter keys on (first two bytes).
 PREFIX_SIZE = 2
-
-
-@dataclass
-class Bucket:
-    """A decoded in-memory view of one 4-KB table bucket (legacy path).
-
-    Kept as the readable reference implementation and the differential
-    baseline for :class:`PackedBucket`; the table's default hot path no
-    longer decodes pages into this form.
-    """
-
-    entries: List[Tuple[bytes, int]] = field(default_factory=list)
-    #: Sticky bit: an insert once probed past this bucket because it was
-    #: full.  Lookups may stop probing at the first bucket without it.
-    overflowed: bool = False
-
-    def lookup(self, digest: bytes) -> Optional[int]:
-        for key, pbn in self.entries:
-            if key == digest:
-                return pbn
-        return None
-
-    def insert(self, digest: bytes, pbn: int) -> None:
-        if self.is_full:
-            raise BucketFullError(
-                f"bucket already holds {BUCKET_CAPACITY} entries"
-            )
-        self.entries.append((digest, pbn))
-
-    def remove(self, digest: bytes) -> bool:
-        for position, (key, _) in enumerate(self.entries):
-            if key == digest:
-                del self.entries[position]
-                return True
-        return False
-
-    def update(self, digest: bytes, pbn: int) -> bool:
-        """Repoint an existing entry at a new PBN; False if absent."""
-        for position, (key, _) in enumerate(self.entries):
-            if key == digest:
-                self.entries[position] = (digest, pbn)
-                return True
-        return False
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.entries) >= BUCKET_CAPACITY
-
-    def to_bytes(self) -> bytes:
-        """Serialize to exactly one 4-KB page."""
-        flags = _FLAG_OVERFLOWED if self.overflowed else 0
-        parts = [_HEADER.pack(len(self.entries), flags)]
-        for digest, pbn in self.entries:
-            if len(digest) != FINGERPRINT_SIZE:
-                raise ValueError("malformed fingerprint in bucket")
-            parts.append(digest)
-            parts.append(pbn.to_bytes(PBN_SIZE, "big"))
-        body = b"".join(parts)
-        return body + b"\x00" * (BUCKET_SIZE - len(body))
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Bucket":
-        if len(raw) != BUCKET_SIZE:
-            raise ValueError(f"bucket pages are {BUCKET_SIZE} bytes, got {len(raw)}")
-        count, flags = _HEADER.unpack_from(raw, 0)
-        if count > BUCKET_CAPACITY:
-            raise ValueError(f"corrupt bucket: {count} entries")
-        entries: List[Tuple[bytes, int]] = []
-        offset = _HEADER.size
-        for _ in range(count):
-            digest = raw[offset : offset + FINGERPRINT_SIZE]
-            offset += FINGERPRINT_SIZE
-            pbn = int.from_bytes(raw[offset : offset + PBN_SIZE], "big")
-            offset += PBN_SIZE
-            entries.append((digest, pbn))
-        return cls(entries=entries, overflowed=bool(flags & _FLAG_OVERFLOWED))
 
 
 class PackedBucket:
@@ -158,10 +83,11 @@ class PackedBucket:
     run a C-speed aligned ``find`` over the entry region, inserts write
     the 38-byte entry into the next slot, removes shift the tail left
     and zero the vacated slot.  The page therefore stays **byte
-    identical** to what the legacy :class:`Bucket` would serialize
-    after the same operation history — the property the differential
-    suite pins — while costing ~38 bytes per entry resident instead of
-    a tuple/bytes/int object graph.
+    identical** to what the decoded reference bucket
+    (``tests/datared/reference.py``) would serialize after the same
+    operation history — the property the differential suite pins —
+    while costing ~38 bytes per entry resident instead of a
+    tuple/bytes/int object graph.
     """
 
     __slots__ = ("buf", "base")
@@ -266,7 +192,7 @@ class PackedBucket:
         # Shift the tail left over the vacated slot (bytearray slice
         # assignment copies the source first, so overlap is safe), then
         # zero the freed last slot: the page must read back exactly as
-        # the legacy Bucket would re-serialize it.
+        # the reference bucket would re-serialize it.
         self.buf[pos : end - ENTRY_SIZE] = self.buf[pos + ENTRY_SIZE : end]
         self.buf[end - ENTRY_SIZE : end] = bytes(ENTRY_SIZE)
         self._set_count(count - 1)
@@ -302,11 +228,6 @@ class PackedBucket:
         """Export the page (one 4-KB copy; the packed page itself stays
         private to its store)."""
         return bytes(self.buf[self.base : self.base + BUCKET_SIZE])  # repro-lint: copy-ok page export at the byte-store boundary
-
-
-#: Either bucket flavour; the table's probe loops are written against
-#: the duck-typed surface both implement.
-_AnyBucket = Union[Bucket, PackedBucket]
 
 
 class NegativeFilter:
@@ -451,12 +372,12 @@ class BucketStore:
 
     The byte-page methods (:meth:`read_bucket`/:meth:`write_bucket`) are
     the canonical interface — caches and SSD adapters interpose on them
-    and account 4-KB page traffic.  The *decoded* and *packed* methods
-    are hot-path refinements (DESIGN.md §5.4, §5.9): stores that
-    natively hold :class:`Bucket` or :class:`PackedBucket` objects
-    override them to skip the per-operation page round-trip.  The
-    defaults delegate to the byte-page methods, so interposing stores
-    keep exact page accounting without any change.
+    and account 4-KB page traffic.  The *packed* methods are the
+    hot-path refinement (DESIGN.md §5.4, §5.9): stores that natively
+    hold :class:`PackedBucket` pages override them to skip the
+    per-operation page round-trip.  The defaults delegate to the
+    byte-page methods, so interposing stores keep exact page accounting
+    without any change.
     """
 
     def read_bucket(self, index: int) -> bytes:
@@ -464,14 +385,6 @@ class BucketStore:
 
     def write_bucket(self, index: int, page: bytes) -> None:
         raise NotImplementedError
-
-    def load_bucket(self, index: int) -> Bucket:
-        """Decoded read; default decodes the byte page."""
-        return Bucket.from_bytes(self.read_bucket(index))
-
-    def store_bucket(self, index: int, bucket: Bucket) -> None:
-        """Decoded write; default encodes to a byte page."""
-        self.write_bucket(index, bucket.to_bytes())
 
     def load_packed(self, index: int) -> PackedBucket:
         """Packed read; default wraps the byte page (one page copy,
@@ -486,22 +399,19 @@ class BucketStore:
 class InMemoryBucketStore(BucketStore):
     """Dict-backed store; unwritten buckets read back empty.
 
-    The store serves three page flavours through one dict: raw byte
+    The store serves two page flavours through one dict: raw byte
     pages (the generic 4-KB interface —
     :class:`~repro.datared.lba_store.PagedLbaStore` stores LBA array
-    pages here that are *not* bucket-encoded), decoded :class:`Bucket`
-    objects (the legacy table hot path), and :class:`PackedBucket`
-    pages (the default table hot path, which skips both the 4-KB
-    encode/decode and the per-entry object graph).  A page converts
-    lazily on the first access in another form, so mixed access per
-    index stays coherent.  The ``reads``/``writes`` counters count page
-    accesses identically in all forms.
+    pages here that are *not* bucket-encoded) and :class:`PackedBucket`
+    pages (the table hot path, which skips the 4-KB page copy per
+    access).  A page converts lazily on the first access in the other
+    form, so mixed access per index stays coherent.  The
+    ``reads``/``writes`` counters count page accesses identically in
+    both forms.
     """
 
-    _EMPTY = Bucket().to_bytes()
-
     def __init__(self) -> None:
-        self._pages: Dict[int, Union[bytes, Bucket, PackedBucket]] = {}
+        self._pages: Dict[int, Union[bytes, PackedBucket]] = {}
         self.reads = 0
         self.writes = 0
 
@@ -509,8 +419,8 @@ class InMemoryBucketStore(BucketStore):
         self.reads += 1
         page = self._pages.get(index)
         if page is None:
-            return self._EMPTY
-        if isinstance(page, (Bucket, PackedBucket)):
+            return EMPTY_PAGE
+        if isinstance(page, PackedBucket):
             return page.to_bytes()
         return page
 
@@ -520,33 +430,13 @@ class InMemoryBucketStore(BucketStore):
         self.writes += 1
         self._pages[index] = page
 
-    def load_bucket(self, index: int) -> Bucket:  # repro-lint: hot-path
-        self.reads += 1
-        page = self._pages.get(index)
-        if page is None:
-            return Bucket()
-        if not isinstance(page, Bucket):
-            if isinstance(page, PackedBucket):
-                page = Bucket.from_bytes(page.to_bytes())
-            else:
-                page = Bucket.from_bytes(page)
-            self._pages[index] = page
-        return page
-
-    def store_bucket(self, index: int, bucket: Bucket) -> None:  # repro-lint: hot-path
-        self.writes += 1
-        self._pages[index] = bucket
-
     def load_packed(self, index: int) -> PackedBucket:  # repro-lint: hot-path
         self.reads += 1
         page = self._pages.get(index)
         if page is None:
             return PackedBucket.empty()
         if not isinstance(page, PackedBucket):
-            if isinstance(page, Bucket):
-                page = PackedBucket.from_page(page.to_bytes())
-            else:
-                page = PackedBucket.from_page(page)
+            page = PackedBucket.from_page(page)
             self._pages[index] = page
         return page
 
@@ -616,43 +506,33 @@ class HashPbnTable:
     All bucket IO flows through the injected :class:`BucketStore`; the
     table itself holds no pages, so a cached store sees every access.
 
-    ``packed`` selects the page representation the hot path uses:
-    packed (default) operates on raw 4-KB pages via
-    :class:`PackedBucket`, legacy decodes into :class:`Bucket` entry
-    lists.  Both produce byte-identical stored pages for any operation
-    history.  ``negative_filter`` arms the :class:`NegativeFilter`
-    probe-skip (``None`` = auto: on over the private in-memory stores,
-    off over interposing stores such as the table cache, whose page
-    accounting feeds the calibrated device models and must keep the
-    exact per-lookup access pattern).
+    Pages are operated on in place through :class:`PackedBucket`.  The
+    :class:`NegativeFilter` probe-skip is armed exactly when
+    :attr:`private_store` holds: an interposing store such as the table
+    cache feeds the calibrated device models from its page accounting
+    and must keep the exact per-lookup access pattern.
     """
 
     def __init__(
         self,
         num_buckets: int,
         store: Optional[BucketStore] = None,
-        *,
-        packed: bool = True,
-        negative_filter: Optional[bool] = None,
     ) -> None:
         if num_buckets < 1:
             raise ValueError("need at least one bucket")
         self.num_buckets = num_buckets
         self.store = store if store is not None else InMemoryBucketStore()
-        self.packed = packed
         #: True when no accounting store interposes on page traffic —
         #: the condition under which probe-skipping/batching fast paths
         #: cannot perturb a calibrated device model.
         self.private_store = isinstance(
             self.store, (InMemoryBucketStore, ArenaBucketStore)
         )
-        if negative_filter is None:
-            negative_filter = self.private_store
         self.filter: Optional[NegativeFilter] = (
             NegativeFilter(
                 num_buckets, dense=isinstance(self.store, ArenaBucketStore)
             )
-            if negative_filter
+            if self.private_store
             else None
         )
         self.entry_count = 0
@@ -672,17 +552,12 @@ class HashPbnTable:
         # 32-byte invariant holds structurally.
         return int.from_bytes(digest[-8:], "big") % self.num_buckets  # repro-lint: copy-ok 8-byte index slice
 
-    def _load(self, index: int) -> _AnyBucket:  # repro-lint: hot-path
+    def _load(self, index: int) -> PackedBucket:  # repro-lint: hot-path
         self.probe_count += 1
-        if self.packed:
-            return self.store.load_packed(index)
-        return self.store.load_bucket(index)
+        return self.store.load_packed(index)
 
-    def _save(self, index: int, bucket: _AnyBucket) -> None:  # repro-lint: hot-path
-        if isinstance(bucket, PackedBucket):
-            self.store.store_packed(index, bucket)
-        else:
-            self.store.store_bucket(index, bucket)
+    def _save(self, index: int, bucket: PackedBucket) -> None:  # repro-lint: hot-path
+        self.store.store_packed(index, bucket)
 
     def _filter_says_absent(self, home: int, digest: bytes) -> bool:  # repro-lint: hot-path
         """Consult the negative filter; True means skip all probes."""
@@ -737,7 +612,7 @@ class HashPbnTable:
         homes = [self._home(digest) for digest in unique]
         order = sorted(range(len(unique)), key=homes.__getitem__)
         results: List[Optional[int]] = [None] * len(unique)
-        loaded: Dict[int, _AnyBucket] = {}
+        loaded: Dict[int, PackedBucket] = {}
         for position in order:
             digest = unique[position]
             home = homes[position]
@@ -762,7 +637,11 @@ class HashPbnTable:
 
     def insert(self, digest: bytes, pbn: int) -> None:
         """Insert a new fingerprint.  The caller must have checked
-        uniqueness via :meth:`lookup` (the dedup flow always does)."""
+        uniqueness via :meth:`lookup` (the dedup flow always does).
+        A table with every bucket full refuses with
+        :class:`~repro.errors.CapacityError`; the engine checks
+        :attr:`is_full` before it stores the chunk, so it never gets
+        that far with state to unwind."""
         if not 0 <= pbn <= MAX_PBN:
             raise ValueError(f"PBN {pbn} out of range")
         if len(digest) != FINGERPRINT_SIZE:
@@ -782,7 +661,7 @@ class HashPbnTable:
                 bucket.overflowed = True
                 self._save(index, bucket)
             index = (index + 1) % self.num_buckets
-        raise RuntimeError("Hash-PBN table is full")
+        raise CapacityError("Hash-PBN table is full")
 
     def remove(self, digest: bytes) -> bool:
         """Remove a fingerprint (garbage collection of freed chunks)."""
@@ -820,6 +699,10 @@ class HashPbnTable:
 
     def __len__(self) -> int:
         return self.entry_count
+
+    @property
+    def is_full(self) -> bool:
+        return self.entry_count >= self.num_buckets * BUCKET_CAPACITY
 
     @property
     def load_factor(self) -> float:

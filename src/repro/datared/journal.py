@@ -39,7 +39,6 @@ journaling is opt-in and costs nothing when unused.  Arm it through
 from __future__ import annotations
 
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -47,10 +46,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import JournalCorruptError
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
-from .compression import Compressor
 from .container import ContainerStore
 from .dedup import DedupEngine
-from .hash_pbn import HashPbnTable
 from .lba_map import PbnRecord
 
 __all__ = [
@@ -64,7 +61,6 @@ __all__ = [
     "reconcile_containers",
     "validate_placements",
     "recover_into",
-    "recover_engine",
 ]
 
 _HEADER = struct.Struct(">BI")  # kind, payload length
@@ -842,32 +838,3 @@ def recover_into(engine: DedupEngine, image: bytes) -> RecoveryReport:
         engine.journal.seed(image[: report.durable_bytes])
     engine.recovery = report
     return report
-
-
-def recover_engine(
-    journal_image: bytes,
-    containers: ContainerStore,
-    compressor: Optional[Compressor] = None,
-    num_buckets: int = 1 << 15,
-) -> Tuple[DedupEngine, bool]:
-    """Deprecated: use ``build_engine(config, recover_from=RecoveryImage(...))``.
-
-    The factory path wires the recovered engine with the same codec,
-    fingerprint, index and shard policy as a fresh one; this shim
-    rebuilds a bare engine with defaults.  Returns ``(engine, clean)``.
-    """
-    warnings.warn(
-        "recover_engine is deprecated; use "
-        "repro.systems.factory.build_engine(config, "
-        "recover_from=RecoveryImage(journal, containers))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    engine = DedupEngine(
-        table=HashPbnTable(num_buckets),
-        compressor=compressor,
-        containers=containers,
-    )
-    recover_into(engine, journal_image)
-    assert engine.recovery is not None
-    return engine, engine.recovery.clean

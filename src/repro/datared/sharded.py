@@ -31,7 +31,7 @@ differential suite proves it.
 
 from __future__ import annotations
 
-import math
+from dataclasses import fields
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -52,7 +52,7 @@ from ..errors import ShardError, SnapshotError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..parallel import StagePool
 from ..sync import DisciplinedLock
-from .chunking import BLOCK_SIZE, Chunk, FixedChunker
+from .chunking import BLOCK_SIZE, FixedChunker
 from .compression import Compressor
 from .dedup import (
     DedupEngine,
@@ -63,11 +63,21 @@ from .dedup import (
     WriteOptions,
     WriteReport,
     _NO_OPTIONS,
+    active_clock,
+    chunk_and_hash,
     flush_stages,
+    publish_engine_gauges,
 )
 from .hashing import Fingerprinter
 
 __all__ = ["ShardedDedupEngine", "shard_for_digest"]
+
+#: The :class:`EngineStats` figures also published per shard, as
+#: ``engine.shard.<i>.<name>``.
+_SHARD_GAUGES = (
+    "logical_bytes", "stored_bytes", "live_stored_bytes",
+    "unique_chunks", "duplicate_chunks", "containers_sealed",
+)
 
 #: Payload type accepted by the write entry points (mirrors DedupEngine).
 _Payload = Union[bytes, bytearray, memoryview]
@@ -206,30 +216,15 @@ class ShardedDedupEngine:
         for shard in self.shards:
             shard.stage_clock = clock
 
-    def _active_clock(self) -> Optional[StageTimer]:
-        clock = self._stage_clock
-        if clock is None or not getattr(clock, "active", True):
-            return None
-        return clock
-
     # -- stats -------------------------------------------------------------------
     @property
     def stats(self) -> ReductionStats:
         """Cluster-wide :class:`ReductionStats` (summed over shards)."""
-        with self.lock:
-            merged = ReductionStats()
-            for shard in self.shards:
-                stats = shard.stats
-                with shard.lock:  # lock: dedup-engine
-                    merged.logical_bytes += stats.logical_bytes
-                    merged.unique_logical_bytes += stats.unique_logical_bytes
-                    merged.stored_bytes += stats.stored_bytes
-                    merged.reclaimed_stored_bytes += (
-                        stats.reclaimed_stored_bytes
-                    )
-                    merged.duplicate_chunks += stats.duplicate_chunks
-                    merged.unique_chunks += stats.unique_chunks
-            return merged
+        snap = self.stats_snapshot()
+        return ReductionStats(**{
+            field.name: getattr(snap, field.name)
+            for field in fields(ReductionStats)
+        })
 
     def shard_snapshots(self) -> List[EngineStats]:
         """Per-shard lock-consistent :class:`EngineStats` snapshots."""
@@ -249,64 +244,13 @@ class ShardedDedupEngine:
         are recomputed from the summed ledgers.
         """
         snaps = self.shard_snapshots()
-        snap = _merge_snapshots(snaps)
         registry.gauge("engine.shards").set(self.num_shards)
-        registry.gauge("engine.logical_bytes").set(snap.logical_bytes)
-        registry.gauge("engine.unique_logical_bytes").set(
-            snap.unique_logical_bytes
-        )
-        registry.gauge("engine.stored_bytes").set(snap.stored_bytes)
-        registry.gauge("engine.live_stored_bytes").set(snap.live_stored_bytes)
-        registry.gauge("engine.reclaimed_stored_bytes").set(
-            snap.reclaimed_stored_bytes
-        )
-        registry.gauge("engine.duplicate_chunks").set(snap.duplicate_chunks)
-        registry.gauge("engine.unique_chunks").set(snap.unique_chunks)
-        registry.gauge("engine.read_cache.hits").set(snap.read_cache_hits)
-        registry.gauge("engine.read_cache.misses").set(snap.read_cache_misses)
-        registry.gauge("engine.gc.containers_reclaimed").set(
-            snap.gc_containers_reclaimed
-        )
-        registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
-        registry.gauge("engine.plan.fallback_compressions").set(
-            snap.plan_fallback_compressions
-        )
-        registry.gauge("engine.plan.wasted_compressions").set(
-            snap.plan_wasted_compressions
-        )
-        registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
-        registry.gauge("index.filter.hits").set(snap.index_filter_hits)
-        registry.gauge("index.filter.misses").set(snap.index_filter_misses)
-        registry.gauge("index.batch.saved_lookups").set(
-            snap.index_saved_lookups
-        )
-        registry.gauge("index.probes").set(snap.index_probes)
-        registry.gauge("engine.dedup_ratio").set(snap.dedup_ratio)
-        registry.gauge("engine.compression_ratio").set(snap.compression_ratio)
-        reduction = snap.reduction_factor
-        if not math.isfinite(reduction):
-            reduction = 0.0
-        registry.gauge("engine.reduction_factor").set(reduction)
+        publish_engine_gauges(registry, _merge_snapshots(snaps))
         for index, shard_snap in enumerate(snaps):
-            prefix = f"engine.shard.{index}"
-            registry.gauge(f"{prefix}.logical_bytes").set(
-                shard_snap.logical_bytes
-            )
-            registry.gauge(f"{prefix}.stored_bytes").set(
-                shard_snap.stored_bytes
-            )
-            registry.gauge(f"{prefix}.live_stored_bytes").set(
-                shard_snap.live_stored_bytes
-            )
-            registry.gauge(f"{prefix}.unique_chunks").set(
-                shard_snap.unique_chunks
-            )
-            registry.gauge(f"{prefix}.duplicate_chunks").set(
-                shard_snap.duplicate_chunks
-            )
-            registry.gauge(f"{prefix}.containers_sealed").set(
-                shard_snap.containers_sealed
-            )
+            for name in _SHARD_GAUGES:
+                registry.gauge(f"engine.shard.{index}.{name}").set(
+                    getattr(shard_snap, name)
+                )
 
     # -- write path --------------------------------------------------------------
     def write(
@@ -356,39 +300,17 @@ class ShardedDedupEngine:
         requests: List[Tuple[int, _Payload]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
-        clock = self._active_clock()
+        clock = active_clock(self._stage_clock)
         reports = [WriteReport() for _ in requests]
-        flat: List[Tuple[int, Chunk]] = []
-        if clock is None:
-            for index, (lba, payload) in enumerate(requests):
-                for chunk in self.chunker.split(lba, payload):
-                    flat.append((index, chunk))
-        else:
-            with clock.stage("chunk"):
-                for index, (lba, payload) in enumerate(requests):
-                    for chunk in self.chunker.split(lba, payload):
-                        flat.append((index, chunk))
+        # Stages 0-1 (hash in parallel): the engine's own front, run at
+        # the router so one digest both routes the chunk and skips the
+        # shard's hash stage.
+        flat, digests = chunk_and_hash(
+            self.chunker, self.fingerprinter, self.pool, clock,
+            requests, digests,
+        )
         if not flat:
             return reports
-
-        # Stage 1 (parallel): the unchanged hash fan-out, now at the
-        # router so one digest both routes the chunk and skips the
-        # shard's own hash stage.
-        if digests is None:
-            views = [chunk.data for _, chunk in flat]
-            if clock is None:
-                digests = self.fingerprinter.digest_many(views, pool=self.pool)
-            else:
-                with clock.stage("hash"):
-                    digests = self.fingerprinter.digest_many(
-                        views, pool=self.pool
-                    )
-        else:
-            digests = list(digests)
-            if len(digests) != len(flat):
-                raise ValueError(
-                    f"got {len(digests)} digests for {len(flat)} chunks"
-                )
 
         flush_stages(clock)  # the front door's stages; shards flush their own
 
@@ -411,8 +333,6 @@ class ShardedDedupEngine:
         # per-request reports chunk by chunk.  Exceptions are captured
         # per shard — never raised through the pool — so the scatter
         # always runs to completion before the gather inspects it.
-        digest_list = list(digests)
-
         def scatter(
             item: Tuple[int, List[int]],
         ) -> Tuple[int, Union[List[WriteReport], BaseException]]:
@@ -422,7 +342,7 @@ class ShardedDedupEngine:
                 (flat[position][1].lba, flat[position][1].data)
                 for position in positions
             ]
-            sub_digests = [digest_list[position] for position in positions]
+            sub_digests = [digests[position] for position in positions]
             try:
                 return shard_index, shard.write_many(
                     sub_requests, WriteOptions(digests=sub_digests)
@@ -649,10 +569,6 @@ class ShardedDedupEngine:
             self._closed = True
         self._fanout.shutdown()
 
-    def shutdown(self) -> None:
-        """Deprecated alias for :meth:`close` (kept for old callers)."""
-        self.close()
-
     def __enter__(self) -> "ShardedDedupEngine":
         return self
 
@@ -667,28 +583,7 @@ def _merge_snapshots(snaps: Sequence[EngineStats]) -> EngineStats:
     cluster view is the plain field-wise sum; the derived ratios then
     recompute from the summed ledgers.
     """
-    return EngineStats(
-        logical_bytes=sum(s.logical_bytes for s in snaps),
-        unique_logical_bytes=sum(s.unique_logical_bytes for s in snaps),
-        stored_bytes=sum(s.stored_bytes for s in snaps),
-        reclaimed_stored_bytes=sum(s.reclaimed_stored_bytes for s in snaps),
-        duplicate_chunks=sum(s.duplicate_chunks for s in snaps),
-        unique_chunks=sum(s.unique_chunks for s in snaps),
-        read_cache_hits=sum(s.read_cache_hits for s in snaps),
-        read_cache_misses=sum(s.read_cache_misses for s in snaps),
-        gc_containers_reclaimed=sum(
-            s.gc_containers_reclaimed for s in snaps
-        ),
-        gc_bytes_moved=sum(s.gc_bytes_moved for s in snaps),
-        plan_fallback_compressions=sum(
-            s.plan_fallback_compressions for s in snaps
-        ),
-        plan_wasted_compressions=sum(
-            s.plan_wasted_compressions for s in snaps
-        ),
-        containers_sealed=sum(s.containers_sealed for s in snaps),
-        index_filter_hits=sum(s.index_filter_hits for s in snaps),
-        index_filter_misses=sum(s.index_filter_misses for s in snaps),
-        index_saved_lookups=sum(s.index_saved_lookups for s in snaps),
-        index_probes=sum(s.index_probes for s in snaps),
-    )
+    return EngineStats(**{
+        field.name: sum(getattr(snap, field.name) for snap in snaps)
+        for field in fields(EngineStats)
+    })

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..datared.hash_pbn import BUCKET_SIZE, BucketStore
+from ..datared.hash_pbn import BUCKET_SIZE, EMPTY_PAGE, BucketStore
 from .ssd import NvmeSsd, SsdArray
 
 __all__ = [
@@ -202,7 +202,6 @@ class QueuedBucketStore(BucketStore):
             NvmeController(drive, pair)
             for drive, pair in zip(array.drives, self.pairs)
         ]
-        self._empty: Optional[bytes] = None
 
     def _lane(self, index: int) -> int:
         return index % len(self.pairs)
@@ -217,11 +216,9 @@ class QueuedBucketStore(BucketStore):
                 if completion.status == 0:
                     assert completion.data is not None
                     return completion.data
-                if self._empty is None:
-                    from ..datared.hash_pbn import Bucket
-
-                    self._empty = Bucket().to_bytes()
-                return self._empty
+                # Never-written buckets read back empty, like a fresh
+                # table.
+                return EMPTY_PAGE
         raise RuntimeError("completion lost")  # cannot happen synchronously
 
     def write_bucket(self, index: int, page: bytes) -> None:

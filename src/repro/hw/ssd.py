@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..datared.hash_pbn import BUCKET_SIZE, BucketStore
+from ..datared.hash_pbn import BUCKET_SIZE, EMPTY_PAGE, BucketStore
 from .specs import SsdSpec, SAMSUNG_970_PRO
 
 __all__ = ["IoStats", "NvmeSsd", "SsdArray", "SsdBucketStore"]
@@ -171,18 +171,13 @@ class SsdBucketStore(BucketStore):
             raise ValueError("queue_owner must be 'host' or 'engine'")
         self.array = array
         self.queue_owner = queue_owner
-        self._empty = None  # lazily built empty bucket page
 
     def read_bucket(self, index: int) -> bytes:
         try:
             return self.array.read_block(index)
         except KeyError:
             # Never-written buckets read back empty, like a fresh table.
-            if self._empty is None:
-                from ..datared.hash_pbn import Bucket
-
-                self._empty = Bucket().to_bytes()
-            return self._empty
+            return EMPTY_PAGE
 
     def write_bucket(self, index: int, page: bytes) -> None:
         if len(page) != BUCKET_SIZE:

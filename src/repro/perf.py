@@ -514,7 +514,7 @@ def _drive_sharded(
                 for snap in engine.shard_snapshots()
             ]
         finally:
-            engine.shutdown()
+            engine.close()
         return total, router_clock, shard_clocks, shard_chunks
 
 
@@ -624,37 +624,26 @@ def run_shard_bench(
 
 
 def _index_memory(
-    num_buckets: int, seed: int, packed: bool, target: Optional[int] = None
+    num_buckets: int, seed: int, target: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Resident bytes/entry of one table configuration via tracemalloc.
+    """Resident bytes/entry of an arena-backed table via tracemalloc.
 
     Builds the table *inside* a tracing window, inserting random
     fingerprints until the table is full (or ``target`` entries), and
     reads the **current** traced size afterwards — i.e. what the table
     retains, not what the build transiently allocated.  Digests and PBN
-    ints are minted per insert and dropped right after, so the legacy
-    table is charged for the tuple/bytes/int graph it keeps alive while
-    the packed arena (which copies bytes into the page) is not.
+    ints are minted per insert and dropped right after; the arena
+    copies their bytes into the page, so none of that graph is retained.
     """
     rng = random.Random(seed)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        if packed:
-            table = HashPbnTable(
-                num_buckets, store=ArenaBucketStore(num_buckets)
-            )
-        else:
-            table = HashPbnTable(
-                num_buckets, packed=False, negative_filter=False
-            )
+        table = HashPbnTable(num_buckets, store=ArenaBucketStore(num_buckets))
         count = 0
         pbn = MAX_PBN
-        while target is None or count < target:
-            try:
-                table.insert(rng.randbytes(32), pbn)
-            except RuntimeError:
-                break
+        while not table.is_full and (target is None or count < target):
+            table.insert(rng.randbytes(32), pbn)
             pbn -= 1
             count += 1
         resident = tracemalloc.get_traced_memory()[0] - before
@@ -677,18 +666,20 @@ def run_index_bench(
 ) -> Dict[str, Any]:
     """Hash-PBN index microbench; returns the BENCH_index payload.
 
-    Two measurements against the legacy (decoded entry-list, no filter,
-    per-call lookup) configuration:
+    Two measurements of the arena-backed table (dense negative filter
+    armed):
 
     * ``memory`` — resident bytes per entry via :mod:`tracemalloc`, at
       full table capacity (the memory-dense arena configuration's
-      operating point; the gated number) and at the default 0.7 fill.
-    * ``resolve`` — lookups/s on a unique-heavy batch
-      (``1 - present_fraction`` absent digests plus a sprinkle of
-      intra-batch repeats): legacy loops :meth:`HashPbnTable.lookup`
-      per digest, packed resolves the whole batch through
-      :meth:`HashPbnTable.lookup_many` over an arena store with the
-      dense negative filter armed.  Results are asserted identical.
+      operating point) and at the default 0.7 fill.
+    * ``resolve`` — :meth:`HashPbnTable.lookup_many` lookups/s on a
+      unique-heavy batch (``1 - present_fraction`` absent digests plus
+      a sprinkle of intra-batch repeats; the CI-gated number).  Results
+      are asserted against the inserted fingerprint→PBN map.
+
+    The decoded-bucket table these were first measured against (163
+    B/entry, 4.14x slower per-call lookups) is gone from ``src/``; the
+    committed ``BENCH_index.json`` keeps that comparison on record.
     """
     if not 0 < fill <= 1:
         raise ValueError(f"fill must be in (0, 1], got {fill}")
@@ -698,35 +689,21 @@ def run_index_bench(
         )
     operating_target = int(BUCKET_CAPACITY * num_buckets * fill)
     memory = {
-        "full": {
-            "legacy": _index_memory(num_buckets, seed, packed=False),
-            "packed": _index_memory(num_buckets, seed, packed=True),
-        },
+        "full": {"packed": _index_memory(num_buckets, seed)},
         "operating": {
             "fill": fill,
-            "legacy": _index_memory(
-                num_buckets, seed, packed=False, target=operating_target
-            ),
             "packed": _index_memory(
-                num_buckets, seed, packed=True, target=operating_target
+                num_buckets, seed, target=operating_target
             ),
         },
     }
-    for point in memory.values():
-        legacy_bpe = point["legacy"]["bytes_per_entry"]
-        packed_bpe = point["packed"]["bytes_per_entry"]
-        point["ratio"] = (
-            round(legacy_bpe / packed_bpe, 2) if packed_bpe else 0.0
-        )
 
-    # -- resolve throughput: identical tables, identical batch -------------
+    # -- resolve throughput ------------------------------------------------
     rng = random.Random(seed ^ 0x1D8)
-    legacy = HashPbnTable(num_buckets, packed=False, negative_filter=False)
     packed = HashPbnTable(num_buckets, store=ArenaBucketStore(num_buckets))
     present: List[bytes] = []
     for pbn in range(operating_target):
         digest = rng.randbytes(32)
-        legacy.insert(digest, pbn)
         packed.insert(digest, pbn)
         present.append(digest)
     batch: List[bytes] = []
@@ -740,27 +717,19 @@ def run_index_bench(
     for _ in range(batch_size // 16):
         batch[rng.randrange(batch_size)] = batch[rng.randrange(batch_size)]
 
-    expected = [legacy.lookup(digest) for digest in batch]
-    assert packed.lookup_many(batch) == expected, (
-        "packed lookup_many diverged from legacy per-call lookups"
-    )
+    pbn_of = {digest: pbn for pbn, digest in enumerate(present)}
+    assert packed.lookup_many(batch) == [
+        pbn_of.get(digest) for digest in batch
+    ], "lookup_many diverged from the inserted fingerprint→PBN map"
 
-    best_legacy: Optional[int] = None
     best_packed: Optional[int] = None
     for _ in range(rounds):
         start = time.perf_counter_ns()
-        for digest in batch:
-            legacy.lookup(digest)
-        legacy_ns = time.perf_counter_ns() - start
-        start = time.perf_counter_ns()
         packed.lookup_many(batch)
         packed_ns = time.perf_counter_ns() - start
-        if best_legacy is None or legacy_ns < best_legacy:
-            best_legacy = legacy_ns
         if best_packed is None or packed_ns < best_packed:
             best_packed = packed_ns
-    assert best_legacy is not None and best_packed is not None
-    legacy_rate = batch_size / (best_legacy / 1e9)
+    assert best_packed is not None
     packed_rate = batch_size / (best_packed / 1e9)
 
     return {
@@ -775,23 +744,19 @@ def run_index_bench(
             "present_fraction": present_fraction,
             "fill": fill,
             "table_entries": operating_target,
-            "legacy_ns": best_legacy,
             "packed_ns": best_packed,
-            "legacy_lookups_per_s": round(legacy_rate, 1),
             "packed_lookups_per_s": round(packed_rate, 1),
-            "speedup": round(packed_rate / legacy_rate, 2),
             "filter_hits": packed.filter_hits,
             "filter_misses": packed.filter_misses,
             "saved_batch_lookups": packed.saved_batch_lookups,
             "probes": packed.probe_count,
         },
         "note": (
-            "memory.full is the gated point (arena tables run at "
-            "capacity); bytes/entry are tracemalloc *current* deltas, "
-            "so only retained structures count.  resolve times are "
-            "min-over-rounds on the identical batch; legacy = decoded "
-            "buckets, per-call lookup, no filter; packed = arena store "
-            "+ dense negative filter + lookup_many"
+            "bytes/entry are tracemalloc *current* deltas, so only "
+            "retained structures count (memory.full: arena tables run "
+            "at capacity).  resolve times are min-over-rounds on the "
+            "identical batch: arena store + dense negative filter + "
+            "lookup_many"
         ),
     }
 
@@ -860,8 +825,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--index", action="store_true",
-        help="run the Hash-PBN index microbench (packed vs legacy "
-        "memory + batched resolve throughput) instead of the stage "
+        help="run the Hash-PBN index microbench (resident bytes/entry "
+        "+ batched resolve throughput) instead of the stage "
         "breakdown; emits BENCH_index.json",
     )
     parser.add_argument(
@@ -924,17 +889,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"buckets, min of {args.rounds} rounds)"
         )
         print(
-            f"  memory (full table): legacy "
-            f"{full['legacy']['bytes_per_entry']} B/entry, packed "
-            f"{full['packed']['bytes_per_entry']} B/entry "
-            f"({full['ratio']}x smaller)"
+            f"  memory (full table): "
+            f"{full['packed']['bytes_per_entry']} B/entry"
         )
         print(
             f"  resolve ({resolve['batch_size']} digests, "
             f"{int((1 - resolve['present_fraction']) * 100)}% absent): "
-            f"legacy {resolve['legacy_lookups_per_s']:,.0f}/s, packed "
-            f"{resolve['packed_lookups_per_s']:,.0f}/s "
-            f"({resolve['speedup']}x); filter hits "
+            f"{resolve['packed_lookups_per_s']:,.0f}/s; filter hits "
             f"{resolve['filter_hits']}, saved batch lookups "
             f"{resolve['saved_batch_lookups']}"
         )

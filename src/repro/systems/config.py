@@ -257,21 +257,6 @@ class SystemConfig:
     #: re-reads served from the cache skip the container fetch and
     #: ``zlib.decompress``; entries are invalidated on free/GC.
     read_cache_chunks: int = 0
-    #: Hash-PBN page representation (DESIGN.md §5.9): ``True`` (default)
-    #: operates on packed 4-KB pages in place (byte-identical on-disk
-    #: format, ~4x lower resident bytes/entry), ``False`` decodes pages
-    #: into the legacy entry-list buckets.  Safe under every store —
-    #: page accounting is unchanged either way.
-    index_packed: bool = True
-    #: Negative filter over the Hash-PBN table (skip bucket probes for
-    #: absent digests).  ``None`` (default) = auto: on over private
-    #: in-memory bucket stores, off over interposing stores (the table
-    #: cache under the calibrated device models must see every probe).
-    index_filter: Optional[bool] = None
-    #: Batched Hash-PBN resolve in ``write_many`` (digest-deduped,
-    #: home-sorted ``lookup_many`` per batch).  ``None`` = the same
-    #: private-store auto rule as ``index_filter``.
-    index_batched: Optional[bool] = None
     #: Which codec/fingerprint plugins the engine is built with (see
     #: :class:`CodecPolicy`).  The default policy is the byte-stable
     #: ``zlib`` + ``sha256`` pair.

@@ -118,12 +118,7 @@ def build_engine(
         else:
             containers = ContainerStore(on_seal=on_seal)
         engine = DedupEngine(
-            table=HashPbnTable(
-                num_buckets,
-                store=table_store,
-                packed=config.index_packed,
-                negative_filter=config.index_filter,
-            ),
+            table=HashPbnTable(num_buckets, store=table_store),
             compressor=resolved_compressor,
             containers=containers,
             chunk_size=config.chunk_size,
@@ -131,7 +126,6 @@ def build_engine(
             read_cache_chunks=config.read_cache_chunks,
             registry=registry,
             fingerprinter=fingerprinter,
-            batched_resolve=config.index_batched,
             journal=_make_journal(config, registry),
         )
         if image is not None:
@@ -179,11 +173,7 @@ def build_engine(
         else:
             shard_containers = ContainerStore(on_seal=seal_hook)
         return DedupEngine(
-            table=HashPbnTable(
-                num_buckets,
-                packed=config.index_packed,
-                negative_filter=config.index_filter,
-            ),
+            table=HashPbnTable(num_buckets),
             compressor=resolved_compressor,
             containers=shard_containers,
             chunk_size=config.chunk_size,
@@ -191,7 +181,6 @@ def build_engine(
             read_cache_chunks=config.read_cache_chunks,
             registry=shard_registry,
             fingerprinter=fingerprinter,
-            batched_resolve=config.index_batched,
             journal=_make_journal(config, shard_registry),
         )
 

@@ -232,7 +232,7 @@ def test_stress_sharded_engine_is_race_free(detector):
         engine.flush()
         assert check_sharded_engine(engine) == []
     finally:
-        engine.shutdown()
+        engine.close()
 
 
 def test_detector_flags_a_seeded_lock_bypass(detector):

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cache.table_cache import BTreeIndex, HwTreeIndex, TableCache
-from repro.datared.hash_pbn import Bucket, HashPbnTable, InMemoryBucketStore
+from repro.datared.hash_pbn import HashPbnTable, InMemoryBucketStore, PackedBucket
 from repro.datared.hashing import fingerprint
 
 
 def page_with(value: int) -> bytes:
-    bucket = Bucket()
+    bucket = PackedBucket.empty()
     bucket.insert(fingerprint(str(value).encode()), value)
     return bucket.to_bytes()
 
@@ -64,7 +64,7 @@ class TestWriteBack:
         cache.write_bucket(3, page_with(3))  # evicts bucket 1
         assert backing.writes == 1
         assert cache.stats.flushes == 1
-        assert Bucket.from_bytes(backing.read_bucket(1)).entries
+        assert PackedBucket.from_page(backing.read_bucket(1)).entries
 
     def test_clean_eviction_skips_flush(self):
         backing, cache = make_cache(lines=2, batch=1)

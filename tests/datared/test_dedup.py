@@ -1,12 +1,17 @@
 """Tests for the end-to-end dedup engine (write/read/reclaim/GC)."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.invariants import check_engine
 from repro.datared.compression import ModeledCompressor, ZlibCompressor
 from repro.datared.dedup import DedupEngine
+from repro.datared.hash_pbn import BUCKET_CAPACITY
+from repro.datared.journal import MetadataJournal, recover_into
+from repro.errors import CapacityError
 
 
 def fresh_engine(**kwargs) -> DedupEngine:
@@ -283,3 +288,80 @@ class TestPropertyRoundtrip:
             assert engine.read(lba, 1).data == data
         # Dedup invariant: stored uniques never exceed distinct contents.
         assert engine.stats.unique_chunks <= len(pool) + len(model)
+
+
+class TestFullIndexRefusal:
+    """A full Hash-PBN table is a typed, clean refusal: the chunk that
+    does not fit raises ``CapacityError`` and mutates nothing."""
+
+    @staticmethod
+    def _fill(engine, rng):
+        """One unique chunk per bucket slot; returns {lba: data}."""
+        written = {}
+        for lba in range(BUCKET_CAPACITY * engine.table.num_buckets):
+            written[lba] = rng.randbytes(CHUNK)
+            engine.write(lba, written[lba])
+        assert engine.table.is_full
+        return written
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_refused_unique_mutates_nothing(self, rng, journaled):
+        journal = MetadataJournal() if journaled else None
+        engine = DedupEngine(
+            num_buckets=1, compressor=ModeledCompressor(0.5), journal=journal
+        )
+        written = self._fill(engine, rng)
+        before = copy.copy(engine.stats)
+        placements = sorted(engine.containers.live_placements())
+        image = journal.to_bytes() if journal is not None else None
+
+        with pytest.raises(CapacityError, match="full"):
+            engine.write(500, rng.randbytes(CHUNK))  # the 108th unique
+
+        assert engine.stats == before
+        assert engine.table.entry_count == len(written)
+        assert sorted(engine.containers.live_placements()) == placements
+        assert engine.lba_map.get(500) is None
+        if journal is not None:
+            assert journal.to_bytes()[: len(image)] == image
+        assert check_engine(engine) == []
+        for lba, data in written.items():
+            assert engine.read(lba).data == data
+        # Duplicates need no index slot, so they still succeed.
+        report = engine.write(600, written[5])
+        assert report.duplicate_chunks == 1
+        assert engine.read(600).data == written[5]
+        assert check_engine(engine) == []
+
+    def test_earlier_chunks_of_the_batch_stay_applied(self, rng):
+        """Per-chunk atomicity, as in the sharded engine's split write."""
+        journal = MetadataJournal()
+        engine = DedupEngine(
+            num_buckets=1, compressor=ModeledCompressor(0.5), journal=journal
+        )
+        written = self._fill(engine, rng)
+        # Overwriting LBA 0 with a duplicate of LBA 1 retires LBA 0's
+        # chunk (room for one), the next unique takes that room, and
+        # the one after that is refused.
+        fits, refused = rng.randbytes(CHUNK), rng.randbytes(CHUNK)
+        with pytest.raises(CapacityError):
+            engine.write_many(
+                [(0, written[1]), (700, fits), (701, refused)]
+            )
+        written[0] = written[1]
+        written[700] = fits
+        assert engine.lba_map.get(701) is None
+        assert check_engine(engine) == []
+        for lba, data in written.items():
+            assert engine.read(lba).data == data
+        # The applied prefix was fenced and its deferred free drained:
+        # a crash now recovers exactly the state the engine serves.
+        assert engine._pending_releases == []
+        recovered = DedupEngine(
+            num_buckets=1,
+            compressor=ModeledCompressor(0.5),
+            containers=copy.deepcopy(engine.containers),
+        )
+        assert recover_into(recovered, journal.to_bytes()).clean
+        for lba, data in written.items():
+            assert recovered.read(lba).data == data

@@ -7,13 +7,15 @@ from repro.datared.hash_pbn import (
     BUCKET_CAPACITY,
     BUCKET_SIZE,
     ENTRY_SIZE,
-    Bucket,
     HashPbnTable,
     InMemoryBucketStore,
     buckets_for_capacity,
     table_bytes_for_capacity,
 )
 from repro.datared.hashing import fingerprint
+from repro.errors import CapacityError
+
+from .reference import Bucket
 
 
 def digest_of(i: int) -> bytes:
@@ -146,8 +148,16 @@ class TestHashPbnTable:
         table = HashPbnTable(1)
         for i in range(BUCKET_CAPACITY):
             table.insert(digest_of(i), i)
-        with pytest.raises(RuntimeError):
+        assert table.is_full
+        with pytest.raises(CapacityError):
             table.insert(digest_of(99999), 0)
+        # Still a working table: everything resident resolves and a
+        # removal makes room again.
+        assert table.lookup(digest_of(0)) == 0
+        assert table.remove(digest_of(0))
+        assert not table.is_full
+        table.insert(digest_of(99999), 7)
+        assert table.lookup(digest_of(99999)) == 7
 
     def test_pbn_validation(self):
         table = HashPbnTable(4)

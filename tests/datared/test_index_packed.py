@@ -2,12 +2,12 @@
 
 Proves the three PR-9 index claims the rest of the stack now relies on:
 
-* :class:`PackedBucket` is **byte-identical** to the legacy decoded
-  :class:`Bucket` after any operation history (the on-disk format never
-  changed);
+* :class:`PackedBucket` is **byte-identical** to the decoded reference
+  :class:`~tests.datared.reference.Bucket` after any operation history
+  (the on-disk format never changed);
 * the sticky per-bucket overflow bit keeps every lookup/remove correct
-  across random insert/delete/overflow-probe histories, packed and
-  legacy alike;
+  across random insert/delete/overflow-probe histories, in the packed
+  table and the reference table alike;
 * the :class:`NegativeFilter` never produces a false negative, and
   :meth:`HashPbnTable.lookup_many` returns exactly what per-call
   lookups would.
@@ -20,15 +20,14 @@ from repro.datared.hash_pbn import (
     BUCKET_CAPACITY,
     BUCKET_SIZE,
     ArenaBucketStore,
-    Bucket,
-    BucketStore,
     HashPbnTable,
-    InMemoryBucketStore,
     NegativeFilter,
     PackedBucket,
 )
 from repro.datared.hashing import fingerprint
 from repro.errors import BucketFullError, CapacityError, ErrorCode, error_code_for
+
+from .reference import Bucket, InterposingStore, ReferenceTable
 
 
 def digest_of(i: int) -> bytes:
@@ -149,7 +148,7 @@ _TABLE_OPS = st.lists(
 )
 
 
-def _pages(table: HashPbnTable) -> list:
+def _pages(table) -> list:
     return [table.store.read_bucket(i) for i in range(table.num_buckets)]
 
 
@@ -157,39 +156,47 @@ class TestPackedVsLegacyTable:
     @settings(max_examples=30, deadline=None)
     @given(_TABLE_OPS)
     def test_random_histories_differential(self, operations):
-        """Packed and legacy tables agree on results AND stored bytes.
+        """Packed and reference tables agree on results AND stored bytes.
 
         Covers the sticky-overflow-bit property: histories that
         overfill a home bucket force probe chains; deletions then empty
         buckets mid-chain without clearing the bit, and every
         subsequent lookup/remove must still resolve identically in
-        both representations (and against the dict model).
+        both representations (and against the dict model).  The packed
+        table runs twice: over its private store (negative filter
+        armed, native packed pages) and over an interposing byte-page
+        store (no filter — the probe sequence must then match the
+        reference bucket for bucket).
         """
-        packed = HashPbnTable(2, packed=True, negative_filter=False)
-        legacy = HashPbnTable(2, packed=False, negative_filter=False)
+        packed = HashPbnTable(2)
+        interposed = HashPbnTable(2, store=InterposingStore())
+        legacy = ReferenceTable(2)
+        tables = (packed, interposed, legacy)
         model = {}
         for op, key in operations:
             digest = digest_of(key)
             if op == "insert":
                 if key not in model and len(model) < 2 * BUCKET_CAPACITY:
-                    packed.insert(digest, key)
-                    legacy.insert(digest, key)
+                    for table in tables:
+                        table.insert(digest, key)
                     model[key] = key
             elif op == "remove":
-                removed = packed.remove(digest)
-                assert removed == legacy.remove(digest) == (key in model)
+                removed = {table.remove(digest) for table in tables}
+                assert removed == {key in model}
                 model.pop(key, None)
             elif op == "update":
-                updated = packed.update(digest, key + 1)
-                assert updated == legacy.update(digest, key + 1)
+                updated = {table.update(digest, key + 1) for table in tables}
+                assert updated == {key in model}
                 if key in model:
                     model[key] = key + 1
             else:
-                hit = packed.lookup(digest)
-                assert hit == legacy.lookup(digest) == model.get(key)
-        assert len(packed) == len(legacy) == len(model)
-        assert packed.probe_count == legacy.probe_count
-        assert _pages(packed) == _pages(legacy)
+                hits = {table.lookup(digest) for table in tables}
+                assert hits == {model.get(key)}
+        assert len(packed) == len(interposed) == len(legacy) == len(model)
+        assert interposed.probe_count == legacy.probe_count
+        # The filter elides probes, never adds them.
+        assert packed.probe_count <= legacy.probe_count
+        assert _pages(packed) == _pages(interposed) == _pages(legacy)
 
     def test_sticky_overflow_survives_emptying(self):
         """The overflow bit outlives the entries that set it.
@@ -199,10 +206,11 @@ class TestPackedVsLegacyTable:
         bucket is empty but its sticky bit must keep lookups probing
         past it to the spilled entries — in both representations.
         """
-        for packed_mode in (True, False):
-            table = HashPbnTable(
-                2, packed=packed_mode, negative_filter=False
-            )
+        for table in (
+            HashPbnTable(2),
+            HashPbnTable(2, store=InterposingStore()),
+            ReferenceTable(2),
+        ):
             keys = list(range(2 * BUCKET_CAPACITY))
             for key in keys:
                 table.insert(digest_of(key), key)
@@ -228,9 +236,9 @@ class TestPackedVsLegacyTable:
                 assert table.lookup(digest_of(key)) == key
 
     def test_arena_store_differential(self):
-        """Arena-backed packed table matches the dict-backed legacy."""
+        """Arena-backed packed table matches the reference table."""
         arena = HashPbnTable(4, store=ArenaBucketStore(4))
-        legacy = HashPbnTable(4, packed=False, negative_filter=False)
+        legacy = ReferenceTable(4)
         keys = list(range(150))
         for key in keys:
             arena.insert(digest_of(key), key)
@@ -273,7 +281,7 @@ class TestArenaBucketStore:
         store.load_packed(0)
         store.store_packed(0, store.load_packed(0))
         store.read_bucket(1)
-        store.write_bucket(1, Bucket().to_bytes())
+        store.write_bucket(1, bytes(BUCKET_SIZE))
         assert store.reads == 3
         assert store.writes == 2
 
@@ -326,8 +334,9 @@ class TestNegativeFilter:
         assert nf.might_contain(0, digest_of(54321))
 
     def test_table_results_identical_with_filter(self):
-        with_filter = HashPbnTable(8, negative_filter=True)
-        without = HashPbnTable(8, negative_filter=False)
+        with_filter = HashPbnTable(8)
+        without = HashPbnTable(8, store=InterposingStore())
+        assert with_filter.filter is not None and without.filter is None
         for key in range(120):
             with_filter.insert(digest_of(key), key)
             without.insert(digest_of(key), key)
@@ -371,9 +380,8 @@ class TestLookupMany:
 
     def test_bucket_loaded_once_per_batch(self):
         # Many digests landing in the same bucket cost one store read.
-        table = HashPbnTable(1, negative_filter=False)
-        store = table.store
-        assert isinstance(store, InMemoryBucketStore)
+        store = InterposingStore()  # no filter: every lookup probes
+        table = HashPbnTable(1, store=store)
         for key in range(10):
             table.insert(digest_of(key), key)
         reads_before = store.reads
@@ -398,22 +406,9 @@ class TestAutoRules:
         assert HashPbnTable(4, store=ArenaBucketStore(4)).filter.dense
 
     def test_interposing_store_disarms_filter(self):
-        class Interposer(BucketStore):
-            def __init__(self):
-                self.pages = {}
-
-            def read_bucket(self, index):
-                return self.pages.get(index, Bucket().to_bytes())
-
-            def write_bucket(self, index, page):
-                self.pages[index] = page
-
-        table = HashPbnTable(4, store=Interposer())
+        table = HashPbnTable(4, store=InterposingStore())
         assert table.filter is None
         assert not table.private_store
-        # Explicit override still wins.
-        assert HashPbnTable(4, store=Interposer(), negative_filter=True
-                            ).filter is not None
 
 
 class TestEngineBatchedResolve:
@@ -421,7 +416,7 @@ class TestEngineBatchedResolve:
         from repro.datared.dedup import DedupEngine
 
         engine = DedupEngine(num_buckets=64)
-        assert engine.batched_resolve  # private in-memory store → auto-on
+        assert engine.table.private_store  # → one lookup_many per batch
         step = engine.chunker.blocks_per_chunk
         payload = b"\xcd" * 4096
         engine.write_many([(i * step, payload) for i in range(8)])
@@ -437,24 +432,18 @@ class TestEngineBatchedResolve:
     def test_batched_resolve_off_for_interposing_store(self):
         from repro.datared.dedup import DedupEngine
 
-        class Interposer(BucketStore):
-            def __init__(self):
-                self.pages = {}
-
-            def read_bucket(self, index):
-                return self.pages.get(index, Bucket().to_bytes())
-
-            def write_bucket(self, index, page):
-                self.pages[index] = page
-
-        engine = DedupEngine(table=HashPbnTable(64, store=Interposer()))
-        assert not engine.batched_resolve
+        store = InterposingStore()
+        engine = DedupEngine(table=HashPbnTable(64, store=store))
+        assert not engine.table.private_store
         step = engine.chunker.blocks_per_chunk
         engine.write_many([(i * step, b"\xab" * 4096) for i in range(4)])
         snap = engine.stats_snapshot()
         assert snap.index_saved_lookups == 0
         assert snap.index_filter_hits == 0
         assert snap.duplicate_chunks == 3
+        # One probe per chunk reached the store: the access pattern an
+        # accounting store is calibrated against.
+        assert snap.index_probes >= 4 and store.reads == snap.index_probes
 
 
 class TestBucketFullErrorMapping:

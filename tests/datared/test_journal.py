@@ -13,7 +13,6 @@ from repro.datared.journal import (
     MetadataJournal,
     RecordKind,
     RecoveryImage,
-    recover_engine,
     recover_into,
     replay_journal,
 )
@@ -447,20 +446,30 @@ class TestCorruptionIsTyped:
             self._replay(journal)
 
 
-class TestRecoverEngineShim:
-    def test_deprecated_but_works(self, rng):
+class TestRecoverThroughFactory:
+    def test_factory_recovers_with_the_callers_compressor(self, rng):
+        """A hand-built journaled engine's image recovers through the
+        sanctioned path, ``build_engine(cfg, recover_from=...)``, with
+        the compressor the caller supplies (what the removed
+        ``recover_engine`` shim was last used for)."""
+        from repro.systems.config import SystemConfig
+        from repro.systems.factory import build_engine
+
         engine, journal = journaled_engine()
         data = rng.randbytes(CHUNK)
         engine.write(0, data)
-        with pytest.warns(DeprecationWarning, match="build_engine"):
-            recovered, clean = recover_engine(
-                journal.to_bytes(),
-                copy.deepcopy(engine.containers),
-                ModeledCompressor(0.5),
-                num_buckets=1024,
-            )
-        assert clean
-        assert recovered.read(0, 1).data == data
+        image = RecoveryImage(
+            journal=journal.to_bytes(),
+            containers=copy.deepcopy(engine.containers),
+        )
+        with build_engine(
+            SystemConfig(),
+            num_buckets=1024,
+            compressor=ModeledCompressor(0.5),
+            recover_from=image,
+        ) as recovered:
+            assert recovered.recovery is not None and recovered.recovery.clean
+            assert recovered.read(0, 1).data == data
 
 
 class TestFuzzRecovery:

@@ -28,6 +28,8 @@ from repro.datared.hash_pbn import HashPbnTable
 from repro.datared.hashing import fingerprint, fingerprint_many
 from repro.parallel import StagePool
 
+from .reference import InterposingStore
+
 CHUNK = 4096
 BLOCKS = CHUNK // BLOCK_SIZE  #: LBA step between adjacent chunk slots
 
@@ -295,17 +297,18 @@ def test_write_many_is_indistinguishable_from_serial(
         == b"".join(serial.read(i * BLOCKS).data for i in range(24))
     )
 
-    # PR-9 packed-vs-legacy differential on the same grid cell: an
-    # engine pinned to the pre-PR-9 index configuration (decoded
-    # buckets, no negative filter, per-chunk resolve) must be byte-
-    # and ledger-identical to the default packed+batched engine above
-    # — including every stored 4-KB table page.
+    # Index-path differential on the same grid cell: an engine whose
+    # table sits over an interposing store (no negative filter, one
+    # table lookup per chunk — the configuration the table cache runs)
+    # must be byte- and ledger-identical to the filtered, batch-resolved
+    # engine above — including every stored 4-KB table page.  (Page
+    # identity against the decoded reference bucket is pinned at table
+    # level by test_index_packed.TestPackedVsLegacyTable.)
     legacy = DedupEngine(
-        table=HashPbnTable(512, packed=False, negative_filter=False),
+        table=HashPbnTable(512, store=InterposingStore()),
         compressor=ZlibCompressor(),
-        batched_resolve=False,
     )
-    assert not legacy.batched_resolve
+    assert not legacy.table.private_store
     legacy_reports = []
     for start in range(0, len(requests), batch_size):
         legacy_reports.extend(

@@ -146,7 +146,7 @@ class TestShardsOneIdentity:
         )
         check_engine(plain)
         check_sharded_engine(sharded)
-        sharded.shutdown()
+        sharded.close()
 
     def test_trim_matches(self, rng):
         plain, sharded = fresh_pair(1)
@@ -158,7 +158,7 @@ class TestShardsOneIdentity:
         assert plain.trim(0) == sharded.trim(0)  # double trim: no-op
         assert sharded.read(0, 1).data == plain.read(0, 1).data == bytes(CHUNK)
         assert sharded.stats_snapshot() == plain.stats_snapshot()
-        sharded.shutdown()
+        sharded.close()
 
     def test_flush_and_collect_garbage_match(self, rng):
         plain, sharded = fresh_pair(1)
@@ -175,7 +175,7 @@ class TestShardsOneIdentity:
             engine.flush()
         assert plain.collect_garbage() == sharded.collect_garbage()
         assert sharded.stats_snapshot() == plain.stats_snapshot()
-        sharded.shutdown()
+        sharded.close()
 
 
 @pytest.mark.parametrize("dup_fraction", [0.0, 0.5])
@@ -229,7 +229,7 @@ class TestShardsFourGrid:
                 assert sharded.read(lba, 1).data == plain.read(lba, 1).data
             check_engine(plain)
             check_sharded_engine(sharded)
-        sharded.shutdown()
+        sharded.close()
 
 
 class TestSingleWriteRoutesThroughShards:
@@ -247,8 +247,8 @@ class TestSingleWriteRoutesThroughShards:
             assert report == twin
         assert solo.stats_snapshot() == batched.stats_snapshot()
         assert solo._lba_shard == batched._lba_shard
-        solo.shutdown()
-        batched.shutdown()
+        solo.close()
+        batched.close()
 
     def test_single_write_lands_on_digest_shard(self, rng):
         engine = ShardedDedupEngine(4, num_buckets=256)
@@ -261,7 +261,7 @@ class TestSingleWriteRoutesThroughShards:
                 assert lba in dict(engine.shards[target].lba_map.items())
             assert engine.read(lba, 1).data == data
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
     def test_write_options_digests_respected(self, rng):
         engine = ShardedDedupEngine(4, num_buckets=256)
@@ -271,7 +271,7 @@ class TestSingleWriteRoutesThroughShards:
         owner = shard_for_digest(digest, 4)
         assert engine._lba_shard[0] == owner
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
 
 class TestCrossShardMoves:
@@ -288,7 +288,7 @@ class TestCrossShardMoves:
         with engine.shards[1].lock:
             assert 0 not in dict(engine.shards[1].lba_map.items())
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
     def test_same_lba_twice_in_one_batch_last_writer_wins(self, rng):
         engine = ShardedDedupEngine(4, num_buckets=256)
@@ -298,7 +298,7 @@ class TestCrossShardMoves:
         assert engine._lba_shard[0] == 2
         assert engine.read(0, 1).data == second
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
     def test_global_dedup_across_shards(self, rng):
         # The same content at N LBAs is stored exactly once cluster-wide
@@ -314,7 +314,7 @@ class TestCrossShardMoves:
         owners = {engine._lba_shard[index * step] for index in range(10)}
         assert owners == {owner}
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
     def test_trim_unmaps_and_reclaims(self, rng):
         engine = ShardedDedupEngine(4, num_buckets=256)
@@ -326,7 +326,7 @@ class TestCrossShardMoves:
         assert engine.read(0, 1).data == bytes(CHUNK)
         assert engine.trim(0).reclaimed_chunks == 0
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
 
 class TestShardFaults:
@@ -352,7 +352,7 @@ class TestShardFaults:
         assert excinfo.value.shard_indexes == (2,)
         assert isinstance(excinfo.value, ReproError)
         assert error_code_for(excinfo.value) is ErrorCode.SHARD_FAILED
-        engine.shutdown()
+        engine.close()
 
     def test_healthy_shards_stay_conserved(self, rng):
         engine, original = self._failing_engine(rng, broken=2)
@@ -374,7 +374,7 @@ class TestShardFaults:
         engine.write(3 * step, doomed)
         assert engine.read(3 * step, 1).data == doomed
         check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
 
 class TestStatsAggregation:
@@ -395,7 +395,7 @@ class TestStatsAggregation:
             assert getattr(merged, name) == sum(
                 getattr(snap, name) for snap in per_shard
             )
-        engine.shutdown()
+        engine.close()
 
     def test_per_shard_gauges_published(self, rng):
         from repro.obs.metrics import MetricsRegistry
@@ -412,7 +412,7 @@ class TestStatsAggregation:
             for index in range(2)
         )
         assert total == snapshot["gauges"]["engine.logical_bytes"] == CHUNK
-        engine.shutdown()
+        engine.close()
 
 
 class TestInvariantChecker:
@@ -426,7 +426,7 @@ class TestInvariantChecker:
         assert any("shard-selection" in item for item in violations)
         with pytest.raises(InvariantViolation):
             check_sharded_engine(engine)
-        engine.shutdown()
+        engine.close()
 
     def test_detects_directory_drift(self, rng):
         engine = ShardedDedupEngine(2, num_buckets=256)
@@ -434,4 +434,4 @@ class TestInvariantChecker:
         engine._lba_shard[12345] = 1
         violations = check_sharded_engine(engine, raise_on_violation=False)
         assert any("12345" in item for item in violations)
-        engine.shutdown()
+        engine.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datared.hash_pbn import Bucket, HashPbnTable
+from repro.datared.hash_pbn import HashPbnTable, PackedBucket
 from repro.datared.hashing import fingerprint
 from repro.hw.nvme import (
     NvmeCommand,
@@ -121,7 +121,7 @@ class TestController:
 class TestQueuedBucketStore:
     def test_unwritten_reads_empty(self):
         store = QueuedBucketStore(SsdArray(2))
-        assert Bucket.from_bytes(store.read_bucket(3)).entries == []
+        assert PackedBucket.from_page(store.read_bucket(3)).entries == []
 
     def test_hash_table_over_queued_store(self):
         store = QueuedBucketStore(SsdArray(2))
@@ -135,7 +135,7 @@ class TestQueuedBucketStore:
     def test_doorbells_counted_per_owner(self):
         for owner in ("host", "engine"):
             store = QueuedBucketStore(SsdArray(1), owner=owner)
-            store.write_bucket(0, Bucket().to_bytes())
+            store.write_bucket(0, PackedBucket.empty().to_bytes())
             store.read_bucket(0)
             assert store.owner == owner
             # write: 1 submit + 1 reap; read: 1 submit + 1 reap.
@@ -144,8 +144,8 @@ class TestQueuedBucketStore:
     def test_lanes_spread_across_drives(self):
         array = SsdArray(2)
         store = QueuedBucketStore(array)
-        store.write_bucket(0, Bucket().to_bytes())
-        store.write_bucket(1, Bucket().to_bytes())
+        store.write_bucket(0, PackedBucket.empty().to_bytes())
+        store.write_bucket(1, PackedBucket.empty().to_bytes())
         assert array.drives[0].stats.write_ops == 1
         assert array.drives[1].stats.write_ops == 1
 

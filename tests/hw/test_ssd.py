@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datared.hash_pbn import Bucket, HashPbnTable
+from repro.datared.hash_pbn import HashPbnTable, PackedBucket
 from repro.datared.hashing import fingerprint
 from repro.hw.specs import SAMSUNG_970_PRO, SsdSpec
 from repro.hw.ssd import NvmeSsd, SsdArray, SsdBucketStore
@@ -108,14 +108,14 @@ class TestSsdBucketStore:
     def test_unwritten_bucket_reads_empty(self):
         store = SsdBucketStore(SsdArray(2))
         page = store.read_bucket(7)
-        assert Bucket.from_bytes(page).entries == []
+        assert PackedBucket.from_page(page).entries == []
 
     def test_write_read(self):
         store = SsdBucketStore(SsdArray(2))
-        bucket = Bucket()
+        bucket = PackedBucket.empty()
         bucket.insert(fingerprint(b"k"), 9)
         store.write_bucket(3, bucket.to_bytes())
-        assert Bucket.from_bytes(store.read_bucket(3)).entries == bucket.entries
+        assert PackedBucket.from_page(store.read_bucket(3)).entries == bucket.entries
 
     def test_queue_owner_validated(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,42 @@ class TestSingleClient:
 
         run(body())
 
+    def test_full_index_is_a_capacity_error_on_the_wire(self, rng):
+        """A unique chunk the Hash-PBN table has no room for answers
+        ``CAPACITY`` (client raises ``CapacityError``, not the
+        ``INTERNAL`` → bare ``ReproError`` a full table used to be), and
+        the server keeps serving."""
+        from repro.datared.hash_pbn import BUCKET_CAPACITY
+        from repro.errors import CapacityError
+        from repro.systems.config import SystemConfig
+
+        storage = StorageServer.build(
+            SystemKind.FIDR, num_buckets=1, cache_lines=16,
+            compressor=ModeledCompressor(0.5),
+            # One-chunk batches: each write reaches the engine before
+            # its reply, so the refusal lands on the write that caused it.
+            config=SystemConfig(batch_chunks=1),
+        )
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    written = [
+                        rng.randbytes(CHUNK) for _ in range(BUCKET_CAPACITY)
+                    ]
+                    for lba, data in enumerate(written):
+                        await client.write(lba, data)
+                    with pytest.raises(CapacityError, match="full"):
+                        await client.write(500, rng.randbytes(CHUNK))
+                    for lba, data in enumerate(written):
+                        assert await client.read(lba, 1) == data
+                    await client.write(600, written[5])  # a duplicate fits
+                    assert await client.read(600, 1) == written[5]
+
+        run(body())
+
     def test_pipelined_out_of_order_completion(self, rng):
         """Many requests in flight on one connection, matched by id."""
         storage = build_storage()

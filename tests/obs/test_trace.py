@@ -174,13 +174,16 @@ class TestPerBatchStageSpans:
     def _stage_spans(uniques: int, duplicates: int):
         from repro.datared.compression import ZlibCompressor
         from repro.datared.dedup import DedupEngine
+        from repro.datared.hash_pbn import HashPbnTable
 
-        # Per-chunk table lookups, as over the FIDR table cache (a private
-        # in-memory index resolves the whole batch in one lookup_many).
+        from ..datared.reference import InterposingStore
+
+        # Per-chunk table lookups, as over the FIDR table cache: an
+        # interposing store selects them (a private in-memory index
+        # resolves the whole batch in one lookup_many).
         engine = DedupEngine(
-            num_buckets=1 << 10,
+            table=HashPbnTable(1 << 10, store=InterposingStore()),
             compressor=ZlibCompressor(),
-            batched_resolve=False,
         )
         engine.stage_clock = trace.TracedStages()
         unique = [index.to_bytes(2, "big") * 2048 for index in range(uniques)]

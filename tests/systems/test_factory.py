@@ -48,7 +48,7 @@ class TestBuildEngine:
                 type(shard) is DedupEngine for shard in engine.shards
             )
         finally:
-            engine.shutdown()
+            engine.close()
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ class TestBuildEngine:
             for shard in engine.shards:
                 assert shard.chunker.chunk_size == config.chunk_size
         finally:
-            engine.shutdown()
+            engine.close()
 
 
 class TestSystemWithShards:
@@ -85,7 +85,7 @@ class TestSystemWithShards:
             # both hold (check_system dispatches to the sharded checks).
             assert check_system(system) == []
         finally:
-            system.engine.shutdown()
+            system.engine.close()
 
     def test_fidr_system_default_stays_unsharded(self):
         system = FidrSystem(num_buckets=512)
