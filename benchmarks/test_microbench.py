@@ -3,19 +3,34 @@
 Not paper figures — these track the Python implementation's own
 performance (ops/s of the dedup write path, tree indexes, table cache),
 useful for spotting regressions while extending the library.
+
+The ratio gates at the bottom are CI-enforced (``bench-smoke``): four
+properties no ``bench/`` workload exercises, each timed against its
+alternative on the same host inside one test.
 """
 
 import random
+import time
+from contextlib import ExitStack
 
 import pytest
 
 from repro.cache.btree import BPlusTree
 from repro.cache.hwtree import SpeculativeTreeEngine, TreeOp
 from repro.cache.table_cache import TableCache
-from repro.datared.compression import ModeledCompressor
+from repro.datared.compression import ModeledCompressor, ZlibCompressor
 from repro.datared.dedup import DedupEngine
-from repro.datared.hash_pbn import HashPbnTable, InMemoryBucketStore
+from repro.datared.hash_pbn import (
+    BUCKET_CAPACITY,
+    ArenaBucketStore,
+    HashPbnTable,
+    InMemoryBucketStore,
+)
 from repro.datared.hashing import fingerprint
+from repro.datared.sharded import ShardedDedupEngine
+from repro.obs import trace
+from repro.parallel import StagePool
+from repro.workloads.content import ContentFactory
 
 
 @pytest.fixture
@@ -71,3 +86,122 @@ def test_table_cache_access(benchmark, rng):
 def test_sha256_fingerprint(benchmark, rng):
     data = rng.randbytes(4096)
     benchmark(lambda: fingerprint(data))
+
+
+# -- ratio gates ---------------------------------------------------------------
+
+BATCH_CHUNKS = 64  #: what one served bulk op hands the engine
+#: Floor for packed ``lookup_many`` on a unique-heavy batch, gated at
+#: 0.9x.  Deliberately derated from the reference host (~600 k/s) to
+#: absorb shared-runner variance; raise it when the index gets faster,
+#: never lower it to make CI pass.
+PACKED_LOOKUPS_PER_S_FLOOR = 250_000.0
+
+
+def _fastest(rounds, variants):
+    """Seconds per variant (label -> zero-argument callable): its fastest
+    of ``rounds`` interleaved rounds.  Every round times each variant
+    once, back to back, so a slow spell of the host lands on all alike,
+    and the minimum strips what is left (interference only ever slows a
+    run).  Keep runs to a few ms and rounds in the hundreds: on a shared
+    2-vCPU runner that repeats to ~2%, the same seconds spent on fewer,
+    longer runs only to ~7%."""
+    fastest = dict.fromkeys(variants, float("inf"))
+    for _ in range(rounds):
+        for label, run in variants.items():
+            start = time.perf_counter()
+            run()
+            fastest[label] = min(fastest[label], time.perf_counter() - start)
+    return fastest
+
+
+def _write_batch(rng):
+    """One batch of ``(lba, chunk)`` requests: 50%-compressible chunks,
+    a quarter of them drawn from an 8-chunk duplicate pool."""
+    content = ContentFactory()
+    return [
+        (lba, content.chunk(rng.randrange(8) if rng.random() < 0.25 else 8 + lba))
+        for lba in range(BATCH_CHUNKS)
+    ]
+
+
+def _engine(pool=None, shards=None, clock=None):
+    knobs = dict(num_buckets=1 << 14, compressor=ZlibCompressor(), pool=pool)
+    engine = ShardedDedupEngine(shards, **knobs) if shards else DedupEngine(**knobs)
+    engine.stage_clock = clock
+    return engine
+
+
+def _ingest(engine, batch):
+    engine.write_many(batch)
+    engine.flush()
+    return engine
+
+
+def test_disabled_tracing_is_free(rng):
+    """The zero-overhead contract (DESIGN.md §5.5): with tracing off, an
+    engine with ``TracedStages`` installed writes at >= 0.97x the speed
+    of one with no clock at all."""
+    batch = _write_batch(rng)
+    assert not trace.is_enabled()
+    took = _fastest(800, {
+        "plain": lambda: _ingest(_engine(), batch),
+        "traced": lambda: _ingest(_engine(clock=trace.TracedStages()), batch),
+    })
+    assert took["plain"] / took["traced"] >= 0.97, took
+
+
+def test_packed_lookup_many_floor(rng):
+    """Batched resolve over the arena table at 0.7 fill: 90% absent
+    digests plus a sprinkle of intra-batch repeats."""
+    buckets = 1 << 8
+    table = HashPbnTable(buckets, store=ArenaBucketStore(buckets))
+    present = [
+        rng.randbytes(32) for _ in range(int(BUCKET_CAPACITY * buckets * 0.7))
+    ]
+    for pbn, digest in enumerate(present):
+        table.insert(digest, pbn)
+    batch = [
+        rng.choice(present) if rng.random() < 0.1 else rng.randbytes(32)
+        for _ in range(4096)
+    ]
+    for _ in range(len(batch) // 16):
+        batch[rng.randrange(len(batch))] = rng.choice(batch)
+    pbn_of = {digest: pbn for pbn, digest in enumerate(present)}
+    assert table.lookup_many(batch) == [pbn_of.get(d) for d in batch]
+    took = _fastest(50, {"packed": lambda: table.lookup_many(batch)})
+    rate = len(batch) / took["packed"]
+    assert rate >= 0.9 * PACKED_LOOKUPS_PER_S_FLOOR, f"{rate:,.0f} lookups/s"
+
+
+def test_single_shard_scatter_overhead(rng):
+    """``ShardedDedupEngine(1)`` runs the whole scatter path (shard
+    selection, fan-out, report re-merge) over one shard; it must write
+    at >= 0.9x the plain engine."""
+    batch = _write_batch(rng)
+    took = _fastest(500, {
+        "plain": lambda: _ingest(_engine(), batch),
+        "sharded": lambda: _ingest(_engine(shards=1), batch),
+    })
+    assert took["plain"] / took["sharded"] >= 0.9, took
+
+
+def test_thread_pools_keep_pace_with_serial(rng):
+    """A 2/4/8-thread ``StagePool`` may never cost more than 20% of the
+    serial engine on a 64-chunk batch, writing or reading, even on a
+    host with no cores to overlap on."""
+    batch = _write_batch(rng)
+    with ExitStack() as stack:
+        pools = [stack.enter_context(StagePool(width)) for width in (1, 2, 4, 8)]
+        writes = _fastest(700, {
+            pool.parallelism: lambda pool=pool: _ingest(_engine(pool), batch)
+            for pool in pools
+        })
+        loaded = [_ingest(_engine(pool), batch) for pool in pools]
+        reads = _fastest(200, {
+            engine.pool.parallelism: lambda engine=engine: engine.read(0, BATCH_CHUNKS)
+            for engine in loaded
+        })
+    for width in (2, 4, 8):
+        assert writes[1] / writes[width] >= 0.8, ("write", width, writes)
+        assert reads[1] / reads[width] >= 0.8, ("read", width, reads)

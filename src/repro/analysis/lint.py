@@ -203,9 +203,9 @@ _R007_TIMING_CALLS = frozenset(
         "time.process_time",
     }
 )
-#: Packages whose runtime code R007 covers.  Workloads, perf harnesses,
-#: analysis tooling and ``__main__`` CLIs are presentation layers and
-#: stay free to time and print.
+#: Packages whose runtime code R007 covers.  Workloads, analysis
+#: tooling and ``__main__`` CLIs are presentation layers and stay free
+#: to time and print.
 _R007_PACKAGES = (
     "repro.datared",
     "repro.net",

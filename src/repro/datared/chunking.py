@@ -42,7 +42,7 @@ class Chunk:
     A ``__slots__`` value class rather than a frozen dataclass: one is
     built per 4-KB chunk on the write path, and frozen-dataclass
     construction (``object.__setattr__`` per field) costs ~5x a plain
-    ``__init__`` (BENCH_stages.json, ``chunk`` stage).
+    ``__init__`` (measured on the ``chunk`` stage).
 
     Attributes
     ----------

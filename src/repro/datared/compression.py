@@ -65,7 +65,7 @@ class CompressedChunk:
 
     A ``__slots__`` value class: one is built per unique chunk on the
     write path, where frozen-dataclass construction costs ~3x a plain
-    ``__init__`` (BENCH_stages.json, ``compress`` stage).
+    ``__init__`` (measured on the ``compress`` stage).
     """
 
     __slots__ = ("payload", "logical_size", "stored_size", "prefix")

@@ -45,7 +45,7 @@ class Placement(NamedTuple):
 
     A :class:`~typing.NamedTuple` — one is built per unique chunk on the
     write path, where tuple construction beats frozen-dataclass field
-    assignment ~2x (BENCH_stages.json, ``pack`` stage).
+    assignment ~2x (measured on the ``pack`` stage).
     """
 
     container_id: int

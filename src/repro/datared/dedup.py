@@ -230,32 +230,30 @@ def publish_engine_gauges(registry: MetricsRegistry, snap: EngineStats) -> None:
 
 
 class StageTimer(Protocol):
-    """Per-stage instrumentation hook (see :mod:`repro.perf`).
+    """Per-stage instrumentation hook on :attr:`DedupEngine.stage_clock`.
 
-    The engine calls ``stage(name)`` around each hot-path stage when a
-    timer is installed on :attr:`DedupEngine.stage_clock`; with the
-    default ``None`` the hot path pays a single identity check per
-    stage.  lookup/pack/publish are entered once per chunk, so timers
-    hand out cached accumulators; one that publishes per batch also
-    has ``flush()`` (see :func:`flush_stages`).
+    :class:`~repro.obs.trace.TracedStages` is the implementation.  The
+    hot paths resolve the clock once per call through
+    :func:`active_clock`; while ``active`` is false they take the exact
+    path they would with no clock installed.  A live clock has
+    ``stage(name)`` entered around each stage — lookup/pack/publish once
+    per chunk, so timers hand out cached accumulators — and ``flush()``
+    called once per write/write_many/read to publish what accumulated.
     """
+
+    @property
+    def active(self) -> bool: ...
 
     def stage(self, name: str) -> ContextManager[None]: ...
 
+    def flush(self) -> None: ...
+
 
 def active_clock(clock: Optional[StageTimer]) -> Optional[StageTimer]:
-    """``clock``, or ``None`` when it reports itself inactive.
-
-    The hook behind the zero-overhead tracing contract: an installed
-    :class:`~repro.obs.trace.TracedStages` exposes ``active=False``
-    while tracing is disabled, and the hot paths then take the exact
-    clock-less path (no stage context managers) they would with no
-    clock at all.  Clocks without an ``active`` attribute
-    (``repro.perf``'s ``StageClock``) are always live.
-    """
-    if clock is None or not getattr(clock, "active", True):
-        return None
-    return clock
+    """``clock``, or ``None`` when it is absent or inactive — the hook
+    behind the zero-overhead tracing contract (no stage context
+    managers while tracing is disabled)."""
+    return clock if clock is not None and clock.active else None
 
 
 #: What :func:`batch_stage` hands out when no clock is live (stateless,
@@ -309,11 +307,9 @@ def chunk_and_hash(
 
 
 def flush_stages(clock: Optional[StageTimer]) -> None:
-    """End of a write/write_many/read: a per-batch timer publishes
-    (``repro.perf.StageClock`` keeps running totals and has no flush)."""
-    flush = getattr(clock, "flush", None)
-    if flush is not None:
-        flush()
+    """End of a write/write_many/read: a live clock publishes its batch."""
+    if clock is not None:
+        clock.flush()
 
 
 class MetadataObserver(Protocol):
@@ -551,8 +547,8 @@ class DedupEngine:
         )  # guarded-by: self.lock
         self.read_cache_hits = 0  # guarded-by: self.lock
         self.read_cache_misses = 0  # guarded-by: self.lock
-        #: Optional per-stage instrumentation (installed by repro.perf);
-        #: ``None`` keeps the hot path uninstrumented.
+        #: Optional per-stage instrumentation (the system layer installs
+        #: a ``TracedStages``); ``None`` keeps the hot path uninstrumented.
         self.stage_clock: Optional[StageTimer] = None
         #: Garbage-collection work counters (see :meth:`collect_garbage`).
         self.gc_containers_reclaimed = 0  # guarded-by: self.lock

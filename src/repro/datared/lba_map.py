@@ -47,8 +47,7 @@ class PbnRecord:
     A mutable ``__slots__`` class (``refcount`` changes on every ref /
     unref, and GC repoints ``container_id``/``offset``): one is built
     per unique chunk on the write path, where dataclass construction
-    costs ~3x a plain ``__init__`` (BENCH_stages.json, ``publish``
-    stage).
+    costs ~3x a plain ``__init__`` (measured on the ``publish`` stage).
     """
 
     __slots__ = (

@@ -6,8 +6,8 @@ contiguous digest-prefix ranges, each owned by an independent
 Hash-PBN table, containers, PBN space and byte ledgers.  The batched
 write path keeps the engine's parallel hash fan-out, then partitions the
 chunks by :func:`shard_for_digest` and runs the serial resolve+publish
-section **concurrently per shard** — the stage
-``BENCH_stages.json`` showed as the post-compression ceiling.
+section **concurrently per shard** — the stage measured as the
+post-compression ceiling.
 
 Two invariants make dedup stay *global* while the index scales out
 (DESIGN.md §5.7):
@@ -107,11 +107,9 @@ class ShardedDedupEngine:
     concurrent callers serialize at the front door — and the win is the
     *intra-batch* cross-shard parallelism of the resolve+publish stage.
 
-    ``stage_clock`` accepts the same timers as ``DedupEngine``; setting
-    it propagates the clock to every shard, which is safe for the
-    thread-aware :class:`~repro.obs.trace.TracedStages` but **not** for
-    ``repro.perf``'s single-threaded ``StageClock`` — the perf harness
-    installs one private clock per shard instead.
+    Setting ``stage_clock`` propagates the clock to every shard:
+    :class:`~repro.obs.trace.TracedStages` keeps its totals per thread,
+    so shards on pool threads share one.
     """
 
     def __init__(

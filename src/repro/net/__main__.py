@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 from typing import List, Optional
 
@@ -80,10 +81,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor",
-        choices=["thread", "process", "auto"],
-        default="auto",
-        help="stage-pool backend; auto = processes when parallel on a "
-        "multi-core host (results are identical at every setting)",
+        choices=["thread", "process"],
+        default="thread",
+        help="stage-pool backend (default: thread; results are "
+        "identical at either setting)",
     )
     parser.add_argument(
         "--codec",
@@ -150,8 +151,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 async def _serve(args: argparse.Namespace) -> int:
     # Serving turns tracing on by default: the per-stage histograms and
-    # spans are what `python -m repro.obs top` renders, and the overhead
-    # is bounded by the perf harness's obs_overhead gate.
+    # spans are what `python -m repro.obs top` renders, and the engine
+    # publishes one span per stage per batch, so the cost does not grow
+    # with the chunk count.
     _trace.set_enabled(not args.no_trace)
     # The lifecycle contract (rule R012): the storage stack is closed on
     # every exit path — the async-with stop() is the last commit fence,
@@ -186,11 +188,20 @@ async def _serve_storage(
                 f"--host {server.host} --port {server.port}",
                 flush=True,
             )
-        try:
-            await asyncio.Event().wait()
-        except asyncio.CancelledError:
-            pass
+        await _until_stopped()
     return 0
+
+
+async def _until_stopped() -> None:
+    """Park until SIGTERM or Ctrl-C.  Either way the caller then leaves
+    its ``async with``, so ``stop()`` fences the last commit and
+    ``close()`` reaps the stage pool's workers before the process exits."""
+    stopped = asyncio.Event()
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stopped.set)
+    try:
+        await stopped.wait()
+    except asyncio.CancelledError:
+        pass
 
 
 def _parse_backend(spec: str) -> tuple:
@@ -254,10 +265,7 @@ async def _route(args: argparse.Namespace) -> int:
             )
             for index, address in enumerate(router.backend_addresses):
                 print(f"  shard {index}: {address[0]}:{address[1]}")
-            try:
-                await asyncio.Event().wait()
-            except asyncio.CancelledError:
-                pass
+            await _until_stopped()
     finally:
         for server in spawned:
             await server.stop()

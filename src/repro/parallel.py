@@ -35,7 +35,6 @@ engines; all metadata mutation stays on the caller's thread (see the
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -47,11 +46,7 @@ __all__ = ["StagePool"]
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-#: Accepted executor backends.  ``"auto"`` resolves at construction:
-#: process when the pool is parallel *and* the host has more than one
-#: core (compression dominates the write path, so GIL-free fan-out is
-#: the right default there), thread otherwise.
-_BACKENDS = ("thread", "process", "auto")
+_BACKENDS = ("thread", "process")
 
 
 def _run_slice(fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
@@ -82,15 +77,11 @@ class StagePool:
         Worker count.  ``1`` (the default) disables the executor
         entirely — the pool becomes a transparent serial executor.
     backend:
-        ``"thread"`` (default), ``"process"``, or ``"auto"``.  Threads
-        exploit the GIL-releasing stages with near-zero dispatch cost;
-        processes buy GIL-free scaling but pickle all traffic, so
-        callables and payloads must be picklable (module-level
-        functions or bound methods of picklable objects, ``bytes`` not
-        ``memoryview``).  ``"auto"`` picks process when
-        ``parallelism > 1`` and ``os.cpu_count() > 1`` — compression is
-        the dominant write-path stage and scales GIL-free there — and
-        thread otherwise; :attr:`backend` reflects the resolved choice.
+        ``"thread"`` (default) or ``"process"``.  Threads exploit the
+        GIL-releasing stages with near-zero dispatch cost; processes
+        buy GIL-free scaling but pickle all traffic, so callables and
+        payloads must be picklable (module-level functions or bound
+        methods of picklable objects, ``bytes`` not ``memoryview``).
     slices_per_worker:
         How many slices each worker should receive per :meth:`map`
         call; more slices balance uneven work at the cost of dispatch
@@ -125,12 +116,6 @@ class StagePool:
         if min_slice_items < 1:
             raise ValueError("min_slice_items must be at least 1")
         self.parallelism = max(1, int(parallelism))
-        if backend == "auto":
-            backend = (
-                "process"
-                if self.parallelism > 1 and (os.cpu_count() or 1) > 1
-                else "thread"
-            )
         self.backend = backend
         self.slices_per_worker = slices_per_worker
         self.min_slice_items = min_slice_items

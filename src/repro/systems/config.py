@@ -240,11 +240,10 @@ class SystemConfig:
     #: identical at every setting.
     parallelism: int = 1
     #: Executor backend for the stage pool: ``"thread"`` (default;
-    #: exploits the GIL-releasing stages with cheap dispatch),
+    #: exploits the GIL-releasing stages with cheap dispatch) or
     #: ``"process"`` (GIL-free multi-core fan-out at IPC/pickling cost —
-    #: see DESIGN.md §5.4 for the trade-off), or ``"auto"`` (process
-    #: when parallel on a multi-core host, thread otherwise — what the
-    #: CLIs pass).  Results are identical at every setting.
+    #: see DESIGN.md §5.4 for the trade-off).  Results are identical at
+    #: either setting.
     executor: str = "thread"
     #: Fingerprint-space shards behind the scatter-gather front door
     #: (DESIGN.md §5.7).  ``1`` (default) builds the plain

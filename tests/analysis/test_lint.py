@@ -498,7 +498,6 @@ class TestR007ObservabilityDiscipline:
             "repro.net.__main__",
             "repro.obs.__main__",
             "repro.workloads.loadgen",
-            "repro.perf",
             "tests.net.fixture",
         ):
             assert lint_source(self.FIXTURE, module=module) == [], module
@@ -561,7 +560,7 @@ class TestR008PluginDiscipline:
             assert lint_source(self.FIXTURE, module=module) == [], module
 
     def test_other_packages_are_not_policed(self):
-        for module in ("repro.net.fixture", "repro.perf", "tests.datared.fixture"):
+        for module in ("repro.net.fixture", "tests.datared.fixture"):
             assert "R008" not in rules_of(
                 lint_source(self.FIXTURE, module=module)
             ), module
@@ -699,7 +698,6 @@ class TestR009EngineFactory:
     def test_other_packages_are_not_policed(self):
         for module in (
             "repro.datared.fixture",
-            "repro.perf",
             "repro.analysis.fixture",
             "tests.systems.fixture",
         ):

@@ -96,8 +96,9 @@ class TestStagePool:
             StagePool(2, slices_per_worker=0)
         with pytest.raises(ValueError):
             StagePool(2, min_slice_items=0)
-        with pytest.raises(ValueError):
-            StagePool(2, backend="fiber")
+        for backend in ("fiber", "auto"):
+            with pytest.raises(ValueError):
+                StagePool(2, backend=backend)
 
     def test_min_batch_runs_inline(self):
         """Batches below ``min_batch`` stay on the calling thread even

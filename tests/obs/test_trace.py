@@ -166,6 +166,38 @@ class TestTracedStages:
         assert clock.stage("lookup") is trace.span("anything")
         assert trace.tail() == []
 
+    def test_satisfies_the_stage_timer_contract(self):
+        """``StageTimer`` has one implementation; the engine's two
+        helpers call its members without duck-typing."""
+        from repro.datared.dedup import active_clock, flush_stages
+
+        clock = trace.TracedStages()
+        assert isinstance(type(clock).active, property)
+        assert callable(clock.stage) and callable(clock.flush)
+        assert active_clock(None) is None
+        assert active_clock(clock) is None  # installed, tracing off
+        with trace.enabled():
+            assert active_clock(clock) is clock
+            flush_stages(clock)  # nothing accumulated: publishes nothing
+        flush_stages(None)  # what the hot paths pass while inactive
+        assert trace.tail() == []
+
+    def test_disabled_clock_leaves_a_write_untimed(self):
+        from repro.datared.compression import ZlibCompressor
+        from repro.datared.dedup import DedupEngine, active_clock
+        from repro.obs.metrics import get_registry
+
+        engine = DedupEngine(num_buckets=256, compressor=ZlibCompressor())
+        engine.stage_clock = trace.TracedStages()
+        assert active_clock(engine.stage_clock) is None
+        engine.write_many([(lba, bytes([lba]) * 4096) for lba in range(8)])
+        assert engine.stats.unique_chunks == 8
+        assert trace.tail() == []
+        assert not [
+            name for name in get_registry().snapshot()["histograms"]
+            if name.startswith("engine.stage.")
+        ]
+
 
 class TestPerBatchStageSpans:
     """The engine's write stages are one span per stage per batch."""

@@ -11,7 +11,6 @@ from repro.datared import codecs as _codecs
 from repro.datared import hashing as _hashing
 from repro.datared.compression import ModeledCompressor, ZlibCompressor
 from repro.errors import MissingDependencyError
-from repro.parallel import StagePool
 from repro.systems.baseline import BaselineSystem
 from repro.systems.config import CodecPolicy, SystemConfig
 from repro.systems.fidr import FidrSystem
@@ -112,31 +111,3 @@ class TestSystemWiring:
         assert (
             baseline.engine.stats_snapshot() == fidr.engine.stats_snapshot()
         )
-
-
-class TestAutoExecutor:
-    def test_serial_pool_stays_thread(self):
-        pool = StagePool(1, backend="auto")
-        assert pool.backend == "thread"
-        assert not pool.is_parallel
-
-    def test_auto_resolves_by_core_count(self, monkeypatch):
-        import repro.parallel as parallel
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-        pool = StagePool(2, backend="auto")
-        try:
-            assert pool.backend == "process"
-            assert pool.requires_pickling
-        finally:
-            pool.shutdown()
-
-    def test_single_core_hosts_fall_back_to_threads(self, monkeypatch):
-        import repro.parallel as parallel
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-        pool = StagePool(4, backend="auto")
-        try:
-            assert pool.backend == "thread"
-        finally:
-            pool.shutdown()
