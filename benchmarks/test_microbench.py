@@ -4,7 +4,7 @@ Not paper figures — these track the Python implementation's own
 performance (ops/s of the dedup write path, tree indexes, table cache),
 useful for spotting regressions while extending the library.
 
-The ratio gates at the bottom are CI-enforced (``bench-smoke``): four
+The ratio gates at the bottom are CI-enforced (``bench-smoke``): five
 properties no ``bench/`` workload exercises, each timed against its
 alternative on the same host inside one test.
 """
@@ -30,6 +30,7 @@ from repro.datared.hashing import fingerprint
 from repro.datared.sharded import ShardedDedupEngine
 from repro.obs import trace
 from repro.parallel import StagePool
+from repro.systems.fidr import FidrSystem
 from repro.workloads.content import ContentFactory
 
 
@@ -205,3 +206,25 @@ def test_thread_pools_keep_pace_with_serial(rng):
     for width in (2, 4, 8):
         assert writes[1] / writes[width] >= 0.8, ("write", width, writes)
         assert reads[1] / reads[width] >= 0.8, ("read", width, reads)
+
+
+def test_one_batched_read_beats_reads_of_one(rng):
+    """The served read path is one batch (DESIGN.md §5.2): with tracing
+    on, as ``serve`` runs it, one 64-chunk ``FidrSystem.read`` is
+    >= 1.3x faster per chunk than sixty-four 1-chunk reads of the same
+    LBAs."""
+    with FidrSystem(num_buckets=1 << 14, compressor=ZlibCompressor()) as system:
+        system.write(0, b"".join(chunk for _, chunk in _write_batch(rng)))
+        system.flush()
+        assert system.read(0, BATCH_CHUNKS) == b"".join(
+            system.read(lba, 1) for lba in range(BATCH_CHUNKS)
+        )
+        with trace.enabled():
+            took = _fastest(300, {
+                "batched": lambda: system.read(0, BATCH_CHUNKS),
+                "singles": lambda: [
+                    system.read(lba, 1) for lba in range(BATCH_CHUNKS)
+                ],
+            })
+        trace.clear()
+    assert took["singles"] / took["batched"] >= 1.3, took

@@ -98,10 +98,7 @@ class FixedChunker:
                 f"got {chunk_size}"
             )
         self.chunk_size = chunk_size
-
-    @property
-    def blocks_per_chunk(self) -> int:
-        return self.chunk_size // BLOCK_SIZE
+        self.blocks_per_chunk = chunk_size // BLOCK_SIZE
 
     def split(self, lba: int, payload: Buffer) -> List[Chunk]:  # repro-lint: hot-path
         """Split ``payload`` written at ``lba`` into aligned chunks.

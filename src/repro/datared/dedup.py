@@ -237,14 +237,15 @@ class StageTimer(Protocol):
     :func:`active_clock`; while ``active`` is false they take the exact
     path they would with no clock installed.  A live clock has
     ``stage(name)`` entered around each stage — lookup/pack/publish once
-    per chunk, so timers hand out cached accumulators — and ``flush()``
+    per chunk, so timers hand out cached accumulators, a read's fetch
+    and decompress once with the ``chunks`` they cover — and ``flush()``
     called once per write/write_many/read to publish what accumulated.
     """
 
     @property
     def active(self) -> bool: ...
 
-    def stage(self, name: str) -> ContextManager[None]: ...
+    def stage(self, name: str, chunks: int = 1) -> ContextManager[None]: ...
 
     def flush(self) -> None: ...
 
@@ -262,18 +263,18 @@ _NO_STAGE: ContextManager[None] = contextlib.nullcontext()
 
 
 def batch_stage(
-    clock: Optional[StageTimer], name: str
+    clock: Optional[StageTimer], name: str, chunks: int = 1
 ) -> ContextManager[None]:
-    """``clock.stage(name)``, or a no-op when no clock is live.
+    """``clock.stage(name, chunks)``, or a no-op when no clock is live.
 
     For the stages entered once per *batch* (chunk, hash, batched
-    lookup, compress, read), where a no-op ``with`` costs nothing
-    measurable.  The per-*chunk* stages (lookup/pack/publish in
-    ``_write_chunk``) keep an explicit ``clock is None`` check instead:
-    a context manager per chunk is a cost the clock-less path must not
-    pay.
+    lookup, compress, a read's fetch and decompress), where a no-op
+    ``with`` costs nothing measurable.  The per-*chunk* stages
+    (lookup/pack/publish in ``_write_chunk``) keep an explicit ``clock is
+    None`` check instead: a context manager per chunk is a cost the
+    clock-less path must not pay.
     """
-    return _NO_STAGE if clock is None else clock.stage(name)
+    return _NO_STAGE if clock is None else clock.stage(name, chunks)
 
 
 def chunk_and_hash(
@@ -431,6 +432,9 @@ class ReadReport:
     unmapped_chunks: int = 0  #: never-written holes (returned as zeros)
     cache_hits: int = 0  #: chunks served from the decompressed-read LRU
     #: (no container fetch, so they add nothing to stored_bytes_read)
+    #: Per position: compressed bytes fetched for it (0 for a hole or a
+    #: read-cache hit) — what the system layer charges a run from.
+    stored_sizes: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -540,9 +544,10 @@ class DedupEngine:
         self.pool = pool if pool is not None else StagePool(1)
         if read_cache_chunks < 0:
             raise ValueError("read_cache_chunks must be >= 0")
-        #: Decompressed-chunk LRU keyed by PBN (None when disabled).
+        #: Decompressed-chunk LRU keyed by PBN (None when disabled).  An
+        #: ``int`` value exists only inside one ``_read_locked`` pass.
         self.read_cache_chunks = read_cache_chunks
-        self._read_cache: Optional["OrderedDict[int, bytes]"] = (
+        self._read_cache: Optional["OrderedDict[int, Union[bytes, int]]"] = (
             OrderedDict() if read_cache_chunks > 0 else None
         )  # guarded-by: self.lock
         self.read_cache_hits = 0  # guarded-by: self.lock
@@ -1010,78 +1015,100 @@ class DedupEngine:
             raise ValueError(f"LBA {lba} is not chunk-aligned")
         with self.lock:
             clock = active_clock(self.stage_clock)
-            with batch_stage(clock, "read"):
-                report = self._read_locked(lba, num_chunks)
+            report = self._read_locked(lba, num_chunks, clock=clock)
             flush_stages(clock)
             return report
 
     def _read_locked(  # repro-lint: holds self.lock, hot-path
         self, lba: int, num_chunks: int,
         mapping: Optional[Dict[int, int]] = None,
+        clock: Optional[StageTimer] = None,
     ) -> ReadReport:
         report = ReadReport()
         step = self.chunker.blocks_per_chunk
+        chunk_size = self.chunker.chunk_size
         cache = self._read_cache
+        get_pbn: Callable[[int], Optional[int]] = (
+            self.lba_map.get if mapping is None else mapping.get
+        )
         #: Per position: decompressed bytes (hole zeros / cache hit) or
-        #: None (container fetch pending decompression).
-        slots: List[Optional[bytes]] = []
+        #: the index into ``pending`` its bytes will come from.
+        slots: List[Union[bytes, int]] = []
+        sizes = report.stored_sizes
         pending: List[CompressedChunk] = []
-        pending_at: List[int] = []  # slot index of each pending chunk
-        pending_pbn: List[int] = []
-        zero = b"\x00" * self.chunker.chunk_size
-        for position in range(num_chunks):
-            chunk_lba = lba + position * step
-            pbn = (
-                self.lba_map.get(chunk_lba) if mapping is None
-                else mapping.get(chunk_lba)
-            )
-            if pbn is None:
-                slots.append(zero)
-                report.unmapped_chunks += 1
-                continue
-            if cache is not None:
-                hit = cache.get(pbn)
-                if hit is not None:
-                    cache.move_to_end(pbn)
-                    self.read_cache_hits += 1
-                    report.cache_hits += 1
-                    report.chunks_read += 1
-                    slots.append(hit)
-                    continue
-                self.read_cache_misses += 1
-            record = self.pbn_map.get(pbn)
-            payload = self.containers.read(record.container_id, record.offset)
-            pending.append(CompressedChunk(
-                payload=payload,
-                logical_size=self.chunker.chunk_size,
-                stored_size=record.stored_size,
-            ))
-            pending_at.append(position)
-            pending_pbn.append(pbn)
-            slots.append(None)
-            report.chunks_read += 1
-            report.stored_bytes_read += record.stored_size
-        if pending:
-            # Fan out only when the batch is big enough to amortize the
-            # dispatch (min_batch): small reads decompress inline.  The
-            # tag-dispatched decoder reads every registered codec's
-            # payloads regardless of the *configured* write codec; the
-            # engine's compressor is only the fallback for pre-tag
-            # legacy payloads and dictionary-bound chunks.
-            plain = _codecs.decode_many(
-                pending,
-                pool=self.pool if self.pool.is_parallel else None,
-                min_batch=READ_FANOUT_MIN_CHUNKS,
-                fallback=self.compressor,
-            )
-            for position, pbn, data in zip(pending_at, pending_pbn, plain):
-                slots[position] = data
-                if cache is not None:
-                    cache[pbn] = data
-            if cache is not None:
-                while len(cache) > self.read_cache_chunks:
-                    cache.popitem(last=False)
-        report.data = b"".join(slots)  # type: ignore[arg-type]
+        pending_pbn: List[int] = []  # parallel to pending; cache on only
+        plain: List[bytes] = []
+        zero = b"\x00" * chunk_size
+        try:
+            with batch_stage(clock, "fetch", num_chunks):
+                for chunk_lba in range(lba, lba + num_chunks * step, step):
+                    pbn = get_pbn(chunk_lba)
+                    if pbn is None:
+                        slots.append(zero)
+                        sizes.append(0)
+                        continue
+                    if cache is not None:
+                        hit = cache.get(pbn)
+                        if hit is not None:
+                            cache.move_to_end(pbn)
+                            self.read_cache_hits += 1
+                            report.cache_hits += 1
+                            slots.append(hit)
+                            sizes.append(0)
+                            continue
+                        self.read_cache_misses += 1
+                    record = self.pbn_map.get(pbn)
+                    payload = self.containers.read(record.container_id, record.offset)
+                    if cache is not None:
+                        # Probe, insert and evict in position order, as a
+                        # read per chunk would: the entry holds the pending
+                        # index until the bytes exist, so a later probe of
+                        # this PBN — or of one this insert evicts — sees
+                        # the cache that reader would have left.
+                        cache[pbn] = len(pending)
+                        pending_pbn.append(pbn)
+                        if len(cache) > self.read_cache_chunks:
+                            cache.popitem(last=False)
+                    slots.append(len(pending))
+                    sizes.append(record.stored_size)
+                    pending.append(CompressedChunk(
+                        payload=payload,
+                        logical_size=chunk_size,
+                        stored_size=record.stored_size,
+                    ))
+            if pending:
+                # Fan out only when the batch is big enough to amortize the
+                # dispatch (min_batch): small reads decompress inline.  The
+                # tag-dispatched decoder reads every registered codec's
+                # payloads regardless of the *configured* write codec; the
+                # engine's compressor is only the fallback for pre-tag
+                # legacy payloads and dictionary-bound chunks.
+                with batch_stage(clock, "decompress", len(pending)):
+                    plain = _codecs.decode_many(
+                        pending,
+                        pool=self.pool if self.pool.is_parallel else None,
+                        min_batch=READ_FANOUT_MIN_CHUNKS,
+                        fallback=self.compressor,
+                    )
+        finally:
+            # Bytes for the pending indexes — or, after a failed fetch or
+            # decode, no entry at all: none may outlive this pass.
+            for index, pbn in enumerate(pending_pbn):
+                if cache is not None and type(cache.get(pbn)) is int:
+                    if plain:
+                        cache[pbn] = plain[index]  # same PBN, same bytes
+                    else:
+                        del cache[pbn]
+        report.chunks_read = report.cache_hits + len(pending)
+        report.unmapped_chunks = num_chunks - report.chunks_read
+        report.stored_bytes_read = sum(sizes)
+        if len(pending) == num_chunks:
+            pieces = plain  # every position fetched, already in order
+        else:
+            pieces = [
+                slot if isinstance(slot, bytes) else plain[slot] for slot in slots
+            ]
+        report.data = pieces[0] if num_chunks == 1 else b"".join(pieces)
         return report
 
     # -- maintenance -------------------------------------------------------------

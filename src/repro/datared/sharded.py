@@ -451,6 +451,7 @@ class ShardedDedupEngine:
                 merged.stored_bytes_read += sub_report.stored_bytes_read
                 merged.unmapped_chunks += sub_report.unmapped_chunks
                 merged.cache_hits += sub_report.cache_hits
+                merged.stored_sizes += sub_report.stored_sizes
             merged.data = pieces[0] if len(pieces) == 1 else b"".join(pieces)
             return merged
 
@@ -547,6 +548,7 @@ class ShardedDedupEngine:
                 merged.stored_bytes_read += sub_report.stored_bytes_read
                 merged.unmapped_chunks += sub_report.unmapped_chunks
                 merged.cache_hits += sub_report.cache_hits
+                merged.stored_sizes += sub_report.stored_sizes
             merged.data = pieces[0] if len(pieces) == 1 else b"".join(pieces)
             return merged
 

@@ -58,6 +58,7 @@ __all__ = [
     "ProtocolServer",
     "ProtocolClient",
     "MAX_PAYLOAD",
+    "bounded_count",
 ]
 
 #: v1 header: magic, op, flags, reserved, lba, payload length, crc32(payload)
@@ -131,6 +132,19 @@ class Frame:
         if self.count is not None:
             return max(1, self.count)
         return max(1, self.flags)
+
+
+def bounded_count(frame: Frame, chunk_size: int) -> int:
+    """``frame.read_count``, refused before the storage stack is touched
+    when that many chunks could not travel back in one frame (READ,
+    SNAP read) — the same bound caps how long a TRIM holds the lock."""
+    count = frame.read_count
+    if count * chunk_size > MAX_PAYLOAD:
+        raise ProtocolError(
+            f"count {count} exceeds the {MAX_PAYLOAD // chunk_size} "
+            f"{chunk_size}-byte chunks one frame carries"
+        )
+    return count
 
 
 def _check_frame_fields(op: int, lba: int) -> None:
@@ -344,7 +358,7 @@ class ProtocolServer:
                 # (battery-backed) NIC buffer, not yet reduced.
                 return encode_reply(frame, Op.WRITE_ACK, frame.lba)
             if frame.op == Op.READ:
-                data = self.server.read(frame.lba, frame.read_count)
+                data = self.server.read(frame.lba, bounded_count(frame, self.server.chunk_size))
                 return encode_reply(frame, Op.READ_ACK, frame.lba, data)
             if frame.op == Op.STATS:
                 if frame.version < 2:
@@ -372,7 +386,7 @@ class ProtocolServer:
                             "TRIM requires protocol v2",
                         ),
                     )
-                self.server.trim(frame.lba, frame.read_count)
+                self.server.trim(frame.lba, bounded_count(frame, self.server.chunk_size))
                 return encode_reply(frame, Op.TRIM_ACK, frame.lba)
             if frame.op == Op.SNAP:
                 if frame.version < 2:
@@ -418,7 +432,7 @@ class ProtocolServer:
             return reply_json({"reclaimed": self.server.delete_snapshot(name)})
         if action == "read":
             data = self.server.read_snapshot(
-                name, frame.lba, frame.read_count
+                name, frame.lba, bounded_count(frame, self.server.chunk_size)
             )
             return encode_reply(frame, Op.SNAP_ACK, frame.lba, data)
         raise ProtocolError(f"unknown SNAP action {action!r}")

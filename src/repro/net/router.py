@@ -56,7 +56,7 @@ from ..errors import (
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..systems.config import CodecPolicy
 from .aserver import AsyncProtocolClient
-from .protocol import Frame, FrameDecoder, Op, encode_frame, encode_reply
+from .protocol import Frame, FrameDecoder, Op, bounded_count, encode_frame, encode_reply
 
 __all__ = ["ShardRouter"]
 
@@ -206,7 +206,7 @@ class ShardRouter:
             if frame.op == Op.READ:
                 async with self._lock:
                     data = await self._scatter_read(
-                        frame.lba, frame.read_count
+                        frame.lba, bounded_count(frame, self.chunk_size)
                     )
                 return encode_reply(frame, Op.READ_ACK, frame.lba, data)
             if frame.op == Op.STATS:
@@ -234,7 +234,7 @@ class ShardRouter:
                         ),
                     )
                 async with self._lock:
-                    await self._scatter_trim(frame.lba, frame.read_count)
+                    await self._scatter_trim(frame.lba, bounded_count(frame, self.chunk_size))
                 return encode_reply(frame, Op.TRIM_ACK, frame.lba)
             raise ProtocolError(f"unexpected op {frame.op}")
         except (ReproError, ValueError) as error:
@@ -320,36 +320,34 @@ class ShardRouter:
 
     async def _scatter_read(self, lba: int, num_chunks: int) -> bytes:
         self._check_alignment(lba)
-        chunk_lbas = [
-            lba + index * self.blocks_per_chunk for index in range(num_chunks)
-        ]
+        step = self.blocks_per_chunk
         # None = never written here: canonical zero-fill, no backend hop.
-        owners = [self._directory.get(chunk) for chunk in chunk_lbas]
-        pieces: List[Optional[bytes]] = [None] * num_chunks
+        owners = [
+            self._directory.get(chunk_lba)
+            for chunk_lba in range(lba, lba + num_chunks * step, step)
+        ]
+        # One piece per maximal same-owner run: a hole run's zeros, or
+        # None until the backend read issued for it replies.
+        pieces: List[Optional[bytes]] = []
         reads: List[Tuple[int, Any]] = []
-        slots: List[Tuple[int, int]] = []  # (first piece index, run length)
         start = 0
         for index in range(1, num_chunks + 1):
             if index == num_chunks or owners[index] != owners[start]:
                 owner = owners[start]
                 if owner is None:
-                    for hole in range(start, index):
-                        pieces[hole] = b"\x00" * self.chunk_size
+                    pieces.append(bytes((index - start) * self.chunk_size))
                 else:
+                    pieces.append(None)
                     reads.append((
                         owner,
                         self._clients[owner].read(
-                            chunk_lbas[start], index - start
+                            lba + start * step, index - start
                         ),
                     ))
-                    slots.append((start, index - start))
                 start = index
-        for (begin, length), data in zip(slots, await self._gather(reads)):
-            for offset in range(length):
-                pieces[begin + offset] = data[
-                    offset * self.chunk_size : (offset + 1) * self.chunk_size
-                ]
-        return b"".join(piece for piece in pieces if piece is not None)
+        replies = iter(await self._gather(reads))
+        filled = [piece if piece is not None else next(replies) for piece in pieces]
+        return filled[0] if len(filled) == 1 else b"".join(filled)
 
     async def _scatter_trim(self, lba: int, num_chunks: int) -> None:
         self._check_alignment(lba)

@@ -254,6 +254,9 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: Sequence[int] = DEFAULT_LATENCY_BOUNDS_NS
     ) -> Histogram:
+        instrument = self._instruments.get(name)
+        if type(instrument) is Histogram:
+            return instrument  # every span's lookup: a dict read needs no lock
         instrument = self._get_or_create(
             name,
             Histogram,

@@ -219,20 +219,18 @@ def observe(name: str, dur_ns: int, **tags: Any) -> None:
     ))
 
 
-def _record(record: SpanRecord) -> None:
+def _record(*records: SpanRecord) -> None:
+    """Finished spans go to the enclosing capture, else to the ring and
+    their latency histograms (one lock round for all of them)."""
     buffer = _CAPTURE.get()
     if buffer is not None:
-        buffer.append(record)
+        buffer.extend(records)
         return
-    _commit(record)
-
-
-def _commit(record: SpanRecord) -> None:
     with _ring_lock:
-        _ring.append(record)
-    _metrics.get_registry().histogram(record.name + ".ns").observe(
-        record.dur_ns
-    )
+        _ring.extend(records)
+    histogram = _metrics.get_registry().histogram
+    for record in records:
+        histogram(record.name + ".ns").observe(record.dur_ns)
 
 
 # -- executor propagation ---------------------------------------------------
@@ -278,8 +276,7 @@ def adopt(context: ExecutorContext) -> Iterator[List[SpanRecord]]:
 def merge(records: Iterable[SpanRecord]) -> None:
     """Fold worker-captured spans into the caller's context (respects
     an enclosing capture, so nested fan-outs compose)."""
-    for record in records:
-        _record(record)
+    _record(*records)
 
 
 # -- exporters --------------------------------------------------------------
@@ -298,21 +295,21 @@ def clear() -> None:
 
 # -- the engine's StageTimer ------------------------------------------------
 class _StageTotal:
-    """One stage's busy time and entry count on one thread since the
-    last flush (re-enterable, non-reentrant)."""
+    """One stage's busy time and covered-chunk count on one thread since
+    the last flush (re-enterable, non-reentrant)."""
 
-    __slots__ = ("name", "busy_ns", "entries", "_t0")
+    __slots__ = ("name", "busy_ns", "covered", "entering", "_t0")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.busy_ns = self.entries = self._t0 = 0
+        self.busy_ns = self.covered = self.entering = self._t0 = 0
 
     def __enter__(self) -> None:
         self._t0 = now_ns()
 
     def __exit__(self, *exc: object) -> None:
         self.busy_ns += now_ns() - self._t0
-        self.entries += 1
+        self.covered += self.entering
 
 
 class TracedStages:
@@ -328,9 +325,11 @@ class TracedStages:
     accumulator, and :meth:`flush` — called by the engine once per
     write/write_many/read — records one ``<prefix>.<name>`` span per
     stage entered since the last flush: its summed busy time, tagged
-    ``chunks=<entries>`` (lookup/pack/publish enter once per chunk they
-    handle, the vectorised chunk/hash/compress once per batch).  Totals
-    are per thread, so shards on pool threads can share one clock.
+    with the ``chunks`` its entries covered (lookup/pack/publish enter
+    once per chunk they handle, the vectorised chunk/hash/compress once
+    per batch, a read's fetch/decompress once with the request's chunk
+    count).  Totals are per thread, so shards on pool threads can share
+    one clock.
     """
 
     __slots__ = ("_prefix", "_local")
@@ -343,21 +342,31 @@ class TracedStages:
     def active(self) -> bool:
         return _STATE["enabled"]
 
-    def stage(self, name: str) -> ContextManager[Any]:
+    def stage(self, name: str, chunks: int = 1) -> ContextManager[Any]:
         if not _STATE["enabled"]:
             return _NOOP
         totals = self._local.__dict__
         total = totals.get(name)
         if total is None:
             total = totals[name] = _StageTotal(f"{self._prefix}.{name}")
+        total.entering = chunks
         return total
 
     def flush(self) -> None:
-        """Record this thread's accumulated stages, one span each."""
+        """Record this thread's accumulated stages, one span each (the
+        fields they share read once: a 1-chunk read flushes two)."""
+        end = now_ns()
+        trace_id = _TRACE_ID.get() or 0
+        thread = threading.current_thread().name
+        records = []
         for total in self._local.__dict__.values():
-            if total.entries:
-                observe(total.name, total.busy_ns, chunks=total.entries)
-                total.busy_ns = total.entries = 0
+            if total.covered:
+                records.append(SpanRecord(
+                    total.name, trace_id, end - total.busy_ns, total.busy_ns,
+                    thread, {"chunks": total.covered},
+                ))
+                total.busy_ns = total.covered = 0
+        _record(*records)
 
 
 Span = Union[_NoopSpan, _Span]

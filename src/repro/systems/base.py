@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..cache.table_cache import CacheIndex, TableCache
 from ..errors import AlignmentError
 from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..datared.container import Container
-from ..datared.dedup import ChunkOutcome, WriteOptions
+from ..datared.dedup import ChunkOutcome, ReadReport, WriteOptions
 from ..hw.cpu import CpuLedger
 from ..hw.memory import MemoryLedger
 from ..hw.pcie import PcieTopology
@@ -165,8 +165,15 @@ class ReductionSystem:
         """Run the backend write flow for one staged batch."""
         raise NotImplementedError
 
-    def _read_chunk(self, lba: int) -> bytes:
-        """Run the read flow for one chunk-aligned LBA."""
+    def _staged_lookup(self) -> Optional[Callable[[int], Optional[bytes]]]:
+        """What serves an LBA's staged chunk before the engine does.
+        Default: nothing can, so every read drains the staged writes."""
+        self._drain()
+        return None
+
+    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:
+        """Charge one engine-served run of ``count`` chunks, ``fetched`` of
+        them off the data SSDs: per-chunk costs × count, bytes summed."""
         raise NotImplementedError
 
     def _on_container_seal(self, container: Container) -> None:
@@ -189,20 +196,30 @@ class ReductionSystem:
                 self.logical_write_bytes += len(chunk.data)
                 self._enqueue(chunk)
                 self._pending.append(chunk)
-            while len(self._pending) >= self.config.batch_chunks:
-                batch = self._pending[: self.config.batch_chunks]
-                del self._pending[: self.config.batch_chunks]
-                with _trace.span("system.batch", chunks=len(batch)):
-                    self._process_batch(batch)
+            self._drain(self.config.batch_chunks)
+
+    def _drain(self, leave_below: int = 1) -> None:  # repro-lint: holds self.lock
+        """Run the backend, a batch at a time, until fewer than ``leave_below`` chunks are staged."""
+        while len(self._pending) >= leave_below:
+            batch = self._pending[: self.config.batch_chunks]
+            del self._pending[: self.config.batch_chunks]
+            with _trace.span("system.batch", chunks=len(batch)):
+                self._process_batch(batch)
 
     def flush(self) -> None:
         """Drain staged writes and seal the open container."""
         with self.lock:
-            if self._pending:
-                batch, self._pending = self._pending, []
-                with _trace.span("system.batch", chunks=len(batch)):
-                    self._process_batch(batch)
+            self._drain()
             self.engine.flush()
+
+    def _extent_step(self, lba: int, num_chunks: int) -> int:
+        """Blocks per chunk, once ``num_chunks`` at ``lba`` is an extent."""
+        if num_chunks < 1:
+            raise AlignmentError("an extent is at least one chunk")
+        step = self.engine.chunker.blocks_per_chunk
+        if lba % step != 0:
+            raise AlignmentError(f"LBA {lba} is not chunk-aligned")
+        return step
 
     def trim(self, lba: int, num_chunks: int = 1) -> None:
         """TRIM ``num_chunks`` chunk-aligned LBAs: drop their mappings.
@@ -212,33 +229,45 @@ class ReductionSystem:
         state (and draining also clears any NIC-buffered copy a read
         could otherwise still hit).  Trimmed LBAs read back as zeros.
         """
-        if num_chunks < 1:
-            raise AlignmentError("must trim at least one chunk")
-        step = self.engine.chunker.blocks_per_chunk
-        if lba % step != 0:
-            raise AlignmentError(f"LBA {lba} is not chunk-aligned")
+        step = self._extent_step(lba, num_chunks)
         with self.lock:
-            if self._pending:
-                batch, self._pending = self._pending, []
-                with _trace.span("system.batch", chunks=len(batch)):
-                    self._process_batch(batch)
+            self._drain()
             for position in range(num_chunks):
                 self.engine.trim(lba + position * step)
 
-    def read(self, lba: int, num_chunks: int = 1) -> bytes:
-        """Client read of ``num_chunks`` chunks at chunk-aligned ``lba``."""
-        if num_chunks < 1:
-            raise AlignmentError("must read at least one chunk")
-        step = self.engine.chunker.blocks_per_chunk
-        if lba % step != 0:
-            raise AlignmentError(f"LBA {lba} is not chunk-aligned")
-        pieces = []
+    def read(self, lba: int, num_chunks: int = 1) -> bytes:  # repro-lint: hot-path
+        """Client read of ``num_chunks`` chunks at chunk-aligned ``lba``:
+        one staging pass, then one :meth:`_read_run` per maximal run of
+        the chunks nothing staged serves (DESIGN.md §5.2)."""
+        step = self._extent_step(lba, num_chunks)
         with self.lock:
-            for position in range(num_chunks):
-                piece = self._read_chunk(lba + position * step)
-                self.logical_read_bytes += len(piece)
-                pieces.append(piece)
-        return b"".join(pieces)
+            lookup = self._staged_lookup()
+            pieces, run_lba, end = [], lba, lba + num_chunks * step
+            for chunk_lba in range(lba, end, step) if lookup else ():
+                staged = lookup(chunk_lba)
+                if staged is not None:
+                    if run_lba < chunk_lba:
+                        pieces.append(self._read_run(run_lba, (chunk_lba - run_lba) // step))
+                    pieces.append(staged)
+                    run_lba = chunk_lba + step
+            if run_lba < end:
+                pieces.append(self._read_run(run_lba, (end - run_lba) // step))
+            # Nothing staged hit: the one run's buffer, without a second join.
+            data = pieces[0] if run_lba == lba else b"".join(pieces)
+            self.logical_read_bytes += len(data)
+        return data
+
+    def _read_run(self, lba: int, count: int) -> bytes:  # repro-lint: holds self.lock, hot-path
+        """One ``engine.read`` and one ledger charge for ``count`` chunks."""
+        report = self.engine.read(lba, count)
+        drives, fetched = self.data_array.drives, 0
+        step = self.engine.chunker.blocks_per_chunk
+        for position, stored in enumerate(report.stored_sizes):
+            if stored:  # fetched off the drive its own LBA stripes to
+                drives[(lba + position * step) % len(drives)].account_read(stored)
+                fetched += 1
+        self._charge_read(lba, count, report, fetched)
+        return report.data
 
     # -- snapshots ---------------------------------------------------------------------
     def create_snapshot(self, name: str) -> int:
@@ -249,10 +278,7 @@ class ReductionSystem:
         :meth:`trim` follows.  Returns the number of pinned chunks.
         """
         with self.lock:
-            if self._pending:
-                batch, self._pending = self._pending, []
-                with _trace.span("system.batch", chunks=len(batch)):
-                    self._process_batch(batch)
+            self._drain()
             return self.engine.create_snapshot(name)
 
     def delete_snapshot(self, name: str) -> int:
@@ -272,11 +298,7 @@ class ReductionSystem:
         read outside the modeled client data path, so no device ledger
         charges (the functional bytes are still exact).
         """
-        if num_chunks < 1:
-            raise AlignmentError("must read at least one chunk")
-        step = self.engine.chunker.blocks_per_chunk
-        if lba % step != 0:
-            raise AlignmentError(f"LBA {lba} is not chunk-aligned")
+        self._extent_step(lba, num_chunks)
         with self.lock:
             return self.engine.read_snapshot(name, lba, num_chunks).data
 
@@ -293,10 +315,7 @@ class ReductionSystem:
         with self.lock:
             if self._closed:
                 return
-            if self._pending:
-                batch, self._pending = self._pending, []
-                with _trace.span("system.batch", chunks=len(batch)):
-                    self._process_batch(batch)
+            self._drain()
             self.engine.close()
             self._closed = True
         self.pool.shutdown()

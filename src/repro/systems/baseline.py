@@ -23,6 +23,7 @@ from ..cache.table_cache import BTreeIndex, CacheIndex
 from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..datared.container import Container
+from ..datared.dedup import ReadReport
 from ..hw.nic import BaselineNic
 from ..hw.pcie import HOST, PcieTopology
 from ..obs.metrics import MetricsRegistry
@@ -175,35 +176,26 @@ class BaselineSystem(ReductionSystem):
         self.cpu.charge(CpuTask.DATA_SSD, self.config.cpu.data_ssd_io)
 
     # -- read flow (Figure 2b) ---------------------------------------------------------------
-    def _read_chunk(self, lba: int) -> bytes:  # repro-lint: holds self.lock
-        # Reads must observe staged writes: the baseline has no NIC-side
-        # lookup, so it drains the pipeline first.
-        if self._pending:
-            batch, self._pending = self._pending, []
-            self._process_batch(batch)
-
+    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
         costs = self.config.cpu
-        self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup)
-        report = self.engine.read(lba, 1)
-        stored = report.stored_bytes_read
         logical = len(report.data)
-
-        if stored:
+        self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup * count)
+        if fetched:
             # SSD → host DRAM → FPGA (decompress) → host DRAM → NIC.
-            self.data_array.drives[lba % len(self.data_array)].account_read(stored)
-            self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io)
+            stored = report.stored_bytes_read
+            inflated = fetched * (logical // count)
+            self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io * fetched)
             self.pcie.transfer(_DATA_SSD, HOST, stored)
             self.memory.write(MemPath.DATA_SSD, stored)
             self.memory.read(MemPath.FPGA, stored)
             self.pcie.transfer(HOST, _FPGA, stored)
-            self.memory.write(MemPath.FPGA, logical)
-            self.pcie.transfer(_FPGA, HOST, logical)
-            self.cpu.charge(CpuTask.DMA, costs.dma_per_chunk * 2)
+            self.memory.write(MemPath.FPGA, inflated)
+            self.pcie.transfer(_FPGA, HOST, inflated)
+            self.cpu.charge(CpuTask.DMA, costs.dma_per_chunk * 2 * fetched)
         self.memory.read(MemPath.NIC_HOST, logical)
         self.pcie.transfer(HOST, _NIC, logical)
         self.nic.send(logical)
-        self.cpu.charge(CpuTask.NETWORK, costs.nic_per_chunk)
-        return report.data
+        self.cpu.charge(CpuTask.NETWORK, costs.nic_per_chunk * count)
 
     # -- reporting ------------------------------------------------------------------------------
     def _predictor_accuracy(self):

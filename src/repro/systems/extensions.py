@@ -24,10 +24,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+from ..datared.dedup import ReadReport
 from ..errors import CapacityError
 from ..hw.pcie import HOST
 from .accounting import CpuTask, MemPath
-from .fidr import FidrSystem, _DATA_SSD, _DECOMP, _NIC
+from .fidr import FidrSystem, _NIC
 
 __all__ = ["HotReadCache", "ExtendedFidrSystem"]
 
@@ -80,6 +81,9 @@ class HotReadCache:
             self._data.popitem(last=False)
         return True
 
+    def __contains__(self, lba: int) -> bool:
+        return lba in self._data
+
     def invalidate(self, lba: int) -> None:
         self._data.pop(lba, None)
         self._ghost.pop(lba, None)
@@ -122,49 +126,39 @@ class ExtendedFidrSystem(FidrSystem):
         super()._enqueue(chunk)
 
     # -- read path (Figure 6b, extended) -----------------------------------------------------
-    def _read_chunk(self, lba: int) -> bytes:
-        costs = self.config.cpu
-
-        # NIC write-buffer lookup still comes first (steps 1-2).
-        buffered = self.nic.lookup_read(lba)
-        if buffered is not None:
-            return buffered
-
-        # §8 extension: frequently-read blocks served from host DRAM.
-        if self.hot_read_cache is not None:
-            cached = self.hot_read_cache.get(lba)
+    def _read_run(self, lba: int, count: int) -> bytes:  # repro-lint: holds self.lock
+        """§8: chunks the hot-read cache holds are served from host DRAM,
+        the sub-runs between them by the engine."""
+        hot = self.hot_read_cache
+        if hot is None:
+            return super()._read_run(lba, count)
+        step = self.engine.chunker.blocks_per_chunk
+        pieces, start, end = [], lba, lba + count * step
+        for chunk_lba in range(lba, end, step):
+            if start < chunk_lba and chunk_lba in hot:
+                # The open sub-run's admissions can evict this entry: they
+                # land before the probe, as they do one chunk at a time.
+                pieces.append(super()._read_run(start, (chunk_lba - start) // step))
+                start = chunk_lba
+            cached = hot.get(chunk_lba)
             if cached is not None:
                 self.memory.read(MemPath.HOT_READ, len(cached))
                 self.pcie.transfer(HOST, _NIC, len(cached))
                 self.nic.send_read_data(cached)
-                self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup)
-                return cached
+                self.cpu.charge(CpuTask.LBA_MAP, self.config.cpu.lba_map_lookup)
+                pieces.append(cached)
+                start = chunk_lba + step
+        if start < end:
+            pieces.append(super()._read_run(start, (end - start) // step))
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
-        self.pcie.transfer(_NIC, HOST, 8)
-        self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup)
-        self.cpu.charge(CpuTask.DEVICE_MANAGER, costs.device_manager_per_chunk)
-
-        report = self.engine.read(lba, 1)
-        stored = report.stored_bytes_read
-        logical = len(report.data)
-
-        if stored:
-            self.data_array.drives[lba % len(self.data_array)].account_read(stored)
-            if not self.nvme_read_offload:
-                # Paper configuration: the host NVMe stack issues the read.
-                self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io)
-            # With offload, the Decompression Engine owns the queue pair
-            # and the host only sees the batched completion (free at the
-            # per-chunk level — the same argument as §6.1's table SSDs).
-            self.pcie.transfer(_DATA_SSD, _DECOMP, stored)
-            self.decompression.traffic.pcie_in += stored
-            self.decompression.traffic.pcie_out += logical
-            self.decompression.traffic.payload_processed += logical
-            self.pcie.transfer(_DECOMP, _NIC, logical)
-        self.nic.send_read_data(report.data)
-
-        if self.hot_read_cache is not None and stored:
-            if self.hot_read_cache.offer(lba, report.data):
-                # Caching the block costs one DRAM write.
-                self.memory.write(MemPath.HOT_READ, logical)
-        return report.data
+    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+        super()._charge_read(lba, count, report, fetched)
+        if self.hot_read_cache is None or not fetched:
+            return
+        step = self.engine.chunker.blocks_per_chunk
+        size = len(report.data) // count
+        for position, stored in enumerate(report.stored_sizes):
+            chunk = slice(position * size, (position + 1) * size)
+            if stored and self.hot_read_cache.offer(lba + position * step, report.data[chunk]):
+                self.memory.write(MemPath.HOT_READ, size)  # one DRAM write

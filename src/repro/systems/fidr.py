@@ -18,13 +18,14 @@ follow the paper's numbering in the code comments.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..cache.table_cache import CacheIndex, HwTreeIndex
 from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..obs.metrics import MetricsRegistry
 from ..datared.container import Container
+from ..datared.dedup import ReadReport
 from ..hw.fpga import CompressionEngine, DecompressionEngine
 from ..hw.nic import FidrNic
 from ..hw.pcie import HOST, PcieTopology
@@ -48,6 +49,7 @@ class FidrSystem(ReductionSystem):
 
     TABLE_QUEUE_OWNER = "engine"
     name = "FIDR"
+    nvme_read_offload = False  #: §7.5: data-SSD read queues stay on the host NVMe stack
 
     def __init__(
         self,
@@ -238,35 +240,28 @@ class FidrSystem(ReductionSystem):
         self.cpu.charge(CpuTask.DATA_SSD, self.config.cpu.data_ssd_io)
 
     # -- read flow (Figure 6b) ----------------------------------------------------------------
-    def _read_chunk(self, lba: int) -> bytes:
+    def _staged_lookup(self) -> Callable[[int], Optional[bytes]]:
+        """Steps 1-2: LBA Lookup against the in-NIC write buffer."""
+        return self.nic.lookup_read
+
+    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
         costs = self.config.cpu
-
-        # Steps 1-2: LBA Lookup against the in-NIC write buffer.
-        buffered = self.nic.lookup_read(lba)
-        if buffered is not None:
-            return buffered
-
-        # Step 3-4: LBA to the host; LBA-PBA lookup.
-        self.pcie.transfer(_NIC, HOST, 8)
-        self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup)
-        self.cpu.charge(CpuTask.DEVICE_MANAGER, costs.device_manager_per_chunk)
-
-        report = self.engine.read(lba, 1)
-        stored = report.stored_bytes_read
-        logical = len(report.data)
-
-        if stored:
+        # Step 3-4: LBAs to the host; LBA-PBA lookups.
+        self.pcie.transfer(_NIC, HOST, 8 * count)
+        self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup * count)
+        self.cpu.charge(CpuTask.DEVICE_MANAGER, costs.device_manager_per_chunk * count)
+        if fetched:
             # Steps 5-7: SSD → Decompression Engine → NIC, all P2P.
-            self.data_array.drives[lba % len(self.data_array)].account_read(stored)
-            self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io)
-            self.pcie.transfer(_DATA_SSD, _DECOMP, stored)
-            self.decompression.traffic.pcie_in += stored
-            self.decompression.traffic.pcie_out += logical
-            self.decompression.traffic.payload_processed += logical
-            self.pcie.transfer(_DECOMP, _NIC, logical)
+            inflated = fetched * (len(report.data) // count)
+            if not self.nvme_read_offload:
+                self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io * fetched)
+            self.pcie.transfer(_DATA_SSD, _DECOMP, report.stored_bytes_read)
+            self.decompression.traffic.pcie_in += report.stored_bytes_read
+            self.decompression.traffic.pcie_out += inflated
+            self.decompression.traffic.payload_processed += inflated
+            self.pcie.transfer(_DECOMP, _NIC, inflated)
         # Step 8: NIC sends the data to the client.
         self.nic.send_read_data(report.data)
-        return report.data
 
     # -- reporting ---------------------------------------------------------------------------------
     def _nic_buffer_hit_rate(self) -> Optional[float]:

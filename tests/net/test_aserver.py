@@ -5,14 +5,22 @@ loop with ``asyncio.run`` around an async body.
 """
 
 import asyncio
+import copy
 
 import pytest
 
 from repro.datared.compression import ModeledCompressor
-from repro.errors import AlignmentError, ProtocolError
+from repro.errors import (
+    AlignmentError,
+    ErrorCode,
+    ProtocolError,
+    decode_error_payload,
+)
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.net.protocol import Op, encode_frame_v2
+from repro.net.protocol import MAX_PAYLOAD, Op, encode_frame_v2
 from repro.systems.server import StorageServer, SystemKind
+
+from ..systems.test_parallel_differential import ledger_view
 
 CHUNK = 4096
 
@@ -220,6 +228,62 @@ class TestSingleClient:
                 assert frames[0].op == Op.WRITE_ACK
                 writer.close()
                 await writer.wait_closed()
+
+        run(body())
+
+
+class TestCountBound:
+    """A chunk count whose reply no frame could carry is refused with a
+    typed error before the storage stack is touched."""
+
+    def test_oversized_read_snap_read_and_trim_are_refused(self, rng):
+        storage = build_storage()
+        limit = MAX_PAYLOAD // CHUNK
+        snap_read = b'{"action":"read","name":"pinned"}'
+
+        def moved():
+            system = storage.system
+            return copy.deepcopy((
+                ledger_view(storage), system.logical_read_bytes,
+                system.nic.traffic, system.nic.read_buffer_misses,
+            ))
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    data = rng.randbytes(CHUNK)
+                    await client.write(0, data)
+                    await client.create_snapshot("pinned")
+                    before = moved()
+                    for op, payload, count in (
+                        (Op.READ, b"", limit + 1),
+                        (Op.READ, b"", 2**32 - 1),
+                        (Op.SNAP, snap_read, limit + 1),
+                        (Op.TRIM, b"", limit + 1),
+                    ):
+                        reply = await client._request(op, 0, payload, count)
+                        assert reply.op == Op.ERROR, (op, count)
+                        code, message = decode_error_payload(reply.payload)
+                        assert code == ErrorCode.BAD_REQUEST
+                        assert "count" in message
+                    assert moved() == before
+                    # Same connection, still serving; nothing was trimmed.
+                    assert await client.read(0, 1) == data
+
+        run(body())
+
+    def test_the_largest_read_one_frame_carries_still_succeeds(self):
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    holes = await client.read(1 << 30, MAX_PAYLOAD // CHUNK)
+                    assert holes == bytes(MAX_PAYLOAD)
 
         run(body())
 

@@ -31,7 +31,7 @@ from repro.errors import (
     error_code_for,
 )
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.net.protocol import FrameDecoder, Op, encode_frame
+from repro.net.protocol import MAX_PAYLOAD, FrameDecoder, Op, encode_frame
 from repro.net.router import ShardRouter
 from repro.obs import STATS_SCHEMA
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -149,8 +149,52 @@ class TestRouterOfOne:
 
         run(body())
 
+    def test_oversized_read_is_refused_before_any_backend_hop(self, rng):
+        async def body():
+            async with cluster(1) as nodes:
+                router = nodes.router
+                async with await AsyncProtocolClient.connect(
+                    router.host, router.port
+                ) as client:
+                    data = rng.randbytes(CHUNK)
+                    await client.write(0, data)
+                    served = nodes.servers[0].endpoint.requests_served
+                    for count in (MAX_PAYLOAD // CHUNK + 1, 2**32 - 1):
+                        reply = await client._request(Op.READ, 0, count=count)
+                        assert reply.op == Op.ERROR
+                        code, _ = decode_error_payload(reply.payload)
+                        assert code == ErrorCode.BAD_REQUEST
+                    assert nodes.servers[0].endpoint.requests_served == served
+                    assert await client.read(0, 1) == data
+
+        run(body())
+
 
 class TestCrossShard:
+    def test_read_reassembles_hole_runs_and_two_owners_in_order(self, rng):
+        async def body():
+            async with cluster(2) as nodes:
+                router = nodes.router
+                async with await AsyncProtocolClient.connect(
+                    router.host, router.port
+                ) as client:
+                    # LBAs: 0-1 shard 0 | 2-3 hole | 4 shard 1 | 5 shard 0
+                    # | 6 hole: five runs, three backend reads.
+                    first = [payload_for_shard(rng, router, 0) for _ in "ab"]
+                    second = [
+                        payload_for_shard(rng, router, shard)
+                        for shard in (1, 0)
+                    ]
+                    await client.write(0, b"".join(first))
+                    await client.write(4, b"".join(second))
+                    assert await client.read(0, 7) == b"".join(
+                        first + [bytes(2 * CHUNK)] + second + [bytes(CHUNK)]
+                    )
+                    assert await client.read(2, 2) == bytes(2 * CHUNK)
+                    assert await client.read(4, 1) == second[0]
+
+        run(body())
+
     def test_multi_chunk_payload_spans_backends(self, rng):
         async def body():
             async with cluster(4) as nodes:

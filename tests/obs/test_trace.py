@@ -278,3 +278,42 @@ class TestPerBatchStageSpans:
         assert [r.name for r in trace.tail()] == [
             "engine.stage.pack", "engine.stage.lookup",
         ]
+
+
+class TestReadStageSpans:
+    """A read has stages like a write has: one ``fetch`` and one
+    ``decompress`` span per request, tagged with the chunks it covered."""
+
+    @staticmethod
+    def _read_64_chunks(traced: bool):
+        from repro.datared.compression import ZlibCompressor
+        from repro.systems.fidr import FidrSystem
+
+        with FidrSystem(
+            num_buckets=1024, cache_lines=64, compressor=ZlibCompressor()
+        ) as system:
+            system.write(0, b"".join(
+                index.to_bytes(2, "big") * 2048 for index in range(64)
+            ))
+            system.flush()
+            trace.clear()
+            with trace.enabled(traced):
+                system.read(0, 64)
+        records = [
+            record for record in trace.tail()
+            if record.name.startswith("engine.stage.")
+        ]
+        trace.clear()
+        return records
+
+    def test_one_span_per_read_stage_tagged_with_its_chunks(self):
+        records = self._read_64_chunks(traced=True)
+        assert sorted(record.name for record in records) == [
+            "engine.stage.decompress", "engine.stage.fetch",
+        ]
+        assert all(record.tags == {"chunks": 64} for record in records)
+        assert len({record.trace_id for record in records}) == 1
+        assert all(record.dur_ns > 0 for record in records)
+
+    def test_tracing_off_records_none(self):
+        assert self._read_64_chunks(traced=False) == []

@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.invariants import check_system
 from repro.datared.compression import ZlibCompressor
+from repro.datared.dedup import READ_FANOUT_MIN_CHUNKS
 from repro.systems.config import SystemConfig
 from repro.systems.server import StorageServer, SystemKind
 
@@ -118,3 +119,44 @@ def test_process_executor_leaves_every_ledger_untouched(kind):
         assert check_system(process_storage.system) == []
     finally:
         process_storage.system.pool.shutdown()
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_a_served_read_past_the_fanout_threshold_is_invisible(executor):
+    """One batched read reaches ``READ_FANOUT_MIN_CHUNKS`` through the
+    system layer, so ``parallelism=2`` decompresses a served read on the
+    pool: same bytes, same ledgers as the serial system."""
+    chunks = READ_FANOUT_MIN_CHUNKS + 32
+    rng = random.Random(0xFA17)
+    payload = b"".join(
+        rng.randbytes(CHUNK // 2) + bytes(CHUNK // 2) for _ in range(chunks)
+    )
+
+    def serve(parallelism):
+        storage = StorageServer.build(
+            SystemKind.FIDR,
+            num_buckets=2048,
+            cache_lines=128,
+            compressor=ZlibCompressor(),
+            config=SystemConfig(
+                parallelism=parallelism, batch_chunks=16, executor=executor
+            ),
+        )
+        with storage:
+            storage.write(0, payload)
+            storage.flush()
+            slices = storage.system.pool._slices_dispatched
+            dispatched = slices.value
+            data = storage.read(0, chunks)
+            fanned = slices.value > dispatched
+        return storage, data, fanned
+
+    serial_storage, serial_data, serial_fanned = serve(1)
+    parallel_storage, parallel_data, parallel_fanned = serve(2)
+    assert serial_data == parallel_data == payload
+    assert parallel_fanned and not serial_fanned
+    serial_view = ledger_view(serial_storage)
+    parallel_view = ledger_view(parallel_storage)
+    for key in serial_view:
+        assert serial_view[key] == parallel_view[key], key
+    assert check_system(parallel_storage.system) == []

@@ -1,0 +1,243 @@
+"""The read path is one batch — and indistinguishable from n reads of one.
+
+``ReductionSystem.read(lba, n)`` stages once, issues one ``engine.read``
+per maximal run and charges each run once (DESIGN.md §5.2).  The oracle
+is equivalence: on twin systems fed the same writes, ``read(lba, n)``
+on one and ``n × read(lba + i, 1)`` on the other return the same bytes
+and leave *every* ledger identical — including the two order-dependent
+caches (the engine's decompressed-read LRU and the §8 hot-read cache),
+whose per-position probe/insert order the batched pass must reproduce.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datared import codecs
+from repro.datared.compression import ZlibCompressor
+from repro.datared.dedup import DedupEngine
+from repro.systems.baseline import BaselineSystem
+from repro.systems.config import SystemConfig
+from repro.systems.extensions import ExtendedFidrSystem
+from repro.systems.fidr import FidrSystem
+from repro.systems.server import StorageServer
+
+from .test_parallel_differential import ledger_view
+
+CHUNK = 4096
+SPAN = 48  # LBAs the script touches; reads reach past it into holes
+BATCH = 16
+
+
+def _config(**fields) -> SystemConfig:
+    return SystemConfig(batch_chunks=BATCH, **fields)
+
+
+#: name -> (class, constructor kwargs).  The two cache-pressure cases
+#: (``*-small``) hold fewer chunks than one read covers.
+CONFIGS = {
+    "baseline": (BaselineSystem, {}),
+    "fidr": (FidrSystem, {}),
+    "fidr-software-table-cache": (FidrSystem, {"hw_cache_engine": False}),
+    "extended-nvme-offload": (ExtendedFidrSystem, {"nvme_read_offload": True}),
+    "extended-hot-cache-small": (
+        ExtendedFidrSystem, {"hot_read_cache_chunks": 5},
+    ),
+    "extended-hot-cache-and-lru": (
+        ExtendedFidrSystem,
+        {"hot_read_cache_chunks": 3, "config": _config(read_cache_chunks=4)},
+    ),
+    "read-lru-large": (FidrSystem, {"config": _config(read_cache_chunks=256)}),
+    "read-lru-small": (FidrSystem, {"config": _config(read_cache_chunks=3)}),
+    "baseline-read-lru-small": (
+        BaselineSystem, {"config": _config(read_cache_chunks=2)},
+    ),
+    "shards-2": (FidrSystem, {"config": _config(shards=2)}),
+}
+
+
+def build(name: str):
+    cls, kwargs = CONFIGS[name]
+    kwargs = dict(kwargs)
+    kwargs.setdefault("config", _config())
+    return cls(
+        num_buckets=2048, cache_lines=128, compressor=ZlibCompressor(), **kwargs
+    )
+
+
+def ledgers(system) -> dict:
+    """Every charge and counter a read can move, as plain data: the
+    write-side ledger view plus what only reads touch."""
+    report = system.report()
+    engines = getattr(system.engine, "shards", [system.engine])
+    view = ledger_view(SimpleNamespace(system=system))
+    view.update({
+        "report": (
+            report.logical_write_bytes, report.logical_read_bytes,
+            report.tree_node_visits, report.engine_tree_updates,
+            report.predictor_accuracy, report.nic_buffer_hit_rate,
+        ),
+        "fabric": (system.pcie.p2p_bytes, system.pcie.root_complex_bytes),
+        "nic": dataclasses.asdict(system.nic.traffic),
+        "drives": [
+            (drive.stats.read_ops, drive.stats.bytes_read)
+            for drive in system.data_array.drives
+        ],
+        "read_lru": [
+            (engine.read_cache_hits, engine.read_cache_misses,
+             list(engine._read_cache or ()))
+            for engine in engines
+        ],
+    })
+    if isinstance(system, FidrSystem):
+        view["nic_lookup"] = (
+            system.nic.read_buffer_hits, system.nic.read_buffer_misses
+        )
+        view["decompression"] = dataclasses.asdict(system.decompression.traffic)
+    hot = getattr(system, "hot_read_cache", None)
+    if hot is not None:
+        view["hot"] = (hot.hits, hot.misses, list(hot._data), list(hot._ghost))
+    return view
+
+
+def write_script(rng: random.Random):
+    """Writes that leave holes, duplicates inside one extent, rewritten
+    LBAs — and, ending off a batch boundary, staged-but-unprocessed
+    chunks the NIC buffer serves mid-run."""
+    pool = [rng.randbytes(CHUNK // 2) + bytes(CHUNK // 2) for _ in range(4)]
+    script = []
+    for _ in range(rng.randrange(4, 9)):
+        lba = rng.randrange(SPAN - 8)
+        chunks = [
+            pool[rng.randrange(len(pool))] if rng.random() < 0.5
+            else rng.randbytes(CHUNK // 2) + bytes(CHUNK // 2)
+            for _ in range(rng.randrange(1, 9))
+        ]
+        script.append((lba, b"".join(chunks)))
+    return script
+
+
+def read_script(rng: random.Random):
+    """Overlapping extents, repeated, so second-access admission, LRU
+    hits and evictions inside one run all occur."""
+    reads = []
+    for _ in range(6):
+        lba = rng.randrange(SPAN)
+        count = rng.randrange(1, SPAN + 8 - lba)
+        reads += [(lba, count)] * rng.randrange(1, 3)
+    return reads
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_one_read_of_n_equals_n_reads_of_one(name, seed):
+    rng = random.Random(seed)
+    with build(name) as batched, build(name) as single:
+        for round_index in range(3):
+            for lba, payload in write_script(rng):
+                batched.write(lba, payload)
+                single.write(lba, payload)
+            if round_index == 1:
+                batched.flush()
+                single.flush()
+            for lba, count in read_script(rng):
+                whole = batched.read(lba, count)
+                pieces = [single.read(lba + i, 1) for i in range(count)]
+                # Never a view of a staged write's buffer, even for one hit.
+                assert {type(whole), *map(type, pieces)} == {bytes}
+                assert whole == b"".join(pieces), (lba, count)
+                got, want = ledgers(batched), ledgers(single)
+                for key in want:
+                    assert got[key] == want[key], (key, lba, count)
+
+
+def test_a_64_chunk_read_is_one_engine_read_and_one_decode(monkeypatch):
+    """The structural claim (fails on a per-chunk read loop)."""
+    storage = StorageServer(build("fidr"))
+    with storage:
+        rng = random.Random(7)
+        storage.write(0, b"".join(
+            rng.randbytes(CHUNK // 2) + bytes(CHUNK // 2) for _ in range(64)
+        ))
+        storage.flush()
+        calls = {"read": 0, "decode_many": 0}
+        engine_read, decode_many = DedupEngine.read, codecs.decode_many
+
+        def counted_read(self, lba, num_chunks=1):
+            calls["read"] += 1
+            return engine_read(self, lba, num_chunks)
+
+        def counted_decode(chunks, *args, **kwargs):
+            calls["decode_many"] += 1
+            return decode_many(chunks, *args, **kwargs)
+
+        monkeypatch.setattr(DedupEngine, "read", counted_read)
+        monkeypatch.setattr(codecs, "decode_many", counted_decode)
+        assert len(storage.read(0, 64)) == 64 * CHUNK
+        assert calls == {"read": 1, "decode_many": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    lbas=st.lists(st.integers(0, 5), min_size=8, max_size=8),
+    reads=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(1, 10)), min_size=1, max_size=5
+    ),
+)
+def test_engine_read_lru_keeps_per_position_order(capacity, lbas, reads):
+    """Trap (i) at its source: duplicate PBNs inside one run, capacity
+    below the run length, holes — ``engine.read(lba, n)`` leaves the LRU
+    (content *and* order) and its counters as n single reads would."""
+    contents = [bytes([tag]) * CHUNK for tag in range(6)]
+
+    def engine():
+        built = DedupEngine(
+            num_buckets=256, compressor=ZlibCompressor(),
+            read_cache_chunks=capacity,
+        )
+        for lba, tag in enumerate(lbas):  # LBAs 8.. stay holes
+            built.write(lba, contents[tag])
+        return built
+
+    batched, single = engine(), engine()
+    for lba, count in reads:
+        whole = batched.read(lba, count)
+        parts = [single.read(lba + i, 1) for i in range(count)]
+        assert whole.data == b"".join(part.data for part in parts)
+        assert whole.stored_sizes == [part.stored_bytes_read for part in parts]
+        for field in (
+            "chunks_read", "stored_bytes_read", "unmapped_chunks", "cache_hits"
+        ):
+            assert getattr(whole, field) == sum(
+                getattr(part, field) for part in parts
+            ), field
+        assert list(batched._read_cache.items()) == list(
+            single._read_cache.items()
+        )
+        assert (batched.read_cache_hits, batched.read_cache_misses) == (
+            single.read_cache_hits, single.read_cache_misses
+        )
+
+
+def test_a_failed_decode_leaves_no_pending_index_in_the_lru(monkeypatch):
+    engine = DedupEngine(
+        num_buckets=256, compressor=ZlibCompressor(), read_cache_chunks=4
+    )
+    engine.write(0, b"a" * CHUNK + b"b" * CHUNK)
+
+    def broken(*args, **kwargs):
+        raise ValueError("corrupt payload")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(codecs, "decode_many", broken)
+        with pytest.raises(ValueError):
+            engine.read(0, 2)
+    assert not engine._read_cache
+    assert engine.read(0, 2).data == b"a" * CHUNK + b"b" * CHUNK
