@@ -6,9 +6,11 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): five
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test.
+alternative on the same host inside one test, and one count — the
+serving tier's ops per backend turn.
 """
 
+import asyncio
 import random
 import time
 from contextlib import ExitStack
@@ -28,9 +30,11 @@ from repro.datared.hash_pbn import (
 )
 from repro.datared.hashing import fingerprint
 from repro.datared.sharded import ShardedDedupEngine
+from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.obs import trace
 from repro.parallel import StagePool
 from repro.systems.fidr import FidrSystem
+from repro.systems.server import StorageServer, SystemKind
 from repro.workloads.content import ContentFactory
 
 
@@ -228,3 +232,44 @@ def test_one_batched_read_beats_reads_of_one(rng):
             })
         trace.clear()
     assert took["singles"] / took["batched"] >= 1.3, took
+
+
+def test_pipelined_small_ops_share_backend_turns(rng):
+    """The serving tier's coalescing ratio (DESIGN.md §5.1), as a count:
+    two loopback connections, 8 rounds of 16 one-chunk writes beside 16
+    one-chunk reads; the backend must be entered >= 4x less often than
+    ops are served (32x with both ends on one loop; 1.0 for a worker
+    that takes one frame per wake-up).  A count, not a timing, so it
+    repeats where a loopback throughput ratio would not."""
+    content = ContentFactory()
+    seeded = [content.chunk(index) for index in range(16)]
+
+    async def drive():
+        async with AsyncProtocolServer(storage) as server:
+            async with await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as writer, await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as reader:
+                await writer.write(0, b"".join(seeded))
+                metrics = server.metrics
+                served, turns = metrics.backend_offloaded, metrics.backend_turns
+                for round_ in range(8):
+                    base = 16 * (round_ + 1)
+                    replies = await asyncio.gather(
+                        *(writer.write(base + i, content.chunk(base + i))
+                          for i in range(16)),
+                        *(reader.read(i, 1) for i in range(16)),
+                    )
+                    assert replies[16:] == seeded
+                return (
+                    metrics.backend_offloaded - served,
+                    metrics.backend_turns - turns,
+                )
+
+    with StorageServer.build(
+        SystemKind.FIDR, num_buckets=1 << 12, compressor=ZlibCompressor()
+    ) as storage:
+        served, turns = asyncio.run(drive())
+    assert served == 256
+    assert served / turns >= 4, (served, turns)

@@ -44,6 +44,12 @@ class ReproError(Exception):
 class ProtocolError(ReproError, ValueError):
     """A malformed, corrupt, or semantically invalid protocol frame."""
 
+    #: Set by the frame decoder when the offending frame's header was
+    #: intact (CRC mismatch, unknown op): the wire version and id its
+    #: ``CORRUPT_FRAME`` reply must carry to reach the waiting caller.
+    version: int = 1
+    request_id: int = 0
+
 
 class AlignmentError(ReproError, ValueError):
     """A request's LBA or length violates chunk alignment."""

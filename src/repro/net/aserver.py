@@ -9,8 +9,10 @@ This module is that front-end rendered in asyncio:
 * :class:`AsyncProtocolServer` accepts any number of TCP connections,
   runs one :class:`~repro.net.protocol.FrameDecoder` session per
   connection, and funnels every decoded request into one **bounded**
-  queue drained by a configurable pool of worker tasks that serialize
-  access to the shared (non-thread-safe) storage backend.
+  queue.  Worker tasks drain it in groups — per wake-up, everything
+  queued, up to one bulk piece of work — and serialize access to the
+  shared (non-thread-safe) storage backend: one backend turn and one
+  reply write per connection per group, replies and errors per op.
 
   Backpressure is structural: a connection's reader coroutine ``await``s
   the queue slot before reading more bytes, so when the queue is full
@@ -23,7 +25,7 @@ This module is that front-end rendered in asyncio:
   are tagged with v2 ``request_id``\\ s and completed by a background
   reader task, so many calls may be in flight on one connection
   (``asyncio.gather`` over plain ``read``/``write`` coroutines is the
-  pipelining API).
+  pipelining API; a gathered burst leaves in one send).
 
 Backend execution (``offload=True``, the default) happens on a
 **single-threaded** executor via ``run_in_executor``: the non-thread-safe
@@ -50,14 +52,15 @@ from typing import Any, Dict, List, Optional, Union
 from ..datared.chunking import BLOCK_SIZE
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..errors import ErrorCode, ProtocolError, ReproError, \
-    encode_error_payload, error_code_for, raise_for_error_payload
+from ..errors import ProtocolError, raise_for_error_payload
 from ..systems.server import StorageServer
 from .protocol import (
     Frame,
     FrameDecoder,
     Op,
     ProtocolServer,
+    encode_corrupt_reply,
+    encode_error_reply,
     encode_frame,
     encode_frame_v2,
     encode_reply,
@@ -88,6 +91,9 @@ class ServerMetrics:
     #: Requests dispatched to the backend executor (0 when
     #: ``offload=False``).
     backend_offloaded: int = 0
+    #: Executor submissions (one per group, one per split-write piece);
+    #: ``backend_offloaded / backend_turns`` is the coalescing ratio.
+    backend_turns: int = 0
     #: Large writes split into sub-writes so small requests interleave.
     writes_split: int = 0
 
@@ -125,12 +131,12 @@ class AsyncProtocolServer:
         event loop never blocks on storage-stack CPU time (hashing,
         compression, table walks).
     write_split_chunks:
-        With ``offload``, writes spanning more than this many chunks
-        are applied as a sequence of sub-writes; requests queued behind
-        the write get a backend turn between sub-writes.  A concurrent
-        reader of the *same* region may observe a prefix of a split
-        write (block devices promise per-chunk atomicity, not
-        whole-request atomicity).
+        The chunks of work one backend turn may carry: queued requests
+        are grouped up to it, and with ``offload`` a write spanning more
+        is applied as a sequence of sub-writes between which queued
+        requests get a turn.  A concurrent reader of the *same* region
+        may observe a prefix of a split write (block devices promise
+        per-chunk atomicity, not whole-request atomicity).
     """
 
     def __init__(
@@ -182,6 +188,7 @@ class AsyncProtocolServer:
         registry.gauge("server.bytes_out").set(m.bytes_out)
         registry.gauge("server.max_queue_depth").set(m.max_queue_depth)
         registry.gauge("server.backend_offloaded").set(m.backend_offloaded)
+        registry.gauge("server.backend_turns").set(m.backend_turns)
         registry.gauge("server.writes_split").set(m.writes_split)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -295,75 +302,114 @@ class AsyncProtocolServer:
             self.metrics.max_queue_depth = depth
 
     # -- worker pool -------------------------------------------------------------
+    def _chunks_of(self, event: Union[Frame, ProtocolError]) -> int:
+        """Backend work one queued event asks for, in chunks."""
+        if isinstance(event, Frame):
+            if event.op == Op.WRITE:
+                return -(-len(event.payload) // self.storage.chunk_size) or 1
+            if event.op in (Op.READ, Op.TRIM):
+                return event.read_count
+        return 1
+
     async def _worker(self) -> None:
+        """Serve the queue in groups: per wake-up, everything already
+        queued (in queue order) up to ``write_split_chunks`` chunks of
+        work — the size of one non-preemptible backend turn, so no reply
+        waits on more than one bulk piece.  An op that alone exceeds the
+        budget (a write about to be split, a long read) is a group of one."""
+        queue = self._queue
+        waiting = queue._queue  # the deque behind asyncio.Queue; peeked only
         while True:
-            connection, event, enqueued_ns = await self._queue.get()
+            group = [await queue.get()]
+            room = self.write_split_chunks - self._chunks_of(group[0][1])
+            while waiting:
+                room -= self._chunks_of(waiting[0][1])
+                if room < 0:
+                    break
+                group.append(queue.get_nowait())
             try:
-                if enqueued_ns and _trace.is_enabled():
-                    _trace.observe(
-                        "server.queue.wait", _trace.now_ns() - enqueued_ns
-                    )
-                if isinstance(event, ProtocolError):
-                    self.metrics.frames_rejected += 1
-                    response = encode_frame(
-                        Op.ERROR, 0,
-                        encode_error_payload(
-                            ErrorCode.CORRUPT_FRAME, str(event)
-                        ),
-                    )
-                else:
-                    try:
-                        with _trace.span("server.dispatch", op=event.op):
-                            response = await self._dispatch(event)
-                    except Exception as error:  # never kill a worker
-                        response = encode_reply(
-                            event, Op.ERROR, event.lba,
-                            encode_error_payload(
-                                ErrorCode.INTERNAL, str(error)
-                            ),
-                        )
-                try:
-                    with _trace.span("server.reply"):
-                        connection.writer.write(response)
-                        await connection.writer.drain()
-                    self.metrics.responses_sent += 1
-                    self.metrics.bytes_out += len(response)
-                except (ConnectionResetError, BrokenPipeError):
-                    pass  # client vanished; nothing to answer
+                await self._serve_group(group)
             finally:
-                connection.pending -= 1
-                if connection.pending == 0:
-                    connection.idle.set()
-                self._queue.task_done()
+                for connection, _, _ in group:
+                    connection.pending -= 1
+                    if connection.pending == 0:
+                        connection.idle.set()
+                    queue.task_done()
+
+    async def _serve_group(self, group: list) -> None:
+        """One backend turn for the group's frames, then one reply write
+        per connection; decode errors are answered in their wire position."""
+        dequeued_ns = _trace.now_ns() if _trace.is_enabled() else 0
+        frames = []
+        for _, event, enqueued_ns in group:
+            if enqueued_ns and dequeued_ns:
+                _trace.observe("server.queue.wait", dequeued_ns - enqueued_ns)
+            if isinstance(event, Frame):
+                frames.append(event)
+        replies = iter(())
+        if frames:
+            with _trace.span("server.dispatch", ops=len(frames)):
+                replies = iter(await self._dispatch(frames))
+        outbound: Dict[_Connection, List[bytes]] = {}
+        for connection, event, _ in group:
+            if isinstance(event, ProtocolError):
+                self.metrics.frames_rejected += 1
+                reply = encode_corrupt_reply(event)
+            else:
+                reply = next(replies)
+            outbound.setdefault(connection, []).append(reply)
+        for connection, parts in outbound.items():
+            data = b"".join(parts)  # a lone reply is returned as is, no copy
+            try:
+                with _trace.span("server.reply"):
+                    connection.writer.write(data)
+                    await connection.writer.drain()
+                self.metrics.responses_sent += len(parts)
+                self.metrics.bytes_out += len(data)
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # client vanished; only its own replies are lost
 
     # -- backend dispatch --------------------------------------------------------
-    async def _dispatch(self, frame: Frame) -> bytes:
-        """Produce the response bytes for one request frame.
+    def _run_group(self, frames: List[Frame]) -> List[bytes]:
+        """Backend-thread body: every frame of a group, in order.  A
+        failure is that op's reply and nothing else's."""
+        replies = []
+        for frame in frames:
+            try:
+                replies.append(self.endpoint.handle_frame(frame))
+            except Exception as error:  # never kill a worker
+                replies.append(encode_error_reply(frame, error))
+        return replies
+
+    async def _dispatch(self, frames: List[Frame]) -> List[bytes]:
+        """Produce the response bytes for one group of request frames.
 
         Without offload this is the synchronous loop-thread dispatch.
-        With offload the frame runs on the backend executor; oversized
-        writes are applied as split sub-writes so queued requests from
-        other connections interleave between the pieces.
+        With offload the group runs in one hop on the backend executor;
+        an oversized write (always a group of one, see :meth:`_worker`)
+        is applied as split sub-writes so queued requests from other
+        connections interleave between the pieces.
         """
         if self._backend is None:
-            # Sanctioned loop-thread lock acquisition: offload=False means
-            # the storage stack (and its dedup-engine lock) runs inline on
-            # the event loop — single-threaded mode, the lock is always
-            # uncontended, so it cannot park the loop.
-            return self.endpoint.handle_frame(frame)  # lockgraph: async-ok offload=False is single-threaded, lock uncontended
-        self.metrics.backend_offloaded += 1
+            # Sanctioned loop-thread lock acquisition: the storage stack
+            # (and its dedup-engine lock) runs inline on the event loop —
+            # single-threaded, so the lock cannot park the loop.
+            return self._run_group(frames)  # lockgraph: async-ok offload=False is single-threaded, lock uncontended
+        self.metrics.backend_offloaded += len(frames)
         loop = asyncio.get_running_loop()
+        first = frames[0]
         split_bytes = self.write_split_chunks * self.storage.chunk_size
         if (
-            frame.op == Op.WRITE
-            and len(frame.payload) > split_bytes
+            first.op == Op.WRITE
+            and len(first.payload) > split_bytes
             # A payload that isn't chunk-aligned takes the unsplit path:
             # it fails validation there before any sub-write is applied.
-            and len(frame.payload) % self.storage.chunk_size == 0
+            and len(first.payload) % self.storage.chunk_size == 0
         ):
-            return await self._split_write(loop, frame, split_bytes)
+            return [await self._split_write(loop, first, split_bytes)]
+        self.metrics.backend_turns += 1
         return await loop.run_in_executor(
-            self._backend, self.endpoint.handle_frame, frame
+            self._backend, self._run_group, frames
         )
 
     async def _split_write(
@@ -385,14 +431,12 @@ class AsyncProtocolServer:
             for start in range(0, len(frame.payload), split_bytes):
                 piece = frame.payload[start : start + split_bytes]
                 piece_lba = frame.lba + (start // chunk_size) * blocks_per_chunk
+                self.metrics.backend_turns += 1
                 await loop.run_in_executor(
                     self._backend, self.storage.write, piece_lba, piece
                 )
-        except (ReproError, ValueError) as error:
-            return encode_reply(
-                frame, Op.ERROR, frame.lba,
-                encode_error_payload(error_code_for(error), str(error)),
-            )
+        except Exception as error:  # never kill a worker
+            return encode_error_reply(frame, error)
         return encode_reply(frame, Op.WRITE_ACK, frame.lba)
 
 
@@ -431,6 +475,8 @@ class AsyncProtocolClient:
         self._next_request_id = 0
         self._by_id: Dict[int, asyncio.Future] = {}
         self._fifo: list = []
+        #: ``(wire, future)`` of this tick's requests, sent by ``_flush``.
+        self._corked: list = []
         self._closed = False
         self._reader_task = asyncio.create_task(
             self._read_responses(), name="aclient-reader"
@@ -517,13 +563,13 @@ class AsyncProtocolClient:
                        count: int = 0) -> Frame:
         if self._closed:
             raise ProtocolError("client is closed")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         if self.version == 2:
             self._next_request_id = (self._next_request_id + 1) % (1 << 32)
-            request_id = self._next_request_id
-            self._by_id[request_id] = future
+            self._by_id[self._next_request_id] = future
             wire = encode_frame_v2(
-                op, lba, payload, request_id=request_id, count=count
+                op, lba, payload, request_id=self._next_request_id, count=count
             )
         else:
             if count > 255:
@@ -532,18 +578,38 @@ class AsyncProtocolClient:
                 )
             self._fifo.append(future)
             wire = encode_frame(op, lba, payload, flags=count)
+        # One send per event-loop tick: the first request of a tick
+        # schedules the flush, an ``asyncio.gather`` burst rides with it.
+        if not self._corked:
+            loop.call_soon(self._flush)
+        self._corked.append((wire, future))
         try:
-            self._writer.write(wire)
             await self._writer.drain()
         except OSError as error:
-            # Unregister the future we just parked so it is not leaked,
-            # and surface the failure through the module's error type.
-            if self.version == 2:
-                self._by_id.pop(request_id, None)
-            elif future in self._fifo:
-                self._fifo.remove(future)
-            raise ProtocolError(f"send failed: {error}") from error
+            self._fail_send([future], error)
         return await future
+
+    def _flush(self) -> None:
+        """Send this tick's requests in one write (``join`` hands a lone
+        frame back as is, uncopied)."""
+        corked, self._corked = self._corked, []
+        try:
+            self._writer.write(b"".join([wire for wire, _ in corked]))
+        except OSError as error:
+            self._fail_send([future for _, future in corked], error)
+
+    def _fail_send(self, futures: list, error: OSError) -> None:
+        """Unregister the futures a failed send carried so they are not
+        leaked, and fail exactly their callers through the module's
+        error type."""
+        failure = ProtocolError(f"send failed: {error}")
+        failure.__cause__ = error
+        for key in [k for k, future in self._by_id.items() if future in futures]:
+            del self._by_id[key]
+        self._fifo = [future for future in self._fifo if future not in futures]
+        for future in futures:
+            if not future.done():
+                future.set_exception(failure)
 
     async def write(self, lba: int, payload: bytes) -> None:
         """Write ``payload`` at chunk-aligned ``lba``; awaits the ack."""

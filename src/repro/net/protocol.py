@@ -53,6 +53,8 @@ __all__ = [
     "encode_frame",
     "encode_frame_v2",
     "encode_reply",
+    "encode_error_reply",
+    "encode_corrupt_reply",
     "FrameDecoder",
     "ProtocolError",
     "ProtocolServer",
@@ -192,6 +194,25 @@ def encode_reply(request: Frame, op: int, lba: int, payload: bytes = b"") -> byt
     return encode_frame(op, lba, payload)
 
 
+def encode_error_reply(request: Frame, error: Exception) -> bytes:
+    """The typed ``ERROR`` a failed request draws (``INTERNAL`` for what
+    the storage stack did not type itself)."""
+    typed = isinstance(error, (ReproError, ValueError))
+    code = error_code_for(error) if typed else ErrorCode.INTERNAL
+    payload = encode_error_payload(code, str(error))
+    return encode_reply(request, Op.ERROR, request.lba, payload)
+
+
+def encode_corrupt_reply(error: ProtocolError) -> bytes:
+    """The ``CORRUPT_FRAME`` answer to a decode error, in kind: v2 with
+    the request's id when its header survived (so a pipelined caller is
+    failed, not left waiting), a v1 frame when only the magic was lost."""
+    payload = encode_error_payload(ErrorCode.CORRUPT_FRAME, str(error))
+    if error.version == 2:
+        return encode_frame_v2(Op.ERROR, 0, payload, request_id=error.request_id)
+    return encode_frame(Op.ERROR, 0, payload)
+
+
 class FrameDecoder:
     """Incremental decoder over a byte stream (frames may arrive split
     or coalesced, as on a real TCP stream).
@@ -283,10 +304,15 @@ class FrameDecoder:
             return None
         payload = bytes(self._buffer[header.size : end])
         del self._buffer[:end]
-        if zlib.crc32(payload) != crc:
-            raise ProtocolError("payload CRC mismatch")
-        if op not in _KNOWN_OPS:
-            raise ProtocolError(f"unknown op {op}")
+        try:
+            if zlib.crc32(payload) != crc:
+                raise ProtocolError("payload CRC mismatch")
+            if op not in _KNOWN_OPS:
+                raise ProtocolError(f"unknown op {op}")
+        except ProtocolError as error:
+            # The header was intact, so the reply can name its request.
+            error.version, error.request_id = version, request_id
+            raise
         if version == 1:
             self._frames_v1.inc()
         else:
@@ -334,10 +360,7 @@ class ProtocolServer:
         for event in self._decoder.events(data):
             if isinstance(event, ProtocolError):
                 self.frames_rejected += 1
-                responses.append(encode_frame(
-                    Op.ERROR, 0,
-                    encode_error_payload(ErrorCode.CORRUPT_FRAME, str(event)),
-                ))
+                responses.append(encode_corrupt_reply(event))
             else:
                 responses.append(self.handle_frame(event))
         return b"".join(responses)
@@ -400,10 +423,7 @@ class ProtocolServer:
                 return self._handle_snap(frame)
             raise ProtocolError(f"unexpected op {frame.op}")
         except (ReproError, ValueError) as error:
-            return encode_reply(
-                frame, Op.ERROR, frame.lba,
-                encode_error_payload(error_code_for(error), str(error)),
-            )
+            return encode_error_reply(frame, error)
 
     def _handle_snap(self, frame: Frame) -> bytes:
         """Dispatch one SNAP management request (v2 was checked)."""

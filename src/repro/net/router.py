@@ -51,12 +51,14 @@ from ..errors import (
     ReproError,
     ShardError,
     encode_error_payload,
-    error_code_for,
 )
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..systems.config import CodecPolicy
 from .aserver import AsyncProtocolClient
-from .protocol import Frame, FrameDecoder, Op, bounded_count, encode_frame, encode_reply
+from .protocol import (
+    Frame, FrameDecoder, Op, bounded_count, encode_corrupt_reply,
+    encode_error_reply, encode_reply,
+)
 
 __all__ = ["ShardRouter"]
 
@@ -176,12 +178,7 @@ class ShardRouter:
                     break
                 for event in decoder.events(data):
                     if isinstance(event, ProtocolError):
-                        response = encode_frame(
-                            Op.ERROR, 0,
-                            encode_error_payload(
-                                ErrorCode.CORRUPT_FRAME, str(event)
-                            ),
-                        )
+                        response = encode_corrupt_reply(event)
                     else:
                         response = await self._handle(event)
                     writer.write(response)
@@ -238,10 +235,7 @@ class ShardRouter:
                 return encode_reply(frame, Op.TRIM_ACK, frame.lba)
             raise ProtocolError(f"unexpected op {frame.op}")
         except (ReproError, ValueError) as error:
-            return encode_reply(
-                frame, Op.ERROR, frame.lba,
-                encode_error_payload(error_code_for(error), str(error)),
-            )
+            return encode_error_reply(frame, error)
 
     # -- scatter paths -----------------------------------------------------------
     def _check_alignment(self, lba: int) -> None:

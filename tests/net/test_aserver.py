@@ -5,7 +5,11 @@ loop with ``asyncio.run`` around an async body.
 """
 
 import asyncio
+import contextlib
 import copy
+import socket
+import struct
+import threading
 
 import pytest
 
@@ -395,5 +399,248 @@ class TestClientEdgeCases:
                 await client.close()
                 with pytest.raises(ProtocolError):
                     await client.read(0, 1)
+
+        run(body())
+
+
+@contextlib.asynccontextmanager
+async def held_backend(server):
+    """Park the backend thread so everything sent inside the block is
+    queued (or submitted behind the gate) before any of it runs —
+    grouping then depends on the test, not on how TCP cut the burst."""
+    gate = threading.Event()
+    server._backend.submit(gate.wait)
+    try:
+        yield
+    finally:
+        gate.set()
+
+
+class TestGroups:
+    """The worker serves what is queued as one group: one backend turn,
+    one reply write per connection, everything else still per op."""
+
+    def test_gathered_reads_share_a_backend_turn(self, rng):
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                    await client.write(0, b"".join(chunks))
+                    metrics = server.metrics
+                    turns, sent = metrics.backend_turns, metrics.responses_sent
+                    offloaded = metrics.backend_offloaded
+                    reads = await asyncio.gather(*(
+                        client.read(lba, 1) for lba in range(16)
+                    ))
+                    assert reads == chunks
+                    assert metrics.backend_turns - turns <= 2
+                    assert metrics.backend_offloaded - offloaded == 16
+                    assert metrics.responses_sent - sent == 16
+                    assert metrics.requests_enqueued == 17
+
+        run(body())
+
+    def test_a_failing_op_fails_alone(self, rng):
+        """Op 7 is refused by the stack with a typed error, op 9 blows
+        up inside it with an untyped one; both are mid-group, and every
+        other op of the burst is applied and acked."""
+        from repro.errors import ReproError
+        from repro.systems.config import SystemConfig
+
+        # 2-block chunks make odd LBAs misaligned.
+        storage = StorageServer.build(
+            SystemKind.FIDR, num_buckets=1024, cache_lines=64,
+            compressor=ModeledCompressor(0.5),
+            config=SystemConfig(chunk_size=2 * CHUNK),
+        )
+        lbas = [index * 2 for index in range(16)]
+        lbas[7] += 1
+        real_write = storage.write
+
+        def write(lba, payload):
+            if lba == lbas[9]:
+                raise RuntimeError("disk on fire")
+            real_write(lba, payload)
+
+        storage.write = write
+        payloads = [rng.randbytes(2 * CHUNK) for _ in lbas]
+
+        async def body():
+            async with AsyncProtocolServer(storage, workers=1) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    turns = server.metrics.backend_turns
+                    async with held_backend(server):
+                        burst = asyncio.gather(*(
+                            client.write(lba, data)
+                            for lba, data in zip(lbas, payloads)
+                        ), return_exceptions=True)
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 16
+                        )
+                    results = await burst
+                    # One worker: the group it took before the gate
+                    # closed behind it, then everything else.
+                    assert server.metrics.backend_turns - turns <= 2
+                    assert type(results[7]) is ProtocolError  # BAD_REQUEST
+                    assert "not aligned" in str(results[7])
+                    assert type(results[9]) is ReproError  # wire INTERNAL
+                    assert "disk on fire" in str(results[9])
+                    for index, lba in enumerate(lbas):
+                        if index not in (7, 9):
+                            assert results[index] is None
+                            assert await client.read(lba, 1) == payloads[index]
+                    assert await client.read(lbas[9], 1) == bytes(2 * CHUNK)
+
+        run(body())
+
+    def test_a_connection_sees_its_own_requests_in_order(self, rng):
+        """write(lba) then read(lba) in one burst returns the new bytes,
+        whether the old mapping is still staged or already reduced."""
+        from repro.systems.config import SystemConfig
+
+        storage = StorageServer.build(
+            SystemKind.FIDR, num_buckets=1024, cache_lines=64,
+            compressor=ModeledCompressor(0.5),
+            config=SystemConfig(batch_chunks=8),
+        )
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    # LBAs 0-7 went through the engine as one batch;
+                    # LBA 100 is still in the staging buffer.
+                    await client.write(0, rng.randbytes(8 * CHUNK))
+                    await client.write(100, rng.randbytes(CHUNK))
+                    assert storage.reduction_stats.logical_bytes == 8 * CHUNK
+                    new = [rng.randbytes(CHUNK) for _ in range(3)]
+                    _, reduced, _, staged, _, fresh = await asyncio.gather(
+                        client.write(3, new[0]), client.read(3, 1),
+                        client.write(100, new[1]), client.read(100, 1),
+                        client.write(200, new[2]), client.read(200, 1),
+                    )
+                    assert [reduced, staged, fresh] == new
+
+        run(body())
+
+    def test_a_vanished_connection_loses_only_its_own_replies(self, rng):
+        storage = build_storage()
+
+        async def body():
+            server = AsyncProtocolServer(storage)
+            await server.start()
+            gone = await AsyncProtocolClient.connect(server.host, server.port)
+            kept = await AsyncProtocolClient.connect(server.host, server.port)
+            try:
+                chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                async with held_backend(server):
+                    lost = asyncio.gather(*(
+                        gone.write(1000 + lba, chunks[lba]) for lba in range(16)
+                    ), return_exceptions=True)
+                    burst = asyncio.gather(*(
+                        kept.write(lba, chunks[lba]) for lba in range(16)
+                    ))
+                    await wait_until(
+                        lambda: server.metrics.requests_enqueued == 32
+                    )
+                    # Linger 0 turns the close into an RST: the server
+                    # sees a dead peer, not a polite EOF it would answer.
+                    gone._writer.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+                    gone._writer.transport.abort()
+                    await wait_until(
+                        lambda: server.metrics.connections_open == 1
+                    )
+                await asyncio.wait_for(burst, 5)
+                assert all(
+                    isinstance(error, ProtocolError) for error in await lost
+                )
+                assert server.metrics.responses_sent == 16
+                # The vanished client's writes were served all the same.
+                assert await kept.read(1000, 16) == b"".join(chunks)
+            finally:
+                await gone.close()
+                await kept.close()
+                await asyncio.wait_for(server.stop(), 5)
+            assert server.metrics.connections_open == 0
+
+        run(body())
+
+
+class TestClientCork:
+    """Requests issued in one event-loop tick leave in one send."""
+
+    def test_a_gathered_burst_is_one_transport_write(self, rng):
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    sends = []
+                    real_write = client._writer.write
+
+                    def write(data):
+                        sends.append(len(data))
+                        real_write(data)
+
+                    client._writer.write = write
+                    chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                    await asyncio.gather(*(
+                        client.write(lba, chunks[lba]) for lba in range(16)
+                    ))
+                    assert sends == [16 * (28 + CHUNK)]
+                    assert await client.read(0, 16) == b"".join(chunks)
+                    assert sends[1:] == [28]
+
+        run(body())
+
+    def test_a_failed_send_fails_exactly_the_requests_it_carried(self, rng):
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    data = rng.randbytes(CHUNK)
+                    await client.write(0, data)
+                    real_write = client._writer.write
+
+                    def broken(_data):
+                        raise BrokenPipeError("no route to the wire")
+
+                    async with held_backend(server):
+                        # Sent a tick earlier, answered after the failure.
+                        earlier = asyncio.create_task(client.read(0, 1))
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 2
+                        )
+                        client._writer.write = broken
+                        results = await asyncio.gather(*(
+                            client.write(8 + lba, data) for lba in range(16)
+                        ), return_exceptions=True)
+                        client._writer.write = real_write
+                        assert len(client._by_id) == 1  # only ``earlier``
+                    assert all(
+                        isinstance(error, ProtocolError)
+                        and "send failed" in str(error) for error in results
+                    )
+                    assert await earlier == data
+                    assert client._by_id == {}
+                    # Nothing of the failed burst reached the server, and
+                    # the connection itself is still good.
+                    assert server.metrics.requests_enqueued == 2
+                    assert await client.read(8, 1) == bytes(CHUNK)
 
         run(body())
