@@ -7,35 +7,52 @@ This example is that front-end in asyncio:
 
 * an :class:`~repro.net.aserver.AsyncProtocolServer` wrapping a FIDR
   reduction stack, request queue bounded at 32 entries,
-* twelve pipelined v2 clients plus one legacy v1 client, all driven by
-  the load generator with a 50/50 read/write mix,
-* every read verified byte-exact against what the generator wrote, and
-  client-side throughput/latency percentiles reported next to the
-  server's own queue/backpressure metrics.
+* twelve pipelined clients, each writing its own region in one
+  ``asyncio.gather`` burst and reading it back in another — ``gather``
+  over plain ``write``/``read`` coroutines is the whole driver,
+* every read verified byte-exact, and the server's own
+  queue/backpressure metrics scraped over the wire.
 
 Run:  python examples/concurrent_server.py
 """
 
 import asyncio
+import random
 
 from repro.datared.compression import ModeledCompressor
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.systems.config import SystemConfig
 from repro.systems.server import StorageServer, SystemKind
-from repro.workloads.loadgen import LoadGenConfig, drive
 
 CHUNK = 4096
+CLIENTS = 12
+OPS_PER_CLIENT = 20
+CHUNKS_PER_OP = 2
 
 
-async def legacy_client_session(server):
-    """A v1 peer on the same port: old frames, FIFO acks, still served."""
+async def client_session(server, index, pool):
+    """Write a private LBA region, read it back, return verified reads."""
+    rng = random.Random(2026 + index)
+    base = index * OPS_PER_CLIENT * CHUNKS_PER_OP
+    # Half the payloads come from a shared pool: dedup fodder.
+    region = {
+        base + op * CHUNKS_PER_OP: b"".join(
+            rng.choice(pool) if rng.random() < 0.5 else rng.randbytes(CHUNK)
+            for _ in range(CHUNKS_PER_OP)
+        )
+        for op in range(OPS_PER_CLIENT)
+    }
     async with await AsyncProtocolClient.connect(
-        server.host, server.port, version=1
+        server.host, server.port
     ) as client:
-        blob = bytes(range(256)) * (CHUNK // 256)
-        await client.write(10_000, blob)
-        assert await client.read(10_000, 1) == blob
-    return "v1 legacy client: write + verified read OK"
+        await asyncio.gather(*(
+            client.write(lba, data) for lba, data in region.items()
+        ))
+        reads = await asyncio.gather(*(
+            client.read(lba, CHUNKS_PER_OP) for lba in region
+        ))
+    assert reads == list(region.values()), f"client {index}: read-back mismatch"
+    return len(reads)
 
 
 async def main() -> None:
@@ -48,27 +65,20 @@ async def main() -> None:
         # across two worker threads; results are identical at any value.
         config=SystemConfig(parallelism=2),
     )
-    config = LoadGenConfig(
-        clients=12, ops_per_client=40, read_fraction=0.5,
-        chunks_per_op=2, lbas_per_client=24, seed=2026,
-    )
+    pool = [random.Random(7).randbytes(CHUNK) for _ in range(8)]
     async with AsyncProtocolServer(
         storage, queue_depth=32, workers=4
     ) as server:
         print(f"serving on {server.host}:{server.port} "
               f"(queue_depth=32, workers=4)")
-        result, legacy = await asyncio.gather(
-            drive(server.host, server.port, config,
-                  chunk_size=storage.chunk_size),
-            legacy_client_session(server),
-        )
-        print(legacy)
+        verified = await asyncio.gather(*(
+            client_session(server, index, pool) for index in range(CLIENTS)
+        ))
+        print(f"{CLIENTS} clients: {sum(verified)} reads verified byte-exact")
         print()
-        print(result.render())
-        print()
-        # One scrape of the v2 STATS op: the same repro.stats/v1 shape
-        # the loadgen, the benchmarks, and `python -m repro.obs top`
-        # all consume — no side-channel into server internals.
+        # One scrape of the STATS op: the same repro.stats/v1 shape the
+        # benchmark and `python -m repro.obs top` consume — no
+        # side-channel into server internals.
         async with await AsyncProtocolClient.connect(
             server.host, server.port
         ) as observer:
@@ -82,14 +92,13 @@ async def main() -> None:
               f"{gauges['server.bytes_in'] / 1e6:.2f} MB in)")
         print(f"  queue high-water {gauges['server.max_queue_depth']:.0f}/32 "
               "(bounded: readers pause when full)")
-        print(f"  v1 downgrades    "
-              f"{snapshot['counters']['proto.v1_downgrades_total']} "
-              "(the legacy session above)")
+        print(f"  coalescing       "
+              f"{gauges['server.backend_offloaded']:.0f} ops in "
+              f"{gauges['server.backend_turns']:.0f} backend turns")
     stats = storage.reduction_stats
     print(f"  reduction        {stats.logical_bytes / 1e6:.1f} MB logical "
           f"-> {stats.live_stored_bytes / 1e6:.1f} MB stored "
           f"(dedup+compress through the same serving path)")
-    assert result.verified_reads == result.read_ops, "read-back mismatch"
 
 
 if __name__ == "__main__":

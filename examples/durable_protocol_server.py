@@ -15,11 +15,12 @@ Combines three pieces a downstream adopter would compose:
 Run:  python examples/durable_protocol_server.py
 """
 
+import asyncio
 import copy
 import random
 
 from repro.datared.journal import RecoveryImage
-from repro.net import ProtocolClient, ProtocolServer
+from repro.net import AsyncProtocolClient, AsyncProtocolServer
 from repro.systems import FidrSystem
 from repro.systems.config import DurabilityPolicy, SystemConfig
 from repro.systems.factory import build_engine
@@ -35,9 +36,78 @@ CONFIG = SystemConfig(
 )
 
 
+async def first_life(storage, rng, pool, dataset, crash_state):
+    """Serve the journaled stack over TCP; returns the snapshot's frozen
+    view, the state acknowledged before the torn fence, and the batch
+    that fence covers."""
+    # What a crash leaves behind: the journal's ``on_durable`` hook
+    # fires at every group-commit fence, *before* the commit's
+    # deferred container frees apply — so image + containers here
+    # are byte-for-byte the surviving disk state at that instant.
+    engine = storage.system.engine
+    journal = engine.journal
+
+    def capture(image: bytes, stable: int) -> None:
+        crash_state["image"] = image
+        crash_state["containers"] = copy.deepcopy(engine.containers)
+
+    journal.on_durable = capture
+
+    async with AsyncProtocolServer(storage) as server:
+        async with await AsyncProtocolClient.connect(
+            server.host, server.port
+        ) as client:
+            for _ in range(300):
+                lba = rng.randrange(600)
+                data = pool[rng.randrange(len(pool))] if rng.random() < 0.6 else (
+                    rng.randbytes(CHUNK)
+                )
+                await client.write(lba, data)
+                dataset[lba] = data
+
+            # Pin the current state: an O(1) copy-on-write snapshot,
+            # taken over the wire (the SNAP op).
+            pinned = await client.create_snapshot("pre-update")
+            frozen = dict(dataset)
+
+            # Keep writing after the snapshot; the pinned view must not
+            # move.
+            for _ in range(200):
+                lba = rng.randrange(600)
+                data = rng.randbytes(CHUNK)
+                await client.write(lba, data)
+                dataset[lba] = data
+            # Group-commit fence: everything so far is durable.  Every
+            # request was awaited, so the backend thread is idle and the
+            # stack may be driven from here.
+            storage.flush()
+            acked = dict(dataset)
+
+            # One more batch, whose fence the "crash" below will tear:
+            # these writes are in flight — a client was never
+            # acknowledged — so recovery may keep or discard them, but
+            # only as a whole batch.
+            tail = {}
+            for _ in range(12):
+                lba = rng.randrange(600)
+                data = rng.randbytes(CHUNK)
+                await client.write(lba, data)
+                dataset[lba] = data
+                tail[lba] = data
+            storage.flush()
+
+        print(f"served {server.endpoint.requests_served} requests; journal "
+              f"holds {journal.records_written:,} records in "
+              f"{journal.commits} commits / {journal.checkpoints} "
+              f"checkpoints ({journal.size_bytes / 1024:.1f} KiB); "
+              f"snapshot pinned {pinned} chunks")
+    return frozen, acked, tail
+
+
 def main() -> None:
     rng = random.Random(11)
     dataset = {}
+    crash_state = {}
     pool = [rng.randbytes(CHUNK) for _ in range(24)]
 
     # First life: a journaled FIDR server behind the wire protocol.
@@ -46,61 +116,9 @@ def main() -> None:
     with StorageServer(
         FidrSystem(config=CONFIG, num_buckets=4096, cache_lines=256)
     ) as storage:
-        endpoint = ProtocolServer(storage)
-        client = ProtocolClient(endpoint.handle_bytes)
-
-        # What a crash leaves behind: the journal's ``on_durable`` hook
-        # fires at every group-commit fence, *before* the commit's
-        # deferred container frees apply — so image + containers here
-        # are byte-for-byte the surviving disk state at that instant.
-        engine = storage.system.engine
-        journal = engine.journal
-        crash_state = {}
-
-        def capture(image: bytes, stable: int) -> None:
-            crash_state["image"] = image
-            crash_state["containers"] = copy.deepcopy(engine.containers)
-
-        journal.on_durable = capture
-        for _ in range(300):
-            lba = rng.randrange(600)
-            data = pool[rng.randrange(len(pool))] if rng.random() < 0.6 else (
-                rng.randbytes(CHUNK)
-            )
-            client.write(lba, data)
-            dataset[lba] = data
-
-        # Pin the current state: an O(1) copy-on-write snapshot, taken
-        # over the wire (SNAP is a v2 op).
-        pinned = client.create_snapshot("pre-update")
-        frozen = dict(dataset)
-
-        # Keep writing after the snapshot; the pinned view must not move.
-        for _ in range(200):
-            lba = rng.randrange(600)
-            data = rng.randbytes(CHUNK)
-            client.write(lba, data)
-            dataset[lba] = data
-        storage.flush()  # group-commit fence: everything so far is durable
-        acked = dict(dataset)
-
-        # One more batch, whose fence the "crash" below will tear: these
-        # writes are in flight — a client was never acknowledged — so
-        # recovery may keep or discard them, but only as a whole batch.
-        tail = {}
-        for _ in range(12):
-            lba = rng.randrange(600)
-            data = rng.randbytes(CHUNK)
-            client.write(lba, data)
-            dataset[lba] = data
-            tail[lba] = data
-        storage.flush()
-
-        print(f"served {endpoint.requests_served} requests; journal holds "
-              f"{journal.records_written:,} records in {journal.commits} "
-              f"commits / {journal.checkpoints} checkpoints "
-              f"({journal.size_bytes / 1024:.1f} KiB); snapshot pinned "
-              f"{pinned} chunks")
+        frozen, acked, tail = asyncio.run(
+            first_life(storage, rng, pool, dataset, crash_state)
+        )
 
     # --- crash: every in-memory table evaporates; what survives is the
     # hook-captured durable journal image and the container payloads ---

@@ -45,9 +45,8 @@ class ProtocolError(ReproError, ValueError):
     """A malformed, corrupt, or semantically invalid protocol frame."""
 
     #: Set by the frame decoder when the offending frame's header was
-    #: intact (CRC mismatch, unknown op): the wire version and id its
-    #: ``CORRUPT_FRAME`` reply must carry to reach the waiting caller.
-    version: int = 1
+    #: intact (CRC mismatch, unknown op): the id its ``CORRUPT_FRAME``
+    #: reply must carry to reach the waiting caller.
     request_id: int = 0
 
 

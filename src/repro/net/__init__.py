@@ -1,7 +1,7 @@
 """The storage network protocol layer (paper §6.2).
 
-``protocol`` is the wire format (v1 + v2) with synchronous endpoints;
-``aserver`` is the concurrent asyncio serving layer on top of it;
+``protocol`` is the wire format and the transport-free request dispatch;
+``aserver`` is the asyncio server and pipelined client on top of it;
 ``router`` scatter-gathers one endpoint across N shard backends.
 """
 
@@ -11,11 +11,9 @@ from .protocol import (
     Frame,
     FrameDecoder,
     Op,
-    ProtocolClient,
     ProtocolError,
     ProtocolServer,
     encode_frame,
-    encode_frame_v2,
     encode_reply,
 )
 
@@ -25,12 +23,10 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "Op",
-    "ProtocolClient",
     "ProtocolError",
     "ProtocolServer",
     "ServerMetrics",
     "ShardRouter",
     "encode_frame",
-    "encode_frame_v2",
     "encode_reply",
 ]

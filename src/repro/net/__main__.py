@@ -1,21 +1,18 @@
 """Command-line entry points for the serving layer.
 
 ``serve`` hosts a :class:`~repro.net.aserver.AsyncProtocolServer` over a
-freshly built storage system until interrupted; ``bench`` spins up the
-same server in-process and drives it with the concurrent load generator,
-printing the client-side throughput/latency summary.  Both expose the
-``--parallelism`` knob that fans the backend's GIL-releasing pipeline
-stages (hashing, compression, decompression) across worker threads.
+freshly built storage system until interrupted; ``route`` hosts a
+:class:`~repro.net.router.ShardRouter` over external and/or self-hosted
+shard backends.  Both expose the ``--parallelism`` knob that fans the
+backend's GIL-releasing pipeline stages (hashing, compression,
+decompression) across worker threads.  The load generator is
+``bench/run.py``, which spawns its own ``serve`` subprocess.
 
 Examples
 --------
 Run a FIDR-architecture server with a 4-way stage pool::
 
     python -m repro.net serve --system fidr --parallelism 4 --port 9876
-
-Measure the serving layer end to end::
-
-    python -m repro.net bench --clients 8 --ops 100 --parallelism 4
 
 Front a self-hosted 4-shard cluster with the scatter-gather router::
 
@@ -121,16 +118,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="bound on queued requests before connections block",
     )
     parser.add_argument(
-        "--no-offload",
-        action="store_true",
-        help="run storage work on the event loop instead of the "
-        "backend executor (debugging aid; hurts latency under load)",
-    )
-    parser.add_argument(
         "--write-split-chunks",
         type=int,
         default=64,
-        help="split offloaded writes larger than this many chunks so "
+        help="split writes larger than this many chunks so "
         "queued small requests can interleave",
     )
     parser.add_argument(
@@ -171,14 +162,12 @@ async def _serve_storage(
         port=args.port,
         queue_depth=args.queue_depth,
         workers=args.workers,
-        offload=not args.no_offload,
         write_split_chunks=args.write_split_chunks,
     ) as server:
         print(
             f"serving {args.system} on {server.host}:{server.port} "
             f"(parallelism={args.parallelism}, "
             f"codec={storage.system.engine.compressor.name}, "
-            f"offload={not args.no_offload}, "
             f"tracing={_trace.is_enabled()})",
             flush=True,
         )
@@ -234,7 +223,6 @@ async def _route(args: argparse.Namespace) -> int:
                     _build_storage(args),
                     queue_depth=args.queue_depth,
                     workers=args.workers,
-                    offload=not args.no_offload,
                     write_split_chunks=args.write_split_chunks,
                     registry=registry,
                 )
@@ -270,50 +258,6 @@ async def _route(args: argparse.Namespace) -> int:
         for server in spawned:
             await server.stop()
             server.storage.close()
-    return 0
-
-
-def _bench(args: argparse.Namespace) -> int:
-    # Imported here so `serve` works even if workloads grows heavier deps.
-    from ..workloads.loadgen import LoadGenConfig, run_against
-
-    with _build_storage(args) as storage:
-        config = LoadGenConfig(
-            clients=args.clients,
-            ops_per_client=args.ops,
-            read_fraction=args.read_fraction,
-            seed=args.seed,
-        )
-        result = run_against(
-            storage,
-            config,
-            queue_depth=args.queue_depth,
-            workers=args.workers,
-            offload=not args.no_offload,
-            write_split_chunks=args.write_split_chunks,
-        )
-        print(result.render())
-    # Server-side numbers come from the scraped STATS snapshot — the
-    # same repro.stats/v1 shape every consumer sees — with the local
-    # storage object only as a fallback when the scrape failed.
-    if result.server_stats is not None:
-        gauges = result.server_stats.get("gauges", {})
-        uniques = gauges.get("engine.unique_chunks", 0)
-        total = uniques + gauges.get("engine.duplicate_chunks", 0)
-        print(
-            f"  server-side      {uniques} uniques / "
-            f"{total} chunks, dedup "
-            f"{gauges.get('engine.dedup_ratio', 0.0):.2f}, compression "
-            f"{gauges.get('engine.compression_ratio', 1.0):.2f}"
-        )
-    else:
-        stats = storage.reduction_stats
-        total = stats.unique_chunks + stats.duplicate_chunks
-        print(
-            f"  server-side      {stats.unique_chunks} uniques / "
-            f"{total} chunks, dedup {stats.dedup_ratio:.2f}, "
-            f"compression {stats.compression_ratio:.2f}"
-        )
     return 0
 
 
@@ -363,15 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="disable trace spans on the router and spawned backends",
     )
 
-    bench = commands.add_parser(
-        "bench", help="drive an in-process server with the load generator"
-    )
-    _add_common(bench)
-    bench.add_argument("--clients", type=int, default=8)
-    bench.add_argument("--ops", type=int, default=50, help="ops per client")
-    bench.add_argument("--read-fraction", type=float, default=0.5)
-    bench.add_argument("--seed", type=lambda v: int(v, 0), default=0xF1D8)
-
     args = parser.parse_args(argv)
     if args.parallelism < 1:
         parser.error("--parallelism must be >= 1")
@@ -382,14 +317,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return asyncio.run(_serve(args))
         except KeyboardInterrupt:
             return 0
-    if args.command == "route":
-        if args.spawn < 0:
-            parser.error("--spawn must be >= 0")
-        try:
-            return asyncio.run(_route(args))
-        except KeyboardInterrupt:
-            return 0
-    return _bench(args)
+    if args.spawn < 0:
+        parser.error("--spawn must be >= 0")
+    try:
+        return asyncio.run(_route(args))
+    except KeyboardInterrupt:
+        return 0
 
 
 if __name__ == "__main__":

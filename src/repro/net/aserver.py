@@ -22,23 +22,22 @@ This module is that front-end rendered in asyncio:
   so slow readers bound the server's write buffers too.
 
 * :class:`AsyncProtocolClient` is the pipelined counterpart: requests
-  are tagged with v2 ``request_id``\\ s and completed by a background
+  are tagged with a ``request_id`` and completed by a background
   reader task, so many calls may be in flight on one connection
   (``asyncio.gather`` over plain ``read``/``write`` coroutines is the
   pipelining API; a gathered burst leaves in one send).
 
-Backend execution (``offload=True``, the default) happens on a
-**single-threaded** executor via ``run_in_executor``: the non-thread-safe
-storage stack still sees strictly serialized access, but the event loop
-keeps accepting connections, parsing frames and flushing responses
-while a request crunches SHA-256/DEFLATE.  Large writes are split into
+Backend execution happens on a **single-threaded** executor via
+``run_in_executor``: the non-thread-safe storage stack still sees
+strictly serialized access, but the event loop keeps accepting
+connections, parsing frames and flushing responses while a request
+crunches SHA-256/DEFLATE.  Large writes are split into
 ``write_split_chunks``-sized sub-writes between which queued small
 requests get a turn on the backend thread, so one bulk ingest can no
 longer convoy every other client's latency.  Inside the backend thread
 the engine fans hashing/compression out on its own
 :class:`~repro.parallel.StagePool` when the system was built with
-``parallelism > 1``.  With ``offload=False`` the storage stack executes
-on the event-loop thread exactly as before.
+``parallelism > 1``.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .protocol import (
     encode_corrupt_reply,
     encode_error_reply,
     encode_frame,
-    encode_frame_v2,
     encode_reply,
 )
 
@@ -88,8 +86,7 @@ class ServerMetrics:
     #: High-water mark of the request queue — never exceeds the
     #: configured ``queue_depth`` (the backpressure guarantee).
     max_queue_depth: int = 0
-    #: Requests dispatched to the backend executor (0 when
-    #: ``offload=False``).
+    #: Requests dispatched to the backend executor.
     backend_offloaded: int = 0
     #: Executor submissions (one per group, one per split-write piece);
     #: ``backend_offloaded / backend_turns`` is the coalescing ratio.
@@ -123,18 +120,14 @@ class AsyncProtocolServer:
         pause when it is full.
     workers:
         Number of drain tasks.  They interleave requests from different
-        connections; backend access is always serialized (on the event
-        loop with ``offload=False``, on the single backend thread
-        otherwise).
-    offload:
-        Run backend work on a dedicated single-threaded executor so the
-        event loop never blocks on storage-stack CPU time (hashing,
-        compression, table walks).
+        connections; backend access is always serialized on the single
+        backend thread, so the event loop never blocks on storage-stack
+        CPU time (hashing, compression, table walks).
     write_split_chunks:
         The chunks of work one backend turn may carry: queued requests
-        are grouped up to it, and with ``offload`` a write spanning more
-        is applied as a sequence of sub-writes between which queued
-        requests get a turn.  A concurrent reader of the *same* region
+        are grouped up to it, and a write spanning more is applied as a
+        sequence of sub-writes between which queued requests get a
+        turn.  A concurrent reader of the *same* region
         may observe a prefix of a split write (block devices promise
         per-chunk atomicity, not whole-request atomicity).
     """
@@ -147,7 +140,6 @@ class AsyncProtocolServer:
         *,
         queue_depth: int = 64,
         workers: int = 2,
-        offload: bool = True,
         write_split_chunks: int = 64,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -164,7 +156,6 @@ class AsyncProtocolServer:
         self.port = port
         self.queue_depth = queue_depth
         self.num_workers = workers
-        self.offload = offload
         self.write_split_chunks = write_split_chunks
         self.metrics = ServerMetrics()
         self._queue: Optional[asyncio.Queue] = None
@@ -195,12 +186,11 @@ class AsyncProtocolServer:
     async def start(self) -> "AsyncProtocolServer":
         """Bind the listening socket and launch the worker pool."""
         self._queue = asyncio.Queue(maxsize=self.queue_depth)
-        if self.offload:
-            # max_workers=1 is the thread-safety contract: the storage
-            # stack is only ever touched by this one thread.
-            self._backend = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="aserver-backend"
-            )
+        # max_workers=1 is the thread-safety contract: the storage
+        # stack is only ever touched by this one thread.
+        self._backend = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="aserver-backend"
+        )
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port
         )
@@ -384,17 +374,11 @@ class AsyncProtocolServer:
     async def _dispatch(self, frames: List[Frame]) -> List[bytes]:
         """Produce the response bytes for one group of request frames.
 
-        Without offload this is the synchronous loop-thread dispatch.
-        With offload the group runs in one hop on the backend executor;
-        an oversized write (always a group of one, see :meth:`_worker`)
-        is applied as split sub-writes so queued requests from other
-        connections interleave between the pieces.
+        The group runs in one hop on the backend executor; an oversized
+        write (always a group of one, see :meth:`_worker`) is applied as
+        split sub-writes so queued requests from other connections
+        interleave between the pieces.
         """
-        if self._backend is None:
-            # Sanctioned loop-thread lock acquisition: the storage stack
-            # (and its dedup-engine lock) runs inline on the event loop —
-            # single-threaded, so the lock cannot park the loop.
-            return self._run_group(frames)  # lockgraph: async-ok offload=False is single-threaded, lock uncontended
         self.metrics.backend_offloaded += len(frames)
         loop = asyncio.get_running_loop()
         first = frames[0]
@@ -443,13 +427,10 @@ class AsyncProtocolServer:
 class AsyncProtocolClient:
     """Pipelined client endpoint over one TCP connection.
 
-    Every request carries a fresh v2 ``request_id``; a background reader
+    Every request carries a fresh ``request_id``; a background reader
     task matches responses back to their callers, so any number of
     ``read``/``write`` coroutines may be awaited concurrently
-    (``asyncio.gather``) and completions may arrive out of order.  With
-    ``version=1`` the client emits legacy frames and falls back to
-    FIFO response matching (v1 responses carry no id), which restricts
-    it to in-order completion but exercises the interop path.
+    (``asyncio.gather``) and completions may arrive out of order.
     """
 
     def __init__(
@@ -457,24 +438,17 @@ class AsyncProtocolClient:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         *,
-        version: int = 2,
         registry: Optional[MetricsRegistry] = None,
     ):
-        if version not in (1, 2):
-            raise ProtocolError(f"unknown protocol version {version}")
-        self.version = version
         reg = registry if registry is not None else get_registry()
         #: Reader-task deaths (EOF, decode error, socket loss) used to be
         #: observable only as failed futures; now they are counted.
         self._reader_deaths = reg.counter("proto.client.reader_deaths_total")
-        if version == 1:
-            reg.counter("proto.client.v1_sessions_total").inc()
         self._reader = reader
         self._writer = writer
         self._decoder = FrameDecoder(reg)
         self._next_request_id = 0
         self._by_id: Dict[int, asyncio.Future] = {}
-        self._fifo: list = []
         #: ``(wire, future)`` of this tick's requests, sent by ``_flush``.
         self._corked: list = []
         self._closed = False
@@ -488,11 +462,10 @@ class AsyncProtocolClient:
         host: str,
         port: int,
         *,
-        version: int = 2,
         registry: Optional[MetricsRegistry] = None,
     ) -> "AsyncProtocolClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, version=version, registry=registry)
+        return cls(reader, writer, registry=registry)
 
     async def __aenter__(self) -> "AsyncProtocolClient":
         return self
@@ -542,21 +515,16 @@ class AsyncProtocolClient:
             self._closed = True
 
     def _complete(self, frame: Frame) -> None:
-        if frame.version == 2 and frame.request_id in self._by_id:
-            future = self._by_id.pop(frame.request_id)
-        elif self._fifo:
-            future = self._fifo.pop(0)
-        else:
-            return  # response to a request we no longer track
-        if not future.done():
+        future = self._by_id.pop(frame.request_id, None)
+        # None: a response to a request we no longer track.
+        if future is not None and not future.done():
             future.set_result(frame)
 
     def _fail_pending(self, error: ProtocolError) -> None:
-        for future in list(self._by_id.values()) + self._fifo:
+        for future in self._by_id.values():
             if not future.done():
                 future.set_exception(error)
         self._by_id.clear()
-        self._fifo.clear()
 
     # -- request path ------------------------------------------------------------
     async def _request(self, op: int, lba: int, payload: bytes = b"",
@@ -565,19 +533,11 @@ class AsyncProtocolClient:
             raise ProtocolError("client is closed")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        if self.version == 2:
-            self._next_request_id = (self._next_request_id + 1) % (1 << 32)
-            self._by_id[self._next_request_id] = future
-            wire = encode_frame_v2(
-                op, lba, payload, request_id=self._next_request_id, count=count
-            )
-        else:
-            if count > 255:
-                raise ProtocolError(
-                    f"v1 reads cap at 255 chunks (asked for {count})"
-                )
-            self._fifo.append(future)
-            wire = encode_frame(op, lba, payload, flags=count)
+        self._next_request_id = (self._next_request_id + 1) % (1 << 32)
+        self._by_id[self._next_request_id] = future
+        wire = encode_frame(
+            op, lba, payload, request_id=self._next_request_id, count=count
+        )
         # One send per event-loop tick: the first request of a tick
         # schedules the flush, an ``asyncio.gather`` burst rides with it.
         if not self._corked:
@@ -606,7 +566,6 @@ class AsyncProtocolClient:
         failure.__cause__ = error
         for key in [k for k, future in self._by_id.items() if future in futures]:
             del self._by_id[key]
-        self._fifo = [future for future in self._fifo if future not in futures]
         for future in futures:
             if not future.done():
                 future.set_exception(failure)
@@ -625,9 +584,7 @@ class AsyncProtocolClient:
         return response.payload
 
     async def trim(self, lba: int, num_chunks: int = 1) -> None:
-        """Drop ``num_chunks`` chunk mappings at ``lba`` (v2-only)."""
-        if self.version < 2:
-            raise ProtocolError("TRIM requires protocol version 2")
+        """Drop ``num_chunks`` chunk mappings at ``lba``."""
         response = await self._request(Op.TRIM, lba, count=num_chunks)
         if response.op != Op.TRIM_ACK:
             raise_for_error_payload(response.payload, "trim failed")
@@ -635,8 +592,6 @@ class AsyncProtocolClient:
     async def _snap(
         self, body: Dict[str, Any], lba: int = 0, count: int = 0
     ) -> Frame:
-        if self.version < 2:
-            raise ProtocolError("SNAP requires protocol version 2")
         payload = json.dumps(
             body, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
@@ -646,18 +601,18 @@ class AsyncProtocolClient:
         return response
 
     async def create_snapshot(self, name: str) -> int:
-        """Pin the server's acked state under ``name`` (v2-only);
-        returns the number of pinned chunk mappings."""
+        """Pin the server's acked state under ``name``; returns the
+        number of pinned chunk mappings."""
         response = await self._snap({"action": "create", "name": name})
         return int(json.loads(response.payload.decode("utf-8"))["pinned"])
 
     async def delete_snapshot(self, name: str) -> int:
-        """Drop snapshot ``name``; returns chunks reclaimed (v2-only)."""
+        """Drop snapshot ``name``; returns chunks reclaimed."""
         response = await self._snap({"action": "delete", "name": name})
         return int(json.loads(response.payload.decode("utf-8"))["reclaimed"])
 
     async def snapshots(self) -> List[str]:
-        """List the server's snapshot names (v2-only)."""
+        """List the server's snapshot names."""
         response = await self._snap({"action": "list"})
         names = json.loads(response.payload.decode("utf-8"))["snapshots"]
         return [str(name) for name in names]
@@ -665,17 +620,14 @@ class AsyncProtocolClient:
     async def read_snapshot(
         self, name: str, lba: int, num_chunks: int = 1
     ) -> bytes:
-        """Read chunks at ``lba`` as of snapshot ``name`` (v2-only)."""
+        """Read chunks at ``lba`` as of snapshot ``name``."""
         response = await self._snap(
             {"action": "read", "name": name}, lba=lba, count=num_chunks
         )
         return response.payload
 
     async def stats(self) -> Dict[str, Any]:
-        """Scrape the server's live ``repro.stats/v1`` snapshot (v2-only;
-        a v1 client fails locally with :class:`ProtocolError`)."""
-        if self.version < 2:
-            raise ProtocolError("STATS requires protocol version 2")
+        """Scrape the server's live ``repro.stats/v1`` snapshot."""
         response = await self._request(Op.STATS, 0)
         if response.op != Op.STATS_ACK:
             raise_for_error_payload(response.payload, "stats failed")

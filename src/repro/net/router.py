@@ -6,7 +6,7 @@ but owns no storage itself.  It fingerprints each written chunk inline
 round-trip), selects the owning backend with the same
 :func:`~repro.datared.sharded.shard_for_digest` range partition the
 in-process :class:`~repro.datared.sharded.ShardedDedupEngine` uses, and
-scatter-gathers the sub-requests over pipelined v2 connections
+scatter-gathers the sub-requests over pipelined connections
 (:class:`~repro.net.aserver.AsyncProtocolClient`, one per backend), so
 a cluster of single-shard servers presents as one block device:
 
@@ -21,9 +21,10 @@ a cluster of single-shard servers presents as one block device:
 * **STATS** gathers every backend's ``repro.stats/v1`` snapshot and
   merges them with :func:`repro.obs.merge_stats_snapshots` (counters
   summed, histograms bucket-merged, ratios recomputed), stamping a
-  ``cluster`` key so consumers can tell they scraped a cluster.  v1
-  STATS/TRIM get the same structured ``UNSUPPORTED_OP`` a plain server
-  sends.
+  ``cluster`` key so consumers can tell they scraped a cluster.
+* **SNAP** is answered with a typed ``UNSUPPORTED_OP``: a snapshot
+  pins one backend's LBA map, and the router's directory has no
+  cluster-wide equivalent.
 
 A backend that dies mid-scatter surfaces as a typed
 :class:`~repro.errors.ShardError` frame naming the failed shard; the
@@ -117,6 +118,7 @@ class ShardRouter:
         self._directory: Dict[int, int] = {}
         self._clients: List[AsyncProtocolClient] = []
         self._server: Optional[asyncio.base_events.Server] = None
+        self._writers: set = set()
         # One frame mutates at a time (asyncio.Lock wakes waiters FIFO,
         # so frames apply in arrival order); *within* a frame the
         # sub-requests fan out concurrently.  An asyncio.Lock lives in
@@ -138,7 +140,7 @@ class ShardRouter:
         for host, port in self.backend_addresses:
             self._clients.append(
                 await AsyncProtocolClient.connect(
-                    host, port, version=2, registry=self.registry
+                    host, port, registry=self.registry
                 )
             )
         self._server = await asyncio.start_server(
@@ -150,6 +152,11 @@ class ShardRouter:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Close live connections *before* awaiting wait_closed(): on
+            # Python >= 3.12.1 it also waits for every connection handler,
+            # and one parked in reader.read() would never return.
+            for writer in self._writers:
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         for client in self._clients:
@@ -171,6 +178,7 @@ class ShardRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = FrameDecoder(self.registry)
+        self._writers.add(writer)
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
@@ -186,6 +194,7 @@ class ShardRouter:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -207,14 +216,6 @@ class ShardRouter:
                     )
                 return encode_reply(frame, Op.READ_ACK, frame.lba, data)
             if frame.op == Op.STATS:
-                if frame.version < 2:
-                    return encode_reply(
-                        frame, Op.ERROR, frame.lba,
-                        encode_error_payload(
-                            ErrorCode.UNSUPPORTED_OP,
-                            "STATS requires protocol v2",
-                        ),
-                    )
                 payload = json.dumps(
                     await self._cluster_stats(),
                     separators=(",", ":"),
@@ -222,17 +223,17 @@ class ShardRouter:
                 ).encode("utf-8")
                 return encode_reply(frame, Op.STATS_ACK, 0, payload)
             if frame.op == Op.TRIM:
-                if frame.version < 2:
-                    return encode_reply(
-                        frame, Op.ERROR, frame.lba,
-                        encode_error_payload(
-                            ErrorCode.UNSUPPORTED_OP,
-                            "TRIM requires protocol v2",
-                        ),
-                    )
                 async with self._lock:
                     await self._scatter_trim(frame.lba, bounded_count(frame, self.chunk_size))
                 return encode_reply(frame, Op.TRIM_ACK, frame.lba)
+            if frame.op == Op.SNAP:
+                return encode_reply(
+                    frame, Op.ERROR, frame.lba,
+                    encode_error_payload(
+                        ErrorCode.UNSUPPORTED_OP,
+                        "SNAP is not routed: snapshot a backend directly",
+                    ),
+                )
             raise ProtocolError(f"unexpected op {frame.op}")
         except (ReproError, ValueError) as error:
             return encode_error_reply(frame, error)

@@ -1,7 +1,7 @@
 """Operator CLI for the observability subsystem.
 
 ``dump`` fetches one ``repro.stats/v1`` snapshot from a running
-server (the protocol's v2 ``STATS`` op) and prints it as JSON;
+server (the protocol's ``STATS`` op) and prints it as JSON;
 ``top`` refreshes a terminal view of the same snapshot — per-span
 latency histograms, the engine's dedup/compression gauges, and the
 protocol/server counters — until interrupted.
@@ -24,7 +24,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..errors import ProtocolError, ReproError, raise_for_error_payload
-from ..net.protocol import FrameDecoder, Op, encode_frame_v2
+from ..net.protocol import FrameDecoder, Op, encode_frame
 from .metrics import MetricsRegistry, bucket_quantile
 
 __all__ = ["main"]
@@ -44,7 +44,7 @@ def _fetch_stats(
     """
     decoder = FrameDecoder(MetricsRegistry(stripes=1))
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(encode_frame_v2(Op.STATS, 0, request_id=1))
+        sock.sendall(encode_frame(Op.STATS, 0, request_id=1))
         while True:
             data = sock.recv(_RECV_CHUNK)
             if not data:
@@ -148,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Live metrics for a running repro.net server "
-        "(scraped via the protocol v2 STATS op).",
+        "(scraped via the protocol STATS op).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -85,7 +85,7 @@ class StorageServer:
         """Pin the current acked state under ``name`` (O(1) CoW).
 
         Returns the number of pinned chunk mappings.  The protocol's
-        ``SNAP`` op (v2) dispatches here.
+        ``SNAP`` op dispatches here.
         """
         return self.system.create_snapshot(name)
 

@@ -2,7 +2,6 @@
 
 from .content import ContentFactory
 from .generator import WORKLOADS, WorkloadSpec, build_workload, cache_sizing
-from .loadgen import LoadGenConfig, LoadGenResult, drive, run_against
 from .runner import ReplayResult, replay
 from .synthetic import MAIL_PROFILE, WEBVM_PROFILE, TraceProfile, synthesize
 from .trace import IoRequest, OpKind, Trace
@@ -10,8 +9,6 @@ from .trace import IoRequest, OpKind, Trace
 __all__ = [
     "ContentFactory",
     "IoRequest",
-    "LoadGenConfig",
-    "LoadGenResult",
     "MAIL_PROFILE",
     "OpKind",
     "ReplayResult",
@@ -22,8 +19,6 @@ __all__ = [
     "WorkloadSpec",
     "build_workload",
     "cache_sizing",
-    "drive",
     "replay",
-    "run_against",
     "synthesize",
 ]

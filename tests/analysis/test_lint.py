@@ -497,7 +497,7 @@ class TestR007ObservabilityDiscipline:
         for module in (
             "repro.net.__main__",
             "repro.obs.__main__",
-            "repro.workloads.loadgen",
+            "repro.workloads.runner",
             "tests.net.fixture",
         ):
             assert lint_source(self.FIXTURE, module=module) == [], module

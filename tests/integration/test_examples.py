@@ -31,4 +31,5 @@ def test_expected_example_set():
         "capacity_planning",
         "tree_concurrency_study",
         "durable_protocol_server",
+        "concurrent_server",
     } <= names

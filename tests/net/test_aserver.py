@@ -21,7 +21,7 @@ from repro.errors import (
     decode_error_payload,
 )
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.net.protocol import MAX_PAYLOAD, Op, encode_frame_v2
+from repro.net.protocol import MAX_PAYLOAD, FrameDecoder, Op, encode_frame
 from repro.systems.server import StorageServer, SystemKind
 
 from ..systems.test_parallel_differential import ledger_view
@@ -188,21 +188,6 @@ class TestSingleClient:
 
         run(body())
 
-    def test_v1_client_against_async_server(self, rng):
-        """A legacy peer (v1 frames, FIFO matching) is still served."""
-        storage = build_storage()
-
-        async def body():
-            async with AsyncProtocolServer(storage) as server:
-                async with await AsyncProtocolClient.connect(
-                    server.host, server.port, version=1
-                ) as client:
-                    data = rng.randbytes(CHUNK)
-                    await client.write(0, data)
-                    assert await client.read(0, 1) == data
-
-        run(body())
-
     def test_corrupt_bytes_answered_not_fatal(self, rng):
         """Garbage on the socket draws an error frame; the connection
         and the server survive and keep serving."""
@@ -215,14 +200,13 @@ class TestSingleClient:
                 )
                 writer.write(b"\x00\x01\x02\x03")
                 await writer.drain()
-                from repro.net.protocol import FrameDecoder
                 decoder = FrameDecoder()
                 frames = []
                 while not frames:
                     frames = decoder.feed(await reader.read(65536))
                 assert frames[0].op == Op.ERROR
                 # Same connection still works after the garbage:
-                writer.write(encode_frame_v2(
+                writer.write(encode_frame(
                     Op.WRITE, 0, rng.randbytes(CHUNK), request_id=1
                 ))
                 await writer.drain()

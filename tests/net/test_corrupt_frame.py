@@ -1,10 +1,10 @@
 """A corrupt request is answered *to its caller*.
 
 A CRC mismatch (or unknown op) leaves the frame's header intact, so the
-``CORRUPT_FRAME`` reply carries the request's wire version and id; a
-pipelined v2 client then fails that one call instead of dropping an
-id-less v1 frame and waiting forever.  Only a lost magic byte — no
-header to trust — still draws the anonymous v1 frame.
+``CORRUPT_FRAME`` reply carries the request's id; a pipelined client
+then fails that one call instead of waiting forever.  A lost magic byte
+— no header to trust, and the retired ``0xF1`` header is one — draws
+the same reply with id 0, which no caller owns.
 """
 
 import asyncio
@@ -21,16 +21,15 @@ from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.net.protocol import (
     FrameDecoder,
     Op,
-    ProtocolServer,
     encode_corrupt_reply,
     encode_frame,
-    encode_frame_v2,
 )
 
 from .test_aserver import CHUNK, build_storage, run
 from .test_router import _fresh_registry, cluster  # noqa: F401 (fixture)
+from .wire import RETIRED_READ
 
-FRAME = 28 + CHUNK  # one v2 1-chunk WRITE on the wire
+FRAME = 28 + CHUNK  # one 1-chunk WRITE on the wire
 
 
 def corrupt_sent_byte(client, offset):
@@ -94,7 +93,7 @@ def test_corrupt_frame_mid_burst_through_the_router(rng):
 
 @pytest.mark.parametrize("damage", ["crc", "op"])
 def test_reply_names_the_request_when_the_header_survived(damage, rng):
-    wire = bytearray(encode_frame_v2(
+    wire = bytearray(encode_frame(
         Op.WRITE, 8, rng.randbytes(CHUNK), request_id=0xBEEF
     ))
     if damage == "crc":
@@ -103,27 +102,99 @@ def test_reply_names_the_request_when_the_header_survived(damage, rng):
         wire[1] = 0x7F
     (error,) = FrameDecoder().events(bytes(wire))
     assert isinstance(error, ProtocolError)
-    assert (error.version, error.request_id) == (2, 0xBEEF)
+    assert error.request_id == 0xBEEF
     (reply,) = FrameDecoder().feed(encode_corrupt_reply(error))
-    assert (reply.op, reply.version, reply.request_id) == (Op.ERROR, 2, 0xBEEF)
+    assert (reply.op, reply.request_id) == (Op.ERROR, 0xBEEF)
     code, message = decode_error_payload(reply.payload)
     assert code == ErrorCode.CORRUPT_FRAME
     assert message == str(error)
 
 
-def test_lost_magic_and_v1_damage_still_draw_the_v1_frame(rng):
-    """No trustworthy header, or a v1 one: today's anonymous frame."""
-    endpoint = ProtocolServer(build_storage())
-    assert endpoint.handle_bytes(b"\x00") == encode_frame(
+def test_lost_magic_draws_a_reply_no_caller_owns():
+    """No trustworthy header: ``CORRUPT_FRAME`` with request id 0."""
+    (error,) = FrameDecoder().events(b"\x00")
+    assert encode_corrupt_reply(error) == encode_frame(
         Op.ERROR, 0, encode_error_payload(
             ErrorCode.CORRUPT_FRAME, "bad magic: stream out of sync"
         ),
     )
-    wire = bytearray(encode_frame(Op.WRITE, 0, rng.randbytes(CHUNK)))
-    wire[-1] ^= 0xFF
-    assert endpoint.handle_bytes(bytes(wire)) == encode_frame(
-        Op.ERROR, 0, encode_error_payload(
-            ErrorCode.CORRUPT_FRAME, "payload CRC mismatch"
-        ),
-    )
-    assert endpoint.frames_rejected == 2
+
+
+async def replies(reader, decoder, count):
+    frames = []
+    while len(frames) < count:
+        frames += decoder.feed(await asyncio.wait_for(reader.read(65536), 5))
+    return frames
+
+
+@pytest.mark.parametrize("through", ["server", "router"])
+def test_retired_magic_mid_pipeline_is_one_corrupt_frame(through, rng):
+    """A frame in the retired ``0xF1`` header between two requests, all
+    in one segment: exactly one ``CORRUPT_FRAME`` in its wire position,
+    and the request behind it is served on the same connection."""
+    data = rng.randbytes(CHUNK)
+
+    async def probe(host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(
+                encode_frame(Op.WRITE, 0, data, request_id=1)
+                + RETIRED_READ
+                + encode_frame(Op.READ, 0, request_id=2, count=1)
+            )
+            await writer.drain()
+            ack, error, read = await replies(reader, FrameDecoder(), 3)
+        finally:
+            writer.close()
+        assert (ack.op, ack.request_id) == (Op.WRITE_ACK, 1)
+        assert (error.op, error.request_id) == (Op.ERROR, 0)
+        code, message = decode_error_payload(error.payload)
+        assert code == ErrorCode.CORRUPT_FRAME and "bad magic" in message
+        assert (read.op, read.request_id, read.payload) == (Op.READ_ACK, 2, data)
+
+    async def body():
+        if through == "router":
+            async with cluster(2) as nodes:
+                await probe(nodes.router.host, nodes.router.port)
+            return
+        async with AsyncProtocolServer(build_storage()) as server:
+            await probe(server.host, server.port)
+            assert server.metrics.frames_rejected == 1
+            assert server.metrics.responses_sent == 3
+
+    run(body())
+
+
+def test_a_reply_with_an_unknown_request_id_completes_no_caller(rng):
+    """The id-0 ``CORRUPT_FRAME`` a stray retired-magic frame draws
+    reaches a pipelined client mid-burst: it is dropped, and every real
+    caller still gets its own reply."""
+    storage = build_storage()
+
+    async def body():
+        async with AsyncProtocolServer(storage) as server:
+            async with await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as client:
+                chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                await client.write(0, b"".join(chunks))
+                real_write = client._writer.write
+                # The burst leaves as one 16 x 28-byte write; splice the
+                # stray frame in behind the 8th request.
+                client._writer.write = lambda wire: real_write(
+                    wire[: 8 * 28] + RETIRED_READ + wire[8 * 28 :]
+                )
+                completed = []
+                real_complete = client._complete
+                client._complete = lambda frame: (
+                    completed.append(frame.request_id), real_complete(frame)
+                )
+                reads = await asyncio.wait_for(asyncio.gather(*(
+                    client.read(lba, 1) for lba in range(16)
+                )), 5)
+                assert reads == chunks
+                assert sorted(completed) == [0] + list(range(2, 18))
+                assert client._by_id == {}
+            assert server.metrics.frames_rejected == 1
+
+    run(body())

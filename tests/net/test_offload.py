@@ -56,14 +56,14 @@ def run(coro):
 def test_small_read_p99_bounded_during_large_write():
     """One client streams a 128-chunk write whose compression stalls
     2 ms/chunk (~256 ms total); another client issues small reads the
-    whole time.  With offload + write splitting, every read slots in
+    whole time.  With the backend thread + write splitting, every read slots in
     between sub-writes, so read p99 stays an order of magnitude below
     the large write's duration."""
     storage = build_storage(delay_s=0.002)
 
     async def body():
         async with AsyncProtocolServer(
-            storage, workers=2, offload=True, write_split_chunks=8
+            storage, workers=2, write_split_chunks=8
         ) as server:
             async with await AsyncProtocolClient.connect(
                 server.host, server.port
@@ -105,28 +105,6 @@ def test_small_read_p99_bounded_during_large_write():
         f"small-read p99 {p99 * 1e3:.1f} ms not bounded against "
         f"{write_elapsed * 1e3:.1f} ms large write"
     )
-
-
-def test_offload_disabled_still_correct():
-    """``offload=False`` keeps the old inline dispatch path working
-    (correctness only — no latency bound without the backend thread)."""
-    storage = StorageServer.build(
-        SystemKind.FIDR, num_buckets=256, cache_lines=32,
-        compressor=ModeledCompressor(0.5),
-    )
-
-    async def body():
-        async with AsyncProtocolServer(storage, offload=False) as server:
-            assert server.metrics.backend_offloaded == 0
-            async with await AsyncProtocolClient.connect(
-                server.host, server.port
-            ) as client:
-                payload = b"\x5a" * (4 * CHUNK)
-                await client.write(0, payload)
-                assert await client.read(0, 4) == payload
-            assert server.metrics.backend_offloaded == 0
-
-    run(body())
 
 
 def test_split_write_surfaces_same_typed_error_as_unsplit():

@@ -1,31 +1,27 @@
-"""Tests for the §6.2 storage protocol."""
+"""Tests for the §6.2 storage protocol: framing, and the transport-free
+request dispatch (``ProtocolServer.handle_frame``)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datared.compression import ModeledCompressor
+from repro.errors import ErrorCode, decode_error_payload
 from repro.net.protocol import (
     Frame,
     FrameDecoder,
     Op,
-    ProtocolClient,
     ProtocolError,
     ProtocolServer,
     encode_frame,
 )
-from repro.systems.server import StorageServer, SystemKind
+from repro.systems.server import SystemKind
 
-CHUNK = 4096
+from .test_aserver import CHUNK, build_storage
+from .wire import roundtrip
 
 
 def make_stack(kind=SystemKind.FIDR):
-    storage = StorageServer.build(
-        kind, num_buckets=1024, cache_lines=64,
-        compressor=ModeledCompressor(0.5),
-    )
-    endpoint = ProtocolServer(storage)
-    client = ProtocolClient(endpoint.handle_bytes)
-    return storage, endpoint, client
+    storage = build_storage(kind)
+    return storage, ProtocolServer(storage)
 
 
 class TestFraming:
@@ -89,39 +85,51 @@ class TestFraming:
 class TestEndToEnd:
     @pytest.mark.parametrize("kind", [SystemKind.BASELINE, SystemKind.FIDR])
     def test_write_read_through_protocol(self, kind, rng):
-        _, _, client = make_stack(kind)
+        _, endpoint = make_stack(kind)
         data = rng.randbytes(CHUNK)
-        client.write(0, data)
-        assert client.read(0, 1) == data
+        assert roundtrip(endpoint, Op.WRITE, 0, data).op == Op.WRITE_ACK
+        reply = roundtrip(endpoint, Op.READ, 0, count=1)
+        assert (reply.op, reply.payload) == (Op.READ_ACK, data)
 
     def test_multi_chunk_read(self, rng):
-        _, _, client = make_stack()
+        _, endpoint = make_stack()
         payload = rng.randbytes(4 * CHUNK)
-        client.write(0, payload)
-        assert client.read(0, 4) == payload
+        roundtrip(endpoint, Op.WRITE, 0, payload)
+        assert roundtrip(endpoint, Op.READ, 0, count=4).payload == payload
 
     def test_write_ack_is_immediate(self, rng):
-        storage, endpoint, client = make_stack()
-        client.write(0, rng.randbytes(CHUNK))
+        storage, endpoint = make_stack()
+        reply = roundtrip(endpoint, Op.WRITE, 0, rng.randbytes(CHUNK))
+        assert reply.op == Op.WRITE_ACK
         # The backend has not flushed (batching), yet the ack arrived.
         assert storage.system.engine.containers.sealed_count == 0
 
     def test_empty_write_errors(self):
-        _, _, client = make_stack()
-        with pytest.raises(ProtocolError):
-            client.write(0, b"")
+        _, endpoint = make_stack()
+        reply = roundtrip(endpoint, Op.WRITE, 0, b"", request_id=4)
+        assert (reply.op, reply.request_id) == (Op.ERROR, 4)
+        code, message = decode_error_payload(reply.payload)
+        assert code is ErrorCode.BAD_REQUEST
+        assert "empty write" in message
 
     def test_requests_counted(self, rng):
-        _, endpoint, client = make_stack()
-        client.write(0, rng.randbytes(CHUNK))
-        client.read(0, 1)
+        _, endpoint = make_stack()
+        roundtrip(endpoint, Op.WRITE, 0, rng.randbytes(CHUNK))
+        roundtrip(endpoint, Op.READ, 0, count=1)
         assert endpoint.requests_served == 2
 
     def test_many_clients_one_server(self, rng):
-        storage, endpoint, _ = make_stack()
-        clients = [ProtocolClient(endpoint.handle_bytes) for _ in range(3)]
+        """Interleaved request streams share one endpoint; each reply
+        names the request it answers."""
+        _, endpoint = make_stack()
         data = [rng.randbytes(CHUNK) for _ in range(3)]
-        for index, client in enumerate(clients):
-            client.write(index * 8, data[index])
-        for index, client in enumerate(clients):
-            assert client.read(index * 8, 1) == data[index]
+        for index in range(3):
+            reply = roundtrip(
+                endpoint, Op.WRITE, index * 8, data[index], request_id=index + 1
+            )
+            assert (reply.op, reply.request_id) == (Op.WRITE_ACK, index + 1)
+        for index in range(3):
+            reply = roundtrip(
+                endpoint, Op.READ, index * 8, count=1, request_id=10 + index
+            )
+            assert (reply.request_id, reply.payload) == (10 + index, data[index])

@@ -1,5 +1,5 @@
-"""Tests for the v2 wire format, decoder resync, and the typed error
-model riding the protocol."""
+"""Tests for the frame header's request id and count, decoder resync,
+and the typed error model riding the protocol."""
 
 import pytest
 
@@ -9,80 +9,81 @@ from repro.errors import (
     ErrorCode,
     ProtocolError,
     decode_error_payload,
+    raise_for_error_payload,
 )
 from repro.net.protocol import (
     Frame,
     FrameDecoder,
     Op,
-    ProtocolClient,
     ProtocolServer,
+    encode_corrupt_reply,
     encode_frame,
-    encode_frame_v2,
     encode_reply,
 )
 from repro.systems.server import StorageServer, SystemKind
 
+from .wire import RETIRED_READ, roundtrip
+
 CHUNK = 4096
 
 
-def make_stack(version=2, kind=SystemKind.FIDR, **kwargs):
-    storage = StorageServer.build(
-        kind, num_buckets=1024, cache_lines=64,
+def make_endpoint(**kwargs):
+    return ProtocolServer(StorageServer.build(
+        SystemKind.FIDR, num_buckets=1024, cache_lines=64,
         compressor=ModeledCompressor(0.5), **kwargs,
-    )
-    endpoint = ProtocolServer(storage)
-    client = ProtocolClient(endpoint.handle_bytes, version=version)
-    return storage, endpoint, client
+    ))
 
 
-def make_wide_chunk_stack(version=2):
+def make_wide_chunk_endpoint():
     """A 2-block chunk system, so odd LBAs violate alignment."""
     from repro.systems.config import SystemConfig
-    return make_stack(version=version, config=SystemConfig(chunk_size=8192))
+    return make_endpoint(config=SystemConfig(chunk_size=8192))
 
 
 class TestV2Framing:
     def test_roundtrip_carries_request_id_and_count(self):
-        raw = encode_frame_v2(Op.READ, 16, request_id=7_000_000, count=1000)
+        raw = encode_frame(Op.READ, 16, request_id=7_000_000, count=1000)
         (frame,) = FrameDecoder().feed(raw)
-        assert frame.version == 2
         assert frame.request_id == 7_000_000
         assert frame.count == 1000
         assert frame.read_count == 1000
 
     def test_count_beyond_v1_flags_range(self):
-        """The dedicated 32-bit count field breaks the 255-chunk cap."""
-        raw = encode_frame_v2(Op.READ, 0, count=1 << 20)
+        """The 32-bit count field carries what no 1-byte field could."""
+        raw = encode_frame(Op.READ, 0, count=1 << 20)
         (frame,) = FrameDecoder().feed(raw)
         assert frame.read_count == 1 << 20
 
-    def test_v1_frame_reports_count_via_flags(self):
+    def test_an_unset_count_reads_one_chunk(self):
         (frame,) = FrameDecoder().feed(encode_frame(Op.READ, 0, flags=9))
-        assert frame.version == 1
-        assert frame.count is None
-        assert frame.read_count == 9
+        assert (frame.count, frame.flags, frame.read_count) == (0, 9, 1)
 
     def test_field_validation(self):
         with pytest.raises(ProtocolError):
-            encode_frame_v2(Op.READ, 0, request_id=1 << 32)
+            encode_frame(Op.READ, 0, request_id=1 << 32)
         with pytest.raises(ProtocolError):
-            encode_frame_v2(Op.READ, 0, count=-1)
+            encode_frame(Op.READ, 0, count=-1)
         with pytest.raises(ProtocolError):
-            encode_frame_v2(99, 0)
+            encode_frame(99, 0)
 
     def test_mixed_version_stream(self):
-        """v1 and v2 frames interleaved on one stream both decode."""
-        stream = (
-            encode_frame(Op.WRITE, 0, b"old")
-            + encode_frame_v2(Op.WRITE, 8, b"new", request_id=3)
-            + encode_frame(Op.READ, 0, flags=2)
+        """A frame in the retired 16-byte ``0xF1`` header among today's
+        is just a bad magic: one error for the whole header, then the
+        stream is clean."""
+        events = FrameDecoder().events(
+            encode_frame(Op.READ, 0, request_id=1)
+            + RETIRED_READ
+            + encode_frame(Op.READ, 16, request_id=2)
         )
-        frames = FrameDecoder().feed(stream)
-        assert [f.version for f in frames] == [1, 2, 1]
-        assert frames[1].request_id == 3
+        assert [type(event) for event in events] == [
+            Frame, ProtocolError, Frame
+        ]
+        assert "bad magic" in str(events[1])
+        assert events[1].request_id == 0
+        assert [events[0].request_id, events[2].request_id] == [1, 2]
 
     def test_v2_split_delivery(self):
-        raw = encode_frame_v2(Op.WRITE, 8, b"payload", request_id=5)
+        raw = encode_frame(Op.WRITE, 8, b"payload", request_id=5)
         decoder = FrameDecoder()
         collected = []
         for index in range(0, len(raw), 3):
@@ -90,20 +91,12 @@ class TestV2Framing:
         assert len(collected) == 1
         assert collected[0].payload == b"payload"
 
-    def test_encode_reply_mirrors_version(self):
-        v1_request = FrameDecoder().feed(encode_frame(Op.READ, 0))[0]
-        v2_request = FrameDecoder().feed(
-            encode_frame_v2(Op.READ, 0, request_id=42)
-        )[0]
-        (v1_reply,) = FrameDecoder().feed(
-            encode_reply(v1_request, Op.READ_ACK, 0, b"x")
+    def test_encode_reply_mirrors_request_id(self):
+        request = Frame(op=Op.READ, lba=0, request_id=42, count=3)
+        (reply,) = FrameDecoder().feed(
+            encode_reply(request, Op.READ_ACK, 0, b"x")
         )
-        (v2_reply,) = FrameDecoder().feed(
-            encode_reply(v2_request, Op.READ_ACK, 0, b"x")
-        )
-        assert v1_reply.version == 1
-        assert v2_reply.version == 2
-        assert v2_reply.request_id == 42
+        assert reply == Frame(op=Op.READ_ACK, lba=0, payload=b"x", request_id=42)
 
 
 class TestDecoderResync:
@@ -112,7 +105,7 @@ class TestDecoderResync:
         decoder = FrameDecoder()
         with pytest.raises(ProtocolError):
             decoder.feed(b"\x00\x01\x02garbage")
-        frames = decoder.feed(encode_frame_v2(Op.READ, 8, request_id=1))
+        frames = decoder.feed(encode_frame(Op.READ, 8, request_id=1))
         assert len(frames) == 1 and frames[0].lba == 8
 
     def test_crc_corruption_consumes_the_frame(self):
@@ -142,7 +135,7 @@ class TestDecoderResync:
         assert isinstance(events[1], Frame) and events[1].lba == 3
 
     def test_events_reports_errors_inline(self):
-        good = encode_frame_v2(Op.READ, 8, request_id=2)
+        good = encode_frame(Op.READ, 8, request_id=2)
         events = FrameDecoder().events(b"\xab" + good)
         assert isinstance(events[0], ProtocolError)
         assert isinstance(events[1], Frame) and events[1].lba == 8
@@ -150,7 +143,7 @@ class TestDecoderResync:
     def test_implausible_length_is_corruption_not_a_stall(self):
         import struct
         header = struct.pack(
-            ">BBBBQII", 0xF1, Op.WRITE, 0, 0, 0, 1 << 31, 0
+            ">BBBBIIQII", 0xF2, Op.WRITE, 0, 0, 0, 0, 0, 1 << 31, 0
         )
         decoder = FrameDecoder()
         with pytest.raises(ProtocolError):
@@ -161,30 +154,26 @@ class TestDecoderResync:
 
 class TestServerErrorHandling:
     def test_corrupt_frame_answered_with_error_frame(self):
-        _, endpoint, _ = make_stack()
-        response = endpoint.handle_bytes(b"\x00\x01\x02")
-        (frame,) = FrameDecoder().feed(response)
-        assert frame.op == Op.ERROR
+        (error,) = FrameDecoder().events(b"\x00\x01\x02")
+        (frame,) = FrameDecoder().feed(encode_corrupt_reply(error))
+        assert (frame.op, frame.request_id) == (Op.ERROR, 0)
         code, _ = decode_error_payload(frame.payload)
         assert code is ErrorCode.CORRUPT_FRAME
-        assert endpoint.frames_rejected == 1
 
     def test_corruption_then_valid_request_same_buffer(self):
         """A corrupt frame and a clean one in the same TCP segment: the
-        server answers both (error frame + real ack)."""
-        _, endpoint, _ = make_stack()
-        data = b"\xab\xcd" + encode_frame_v2(
+        decoder hands the server both, in order (error + request)."""
+        endpoint = make_endpoint()
+        error, request = FrameDecoder().events(b"\xab\xcd" + encode_frame(
             Op.WRITE, 0, b"x" * CHUNK, request_id=1
-        )
-        frames = FrameDecoder().feed(endpoint.handle_bytes(data))
-        assert [f.op for f in frames] == [Op.ERROR, Op.WRITE_ACK]
+        ))
+        assert isinstance(error, ProtocolError)
+        (reply,) = FrameDecoder().feed(endpoint.handle_frame(request))
+        assert (reply.op, reply.request_id) == (Op.WRITE_ACK, 1)
 
     def test_unaligned_read_returns_alignment_code(self):
-        _, endpoint, _ = make_wide_chunk_stack()
-        response = endpoint.handle_bytes(
-            encode_frame_v2(Op.READ, 3, request_id=9, count=1)
-        )
-        (frame,) = FrameDecoder().feed(response)
+        endpoint = make_wide_chunk_endpoint()
+        frame = roundtrip(endpoint, Op.READ, 3, request_id=9, count=1)
         assert frame.op == Op.ERROR
         assert frame.request_id == 9  # error mirrors the request id
         code, message = decode_error_payload(frame.payload)
@@ -192,63 +181,32 @@ class TestServerErrorHandling:
         assert "chunk-aligned" in message
 
     def test_client_raises_typed_alignment_error(self):
-        _, _, client = make_wide_chunk_stack()
+        reply = roundtrip(make_wide_chunk_endpoint(), Op.READ, 3, count=1)
         with pytest.raises(AlignmentError):
-            client.read(3, 1)
+            raise_for_error_payload(reply.payload, "read failed")
 
     def test_client_raises_protocol_error_on_empty_write(self):
-        _, _, client = make_stack()
-        with pytest.raises(ProtocolError):
-            client.write(0, b"")
+        reply = roundtrip(make_endpoint(), Op.WRITE, 0)
+        with pytest.raises(ProtocolError, match="empty write"):
+            raise_for_error_payload(reply.payload, "write failed")
 
     def test_ack_op_as_request_is_rejected_not_fatal(self):
-        _, endpoint, _ = make_stack()
-        response = endpoint.handle_bytes(encode_frame(Op.WRITE_ACK, 0))
-        (frame,) = FrameDecoder().feed(response)
+        frame = roundtrip(make_endpoint(), Op.WRITE_ACK, 0)
         assert frame.op == Op.ERROR
         code, _ = decode_error_payload(frame.payload)
         assert code is ErrorCode.BAD_REQUEST
 
 
 class TestInterop:
-    def test_v1_encode_frame_accepted_by_new_decoder(self):
-        """Acceptance criterion: pre-v2 frames decode unchanged."""
-        raw = encode_frame(Op.WRITE, 42, b"payload", flags=3)
-        frames = FrameDecoder().feed(raw)
-        assert frames == [
-            Frame(op=Op.WRITE, lba=42, payload=b"payload", flags=3)
-        ]
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_roundtrip_both_versions(self, version, rng):
-        _, endpoint, client = make_stack(version=version)
-        data = rng.randbytes(CHUNK)
-        client.write(0, data)
-        assert client.read(0, 1) == data
-
-    def test_server_answers_v1_request_in_v1(self, rng):
-        _, endpoint, _ = make_stack()
-        response = endpoint.handle_bytes(
-            encode_frame(Op.WRITE, 0, rng.randbytes(CHUNK))
-        )
-        (frame,) = FrameDecoder().feed(response)
-        assert frame.version == 1 and frame.op == Op.WRITE_ACK
-
     def test_server_answers_v2_request_in_v2(self, rng):
-        _, endpoint, _ = make_stack()
-        response = endpoint.handle_bytes(
-            encode_frame_v2(Op.WRITE, 0, rng.randbytes(CHUNK), request_id=77)
+        frame = roundtrip(
+            make_endpoint(), Op.WRITE, 0, rng.randbytes(CHUNK), request_id=77
         )
-        (frame,) = FrameDecoder().feed(response)
-        assert frame.version == 2 and frame.request_id == 77
-
-    def test_v1_client_read_cap(self):
-        _, _, client = make_stack(version=1)
-        with pytest.raises(ProtocolError):
-            client.read(0, 256)
+        assert (frame.op, frame.request_id) == (Op.WRITE_ACK, 77)
 
     def test_v2_client_large_read(self, rng):
-        _, _, client = make_stack(version=2)
-        data = rng.randbytes(4 * CHUNK)
-        client.write(0, data)
-        assert client.read(0, 4) == data
+        """A count past 255 — more than a 1-byte field could ask for."""
+        endpoint = make_endpoint()
+        data = rng.randbytes(300 * CHUNK)
+        roundtrip(endpoint, Op.WRITE, 0, data)
+        assert roundtrip(endpoint, Op.READ, 0, count=300).payload == data

@@ -6,7 +6,7 @@ block device: bytes round-trip across shard boundaries, overwrites
 retire the stale shard's mapping, global dedup still collapses
 identical content (it always routes to the same shard), STATS
 aggregates every backend's snapshot into one ``repro.stats/v1``
-document, v1 peers get structured ``UNSUPPORTED_OP``, and a dead
+document, SNAP gets a typed ``UNSUPPORTED_OP``, and a dead
 backend surfaces as a typed :class:`~repro.errors.ShardError` naming
 the shard while the healthy shards' ledgers stay conserved.
 
@@ -31,7 +31,7 @@ from repro.errors import (
     error_code_for,
 )
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.net.protocol import MAX_PAYLOAD, FrameDecoder, Op, encode_frame
+from repro.net.protocol import MAX_PAYLOAD, Op
 from repro.net.router import ShardRouter
 from repro.obs import STATS_SCHEMA
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -165,6 +165,30 @@ class TestRouterOfOne:
                         code, _ = decode_error_payload(reply.payload)
                         assert code == ErrorCode.BAD_REQUEST
                     assert nodes.servers[0].endpoint.requests_served == served
+                    assert await client.read(0, 1) == data
+
+        run(body())
+
+
+    def test_snap_is_a_typed_unsupported_op(self, rng):
+        from repro.errors import ProtocolError
+
+        async def body():
+            async with cluster(1) as nodes:
+                router = nodes.router
+                async with await AsyncProtocolClient.connect(
+                    router.host, router.port
+                ) as client:
+                    data = rng.randbytes(CHUNK)
+                    await client.write(0, data)
+                    with pytest.raises(ProtocolError, match="not routed"):
+                        await client.create_snapshot("cluster-wide")
+                    reply = await client._request(Op.SNAP, 0, b"{}")
+                    assert reply.op == Op.ERROR
+                    code, _ = decode_error_payload(reply.payload)
+                    assert code == ErrorCode.UNSUPPORTED_OP
+                    # No backend saw it, and the session is still good.
+                    assert nodes.storages[0].snapshots() == []
                     assert await client.read(0, 1) == data
 
         run(body())
@@ -327,11 +351,11 @@ class TestClusterStats:
                 assert gauges["router.shards"] == 2
                 # Counters sum across every constituent snapshot.
                 expected_frames = sum(
-                    registry.counter("proto.frames_v2_total").value
+                    registry.counter("proto.frames_total").value
                     for registry in nodes.registries
-                ) + router.registry.counter("proto.frames_v2_total").value
+                ) + router.registry.counter("proto.frames_total").value
                 counters = snapshot["counters"]
-                assert counters["proto.frames_v2_total"] == expected_frames
+                assert counters["proto.frames_total"] == expected_frames
 
         run(body())
 
@@ -363,43 +387,6 @@ class TestClusterStats:
                 assert sum(merged["counts"]) == 3
 
         run(body())
-
-    def test_v1_stats_and_trim_get_structured_unsupported_op(self, rng):
-        async def body():
-            async with cluster(2) as nodes:
-                router = nodes.router
-                reader, writer = await asyncio.open_connection(
-                    router.host, router.port
-                )
-                decoder = FrameDecoder()
-                try:
-                    for op in (Op.STATS, Op.TRIM):
-                        writer.write(encode_frame(op, 0))
-                        await writer.drain()
-                        frames = []
-                        while not frames:
-                            frames = decoder.feed(await reader.read(65536))
-                        (frame,) = frames
-                        assert frame.version == 1
-                        assert frame.op == Op.ERROR
-                        code, detail = decode_error_payload(frame.payload)
-                        assert code == ErrorCode.UNSUPPORTED_OP
-                        assert "v2" in detail
-                    # The v1 session survives: WRITE/READ still work.
-                    data = rng.randbytes(CHUNK)
-                    writer.write(encode_frame(Op.WRITE, 0, data))
-                    await writer.drain()
-                    frames = []
-                    while not frames:
-                        frames = decoder.feed(await reader.read(65536))
-                    assert frames[0].op == Op.WRITE_ACK
-                finally:
-                    writer.close()
-                    with contextlib.suppress(Exception):
-                        await writer.wait_closed()
-
-        run(body())
-
 
 class TestShardFaults:
     def test_dead_backend_surfaces_typed_shard_error(self, rng):

@@ -1,5 +1,6 @@
-"""``python -m repro.net serve`` as a real process: SIGTERM is a clean
-shutdown — exit code 0 and no stage-pool worker left behind."""
+"""``python -m repro.net serve`` / ``route`` as real processes: SIGTERM
+is a clean shutdown — exit code 0, no stage-pool worker left behind,
+and no wait on a client that is merely still connected."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import os
 import re
 import select
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -18,20 +20,34 @@ import repro
 from repro.net.aserver import AsyncProtocolClient
 
 CHUNK = 4096
-_SERVING = re.compile(r"serving \S+ on ([\w.\-]+):(\d+)")
+_LISTENING = re.compile(r"(?:serving \S+|routing \d+ shards) on ([\w.\-]+):(\d+)")
 
 
-def _await_serving(proc: subprocess.Popen, timeout: float) -> Tuple[str, int]:
+def _spawn(*command: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [p for p in (env.get("PYTHONPATH"),) if p]
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.net", *command],
+        env=env,
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+    )
+
+
+def _await_listening(proc: subprocess.Popen, timeout: float) -> Tuple[str, int]:
     deadline = time.monotonic() + timeout
     while True:
         remaining = deadline - time.monotonic()
-        assert remaining > 0, f"no serving line within {timeout:.0f} s"
+        assert remaining > 0, f"no listening line within {timeout:.0f} s"
         ready, _, _ = select.select([proc.stdout], [], [], remaining)
         if not ready:
             continue
         line = proc.stdout.readline().decode("utf-8", "replace")
-        assert line, f"server exited with code {proc.wait()} before serving"
-        match = _SERVING.search(line)
+        assert line, f"server exited with code {proc.wait()} before listening"
+        match = _LISTENING.search(line)
         if match:
             return match.group(1), int(match.group(2))
 
@@ -60,21 +76,10 @@ async def _write_one_batch(host: str, port: int) -> None:
 
 
 def test_sigterm_reaps_process_pool_workers_and_exits_zero():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(repro.__file__).resolve().parents[1])]
-        + [p for p in (env.get("PYTHONPATH"),) if p]
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.net", "serve",
-         "--parallelism", "2", "--executor", "process"],
-        env=env,
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.PIPE,
-    )
+    proc = _spawn("serve", "--parallelism", "2", "--executor", "process")
     workers: List[int] = []
     try:
-        host, port = _await_serving(proc, timeout=60)
+        host, port = _await_listening(proc, timeout=60)
         asyncio.run(_write_one_batch(host, port))
         workers = _children(proc.pid)
         assert workers, "the process backend never started a worker"
@@ -91,3 +96,24 @@ def test_sigterm_reaps_process_pool_workers_and_exits_zero():
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+def test_sigterm_stops_the_router_while_a_client_is_still_connected():
+    """``ShardRouter.stop()`` closes its client connections itself: on
+    Python >= 3.12.1 ``wait_closed()`` waits for every handler, and one
+    parked in ``reader.read()`` on an idle connection never returns."""
+    proc = _spawn("route", "--spawn", "2")
+    idle = None
+    try:
+        host, port = _await_listening(proc, timeout=60)
+        idle = socket.create_connection((host, port), timeout=10)
+        asyncio.run(_write_one_batch(host, port))  # the router is serving
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=20) == 0
+    finally:
+        if idle is not None:
+            idle.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

@@ -1,121 +1,92 @@
-"""Tests for the SNAP/SNAP_ACK v2 wire op: CoW snapshot management.
+"""Tests for the SNAP/SNAP_ACK wire op: CoW snapshot management.
 
-Covers the JSON action dispatch (create/delete/list/read), the v1
-rejection path, typed snapshot errors crossing the wire, and the async
-client's coroutine variants over a real socket.
+Covers the JSON action dispatch (create/delete/list/read) and typed
+snapshot errors on ``handle_frame``, and the async client's coroutine
+variants over a real socket.
 """
 
 import asyncio
+import json
 
-import pytest
-
-from repro.datared.compression import ModeledCompressor
-from repro.errors import ErrorCode, ProtocolError, decode_error_payload
+from repro.errors import ErrorCode, decode_error_payload
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.net.protocol import (
-    FrameDecoder,
-    Op,
-    ProtocolClient,
-    ProtocolServer,
-    encode_frame,
-)
-from repro.systems.server import StorageServer, SystemKind
+from repro.net.protocol import Op, ProtocolServer
 
-CHUNK = 4096
+from .test_aserver import CHUNK, build_storage
+from .wire import roundtrip
 
 
-def make_stack(version=2):
-    storage = StorageServer.build(
-        SystemKind.FIDR, num_buckets=1024, cache_lines=64,
-        compressor=ModeledCompressor(0.5),
+def make_endpoint():
+    return ProtocolServer(build_storage())
+
+
+def snap(endpoint, action, name=None, lba=0, count=0):
+    """One SNAP request; returns the reply frame."""
+    body = {"action": action} if name is None else {"action": action, "name": name}
+    return roundtrip(
+        endpoint, Op.SNAP, lba, json.dumps(body).encode("utf-8"), count=count
     )
-    endpoint = ProtocolServer(storage)
-    client = ProtocolClient(endpoint.handle_bytes, version=version)
-    return storage, endpoint, client
+
+
+def ack_json(reply):
+    assert reply.op == Op.SNAP_ACK
+    return json.loads(reply.payload.decode("utf-8"))
 
 
 class TestSnapActions:
     def test_create_list_delete_roundtrip(self, rng):
-        _storage, _endpoint, client = make_stack()
-        client.write(0, rng.randbytes(CHUNK))
-        client.write(1, rng.randbytes(CHUNK))
-        pinned = client.create_snapshot("alpha")
-        assert pinned == 2
-        assert client.snapshots() == ["alpha"]
-        reclaimed = client.delete_snapshot("alpha")
-        assert reclaimed >= 0
-        assert client.snapshots() == []
+        endpoint = make_endpoint()
+        roundtrip(endpoint, Op.WRITE, 0, rng.randbytes(CHUNK))
+        roundtrip(endpoint, Op.WRITE, 1, rng.randbytes(CHUNK))
+        assert ack_json(snap(endpoint, "create", "alpha")) == {"pinned": 2}
+        assert ack_json(snap(endpoint, "list")) == {"snapshots": ["alpha"]}
+        assert ack_json(snap(endpoint, "delete", "alpha"))["reclaimed"] >= 0
+        assert ack_json(snap(endpoint, "list")) == {"snapshots": []}
 
     def test_snapshot_read_is_pinned_against_overwrites(self, rng):
-        _storage, _endpoint, client = make_stack()
+        endpoint = make_endpoint()
         old = rng.randbytes(CHUNK)
-        client.write(0, old)
-        client.create_snapshot("pin")
-        client.write(0, rng.randbytes(CHUNK))
-        assert client.read_snapshot("pin", 0) == old
-        assert client.read(0) != old
+        roundtrip(endpoint, Op.WRITE, 0, old)
+        snap(endpoint, "create", "pin")
+        roundtrip(endpoint, Op.WRITE, 0, rng.randbytes(CHUNK))
+        pinned = snap(endpoint, "read", "pin", lba=0, count=1)
+        assert (pinned.op, pinned.payload) == (Op.SNAP_ACK, old)
+        assert roundtrip(endpoint, Op.READ, 0, count=1).payload != old
 
     def test_duplicate_create_is_typed_bad_request(self, rng):
-        _storage, _endpoint, client = make_stack()
-        client.write(0, rng.randbytes(CHUNK))
-        client.create_snapshot("once")
-        with pytest.raises(Exception) as excinfo:
-            client.create_snapshot("once")
-        assert "once" in str(excinfo.value)
+        endpoint = make_endpoint()
+        roundtrip(endpoint, Op.WRITE, 0, rng.randbytes(CHUNK))
+        snap(endpoint, "create", "once")
+        reply = snap(endpoint, "create", "once")
+        assert reply.op == Op.ERROR
+        code, message = decode_error_payload(reply.payload)
+        assert code == ErrorCode.BAD_REQUEST
+        assert "once" in message
 
     def test_delete_unknown_is_error(self):
-        _storage, _endpoint, client = make_stack()
-        with pytest.raises(Exception):
-            client.delete_snapshot("ghost")
+        reply = snap(make_endpoint(), "delete", "ghost")
+        assert reply.op == Op.ERROR
+        code, message = decode_error_payload(reply.payload)
+        assert code == ErrorCode.BAD_REQUEST
+        assert "ghost" in message
 
     def test_malformed_payload_is_protocol_error(self):
-        _storage, endpoint, _client = make_stack()
-        raw = endpoint.handle_bytes(
-            ProtocolClient(endpoint.handle_bytes)._encode_request(
-                Op.SNAP, 0, b"\xff\xfe not json"
-            )
-        )
-        (frame,) = FrameDecoder().feed(raw)
+        frame = roundtrip(make_endpoint(), Op.SNAP, 0, b"\xff\xfe not json")
         assert frame.op == Op.ERROR
         code, _message = decode_error_payload(frame.payload)
         assert code == ErrorCode.BAD_REQUEST
 
     def test_unknown_action_is_protocol_error(self):
-        _storage, endpoint, _client = make_stack()
-        raw = endpoint.handle_bytes(
-            ProtocolClient(endpoint.handle_bytes)._encode_request(
-                Op.SNAP, 0, b'{"action":"clone","name":"x"}'
-            )
-        )
-        (frame,) = FrameDecoder().feed(raw)
+        frame = snap(make_endpoint(), "clone", "x")
         assert frame.op == Op.ERROR
         code, message = decode_error_payload(frame.payload)
         assert code == ErrorCode.BAD_REQUEST
         assert "clone" in message
 
 
-class TestVersionGate:
-    def test_v1_client_refuses_locally(self):
-        _storage, _endpoint, client = make_stack(version=1)
-        with pytest.raises(ProtocolError, match="version 2"):
-            client.create_snapshot("nope")
-
-    def test_raw_v1_snap_frame_gets_unsupported_op(self):
-        _storage, endpoint, _client = make_stack()
-        raw = endpoint.handle_bytes(encode_frame(Op.SNAP, 0, b"{}"))
-        (frame,) = FrameDecoder().feed(raw)
-        assert frame.op == Op.ERROR
-        code, message = decode_error_payload(frame.payload)
-        assert code == ErrorCode.UNSUPPORTED_OP
-        assert "v2" in message
-
-
 class TestAsyncSnap:
     def test_async_snapshot_lifecycle(self, rng):
-        storage = StorageServer.build(
-            SystemKind.FIDR, num_buckets=1024, cache_lines=64,
-            compressor=ModeledCompressor(0.5),
-        )
+        storage = build_storage()
         old = rng.randbytes(CHUNK)
 
         async def body():

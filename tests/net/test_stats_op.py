@@ -1,7 +1,6 @@
-"""The protocol's STATS op end to end: v2 clients scrape the live
-``repro.stats/v1`` snapshot, v1 clients get a well-formed typed error
-(never a wedge), and the decoder/client protocol-event counters feed
-the same registry the snapshot exports."""
+"""The protocol's STATS op end to end: clients scrape the live
+``repro.stats/v1`` snapshot, and the decoder/client protocol-event
+counters feed the same registry the snapshot exports."""
 
 import asyncio
 import json
@@ -9,19 +8,14 @@ import json
 import pytest
 
 from repro.datared.compression import ModeledCompressor
-from repro.errors import ErrorCode, ProtocolError, decode_error_payload
+from repro.errors import ProtocolError
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.net.protocol import (
-    FrameDecoder,
-    Op,
-    ProtocolClient,
-    ProtocolServer,
-    encode_frame,
-    encode_frame_v2,
-)
+from repro.net.protocol import FrameDecoder, Op, ProtocolServer, encode_frame
 from repro.obs import STATS_SCHEMA, trace
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.systems.server import StorageServer, SystemKind
+
+from .wire import roundtrip
 
 CHUNK = 4096
 
@@ -40,73 +34,54 @@ def _fresh_registry():
         set_registry(previous)
 
 
-def make_stack(version=2):
+def make_stack():
     storage = StorageServer.build(
         SystemKind.FIDR, num_buckets=1024, cache_lines=64,
         compressor=ModeledCompressor(0.5),
     )
-    endpoint = ProtocolServer(storage)
-    client = ProtocolClient(endpoint.handle_bytes, version=version)
-    return storage, endpoint, client
+    return storage, ProtocolServer(storage)
+
+
+def scrape(endpoint):
+    reply = roundtrip(endpoint, Op.STATS, 0)
+    assert reply.op == Op.STATS_ACK
+    return json.loads(reply.payload.decode("utf-8"))
 
 
 class TestSyncStats:
     def test_v2_client_scrapes_schema_and_engine_gauges(self):
-        storage, _, client = make_stack()
-        client.write(0, b"a" * CHUNK)
-        client.write(4_096 // 512, b"a" * CHUNK)  # duplicate chunk
+        storage, endpoint = make_stack()
+        roundtrip(endpoint, Op.WRITE, 0, b"a" * CHUNK)
+        roundtrip(endpoint, Op.WRITE, 4_096 // 512, b"a" * CHUNK)  # duplicate
         storage.flush()  # drain the staged batch into the ledgers
-        snapshot = client.stats()
+        snapshot = scrape(endpoint)
         assert snapshot["schema"] == STATS_SCHEMA
         assert snapshot["tracing"] is False
         gauges = snapshot["gauges"]
         assert gauges["engine.logical_bytes"] == 2 * CHUNK
         assert gauges["engine.duplicate_chunks"] == 1
         assert 0.0 <= gauges["engine.dedup_ratio"] <= 1.0
-        assert "proto.frames_v2_total" in snapshot["counters"]
+        assert "proto.frames_total" in snapshot["counters"]
 
     def test_payload_is_strict_json(self):
-        _, endpoint, _ = make_stack()
-        reply = endpoint.handle_frame(
-            FrameDecoder().feed(encode_frame_v2(Op.STATS, 0))[0]
+        _, endpoint = make_stack()
+        reply = roundtrip(endpoint, Op.STATS, 0)
+        assert reply.op == Op.STATS_ACK
+
+        def refuse(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        decoded = json.loads(
+            reply.payload.decode("utf-8"), parse_constant=refuse
         )
-        (frame,) = FrameDecoder().feed(reply)
-        assert frame.op == Op.STATS_ACK
-        decoded = json.loads(frame.payload.decode("utf-8"))
         assert decoded["schema"] == STATS_SCHEMA
 
-    def test_v1_stats_request_gets_unsupported_op_error(self):
-        _, endpoint, _ = make_stack()
-        reply = endpoint.handle_frame(
-            FrameDecoder().feed(encode_frame(Op.STATS, 0))[0]
-        )
-        (frame,) = FrameDecoder().feed(reply)
-        assert frame.version == 1
-        assert frame.op == Op.ERROR
-        code, detail = decode_error_payload(frame.payload)
-        assert code == ErrorCode.UNSUPPORTED_OP
-        assert "v2" in detail
-
-    def test_v1_session_survives_a_rejected_stats(self):
-        # Old client pokes the new op, gets the error, keeps working.
-        _, endpoint, client = make_stack(version=1)
-        endpoint.handle_frame(
-            FrameDecoder().feed(encode_frame(Op.STATS, 0))[0]
-        )
-        client.write(0, b"b" * CHUNK)
-        assert client.read(0, 1) == b"b" * CHUNK
-
-    def test_v1_client_stats_raises_locally(self):
-        _, _, client = make_stack(version=1)
-        with pytest.raises(ProtocolError):
-            client.stats()
-
     def test_spans_ride_the_snapshot_when_tracing(self):
-        storage, _, client = make_stack()
+        storage, endpoint = make_stack()
         with trace.enabled():
-            client.write(0, b"c" * CHUNK)
+            roundtrip(endpoint, Op.WRITE, 0, b"c" * CHUNK)
             storage.flush()  # push the batch through the six stages
-            snapshot = client.stats()
+            snapshot = scrape(endpoint)
         assert snapshot["tracing"] is True
         names = {record["name"] for record in snapshot["spans"]}
         assert any(name.startswith("engine.stage.") for name in names)
@@ -116,28 +91,18 @@ class TestProtocolEventCounters:
     def test_corrupt_frame_increments_resync_total(self):
         registry = MetricsRegistry()
         decoder = FrameDecoder(registry)
-        clean = encode_frame_v2(Op.WRITE, 0, b"x" * 64)
+        clean = encode_frame(Op.WRITE, 0, b"x" * 64)
         events = decoder.events(b"\x00\x99" + clean)
         assert isinstance(events[0], ProtocolError)
         assert events[-1].op == Op.WRITE  # recovered after the resync
         assert registry.counter("proto.resync_total").value >= 1
 
-    def test_version_mix_is_counted(self):
+    def test_decoded_frames_are_counted(self):
         registry = MetricsRegistry()
         decoder = FrameDecoder(registry)
-        decoder.feed(encode_frame(Op.READ, 0, flags=1))
-        decoder.feed(encode_frame_v2(Op.READ, 0, count=1))
-        assert registry.counter("proto.frames_v1_total").value == 1
-        assert registry.counter("proto.frames_v2_total").value == 1
-
-    def test_server_counts_v1_downgrades(self):
-        _, endpoint, client = make_stack(version=1)
-        client.write(0, b"d" * CHUNK)
-        downgrades = get_registry().counter("proto.v1_downgrades_total")
-        assert downgrades.value == 1
-        v2 = ProtocolClient(endpoint.handle_bytes, version=2)
-        v2.read(0, 1)
-        assert downgrades.value == 1  # v2 traffic does not count
+        decoder.feed(encode_frame(Op.READ, 0, count=1))
+        decoder.feed(encode_frame(Op.READ, 8, count=1))
+        assert registry.counter("proto.frames_total").value == 2
 
 
 class TestAsyncStats:
@@ -161,22 +126,6 @@ class TestAsyncStats:
         assert snapshot["schema"] == STATS_SCHEMA
         assert snapshot["gauges"]["engine.logical_bytes"] == 64 * CHUNK
         assert snapshot["gauges"]["server.responses_sent"] >= 1
-
-    def test_v1_async_client_stats_raises_locally(self):
-        storage = StorageServer.build(
-            SystemKind.FIDR, num_buckets=1024, cache_lines=64,
-            compressor=ModeledCompressor(0.5),
-        )
-
-        async def body():
-            async with AsyncProtocolServer(storage) as server:
-                async with await AsyncProtocolClient.connect(
-                    server.host, server.port, version=1
-                ) as client:
-                    with pytest.raises(ProtocolError):
-                        await client.stats()
-
-        asyncio.run(body())
 
     def test_reader_death_is_counted(self):
         storage = StorageServer.build(
