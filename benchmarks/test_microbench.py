@@ -6,12 +6,13 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): five
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, and one count — the
-serving tier's ops per backend turn.
+alternative on the same host inside one test, and two counts — the
+serving tier's ops per backend turn and its READ ops per engine pass.
 """
 
 import asyncio
 import random
+import threading
 import time
 from contextlib import ExitStack
 
@@ -273,3 +274,44 @@ def test_pipelined_small_ops_share_backend_turns(rng):
         served, turns = asyncio.run(drive())
     assert served == 256
     assert served / turns >= 4, (served, turns)
+
+
+def test_grouped_reads_share_one_engine_pass(rng, monkeypatch):
+    """A run of READs is one ``read_extents`` (DESIGN.md §5.2), as a
+    count: 8 bursts of 16 one-chunk reads, each queued whole behind a
+    parked backend thread, must reach the engine in >= 8x fewer passes
+    than ops (16x when a burst is one group; 1.0 for a ``handle_frame``
+    that reads alone)."""
+    content = ContentFactory()
+    seeded = [content.chunk(index) for index in range(64)]
+    passes = []
+    read_many = DedupEngine.read_many
+
+    def counted(self, lbas):
+        passes.append(len(lbas))
+        return read_many(self, lbas)
+
+    async def drive():
+        async with AsyncProtocolServer(storage, workers=1) as server:
+            async with await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as client:
+                await client.write(0, b"".join(seeded))
+                storage.flush()
+                monkeypatch.setattr(DedupEngine, "read_many", counted)
+                for round_ in range(8):
+                    lbas = rng.sample(range(64), 16)
+                    gate = threading.Event()
+                    server._backend.submit(gate.wait)
+                    burst = asyncio.gather(*(client.read(lba, 1) for lba in lbas))
+                    while server.metrics.requests_enqueued < 1 + 16 * (round_ + 1):
+                        await asyncio.sleep(0.001)
+                    gate.set()
+                    assert await burst == [seeded[lba] for lba in lbas]
+
+    with StorageServer.build(
+        SystemKind.FIDR, num_buckets=1 << 12, compressor=ZlibCompressor()
+    ) as storage:
+        asyncio.run(drive())
+    assert sum(passes) == 128
+    assert sum(passes) / len(passes) >= 8, passes

@@ -63,6 +63,11 @@ _UNSET: Any = object()
 #: gain from overlap (the PR-2 parallel-read regression).
 READ_FANOUT_MIN_CHUNKS = 128
 
+#: Write batches smaller than this fingerprint inline even on a parallel
+#: pool: 64 digests cost ~0.25 ms inline, 0.35-1.3 ms through a 2/4/8-thread
+#: pool, which first draws level at 512 chunks (EXPERIMENTS.md, PR 17, 22).
+HASH_FANOUT_MIN_CHUNKS = 512
+
 __all__ = [
     "ChunkOutcome",
     "WriteOptions",
@@ -78,8 +83,10 @@ __all__ = [
     "active_clock",
     "batch_stage",
     "chunk_and_hash",
+    "extent_lbas",
     "flush_stages",
     "READ_FANOUT_MIN_CHUNKS",
+    "HASH_FANOUT_MIN_CHUNKS",
 ]
 
 
@@ -300,11 +307,22 @@ def chunk_and_hash(
     if digests is None:
         with batch_stage(clock, "hash"):
             return flat, fingerprinter.digest_many(
-                [chunk.data for _, chunk in flat], pool=pool
+                [chunk.data for _, chunk in flat], pool=pool,
+                min_batch=HASH_FANOUT_MIN_CHUNKS,
             )
     if len(digests) != len(flat):
         raise ValueError(f"got {len(digests)} digests for {len(flat)} chunks")
     return flat, list(digests)
+
+
+def extent_lbas(chunker: FixedChunker, lba: int, num_chunks: int) -> range:
+    """The chunk LBAs of a ``num_chunks`` extent at chunk-aligned ``lba``."""
+    if num_chunks < 1:
+        raise ValueError("must read at least one chunk")
+    step = chunker.blocks_per_chunk
+    if lba % step != 0:
+        raise ValueError(f"LBA {lba} is not chunk-aligned")
+    return range(lba, lba + num_chunks * step, step)
 
 
 def flush_stages(clock: Optional[StageTimer]) -> None:
@@ -424,17 +442,23 @@ class WriteReport:
 
 @dataclass
 class ReadReport:
-    """Accounting detail for one read request."""
+    """Accounting detail for one read pass."""
 
-    data: bytes = b""
+    #: Per position: the chunk's decompressed bytes (zeros for a hole).
+    pieces: List[bytes] = field(default_factory=list)
     chunks_read: int = 0
     stored_bytes_read: int = 0  #: compressed bytes fetched from containers
     unmapped_chunks: int = 0  #: never-written holes (returned as zeros)
     cache_hits: int = 0  #: chunks served from the decompressed-read LRU
     #: (no container fetch, so they add nothing to stored_bytes_read)
     #: Per position: compressed bytes fetched for it (0 for a hole or a
-    #: read-cache hit) — what the system layer charges a run from.
+    #: read-cache hit) — what the system layer charges a pass from.
     stored_sizes: List[int] = field(default_factory=list)
+
+    @property
+    def data(self) -> bytes:
+        """The positions' bytes as one buffer (a lone piece as is)."""
+        return self.pieces[0] if len(self.pieces) == 1 else b"".join(self.pieces)
 
 
 @dataclass
@@ -1001,31 +1025,36 @@ class DedupEngine:
 
     # -- read path (Figure 1b) ---------------------------------------------------
     def read(self, lba: int, num_chunks: int = 1) -> ReadReport:
-        """Read ``num_chunks`` chunks starting at chunk-aligned ``lba``.
+        """Read ``num_chunks`` chunks starting at chunk-aligned ``lba``:
+        :meth:`read_many` over the extent's LBAs."""
+        return self.read_many(extent_lbas(self.chunker, lba, num_chunks))
 
-        Unwritten holes read back as zeros, matching block-device
-        semantics.  Multi-chunk reads gather every mapped chunk's
-        container payload serially (metadata and container accounting
-        keep their order), then decompress across the shared pool when
-        it is parallel, reassembling in LBA order.
+    def read_many(self, lbas: Sequence[int]) -> ReadReport:
+        """Read the chunks at ``lbas`` — chunk-aligned, in any order,
+        repeats allowed — in one pass, reported per position.
+
+        Unwritten holes read back as zeros (block-device semantics).
+        Mapped chunks' container payloads are gathered serially, in
+        position order, then decompressed together — across the shared
+        pool when it is parallel.
         """
-        if num_chunks < 1:
-            raise ValueError("must read at least one chunk")
-        if lba % self.chunker.blocks_per_chunk != 0:
-            raise ValueError(f"LBA {lba} is not chunk-aligned")
+        step = self.chunker.blocks_per_chunk
+        for lba in lbas if step != 1 else ():
+            if lba % step != 0:
+                raise ValueError(f"LBA {lba} is not chunk-aligned")
         with self.lock:
             clock = active_clock(self.stage_clock)
-            report = self._read_locked(lba, num_chunks, clock=clock)
+            report = self._read_locked(lbas, clock=clock)
             flush_stages(clock)
             return report
 
     def _read_locked(  # repro-lint: holds self.lock, hot-path
-        self, lba: int, num_chunks: int,
+        self, lbas: Sequence[int],
         mapping: Optional[Dict[int, int]] = None,
         clock: Optional[StageTimer] = None,
     ) -> ReadReport:
         report = ReadReport()
-        step = self.chunker.blocks_per_chunk
+        num_chunks = len(lbas)
         chunk_size = self.chunker.chunk_size
         cache = self._read_cache
         get_pbn: Callable[[int], Optional[int]] = (
@@ -1041,7 +1070,7 @@ class DedupEngine:
         zero = b"\x00" * chunk_size
         try:
             with batch_stage(clock, "fetch", num_chunks):
-                for chunk_lba in range(lba, lba + num_chunks * step, step):
+                for chunk_lba in lbas:
                     pbn = get_pbn(chunk_lba)
                     if pbn is None:
                         slots.append(zero)
@@ -1103,12 +1132,11 @@ class DedupEngine:
         report.unmapped_chunks = num_chunks - report.chunks_read
         report.stored_bytes_read = sum(sizes)
         if len(pending) == num_chunks:
-            pieces = plain  # every position fetched, already in order
+            report.pieces = plain  # every position fetched, already in order
         else:
-            pieces = [
+            report.pieces = [
                 slot if isinstance(slot, bytes) else plain[slot] for slot in slots
             ]
-        report.data = pieces[0] if num_chunks == 1 else b"".join(pieces)
         return report
 
     # -- maintenance -------------------------------------------------------------
@@ -1336,12 +1364,9 @@ class DedupEngine:
     ) -> ReadReport:
         """Read through a snapshot's pointer table instead of the live
         map — the same zero-fill/cache/decode path as :meth:`read`."""
-        if num_chunks < 1:
-            raise ValueError("must read at least one chunk")
-        if lba % self.chunker.blocks_per_chunk != 0:
-            raise ValueError(f"LBA {lba} is not chunk-aligned")
+        lbas = extent_lbas(self.chunker, lba, num_chunks)
         with self.lock:
             pins = self._snapshots.get(name)
             if pins is None:
                 raise SnapshotError(f"no snapshot named {name!r}")
-            return self._read_locked(lba, num_chunks, mapping=pins)
+            return self._read_locked(lbas, mapping=pins)

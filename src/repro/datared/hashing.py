@@ -89,7 +89,7 @@ def fingerprint(data: Buffer) -> bytes:
 
 
 def fingerprint_many(
-    chunks: Iterable[Buffer], pool: Optional["StagePool"] = None
+    chunks: Iterable[Buffer], pool: Optional["StagePool"] = None, min_batch: int = 0
 ) -> List[bytes]:  # repro-lint: hot-path
     """Fingerprint a batch of chunks (the NIC hashes per batch, §5.4).
 
@@ -99,11 +99,12 @@ def fingerprint_many(
     is hashed inline.  A *process*-backed pool is deliberately not used
     here: SHA-256 over 4 KB costs a few microseconds, far below the
     pickling cost of shipping the buffer to another process, and chunk
-    views cannot cross the IPC boundary without materializing.  Results
-    are in input order either way.
+    views cannot cross the IPC boundary without materializing.  Batches
+    under ``min_batch`` chunks hash inline on any pool.  Results are in
+    input order either way.
     """
     if pool is not None and not pool.requires_pickling:
-        return pool.map(fingerprint, chunks)
+        return pool.map(fingerprint, chunks, min_batch=min_batch)
     sha256 = _sha256
     return [sha256(data).digest() for data in chunks]
 
@@ -124,7 +125,7 @@ class Fingerprinter:
         raise NotImplementedError
 
     def digest_many(
-        self, chunks: Iterable[Buffer], pool: Optional["StagePool"] = None
+        self, chunks: Iterable[Buffer], pool: Optional["StagePool"] = None, min_batch: int = 0
     ) -> List[bytes]:  # repro-lint: hot-path
         """Fingerprint a batch, in input order.
 
@@ -134,7 +135,7 @@ class Fingerprinter:
         one — a 4-KB digest costs microseconds, far below IPC pickling.
         """
         if pool is not None and not pool.requires_pickling:
-            return pool.map(self.digest, chunks)
+            return pool.map(self.digest, chunks, min_batch=min_batch)
         digest = self.digest
         return [digest(data) for data in chunks]
 
@@ -148,9 +149,9 @@ class Sha256Fingerprinter(Fingerprinter):
         return _sha256(data).digest()
 
     def digest_many(
-        self, chunks: Iterable[Buffer], pool: Optional["StagePool"] = None
+        self, chunks: Iterable[Buffer], pool: Optional["StagePool"] = None, min_batch: int = 0
     ) -> List[bytes]:  # repro-lint: hot-path
-        return fingerprint_many(chunks, pool)
+        return fingerprint_many(chunks, pool, min_batch)
 
 
 class Blake3Fingerprinter(Fingerprinter):

@@ -65,6 +65,7 @@ from .dedup import (
     _NO_OPTIONS,
     active_clock,
     chunk_and_hash,
+    extent_lbas,
     flush_stages,
     publish_engine_gauges,
 )
@@ -410,49 +411,42 @@ class ShardedDedupEngine:
 
     # -- read path ---------------------------------------------------------------
     def read(self, lba: int, num_chunks: int = 1) -> ReadReport:
-        """Read ``num_chunks`` chunks starting at chunk-aligned ``lba``.
+        """Read ``num_chunks`` chunks starting at chunk-aligned ``lba``:
+        :meth:`read_many` over the extent's LBAs."""
+        return self.read_many(extent_lbas(self.chunker, lba, num_chunks))
 
-        Positions resolve to shards through the LBA directory, collapse
-        into contiguous same-shard runs, and the runs fan out on the
-        scatter pool; the merged report reassembles in LBA order.
-        LBAs absent from the directory are unmapped everywhere, so
-        shard 0 serves their canonical zero-fill (identical data and
-        accounting to the plain engine's hole reads).
+    def read_many(self, lbas: Sequence[int]) -> ReadReport:
+        """Read the chunks at ``lbas`` in one pass per shard.
+
+        Positions are bucketed by owning shard through the LBA directory
+        (in sequence order, so a shard's read LRU moves as a read per
+        position would move it), the buckets fan out on the scatter pool
+        and the pieces scatter back.  LBAs absent from the directory are
+        unmapped everywhere, so shard 0 serves their canonical zero-fill
+        (identical data and accounting to the plain engine's hole reads).
         """
-        if num_chunks < 1:
-            raise ValueError("must read at least one chunk")
-        step = self.chunker.blocks_per_chunk
-        if lba % step != 0:
-            raise ValueError(f"LBA {lba} is not chunk-aligned")
         with self.lock:
-            runs: List[Tuple[int, int, int]] = []  # (shard, start, count)
-            for position in range(num_chunks):
-                chunk_lba = lba + position * step
-                shard_index = self._lba_shard.get(chunk_lba, 0)
-                if (
-                    runs
-                    and runs[-1][0] == shard_index
-                    and runs[-1][1] + runs[-1][2] * step == chunk_lba
+            buckets: Dict[int, List[int]] = {}  # shard -> positions
+            for position, lba in enumerate(lbas):
+                buckets.setdefault(self._lba_shard.get(lba, 0), []).append(position)
+
+            def gather(bucket: Tuple[int, List[int]]) -> ReadReport:
+                shard_index, positions = bucket
+                return self.shards[shard_index].read_many(
+                    [lbas[position] for position in positions]
+                )
+
+            sub_reports = self._fanout.map(gather, list(buckets.items()))
+            merged = ReadReport(
+                pieces=[b""] * len(lbas), stored_sizes=[0] * len(lbas)
+            )
+            for positions, sub_report in zip(buckets.values(), sub_reports):
+                _fold(merged, sub_report)
+                for position, piece, stored in zip(
+                    positions, sub_report.pieces, sub_report.stored_sizes
                 ):
-                    runs[-1] = (shard_index, runs[-1][1], runs[-1][2] + 1)
-                else:
-                    runs.append((shard_index, chunk_lba, 1))
-
-            def gather(run: Tuple[int, int, int]) -> ReadReport:
-                shard_index, start, count = run
-                return self.shards[shard_index].read(start, count)
-
-            sub_reports = self._fanout.map(gather, runs)
-            merged = ReadReport()
-            pieces: List[bytes] = []
-            for sub_report in sub_reports:
-                pieces.append(sub_report.data)
-                merged.chunks_read += sub_report.chunks_read
-                merged.stored_bytes_read += sub_report.stored_bytes_read
-                merged.unmapped_chunks += sub_report.unmapped_chunks
-                merged.cache_hits += sub_report.cache_hits
-                merged.stored_sizes += sub_report.stored_sizes
-            merged.data = pieces[0] if len(pieces) == 1 else b"".join(pieces)
+                    merged.pieces[position] = piece
+                    merged.stored_sizes[position] = stored
             return merged
 
     # -- maintenance -------------------------------------------------------------
@@ -523,18 +517,12 @@ class ShardedDedupEngine:
         positions no shard pinned read as the canonical zero-fill from
         shard 0, mirroring :meth:`read`'s hole semantics.
         """
-        if num_chunks < 1:
-            raise ValueError("must read at least one chunk")
-        step = self.chunker.blocks_per_chunk
-        if lba % step != 0:
-            raise ValueError(f"LBA {lba} is not chunk-aligned")
+        lbas = extent_lbas(self.chunker, lba, num_chunks)
         with self.lock:
             if self.shards and name not in self.shards[0].snapshots():
                 raise SnapshotError(f"unknown snapshot {name!r}")
             merged = ReadReport()
-            pieces: List[bytes] = []
-            for position in range(num_chunks):
-                chunk_lba = lba + position * step
+            for chunk_lba in lbas:
                 owner = 0
                 for shard_index, shard in enumerate(self.shards):
                     if shard.snapshot_contains(name, chunk_lba):
@@ -543,13 +531,9 @@ class ShardedDedupEngine:
                 sub_report = self.shards[owner].read_snapshot(
                     name, chunk_lba, 1
                 )
-                pieces.append(sub_report.data)
-                merged.chunks_read += sub_report.chunks_read
-                merged.stored_bytes_read += sub_report.stored_bytes_read
-                merged.unmapped_chunks += sub_report.unmapped_chunks
-                merged.cache_hits += sub_report.cache_hits
+                _fold(merged, sub_report)
+                merged.pieces += sub_report.pieces
                 merged.stored_sizes += sub_report.stored_sizes
-            merged.data = pieces[0] if len(pieces) == 1 else b"".join(pieces)
             return merged
 
     # -- lifecycle ---------------------------------------------------------------
@@ -574,6 +558,14 @@ class ShardedDedupEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _fold(merged: ReadReport, part: ReadReport) -> None:
+    """Add one shard's read counters into the cluster-wide report."""
+    merged.chunks_read += part.chunks_read
+    merged.stored_bytes_read += part.stored_bytes_read
+    merged.unmapped_chunks += part.unmapped_chunks
+    merged.cache_hits += part.cache_hits
 
 
 def _merge_snapshots(snaps: Sequence[EngineStats]) -> EngineStats:

@@ -167,11 +167,11 @@ class FidrNic:
         self.read_buffer_misses += 1
         return None
 
-    def send_read_data(self, data: bytes) -> None:
+    def send_read_data(self, num_bytes: float) -> None:
         """Forward decompressed data (fetched P2P from the engine) out."""
-        self.traffic.pcie_from_host += len(data)  # engine → NIC transfer
-        self.traffic.nic_dram += len(data)
-        self.traffic.network_tx += len(data)
+        self.traffic.pcie_from_host += num_bytes  # engine → NIC transfer
+        self.traffic.nic_dram += num_bytes
+        self.traffic.network_tx += num_bytes
 
     @property
     def buffered_bytes(self) -> int:

@@ -9,13 +9,14 @@ This module is that front-end rendered in asyncio:
 * :class:`AsyncProtocolServer` accepts any number of TCP connections,
   runs one :class:`~repro.net.protocol.FrameDecoder` session per
   connection, and funnels every decoded request into one **bounded**
-  queue.  Worker tasks drain it in groups — per wake-up, everything
-  queued, up to one bulk piece of work — and serialize access to the
-  shared (non-thread-safe) storage backend: one backend turn and one
-  reply write per connection per group, replies and errors per op.
+  queue — a deque the server owns; what one socket read decoded enters
+  it in one step.  Worker tasks drain it in groups — per wake-up,
+  everything queued, up to one bulk piece of work — and serialize access
+  to the shared (non-thread-safe) storage backend: one backend turn and
+  one reply write per connection per group, replies and errors per op.
 
-  Backpressure is structural: a connection's reader coroutine ``await``s
-  the queue slot before reading more bytes, so when the queue is full
+  Backpressure is structural: a connection's reader coroutine waits for
+  a free slot before reading more bytes, so when the queue is full
   the server stops consuming from that socket, the TCP window closes,
   and the client blocks — exactly the NIC-buffer-full behaviour of
   §7.6.1.  On the response path every write is followed by ``drain()``
@@ -44,9 +45,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..datared.chunking import BLOCK_SIZE
 from ..obs import trace as _trace
@@ -58,7 +60,6 @@ from .protocol import (
     FrameDecoder,
     Op,
     ProtocolServer,
-    encode_corrupt_reply,
     encode_error_reply,
     encode_frame,
     encode_reply,
@@ -69,6 +70,9 @@ __all__ = ["AsyncProtocolServer", "AsyncProtocolClient", "ServerMetrics"]
 #: How many bytes one socket read may return; frames are reassembled by
 #: the per-connection decoder, so this only sizes the read syscalls.
 _READ_CHUNK = 64 * 1024
+
+#: What a connection's decoder yields and the queue carries.
+_Event = Union[Frame, ProtocolError]
 
 
 @dataclass
@@ -86,7 +90,7 @@ class ServerMetrics:
     #: High-water mark of the request queue — never exceeds the
     #: configured ``queue_depth`` (the backpressure guarantee).
     max_queue_depth: int = 0
-    #: Requests dispatched to the backend executor.
+    #: Requests served on the backend executor.
     backend_offloaded: int = 0
     #: Executor submissions (one per group, one per split-write piece);
     #: ``backend_offloaded / backend_turns`` is the coalescing ratio.
@@ -158,7 +162,12 @@ class AsyncProtocolServer:
         self.num_workers = workers
         self.write_split_chunks = write_split_chunks
         self.metrics = ServerMetrics()
-        self._queue: Optional[asyncio.Queue] = None
+        #: The request queue — ``(connection, event, enqueue stamp)``, at
+        #: most ``queue_depth`` long — and how many are in it or being
+        #: served.  :meth:`start` adds the events: ``_work`` wakes workers,
+        #: ``_room`` parked readers, ``_drained`` is set at zero unserved.
+        self._queue: Deque[Tuple[_Connection, _Event, int]] = deque()
+        self._unserved = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: list = []
         self._connections: set = set()
@@ -185,7 +194,8 @@ class AsyncProtocolServer:
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> "AsyncProtocolServer":
         """Bind the listening socket and launch the worker pool."""
-        self._queue = asyncio.Queue(maxsize=self.queue_depth)
+        self._work, self._room = asyncio.Event(), asyncio.Event()
+        self._drained = asyncio.Event()
         # max_workers=1 is the thread-safety contract: the storage
         # stack is only ever touched by this one thread.
         self._backend = ThreadPoolExecutor(
@@ -219,8 +229,8 @@ class AsyncProtocolServer:
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if self._queue is not None:
-            await self._queue.join()
+        if self._unserved:
+            await self._drained.wait()
         for task in self._workers:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
@@ -260,8 +270,9 @@ class AsyncProtocolServer:
                 if not data:
                     break
                 self.metrics.bytes_in += len(data)
-                for event in connection.decoder.events(data):
-                    await self._enqueue(connection, event)
+                events = connection.decoder.events(data)
+                if events:
+                    await self._enqueue(connection, events)
             # Answer everything still queued before closing our side.
             await connection.idle.wait()
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -275,24 +286,31 @@ class AsyncProtocolServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _enqueue(
-        self, connection: _Connection, event: Union[Frame, ProtocolError]
-    ) -> None:
-        connection.pending += 1
+    async def _enqueue(self, connection: _Connection, events: List[_Event]) -> None:
+        """Queue what one socket read decoded — in one step, no await,
+        while there is room."""
+        connection.pending += len(events)
         connection.idle.clear()
         # The enqueue timestamp rides the queue so the draining worker
         # can attribute queue-wait time; 0 means tracing was off.
         enqueued_ns = _trace.now_ns() if _trace.is_enabled() else 0
-        # Backpressure: this await parks the reader while the queue is
-        # full, which stops the socket reads for this connection.
-        await self._queue.put((connection, event, enqueued_ns))
-        self.metrics.requests_enqueued += 1
-        depth = self._queue.qsize()
-        if depth > self.metrics.max_queue_depth:
-            self.metrics.max_queue_depth = depth
+        queue, metrics = self._queue, self.metrics
+        for event in events:
+            # Backpressure: a full queue parks the reader here, which
+            # stops the socket reads for this connection.
+            while len(queue) >= self.queue_depth:
+                self._room.clear()
+                await self._room.wait()
+            queue.append((connection, event, enqueued_ns))
+            self._unserved += 1
+            self._drained.clear()
+            metrics.requests_enqueued += 1
+            if len(queue) > metrics.max_queue_depth:
+                metrics.max_queue_depth = len(queue)
+            self._work.set()
 
     # -- worker pool -------------------------------------------------------------
-    def _chunks_of(self, event: Union[Frame, ProtocolError]) -> int:
+    def _chunks_of(self, event: _Event) -> int:
         """Backend work one queued event asks for, in chunks."""
         if isinstance(event, Frame):
             if event.op == Op.WRITE:
@@ -308,15 +326,18 @@ class AsyncProtocolServer:
         waits on more than one bulk piece.  An op that alone exceeds the
         budget (a write about to be split, a long read) is a group of one."""
         queue = self._queue
-        waiting = queue._queue  # the deque behind asyncio.Queue; peeked only
         while True:
-            group = [await queue.get()]
+            while not queue:
+                self._work.clear()
+                await self._work.wait()
+            group = [queue.popleft()]
             room = self.write_split_chunks - self._chunks_of(group[0][1])
-            while waiting:
-                room -= self._chunks_of(waiting[0][1])
+            while queue:
+                room -= self._chunks_of(queue[0][1])
                 if room < 0:
                     break
-                group.append(queue.get_nowait())
+                group.append(queue.popleft())
+            self._room.set()
             try:
                 await self._serve_group(group)
             finally:
@@ -324,29 +345,26 @@ class AsyncProtocolServer:
                     connection.pending -= 1
                     if connection.pending == 0:
                         connection.idle.set()
-                    queue.task_done()
+                self._unserved -= len(group)
+                if not self._unserved:
+                    self._drained.set()
 
     async def _serve_group(self, group: list) -> None:
-        """One backend turn for the group's frames, then one reply write
-        per connection; decode errors are answered in their wire position."""
-        dequeued_ns = _trace.now_ns() if _trace.is_enabled() else 0
-        frames = []
-        for _, event, enqueued_ns in group:
-            if enqueued_ns and dequeued_ns:
-                _trace.observe("server.queue.wait", dequeued_ns - enqueued_ns)
-            if isinstance(event, Frame):
-                frames.append(event)
-        replies = iter(())
-        if frames:
-            with _trace.span("server.dispatch", ops=len(frames)):
-                replies = iter(await self._dispatch(frames))
+        """One backend turn for the group, then one reply write per
+        connection; decode errors are answered in their wire position."""
+        if _trace.is_enabled():
+            dequeued_ns = _trace.now_ns()
+            _trace.observe_group("server.queue.wait", [
+                dequeued_ns - enqueued_ns for _, _, enqueued_ns in group if enqueued_ns
+            ])
+        with _trace.span("server.dispatch", ops=len(group)):
+            replies = await self._dispatch([event for _, event, _ in group])
         outbound: Dict[_Connection, List[bytes]] = {}
-        for connection, event, _ in group:
+        for (connection, event, _), reply in zip(group, replies):
             if isinstance(event, ProtocolError):
                 self.metrics.frames_rejected += 1
-                reply = encode_corrupt_reply(event)
             else:
-                reply = next(replies)
+                self.metrics.backend_offloaded += 1
             outbound.setdefault(connection, []).append(reply)
         for connection, parts in outbound.items():
             data = b"".join(parts)  # a lone reply is returned as is, no copy
@@ -360,31 +378,20 @@ class AsyncProtocolServer:
                 pass  # client vanished; only its own replies are lost
 
     # -- backend dispatch --------------------------------------------------------
-    def _run_group(self, frames: List[Frame]) -> List[bytes]:
-        """Backend-thread body: every frame of a group, in order.  A
-        failure is that op's reply and nothing else's."""
-        replies = []
-        for frame in frames:
-            try:
-                replies.append(self.endpoint.handle_frame(frame))
-            except Exception as error:  # never kill a worker
-                replies.append(encode_error_reply(frame, error))
-        return replies
-
-    async def _dispatch(self, frames: List[Frame]) -> List[bytes]:
-        """Produce the response bytes for one group of request frames.
+    async def _dispatch(self, events: List[_Event]) -> List[bytes]:
+        """Produce the response bytes for one group of queued events.
 
         The group runs in one hop on the backend executor; an oversized
         write (always a group of one, see :meth:`_worker`) is applied as
         split sub-writes so queued requests from other connections
         interleave between the pieces.
         """
-        self.metrics.backend_offloaded += len(frames)
         loop = asyncio.get_running_loop()
-        first = frames[0]
+        first = events[0]
         split_bytes = self.write_split_chunks * self.storage.chunk_size
         if (
-            first.op == Op.WRITE
+            isinstance(first, Frame)
+            and first.op == Op.WRITE
             and len(first.payload) > split_bytes
             # A payload that isn't chunk-aligned takes the unsplit path:
             # it fails validation there before any sub-write is applied.
@@ -393,7 +400,7 @@ class AsyncProtocolServer:
             return [await self._split_write(loop, first, split_bytes)]
         self.metrics.backend_turns += 1
         return await loop.run_in_executor(
-            self._backend, self._run_group, frames
+            self._backend, self.endpoint.handle_group, events
         )
 
     async def _split_write(

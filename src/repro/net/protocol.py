@@ -22,11 +22,13 @@ by the payload.  A reply carries its request's ``request_id``.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .. import obs as _obs
 from ..obs.metrics import MetricsRegistry
@@ -272,10 +274,10 @@ class FrameDecoder:
 class ProtocolServer:
     """Server endpoint: one request frame in, one ack frame out.
 
-    :meth:`handle_frame` is the transport-free dispatch the asyncio
+    :meth:`handle_group` is the transport-free dispatch the asyncio
     serving layer (:class:`~repro.net.aserver.AsyncProtocolServer`) runs
-    on its backend thread; it converts every storage-stack exception
-    into a structured ``Op.ERROR`` frame.
+    on its backend thread, one :meth:`handle_frame` per request; every
+    storage-stack exception becomes a structured ``Op.ERROR`` frame.
     """
 
     def __init__(
@@ -286,6 +288,49 @@ class ProtocolServer:
         self.server = server
         self.registry = registry if registry is not None else _obs.get_registry()
         self.requests_served = 0
+        #: A run of READs whose shared pass the next READ handled performs,
+        #: and ``id(frame)`` -> its result from that pass, until handled.
+        self._run: Sequence[Frame] = ()
+        self._slices: Dict[int, Union[bytes, Exception]] = {}
+
+    def handle_group(self, events: Sequence[Union[Frame, ProtocolError]]) -> List[bytes]:
+        """One reply per queued event, in order: a frame's ack, a decode
+        error's ``CORRUPT_FRAME``; a failure is that op's reply and
+        nothing else's.  A run — two or more consecutive READs; anything
+        else between two READs ends it, so a read still sees the write
+        queued before it — is one ``read_extents`` pass."""
+        replies = []
+        for is_read, run in itertools.groupby(events, lambda e: getattr(e, "op", 0) == Op.READ):
+            members = list(run)
+            self._run = members if is_read and len(members) > 1 else ()
+            for event in members:
+                if isinstance(event, ProtocolError):
+                    replies.append(encode_corrupt_reply(event))
+                    continue
+                try:
+                    replies.append(self.handle_frame(event))
+                except Exception as error:  # never kill the caller's worker
+                    replies.append(encode_error_reply(event, error))
+        return replies
+
+    def _read(self, frame: Frame) -> bytes:
+        """One READ's bytes: its slice of its run's shared pass — which
+        the run's first READ performs — or a pass of its own: outside a
+        run, or to draw the error of a count no reply frame can carry."""
+        chunk_size = self.server.chunk_size
+        if self._run:
+            run, self._run = self._run, ()
+            extents = {}
+            for member in run:
+                with contextlib.suppress(ProtocolError):
+                    extents[id(member)] = (member.lba, bounded_count(member, chunk_size))
+            self._slices = dict(zip(extents, self.server.read_extents(list(extents.values()))))
+        if id(frame) not in self._slices:
+            return self.server.read(frame.lba, bounded_count(frame, chunk_size))
+        data = self._slices.pop(id(frame))
+        if isinstance(data, Exception):
+            raise data
+        return data
 
     def handle_frame(self, frame: Frame) -> bytes:
         """Dispatch one request frame; returns the encoded response."""
@@ -299,8 +344,7 @@ class ProtocolServer:
                 # (battery-backed) NIC buffer, not yet reduced.
                 return encode_reply(frame, Op.WRITE_ACK, frame.lba)
             if frame.op == Op.READ:
-                data = self.server.read(frame.lba, bounded_count(frame, self.server.chunk_size))
-                return encode_reply(frame, Op.READ_ACK, frame.lba, data)
+                return encode_reply(frame, Op.READ_ACK, frame.lba, self._read(frame))
             if frame.op == Op.STATS:
                 payload = json.dumps(
                     _obs.snapshot(self.registry),

@@ -46,6 +46,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Union,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "TracedStages",
     "span",
     "observe",
+    "observe_group",
     "now_ns",
     "is_enabled",
     "set_enabled",
@@ -217,6 +219,17 @@ def observe(name: str, dur_ns: int, **tags: Any) -> None:
         thread=threading.current_thread().name,
         tags=tags,
     ))
+
+
+def observe_group(name: str, durations: Sequence[int], **tags: Any) -> None:
+    """:func:`observe` for a group handled as one: one ring record (the
+    longest of ``durations``, tagged ``ops=<n>``) but still one histogram
+    sample per member, so count and sum stay per op.  Not for captures."""
+    if _STATE["enabled"] and durations:
+        observe(name, max(durations), ops=len(durations), **tags)
+        histogram = _metrics.get_registry().histogram(name + ".ns")
+        for dur_ns in sorted(durations)[:-1]:
+            histogram.observe(dur_ns)
 
 
 def _record(*records: SpanRecord) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..cache.table_cache import CacheIndex, TableCache
 from ..errors import AlignmentError
@@ -165,15 +165,18 @@ class ReductionSystem:
         """Run the backend write flow for one staged batch."""
         raise NotImplementedError
 
-    def _staged_lookup(self) -> Optional[Callable[[int], Optional[bytes]]]:
-        """What serves an LBA's staged chunk before the engine does.
-        Default: nothing can, so every read drains the staged writes."""
+    def _staged_lookup(
+        self, close: Callable[[], None]
+    ) -> Optional[Callable[[int], Optional[bytes]]]:
+        """What serves an LBA's chunk before the engine does.  A probe
+        whose answer the open engine pass's charge could change calls
+        ``close()`` first.  Default: nothing, so reads drain staged writes."""
         self._drain()
         return None
 
-    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:
-        """Charge one engine-served run of ``count`` chunks, ``fetched`` of
-        them off the data SSDs: per-chunk costs × count, bytes summed."""
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:
+        """Charge one engine pass over ``lbas``, ``fetched`` of them off
+        the data SSDs: per-chunk costs × count, bytes summed."""
         raise NotImplementedError
 
     def _on_container_seal(self, container: Container) -> None:
@@ -235,39 +238,84 @@ class ReductionSystem:
             for position in range(num_chunks):
                 self.engine.trim(lba + position * step)
 
-    def read(self, lba: int, num_chunks: int = 1) -> bytes:  # repro-lint: hot-path
+    def read(self, lba: int, num_chunks: int = 1) -> bytes:
         """Client read of ``num_chunks`` chunks at chunk-aligned ``lba``:
-        one staging pass, then one :meth:`_read_run` per maximal run of
-        the chunks nothing staged serves (DESIGN.md §5.2)."""
-        step = self._extent_step(lba, num_chunks)
-        with self.lock:
-            lookup = self._staged_lookup()
-            pieces, run_lba, end = [], lba, lba + num_chunks * step
-            for chunk_lba in range(lba, end, step) if lookup else ():
-                staged = lookup(chunk_lba)
-                if staged is not None:
-                    if run_lba < chunk_lba:
-                        pieces.append(self._read_run(run_lba, (chunk_lba - run_lba) // step))
-                    pieces.append(staged)
-                    run_lba = chunk_lba + step
-            if run_lba < end:
-                pieces.append(self._read_run(run_lba, (end - run_lba) // step))
-            # Nothing staged hit: the one run's buffer, without a second join.
-            data = pieces[0] if run_lba == lba else b"".join(pieces)
-            self.logical_read_bytes += len(data)
+        :meth:`read_extents` of one."""
+        (data,) = self.read_extents([(lba, num_chunks)])
+        if isinstance(data, Exception):
+            raise data
         return data
 
-    def _read_run(self, lba: int, count: int) -> bytes:  # repro-lint: holds self.lock, hot-path
-        """One ``engine.read`` and one ledger charge for ``count`` chunks."""
-        report = self.engine.read(lba, count)
-        drives, fetched = self.data_array.drives, 0
+    def read_extents(  # repro-lint: hot-path
+        self, extents: Sequence[Tuple[int, int]]
+    ) -> List[Union[bytes, Exception]]:
+        """Client reads of ``(lba, num_chunks)`` extents served as one
+        (DESIGN.md §5.2): one lock, one staging pass, one engine pass
+        over every chunk nothing staged serves, one ledger charge.
+        Returns, per extent, its bytes — or the exception it alone drew."""
         step = self.engine.chunker.blocks_per_chunk
-        for position, stored in enumerate(report.stored_sizes):
+        results: List[Union[bytes, Exception]] = [b""] * len(extents)
+        pieces: List[Optional[bytes]] = []  # per chunk of every well-formed extent
+        bounds: List[Tuple[int, int, int]] = []  # (extent, its span of pieces)
+        #: The open engine pass, per chunk: (LBA, index in pieces, extent).
+        opened: List[Tuple[int, int, int]] = []
+
+        def close() -> None:
+            # A pass charges nothing unless it succeeds, so one that raises
+            # is re-run extent by extent: only the failing extent draws it.
+            try:
+                if opened:
+                    self._engine_pass(opened, pieces)
+            except Exception as error:
+                for extent in dict.fromkeys(owner for _, _, owner in opened):
+                    own = [chunk for chunk in opened if chunk[2] == extent]
+                    if len(own) == len(opened):
+                        results[extent] = error  # the pass was this extent's alone
+                        continue
+                    try:
+                        self._engine_pass(own, pieces)
+                    except Exception as failure:
+                        results[extent] = failure
+            del opened[:]
+
+        with self.lock:
+            serves = self._staged_lookup(close)
+            for extent, (lba, num_chunks) in enumerate(extents):
+                try:
+                    self._extent_step(lba, num_chunks)
+                except AlignmentError as error:
+                    results[extent] = error
+                    continue
+                start = len(pieces)
+                for chunk_lba in range(lba, lba + num_chunks * step, step):
+                    staged = serves(chunk_lba) if serves is not None else None
+                    if staged is None:
+                        opened.append((chunk_lba, len(pieces), extent))
+                    pieces.append(staged)
+                bounds.append((extent, start, len(pieces)))
+            close()
+            for extent, start, end in bounds:
+                if not isinstance(results[extent], Exception):
+                    # (joined even when alone: a staged hit is a view of its write)
+                    data = b"".join(pieces[start:end])  # repro-lint: copy-ok a list's slice
+                    self.logical_read_bytes += len(data)
+                    results[extent] = data
+        return results
+
+    def _engine_pass(  # repro-lint: holds self.lock, hot-path
+        self, chunks: List[Tuple[int, int, int]], pieces: List[Optional[bytes]]
+    ) -> None:
+        """One ``engine.read_many`` and one ledger charge for ``chunks``
+        (as ``read_extents`` opens them); their bytes land in ``pieces``."""
+        lbas = [lba for lba, _, _ in chunks]
+        report = self.engine.read_many(lbas)
+        drives, fetched = self.data_array.drives, 0
+        for (lba, slot, _), piece, stored in zip(chunks, report.pieces, report.stored_sizes):
+            pieces[slot] = piece
             if stored:  # fetched off the drive its own LBA stripes to
-                drives[(lba + position * step) % len(drives)].account_read(stored)
+                drives[lba % len(drives)].account_read(stored)
                 fetched += 1
-        self._charge_read(lba, count, report, fetched)
-        return report.data
+        self._charge_read(lbas, report, fetched)
 
     # -- snapshots ---------------------------------------------------------------------
     def create_snapshot(self, name: str) -> int:

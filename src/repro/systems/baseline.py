@@ -176,14 +176,15 @@ class BaselineSystem(ReductionSystem):
         self.cpu.charge(CpuTask.DATA_SSD, self.config.cpu.data_ssd_io)
 
     # -- read flow (Figure 2b) ---------------------------------------------------------------
-    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
         costs = self.config.cpu
-        logical = len(report.data)
+        count, chunk_size = len(lbas), self.engine.chunker.chunk_size
+        logical = count * chunk_size
         self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup * count)
         if fetched:
             # SSD → host DRAM → FPGA (decompress) → host DRAM → NIC.
             stored = report.stored_bytes_read
-            inflated = fetched * (logical // count)
+            inflated = fetched * chunk_size
             self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io * fetched)
             self.pcie.transfer(_DATA_SSD, HOST, stored)
             self.memory.write(MemPath.DATA_SSD, stored)

@@ -22,7 +22,7 @@ remains exactly the paper's system.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Callable, List, Optional, Set
 
 from ..datared.dedup import ReadReport
 from ..errors import CapacityError
@@ -126,39 +126,41 @@ class ExtendedFidrSystem(FidrSystem):
         super()._enqueue(chunk)
 
     # -- read path (Figure 6b, extended) -----------------------------------------------------
-    def _read_run(self, lba: int, count: int) -> bytes:  # repro-lint: holds self.lock
-        """§8: chunks the hot-read cache holds are served from host DRAM,
-        the sub-runs between them by the engine."""
-        hot = self.hot_read_cache
+    def _staged_lookup(self, close: Callable[[], None]) -> Callable[[int], Optional[bytes]]:
+        """§8: what neither the NIC buffer nor the hot-read cache holds
+        is the engine's; a cached chunk is served from host DRAM."""
+        staged, hot = super()._staged_lookup(close), self.hot_read_cache
         if hot is None:
-            return super()._read_run(lba, count)
-        step = self.engine.chunker.blocks_per_chunk
-        pieces, start, end = [], lba, lba + count * step
-        for chunk_lba in range(lba, end, step):
-            if start < chunk_lba and chunk_lba in hot:
-                # The open sub-run's admissions can evict this entry: they
-                # land before the probe, as they do one chunk at a time.
-                pieces.append(super()._read_run(start, (chunk_lba - start) // step))
-                start = chunk_lba
-            cached = hot.get(chunk_lba)
-            if cached is not None:
-                self.memory.read(MemPath.HOT_READ, len(cached))
-                self.pcie.transfer(HOST, _NIC, len(cached))
-                self.nic.send_read_data(cached)
-                self.cpu.charge(CpuTask.LBA_MAP, self.config.cpu.lba_map_lookup)
-                pieces.append(cached)
-                start = chunk_lba + step
-        if start < end:
-            pieces.append(super()._read_run(start, (end - start) // step))
-        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+            return staged
+        opened: Set[int] = set()  # LBAs the open engine pass will fetch
 
-    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
-        super()._charge_read(lba, count, report, fetched)
-        if self.hot_read_cache is None or not fetched:
+        def serves(lba: int) -> Optional[bytes]:
+            data = staged(lba)
+            if data is not None:
+                return data
+            # Close before probe: the open pass's admissions can evict
+            # this entry — or, for an LBA it fetches too, admit it — and
+            # they land before this probe when chunks are read one by one.
+            if opened and (lba in hot or lba in opened):
+                close()
+                opened.clear()
+            cached = hot.get(lba)
+            if cached is None:
+                opened.add(lba)
+                return None
+            self.memory.read(MemPath.HOT_READ, len(cached))
+            self.pcie.transfer(HOST, _NIC, len(cached))
+            self.nic.send_read_data(len(cached))
+            self.cpu.charge(CpuTask.LBA_MAP, self.config.cpu.lba_map_lookup)
+            return cached
+
+        return serves
+
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+        super()._charge_read(lbas, report, fetched)
+        hot = self.hot_read_cache
+        if hot is None or not fetched:
             return
-        step = self.engine.chunker.blocks_per_chunk
-        size = len(report.data) // count
-        for position, stored in enumerate(report.stored_sizes):
-            chunk = slice(position * size, (position + 1) * size)
-            if stored and self.hot_read_cache.offer(lba + position * step, report.data[chunk]):
-                self.memory.write(MemPath.HOT_READ, size)  # one DRAM write
+        for lba, piece, stored in zip(lbas, report.pieces, report.stored_sizes):
+            if stored and hot.offer(lba, piece):
+                self.memory.write(MemPath.HOT_READ, len(piece))  # one DRAM write

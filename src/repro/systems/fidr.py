@@ -240,19 +240,20 @@ class FidrSystem(ReductionSystem):
         self.cpu.charge(CpuTask.DATA_SSD, self.config.cpu.data_ssd_io)
 
     # -- read flow (Figure 6b) ----------------------------------------------------------------
-    def _staged_lookup(self) -> Callable[[int], Optional[bytes]]:
+    def _staged_lookup(self, close: Callable[[], None]) -> Callable[[int], Optional[bytes]]:
         """Steps 1-2: LBA Lookup against the in-NIC write buffer."""
         return self.nic.lookup_read
 
-    def _charge_read(self, lba: int, count: int, report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
         costs = self.config.cpu
+        count, chunk_size = len(lbas), self.engine.chunker.chunk_size
         # Step 3-4: LBAs to the host; LBA-PBA lookups.
         self.pcie.transfer(_NIC, HOST, 8 * count)
         self.cpu.charge(CpuTask.LBA_MAP, costs.lba_map_lookup * count)
         self.cpu.charge(CpuTask.DEVICE_MANAGER, costs.device_manager_per_chunk * count)
         if fetched:
             # Steps 5-7: SSD → Decompression Engine → NIC, all P2P.
-            inflated = fetched * (len(report.data) // count)
+            inflated = fetched * chunk_size
             if not self.nvme_read_offload:
                 self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io * fetched)
             self.pcie.transfer(_DATA_SSD, _DECOMP, report.stored_bytes_read)
@@ -261,7 +262,7 @@ class FidrSystem(ReductionSystem):
             self.decompression.traffic.payload_processed += inflated
             self.pcie.transfer(_DECOMP, _NIC, inflated)
         # Step 8: NIC sends the data to the client.
-        self.nic.send_read_data(report.data)
+        self.nic.send_read_data(count * chunk_size)
 
     # -- reporting ---------------------------------------------------------------------------------
     def _nic_buffer_hit_rate(self) -> Optional[float]:

@@ -11,7 +11,7 @@ direct helpers.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .. import obs as _obs
 from ..datared.dedup import EngineStats, ReductionStats
@@ -66,6 +66,11 @@ class StorageServer:
     def read(self, lba: int, num_chunks: int = 1) -> bytes:
         """Read ``num_chunks`` chunks starting at chunk-aligned ``lba``."""
         return self.system.read(lba, num_chunks)
+
+    def read_extents(self, extents: Sequence[Tuple[int, int]]) -> List[Union[bytes, Exception]]:
+        """Read ``(lba, num_chunks)`` extents as one; per extent, its
+        bytes or the exception it alone drew."""
+        return self.system.read_extents(extents)
 
     def flush(self) -> None:
         """Drain staged writes and seal the open container."""

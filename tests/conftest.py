@@ -22,6 +22,23 @@ def rng() -> random.Random:
 
 
 @pytest.fixture
+def engine_passes(monkeypatch) -> list:
+    """The chunk count of every ``DedupEngine.read_many`` pass the test
+    makes, in order (``clear()`` it once the set-up is done)."""
+    from repro.datared.dedup import DedupEngine
+
+    passes: list = []
+    read_many = DedupEngine.read_many
+
+    def counted(self, lbas):
+        passes.append(len(lbas))
+        return read_many(self, lbas)
+
+    monkeypatch.setattr(DedupEngine, "read_many", counted)
+    return passes
+
+
+@pytest.fixture
 def content() -> ContentFactory:
     return ContentFactory()
 

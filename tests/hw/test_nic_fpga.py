@@ -91,7 +91,7 @@ class TestFidrNicReadPath:
 
     def test_send_read_data(self):
         nic = FidrNic()
-        nic.send_read_data(b"z" * 4096)
+        nic.send_read_data(4096)
         assert nic.traffic.network_tx == 4096
         assert nic.traffic.pcie_from_host == 4096
 

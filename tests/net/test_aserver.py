@@ -428,6 +428,161 @@ class TestGroups:
 
         run(body())
 
+    def test_gathered_reads_share_one_engine_pass(self, rng, engine_passes):
+        """16 one-chunk READs queued together are one ``read_extents``:
+        one engine pass, sixteen ``handle_frame`` calls, sixteen replies."""
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage, workers=1) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                    await client.write(0, b"".join(chunks))
+                    storage.flush()  # out of the NIC buffer, into the engine
+                    engine_passes.clear()
+                    served = server.endpoint.requests_served
+                    order = rng.sample(range(16), 16)
+                    async with held_backend(server):
+                        burst = asyncio.gather(*(
+                            client.read(lba, 1) for lba in order
+                        ))
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 17
+                        )
+                    assert await burst == [chunks[lba] for lba in order]
+                    assert engine_passes == [16]
+                    assert server.endpoint.requests_served - served == 16
+
+        run(body())
+
+    def test_reads_around_writes_of_one_lba_see_old_then_new(self, rng):
+        """``W R W R`` on one LBA in one group: a write ends the run of
+        READs before it, so each read returns the write just ahead of it."""
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage, workers=1) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    old, new = rng.randbytes(CHUNK), rng.randbytes(CHUNK)
+                    turns = server.metrics.backend_turns
+                    async with held_backend(server):
+                        burst = asyncio.gather(
+                            client.write(5, old), client.read(5, 1),
+                            client.write(5, new), client.read(5, 1),
+                        )
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 4
+                        )
+                    assert await burst == [None, old, None, new]
+                    assert server.metrics.backend_turns - turns == 1
+
+        run(body())
+
+    def test_a_decode_error_between_reads_splits_the_run(self, rng, engine_passes):
+        """READ 7 of 16 arrives with an unknown op byte: its caller gets
+        ``CORRUPT_FRAME`` in wire position and the READs either side of
+        it are two runs, not one."""
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage, workers=1) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                    await client.write(0, b"".join(chunks))
+                    storage.flush()
+                    engine_passes.clear()
+                    real_write = client._writer.write
+
+                    def write(data):  # one send: sixteen 28-byte READs
+                        data = bytearray(data)
+                        data[7 * 28 + 1] ^= 0xFF
+                        real_write(bytes(data))
+
+                    client._writer.write = write
+                    async with held_backend(server):
+                        burst = asyncio.gather(*(
+                            client.read(lba, 1) for lba in range(16)
+                        ), return_exceptions=True)
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 17
+                        )
+                    results = await burst
+                    assert type(results[7]) is ProtocolError
+                    assert "unknown op" in str(results[7])
+                    assert results[:7] + results[8:] == chunks[:7] + chunks[8:]
+                    assert engine_passes == [7, 8]
+                    assert server.metrics.frames_rejected == 1
+
+        run(body())
+
+    def test_an_oversized_read_mid_run_fails_alone(self, rng, engine_passes):
+        """A count no reply frame could carry is that op's typed error
+        before the pass; the run's other READs still share one pass.
+        (Driven at the endpoint: the worker's chunk budget would put
+        such a read in a group of its own.)"""
+        from repro.net.protocol import Frame, ProtocolServer
+
+        with build_storage() as storage:
+            chunks = [rng.randbytes(CHUNK) for _ in range(8)]
+            storage.write(0, b"".join(chunks))
+            storage.flush()
+            engine_passes.clear()
+            counts = [1] * 8
+            counts[3] = MAX_PAYLOAD // CHUNK + 1
+            endpoint = ProtocolServer(storage)
+            replies = FrameDecoder().feed(b"".join(endpoint.handle_group([
+                Frame(op=Op.READ, lba=lba, count=counts[lba], request_id=lba + 1)
+                for lba in range(8)
+            ])))
+            assert [reply.request_id for reply in replies] == list(range(1, 9))
+            assert replies[3].op == Op.ERROR
+            code, message = decode_error_payload(replies[3].payload)
+            assert code == ErrorCode.BAD_REQUEST and "exceeds" in message
+            assert [reply.payload for reply in replies if reply.op == Op.READ_ACK] == (
+                chunks[:3] + chunks[4:]
+            )
+            assert engine_passes == [7]
+            assert endpoint.requests_served == 8
+
+    def test_a_full_queue_parks_the_reader_and_resumes(self, rng):
+        """40 READs arrive in one socket read at a queue of 4: the reader
+        parks at the bound, resumes as groups leave, and no reply is lost."""
+        storage = build_storage()
+        depth = 4
+
+        async def body():
+            async with AsyncProtocolServer(
+                storage, queue_depth=depth, workers=1
+            ) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    chunks = [rng.randbytes(CHUNK) for _ in range(40)]
+                    await client.write(0, b"".join(chunks))
+                    async with held_backend(server):
+                        burst = asyncio.gather(*(
+                            client.read(lba, 1) for lba in range(40)
+                        ))
+                        # One group is behind the gate, the queue is full
+                        # again, and the other 32 wait in the reader.
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 9
+                        )
+                        await asyncio.sleep(0.05)
+                        assert server.metrics.requests_enqueued == 9
+                    assert await asyncio.wait_for(burst, 5) == chunks
+                    assert server.metrics.requests_enqueued == 41
+                    assert server.metrics.responses_sent == 41
+                    assert server.metrics.max_queue_depth == depth
+
+        run(body())
+
     def test_a_failing_op_fails_alone(self, rng):
         """Op 7 is refused by the stack with a typed error, op 9 blows
         up inside it with an untyped one; both are mid-group, and every

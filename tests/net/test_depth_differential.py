@@ -44,7 +44,7 @@ def sequence(seed):
     return ops
 
 
-def serve_sequence(kind, journal, depth, ops):
+def serve_sequence(kind, journal, depth, ops, shards=1):
     """Run ``ops`` over one connection, ``depth`` at a time; returns
     what the reads returned and every ledger the store keeps."""
     storage = StorageServer.build(
@@ -52,7 +52,8 @@ def serve_sequence(kind, journal, depth, ops):
         compressor=ModeledCompressor(0.5),
         # Small batches: the sequence crosses many batch boundaries.
         config=SystemConfig(
-            batch_chunks=8, durability=DurabilityPolicy(journal=journal)
+            batch_chunks=8, durability=DurabilityPolicy(journal=journal),
+            shards=shards,
         ),
     )
 
@@ -89,15 +90,16 @@ def serve_sequence(kind, journal, depth, ops):
         }, turns
 
 
-@pytest.mark.parametrize("kind, journal", [
-    (SystemKind.FIDR, False),
-    (SystemKind.BASELINE, False),
-    (SystemKind.FIDR, True),
+@pytest.mark.parametrize("kind, journal, shards", [
+    pytest.param(SystemKind.FIDR, False, 1, id="SystemKind.FIDR-False"),
+    pytest.param(SystemKind.BASELINE, False, 1, id="SystemKind.BASELINE-False"),
+    pytest.param(SystemKind.FIDR, True, 1, id="SystemKind.FIDR-True"),
+    pytest.param(SystemKind.FIDR, False, 2, id="SystemKind.FIDR-False-shards2"),
 ])
-def test_depth_16_leaves_the_same_store_as_depth_1(kind, journal):
+def test_depth_16_leaves_the_same_store_as_depth_1(kind, journal, shards):
     ops = sequence(seed=20)
-    serial, serial_turns = serve_sequence(kind, journal, 1, ops)
-    pipelined, pipelined_turns = serve_sequence(kind, journal, 16, ops)
+    serial, serial_turns = serve_sequence(kind, journal, 1, ops, shards)
+    pipelined, pipelined_turns = serve_sequence(kind, journal, 16, ops, shards)
     assert serial_turns == OPS
     assert pipelined_turns < OPS / 4  # the pipelined run really coalesced
     assert any(serial["replies"])  # reads returned data, not just acks
