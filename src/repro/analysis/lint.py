@@ -39,12 +39,11 @@ R007   No ad-hoc instrumentation in the data/serving path
        numbers through the :mod:`repro.obs.metrics` registry so the
        STATS op sees them (DESIGN.md §5.5).
 R008   No direct compression/hashing backend calls (``zlib.*``,
-       ``hashlib.sha256``, ``zstandard.*``, ``lz4.*``, ``blake3.*``)
-       in ``repro.datared``/``repro.systems`` outside the registry
-       modules — payload bytes must flow through the codec and
-       fingerprint plugins so every chunk carries its codec tag and
-       the configured algorithms are actually the ones running
-       (DESIGN.md §5.6).  CRC helpers (``zlib.crc32``/``adler32``)
+       ``hashlib.sha256``) in ``repro.datared``/``repro.systems``
+       outside the registry modules — payload bytes must flow through
+       the codec registry and the fingerprint interface so every chunk
+       carries its codec tag and the configured algorithms are actually
+       the ones running (DESIGN.md §5.6).  CRC helpers (``zlib.crc32``/``adler32``)
        are not payload codecs and stay allowed.
 R009   No direct ``DedupEngine(…)``/``ShardedDedupEngine(…)``
        construction in ``repro.net``/``repro.systems`` outside
@@ -227,7 +226,7 @@ _R008_REGISTRY_MODULES = (
     "repro.datared.hashing",
 )
 #: Direct payload-codec/fingerprint backend call prefixes R008 flags.
-_R008_BACKEND_PREFIXES = ("zlib.", "zstandard.", "lz4.", "blake3.")
+_R008_BACKEND_PREFIXES = ("zlib.",)
 #: Exact names flagged (attribute-path calls like ``hashlib.sha256``).
 _R008_BACKEND_CALLS = frozenset({"hashlib.sha256", "hashlib.new"})
 #: Checksum helpers that merely share zlib's namespace — not payload

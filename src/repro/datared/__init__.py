@@ -13,8 +13,8 @@ This package implements the paper's §2 components on real bytes:
 * :mod:`~repro.datared.compression` — real (zlib) and size-modelled
   compression strategies.
 * :mod:`~repro.datared.codecs` — the codec plugin registry: tagged
-  on-disk payloads, optional zstd/lz4 backends, the adaptive router,
-  and the tag-dispatched read path.
+  on-disk payloads, the adaptive router, and the tag-dispatched read
+  path.
 * :mod:`~repro.datared.container` — 4-MB compressed-chunk containers.
 * :mod:`~repro.datared.dedup` — the end-to-end write/read engine.
 * :mod:`~repro.datared.lba_store` — the paged, cached LBA→PBN store.
@@ -28,11 +28,7 @@ from .chunking import BLOCK_SIZE, Chunk, FixedChunker, LargeChunkAssembler, RmwS
 from .codecs import (
     AdaptiveCodec,
     Codec,
-    Lz4Codec,
     RawCodec,
-    ZstdCodec,
-    available_codecs,
-    codec_available,
     codec_names,
     create_codec,
     decode_chunk,
@@ -86,19 +82,13 @@ from .hashing import (
     MAX_PBN,
     PBN_SIZE,
     SHA256,
-    Blake3Fingerprinter,
     Fingerprinter,
     Sha256Fingerprinter,
-    available_fingerprinters,
     bucket_index,
-    create_fingerprinter,
     decode_pbn,
     encode_pbn,
     fingerprint,
     fingerprint_many,
-    fingerprinter_available,
-    fingerprinter_names,
-    register_fingerprinter,
 )
 from .lba_map import (
     LBA_PBN_ENTRY_SIZE,
@@ -113,28 +103,18 @@ from .lba_map import (
 __all__ = [
     "AdaptiveCodec",
     "BLOCK_SIZE",
-    "Blake3Fingerprinter",
     "CdcDedupStore",
     "Codec",
     "Fingerprinter",
-    "Lz4Codec",
     "RawCodec",
     "SHA256",
     "Sha256Fingerprinter",
-    "ZstdCodec",
-    "available_codecs",
-    "available_fingerprinters",
-    "codec_available",
     "codec_names",
     "create_codec",
-    "create_fingerprinter",
     "decode_chunk",
     "decode_many",
-    "fingerprinter_available",
-    "fingerprinter_names",
     "register_codec",
     "register_decoder",
-    "register_fingerprinter",
     "GearChunker",
     "CheckpointState",
     "JournalRecord",

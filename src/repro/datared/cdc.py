@@ -25,7 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .compression import Compressor, ZlibCompressor
+from .codecs import decode_chunk
+from .compression import CompressedChunk, Compressor, ZlibCompressor
 from .container import ContainerStore
 from .hash_pbn import HashPbnTable
 from .hashing import fingerprint
@@ -157,7 +158,7 @@ class CdcDedupStore:
             if pbn is None:
                 compressed = self.compressor.compress(chunk)
                 placement = self.containers.append(
-                    compressed.payload, compressed.stored_size
+                    compressed.materialize(), compressed.stored_size
                 )
                 pbn = self.allocator.allocate()
                 self._chunks[pbn] = (
@@ -181,8 +182,6 @@ class CdcDedupStore:
         recipe = self._recipes.get(name)
         if recipe is None:
             raise KeyError(f"unknown stream {name!r}")
-        from .compression import CompressedChunk
-
         pieces: List[bytes] = []
         for pbn in recipe:
             container_id, offset, logical, stored = self._chunks[pbn]
@@ -190,7 +189,7 @@ class CdcDedupStore:
             compressed = CompressedChunk(
                 payload=payload, logical_size=logical, stored_size=stored
             )
-            pieces.append(self.compressor.decompress(compressed))
+            pieces.append(decode_chunk(compressed))
         return b"".join(pieces)
 
     def streams(self) -> List[str]:

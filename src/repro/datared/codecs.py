@@ -5,23 +5,21 @@ chunk-in/record-out contract (§2.1, §5.2.2: a dedicated FPGA DEFLATE
 core today, anything with the same interface tomorrow).  This module is
 that contract rendered as a plugin API:
 
-* Every codec implements the :class:`~repro.datared.compression.Compressor`
-  interface (aliased :data:`Codec` here) and stamps its output with a
-  **1-byte on-disk tag** — the first byte of every container payload.
-  Tags are allocated once, below, and never reused; a container may
-  therefore mix chunks from different codecs and still read back
-  correctly after any reconfiguration.
-* :func:`decode_chunk` / :func:`decode_many` dispatch *reads* on that
-  tag, independent of whichever codec is currently configured for
-  writes.  Payloads predating the tag discipline (or written by a codec
-  with out-of-band state, e.g. a trained dictionary) fall back to the
-  engine's configured compressor.
+* A codec is an *encoder*: it implements the
+  :class:`~repro.datared.compression.Compressor` interface (aliased
+  :data:`Codec` here) and stamps its output with a **1-byte on-disk
+  tag** — the first byte of every container payload.  Tags are
+  allocated once, below, and never reused; a container may therefore mix
+  chunks from different codecs and still read back correctly after any
+  reconfiguration.
+* :func:`decode_chunk` / :func:`decode_many` are the only decoder: they
+  dispatch on that tag, independent of whichever codec is currently
+  configured for writes, and turn every way a stored payload can have
+  rotted into one typed :class:`~repro.errors.ChunkDecodeError`.
 * :func:`register_codec` / :func:`create_codec` name the write-side
-  choices.  ``zstd`` and ``lz4`` are optional imports: when their
-  backing libraries are absent the codecs stay *registered* but
-  unavailable, and selecting them raises a typed
-  :class:`~repro.errors.MissingDependencyError` (install the ``codecs``
-  extras group).
+  choices; :func:`register_decoder` claims a tag for a third-party
+  codec's decoder (a bound method, when decoding needs out-of-band
+  state such as a dictionary).
 
 Tag allocation (DESIGN.md §5.6):
 
@@ -31,9 +29,8 @@ Tag     Codec       Body
 0x00    raw         the chunk verbatim (every codec's incompressible
                     escape — shared, so any reader can decode it)
 0x01    zlib        raw DEFLATE stream (no zlib header/checksum)
-0x02    zstd        one zstd frame with embedded content size
-0x03    lz4         one lz4 block, ``store_size=False`` (the logical
-                    size travels in the PBN record instead)
+0x02    (retired)   reserved forever: once zstd frames
+0x03    (retired)   reserved forever: once lz4 blocks
 0x04    modeled     the chunk verbatim; ``stored_size`` is modelled
 ======  ==========  ====================================================
 
@@ -45,22 +42,19 @@ single sanctioned copy happens at the container boundary via
 
 from __future__ import annotations
 
-import threading
 import zlib
-from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     cast,
 )
 
-from ..errors import MissingDependencyError
+from ..errors import ChunkDecodeError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .compression import (
@@ -74,49 +68,34 @@ from .compression import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..parallel import StagePool
 
-try:  # optional: the `codecs` extras group
-    import zstandard
-except ImportError:  # pragma: no cover - environment-dependent
-    zstandard = None
-
-try:  # optional: the `codecs` extras group
-    import lz4.block
-except ImportError:  # pragma: no cover - environment-dependent
-    lz4 = None
-
 __all__ = [
     "Codec",
     "TAG_RAW",
     "TAG_DEFLATE",
-    "TAG_ZSTD",
-    "TAG_LZ4",
     "TAG_MODELED",
     "RawCodec",
-    "ZstdCodec",
-    "Lz4Codec",
     "AdaptiveCodec",
     "register_codec",
     "register_decoder",
     "create_codec",
     "codec_names",
-    "codec_available",
-    "available_codecs",
     "decode_chunk",
     "decode_many",
 ]
 
 #: The plugin interface every codec implements.  An alias, not a copy:
-#: :class:`~repro.datared.compression.Compressor` *is* the contract
-#: (compress/decompress plus the batched ``*_many`` forms that carry the
-#: ``requires_pickling`` semantics for process-backed pools).
+#: :class:`~repro.datared.compression.Compressor` *is* the contract.
 Codec = Compressor
 
 # -- tag allocation (append-only; never renumber a shipped tag) -------------
 TAG_RAW = 0x00
 TAG_DEFLATE = 0x01
-TAG_ZSTD = 0x02
-TAG_LZ4 = 0x03
 TAG_MODELED = 0x04
+
+#: Tags codecs this repo no longer carries once wrote.  Never
+#: reallocated: a container that still holds such a chunk must fail with
+#: the codec's name, not be misread by whatever claimed the tag next.
+_RETIRED_TAGS = {0x02: "zstd", 0x03: "lz4"}
 
 _RAW_PREFIX = bytes([TAG_RAW])
 
@@ -135,87 +114,35 @@ def _raw_escape(data: Buffer, size: int) -> CompressedChunk:  # repro-lint: hot-
     )
 
 
-def _tag_and_body(chunk: CompressedChunk) -> Tuple[int, Buffer]:  # repro-lint: hot-path
-    """Split a chunk into its codec tag and body without copying."""
+def _body(chunk: CompressedChunk) -> Buffer:  # repro-lint: hot-path
+    """A chunk's bytes after its tag, without copying."""
     if chunk.prefix:
-        return chunk.prefix[0], chunk.payload
-    if not len(chunk.payload):
-        raise ValueError("empty compressed payload")
-    view = memoryview(chunk.payload)
-    return view[0], view[1:]
-
-
-def _check_size(data: bytes, chunk: CompressedChunk) -> bytes:
-    if len(data) != chunk.logical_size:
-        raise ValueError(
-            f"decompressed to {len(data)} bytes, expected {chunk.logical_size}"
-        )
-    return data
+        return chunk.payload
+    return memoryview(chunk.payload)[1:]
 
 
 # -- per-tag decoders --------------------------------------------------------
 
 
-def _decode_raw(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-    _, body = _tag_and_body(chunk)
-    return _check_size(bytes(body), chunk)  # repro-lint: copy-ok reads return owned bytes
+def _decode_verbatim(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
+    return bytes(_body(chunk))  # repro-lint: copy-ok reads return owned bytes
 
 
 def _decode_deflate(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-    _, body = _tag_and_body(chunk)
     # A full 32-KB window decodes any raw-deflate stream compressed with
     # a smaller one, so the reader needs no codec parameters.  Output is
     # capped at logical_size + 1 so corrupt input cannot balloon memory.
     inflater = zlib.decompressobj(-15)
-    return _check_size(
-        inflater.decompress(body, chunk.logical_size + 1), chunk
-    )
-
-
-_ZSTD_LOCAL = threading.local()
-
-
-def _decode_zstd(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-    if zstandard is None:
-        raise MissingDependencyError(
-            "chunk stored with the 'zstd' codec but the 'zstandard' module "
-            "is not installed (install the repro[codecs] extras)"
-        )
-    _, body = _tag_and_body(chunk)
-    try:
-        dctx = _ZSTD_LOCAL.dctx
-    except AttributeError:
-        dctx = _ZSTD_LOCAL.dctx = zstandard.ZstdDecompressor()
-    return _check_size(dctx.decompress(body), chunk)
-
-
-def _decode_lz4(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-    if lz4 is None:
-        raise MissingDependencyError(
-            "chunk stored with the 'lz4' codec but the 'lz4' module is not "
-            "installed (install the repro[codecs] extras)"
-        )
-    _, body = _tag_and_body(chunk)
-    return _check_size(
-        lz4.block.decompress(body, uncompressed_size=chunk.logical_size),
-        chunk,
-    )
-
-
-def _decode_modeled(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-    _, body = _tag_and_body(chunk)
-    return _check_size(bytes(body), chunk)  # repro-lint: copy-ok reads return owned bytes
+    return inflater.decompress(_body(chunk), chunk.logical_size + 1)
 
 
 #: Tag byte -> decoder.  Reads dispatch here regardless of the codec
 #: currently configured for writes, which is what makes mixed-codec
 #: containers (and reconfiguration without rewrite) safe.
 _DECODERS: Dict[int, Callable[[CompressedChunk], bytes]] = {
-    TAG_RAW: _decode_raw,
+    TAG_RAW: _decode_verbatim,
     TAG_DEFLATE: _decode_deflate,
-    TAG_ZSTD: _decode_zstd,
-    TAG_LZ4: _decode_lz4,
-    TAG_MODELED: _decode_modeled,
+    TAG_MODELED: _decode_verbatim,
 }
 
 
@@ -227,54 +154,55 @@ def register_decoder(
 ) -> None:
     """Claim ``tag`` for ``decode`` (third-party codecs register here).
 
-    Tags are a shared on-disk namespace: claiming an allocated tag
-    without ``replace=True`` is an error, because two decoders for one
-    tag means stored data whose meaning depends on import order.
+    Tags are a shared on-disk namespace: claiming an allocated or
+    retired tag without ``replace=True`` is an error, because two
+    meanings for one tag is stored data whose reading depends on import
+    order.  ``decode`` returns the chunk's bytes; :func:`decode_chunk`
+    checks their length and types whatever it raises.
     """
     if not 0 <= tag <= 0xFF:
         raise ValueError(f"codec tag must fit one byte, got {tag}")
-    if not replace and tag in _DECODERS:
+    if not replace and (tag in _DECODERS or tag in _RETIRED_TAGS):
         raise ValueError(f"codec tag 0x{tag:02x} is already allocated")
     _DECODERS[tag] = decode
 
 
-def decode_chunk(
-    chunk: CompressedChunk, fallback: Optional[Compressor] = None
-) -> bytes:  # repro-lint: hot-path
-    """Decode one chunk by its codec tag.
+def decode_chunk(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
+    """Decode one chunk by its codec tag — the only decoder there is.
 
-    ``fallback`` (typically the engine's configured compressor) handles
-    what tag dispatch cannot: payloads predating the tag discipline
-    (whose first byte is arbitrary chunk data) and codecs whose decode
-    needs out-of-band state such as a trained dictionary.  A
-    :class:`~repro.errors.MissingDependencyError` is never silently
-    masked — a missing library needs installing, not reinterpreting the
-    bytes — but when the tag byte came from the *payload* (a container
-    read, where a pre-tag chunk's first byte is arbitrary data) the
-    fallback gets one attempt first, and the install error resurfaces
-    only if it cannot decode either.  A fresh chunk's ``prefix`` tag is
-    authoritative, so there the error propagates immediately.
+    A fresh chunk's ``prefix`` carries the tag; a chunk read back from a
+    container carries it as the first payload byte.  An unknown or
+    retired tag, a body its decoder cannot parse and a body that decodes
+    to the wrong length are all the same fault — the stored bytes are
+    not what was written — and raise
+    :class:`~repro.errors.ChunkDecodeError`.
     """
-    tag = chunk.prefix[0] if chunk.prefix else (
-        chunk.payload[0] if len(chunk.payload) else -1
-    )
+    if chunk.prefix:
+        tag = chunk.prefix[0]
+    elif len(chunk.payload):
+        tag = chunk.payload[0]
+    else:
+        raise ChunkDecodeError("empty stored payload: no codec tag")
     decoder = _DECODERS.get(tag)
-    if decoder is not None:
-        try:
-            return decoder(chunk)
-        except MissingDependencyError as exc:
-            if fallback is None or chunk.prefix:
-                raise
-            try:
-                return fallback.decompress(chunk)
-            except Exception:
-                raise exc
-        except Exception:
-            if fallback is None:
-                raise
-    elif fallback is None:
-        raise ValueError(f"unknown codec tag 0x{tag:02x} and no fallback decoder")
-    return fallback.decompress(chunk)
+    if decoder is None:
+        retired = _RETIRED_TAGS.get(tag)
+        raise ChunkDecodeError(
+            f"unknown codec tag 0x{tag:02x}" if retired is None else
+            f"codec tag 0x{tag:02x} belongs to the retired {retired!r} "
+            "codec; no decoder is registered for it"
+        )
+    try:
+        data = decoder(chunk)
+    except Exception as exc:  # a registered decoder is third-party code
+        raise ChunkDecodeError(
+            f"tag 0x{tag:02x} body does not decode: {exc}"
+        ) from exc
+    if len(data) != chunk.logical_size:
+        raise ChunkDecodeError(
+            f"tag 0x{tag:02x} body decoded to {len(data)} bytes, "
+            f"expected {chunk.logical_size}"
+        )
+    return data
 
 
 def decode_many(
@@ -282,22 +210,16 @@ def decode_many(
     pool: Optional["StagePool"] = None,
     *,
     min_batch: int = 0,
-    fallback: Optional[Compressor] = None,
 ) -> List[bytes]:  # repro-lint: hot-path
     """Tag-dispatched batch decode, in input order.
 
-    The batched twin of :func:`decode_chunk`, mirroring
-    :meth:`~repro.datared.compression.Compressor.decompress_many`:
-    ``min_batch`` gates the fan-out so small reads decompress inline.
-    The mapped callable is a partial of a module-level function, so it
-    crosses a process-backed pool's pickling boundary when ``fallback``
-    does.
+    The batched twin of :func:`decode_chunk`: ``min_batch`` gates the
+    fan-out so small reads decompress inline (decompression is several
+    times cheaper than compression — see the engine's read path).
     """
     if pool is None:
-        return [decode_chunk(chunk, fallback) for chunk in chunks]
-    return pool.map(
-        partial(decode_chunk, fallback=fallback), chunks, min_batch=min_batch
-    )
+        return [decode_chunk(chunk) for chunk in chunks]
+    return pool.map(decode_chunk, chunks, min_batch=min_batch)
 
 
 # -- codec implementations ---------------------------------------------------
@@ -319,172 +241,6 @@ class RawCodec(Compressor):
             raise ValueError("cannot compress an empty chunk")
         return _raw_escape(data, size)
 
-    def decompress(self, chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-        tag, body = _tag_and_body(chunk)
-        if tag != TAG_RAW:
-            raise ValueError(f"unknown compression tag 0x{tag:02x}")
-        return _check_size(bytes(body), chunk)  # repro-lint: copy-ok reads return owned bytes
-
-
-class ZstdCodec(Compressor):
-    """Zstandard compression (tag 0x02), optionally dictionary-trained.
-
-    Requires the optional ``zstandard`` module (``repro[codecs]``).
-    Each thread keeps one reused compression/decompression context —
-    zstd context setup dominates the per-4-KB cost the same way
-    ``deflateInit`` does for zlib — and the contexts are rebuilt lazily
-    per process-pool worker (they hold C state that cannot be pickled).
-
-    ``dictionary`` carries trained-dictionary bytes: chunks then
-    compress against it, and *reading them back requires a codec bound
-    to the same dictionary* — tag dispatch alone cannot decode them, so
-    the engine's fallback path (its configured compressor) does.  See
-    DESIGN.md §5.6 for the dictionary lifecycle.
-    """
-
-    name = "zstd"
-    _TAG = bytes([TAG_ZSTD])
-
-    def __init__(
-        self, level: int = 3, dictionary: Optional[bytes] = None
-    ) -> None:
-        if zstandard is None:
-            raise MissingDependencyError(
-                "the 'zstd' codec requires the 'zstandard' module "
-                "(install the repro[codecs] extras)"
-            )
-        if not 1 <= level <= 22:
-            raise ValueError(f"zstd level must be 1-22, got {level}")
-        self.level = level
-        self.dictionary = dictionary
-        self._local = threading.local()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Compression contexts hold C state; process-pool workers
-        # rebuild them lazily from the parameters.
-        return {"level": self.level, "dictionary": self.dictionary}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.level = cast(int, state["level"])
-        self.dictionary = cast(Optional[bytes], state["dictionary"])
-        self._local = threading.local()
-
-    def _contexts(self) -> Tuple[object, object]:
-        local = self._local
-        try:
-            return local.cctx, local.dctx
-        except AttributeError:
-            dict_data = (
-                zstandard.ZstdCompressionDict(self.dictionary)
-                if self.dictionary
-                else None
-            )
-            if dict_data is not None:
-                cctx = zstandard.ZstdCompressor(
-                    level=self.level, dict_data=dict_data
-                )
-                dctx = zstandard.ZstdDecompressor(dict_data=dict_data)
-            else:
-                cctx = zstandard.ZstdCompressor(level=self.level)
-                dctx = zstandard.ZstdDecompressor()
-            local.cctx, local.dctx = cctx, dctx
-            return cctx, dctx
-
-    def train(
-        self, samples: Sequence[Buffer], dict_size: int = 16384
-    ) -> "ZstdCodec":
-        """A new codec bound to a dictionary trained on ``samples``.
-
-        The returned codec's :attr:`dictionary` bytes are the caller's
-        to persist — dictionary-compressed chunks are only readable
-        through a codec carrying the same dictionary (DESIGN.md §5.6).
-        """
-        trained = zstandard.train_dictionary(
-            dict_size, [bytes(sample) for sample in samples]
-        )
-        return ZstdCodec(level=self.level, dictionary=trained.as_bytes())
-
-    def compress(self, data: Buffer) -> CompressedChunk:  # repro-lint: hot-path
-        size = len(data)
-        if not size:
-            raise ValueError("cannot compress an empty chunk")
-        cctx, _ = self._contexts()
-        body = cctx.compress(data)  # type: ignore[attr-defined]
-        if 1 + len(body) <= size:
-            return CompressedChunk(
-                payload=body,
-                logical_size=size,
-                stored_size=1 + len(body),
-                prefix=self._TAG,
-            )
-        return _raw_escape(data, size)
-
-    def decompress(self, chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-        tag, body = _tag_and_body(chunk)
-        if tag == TAG_ZSTD:
-            _, dctx = self._contexts()
-            return _check_size(dctx.decompress(body), chunk)  # type: ignore[attr-defined]
-        if tag == TAG_RAW:
-            return _check_size(bytes(body), chunk)  # repro-lint: copy-ok reads return owned bytes
-        raise ValueError(f"unknown compression tag 0x{tag:02x}")
-
-
-class Lz4Codec(Compressor):
-    """LZ4 block compression (tag 0x03): speed-first, ratio-second.
-
-    Requires the optional ``lz4`` module (``repro[codecs]``).  Blocks
-    are stored without the embedded size header (``store_size=False``)
-    — the logical size already travels in the PBN record, so the body
-    carries no redundant bytes.
-    """
-
-    name = "lz4"
-    _TAG = bytes([TAG_LZ4])
-
-    def __init__(self, acceleration: int = 1) -> None:
-        if lz4 is None:
-            raise MissingDependencyError(
-                "the 'lz4' codec requires the 'lz4' module "
-                "(install the repro[codecs] extras)"
-            )
-        if acceleration < 1:
-            raise ValueError(
-                f"lz4 acceleration must be >= 1, got {acceleration}"
-            )
-        self.acceleration = acceleration
-
-    def compress(self, data: Buffer) -> CompressedChunk:  # repro-lint: hot-path
-        size = len(data)
-        if not size:
-            raise ValueError("cannot compress an empty chunk")
-        body = lz4.block.compress(
-            data,
-            mode="fast",
-            acceleration=self.acceleration,
-            store_size=False,
-        )
-        if 1 + len(body) <= size:
-            return CompressedChunk(
-                payload=body,
-                logical_size=size,
-                stored_size=1 + len(body),
-                prefix=self._TAG,
-            )
-        return _raw_escape(data, size)
-
-    def decompress(self, chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-        tag, body = _tag_and_body(chunk)
-        if tag == TAG_LZ4:
-            return _check_size(
-                lz4.block.decompress(
-                    body, uncompressed_size=chunk.logical_size
-                ),
-                chunk,
-            )
-        if tag == TAG_RAW:
-            return _check_size(bytes(body), chunk)  # repro-lint: copy-ok reads return owned bytes
-        raise ValueError(f"unknown compression tag 0x{tag:02x}")
-
 
 class AdaptiveCodec(Compressor):
     """Per-chunk codec routing from a cheap entropy probe.
@@ -496,10 +252,7 @@ class AdaptiveCodec(Compressor):
     * distinct fraction >= ``raw_threshold``: effectively random; skip
       compression entirely (the ``raw`` escape) instead of paying the
       dominant-stage cost for nothing,
-    * >= ``fast_threshold``: moderately redundant; take the *fast*
-      codec (lz4 when available),
-    * below: highly redundant; the *primary* codec's better ratio is
-      nearly free on such chunks (zstd when available, zlib otherwise).
+    * below: redundant; the *primary* codec (zlib by default).
 
     Routing decisions publish as ``codec.adaptive.chosen.<name>``
     counters; batch fan-out probes in the submitting thread and
@@ -512,73 +265,33 @@ class AdaptiveCodec(Compressor):
     def __init__(
         self,
         primary: Optional[Compressor] = None,
-        fast: Optional[Compressor] = None,
         *,
         probe_bytes: int = 64,
         raw_threshold: float = 0.80,
-        fast_threshold: float = 0.30,
         registry: Optional[_metrics.MetricsRegistry] = None,
     ) -> None:
         if probe_bytes < 8:
             raise ValueError(f"probe_bytes must be >= 8, got {probe_bytes}")
-        if not 0.0 < fast_threshold < raw_threshold <= 1.0:
+        if not 0.0 < raw_threshold <= 1.0:
             raise ValueError(
-                "thresholds must satisfy 0 < fast_threshold < "
-                f"raw_threshold <= 1, got {fast_threshold}/{raw_threshold}"
+                f"raw_threshold must be in (0, 1], got {raw_threshold}"
             )
-        if primary is None:
-            primary = (
-                ZstdCodec() if zstandard is not None else ZlibCompressor()
-            )
-        if fast is None:
-            fast = Lz4Codec() if lz4 is not None else primary
-        self.primary = primary
-        self.fast = fast
+        self.primary = primary if primary is not None else ZlibCompressor()
         self.skip = RawCodec()
         self.probe_bytes = probe_bytes
         self.raw_threshold = raw_threshold
-        self.fast_threshold = fast_threshold
-        self._build_counters(registry)
-
-    def _build_counters(
-        self, registry: Optional[_metrics.MetricsRegistry]
-    ) -> None:
         reg = registry if registry is not None else _metrics.get_registry()
         self._chosen: Dict[int, _metrics.Counter] = {
             id(target): reg.counter(f"codec.adaptive.chosen.{target.name}")
-            for target in (self.skip, self.fast, self.primary)
+            for target in (self.skip, self.primary)
         }
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Counters hold locks; workers re-resolve them from their own
-        # process registry.
-        return {
-            "primary": self.primary,
-            "fast": self.fast,
-            "skip": self.skip,
-            "probe_bytes": self.probe_bytes,
-            "raw_threshold": self.raw_threshold,
-            "fast_threshold": self.fast_threshold,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.primary = cast(Compressor, state["primary"])
-        self.fast = cast(Compressor, state["fast"])
-        self.skip = cast(RawCodec, state["skip"])
-        self.probe_bytes = cast(int, state["probe_bytes"])
-        self.raw_threshold = cast(float, state["raw_threshold"])
-        self.fast_threshold = cast(float, state["fast_threshold"])
-        self._build_counters(None)
 
     def _route(self, data: Buffer) -> Compressor:  # repro-lint: hot-path
         size = len(data)
         step = size // self.probe_bytes or 1
         sample = bytes(memoryview(data)[::step])  # repro-lint: copy-ok probe sample is <= probe_bytes bytes
-        distinct = len(set(sample)) / len(sample)
-        if distinct >= self.raw_threshold:
+        if len(set(sample)) / len(sample) >= self.raw_threshold:
             return self.skip
-        if distinct >= self.fast_threshold:
-            return self.fast
         return self.primary
 
     def compress(self, data: Buffer) -> CompressedChunk:  # repro-lint: hot-path
@@ -595,7 +308,7 @@ class AdaptiveCodec(Compressor):
 
         Probing is two orders of magnitude cheaper than compressing, so
         running it serially costs little while keeping the routing
-        counters (and process-pool delegation) in the parent.
+        counters in the submitting thread.
         """
         with _trace.span("compress." + self.name, chunks=len(buffers)):
             groups: Dict[int, Tuple[Compressor, List[int]]] = {}
@@ -615,97 +328,43 @@ class AdaptiveCodec(Compressor):
                     results[position] = chunk
             return cast(List[CompressedChunk], results)
 
-    def decompress(self, chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-        # Tag dispatch covers everything the sub-codecs emit; the
-        # primary is the fallback so dictionary-bound chunks decode too.
-        return decode_chunk(chunk, self.primary)
-
 
 # -- the registry ------------------------------------------------------------
 
-
-class _CodecEntry(NamedTuple):
-    factory: Callable[..., Compressor]
-    available: Callable[[], bool]
-
-
-_CODECS: Dict[str, _CodecEntry] = {}
+_CODECS: Dict[str, Callable[..., Compressor]] = {}
 
 
 def register_codec(
     name: str,
     factory: Callable[..., Compressor],
     *,
-    available: Optional[Callable[[], bool]] = None,
     replace: bool = False,
 ) -> None:
-    """Register ``factory`` under ``name``.
-
-    ``available`` reports whether the codec's backing library is
-    importable *right now* — absent codecs stay listed (so CLIs can name
-    them) but :func:`create_codec` raises
-    :class:`~repro.errors.MissingDependencyError` for them.
-    """
+    """Register ``factory`` under ``name``."""
     if not name:
         raise ValueError("codec name must be non-empty")
     if not replace and name in _CODECS:
         raise ValueError(f"codec {name!r} is already registered")
-    _CODECS[name] = _CodecEntry(
-        factory, available if available is not None else _always
-    )
-
-
-def _always() -> bool:
-    return True
-
-
-def _zstd_importable() -> bool:
-    return zstandard is not None
-
-
-def _lz4_importable() -> bool:
-    return lz4 is not None
+    _CODECS[name] = factory
 
 
 def codec_names() -> List[str]:
-    """Every registered codec name, available or not."""
+    """Every registered codec name."""
     return sorted(_CODECS)
 
 
-def codec_available(name: str) -> bool:
-    """Whether ``name`` is registered *and* its backing library imports."""
-    entry = _CODECS.get(name)
-    return entry is not None and entry.available()
-
-
-def available_codecs() -> List[str]:
-    """The codec names that can actually be constructed here."""
-    return [name for name in codec_names() if _CODECS[name].available()]
-
-
 def create_codec(name: str, **params: object) -> Compressor:
-    """Build the codec registered as ``name`` with ``params``.
-
-    Raises ``ValueError`` for an unknown name and
-    :class:`~repro.errors.MissingDependencyError` for a registered codec
-    whose optional backing library is absent.
-    """
-    entry = _CODECS.get(name)
-    if entry is None:
+    """Build the codec registered as ``name`` with ``params``
+    (``ValueError`` for an unknown name)."""
+    factory = _CODECS.get(name)
+    if factory is None:
         raise ValueError(
             f"unknown codec {name!r}; registered: {', '.join(codec_names())}"
         )
-    if not entry.available():
-        raise MissingDependencyError(
-            f"codec {name!r} is registered but its backing library is not "
-            "installed (install the repro[codecs] extras)"
-        )
-    return entry.factory(**params)
+    return factory(**params)
 
 
 register_codec("zlib", ZlibCompressor)
 register_codec("raw", RawCodec)
 register_codec("modeled", ModeledCompressor)
-register_codec("zstd", ZstdCodec, available=_zstd_importable)
-register_codec("lz4", Lz4Codec, available=_lz4_importable)
 register_codec("adaptive", AdaptiveCodec)

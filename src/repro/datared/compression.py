@@ -1,7 +1,9 @@
 """Chunk compression (paper §2.1, §5.2.2).
 
 The FIDR prototype compresses unique chunks on a dedicated FPGA engine.
-Here compression is a pluggable strategy with two implementations:
+Here the *encode* side is a pluggable strategy with two implementations
+in this module (decoding is by stored tag byte, in
+:func:`repro.datared.codecs.decode_chunk`, whatever codec wrote it):
 
 * :class:`ZlibCompressor` — real DEFLATE compression.  Used by the
   functional storage server and all correctness tests: data written
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from ..obs import trace as _trace
 
@@ -53,8 +55,8 @@ class CompressedChunk:
 
     ``stored_size`` is the number of bytes the chunk occupies in a
     container on the data SSDs (2-byte field in the PBN-PBA table entry,
-    §2.1.4).  ``payload`` round-trips through the matching compressor's
-    :meth:`Compressor.decompress`.
+    §2.1.4).  ``payload`` round-trips through
+    :func:`repro.datared.codecs.decode_chunk`.
 
     ``payload`` may be a :class:`memoryview` borrowed from the caller's
     write buffer (the zero-copy incompressible path); ``prefix`` holds
@@ -109,37 +111,22 @@ class CompressedChunk:
 
 
 class Compressor:
-    """Strategy interface: compress/decompress one chunk.
+    """Encoder interface: compress one chunk, or a batch of them.
 
     This is the codec plugin contract (see :mod:`repro.datared.codecs`
-    for the registry, the on-disk tag allocation, and the optional
-    implementations).  Implementations stamp each payload with a 1-byte
-    codec tag — either as :attr:`CompressedChunk.prefix` on a fresh
-    chunk or as the first payload byte once materialized — so reads can
-    dispatch on the tag independent of the configured write codec.
-    ``name`` identifies the codec in the registry, in per-codec
-    ``compress.<name>`` trace spans, and in routing counters.
+    for the registry and the on-disk tag allocation).  Implementations
+    stamp each payload with a 1-byte codec tag — either as
+    :attr:`CompressedChunk.prefix` on a fresh chunk or as the first
+    payload byte once materialized — and the tag table decodes it, so a
+    codec has no read side of its own.  ``name`` identifies the codec in
+    the registry, in per-codec ``compress.<name>`` trace spans, and in
+    routing counters.
     """
 
     name = "custom"
 
     def compress(self, data: Buffer) -> CompressedChunk:
         raise NotImplementedError
-
-    def decompress(self, chunk: CompressedChunk) -> bytes:
-        raise NotImplementedError
-
-    def train(self, samples: Sequence[Buffer]) -> "Compressor":
-        """A new codec tuned to ``samples`` (trained dictionary).
-
-        Codecs without dictionary support — the default — raise
-        ``NotImplementedError``; see
-        :meth:`repro.datared.codecs.ZstdCodec.train` for the one that
-        implements it and DESIGN.md §5.6 for the dictionary lifecycle.
-        """
-        raise NotImplementedError(
-            f"codec {self.name!r} does not support trained dictionaries"
-        )
 
     def compress_many(
         self,
@@ -149,10 +136,7 @@ class Compressor:
         """Compress a batch (the FPGA DEFLATE engine takes batches, §5.2).
 
         With a parallel :class:`~repro.parallel.StagePool` the batch
-        fans out across its workers (``zlib`` releases the GIL); a
-        process-backed pool additionally requires picklable inputs and
-        outputs, so buffers are materialized before crossing the IPC
-        boundary and results come back with ``bytes`` payloads.
+        fans out across its worker threads (``zlib`` releases the GIL).
         Results are in input order either way.
 
         The batch runs under a ``compress.<name>`` trace span, so when
@@ -163,41 +147,7 @@ class Compressor:
         with _trace.span("compress." + self.name, chunks=len(buffers)):
             if pool is None:
                 return [self.compress(data) for data in buffers]
-            if pool.requires_pickling:
-                portable = [
-                    data if type(data) is bytes else bytes(data)  # repro-lint: copy-ok process pools serialize arguments anyway
-                    for data in buffers
-                ]
-                return pool.map(self._compress_portable, portable)
             return pool.map(self.compress, buffers)
-
-    def _compress_portable(self, data: bytes) -> CompressedChunk:
-        """Compress with a picklable result (views pinned to bytes)."""
-        chunk = self.compress(data)
-        if type(chunk.payload) is bytes:
-            return chunk
-        return CompressedChunk(
-            payload=bytes(chunk.payload),  # repro-lint: copy-ok pickled back across the process boundary
-            logical_size=chunk.logical_size,
-            stored_size=chunk.stored_size,
-            prefix=chunk.prefix,
-        )
-
-    def decompress_many(
-        self,
-        chunks: Sequence[CompressedChunk],
-        pool: Optional["StagePool"] = None,
-        *,
-        min_batch: int = 0,
-    ) -> List[bytes]:  # repro-lint: hot-path
-        """Decompress a batch, in order; ``min_batch`` gates the fan-out
-        (decompression is several times cheaper than compression, so
-        small batches are not worth a dispatch — see the engine's read
-        path)."""
-        with _trace.span("decompress." + self.name, chunks=len(chunks)):
-            if pool is None:
-                return [self.decompress(chunk) for chunk in chunks]
-            return pool.map(self.decompress, chunks, min_batch=min_batch)
 
 
 class ZlibCompressor(Compressor):
@@ -222,7 +172,7 @@ class ZlibCompressor(Compressor):
       ``Z_FULL_FLUSH``, which resets the dictionary so the output is
       byte-identical whether the state is fresh or reused.  That makes
       chunks self-contained (decompressible independently) and keeps
-      serial, thread-pool, and process-pool runs byte-identical.
+      serial and thread-pool runs byte-identical.
 
     The stored form is raw deflate (no zlib header/checksum) behind the
     ``_DEFLATE`` tag byte.
@@ -241,16 +191,6 @@ class ZlibCompressor(Compressor):
             )
         self.level = level
         self.window_bits = window_bits
-        self._local = threading.local()
-
-    def __getstate__(self) -> Dict[str, int]:
-        # Deflate state is neither picklable nor portable; a process
-        # pool rebuilds it lazily per worker from the parameters.
-        return {"level": self.level, "window_bits": self.window_bits}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self.level = state["level"]
-        self.window_bits = state["window_bits"]
         self._local = threading.local()
 
     def _squeezer(self) -> "zlib._Compress":
@@ -290,29 +230,6 @@ class ZlibCompressor(Compressor):
             prefix=self._RAW,
         )
 
-    def decompress(self, chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-        if chunk.prefix:
-            tag: Buffer = chunk.prefix
-            body: Buffer = chunk.payload
-        else:
-            view = memoryview(chunk.payload)
-            tag, body = view[:1], view[1:]
-        if tag == self._DEFLATE:
-            # Cap output at logical_size + 1 so corrupt input cannot
-            # balloon memory, then length-check below.
-            inflater = zlib.decompressobj(-self.window_bits)
-            data = inflater.decompress(body, chunk.logical_size + 1)
-        elif tag == self._RAW:
-            data = bytes(body)  # repro-lint: copy-ok reads return owned bytes
-        else:
-            raise ValueError(f"unknown compression tag {bytes(tag)!r}")  # repro-lint: copy-ok error-path formatting
-        if len(data) != chunk.logical_size:
-            raise ValueError(
-                f"decompressed to {len(data)} bytes, expected "
-                f"{chunk.logical_size}"
-            )
-        return data
-
 
 class ModeledCompressor(Compressor):
     """Size-modelled compression for large performance sweeps.
@@ -327,9 +244,7 @@ class ModeledCompressor(Compressor):
     and mixed-codec containers (a modelled sweep followed by a real
     write, or vice versa) read back correctly.  The tag byte is *not*
     added to ``stored_size`` — the stored size is the model's output,
-    not an on-disk measurement.  Pre-tag payloads (stored verbatim with
-    no tag byte) remain readable via the length check in
-    :meth:`decompress`.
+    not an on-disk measurement.
     """
 
     name = "modeled"
@@ -351,31 +266,6 @@ class ModeledCompressor(Compressor):
             stored_size=stored,
             prefix=self._MODELED,
         )
-
-    def decompress(self, chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
-        if chunk.prefix:
-            if chunk.prefix != self._MODELED:
-                raise ValueError(
-                    f"unknown compression tag {chunk.prefix!r}"  # repro-lint: copy-ok error-path formatting
-                )
-            body: Buffer = chunk.payload
-        else:
-            view = memoryview(chunk.payload)
-            if (
-                len(view) == chunk.logical_size + 1
-                and view[0] == self._MODELED[0]
-            ):
-                body = view[1:]
-            else:
-                # Pre-tag container payload: the chunk bytes verbatim.
-                body = chunk.payload
-        data = body if type(body) is bytes else bytes(body)  # repro-lint: copy-ok reads return owned bytes
-        if len(data) != chunk.logical_size:
-            raise ValueError(
-                f"decompressed to {len(data)} bytes, expected "
-                f"{chunk.logical_size}"
-            )
-        return data
 
 
 def compression_ratio(

@@ -47,7 +47,7 @@ from .chunking import BLOCK_SIZE, Chunk, FixedChunker
 from .compression import CompressedChunk, Compressor, ZlibCompressor
 from .container import ContainerStore, Placement
 from .hash_pbn import HashPbnTable
-from .hashing import SHA256, Fingerprinter
+from .hashing import FINGERPRINT_SIZE, SHA256, Fingerprinter
 from .lba_map import LbaMap, PbnAllocator, PbnMap, PbnRecord
 
 if TYPE_CHECKING:
@@ -513,11 +513,10 @@ class DedupEngine:
         this engine publishes ``engine.*`` gauges into at snapshot time
         (default: the process registry); publication is pull-based via a
         weakly-held collector, so the hot path never touches it.
-        ``fingerprinter`` selects the content-identity algorithm (a
-        :class:`~repro.datared.hashing.Fingerprinter`, default SHA-256);
-        switching it stops deduplicating against chunks hashed by the
-        old algorithm but never corrupts data — digests are identity,
-        not payload."""
+        ``fingerprinter`` injects the content-identity algorithm (a
+        :class:`~repro.datared.hashing.Fingerprinter`, default
+        :data:`~repro.datared.hashing.SHA256`); it must emit 32-byte
+        digests, the width of a Hash-PBN entry."""
         #: Guards every piece of mutable metadata below.  Concurrent
         #: callers (the race-stress harness, any future multi-threaded
         #: front end) serialize on it; the single-threaded serving
@@ -533,6 +532,12 @@ class DedupEngine:
         self.table = table if table is not None else HashPbnTable(num_buckets)  # guarded-by: self.lock
         self.compressor = compressor if compressor is not None else ZlibCompressor()
         self.fingerprinter = fingerprinter if fingerprinter is not None else SHA256
+        if self.fingerprinter.digest_size != FINGERPRINT_SIZE:
+            raise ValueError(
+                f"fingerprinter {self.fingerprinter.name!r} emits "
+                f"{self.fingerprinter.digest_size}-byte digests; the "
+                f"Hash-PBN table requires {FINGERPRINT_SIZE}"
+            )
         self.containers = containers if containers is not None else ContainerStore()  # guarded-by: self.lock
         self.lba_map: LbaStore = lba_map if lba_map is not None else LbaMap()  # guarded-by: self.lock
         self.pbn_map = PbnMap()  # guarded-by: self.lock
@@ -748,9 +753,7 @@ class DedupEngine:
         # unique — a pure shadow simulation, no engine state is touched.
         plan = self._plan_batch(chunks, digests)
 
-        # Stage 3 (parallel): compress exactly those chunks.  The
-        # compressor handles a process-backed pool itself (views must
-        # materialize before crossing the IPC boundary).
+        # Stage 3 (parallel): compress exactly those chunks.
         staged: Dict[int, CompressedChunk] = {}
         if plan:
             with batch_stage(clock, "compress"):
@@ -1109,15 +1112,12 @@ class DedupEngine:
                 # Fan out only when the batch is big enough to amortize the
                 # dispatch (min_batch): small reads decompress inline.  The
                 # tag-dispatched decoder reads every registered codec's
-                # payloads regardless of the *configured* write codec; the
-                # engine's compressor is only the fallback for pre-tag
-                # legacy payloads and dictionary-bound chunks.
+                # payloads regardless of the *configured* write codec.
                 with batch_stage(clock, "decompress", len(pending)):
                     plain = _codecs.decode_many(
                         pending,
                         pool=self.pool if self.pool.is_parallel else None,
                         min_batch=READ_FANOUT_MIN_CHUNKS,
-                        fallback=self.compressor,
                     )
         finally:
             # Bytes for the pending indexes — or, after a failed fetch or

@@ -185,7 +185,6 @@ class ShardedDedupEngine:
         #: fan-out below 8 shards).  Serial when there is one shard.
         self._fanout = StagePool(
             num_shards if num_shards > 1 else 1,
-            backend="thread",
             slices_per_worker=1,
             min_slice_items=1,
         )

@@ -25,8 +25,8 @@ __all__ = [
     "AlignmentError",
     "BucketFullError",
     "CapacityError",
+    "ChunkDecodeError",
     "JournalCorruptError",
-    "MissingDependencyError",
     "ShardError",
     "SnapshotError",
     "ErrorCode",
@@ -71,14 +71,15 @@ class BucketFullError(CapacityError):
     """
 
 
-class MissingDependencyError(ReproError, ValueError):
-    """An optional codec/fingerprint backend is not installed.
+class ChunkDecodeError(ReproError, ValueError):
+    """A stored chunk payload cannot be turned back into its bytes.
 
-    Raised when a :mod:`repro.datared.codecs` or
-    :mod:`repro.datared.hashing` plugin is selected (or a stored chunk's
-    codec tag is encountered) whose backing library — ``zstandard``,
-    ``lz4``, ``blake3`` — is absent from the environment.  Install the
-    ``codecs`` extras group or pick an always-available plugin.
+    Raised by the one decode site (:func:`repro.datared.codecs.decode_chunk`)
+    for a tag byte no decoder is registered under (or a retired one), a
+    body its decoder cannot parse, and a body that decodes to the wrong
+    length.  The request that hit it was well-formed — the *stored data*
+    rotted — so it maps to ``ErrorCode.INTERNAL`` on the wire, not
+    ``BAD_REQUEST``.
     """
 
 
@@ -176,20 +177,21 @@ def encode_error_payload(code: ErrorCode, message: str) -> bytes:
 
 
 def decode_error_payload(payload: bytes) -> Tuple[ErrorCode, str]:
-    """Unpack an error payload; tolerates legacy free-text payloads.
+    """Unpack an error payload: 16-bit code, then a UTF-8 message.
 
-    Pre-v2 servers sent bare ASCII messages.  Those can only collide
-    with a structured payload when their first byte is NUL (no printable
-    text starts that way), so a leading byte ``!= 0`` means legacy.
+    Never raises — the caller is already on an error path.  A code this
+    build does not know, or a payload shorter than the code field, reads
+    as ``ErrorCode.UNKNOWN`` (the latter with an empty message).
     """
-    if len(payload) >= 2 and payload[0] == 0:
-        (raw_code,) = _ERROR_HEADER.unpack_from(payload)
-        try:
-            code = ErrorCode(raw_code)
-        except ValueError:
-            code = ErrorCode.UNKNOWN
-        return code, payload[2:].decode("utf-8", errors="replace")
-    return ErrorCode.UNKNOWN, payload.decode("utf-8", errors="replace")
+    if len(payload) < _ERROR_HEADER.size:
+        return ErrorCode.UNKNOWN, ""
+    (raw_code,) = _ERROR_HEADER.unpack_from(payload)
+    try:
+        code = ErrorCode(raw_code)
+    except ValueError:
+        code = ErrorCode.UNKNOWN
+    message = payload[_ERROR_HEADER.size:].decode("utf-8", errors="replace")
+    return code, message
 
 
 def raise_for_error_payload(payload: bytes, context: str) -> None:

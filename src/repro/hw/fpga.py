@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..datared.codecs import decode_chunk
 from ..datared.compression import CompressedChunk, Compressor, ZlibCompressor
 from ..datared.hashing import fingerprint
 from .specs import FpgaSpec, VCU1525
@@ -143,12 +144,10 @@ class DecompressionEngine:
 
     def __init__(
         self,
-        compressor: Optional[Compressor] = None,
         decompress_bw: float = 12.8e9,
         spec: Optional[FpgaSpec] = None,
         name: str = "decompression-engine",
     ):
-        self.compressor = compressor if compressor is not None else ZlibCompressor()
         self.decompress_bw = decompress_bw
         self.spec = spec if spec is not None else VCU1525
         self.name = name
@@ -156,7 +155,7 @@ class DecompressionEngine:
         self.chunks_decompressed = 0
 
     def decompress_chunk(self, chunk: CompressedChunk) -> bytes:
-        data = self.compressor.decompress(chunk)
+        data = decode_chunk(chunk)
         self.traffic.pcie_in += chunk.stored_size
         self.traffic.pcie_out += len(data)
         self.traffic.board_dram += chunk.stored_size + len(data)

@@ -28,7 +28,6 @@ import sys
 from typing import List, Optional
 
 from ..datared import codecs as _codecs
-from ..datared import hashing as _hashing
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..systems.config import CodecPolicy, DurabilityPolicy, SystemConfig
@@ -40,19 +39,11 @@ __all__ = ["main"]
 
 
 def _build_storage(args: argparse.Namespace) -> StorageServer:
-    # CLI mode degrades gracefully: a requested codec whose optional
-    # library is missing falls back to zlib/sha256 with a warning
-    # instead of refusing to start.
     checkpoint_every = getattr(args, "checkpoint_every", None)
     config = SystemConfig(
         parallelism=args.parallelism,
-        executor=args.executor,
         shards=getattr(args, "shards", 1),
-        codec=CodecPolicy(
-            codec=args.codec,
-            fingerprint=args.fingerprint,
-            on_missing="fallback",
-        ),
+        codec=CodecPolicy(codec=args.codec),
         durability=DurabilityPolicy(
             journal=bool(getattr(args, "journal", False))
             or checkpoint_every is not None,
@@ -77,26 +68,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(1 = fully serial; results are identical at every setting)",
     )
     parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="stage-pool backend (default: thread; results are "
-        "identical at either setting)",
-    )
-    parser.add_argument(
         "--codec",
         choices=_codecs.codec_names(),
         default="zlib",
-        help="compression codec for unique chunks (optional codecs "
-        "fall back to zlib when their library is missing); "
-        f"available here: {', '.join(_codecs.available_codecs())}",
-    )
-    parser.add_argument(
-        "--fingerprint",
-        choices=_hashing.fingerprinter_names(),
-        default="sha256",
-        help="chunk fingerprint algorithm (optional algorithms fall "
-        "back to sha256 when their library is missing)",
+        help="compression codec for unique chunks (reads decode by "
+        "stored tag, whatever this is set to)",
     )
     parser.add_argument(
         "--shards",
@@ -234,21 +210,14 @@ async def _route(args: argparse.Namespace) -> int:
     if not backends:
         print("route needs --backend and/or --spawn", file=sys.stderr)
         return 2
-    fingerprinter = CodecPolicy(
-        fingerprint=args.fingerprint, on_missing="fallback"
-    ).build_fingerprinter()
     try:
         async with ShardRouter(
-            backends,
-            host=args.host,
-            port=args.port,
-            fingerprinter=fingerprinter,
+            backends, host=args.host, port=args.port
         ) as router:
             print(
                 f"routing {len(backends)} shards on "
                 f"{router.host}:{router.port} "
-                f"(spawned={len(spawned)}, "
-                f"fingerprint={fingerprinter.name})",
+                f"(spawned={len(spawned)})",
                 flush=True,
             )
             for index, address in enumerate(router.backend_addresses):

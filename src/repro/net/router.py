@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
 from ..datared.chunking import BLOCK_SIZE
-from ..datared.hashing import Fingerprinter
+from ..datared.hashing import SHA256
 from ..datared.sharded import shard_for_digest
 from ..errors import (
     AlignmentError,
@@ -54,7 +54,6 @@ from ..errors import (
     encode_error_payload,
 )
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..systems.config import CodecPolicy
 from .aserver import AsyncProtocolClient
 from .protocol import (
     Frame, FrameDecoder, Op, bounded_count, encode_corrupt_reply,
@@ -80,10 +79,6 @@ class ShardRouter:
         picks a free port, see :attr:`port` after :meth:`start`).
     chunk_size:
         The cluster chunk size — must match the backends'.
-    fingerprinter:
-        Digest used for shard selection; defaults to the default codec
-        policy's (SHA-256) and must match what the backends dedup with
-        for the §5.7 invariant to mean anything.
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class ShardRouter:
         port: int = 0,
         *,
         chunk_size: int = 4096,
-        fingerprinter: Optional[Fingerprinter] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         if not backends:
@@ -109,11 +103,6 @@ class ShardRouter:
         self.chunk_size = chunk_size
         self.blocks_per_chunk = chunk_size // BLOCK_SIZE
         self.registry = registry if registry is not None else get_registry()
-        self._fingerprinter = (
-            fingerprinter
-            if fingerprinter is not None
-            else CodecPolicy().build_fingerprinter()
-        )
         #: LBA -> shard index of the backend holding its current mapping.
         self._directory: Dict[int, int] = {}
         self._clients: List[AsyncProtocolClient] = []
@@ -256,15 +245,16 @@ class ShardRouter:
                 f"the {self.chunk_size}-byte chunk size"
             )
         self._check_alignment(frame.lba)
-        # Fingerprint every chunk up front; the digest decides the
-        # owning shard (§5.7: shard_for_digest of the *content*).
+        # Fingerprint every chunk up front, with the digest the backends
+        # dedup by; it decides the owning shard (§5.7: shard_for_digest
+        # of the *content*).
         chunk_lbas: List[int] = []
         owners: List[int] = []
         for index in range(len(payload) // self.chunk_size):
             chunk = payload[
                 index * self.chunk_size : (index + 1) * self.chunk_size
             ]
-            digest = self._fingerprinter.digest(chunk)
+            digest = SHA256.digest(chunk)
             chunk_lbas.append(frame.lba + index * self.blocks_per_chunk)
             owners.append(shard_for_digest(digest, self.num_shards))
         # Contiguous same-shard runs keep per-backend frames large.

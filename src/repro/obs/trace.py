@@ -17,16 +17,12 @@ Code therefore calls :func:`span` unconditionally; it never needs its
 own ``if`` around instrumentation.
 
 **Executor propagation.**  Spans created inside a
-:class:`~repro.parallel.StagePool` worker — thread *or* process — carry
-the submitting task's trace id.  The pool ships an
-:class:`ExecutorContext` (picklable, so it crosses the
-``requires_pickling`` seam unchanged) with each slice; the worker
-adopts it with :func:`adopt`, which captures the slice's spans into a
-plain list that returns with the results, and the parent merges them
-with :func:`merge`.  Capture-and-merge rather than worker-side commit
-keeps the ring's ordering parent-consistent and works identically for
-both backends (a process child has its own module state, a thread
-shares it).
+:class:`~repro.parallel.StagePool` worker thread carry the submitting
+task's trace id.  The pool ships an :class:`ExecutorContext` with each
+slice; the worker adopts it with :func:`adopt`, which captures the
+slice's spans into a plain list that returns with the results, and the
+parent merges them with :func:`merge`.  Capture-and-merge rather than
+worker-side commit keeps the ring's ordering parent-consistent.
 """
 
 from __future__ import annotations
@@ -96,8 +92,8 @@ now_ns = time.perf_counter_ns
 
 
 class SpanRecord(NamedTuple):
-    """One finished span.  All fields are picklable primitives so a
-    record crosses the process-pool IPC boundary as-is."""
+    """One finished span (plain primitives: it is shipped from pool
+    workers to the submitter and serialized by the exporters)."""
 
     name: str
     trace_id: int
@@ -270,8 +266,9 @@ def adopt(context: ExecutorContext) -> Iterator[List[SpanRecord]]:
     Yields the capture list: every span finished inside the block lands
     there (never in the worker's own ring), and the caller returns it
     alongside the slice results for the parent to :func:`merge`.
-    Forces tracing on for the scope — a process-pool child starts with
-    the module default (off) even though the parent traced.
+    Forces tracing on for the scope — the context exists because the
+    submitter was tracing, so the slice is captured even if the flag
+    was cleared since.
     """
     was = _STATE["enabled"]
     _STATE["enabled"] = True

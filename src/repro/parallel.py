@@ -19,14 +19,9 @@ read path's decompress fan-out).  It is deliberately small:
   slices** rather than one task per item, because dispatching a 4-KB
   chunk to an executor costs a meaningful fraction of hashing it;
   slicing amortizes the dispatch over dozens of chunks.
-* ``backend="process"`` swaps the thread pool for a
-  :class:`~concurrent.futures.ProcessPoolExecutor`: true multi-core
-  fan-out with no GIL contention at all, at the price of pickling every
-  argument and result across the IPC boundary.  Stages that hold
-  :class:`memoryview` references must materialize them first — the
-  :attr:`requires_pickling` flag tells them so (see
-  ``Compressor.compress_many``).  Worth it only when per-item work
-  clearly exceeds the pickling cost (compression yes, SHA-256 no).
+* Workers are threads and nothing else: a process pool pickles every
+  buffer across an IPC boundary, and that lost to threads *and* to the
+  serial path on every batch the server can make (DESIGN.md §5.4).
 
 The pool carries no storage state, so it is safe to share across
 engines; all metadata mutation stays on the caller's thread (see the
@@ -35,7 +30,7 @@ engines; all metadata mutation stays on the caller's thread (see the
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .obs import metrics as _metrics
@@ -45,8 +40,6 @@ __all__ = ["StagePool"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-_BACKENDS = ("thread", "process")
 
 
 def _run_slice(fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
@@ -60,8 +53,7 @@ def _run_slice_traced(
 ) -> Tuple[List[_R], List[_trace.SpanRecord]]:
     """Traced twin of :func:`_run_slice`: adopts the submitting task's
     trace context, times the slice, and ships the captured spans back
-    alongside the results.  Module-level and built from picklable
-    pieces, so it crosses the process-pool boundary like its twin."""
+    alongside the results."""
     with _trace.adopt(context) as captured:
         with _trace.span("pool.slice", items=len(items)):
             results = [fn(item) for item in items]
@@ -76,12 +68,6 @@ class StagePool:
     parallelism:
         Worker count.  ``1`` (the default) disables the executor
         entirely — the pool becomes a transparent serial executor.
-    backend:
-        ``"thread"`` (default) or ``"process"``.  Threads exploit the
-        GIL-releasing stages with near-zero dispatch cost; processes
-        buy GIL-free scaling but pickle all traffic, so callables and
-        payloads must be picklable (module-level functions or bound
-        methods of picklable objects, ``bytes`` not ``memoryview``).
     slices_per_worker:
         How many slices each worker should receive per :meth:`map`
         call; more slices balance uneven work at the cost of dispatch
@@ -102,21 +88,15 @@ class StagePool:
         self,
         parallelism: int = 1,
         *,
-        backend: str = "thread",
         slices_per_worker: int = 4,
         min_slice_items: int = 8,
         registry: Optional[_metrics.MetricsRegistry] = None,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
         if slices_per_worker < 1:
             raise ValueError("slices_per_worker must be at least 1")
         if min_slice_items < 1:
             raise ValueError("min_slice_items must be at least 1")
         self.parallelism = max(1, int(parallelism))
-        self.backend = backend
         self.slices_per_worker = slices_per_worker
         self.min_slice_items = min_slice_items
         reg = registry if registry is not None else _metrics.get_registry()
@@ -124,31 +104,17 @@ class StagePool:
         self._maps_inline = reg.counter("pool.maps_inline")
         self._slices_dispatched = reg.counter("pool.slices_dispatched")
         self._items_total = reg.counter("pool.items_total")
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         if self.parallelism > 1:
-            if backend == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.parallelism
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.parallelism,
-                    thread_name_prefix="repro-stage",
-                )
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.parallelism,
+                thread_name_prefix="repro-stage",
+            )
 
     @property
     def is_parallel(self) -> bool:
         """Whether this pool actually owns workers."""
         return self._executor is not None
-
-    @property
-    def requires_pickling(self) -> bool:
-        """Whether mapped callables/items cross an IPC boundary.
-
-        Stages holding :class:`memoryview` references must materialize
-        them to ``bytes`` before mapping through such a pool.
-        """
-        return self._executor is not None and self.backend == "process"
 
     def map(  # lockgraph: blocking-ok stage fns are lock-free, wait cannot deadlock
         self,
@@ -197,11 +163,9 @@ class StagePool:
         spans = zip(bounds, bounds[1:])
         results: List[_R] = []
         # When the submitting task is tracing, dispatch the traced slice
-        # runner: workers adopt the parent's trace context (thread or
-        # process — the context and the captured SpanRecords are both
-        # picklable) and return their spans for the parent to merge, so
-        # the ring stays parent-ordered and a process child's spans are
-        # not stranded in its own interpreter.
+        # runner: workers adopt the parent's trace context and return
+        # their spans for the parent to merge, so the ring stays
+        # parent-ordered.
         context = _trace.current_context()
         if context is None:
             futures = [
@@ -246,7 +210,4 @@ class StagePool:
         self.shutdown()
 
     def __repr__(self) -> str:
-        return (
-            f"StagePool(parallelism={self.parallelism}, "
-            f"backend={self.backend!r})"
-        )
+        return f"StagePool(parallelism={self.parallelism})"

@@ -112,11 +112,8 @@ class ReductionSystem:
             eviction_batch=self.config.eviction_batch,
         )
         #: Shared fan-out pool for the GIL-releasing stages; serial (no
-        #: workers) unless ``config.parallelism`` > 1.  The backend
-        #: (``config.executor``) picks threads or processes.
-        self.pool = StagePool(
-            self.config.parallelism, backend=self.config.executor
-        )
+        #: workers) unless ``config.parallelism`` > 1.
+        self.pool = StagePool(self.config.parallelism)
         #: Built through the R009 factory: ``config.shards`` decides
         #: between the plain engine over the table cache and the
         #: fingerprint-sharded engine (DESIGN.md §5.7).

@@ -18,14 +18,11 @@ All cycle figures are cycles on a 2.2-GHz Xeon core.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..datared import codecs as _codecs
-from ..datared import hashing as _hashing
 from ..datared.compression import Compressor
-from ..datared.hashing import Fingerprinter
 
 __all__ = ["CodecPolicy", "CpuCosts", "DurabilityPolicy", "SystemConfig"]
 
@@ -119,100 +116,28 @@ class CpuCosts:
 
 @dataclass(frozen=True)
 class CodecPolicy:
-    """Which data-reduction plugins a system builds its engine with.
+    """Which write codec a system builds its engine with.
 
-    The typed front door to the :mod:`repro.datared.codecs` and
-    :mod:`repro.datared.hashing` registries: names plus construction
-    parameters, resolved when the system is built.  ``on_missing``
-    decides what happens when the named plugin is registered but its
-    backing library is absent (``zstd``/``lz4``/``blake3`` without the
-    ``codecs`` extras): ``"error"`` (default) raises
-    :class:`~repro.errors.MissingDependencyError`, ``"fallback"``
-    silently degrades to the always-available defaults (``zlib`` /
-    ``sha256``) with a :class:`RuntimeWarning` — the CLI mode, where a
-    best-effort run beats a crash.  Unknown *names* always raise: a
-    typo is a bug, not a missing wheel.
+    The typed front door to the :mod:`repro.datared.codecs` registry: a
+    name plus construction parameters, resolved when the system is
+    built.  An unknown name raises ``ValueError`` there.  (Reads need no
+    policy — they dispatch on each stored chunk's tag.)
     """
 
     codec: str = "zlib"
-    fingerprint: str = "sha256"
-    #: Compression level for codecs that take one (zlib 0-9, zstd 1-22);
-    #: ``None`` keeps each codec's own default.
+    #: Compression level for ``zlib`` (0-9); ``None`` keeps its default.
     level: Optional[int] = None
-    #: Trained zstd dictionary bytes (see ``ZstdCodec.train``).
-    dictionary: Optional[bytes] = None
     #: Size ratio for the ``modeled`` codec.
     modeled_ratio: float = 0.5
-    on_missing: str = "error"
-
-    def __post_init__(self) -> None:
-        if self.on_missing not in ("error", "fallback"):
-            raise ValueError(
-                f"on_missing must be 'error' or 'fallback', "
-                f"got {self.on_missing!r}"
-            )
-
-    def resolved_codec(self) -> str:
-        """The codec name that will actually be constructed.
-
-        Unknown names pass through untouched so ``create_codec`` raises
-        the informative ``ValueError``; only a *registered* codec whose
-        library is missing falls back (when ``on_missing`` allows).
-        """
-        if (
-            self.on_missing == "fallback"
-            and self.codec in _codecs.codec_names()
-            and not _codecs.codec_available(self.codec)
-        ):
-            return "zlib"
-        return self.codec
-
-    def resolved_fingerprint(self) -> str:
-        """The fingerprint algorithm that will actually be constructed."""
-        if (
-            self.on_missing == "fallback"
-            and self.fingerprint in _hashing.fingerprinter_names()
-            and not _hashing.fingerprinter_available(self.fingerprint)
-        ):
-            return "sha256"
-        return self.fingerprint
 
     def build_compressor(self) -> Compressor:
-        """Construct the configured codec (honouring ``on_missing``)."""
-        name = self.resolved_codec()
-        if name != self.codec:
-            warnings.warn(
-                f"codec {self.codec!r} is not available in this "
-                "environment; falling back to 'zlib' (install the "
-                "repro[codecs] extras for the optional codecs)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        """Construct the configured codec."""
         params = {}
-        if name == "zlib" and self.level is not None:
+        if self.codec == "zlib" and self.level is not None:
             params["level"] = self.level
-        elif name == "zstd":
-            if self.level is not None:
-                params["level"] = self.level
-            if self.dictionary is not None:
-                params["dictionary"] = self.dictionary
-        elif name == "modeled":
+        elif self.codec == "modeled":
             params["ratio"] = self.modeled_ratio
-        return _codecs.create_codec(name, **params)
-
-    def build_fingerprinter(self) -> Fingerprinter:
-        """Construct the configured fingerprinter (honouring
-        ``on_missing``)."""
-        name = self.resolved_fingerprint()
-        if name != self.fingerprint:
-            warnings.warn(
-                f"fingerprinter {self.fingerprint!r} is not available in "
-                "this environment; falling back to 'sha256' (install the "
-                "repro[codecs] extras for the optional algorithms)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _hashing.create_fingerprinter(name)
+        return _codecs.create_codec(self.codec, **params)
 
 
 @dataclass(frozen=True)
@@ -239,12 +164,6 @@ class SystemConfig:
     #: the data path fully serial (no threads are created); results are
     #: identical at every setting.
     parallelism: int = 1
-    #: Executor backend for the stage pool: ``"thread"`` (default;
-    #: exploits the GIL-releasing stages with cheap dispatch) or
-    #: ``"process"`` (GIL-free multi-core fan-out at IPC/pickling cost —
-    #: see DESIGN.md §5.4 for the trade-off).  Results are identical at
-    #: either setting.
-    executor: str = "thread"
     #: Fingerprint-space shards behind the scatter-gather front door
     #: (DESIGN.md §5.7).  ``1`` (default) builds the plain
     #: :class:`~repro.datared.dedup.DedupEngine` over the table cache;
@@ -256,9 +175,8 @@ class SystemConfig:
     #: re-reads served from the cache skip the container fetch and
     #: ``zlib.decompress``; entries are invalidated on free/GC.
     read_cache_chunks: int = 0
-    #: Which codec/fingerprint plugins the engine is built with (see
-    #: :class:`CodecPolicy`).  The default policy is the byte-stable
-    #: ``zlib`` + ``sha256`` pair.
+    #: Which write codec the engine is built with (see
+    #: :class:`CodecPolicy`).  The default is the byte-stable ``zlib``.
     codec: CodecPolicy = field(default_factory=CodecPolicy)
     #: Crash-consistency policy (see :class:`DurabilityPolicy`).  The
     #: default keeps journaling off — no durability cost on the modeled

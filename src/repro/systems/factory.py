@@ -104,7 +104,6 @@ def build_engine(
     resolved_compressor = (
         compressor if compressor is not None else config.codec.build_compressor()
     )
-    fingerprinter = config.codec.build_fingerprinter()
     if config.shards == 1:
         containers: Optional[ContainerStore] = None
         image: Optional[RecoveryImage] = None
@@ -125,7 +124,6 @@ def build_engine(
             pool=pool,
             read_cache_chunks=config.read_cache_chunks,
             registry=registry,
-            fingerprinter=fingerprinter,
             journal=_make_journal(config, registry),
         )
         if image is not None:
@@ -180,7 +178,6 @@ def build_engine(
             pool=pool,
             read_cache_chunks=config.read_cache_chunks,
             registry=shard_registry,
-            fingerprinter=fingerprinter,
             journal=_make_journal(config, shard_registry),
         )
 

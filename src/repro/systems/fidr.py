@@ -86,9 +86,7 @@ class FidrSystem(ReductionSystem):
         self.compression = CompressionEngine(
             compressor=self.engine.compressor, spec=self.server.fpga
         )
-        self.decompression = DecompressionEngine(
-            compressor=self.engine.compressor, spec=self.server.fpga
-        )
+        self.decompression = DecompressionEngine(spec=self.server.fpga)
         self.engine.registry.register_collector(self._publish_fidr_metrics)
 
     def _publish_fidr_metrics(self, registry: MetricsRegistry) -> None:

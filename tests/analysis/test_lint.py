@@ -576,18 +576,6 @@ class TestR008PluginDiscipline:
         )
         assert lint_source(clean, module="repro.datared.fixture") == []
 
-    def test_optional_backends_are_flagged_by_prefix(self):
-        planted = src(
-            """
-            import zstandard
-
-            def squeeze(data):
-                return zstandard.ZstdCompressor().compress(data)
-            """
-        )
-        findings = lint_source(planted, module="repro.datared.fixture")
-        assert rules_of(findings) == ["R008"]
-
     def test_registry_calls_are_clean(self):
         clean = src(
             """

@@ -82,6 +82,14 @@ class TestCdcDedupStore:
         store.write_stream("s", data)
         assert store.read_stream("s") == data
 
+    def test_the_raw_escape_keeps_its_tag_in_the_container(self, rng):
+        # Incompressible chunks take zlib's raw escape, whose tag rides
+        # in the chunk's prefix: the store must write it with the body.
+        store = CdcDedupStore()
+        data = rng.randbytes(30_000)
+        store.write_stream("s", data)
+        assert store.read_stream("s") == data
+
     def test_identical_streams_fully_dedupe(self, rng):
         store = CdcDedupStore(compressor=ModeledCompressor(0.5))
         data = rng.randbytes(30_000)

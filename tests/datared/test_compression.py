@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.datared.codecs import decode_chunk
 from repro.datared.compression import (
     CompressedChunk,
     ModeledCompressor,
@@ -16,14 +17,14 @@ class TestZlibCompressor:
         compressor = ZlibCompressor()
         data = b"pattern" * 600
         chunk = compressor.compress(data)
-        assert compressor.decompress(chunk) == data
+        assert decode_chunk(chunk) == data
         assert chunk.stored_size < len(data)
 
     def test_incompressible_stored_raw(self, rng):
         compressor = ZlibCompressor()
         data = rng.randbytes(4096)
         chunk = compressor.compress(data)
-        assert compressor.decompress(chunk) == data
+        assert decode_chunk(chunk) == data
         # Raw escape: at most original size + tag accounting cap.
         assert chunk.stored_size <= len(data)
 
@@ -39,7 +40,7 @@ class TestZlibCompressor:
         compressor = ZlibCompressor()
         bogus = CompressedChunk(payload=b"\x07junk", logical_size=4, stored_size=5)
         with pytest.raises(ValueError):
-            compressor.decompress(bogus)
+            decode_chunk(bogus)
 
     def test_size_mismatch_detected(self):
         compressor = ZlibCompressor()
@@ -48,12 +49,12 @@ class TestZlibCompressor:
             payload=chunk.payload, logical_size=9999, stored_size=chunk.stored_size
         )
         with pytest.raises(ValueError):
-            compressor.decompress(tampered)
+            decode_chunk(tampered)
 
     @given(st.binary(min_size=1, max_size=8192))
     def test_roundtrip_arbitrary(self, data):
         compressor = ZlibCompressor()
-        assert compressor.decompress(compressor.compress(data)) == data
+        assert decode_chunk(compressor.compress(data)) == data
 
     def test_half_compressible_lands_near_half(self, rng):
         data = rng.randbytes(2048) + b"\x00" * 2048
@@ -86,7 +87,7 @@ class TestZeroCopyIncompressiblePath:
             logical_size=chunk.logical_size,
             stored_size=chunk.stored_size,
         )
-        assert compressor.decompress(stored) == original
+        assert decode_chunk(stored) == original
 
     def test_unmaterialized_view_tracks_mutation(self, rng):
         """The flip side: until materialize(), the chunk *is* the
@@ -96,7 +97,7 @@ class TestZeroCopyIncompressiblePath:
         source = bytearray(rng.randbytes(4096))
         chunk = compressor.compress(source)
         source[:16] = b"\xee" * 16
-        assert compressor.decompress(chunk) == bytes(source)
+        assert decode_chunk(chunk) == bytes(source)
 
 
 class TestModeledCompressor:
@@ -105,7 +106,7 @@ class TestModeledCompressor:
         data = b"q" * 4096
         chunk = compressor.compress(data)
         assert chunk.stored_size == 2048
-        assert compressor.decompress(chunk) == data
+        assert decode_chunk(chunk) == data
 
     def test_ratio_validation(self):
         for bad in (0.0, -0.1, 1.5):

@@ -96,9 +96,9 @@ class TestStagePool:
             StagePool(2, slices_per_worker=0)
         with pytest.raises(ValueError):
             StagePool(2, min_slice_items=0)
-        for backend in ("fiber", "auto"):
-            with pytest.raises(ValueError):
-                StagePool(2, backend=backend)
+        # Workers are threads; there is no backend to pick.
+        with pytest.raises(TypeError):
+            StagePool(2, backend="process")
 
     def test_min_batch_runs_inline(self):
         """Batches below ``min_batch`` stay on the calling thread even
@@ -120,29 +120,6 @@ class TestStagePool:
                 )
             )
             assert main not in names
-
-    def test_requires_pickling_flags_only_live_process_pools(self):
-        serial = StagePool(1, backend="process")
-        assert not serial.requires_pickling  # no workers, runs inline
-        with StagePool(4) as threads:
-            assert not threads.requires_pickling
-        pool = StagePool(2, backend="process")
-        try:
-            assert pool.is_parallel
-            assert pool.requires_pickling
-        finally:
-            pool.shutdown()
-        assert not pool.requires_pickling  # shut down -> inline again
-
-    def test_process_backend_map_matches_serial(self):
-        rng = random.Random(11)
-        chunks = [rng.randbytes(CHUNK) for _ in range(64)]
-        with StagePool(2, backend="process") as pool:
-            # The callable crosses the IPC boundary, so it must be a
-            # module-level function — fingerprint qualifies.
-            assert pool.map(fingerprint, chunks) == [
-                fingerprint(c) for c in chunks
-            ]
 
 
 class TestFingerprintMany:
@@ -326,44 +303,6 @@ def test_write_many_is_indistinguishable_from_serial(
         )
     assert check_engine(legacy) == []
     assert legacy.read(0, 24).data == batched.read(0, 24).data
-
-
-@pytest.mark.parametrize("zero_fill", [0, CHUNK - 64])
-def test_write_many_process_pool_is_indistinguishable_from_serial(zero_fill):
-    """Differential identity across the IPC boundary: chunk payloads
-    pickle to worker processes, compress there with per-process deflate
-    state, and pickle back — bytes, reports, and stats must still match
-    the serial engine.  ``zero_fill=0`` makes most chunks incompressible
-    so the raw view-payload escape path crosses the boundary too."""
-    rng = random.Random(0xACE0 + zero_fill)
-    requests = make_request_stream(
-        rng, dedup_fraction=0.5, zero_fill=zero_fill
-    )
-
-    serial = DedupEngine(num_buckets=512, compressor=ZlibCompressor())
-    serial_reports = [serial.write(lba, data) for lba, data in requests]
-
-    with StagePool(2, backend="process") as pool:
-        batched = DedupEngine(
-            num_buckets=512, compressor=ZlibCompressor(), pool=pool
-        )
-        batched_reports = []
-        for start in range(0, len(requests), 16):
-            batched_reports.extend(
-                batched.write_many(requests[start : start + 16])
-            )
-
-    assert len(serial_reports) == len(batched_reports)
-    for left, right in zip(serial_reports, batched_reports):
-        assert reports_equal(left, right)
-    assert serial.stats == batched.stats
-    assert batched.plan_fallback_compressions == 0
-    assert check_engine(serial) == []
-    assert check_engine(batched) == []
-    assert (
-        batched.read(0, 24).data
-        == b"".join(serial.read(i * BLOCKS).data for i in range(24))
-    )
 
 
 def test_write_many_intra_batch_retire_then_rewrite():

@@ -18,6 +18,7 @@ from repro.errors import (
     AlignmentError,
     ErrorCode,
     ProtocolError,
+    ReproError,
     decode_error_payload,
 )
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
@@ -518,6 +519,39 @@ class TestGroups:
                     assert results[:7] + results[8:] == chunks[:7] + chunks[8:]
                     assert engine_passes == [7, 8]
                     assert server.metrics.frames_rejected == 1
+
+        run(body())
+
+    def test_a_rotted_chunk_mid_run_is_that_ops_internal_error(self, rng):
+        """One stored chunk no longer inflates; of 16 queued READs the
+        one that needs it draws ``INTERNAL`` — the storage rotted, the
+        request was fine — and its neighbours are served."""
+        storage = build_storage()
+
+        async def body():
+            async with AsyncProtocolServer(storage, workers=1) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+                    await client.write(0, b"".join(chunks))
+                    storage.flush()
+                    engine = storage.system.engine
+                    record = engine.pbn_map.get(engine.lba_map.get(9))
+                    container = engine.containers._get(record.container_id)
+                    container._payloads[record.offset] = b"\x01not deflate"
+                    async with held_backend(server):
+                        burst = asyncio.gather(*(
+                            client.read(lba, 1) for lba in range(16)
+                        ), return_exceptions=True)
+                        await wait_until(
+                            lambda: server.metrics.requests_enqueued == 17
+                        )
+                    results = await burst
+                    # INTERNAL's class; BAD_REQUEST/UNKNOWN raise ProtocolError.
+                    assert type(results[9]) is ReproError
+                    assert "0x01 body does not decode" in str(results[9])
+                    assert results[:9] + results[10:] == chunks[:9] + chunks[10:]
 
         run(body())
 

@@ -32,9 +32,6 @@ class SlowCompressor(Compressor):
         time.sleep(self.delay_s)
         return self.inner.compress(data)
 
-    def decompress(self, chunk) -> bytes:
-        return self.inner.decompress(chunk)
-
 
 def build_storage(delay_s: float) -> StorageServer:
     from repro.systems.config import SystemConfig

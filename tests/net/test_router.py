@@ -24,6 +24,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.datared.compression import ModeledCompressor
+from repro.datared.hashing import fingerprint
 from repro.errors import (
     ErrorCode,
     ShardError,
@@ -107,7 +108,7 @@ def payload_for_shard(rng, router, target):
 
     while True:
         data = rng.randbytes(CHUNK)
-        digest = router._fingerprinter.digest(data)
+        digest = fingerprint(data)
         if shard_for_digest(digest, router.num_shards) == target:
             return data
 

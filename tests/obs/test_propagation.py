@@ -1,6 +1,6 @@
-"""Span propagation across the StagePool's executor boundary — both
-backends — plus the differential guarantee: arming observability must
-not change a single output byte or ledger entry."""
+"""Span propagation across the StagePool's executor boundary, plus the
+differential guarantee: arming observability must not change a single
+output byte or ledger entry."""
 
 from __future__ import annotations
 
@@ -28,15 +28,18 @@ def _isolated_obs():
 
 
 def _probe(item: int) -> int:
-    """Module-level so the process backend can pickle it."""
     with trace.span("probe.item"):
         return item * 2
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_pool_spans_share_the_parent_trace_id(backend):
+#: One row, so each test keeps the id the suite has always printed.
+on_threads = pytest.mark.parametrize("workers", [pytest.param(4, id="thread")])
+
+
+@on_threads
+def test_pool_spans_share_the_parent_trace_id(workers):
     with trace.enabled():
-        with StagePool(4, backend=backend, min_slice_items=1) as pool:
+        with StagePool(workers, min_slice_items=1) as pool:
             with trace.span("parent"):
                 results = pool.map(_probe, list(range(32)))
     assert results == [index * 2 for index in range(32)]
@@ -51,9 +54,9 @@ def test_pool_spans_share_the_parent_trace_id(backend):
     assert trace_ids == {parents[0].trace_id}
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_untraced_pool_dispatches_the_plain_runner(backend):
-    with StagePool(4, backend=backend, min_slice_items=1) as pool:
+@on_threads
+def test_untraced_pool_dispatches_the_plain_runner(workers):
+    with StagePool(workers, min_slice_items=1) as pool:
         results = pool.map(_probe, list(range(32)))
     assert results == [index * 2 for index in range(32)]
     assert trace.tail() == []
@@ -64,13 +67,12 @@ def test_worker_spans_land_in_the_parent_registry():
     previous = set_registry(registry)
     try:
         with trace.enabled():
-            with StagePool(4, backend="process", min_slice_items=1) as pool:
+            with StagePool(4, min_slice_items=1) as pool:
                 pool.map(_probe, list(range(32)))
     finally:
         set_registry(previous)
     histograms = registry.snapshot()["histograms"]
-    # A process child's commits would be stranded in its interpreter;
-    # capture-and-merge puts them in ours.
+    # Capture-and-merge: the submitter commits each worker span, once.
     assert histograms["probe.item.ns"]["count"] == 32
     assert histograms["pool.slice.ns"]["count"] >= 1
 
@@ -95,12 +97,12 @@ def _write_fleet(pool, clock) -> tuple:
     return reads, engine.stats_snapshot()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_tracing_does_not_change_bytes_or_ledgers(backend):
+@on_threads
+def test_tracing_does_not_change_bytes_or_ledgers(workers):
     with StagePool(1) as serial_pool:
         baseline_reads, baseline_stats = _write_fleet(serial_pool, None)
     with trace.enabled():
-        with StagePool(4, backend=backend, min_slice_items=1) as pool:
+        with StagePool(workers, min_slice_items=1) as pool:
             traced_reads, traced_stats = _write_fleet(pool, TracedStages())
     assert traced_reads == baseline_reads
     assert traced_stats == baseline_stats

@@ -132,8 +132,8 @@ class TestCaptureAndMerge:
         assert record.trace_id != context.trace_id
 
     def test_adopt_force_enables_for_process_children(self):
-        # A forked worker starts with the module default (disabled) even
-        # though the parent traced; adopt() must still capture.
+        # The submitter traced (it minted the context); adopt() must
+        # capture even where the flag reads disabled.
         context = trace.ExecutorContext(trace_id=77)
         with trace.adopt(context) as captured:
             assert trace.is_enabled()

@@ -1,16 +1,14 @@
 """CodecPolicy: the typed front door from SystemConfig to the codec
-and fingerprint plugin registries, including the on_missing resolution
-rules and the systems-layer wiring that threads the chosen plugins
-through the engine, the NIC hash core, and the FPGA engines."""
+registry, and the systems-layer wiring that threads the chosen codec and
+the one fingerprinter through the engine, the NIC hash core, and the
+FPGA engines."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datared import codecs as _codecs
-from repro.datared import hashing as _hashing
 from repro.datared.compression import ModeledCompressor, ZlibCompressor
-from repro.errors import MissingDependencyError
+from repro.datared.hashing import SHA256
 from repro.systems.baseline import BaselineSystem
 from repro.systems.config import CodecPolicy, SystemConfig
 from repro.systems.fidr import FidrSystem
@@ -22,7 +20,7 @@ class TestCodecPolicy:
     def test_default_policy_is_the_byte_stable_pair(self):
         policy = CodecPolicy()
         assert isinstance(policy.build_compressor(), ZlibCompressor)
-        assert policy.build_fingerprinter().name == "sha256"
+        assert FidrSystem().engine.fingerprinter is SHA256
 
     def test_level_and_ratio_parameters_flow_through(self):
         assert CodecPolicy(codec="zlib", level=1).build_compressor().level == 1
@@ -32,46 +30,9 @@ class TestCodecPolicy:
         assert isinstance(modeled, ModeledCompressor)
         assert modeled.compress(b"\x00" * CHUNK).stored_size == CHUNK // 4
 
-    def test_on_missing_error_raises_typed(self, monkeypatch):
-        monkeypatch.setattr(_codecs, "zstandard", None)
-        policy = CodecPolicy(codec="zstd")
-        assert policy.resolved_codec() == "zstd"
-        with pytest.raises(MissingDependencyError):
-            policy.build_compressor()
-
-    def test_on_missing_fallback_degrades_with_a_warning(self, monkeypatch):
-        monkeypatch.setattr(_codecs, "zstandard", None)
-        monkeypatch.setattr(_hashing, "blake3", None)
-        policy = CodecPolicy(
-            codec="zstd", fingerprint="blake3", on_missing="fallback"
-        )
-        assert policy.resolved_codec() == "zlib"
-        assert policy.resolved_fingerprint() == "sha256"
-        with pytest.warns(RuntimeWarning, match="zstd"):
-            compressor = policy.build_compressor()
-        assert isinstance(compressor, ZlibCompressor)
-        with pytest.warns(RuntimeWarning, match="blake3"):
-            assert policy.build_fingerprinter().name == "sha256"
-
-    def test_fallback_never_masks_a_typo(self):
-        # Unknown names are bugs, not missing wheels: they pass through
-        # resolution untouched so create_codec raises the ValueError.
-        policy = CodecPolicy(codec="snappy", on_missing="fallback")
-        assert policy.resolved_codec() == "snappy"
+    def test_an_unknown_codec_name_raises(self):
         with pytest.raises(ValueError, match="unknown codec"):
-            policy.build_compressor()
-
-    def test_available_codecs_do_not_warn(self):
-        import warnings
-
-        policy = CodecPolicy(codec="adaptive", on_missing="fallback")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert policy.build_compressor().name == "adaptive"
-
-    def test_on_missing_is_validated(self):
-        with pytest.raises(ValueError, match="on_missing"):
-            CodecPolicy(on_missing="ignore")
+            CodecPolicy(codec="snappy").build_compressor()
 
 
 class TestSystemWiring:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.datared import codecs
 from repro.datared.compression import ZlibCompressor
 from repro.datared.dedup import DedupEngine
-from repro.errors import AlignmentError
+from repro.errors import AlignmentError, ChunkDecodeError
 from repro.systems.baseline import BaselineSystem
 from repro.systems.config import SystemConfig
 from repro.systems.extensions import ExtendedFidrSystem
@@ -276,6 +276,11 @@ def test_a_malformed_extent_fails_alone_before_the_pass(bad):
 #: The engine's read LRU is the one structure a failed pass has already
 #: moved (probes counted, victims evicted) when the extents are re-run
 #: one by one, so the exact-ledger claim below excludes it (DESIGN §5.2).
+#: How a stored chunk rots: a broken deflate stream, a tag nobody
+#: decodes, a body of the wrong length — each the one typed storage fault.
+ROTS = (b"\x01not deflate", b"\x7funknown tag", b"\x00short")
+
+
 @pytest.mark.parametrize("name", sorted(n for n in CONFIGS if "lru" not in n))
 def test_a_corrupt_payload_mid_run_fails_exactly_its_op(name):
     """One stored chunk is rotted; of 16 grouped one-chunk reads only
@@ -287,22 +292,23 @@ def test_a_corrupt_payload_mid_run_fails_exactly_its_op(name):
     )
     extents = [(lba, 1) for lba in rng.sample(range(32), 16)]
     rotted = extents[9][0]
-    with build(name) as grouped, build(name) as single:
-        for system in (grouped, single):
-            system.write(0, payload)
-            system.flush()
-            for engine in getattr(system.engine, "shards", [system.engine]):
-                pbn = engine.lba_map.get(rotted)
-                if pbn is not None:
-                    record = engine.pbn_map.get(pbn)
-                    container = engine.containers._get(record.container_id)
-                    container._payloads[record.offset] = b"\x01not deflate"
-        got = grouped.read_extents(extents)
-        assert [isinstance(item, Exception) for item in got] == [
-            index == 9 for index in range(16)
-        ]
-        assert comparable(got) == comparable(read_each(single, extents))
-        assert_same_ledgers(grouped, single, name)
+    for rot in ROTS:
+        with build(name) as grouped, build(name) as single:
+            for system in (grouped, single):
+                system.write(0, payload)
+                system.flush()
+                for engine in getattr(system.engine, "shards", [system.engine]):
+                    pbn = engine.lba_map.get(rotted)
+                    if pbn is not None:
+                        record = engine.pbn_map.get(pbn)
+                        container = engine.containers._get(record.container_id)
+                        container._payloads[record.offset] = rot
+            got = grouped.read_extents(extents)
+            assert [type(item) is ChunkDecodeError for item in got] == [
+                index == 9 for index in range(16)
+            ], rot
+            assert comparable(got) == comparable(read_each(single, extents))
+            assert_same_ledgers(grouped, single, name)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     AlignmentError,
     CapacityError,
+    ChunkDecodeError,
     ErrorCode,
     ProtocolError,
     ReproError,
@@ -38,6 +39,7 @@ class TestCodeMapping:
         (ReproError("x"), ErrorCode.INTERNAL),
         (ValueError("x"), ErrorCode.BAD_REQUEST),
         (RuntimeError("x"), ErrorCode.UNKNOWN),
+        (ChunkDecodeError("x"), ErrorCode.INTERNAL),
     ])
     def test_error_code_for(self, exc, code):
         assert error_code_for(exc) is code
@@ -60,11 +62,15 @@ class TestPayloadFormat:
         payload = encode_error_payload(ErrorCode.CAPACITY, "full")
         assert decode_error_payload(payload) == (ErrorCode.CAPACITY, "full")
 
-    def test_legacy_free_text_payload(self):
-        """Pre-v2 servers sent bare ASCII; decoding must not mangle it."""
-        code, message = decode_error_payload(b"empty write")
-        assert code is ErrorCode.UNKNOWN
-        assert message == "empty write"
+    @pytest.mark.parametrize("payload, expected", [
+        (b"", (ErrorCode.UNKNOWN, "")),
+        (b"x", (ErrorCode.UNKNOWN, "")),  # shorter than the code field
+        # The code is always unpacked: a first byte != 0 is no free text.
+        (b"empty write", (ErrorCode.UNKNOWN, "pty write")),
+        (b"\x00\x04\xff\xfefull", (ErrorCode.CAPACITY, "\ufffd\ufffdfull")),
+    ], ids=["empty", "one-byte", "unknown-code", "not-utf8"])
+    def test_any_payload_decodes_without_raising(self, payload, expected):
+        assert decode_error_payload(payload) == expected
 
     def test_empty_payload(self):
         code, message = decode_error_payload(b"")
