@@ -10,11 +10,10 @@ This package implements the paper's §2 components on real bytes:
   pluggable bucket store.
 * :mod:`~repro.datared.lba_map` — the two-level LBA→PBN→PBA mapping with
   reference counting.
-* :mod:`~repro.datared.compression` — real (zlib) and size-modelled
-  compression strategies.
+* :mod:`~repro.datared.compression` — real (zlib, behind a per-segment
+  entropy gate) and size-modelled compression strategies.
 * :mod:`~repro.datared.codecs` — the codec plugin registry: tagged
-  on-disk payloads, the adaptive router, and the tag-dispatched read
-  path.
+  on-disk payloads and the tag-dispatched read path.
 * :mod:`~repro.datared.container` — 4-MB compressed-chunk containers.
 * :mod:`~repro.datared.dedup` — the end-to-end write/read engine.
 * :mod:`~repro.datared.lba_store` — the paged, cached LBA→PBN store.
@@ -26,7 +25,6 @@ This package implements the paper's §2 components on real bytes:
 from .cdc import CdcDedupStore, GearChunker, StreamStats
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker, LargeChunkAssembler, RmwStats
 from .codecs import (
-    AdaptiveCodec,
     Codec,
     RawCodec,
     codec_names,
@@ -101,7 +99,6 @@ from .lba_map import (
 )
 
 __all__ = [
-    "AdaptiveCodec",
     "BLOCK_SIZE",
     "CdcDedupStore",
     "Codec",

@@ -43,26 +43,16 @@ single sanctioned copy happens at the container boundary via
 from __future__ import annotations
 
 import zlib
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    cast,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ChunkDecodeError
-from ..obs import metrics as _metrics
-from ..obs import trace as _trace
 from .compression import (
     Buffer,
     CompressedChunk,
     Compressor,
     ModeledCompressor,
     ZlibCompressor,
+    raw_escape,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,7 +64,6 @@ __all__ = [
     "TAG_DEFLATE",
     "TAG_MODELED",
     "RawCodec",
-    "AdaptiveCodec",
     "register_codec",
     "register_decoder",
     "create_codec",
@@ -97,21 +86,11 @@ TAG_MODELED = 0x04
 #: the codec's name, not be misread by whatever claimed the tag next.
 _RETIRED_TAGS = {0x02: "zstd", 0x03: "lz4"}
 
-_RAW_PREFIX = bytes([TAG_RAW])
-
 # The zlib codec predates the registry; its private tag bytes are the
 # on-disk format every pre-registry container used, so the allocation
 # table above must agree with them byte-for-byte.
 assert ZlibCompressor._RAW == bytes([TAG_RAW])
 assert ZlibCompressor._DEFLATE == bytes([TAG_DEFLATE])
-
-
-def _raw_escape(data: Buffer, size: int) -> CompressedChunk:  # repro-lint: hot-path
-    """The shared store-uncompressed escape: tag 0x00, borrowed view."""
-    raw = data if type(data) is bytes else memoryview(data)
-    return CompressedChunk(
-        payload=raw, logical_size=size, stored_size=size, prefix=_RAW_PREFIX
-    )
 
 
 def _body(chunk: CompressedChunk) -> Buffer:  # repro-lint: hot-path
@@ -228,9 +207,8 @@ def decode_many(
 class RawCodec(Compressor):
     """Store chunks verbatim (tag 0x00): compression disabled.
 
-    The measurement control for codec sweeps, and the target the
-    adaptive codec routes incompressible chunks to.  ``stored_size``
-    equals ``logical_size``, exactly like every codec's raw escape.
+    The measurement control for codec sweeps.  ``stored_size`` equals
+    ``logical_size``, exactly like every codec's raw escape.
     """
 
     name = "raw"
@@ -239,94 +217,7 @@ class RawCodec(Compressor):
         size = len(data)
         if not size:
             raise ValueError("cannot compress an empty chunk")
-        return _raw_escape(data, size)
-
-
-class AdaptiveCodec(Compressor):
-    """Per-chunk codec routing from a cheap entropy probe.
-
-    Samples up to ``probe_bytes`` bytes (strided across the chunk, so
-    mixed content is seen end to end) and counts distinct byte values —
-    a crude but monotone entropy proxy costing well under a microsecond:
-
-    * distinct fraction >= ``raw_threshold``: effectively random; skip
-      compression entirely (the ``raw`` escape) instead of paying the
-      dominant-stage cost for nothing,
-    * below: redundant; the *primary* codec (zlib by default).
-
-    Routing decisions publish as ``codec.adaptive.chosen.<name>``
-    counters; batch fan-out probes in the submitting thread and
-    delegates each partition to the target codec's own
-    ``compress_many``, preserving input order.
-    """
-
-    name = "adaptive"
-
-    def __init__(
-        self,
-        primary: Optional[Compressor] = None,
-        *,
-        probe_bytes: int = 64,
-        raw_threshold: float = 0.80,
-        registry: Optional[_metrics.MetricsRegistry] = None,
-    ) -> None:
-        if probe_bytes < 8:
-            raise ValueError(f"probe_bytes must be >= 8, got {probe_bytes}")
-        if not 0.0 < raw_threshold <= 1.0:
-            raise ValueError(
-                f"raw_threshold must be in (0, 1], got {raw_threshold}"
-            )
-        self.primary = primary if primary is not None else ZlibCompressor()
-        self.skip = RawCodec()
-        self.probe_bytes = probe_bytes
-        self.raw_threshold = raw_threshold
-        reg = registry if registry is not None else _metrics.get_registry()
-        self._chosen: Dict[int, _metrics.Counter] = {
-            id(target): reg.counter(f"codec.adaptive.chosen.{target.name}")
-            for target in (self.skip, self.primary)
-        }
-
-    def _route(self, data: Buffer) -> Compressor:  # repro-lint: hot-path
-        size = len(data)
-        step = size // self.probe_bytes or 1
-        sample = bytes(memoryview(data)[::step])  # repro-lint: copy-ok probe sample is <= probe_bytes bytes
-        if len(set(sample)) / len(sample) >= self.raw_threshold:
-            return self.skip
-        return self.primary
-
-    def compress(self, data: Buffer) -> CompressedChunk:  # repro-lint: hot-path
-        target = self._route(data)
-        self._chosen[id(target)].inc()
-        return target.compress(data)
-
-    def compress_many(
-        self,
-        buffers: Sequence[Buffer],
-        pool: Optional["StagePool"] = None,
-    ) -> List[CompressedChunk]:  # repro-lint: hot-path
-        """Probe in the submitting thread, fan each partition out.
-
-        Probing is two orders of magnitude cheaper than compressing, so
-        running it serially costs little while keeping the routing
-        counters in the submitting thread.
-        """
-        with _trace.span("compress." + self.name, chunks=len(buffers)):
-            groups: Dict[int, Tuple[Compressor, List[int]]] = {}
-            for index, data in enumerate(buffers):
-                target = self._route(data)
-                entry = groups.get(id(target))
-                if entry is None:
-                    entry = groups[id(target)] = (target, [])
-                entry[1].append(index)
-            results: List[Optional[CompressedChunk]] = [None] * len(buffers)
-            for target, positions in groups.values():
-                self._chosen[id(target)].inc(len(positions))
-                packed = target.compress_many(
-                    [buffers[position] for position in positions], pool=pool
-                )
-                for position, chunk in zip(positions, packed):
-                    results[position] = chunk
-            return cast(List[CompressedChunk], results)
+        return raw_escape(data, size)
 
 
 # -- the registry ------------------------------------------------------------
@@ -367,4 +258,3 @@ def create_codec(name: str, **params: object) -> Compressor:
 register_codec("zlib", ZlibCompressor)
 register_codec("raw", RawCodec)
 register_codec("modeled", ModeledCompressor)
-register_codec("adaptive", AdaptiveCodec)

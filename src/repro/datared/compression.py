@@ -18,21 +18,20 @@ Both produce :class:`CompressedChunk`, which carries the logical size,
 the *stored* size used for capacity/bandwidth accounting, and enough to
 reconstruct the original bytes exactly.
 
-Hot-path discipline (DESIGN.md §5.4): a fresh ``CompressedChunk`` may
-hold a :class:`memoryview` of the *caller's* buffer — the incompressible
-escape path stores the original chunk by reference instead of copying
-it.  The view is only valid until the source buffer changes, so the
-container boundary calls :meth:`CompressedChunk.materialize` to take
-its one defensive copy; everything upstream (hash, DEFLATE, size
-accounting) runs on the view.
+Hot-path discipline (DESIGN.md §5.4): the incompressible escape stores
+a :class:`memoryview` of the *caller's* buffer, valid only until that
+buffer changes; :meth:`CompressedChunk.materialize` at the container
+boundary takes the one defensive copy.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import zlib
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
+from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,20 +143,83 @@ class Compressor:
         ``compress.<name>.ns`` histogram; disabled, the span is the
         shared no-op (one dict lookup per batch).
         """
-        with _trace.span("compress." + self.name, chunks=len(buffers)):
+        with _trace.span("compress." + self.name, chunks=len(buffers)) as live:
             if pool is None:
-                return [self.compress(data) for data in buffers]
-            return pool.map(self.compress, buffers)
+                packed = [self._batch_item(data) for data in buffers]
+            else:
+                packed = pool.map(self._batch_item, buffers)
+            return self._batch_done(packed, live)
+
+    def _batch_item(self, data: Buffer) -> Any:
+        """What a batch maps over its buffers, on whichever thread."""
+        return self.compress(data)
+
+    def _batch_done(self, packed: List[Any], live: Any) -> List[CompressedChunk]:
+        """The batch's chunks; runs once per batch, in the submitting
+        thread, inside the batch's span (``live``, when one is open)."""
+        return packed
+
+
+#: The entropy gate's geometry (:func:`_probe`): segment size, strided
+#: samples per segment, and the leading bytes whose earlier occurrence
+#: rescues a random-looking segment for LZ77.
+_SEGMENT = 1024
+_SAMPLES = 64
+_RESCUE = 16
+
+#: A DEFLATE stored block: BFINAL=0 / BTYPE=00 padded to a byte, LEN, ~LEN.
+_stored_header = struct.Struct("<BHH").pack
+_STORED_MAX = 0xFFFF
+
+
+def _probe(raw: bytes, window: int) -> List[Tuple[int, int, bool]]:  # repro-lint: hot-path
+    """``raw`` as maximal runs ``(start, end, stored?)``, in order.
+
+    A segment is incompressible when at least 0.80 of its ~64 strided
+    samples are distinct (about 7 bits of entropy per byte), unless its
+    first 16 bytes already occur within the window before it, where
+    LZ77 finds the repeat.  The last segment absorbs the remainder;
+    pure 7-bit data is under the line by construction, never sampled.
+    """
+    size = len(raw)
+    if raw.isascii():
+        return [(0, size, False)]
+    last = max(size // _SEGMENT - 1, 0) * _SEGMENT
+    runs: List[Tuple[int, int, bool]] = []
+    begin = 0
+    verdict: Optional[bool] = None
+    for start in range(0, last + 1, _SEGMENT):
+        end = start + _SEGMENT if start != last else size
+        sample = raw[start:end:(end - start) // _SAMPLES or 1]  # repro-lint: copy-ok the probe sample is <= 127 bytes
+        stored = len(set(sample)) * 5 >= len(sample) * 4 and not (
+            start
+            and raw.find(
+                raw[start:start + _RESCUE],  # repro-lint: copy-ok a 16-byte needle
+                max(0, start - window),
+                start + _RESCUE - 1,
+            ) >= 0
+        )
+        if stored is not verdict:
+            if verdict is not None:
+                runs.append((begin, start, verdict))
+            begin, verdict = start, stored
+    runs.append((begin, size, stored))
+    return runs
 
 
 class ZlibCompressor(Compressor):
-    """Real DEFLATE compression via :mod:`zlib`.
+    """Real DEFLATE compression via :mod:`zlib`, behind an entropy gate.
 
-    Incompressible chunks whose DEFLATE output exceeds the original are
-    stored raw (the standard "store uncompressed" escape every real
-    system implements), so ``stored_size <= logical_size`` always holds.
-    The raw escape stores a *view* of the caller's buffer — no copy is
-    taken until the container boundary materializes the chunk.
+    **The gate** (fixed geometry, no parameter; DESIGN.md §5.6 has the
+    rule and what it costs).  DEFLATE cost is per byte *deflated*, so
+    :func:`_probe` cuts the chunk into runs: a compressible run goes
+    through ``deflate`` and a ``Z_FULL_FLUSH``, an incompressible one is
+    written as DEFLATE *stored* blocks — legal because every deflated
+    run ends byte-aligned with the dictionary reset.  The body is still
+    plain raw deflate behind the ``_DEFLATE`` tag, and with nothing
+    flagged it is byte for byte the ungated stream.  A chunk flagged
+    end to end (deflate is never called) or whose output exceeds the
+    original takes the raw escape: ``stored_size <= logical_size``.
 
     Two hot-path measures keep ``deflate`` setup off the per-chunk bill
     (it otherwise costs more than the compression itself on 4-KB
@@ -168,14 +230,11 @@ class ZlibCompressor(Compressor):
       length is identical to the 32-KB default while ``deflateInit``
       skips most of its window and hash-table setup.
     * Each thread keeps one *reused* raw-deflate ``compressobj``; every
-      chunk is emitted as complete deflate blocks terminated by a
+      deflated run is emitted as complete deflate blocks terminated by a
       ``Z_FULL_FLUSH``, which resets the dictionary so the output is
       byte-identical whether the state is fresh or reused.  That makes
       chunks self-contained (decompressible independently) and keeps
       serial and thread-pool runs byte-identical.
-
-    The stored form is raw deflate (no zlib header/checksum) behind the
-    ``_DEFLATE`` tag byte.
     """
 
     name = "zlib"
@@ -207,28 +266,72 @@ class ZlibCompressor(Compressor):
         size = len(data)
         if not size:
             raise ValueError("cannot compress an empty chunk")
+        raw = data if type(data) is bytes else bytes(data)  # repro-lint: copy-ok one 0.3 us memcpy per 4 KiB saves 2 us of strided view reads
+        runs = _probe(raw, 1 << self.window_bits)
+        # Bytes bound for C deflate, left for _batch_item on this thread.
+        fed = sum(end - start for start, end, stored in runs if not stored)
+        self._local.deflated = fed
+        if fed:
+            payload = self._emit(raw, runs)
+            if len(payload) <= size:
+                return CompressedChunk(
+                    payload=payload, logical_size=size, stored_size=len(payload)
+                )
+        return raw_escape(data, size)
+
+    def _batch_item(self, data: Buffer) -> Tuple[CompressedChunk, int]:
+        return self.compress(data), self._local.deflated
+
+    def _batch_done(
+        self, packed: List[Tuple[CompressedChunk, int]], live: Any
+    ) -> List[CompressedChunk]:
+        """The batch's routing, published once from the submitting thread:
+        ``codec.zlib.chosen.{deflate,mixed,raw}`` counters, and on the span
+        the bytes that skipped (``stored``) and reached (``deflated``) C."""
+        chosen = {"deflate": 0, "mixed": 0, "raw": 0}
+        deflated = 0
+        for chunk, fed in packed:
+            deflated += fed
+            chosen[
+                "raw" if chunk.prefix
+                else "deflate" if fed == chunk.logical_size else "mixed"
+            ] += 1
+        counter = _metrics.get_registry().counter
+        for route, count in chosen.items():
+            if count:
+                counter("codec.zlib.chosen." + route).inc(count)
+        if live is not None:
+            logical = sum(chunk.logical_size for chunk, _ in packed)
+            live.tag(stored=logical - deflated, deflated=deflated)
+        return [chunk for chunk, _ in packed]
+
+    def _emit(self, raw: bytes, runs: List[Tuple[int, int, bool]]) -> bytes:  # repro-lint: hot-path
+        """The tagged stream for ``raw`` cut into ``runs``."""
         squeezer = self._squeezer()
+        view = memoryview(raw)
+        parts = [self._DEFLATE]
+        for start, end, stored in runs:
+            if stored:  # 00 LEN ~LEN + the bytes, at most 65 535 a block
+                for at in range(start, end, _STORED_MAX):
+                    length = min(_STORED_MAX, end - at)
+                    parts.append(_stored_header(0, length, length ^ 0xFFFF))
+                    parts.append(view[at:at + length])
+            else:
+                parts.append(squeezer.compress(view[start:end]))
+                parts.append(squeezer.flush(zlib.Z_FULL_FLUSH))
         # One join builds the final tagged container form, so
         # materialize() is a no-op for the deflate branch.
-        payload = b"".join(
-            (self._DEFLATE, squeezer.compress(data),
-             squeezer.flush(zlib.Z_FULL_FLUSH))
-        )
-        if len(payload) <= size:
-            return CompressedChunk(
-                payload=payload,
-                logical_size=size,
-                stored_size=min(len(payload), size),
-            )
-        # Incompressible: keep a zero-copy reference to the caller's
-        # buffer; the container boundary takes the defensive copy.
-        raw = data if type(data) is bytes else memoryview(data)
-        return CompressedChunk(
-            payload=raw,
-            logical_size=size,
-            stored_size=size,
-            prefix=self._RAW,
-        )
+        return b"".join(parts)
+
+
+def raw_escape(data: Buffer, size: int) -> CompressedChunk:  # repro-lint: hot-path
+    """The shared store-uncompressed escape: tag 0x00 and a zero-copy
+    reference to the caller's buffer; the container boundary takes the
+    defensive copy."""
+    raw = data if type(data) is bytes else memoryview(data)
+    return CompressedChunk(
+        payload=raw, logical_size=size, stored_size=size, prefix=ZlibCompressor._RAW
+    )
 
 
 class ModeledCompressor(Compressor):

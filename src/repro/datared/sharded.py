@@ -293,13 +293,12 @@ class ShardedDedupEngine:
                     shard.flush()
             return reports
 
-    def _write_many_locked(  # repro-lint: holds self.lock, hot-path
+    def _write_many_locked(  # repro-lint: holds self.lock, single-writer, hot-path
         self,
         requests: List[Tuple[int, _Payload]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
         clock = active_clock(self._stage_clock)
-        reports = [WriteReport() for _ in requests]
         # Stages 0-1 (hash in parallel): the engine's own front, run at
         # the router so one digest both routes the chunk and skips the
         # shard's hash stage.
@@ -307,17 +306,13 @@ class ShardedDedupEngine:
             self.chunker, self.fingerprinter, self.pool, clock,
             requests, digests,
         )
-        if not flat:
-            return reports
-
         flush_stages(clock)  # the front door's stages; shards flush their own
 
         # Stage 2: partition by digest prefix, preserving flat order
         # within each shard's sub-batch.
-        assignment = [
-            shard_for_digest(digest, self.num_shards) for digest in digests
-        ]
-        per_shard: List[List[int]] = [[] for _ in range(self.num_shards)]
+        num_shards = self.num_shards
+        assignment = [shard_for_digest(digest, num_shards) for digest in digests]
+        per_shard: List[List[int]] = [[] for _ in range(num_shards)]
         for position, shard_index in enumerate(assignment):
             per_shard[shard_index].append(position)
         work = [
@@ -331,82 +326,81 @@ class ShardedDedupEngine:
         # per-request reports chunk by chunk.  Exceptions are captured
         # per shard — never raised through the pool — so the scatter
         # always runs to completion before the gather inspects it.
-        def scatter(
-            item: Tuple[int, List[int]],
-        ) -> Tuple[int, Union[List[WriteReport], BaseException]]:
+        def scatter(item: Tuple[int, List[int]]) -> Union[List[WriteReport], BaseException]:
             shard_index, positions = item
-            shard = self.shards[shard_index]
             sub_requests: List[Tuple[int, _Payload]] = [
                 (flat[position][1].lba, flat[position][1].data)
                 for position in positions
             ]
             sub_digests = [digests[position] for position in positions]
             try:
-                return shard_index, shard.write_many(
+                return self.shards[shard_index].write_many(
                     sub_requests, WriteOptions(digests=sub_digests)
                 )
             except Exception as error:  # gathered below, per shard
-                return shard_index, error
+                return error
 
-        results = self._fanout.map(scatter, work)
-
-        failed: Set[int] = set()
-        failures: List[Tuple[int, BaseException]] = []
+        failures: Dict[int, BaseException] = {}
         by_position: Dict[int, WriteReport] = {}
-        for (shard_index, positions), (_, result) in zip(work, results):
+        for (shard_index, positions), result in zip(
+            work, self._fanout.map(scatter, work)
+        ):
             if isinstance(result, BaseException):
-                failed.add(shard_index)
-                failures.append((shard_index, result))
-                continue
-            for position, sub_report in zip(positions, result):
-                by_position[position] = sub_report
+                failures[shard_index] = result
+            else:
+                by_position.update(zip(positions, result))
 
-        # Stage 4 (serial): gather in submission order.  Last writer of
-        # an LBA owns it; every other shard that wrote it this batch —
-        # plus its previous owner — gets a trim, and the reclaims credit
-        # the owning request exactly as an in-shard overwrite would.
-        writers: Dict[int, Set[int]] = {}
-        final: Dict[int, Tuple[int, int]] = {}  # lba -> (shard, request)
+        # Stage 4 (serial): gather in submission order.  A request's
+        # first sub-report becomes its report (this call is its single
+        # writer now) and the rest fold into it.  Last writer of an LBA
+        # owns it; every other shard that wrote it this batch — plus its
+        # previous owner — gets a trim, and the reclaims credit the
+        # owning request exactly as an in-shard overwrite would.
+        reports: List[Optional[WriteReport]] = [None] * len(requests)
+        final: Dict[int, int] = {}  # lba -> flat position of its last writer
+        losers: Dict[int, Set[int]] = {}  # lba -> shards holding a stale mapping
         for position, (request_index, chunk) in enumerate(flat):
-            shard_index = assignment[position]
-            if shard_index in failed:
-                continue
-            sub_report = by_position[position]
-            reports[request_index].add(sub_report.chunks[0])
-            reports[request_index].containers_sealed += (
-                sub_report.containers_sealed
+            sub_report = by_position.get(position)
+            if sub_report is None:
+                continue  # its shard failed: unknown state, the caller's
+            report = reports[request_index]
+            if report is None:
+                reports[request_index] = sub_report
+            else:
+                report.add(sub_report.chunks[0])
+                report.containers_sealed += sub_report.containers_sealed
+                report.reclaimed_chunks += sub_report.reclaimed_chunks
+            lba, shard_index = chunk.lba, assignment[position]
+            last = final.get(lba)
+            previous = (
+                self._lba_shard.get(lba, shard_index)
+                if last is None else assignment[last]
             )
-            reports[request_index].reclaimed_chunks += (
-                sub_report.reclaimed_chunks
-            )
-            writers.setdefault(chunk.lba, set()).add(shard_index)
-            final[chunk.lba] = (shard_index, request_index)
+            if previous != shard_index:
+                losers.setdefault(lba, set()).add(previous)
+            final[lba] = position
 
-        for lba, (owner, request_index) in final.items():
-            stale = writers[lba] - {owner}
-            previous = self._lba_shard.get(lba)
-            if previous is not None and previous != owner:
-                stale.add(previous)
-            for shard_index in sorted(stale):
-                if shard_index in failed:
-                    continue  # unknown state; leave it for the caller
-                trim_report = self.shards[shard_index].trim(lba)
-                reports[request_index].reclaimed_chunks += (
-                    trim_report.reclaimed_chunks
-                )
-            self._lba_shard[lba] = owner
+        done = [WriteReport() if report is None else report for report in reports]
+        for lba, shards in losers.items():
+            position = final[lba]
+            report = done[flat[position][0]]
+            for shard_index in sorted(shards - failures.keys()):
+                if shard_index != assignment[position]:
+                    report.reclaimed_chunks += (
+                        self.shards[shard_index].trim(lba).reclaimed_chunks
+                    )
+        self._lba_shard.update(
+            (lba, assignment[position]) for lba, position in final.items()
+        )
 
         if failures:
-            detail = "; ".join(
-                f"shard {shard_index}: {error!r}"
-                for shard_index, error in failures
-            )
             raise ShardError(
-                f"{len(failures)} shard(s) failed during write_many: "
-                f"{detail}",
-                tuple(sorted(failed)),
+                f"{len(failures)} shard(s) failed during write_many: " + "; ".join(
+                    f"shard {index}: {error!r}" for index, error in failures.items()
+                ),
+                tuple(failures),
             )
-        return reports
+        return done
 
     # -- read path ---------------------------------------------------------------
     def read(self, lba: int, num_chunks: int = 1) -> ReadReport:

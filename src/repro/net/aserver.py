@@ -44,6 +44,7 @@ the engine fans hashing/compression out on its own
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -73,6 +74,15 @@ _READ_CHUNK = 64 * 1024
 
 #: What a connection's decoder yields and the queue carries.
 _Event = Union[Frame, ProtocolError]
+
+
+@functools.cache
+def _settle_allocator() -> None:
+    """Free one untouched 16-MiB block, once a process: glibc's mmap and
+    heap-trim thresholds rise to it, so a client's bulk buffers are
+    recycled rather than mapped afresh (64 page faults a 256-KiB buffer)
+    on every op or on none, as its earlier frees decided (DESIGN.md §5.1)."""
+    bytes(16 * 1024 * 1024)
 
 
 @dataclass
@@ -459,6 +469,7 @@ class AsyncProtocolClient:
         #: ``(wire, future)`` of this tick's requests, sent by ``_flush``.
         self._corked: list = []
         self._closed = False
+        _settle_allocator()
         self._reader_task = asyncio.create_task(
             self._read_responses(), name="aclient-reader"
         )
@@ -512,9 +523,6 @@ class AsyncProtocolClient:
         except OSError as error:
             self._reader_deaths.inc()
             self._fail_pending(ProtocolError(f"connection lost: {error}"))
-        except asyncio.CancelledError:
-            # Deliberate close(), not a death — no counter.
-            raise
         finally:
             # Once the reader is gone nothing can ever complete a
             # future, so the client is effectively closed: later

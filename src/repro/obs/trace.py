@@ -174,6 +174,10 @@ class _Span:
         self._start = now_ns()
         return self
 
+    def tag(self, **tags: Any) -> None:
+        """Add tags only known once the region has run."""
+        self._tags.update(tags)
+
     def __exit__(self, *exc: object) -> bool:
         duration = now_ns() - self._start
         _record(SpanRecord(

@@ -300,6 +300,29 @@ class TestCrossShardMoves:
         check_sharded_engine(engine)
         engine.close()
 
+    def test_multi_chunk_requests_fold_in_order_and_credit_the_last_writer(
+        self, rng
+    ):
+        """Two 2-chunk requests overlapping on one LBA that a third shard
+        held: each report lists its chunks in payload order, and both the
+        in-batch overwrite and the stale shard's trim are on the account
+        of the request that wrote the LBA last."""
+        engine = ShardedDedupEngine(4, num_buckets=256)
+        step = engine.chunker.blocks_per_chunk
+        engine.write(step, payload_for_shard(rng, engine, 0))
+        pieces = [payload_for_shard(rng, engine, owner) for owner in (2, 1, 3, 2)]
+        first, second = engine.write_many(
+            [(0, pieces[0] + pieces[1]), (step, pieces[2] + pieces[3])]
+        )
+        assert [outcome.lba for outcome in first.chunks] == [0, step]
+        assert [outcome.lba for outcome in second.chunks] == [step, 2 * step]
+        assert (first.logical_bytes, second.unique_chunks) == (2 * CHUNK, 2)
+        assert (first.reclaimed_chunks, second.reclaimed_chunks) == (0, 2)
+        assert [engine._lba_shard[lba] for lba in (0, step, 2 * step)] == [2, 3, 2]
+        assert engine.read(0, 3).data == pieces[0] + pieces[2] + pieces[3]
+        check_sharded_engine(engine)
+        engine.close()
+
     def test_global_dedup_across_shards(self, rng):
         # The same content at N LBAs is stored exactly once cluster-wide
         # because content routing sends every copy to one shard.

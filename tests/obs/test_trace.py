@@ -131,7 +131,7 @@ class TestCaptureAndMerge:
         (record,) = trace.tail()
         assert record.trace_id != context.trace_id
 
-    def test_adopt_force_enables_for_process_children(self):
+    def test_adopt_captures_where_the_flag_reads_disabled(self):
         # The submitter traced (it minted the context); adopt() must
         # capture even where the flag reads disabled.
         context = trace.ExecutorContext(trace_id=77)

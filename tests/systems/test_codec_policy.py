@@ -59,7 +59,7 @@ class TestSystemWiring:
             BaselineSystem(compressor="modeled")
 
     def test_systems_agree_under_a_shared_policy(self, rng):
-        config = SystemConfig(codec=CodecPolicy(codec="adaptive"))
+        config = SystemConfig(codec=CodecPolicy(codec="zlib"))
         baseline = BaselineSystem(config=config)
         fidr = FidrSystem(config=config)
         payload = rng.randbytes(CHUNK) + b"\x00" * CHUNK
