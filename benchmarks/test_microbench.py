@@ -4,7 +4,7 @@ Not paper figures — these track the Python implementation's own
 performance (ops/s of the dedup write path, tree indexes, table cache),
 useful for spotting regressions while extending the library.
 
-The ratio gates at the bottom are CI-enforced (``bench-smoke``): six
+The ratio gates at the bottom are CI-enforced (``bench-smoke``): seven
 properties no ``bench/`` workload exercises, each timed against its
 alternative on the same host inside one test, and three counts — the
 serving tier's ops per backend turn, its READ ops per engine pass, and
@@ -25,7 +25,7 @@ import pytest
 
 from repro.cache.btree import BPlusTree
 from repro.cache.hwtree import SpeculativeTreeEngine, TreeOp
-from repro.cache.table_cache import TableCache
+from repro.cache.table_cache import BTreeIndex, TableCache
 from repro.datared.codecs import decode_many
 from repro.datared.compression import (
     CompressedChunk,
@@ -278,6 +278,33 @@ def test_entropy_gate_pays_where_it_claims(rng):
     assert took["text gated"] / took["text plain"] <= 1.10, took
     assert took["mixed gated"] / took["mixed plain"] <= 1.25, took
     assert took["read plain"] / took["read gated"] >= 4, took
+
+
+def test_served_table_path_walks_no_tree(rng):
+    """The served table cache resolves lines through its own map and the
+    Cache HW-Engine's index only counts (DESIGN.md §5.4): lookup + insert
+    of 4,096 fresh digests through ``FidrSystem().table_cache`` is
+    >= 1.3x faster than through the same cache walking a ``BTreeIndex``
+    (~1.5x measured), and leaves the same ledger."""
+    rounds, per_round = 12, 4096
+    digests = [rng.randbytes(32) for _ in range(rounds * per_round)]
+    with FidrSystem() as counted, FidrSystem() as walked:
+        walked.table_cache.index = BTreeIndex()
+        runs = {}
+        for label, system in (("counted", counted), ("walked", walked)):
+            table = HashPbnTable(1 << 15, store=system.table_cache)
+            fresh = iter(digests)
+
+            def run(table=table, fresh=fresh):
+                for pbn in range(per_round):
+                    digest = next(fresh)
+                    assert table.lookup(digest) is None
+                    table.insert(digest, pbn)
+
+            runs[label] = run
+        took = _fastest(rounds, runs)
+        assert counted.table_cache.stats == walked.table_cache.stats
+    assert took["walked"] / took["counted"] >= 1.3, took
 
 
 def test_one_batched_read_beats_reads_of_one(rng):

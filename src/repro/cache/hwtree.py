@@ -24,7 +24,9 @@ with the speculation window.
 :class:`SpeculativeTreeEngine` is the *functional* model — it operates a
 real B+-tree and is validated against sequential application in the test
 suite.  The *timing* model (cycles, DRAM bandwidth, Figure 13's curves)
-is :class:`repro.cache.cache_engine.CacheEngineModel`.
+is :class:`repro.cache.cache_engine.CacheEngineModel`.  The served table
+cache runs neither: its :class:`~repro.cache.table_cache.HwTreeIndex`
+only counts the searches and updates the engine would perform.
 """
 
 from __future__ import annotations
@@ -107,27 +109,6 @@ class SpeculativeTreeEngine:
     def search(self, key: int) -> Optional[Any]:
         """Search pipeline: reads never conflict with speculation."""
         return self.tree.search(key)
-
-    # -- lone update: one op into an empty window --------------------------------------
-    # Between ``execute`` calls nothing is in flight, so a lone op cannot
-    # crash: it claims nothing and commits directly.  The search
-    # pipeline's descent (Algorithm 1) visits the nodes the update's own
-    # descent does, so it is charged to ``node_visits``, not walked.
-    def insert(self, key: int, value: Any) -> None:
-        """``execute([TreeOp("insert", key, value)])`` in one descent."""
-        visits = self.tree.node_visits
-        self.tree.insert(key, value)
-        self.tree.node_visits += self.tree.node_visits - visits
-        self.commit_count += 1
-
-    def delete(self, key: int) -> bool:
-        """``execute([TreeOp("delete", key)])`` in one descent; returns
-        whether the key was present."""
-        visits = self.tree.node_visits
-        applied = self.tree.delete(key)
-        self.tree.node_visits += self.tree.node_visits - visits
-        self.commit_count += 1
-        return applied
 
     # -- Algorithm 1: issue -----------------------------------------------------------
     def _issue(self, op: TreeOp) -> Tuple[bool, List[Any]]:

@@ -20,6 +20,15 @@ Both variants use this class; the system layers charge the per-event
 costs (CPU cycles, DRAM bytes, SSD transfers) to different devices using
 the :class:`CacheStats` event counts it maintains.
 
+Lines resolve through the cache's own ``_resident`` map, whatever the
+index.  The :class:`CacheIndex` is the ledgers': the cache calls it
+exactly where the modelled CPU or engine searches or updates its tree,
+and the ledgers read what those calls counted.  :class:`BTreeIndex`
+walks a real B+-tree because the host pays per node visited;
+:class:`HwTreeIndex` only counts, because the Cache HW-Engine's tree
+costs the host nothing (:mod:`repro.cache.hwtree` models its function,
+:class:`~repro.cache.cache_engine.CacheEngineModel` its timing).
+
 Packed-index interplay (DESIGN.md §5.9): the cache implements only the
 byte-page half of the :class:`~repro.datared.hash_pbn.BucketStore`
 interface, so the table running over it uses the inherited
@@ -41,16 +50,19 @@ from typing import Dict, List, Optional, Protocol, Set
 from ..datared.hash_pbn import BUCKET_SIZE, BucketStore
 from .btree import BPlusTree
 from .freelist import CircularFreeList
-from .hwtree import SpeculativeTreeEngine
 from .lru import LruList
 
 __all__ = ["CacheIndex", "BTreeIndex", "HwTreeIndex", "CacheStats", "TableCache"]
 
 
 class CacheIndex(Protocol):
-    """Index mapping bucket index → cache-line slot."""
+    """Bucket index → cache-line slot, as the ledgers see it: what each
+    search and update cost.  The cache never reads an answer from it."""
 
-    def search(self, bucket: int) -> Optional[int]: ...
+    searches: int
+    updates: int
+
+    def search(self, bucket: int) -> object: ...
 
     def insert(self, bucket: int, slot: int) -> None: ...
 
@@ -58,7 +70,8 @@ class CacheIndex(Protocol):
 
 
 class BTreeIndex:
-    """Baseline: software B+-tree walked by the CPU (§7.1)."""
+    """Software B+-tree walked by the CPU (§7.1): the baseline's, and
+    FIDR's without the Cache HW-Engine; every node visit is charged."""
 
     def __init__(self, order: int = 16):
         self.tree = BPlusTree(order=order)
@@ -84,24 +97,22 @@ class BTreeIndex:
 
 
 class HwTreeIndex:
-    """FIDR: the Cache HW-Engine's speculative pipelined tree (§5.5.1)."""
+    """FIDR: the Cache HW-Engine's tree (§5.5.1), counted, not walked —
+    the host pays nothing per visit, so searches and updates are all
+    the ledgers read."""
 
-    def __init__(self, window: int = 4):
-        self.engine = SpeculativeTreeEngine(window=window)
+    def __init__(self) -> None:
         self.searches = 0
         self.updates = 0
 
-    def search(self, bucket: int) -> Optional[int]:
+    def search(self, bucket: int) -> None:
         self.searches += 1
-        return self.engine.search(bucket)
 
     def insert(self, bucket: int, slot: int) -> None:
         self.updates += 1
-        self.engine.insert(bucket, slot)
 
     def delete(self, bucket: int) -> None:
         self.updates += 1
-        self.engine.delete(bucket)
 
 
 @dataclass
@@ -156,14 +167,11 @@ class TableCache(BucketStore):
         self.eviction_batch = eviction_batch
         self.stats = CacheStats()
         self._lines: List[Optional[bytes]] = [None] * capacity_lines
-        self._line_bucket: List[Optional[int]] = [None] * capacity_lines
         self._free = CircularFreeList.full(capacity_lines)
         self._lru = lru if lru is not None else LruList()
         self._dirty: Set[int] = set()  # bucket indexes with unflushed writes
-        # Mirror of bucket → slot for internal bookkeeping.  This is NOT
-        # the modelled index (that is ``self.index``, whose walks are
-        # what the CPU/engine pay for) — it only keeps the Python
-        # implementation O(1).
+        # What resolves a bucket to its line.  ``self.index`` is called
+        # beside it only so the ledgers see the modelled searches/updates.
         self._resident: Dict[int, int] = {}
         # The bucket touched by the immediately preceding access: a
         # lookup-then-insert pair hits the same page while it is still in
@@ -177,16 +185,15 @@ class TableCache(BucketStore):
 
     # -- BucketStore interface -------------------------------------------------------
     def read_bucket(self, bucket: int) -> bytes:
-        if bucket == self._warm_bucket:
+        slot = self._resident.get(bucket)
+        if slot is not None and bucket == self._warm_bucket:
             # Back-to-back access to the same page (lookup-then-insert):
             # served from the CPU cache, no DRAM or index traffic.
-            slot = self._slot_of(bucket)
-            if slot is not None:
-                self.stats.warm_hits += 1
-                page = self._lines[slot]
-                assert page is not None
-                return page
-        slot = self.index.search(bucket)
+            self.stats.warm_hits += 1
+            page = self._lines[slot]
+            assert page is not None
+            return page
+        self.index.search(bucket)
         if slot is not None:
             self.stats.hits += 1
             self._lru.touch(bucket)
@@ -205,18 +212,17 @@ class TableCache(BucketStore):
     def write_bucket(self, bucket: int, page: bytes) -> None:
         if len(page) != BUCKET_SIZE:
             raise ValueError("bucket pages must be 4 KB")
-        if bucket == self._warm_bucket:
-            slot = self._slot_of(bucket)
-            if slot is not None:
-                # In-place update of the page just examined: one dirty
-                # cache line, no index walk.  Not counted as a table
-                # access — it is the tail of the same logical operation
-                # whose read was already counted.
-                self._lines[slot] = page
-                self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
-                self._dirty.add(bucket)
-                return
-        slot = self.index.search(bucket)
+        slot = self._resident.get(bucket)
+        if slot is not None and bucket == self._warm_bucket:
+            # In-place update of the page just examined: one dirty
+            # cache line, no index walk.  Not counted as a table
+            # access — it is the tail of the same logical operation
+            # whose read was already counted.
+            self._lines[slot] = page
+            self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
+            self._dirty.add(bucket)
+            return
+        self.index.search(bucket)
         if slot is None:
             self.stats.misses += 1
             slot = self._install(bucket, page)
@@ -228,17 +234,12 @@ class TableCache(BucketStore):
         self._warm_bucket = bucket
         self._dirty.add(bucket)
 
-    def _slot_of(self, bucket: int) -> Optional[int]:
-        """Slot of a resident bucket without touching index stats."""
-        return self._resident.get(bucket)
-
     # -- internals ---------------------------------------------------------------------
     def _install(self, bucket: int, page: bytes) -> int:
         if self._free.is_empty:
             self._evict_batch()
         slot = self._free.pop()
         self._lines[slot] = page
-        self._line_bucket[slot] = bucket
         self._resident[bucket] = slot
         self.index.insert(bucket, slot)
         self._lru.touch(bucket)
@@ -252,8 +253,8 @@ class TableCache(BucketStore):
         if not victims:
             raise RuntimeError("cache full of pinned lines; cannot evict")
         for bucket in victims:
-            slot = self.index.search(bucket)
-            assert slot is not None, "LRU and index disagree"
+            self.index.search(bucket)
+            slot = self._resident.pop(bucket)
             if bucket in self._dirty:
                 page = self._lines[slot]
                 assert page is not None
@@ -263,8 +264,6 @@ class TableCache(BucketStore):
                 self.stats.host_bytes_read += BUCKET_SIZE
             self.index.delete(bucket)
             self._lines[slot] = None
-            self._line_bucket[slot] = None
-            del self._resident[bucket]
             if self._warm_bucket == bucket:
                 self._warm_bucket = None
             self._free.push(slot)
@@ -275,9 +274,8 @@ class TableCache(BucketStore):
         """Write every dirty line back to the table SSD (shutdown)."""
         flushed = 0
         for bucket in sorted(self._dirty):
-            slot = self.index.search(bucket)
-            assert slot is not None
-            page = self._lines[slot]
+            self.index.search(bucket)
+            page = self._lines[self._resident[bucket]]
             assert page is not None
             self.backing.write_bucket(bucket, page)
             self.stats.flushes += 1
@@ -291,16 +289,16 @@ class TableCache(BucketStore):
         return self.capacity_lines - len(self._free)
 
     def check_invariants(self) -> None:
-        """Structural consistency between index, LRU, lines and free list."""
-        resident = {
-            bucket
-            for bucket in self._line_bucket
-            if bucket is not None
-        }
+        """Structural consistency between the resident map, lines, LRU,
+        free list and — if it is walked — the index's tree.  Counts no
+        search or node visit."""
+        slots = set(self._resident.values())
+        assert len(slots) == len(self._resident), "two buckets share a line"
+        occupied = {slot for slot, page in enumerate(self._lines) if page is not None}
+        assert slots == occupied, "resident map and lines disagree"
         lru_keys = set(self._lru.keys_hot_to_cold())
-        assert resident == lru_keys, "LRU tracks a different resident set"
-        assert self._dirty <= resident, "dirty bucket not resident"
-        assert len(resident) + len(self._free) == self.capacity_lines
-        for slot, bucket in enumerate(self._line_bucket):
-            if bucket is not None:
-                assert self.index.search(bucket) == slot, "index mismatch"
+        assert self._resident.keys() == lru_keys, "LRU tracks a different resident set"
+        assert self._dirty <= lru_keys, "dirty bucket not resident"
+        assert len(slots) + len(self._free) == self.capacity_lines
+        if isinstance(self.index, BTreeIndex):
+            assert dict(self.index.tree.items()) == self._resident, "index mismatch"

@@ -83,8 +83,9 @@ def get_report(
 ) -> SystemReport:
     """Replay ``workload`` through a system ``flavour`` and report.
 
-    Flavours: ``baseline``, ``fidr`` (full), ``fidr-sw-cache`` (NIC+P2P
-    with software table caching), ``fidr-w1`` (single-update HW tree).
+    Flavours: ``baseline``, ``fidr`` (full; the HW tree's update window
+    is a projection knob, not a replay one), ``fidr-sw-cache`` (NIC+P2P
+    with software table caching).
     Servers: ``prototype`` (E5-2650 v4 socket) or ``target`` (22-core,
     170 GB/s, 1-Tbps socket used for Figure 14's projection).
     """
@@ -108,8 +109,6 @@ def get_report(
         system = FidrSystem(**kwargs)
     elif flavour == "fidr-sw-cache":
         system = FidrSystem(hw_cache_engine=False, **kwargs)
-    elif flavour == "fidr-w1":
-        system = FidrSystem(tree_window=1, **kwargs)
     else:
         raise ValueError(f"unknown system flavour {flavour!r}")
 

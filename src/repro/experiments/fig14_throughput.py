@@ -34,7 +34,7 @@ PAPER_MIXED_SPEEDUP = 1.7
 _CONFIGS = (
     ("baseline", "baseline", dict()),
     ("fidr-sw-cache", "+NIC hash & P2P", dict()),
-    ("fidr-w1", "+HW cache (single-update)", dict(use_cache_engine=True, tree_window=1)),
+    ("fidr", "+HW cache (single-update)", dict(use_cache_engine=True, tree_window=1)),
     ("fidr", "+multi-update tree", dict(use_cache_engine=True, tree_window=4)),
 )
 

@@ -12,7 +12,7 @@ trace, naming, overhead budget).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from . import trace
 from .metrics import (
@@ -89,6 +89,7 @@ _RATIO_GAUGES = (
     "engine.dedup_ratio",
     "engine.compression_ratio",
     "engine.reduction_factor",
+    "system.table_cache.hit_rate",
 )
 
 
@@ -102,25 +103,25 @@ def merge_stats_snapshots(
     (``repro.obs dump``, loadgen, benches): counters and gauges are
     summed, histograms with identical bucket bounds merge bucket-wise
     (element-wise counts, summed ``count``/``sum``, min-of-mins /
-    max-of-maxes), and the ``engine.*`` derived-ratio gauges are
-    recomputed from the summed bases.  Histograms whose bounds differ
-    cannot merge bucket-wise; the first one seen wins (in practice all
-    latency histograms share ``DEFAULT_LATENCY_BOUNDS_NS``).  Span
-    tails concatenate in input order.  The result keeps the
-    ``repro.stats/v1`` schema.
+    max-of-maxes), and the derived-ratio gauges (``engine.*``, the table
+    cache's hit rate) are recomputed from the summed bases.  Histograms
+    whose bounds differ cannot merge bucket-wise; the first one seen
+    wins (in practice all latency histograms share
+    ``DEFAULT_LATENCY_BOUNDS_NS``).  Span tails concatenate in input
+    order.  The result keeps the ``repro.stats/v1`` schema.
     """
     counters: Dict[str, int] = {}
     gauges: Dict[str, Union[int, float]] = {}
     histograms: Dict[str, Dict[str, Any]] = {}
     tracing = False
     spans: List[Any] = []
-    saw_engine_ratios = False
+    ratios_seen: Set[str] = set()
     for snap in snapshots:
         for name, value in snap.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
         for name, value in snap.get("gauges", {}).items():
             if name in _RATIO_GAUGES:
-                saw_engine_ratios = True
+                ratios_seen.add(name)
                 continue
             gauges[name] = gauges.get(name, 0) + value
         for name, hist in snap.get("histograms", {}).items():
@@ -148,7 +149,7 @@ def merge_stats_snapshots(
                         merged[key] = pick(ours, theirs)
         tracing = tracing or bool(snap.get("tracing"))
         spans.extend(snap.get("spans", []))
-    if saw_engine_ratios:
+    if any(name.startswith("engine.") for name in ratios_seen):
         duplicates = int(gauges.get("engine.duplicate_chunks", 0))
         uniques = int(gauges.get("engine.unique_chunks", 0))
         logical = int(gauges.get("engine.logical_bytes", 0))
@@ -166,6 +167,11 @@ def merge_stats_snapshots(
         gauges["engine.reduction_factor"] = (
             logical / stored if stored else 0.0
         )
+    if "system.table_cache.hit_rate" in ratios_seen:
+        hits = gauges.get("system.table_cache.hits", 0)
+        hits += gauges.get("system.table_cache.warm_hits", 0)
+        accesses = hits + gauges.get("system.table_cache.misses", 0)
+        gauges["system.table_cache.hit_rate"] = hits / accesses if accesses else 0.0
     return {
         "counters": counters,
         "gauges": gauges,

@@ -33,6 +33,7 @@ from ..hw.pcie import PcieTopology
 from ..hw.specs import PROTOTYPE_SERVER, ServerSpec
 from ..hw.ssd import SsdArray, SsdBucketStore
 from ..obs import trace as _trace
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TracedStages
 from ..parallel import StagePool
 from .accounting import SystemReport
@@ -441,6 +442,20 @@ class ReductionSystem:
         return outcomes, self._delta_since(snapshot)
 
     # -- reporting ----------------------------------------------------------------------
+    def _publish_table_cache(self, registry: MetricsRegistry) -> None:
+        """The table cache's ledger as ``system.table_cache.*`` gauges
+        (each system's collector calls this)."""
+        with self.lock:
+            stats, index = self.table_cache.stats, self.table_cache.index
+            values = {
+                name: getattr(stats, name)
+                for name in ("hits", "warm_hits", "misses", "evictions", "flushes", "hit_rate")
+            }
+            values["index.searches"] = index.searches
+            values["index.updates"] = index.updates
+        for name, value in values.items():
+            registry.gauge(f"system.table_cache.{name}").set(value)
+
     def report(self) -> SystemReport:
         """Build the projection-ready report for the processed workload."""
         index = self.table_cache.index

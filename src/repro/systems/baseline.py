@@ -70,11 +70,13 @@ class BaselineSystem(ReductionSystem):
         self.engine.registry.register_collector(self._publish_baseline_metrics)
 
     def _publish_baseline_metrics(self, registry: MetricsRegistry) -> None:
-        """Collector: predictor effectiveness as a gauge."""
+        """Collector: predictor effectiveness and the table cache's
+        ledger as gauges."""
         accuracy = self._predictor_accuracy()
         registry.gauge("system.predictor.accuracy").set(
             accuracy if accuracy is not None else 0.0
         )
+        self._publish_table_cache(registry)
 
     # -- wiring ------------------------------------------------------------------
     def _build_topology(self) -> PcieTopology:

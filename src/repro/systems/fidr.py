@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..cache.table_cache import CacheIndex, HwTreeIndex
+from ..cache.table_cache import BTreeIndex, CacheIndex, HwTreeIndex
 from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..obs.metrics import MetricsRegistry
@@ -58,14 +58,12 @@ class FidrSystem(ReductionSystem):
         num_buckets: int = 1 << 15,
         cache_lines: int = 1024,
         compressor: Optional[Compressor] = None,
-        tree_window: int = 4,
         hw_cache_engine: bool = True,
     ):
         """``hw_cache_engine=False`` builds the Figure-14 intermediate
         configuration: NIC hashing and P2P transfers enabled, but table
         caching still fully host-side (software B+-tree, host NVMe
         queues for the table SSDs)."""
-        self._tree_window = tree_window
         self.hw_cache_engine = hw_cache_engine
         if not hw_cache_engine:
             self.TABLE_QUEUE_OWNER = "host"
@@ -90,11 +88,13 @@ class FidrSystem(ReductionSystem):
         self.engine.registry.register_collector(self._publish_fidr_metrics)
 
     def _publish_fidr_metrics(self, registry: MetricsRegistry) -> None:
-        """Collector: NIC read-buffer effectiveness as a gauge."""
+        """Collector: NIC read-buffer effectiveness and the table
+        cache's ledger as gauges."""
         rate = self._nic_buffer_hit_rate()
         registry.gauge("system.nic.buffer_hit_rate").set(
             rate if rate is not None else 0.0
         )
+        self._publish_table_cache(registry)
 
     # -- wiring --------------------------------------------------------------------
     def _build_topology(self) -> PcieTopology:
@@ -111,11 +111,7 @@ class FidrSystem(ReductionSystem):
         return topology
 
     def _make_index(self) -> CacheIndex:
-        if not self.hw_cache_engine:
-            from ..cache.table_cache import BTreeIndex
-
-            return BTreeIndex()
-        return HwTreeIndex(window=self._tree_window)
+        return HwTreeIndex() if self.hw_cache_engine else BTreeIndex()
 
     # -- write flow (Figure 6a) ------------------------------------------------------------
     def _enqueue(self, chunk: Chunk) -> None:

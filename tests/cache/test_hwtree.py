@@ -3,11 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cache.btree import BPlusTree
 from repro.cache.hwtree import SpeculativeTreeEngine, TreeOp
-from repro.cache.table_cache import HwTreeIndex
 
 
 class TestTreeOp:
@@ -139,83 +137,3 @@ class TestSpeculation:
         engine.execute([TreeOp("insert", 1, 1)])
         assert tree.search(1) == 1
 
-
-def _shape(node):
-    """The tree's exact node layout, as nested plain data."""
-    if node.is_leaf:
-        return list(zip(node.keys, node.values))
-    return (list(node.keys), [_shape(child) for child in node.children])
-
-
-def _assert_indistinguishable(lone, batch):
-    assert _shape(lone.tree._root) == _shape(batch.tree._root)
-    assert list(lone.tree.items()) == list(batch.tree.items())
-    assert lone.tree.height == batch.tree.height
-    assert lone.tree.node_visits == batch.tree.node_visits
-    assert lone.commit_count == batch.commit_count
-    assert lone.crash_count == batch.crash_count == 0
-    assert not lone._spec_nodes
-
-
-def _replay(history, order):
-    """Apply ``history`` op by op through the lone-update path and through
-    ``execute([op])``; every observable must agree after every op."""
-    lone = SpeculativeTreeEngine(tree=BPlusTree(order=order))
-    batch = SpeculativeTreeEngine(tree=BPlusTree(order=order))
-    for kind, key in history:
-        if kind == "insert":
-            lone.insert(key, key + 1)
-            (result,) = batch.execute([TreeOp("insert", key, key + 1)])
-            assert result.applied and result.replays == 0
-        else:
-            applied = lone.delete(key)
-            (result,) = batch.execute([TreeOp("delete", key)])
-            assert applied == result.applied
-        _assert_indistinguishable(lone, batch)
-    lone.tree.check_invariants()
-    return lone
-
-
-class TestLoneUpdatePath:
-    """``insert``/``delete`` (what ``HwTreeIndex`` issues, one op into an
-    empty window) against the full issue/claim/commit machinery."""
-
-    @pytest.mark.parametrize("order", [3, 4, 16])
-    def test_grow_then_drain_forces_splits_borrows_and_merges(self, order):
-        rng = random.Random(order)
-        keys = rng.sample(range(10_000), 400)
-        history = [("insert", key) for key in keys]
-        history += [("insert", key) for key in keys[:50]]  # overwrites
-        victims = keys[:]
-        rng.shuffle(victims)
-        history += [("delete", key) for key in victims]
-        history += [("delete", key) for key in victims[:20]]  # absent
-        lone = _replay(history, order)
-        assert len(lone.tree) == 0 and lone.tree.height == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(["insert", "delete"]), st.integers(0, 40)),
-            max_size=200,
-        ),
-        st.sampled_from([3, 4, 5]),
-    )
-    def test_random_histories(self, history, order):
-        _replay(history, order)
-
-    def test_none_value_is_rejected_like_a_tree_op(self):
-        engine = SpeculativeTreeEngine()
-        with pytest.raises(ValueError):
-            engine.insert(1, None)
-        assert engine.commit_count == 0 and engine.tree.node_visits == 0
-
-    def test_hw_index_counts_two_descents_per_update(self):
-        """The search and update pipelines both walk the path; the model
-        keeps charging both although the code descends once."""
-        index = HwTreeIndex()
-        index.insert(7, 0)
-        assert index.engine.tree.node_visits == 2  # lone leaf, twice
-        index.delete(7)
-        assert index.engine.tree.node_visits == 4
-        assert index.updates == index.engine.commit_count == 2

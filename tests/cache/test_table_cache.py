@@ -1,9 +1,16 @@
 """Tests for the table cache (write-back LRU over table SSDs)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cache.policy import PartitionedLru
 from repro.cache.table_cache import BTreeIndex, HwTreeIndex, TableCache
-from repro.datared.hash_pbn import HashPbnTable, InMemoryBucketStore, PackedBucket
+from repro.datared.hash_pbn import (
+    BUCKET_CAPACITY,
+    HashPbnTable,
+    InMemoryBucketStore,
+    PackedBucket,
+)
 from repro.datared.hashing import fingerprint
 
 
@@ -143,7 +150,7 @@ class TestIndexes:
 
     def test_hwtree_index_behaves_identically(self):
         results = []
-        for index in (BTreeIndex(), HwTreeIndex(window=4)):
+        for index in (BTreeIndex(), HwTreeIndex()):
             _, cache = make_cache(lines=4, index=index, batch=2)
             trace = [(step * 5) % 23 for step in range(150)]
             for bucket in trace:
@@ -177,3 +184,58 @@ class TestWithHashPbnTable:
         assert cache.stats.evictions > 0
         for position, digest in enumerate(digests):
             assert table.lookup(digest) == position
+
+
+#: 16 buckets; key ``k``'s digest is ``k`` in 32 big-endian bytes, so it
+#: homes to bucket ``k % 16``.  The prefill touches every bucket (twice
+#: the cache's 8 lines) and puts more than a page of keys in bucket 0,
+#: whose overflow chain runs into bucket 1.
+BUCKETS = 16
+CHAIN = [BUCKETS * n for n in range(BUCKET_CAPACITY + 12)]
+PREFILL = [("insert", key) for key in list(range(1, BUCKETS)) + CHAIN]
+KEY = st.one_of(st.sampled_from(CHAIN), st.integers(0, 4000))
+OP = st.tuples(st.sampled_from(["lookup", "insert", "remove", "update", "tenant"]), KEY)
+
+
+def drive(index, ops, batch, partitioned):
+    """Run ``PREFILL + ops`` through a Hash-PBN table on a cache over
+    ``index``; return everything the ledgers and the backing store saw."""
+    lru = PartitionedLru({"a": 2.0, "b": 1.0}, default_tenant="a") if partitioned else None
+    backing = InMemoryBucketStore()
+    cache = TableCache(backing, capacity_lines=8, index=index, eviction_batch=batch, lru=lru)
+    table = HashPbnTable(BUCKETS, store=cache)
+    model, answers = {}, []
+    for step, (op, key) in enumerate(PREFILL + ops):
+        digest = key.to_bytes(32, "big")
+        if op == "lookup":
+            answers.append(table.lookup(digest))
+            assert answers[-1] == model.get(key)
+        elif op == "insert" and key not in model:
+            table.insert(digest, step)
+            model[key] = step
+        elif op == "remove":
+            answers.append(table.remove(digest))
+            model.pop(key, None)
+        elif op == "update":
+            answers.append(table.update(digest, step))
+            if key in model:
+                model[key] = step
+        elif op == "tenant" and lru is not None:
+            lru.set_active("ab"[key % 2])
+    cache.flush_all()
+    cache.check_invariants()
+    return answers, cache.stats, index.searches, index.updates, backing._pages
+
+
+class TestCountedIndexDifferential:
+    """The counted HW index against the walked B+-tree: lines resolve
+    through the cache's own map either way, so every observable the
+    ledgers or the table SSDs see must agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(OP, max_size=150), st.sampled_from([1, 8]), st.booleans())
+    def test_walked_and_counted_indexes_agree(self, ops, batch, partitioned):
+        walked = drive(BTreeIndex(order=3), ops, batch, partitioned)
+        counted = drive(HwTreeIndex(), ops, batch, partitioned)
+        assert counted == walked
+        assert walked[1].evictions > 0 and walked[2] > 0

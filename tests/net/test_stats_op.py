@@ -11,7 +11,7 @@ from repro.datared.compression import ModeledCompressor
 from repro.errors import ProtocolError
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.net.protocol import FrameDecoder, Op, ProtocolServer, encode_frame
-from repro.obs import STATS_SCHEMA, trace
+from repro.obs import STATS_SCHEMA, merge_stats_snapshots, trace
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.systems.server import StorageServer, SystemKind
 
@@ -34,9 +34,9 @@ def _fresh_registry():
         set_registry(previous)
 
 
-def make_stack():
+def make_stack(kind=SystemKind.FIDR):
     storage = StorageServer.build(
-        SystemKind.FIDR, num_buckets=1024, cache_lines=64,
+        kind, num_buckets=1024, cache_lines=64,
         compressor=ModeledCompressor(0.5),
     )
     return storage, ProtocolServer(storage)
@@ -62,6 +62,33 @@ class TestSyncStats:
         assert gauges["engine.duplicate_chunks"] == 1
         assert 0.0 <= gauges["engine.dedup_ratio"] <= 1.0
         assert "proto.frames_total" in snapshot["counters"]
+
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_table_cache_ledger_is_exported(self, kind):
+        storage, endpoint = make_stack(kind)
+        for lba in range(0, 200 * 8, 8):  # 200 distinct chunks, 64 lines
+            roundtrip(endpoint, Op.WRITE, lba, lba.to_bytes(8, "big") * (CHUNK // 8))
+        storage.flush()
+        gauges = scrape(endpoint)["gauges"]
+        cache = storage.system.table_cache
+        for name in ("hits", "warm_hits", "misses", "evictions", "flushes"):
+            assert gauges[f"system.table_cache.{name}"] == getattr(cache.stats, name)
+        assert gauges["system.table_cache.hit_rate"] == cache.stats.hit_rate
+        assert gauges["system.table_cache.index.searches"] == cache.index.searches
+        assert gauges["system.table_cache.index.updates"] == cache.index.updates
+        assert cache.stats.evictions > 0 and 0.0 < cache.stats.hit_rate < 1.0
+
+    def test_merged_hit_rate_is_recomputed_from_summed_bases(self):
+        shards = [
+            {"gauges": {"system.table_cache.hits": hits,
+                        "system.table_cache.warm_hits": warm,
+                        "system.table_cache.misses": misses,
+                        "system.table_cache.hit_rate": (hits + warm) / (hits + warm + misses)}}
+            for hits, warm, misses in ((1, 0, 9), (30, 30, 0))
+        ]
+        gauges = merge_stats_snapshots(shards)["gauges"]
+        assert gauges["system.table_cache.hit_rate"] == 61 / 70
+        assert gauges["system.table_cache.misses"] == 9
 
     def test_payload_is_strict_json(self):
         _, endpoint = make_stack()

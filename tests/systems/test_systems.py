@@ -1,7 +1,12 @@
 """Tests for the end-to-end baseline and FIDR systems."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.cache.btree import BPlusTree
+from repro.cache.table_cache import BTreeIndex
 from repro.datared.compression import ModeledCompressor
 from repro.systems.accounting import CpuTask, MemPath
 from repro.systems.baseline import BaselineSystem
@@ -179,6 +184,42 @@ class TestFidrAccounting:
         report = system.report()
         assert report.engine_tree_updates > 0
         assert report.tree_node_visits == 0  # host never walks the tree
+
+    def test_served_index_walks_no_tree(self, monkeypatch):
+        """A write / overwrite / trim / read trace through FIDR makes no
+        ``BPlusTree._find_leaf`` call, and every batch's ``CacheDelta``
+        equals that of the same system with a walked ``BTreeIndex``
+        swapped in — node visits aside."""
+        find_leaf, descents = BPlusTree._find_leaf, []
+
+        def counted(tree, key):
+            descents.append(key)
+            return find_leaf(tree, key)
+
+        monkeypatch.setattr(BPlusTree, "_find_leaf", counted)
+
+        def run(walked):
+            rng, deltas, descents[:] = random.Random(5), [], []
+            system = small(FidrSystem)
+            if walked:
+                system.table_cache.index = BTreeIndex()
+            charge = system._charge_table_cache
+            system._charge_table_cache = lambda delta: (deltas.append(delta), charge(delta))
+            with system:
+                fill(system, rng, num_chunks=300, space=120)  # overwrites
+                system.trim(0, 8)
+                fill(system, rng, num_chunks=100, space=120)
+                system.flush()
+                reads = [system.read(lba, 1) for lba in range(120)]
+                index = system.table_cache.index
+                counts = (index.searches, index.updates, system.table_cache.stats)
+            novisits = [dataclasses.replace(d, tree_node_visits=0) for d in deltas]
+            return novisits, counts, reads, len(descents)
+
+        counted_run, walked_run = run(walked=False), run(walked=True)
+        assert counted_run[3] == 0 and walked_run[3] > 0
+        assert counted_run[:3] == walked_run[:3]
+        assert len(counted_run[0]) >= 6 and counted_run[1][1] > 0
 
 
 class TestSoftwareCacheVariant:
