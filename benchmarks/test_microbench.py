@@ -6,9 +6,10 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): seven
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, and three counts — the
-serving tier's ops per backend turn, its READ ops per engine pass, and
-the page faults a client process takes per bulk read.
+alternative on the same host inside one test, and four counts — the
+serving tier's ops per backend turn, its READ ops per engine pass, the
+transports a bulk reply pauses, and the page faults a client process
+takes per bulk read.
 """
 
 import asyncio
@@ -19,6 +20,7 @@ import sys
 import threading
 import time
 import zlib
+from asyncio import selector_events
 from contextlib import ExitStack
 
 import pytest
@@ -409,6 +411,44 @@ def test_grouped_reads_share_one_engine_pass(rng, monkeypatch):
         asyncio.run(drive())
     assert sum(passes) == 128
     assert sum(passes) / len(passes) >= 8, passes
+
+
+def test_bulk_replies_never_pause_a_transport(monkeypatch):
+    """A 256-KiB reply is parsed as the socket delivers it (DESIGN.md
+    §5.1), as a count: 32 bulk writes, then 128 bulk reads of 64 chunks
+    through an in-process server and client, and no transport may stop
+    reading — a stream reader, whose buffer limit is 64 KiB, paused the
+    client's once per read (127 pauses in 128 reads)."""
+    content = ContentFactory(compress_fraction=0.5)
+    pauses = []
+    pause_reading = selector_events._SelectorTransport.pause_reading
+
+    def counted(transport):
+        pauses.append(transport)
+        pause_reading(transport)
+
+    async def drive():
+        async with AsyncProtocolServer(storage) as server:
+            async with await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as client:
+                extents = [
+                    b"".join(content.chunk(64 * extent + i) for i in range(64))
+                    for extent in range(32)
+                ]
+                for extent, data in enumerate(extents):
+                    await client.write(64 * extent, data)
+                monkeypatch.setattr(
+                    selector_events._SelectorTransport, "pause_reading", counted
+                )
+                for op in range(128):
+                    assert await client.read(64 * (op % 32), 64) == extents[op % 32]
+
+    with StorageServer.build(
+        SystemKind.FIDR, num_buckets=1 << 12, compressor=ZlibCompressor()
+    ) as storage:
+        asyncio.run(drive())
+    assert not pauses, f"{len(pauses)} pauses in 128 bulk reads"
 
 
 _BULK_READ_FAULTS = """

@@ -6,27 +6,29 @@ and hands requests to the reduction pipeline through a bounded buffer
 (the battery-backed NIC DRAM) whose occupancy throttles the clients.
 This module is that front-end rendered in asyncio:
 
-* :class:`AsyncProtocolServer` accepts any number of TCP connections,
-  runs one :class:`~repro.net.protocol.FrameDecoder` session per
-  connection, and funnels every decoded request into one **bounded**
-  queue — a deque the server owns; what one socket read decoded enters
-  it in one step.  Worker tasks drain it in groups — per wake-up,
-  everything queued, up to one bulk piece of work — and serialize access
-  to the shared (non-thread-safe) storage backend: one backend turn and
-  one reply write per connection per group, replies and errors per op.
+* :class:`AsyncProtocolServer` accepts any number of TCP connections;
+  each is an :class:`asyncio.Protocol` whose ``data_received`` feeds its
+  own :class:`~repro.net.protocol.FrameDecoder` session and puts what
+  one socket read decoded into one **bounded** queue — a deque the
+  server owns — in one step, no await.  Worker tasks drain it in groups
+  — per wake-up, everything queued, up to one bulk piece of work — and
+  serialize access to the shared (non-thread-safe) storage backend: one
+  backend turn and one reply write per connection per group, replies
+  and errors per op.
 
-  Backpressure is structural: a connection's reader coroutine waits for
-  a free slot before reading more bytes, so when the queue is full
-  the server stops consuming from that socket, the TCP window closes,
-  and the client blocks — exactly the NIC-buffer-full behaviour of
-  §7.6.1.  On the response path every write is followed by ``drain()``
-  so slow readers bound the server's write buffers too.
+  Backpressure is structural: events decoded past the queue bound wait
+  in their connection, whose transport stops reading until a worker
+  makes room, so when the queue is full the server stops consuming from
+  that socket, the TCP window closes, and the client blocks — exactly
+  the NIC-buffer-full behaviour of §7.6.1.  On the response path a
+  paused transport (``pause_writing``) parks the worker with its next
+  replies, so slow readers bound the server's write buffers too.
 
-* :class:`AsyncProtocolClient` is the pipelined counterpart: requests
-  are tagged with a ``request_id`` and completed by a background
-  reader task, so many calls may be in flight on one connection
-  (``asyncio.gather`` over plain ``read``/``write`` coroutines is the
-  pipelining API; a gathered burst leaves in one send).
+* :class:`AsyncProtocolClient` is the pipelined counterpart and its own
+  protocol: requests are tagged with a ``request_id`` that
+  ``data_received`` completes, so many calls may be in flight on one
+  connection (``asyncio.gather`` over plain ``read``/``write``
+  coroutines is the pipelining API; a gathered burst leaves in one send).
 
 Backend execution happens on a **single-threaded** executor via
 ``run_in_executor``: the non-thread-safe storage stack still sees
@@ -48,7 +50,7 @@ import functools
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..datared.chunking import BLOCK_SIZE
@@ -67,10 +69,6 @@ from .protocol import (
 )
 
 __all__ = ["AsyncProtocolServer", "AsyncProtocolClient", "ServerMetrics"]
-
-#: How many bytes one socket read may return; frames are reassembled by
-#: the per-connection decoder, so this only sizes the read syscalls.
-_READ_CHUNK = 64 * 1024
 
 #: What a connection's decoder yields and the queue carries.
 _Event = Union[Frame, ProtocolError]
@@ -109,14 +107,50 @@ class ServerMetrics:
     writes_split: int = 0
 
 
-@dataclass(eq=False)
-class _Connection:
-    """Per-connection session state (identity-hashed for the registry)."""
+class _Connection(asyncio.Protocol):
+    """One client link, as the protocol its transport calls: decoder
+    session, events ``parked`` past the queue bound (the transport does
+    not read meanwhile), unanswered count, whether replies may go out."""
 
-    writer: asyncio.StreamWriter
-    decoder: FrameDecoder = field(default_factory=FrameDecoder)
-    pending: int = 0
-    idle: asyncio.Event = field(default_factory=asyncio.Event)
+    def __init__(self, server: "AsyncProtocolServer") -> None:
+        self.server = server
+        self.decoder = FrameDecoder(server.registry)
+        self.transport: Any = None
+        self.parked: Deque[Tuple[_Connection, _Event, int]] = deque()
+        self.pending = 0
+        self.eof = False
+        #: Clear while the transport's write buffer is past its high water.
+        self.writable = asyncio.Event()
+        self.writable.set()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.metrics.connections_total += 1
+        self.server.metrics.connections_open += 1
+
+    def data_received(self, data: bytes) -> None:
+        self.server.metrics.bytes_in += len(data)
+        events = self.decoder.events(data)
+        if events:
+            self.server._enqueue(self, events)
+
+    def eof_received(self) -> bool:
+        # Half-close: our side stays open until every queued request of
+        # this link is answered; the worker answering the last closes it.
+        self.eof = True
+        return self.pending > 0
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+        self.server.metrics.connections_open -= 1
+        self.writable.set()  # nothing waits on a link that is gone
+
+    def pause_writing(self) -> None:
+        self.writable.clear()
+
+    def resume_writing(self) -> None:
+        self.writable.set()
 
 
 class AsyncProtocolServer:
@@ -130,8 +164,8 @@ class AsyncProtocolServer:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
     queue_depth:
-        Bound of the request queue — the NIC-buffer analogue.  Readers
-        pause when it is full.
+        Bound of the request queue — the NIC-buffer analogue.  A
+        connection stops reading while events it decoded wait for room.
     workers:
         Number of drain tasks.  They interleave requests from different
         connections; backend access is always serialized on the single
@@ -173,10 +207,12 @@ class AsyncProtocolServer:
         self.write_split_chunks = write_split_chunks
         self.metrics = ServerMetrics()
         #: The request queue — ``(connection, event, enqueue stamp)``, at
-        #: most ``queue_depth`` long — and how many are in it or being
-        #: served.  :meth:`start` adds the events: ``_work`` wakes workers,
-        #: ``_room`` parked readers, ``_drained`` is set at zero unserved.
+        #: most ``queue_depth`` long — the connections with events parked
+        #: for lack of room, in the order they parked, and how many events
+        #: are decoded but unanswered.  :meth:`start` adds the events:
+        #: ``_work`` wakes workers, ``_drained`` is set at zero unserved.
         self._queue: Deque[Tuple[_Connection, _Event, int]] = deque()
+        self._parked: Deque[_Connection] = deque()
         self._unserved = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: list = []
@@ -204,15 +240,14 @@ class AsyncProtocolServer:
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> "AsyncProtocolServer":
         """Bind the listening socket and launch the worker pool."""
-        self._work, self._room = asyncio.Event(), asyncio.Event()
-        self._drained = asyncio.Event()
+        self._work, self._drained = asyncio.Event(), asyncio.Event()
         # max_workers=1 is the thread-safety contract: the storage
         # stack is only ever touched by this one thread.
         self._backend = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="aserver-backend"
         )
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            functools.partial(_Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._workers = [
@@ -231,11 +266,10 @@ class AsyncProtocolServer:
         if self._server is not None:
             self._server.close()
         # Close live connections *before* awaiting wait_closed(): on
-        # Python >= 3.12.1 wait_closed() also waits for every connection
-        # handler, so a handler parked in reader.read() would deadlock
-        # the shutdown unless its socket is closed first.
+        # Python >= 3.12.1 wait_closed() also waits for every connection,
+        # and an idle client would hold its own open forever.
         for connection in list(self._connections):
-            connection.writer.close()
+            connection.transport.close()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -263,60 +297,41 @@ class AsyncProtocolServer:
     def address(self) -> tuple:
         return (self.host, self.port)
 
-    # -- connection reader -------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(
-            writer=writer, decoder=FrameDecoder(self.registry)
-        )
-        connection.idle.set()
-        self._connections.add(connection)
-        self.metrics.connections_total += 1
-        self.metrics.connections_open += 1
-        try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                self.metrics.bytes_in += len(data)
-                events = connection.decoder.events(data)
-                if events:
-                    await self._enqueue(connection, events)
-            # Answer everything still queued before closing our side.
-            await connection.idle.wait()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(connection)
-            self.metrics.connections_open -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _enqueue(self, connection: _Connection, events: List[_Event]) -> None:
-        """Queue what one socket read decoded — in one step, no await,
-        while there is room."""
+    # -- admission ---------------------------------------------------------------
+    def _enqueue(self, connection: _Connection, events: List[_Event]) -> None:
+        """Take what one socket read decoded, in one step: into the queue
+        while there is room, the rest parked in the connection, whose
+        transport stops reading until a worker makes room."""
         connection.pending += len(events)
-        connection.idle.clear()
+        self._unserved += len(events)
+        self._drained.clear()
         # The enqueue timestamp rides the queue so the draining worker
         # can attribute queue-wait time; 0 means tracing was off.
         enqueued_ns = _trace.now_ns() if _trace.is_enabled() else 0
-        queue, metrics = self._queue, self.metrics
-        for event in events:
-            # Backpressure: a full queue parks the reader here, which
-            # stops the socket reads for this connection.
-            while len(queue) >= self.queue_depth:
-                self._room.clear()
-                await self._room.wait()
-            queue.append((connection, event, enqueued_ns))
-            self._unserved += 1
-            self._drained.clear()
-            metrics.requests_enqueued += 1
-            if len(queue) > metrics.max_queue_depth:
-                metrics.max_queue_depth = len(queue)
+        if not connection.parked:
+            self._parked.append(connection)
+        connection.parked.extend([(connection, event, enqueued_ns) for event in events])
+        self._admit()
+        if connection.parked:
+            # Backpressure: no socket reads → the TCP window closes.
+            connection.transport.pause_reading()
+
+    def _admit(self) -> None:
+        """Move parked events into the queue while there is room — the
+        connections in the order they parked, each in wire order; one
+        left with nothing parked reads again."""
+        queue, parked, metrics = self._queue, self._parked, self.metrics
+        before = len(queue)
+        while parked and len(queue) < self.queue_depth:
+            waiting = parked[0].parked
+            for _ in range(min(len(waiting), self.queue_depth - len(queue))):
+                queue.append(waiting.popleft())
+            if waiting:
+                break
+            parked.popleft().transport.resume_reading()
+        if len(queue) > before:
+            metrics.requests_enqueued += len(queue) - before
+            metrics.max_queue_depth = max(metrics.max_queue_depth, len(queue))
             self._work.set()
 
     # -- worker pool -------------------------------------------------------------
@@ -347,14 +362,14 @@ class AsyncProtocolServer:
                 if room < 0:
                     break
                 group.append(queue.popleft())
-            self._room.set()
+            self._admit()
             try:
                 await self._serve_group(group)
             finally:
                 for connection, _, _ in group:
                     connection.pending -= 1
-                    if connection.pending == 0:
-                        connection.idle.set()
+                    if connection.eof and not connection.pending:
+                        connection.transport.close()
                 self._unserved -= len(group)
                 if not self._unserved:
                     self._drained.set()
@@ -377,15 +392,16 @@ class AsyncProtocolServer:
                 self.metrics.backend_offloaded += 1
             outbound.setdefault(connection, []).append(reply)
         for connection, parts in outbound.items():
+            # A slow reader parks the worker before its next write, so a
+            # transport holds at most its high-water mark plus one group.
+            await connection.writable.wait()
+            if connection.transport.is_closing():
+                continue  # client vanished; only its own replies are lost
             data = b"".join(parts)  # a lone reply is returned as is, no copy
-            try:
-                with _trace.span("server.reply"):
-                    connection.writer.write(data)
-                    await connection.writer.drain()
-                self.metrics.responses_sent += len(parts)
-                self.metrics.bytes_out += len(data)
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # client vanished; only its own replies are lost
+            with _trace.span("server.reply"):
+                connection.transport.write(data)
+            self.metrics.responses_sent += len(parts)
+            self.metrics.bytes_out += len(data)
 
     # -- backend dispatch --------------------------------------------------------
     async def _dispatch(self, events: List[_Event]) -> List[bytes]:
@@ -441,38 +457,29 @@ class AsyncProtocolServer:
         return encode_reply(frame, Op.WRITE_ACK, frame.lba)
 
 
-class AsyncProtocolClient:
-    """Pipelined client endpoint over one TCP connection.
+class AsyncProtocolClient(asyncio.Protocol):
+    """Pipelined client over one TCP connection, and its transport's protocol.
 
-    Every request carries a fresh ``request_id``; a background reader
-    task matches responses back to their callers, so any number of
+    Every request carries a fresh ``request_id``; ``data_received``
+    matches responses back to their callers, so any number of
     ``read``/``write`` coroutines may be awaited concurrently
     (``asyncio.gather``) and completions may arrive out of order.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, *, registry: Optional[MetricsRegistry] = None):
         reg = registry if registry is not None else get_registry()
-        #: Reader-task deaths (EOF, decode error, socket loss) used to be
+        #: Reader deaths (EOF, decode error, socket loss) used to be
         #: observable only as failed futures; now they are counted.
         self._reader_deaths = reg.counter("proto.client.reader_deaths_total")
-        self._reader = reader
-        self._writer = writer
         self._decoder = FrameDecoder(reg)
+        self._transport: Any = None  # set by connection_made
+        self._lost = asyncio.Event()
         self._next_request_id = 0
         self._by_id: Dict[int, asyncio.Future] = {}
         #: ``(wire, future)`` of this tick's requests, sent by ``_flush``.
         self._corked: list = []
         self._closed = False
         _settle_allocator()
-        self._reader_task = asyncio.create_task(
-            self._read_responses(), name="aclient-reader"
-        )
 
     @classmethod
     async def connect(
@@ -482,8 +489,10 @@ class AsyncProtocolClient:
         *,
         registry: Optional[MetricsRegistry] = None,
     ) -> "AsyncProtocolClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, registry=registry)
+        _, client = await asyncio.get_running_loop().create_connection(
+            lambda: cls(registry=registry), host, port
+        )
+        return client
 
     async def __aenter__(self) -> "AsyncProtocolClient":
         return self
@@ -493,41 +502,36 @@ class AsyncProtocolClient:
 
     async def close(self) -> None:
         self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        self._transport.close()
+        await self._lost.wait()
         self._fail_pending(ProtocolError("client closed"))
 
-    # -- response demultiplexer --------------------------------------------------
-    async def _read_responses(self) -> None:
-        try:
-            while True:
-                data = await self._reader.read(_READ_CHUNK)
-                if not data:
-                    self._reader_deaths.inc()
-                    self._fail_pending(ProtocolError("server closed connection"))
-                    return
-                for event in self._decoder.events(data):
-                    if isinstance(event, ProtocolError):
-                        self._reader_deaths.inc()
-                        self._fail_pending(event)
-                        return
-                    self._complete(event)
-        except OSError as error:
-            self._reader_deaths.inc()
-            self._fail_pending(ProtocolError(f"connection lost: {error}"))
-        finally:
-            # Once the reader is gone nothing can ever complete a
-            # future, so the client is effectively closed: later
-            # read()/write() calls must raise instead of hanging.
+    # -- response demultiplexer (the transport's callbacks) ---------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        for event in self._decoder.events(data):
+            if isinstance(event, ProtocolError):
+                self._reader_died(event)
+                self._transport.close()
+                return
+            self._complete(event)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._reader_died(ProtocolError(
+            f"connection lost: {exc}" if exc else "server closed connection"
+        ))
+        self._lost.set()
+
+    def _reader_died(self, error: ProtocolError) -> None:
+        """Nothing can complete a future any more, so the client is
+        effectively closed: count the death (``close()`` is none), fail
+        the pending calls, and make later ones raise instead of hang."""
+        if not self._closed:
             self._closed = True
+            self._reader_deaths.inc()
+            self._fail_pending(error)
 
     def _complete(self, frame: Frame) -> None:
         future = self._by_id.pop(frame.request_id, None)
@@ -558,10 +562,6 @@ class AsyncProtocolClient:
         if not self._corked:
             loop.call_soon(self._flush)
         self._corked.append((wire, future))
-        try:
-            await self._writer.drain()
-        except OSError as error:
-            self._fail_send([future], error)
         return await future
 
     def _flush(self) -> None:
@@ -569,7 +569,7 @@ class AsyncProtocolClient:
         frame back as is, uncopied)."""
         corked, self._corked = self._corked, []
         try:
-            self._writer.write(b"".join([wire for wire, _ in corked]))
+            self._transport.write(b"".join([wire for wire, _ in corked]))
         except OSError as error:
             self._fail_send([future for _, future in corked], error)
 

@@ -498,14 +498,14 @@ class TestGroups:
                     await client.write(0, b"".join(chunks))
                     storage.flush()
                     engine_passes.clear()
-                    real_write = client._writer.write
+                    real_write = client._transport.write
 
                     def write(data):  # one send: sixteen 28-byte READs
                         data = bytearray(data)
                         data[7 * 28 + 1] ^= 0xFF
                         real_write(bytes(data))
 
-                    client._writer.write = write
+                    client._transport.write = write
                     async with held_backend(server):
                         burst = asyncio.gather(*(
                             client.read(lba, 1) for lba in range(16)
@@ -725,11 +725,11 @@ class TestGroups:
                     )
                     # Linger 0 turns the close into an RST: the server
                     # sees a dead peer, not a polite EOF it would answer.
-                    gone._writer.get_extra_info("socket").setsockopt(
+                    gone._transport.get_extra_info("socket").setsockopt(
                         socket.SOL_SOCKET, socket.SO_LINGER,
                         struct.pack("ii", 1, 0),
                     )
-                    gone._writer.transport.abort()
+                    gone._transport.abort()
                     await wait_until(
                         lambda: server.metrics.connections_open == 1
                     )
@@ -749,6 +749,96 @@ class TestGroups:
         run(body())
 
 
+class TestReplyFlowControl:
+    def test_a_reader_that_stops_parks_the_worker_not_the_buffer(self, rng):
+        """64 bulk reads, and the client stops reading: the server's
+        transport pauses writing, its one worker parks at that connection
+        with work still queued, and the write buffer stays within the
+        high-water mark plus one group's replies; once the client reads
+        again every reply arrives, in request order, and stop() returns."""
+        storage = build_storage()
+        data = rng.randbytes(64 * CHUNK)
+
+        async def body():
+            server = AsyncProtocolServer(storage, workers=1)
+            await server.start()
+            client = await AsyncProtocolClient.connect(server.host, server.port)
+            try:
+                await client.write(0, data)
+                (connection,) = server._connections
+                buffered = []
+                real_write = connection.transport.write
+
+                def write(reply):
+                    real_write(reply)
+                    buffered.append(connection.transport.get_write_buffer_size())
+
+                connection.transport.write = write
+                completed = []
+                real_complete = client._complete
+                client._complete = lambda frame: (
+                    completed.append(frame.request_id), real_complete(frame)
+                )
+                client._transport.pause_reading()
+                burst = asyncio.gather(*(client.read(0, 64) for _ in range(64)))
+                await wait_until(lambda: not connection.writable.is_set(), 10)
+                await asyncio.sleep(0.05)
+                served = server.metrics.backend_turns, server.metrics.responses_sent
+                await asyncio.sleep(0.1)
+                assert (server.metrics.backend_turns,
+                        server.metrics.responses_sent) == served
+                assert server._queue and not connection.writable.is_set()
+                high = connection.transport.get_write_buffer_limits()[1]
+                assert max(buffered) <= high + 28 + len(data)
+                client._transport.resume_reading()
+                assert await asyncio.wait_for(burst, 10) == [data] * 64
+                assert completed == sorted(completed)
+            finally:
+                await asyncio.wait_for(server.stop(), 5)
+                await client.close()
+
+        run(body())
+
+
+class TestHalfClose:
+    @pytest.mark.parametrize("op", [Op.WRITE, Op.READ])
+    def test_queued_requests_are_answered_before_eof(self, op, rng):
+        """16 pipelined requests, then ``write_eof()`` while all of them
+        wait behind the backend: all 16 replies arrive, in order, then EOF."""
+        storage = build_storage()
+        chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+        storage.write(0, b"".join(chunks))
+
+        async def body():
+            async with AsyncProtocolServer(storage) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                async with held_backend(server):
+                    writer.write(b"".join(
+                        encode_frame(Op.WRITE, lba, chunks[lba], request_id=lba + 1)
+                        if op == Op.WRITE else
+                        encode_frame(Op.READ, lba, request_id=lba + 1, count=1)
+                        for lba in range(16)
+                    ))
+                    writer.write_eof()
+                    (connection,) = server._connections
+                    await wait_until(lambda: connection.eof)
+                    assert connection.pending == 16
+                replies = FrameDecoder().feed(
+                    await asyncio.wait_for(reader.read(), 5)
+                )
+                assert reader.at_eof()
+                writer.close()
+            assert [reply.request_id for reply in replies] == list(range(1, 17))
+            if op == Op.WRITE:
+                assert {reply.op for reply in replies} == {Op.WRITE_ACK}
+            else:
+                assert [reply.payload for reply in replies] == chunks
+
+        run(body())
+
+
 class TestClientCork:
     """Requests issued in one event-loop tick leave in one send."""
 
@@ -761,13 +851,13 @@ class TestClientCork:
                     server.host, server.port
                 ) as client:
                     sends = []
-                    real_write = client._writer.write
+                    real_write = client._transport.write
 
                     def write(data):
                         sends.append(len(data))
                         real_write(data)
 
-                    client._writer.write = write
+                    client._transport.write = write
                     chunks = [rng.randbytes(CHUNK) for _ in range(16)]
                     await asyncio.gather(*(
                         client.write(lba, chunks[lba]) for lba in range(16)
@@ -788,7 +878,7 @@ class TestClientCork:
                 ) as client:
                     data = rng.randbytes(CHUNK)
                     await client.write(0, data)
-                    real_write = client._writer.write
+                    real_write = client._transport.write
 
                     def broken(_data):
                         raise BrokenPipeError("no route to the wire")
@@ -799,11 +889,11 @@ class TestClientCork:
                         await wait_until(
                             lambda: server.metrics.requests_enqueued == 2
                         )
-                        client._writer.write = broken
+                        client._transport.write = broken
                         results = await asyncio.gather(*(
                             client.write(8 + lba, data) for lba in range(16)
                         ), return_exceptions=True)
-                        client._writer.write = real_write
+                        client._transport.write = real_write
                         assert len(client._by_id) == 1  # only ``earlier``
                     assert all(
                         isinstance(error, ProtocolError)

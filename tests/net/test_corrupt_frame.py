@@ -35,7 +35,7 @@ FRAME = 28 + CHUNK  # one 1-chunk WRITE on the wire
 def corrupt_sent_byte(client, offset):
     """Flip the byte at stream ``offset`` of what ``client`` sends,
     however its sends are cut."""
-    real_write = client._writer.write
+    real_write = client._transport.write
     sent = 0
 
     def write(data):
@@ -46,7 +46,7 @@ def corrupt_sent_byte(client, offset):
         sent += len(data)
         real_write(bytes(data))
 
-    client._writer.write = write
+    client._transport.write = write
 
 
 async def burst_with_one_corrupt_frame(client, rng):
@@ -178,10 +178,10 @@ def test_a_reply_with_an_unknown_request_id_completes_no_caller(rng):
             ) as client:
                 chunks = [rng.randbytes(CHUNK) for _ in range(16)]
                 await client.write(0, b"".join(chunks))
-                real_write = client._writer.write
+                real_write = client._transport.write
                 # The burst leaves as one 16 x 28-byte write; splice the
                 # stray frame in behind the 8th request.
-                client._writer.write = lambda wire: real_write(
+                client._transport.write = lambda wire: real_write(
                     wire[: 8 * 28] + RETIRED_READ + wire[8 * 28 :]
                 )
                 completed = []
