@@ -6,10 +6,10 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): seven
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, and four counts — the
-serving tier's ops per backend turn, its READ ops per engine pass, the
-transports a bulk reply pauses, and the page faults a client process
-takes per bulk read.
+alternative on the same host inside one test, and five counts — the
+serving tier's ops per backend turn, its cross-thread wake-ups, its READ
+ops per engine pass, the transports a bulk reply pauses, and the page
+faults a client process takes per bulk read.
 """
 
 import asyncio
@@ -49,6 +49,7 @@ from repro.parallel import StagePool
 from repro.systems.fidr import FidrSystem
 from repro.systems.server import StorageServer, SystemKind
 from repro.workloads.content import ContentFactory
+from tests.net.wire import held_backend
 
 
 @pytest.fixture
@@ -331,6 +332,18 @@ def test_one_batched_read_beats_reads_of_one(rng):
     assert took["singles"] / took["batched"] >= 1.3, took
 
 
+async def _fine_grain_rounds(writer, reader, content, seeded):
+    """8 rounds of 16 one-chunk writes to fresh LBAs beside 16 verified
+    one-chunk reads of ``seeded`` (LBAs 0-15), each round gathered."""
+    for round_ in range(8):
+        base = 16 * (round_ + 1)
+        replies = await asyncio.gather(
+            *(writer.write(base + i, content.chunk(base + i)) for i in range(16)),
+            *(reader.read(i, 1) for i in range(16)),
+        )
+        assert replies[16:] == seeded
+
+
 def test_pipelined_small_ops_share_backend_turns(rng):
     """The serving tier's coalescing ratio (DESIGN.md §5.1), as a count:
     two loopback connections, 8 rounds of 16 one-chunk writes beside 16
@@ -351,14 +364,7 @@ def test_pipelined_small_ops_share_backend_turns(rng):
                 await writer.write(0, b"".join(seeded))
                 metrics = server.metrics
                 served, turns = metrics.backend_offloaded, metrics.backend_turns
-                for round_ in range(8):
-                    base = 16 * (round_ + 1)
-                    replies = await asyncio.gather(
-                        *(writer.write(base + i, content.chunk(base + i))
-                          for i in range(16)),
-                        *(reader.read(i, 1) for i in range(16)),
-                    )
-                    assert replies[16:] == seeded
+                await _fine_grain_rounds(writer, reader, content, seeded)
                 return (
                     metrics.backend_offloaded - served,
                     metrics.backend_turns - turns,
@@ -372,10 +378,54 @@ def test_pipelined_small_ops_share_backend_turns(rng):
     assert served / turns >= 4, (served, turns)
 
 
+def test_served_groups_stay_on_the_loop(monkeypatch):
+    """The serving tier's cross-thread wake-ups (DESIGN.md §5.2), as a
+    count: over the whole run of an in-process server, the rounds of the
+    coalescing gate above — 8 rounds of 16 one-chunk writes beside 16
+    one-chunk reads on two connections — must make no
+    ``loop.call_soon_threadsafe`` call and start no thread: a group is
+    served on the loop that parsed it.  (The one-thread backend executor
+    this replaced rang one doorbell per group: 9 calls — the seeding
+    write, then one group a round — and 1 thread start.)"""
+    content = ContentFactory()
+    seeded = [content.chunk(index) for index in range(16)]
+    doorbells, starts = [], []
+    call_soon_threadsafe = asyncio.base_events.BaseEventLoop.call_soon_threadsafe
+    start = threading.Thread.start
+
+    def rung(loop, *args, **kwargs):
+        doorbells.append(args[0])
+        return call_soon_threadsafe(loop, *args, **kwargs)
+
+    def started(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    async def drive():
+        async with AsyncProtocolServer(storage) as server:
+            async with await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as writer, await AsyncProtocolClient.connect(
+                server.host, server.port
+            ) as reader:
+                await writer.write(0, b"".join(seeded))
+                await _fine_grain_rounds(writer, reader, content, seeded)
+
+    with StorageServer.build(
+        SystemKind.FIDR, num_buckets=1 << 12, compressor=ZlibCompressor()
+    ) as storage:
+        monkeypatch.setattr(
+            asyncio.base_events.BaseEventLoop, "call_soon_threadsafe", rung
+        )
+        monkeypatch.setattr(threading.Thread, "start", started)
+        asyncio.run(drive())
+    assert (len(doorbells), starts) == (0, []), (len(doorbells), starts)
+
+
 def test_grouped_reads_share_one_engine_pass(rng, monkeypatch):
     """A run of READs is one ``read_extents`` (DESIGN.md §5.2), as a
     count: 8 bursts of 16 one-chunk reads, each queued whole behind a
-    parked backend thread, must reach the engine in >= 8x fewer passes
+    held dispatch, must reach the engine in >= 8x fewer passes
     than ops (16x when a burst is one group; 1.0 for a ``handle_frame``
     that reads alone)."""
     content = ContentFactory()
@@ -397,12 +447,10 @@ def test_grouped_reads_share_one_engine_pass(rng, monkeypatch):
                 monkeypatch.setattr(DedupEngine, "read_many", counted)
                 for round_ in range(8):
                     lbas = rng.sample(range(64), 16)
-                    gate = threading.Event()
-                    server._backend.submit(gate.wait)
-                    burst = asyncio.gather(*(client.read(lba, 1) for lba in lbas))
-                    while server.metrics.requests_enqueued < 1 + 16 * (round_ + 1):
-                        await asyncio.sleep(0.001)
-                    gate.set()
+                    async with held_backend(server):
+                        burst = asyncio.gather(*(client.read(lba, 1) for lba in lbas))
+                        while server.metrics.requests_enqueued < 1 + 16 * (round_ + 1):
+                            await asyncio.sleep(0.001)
                     assert await burst == [seeded[lba] for lba in lbas]
 
     with StorageServer.build(
@@ -457,6 +505,7 @@ from repro.datared.compression import ZlibCompressor
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.systems.server import StorageServer, SystemKind
 from repro.workloads.content import ContentFactory
+from tests.net.wire import held_backend
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

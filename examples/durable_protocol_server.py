@@ -77,9 +77,9 @@ async def first_life(storage, rng, pool, dataset, crash_state):
                 data = rng.randbytes(CHUNK)
                 await client.write(lba, data)
                 dataset[lba] = data
-            # Group-commit fence: everything so far is durable.  Every
-            # request was awaited, so the backend thread is idle and the
-            # stack may be driven from here.
+            # Group-commit fence: everything so far is durable.  The
+            # server calls the stack from this same loop thread and every
+            # request was awaited, so the stack may be driven from here.
             storage.flush()
             acked = dict(dataset)
 

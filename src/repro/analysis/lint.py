@@ -1107,8 +1107,9 @@ class _RuleWalker(ast.NodeVisitor):
                         "R001",
                         node,
                         f"blocking call {name}() inside async def "
-                        f"{self._current_function()}; move it to the "
-                        "backend executor (run_in_executor)",
+                        f"{self._current_function()} parks the event loop "
+                        "and every connection it serves; use the awaitable "
+                        "form or move the wait out of the coroutine",
                     )
             if self.check_determinism:
                 nondeterministic = name in _NONDETERMINISTIC_CALLS or (

@@ -42,8 +42,10 @@ What it reports
   with the same annotation on its ``def`` line (e.g. ``StagePool.map``:
   its workers run pure stages and never take storage locks);
 * **async acquires** — a ``DisciplinedLock`` (a thread-blocking RLock)
-  acquired inside ``async def``, directly or through resolved calls;
-  sanction with ``# lockgraph: async-ok <reason>``.
+  acquired inside ``async def``, directly or through resolved calls: a
+  contended acquire parks the event loop and every connection it serves.
+  Sanction one the loop makes uncontended (it is the stack's only
+  caller) with ``# lockgraph: async-ok <reason>``.
 
 Static limits, by design: nested ``def``\\ s are independent functions
 (a closure handed to an executor does not inherit the submitting
@@ -858,8 +860,9 @@ def _link_and_analyze(
                             f"{qualname} acquires DisciplinedLock "
                             f"{acquire.lock!r} inside async def "
                             f"({acquire.site.format()}); a thread lock "
-                            "parks the event loop — move the acquisition "
-                            "to the backend executor"
+                            "parks the event loop — acquire it in "
+                            "synchronous code, or sanction an uncontended "
+                            "acquire with '# lockgraph: async-ok <reason>'"
                         ),
                     }
                 )

@@ -12,9 +12,9 @@ This module is that front-end rendered in asyncio:
   one socket read decoded into one **bounded** queue — a deque the
   server owns — in one step, no await.  Worker tasks drain it in groups
   — per wake-up, everything queued, up to one bulk piece of work — and
-  serialize access to the shared (non-thread-safe) storage backend: one
-  backend turn and one reply write per connection per group, replies
-  and errors per op.
+  serve each group with one call into the shared (non-thread-safe)
+  storage stack, on the loop's own thread: one backend turn and one
+  reply write per connection per group, replies and errors per op.
 
   Backpressure is structural: events decoded past the queue bound wait
   in their connection, whose transport stops reading until a worker
@@ -30,17 +30,16 @@ This module is that front-end rendered in asyncio:
   connection (``asyncio.gather`` over plain ``read``/``write``
   coroutines is the pipelining API; a gathered burst leaves in one send).
 
-Backend execution happens on a **single-threaded** executor via
-``run_in_executor``: the non-thread-safe storage stack still sees
-strictly serialized access, but the event loop keeps accepting
-connections, parsing frames and flushing responses while a request
-crunches SHA-256/DEFLATE.  Large writes are split into
-``write_split_chunks``-sized sub-writes between which queued small
-requests get a turn on the backend thread, so one bulk ingest can no
-longer convoy every other client's latency.  Inside the backend thread
-the engine fans hashing/compression out on its own
-:class:`~repro.parallel.StagePool` when the system was built with
-``parallelism > 1``.
+One thread serves: the event loop that parsed a group's frames is the
+storage stack's only caller, so access is strictly serialized with no
+executor hop — no queue put, no self-pipe wake-up, no GIL hand-off per
+group.  While a group runs the loop does nothing else, and a group
+carries at most ``write_split_chunks`` chunks of work; a write spanning
+more is applied as that-sized sub-writes, between which the loop reads
+its sockets and serves one queued group, so one bulk ingest cannot
+convoy every other client's latency.  Inside a turn the engine fans
+hashing/compression out on its own :class:`~repro.parallel.StagePool`
+when the system was built with ``parallelism > 1``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import asyncio
 import functools
 import json
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
@@ -98,9 +96,10 @@ class ServerMetrics:
     #: High-water mark of the request queue — never exceeds the
     #: configured ``queue_depth`` (the backpressure guarantee).
     max_queue_depth: int = 0
-    #: Requests served on the backend executor.
+    #: Requests the storage stack served (the name, like its gauge, is
+    #: kept from when the stack ran on an executor thread).
     backend_offloaded: int = 0
-    #: Executor submissions (one per group, one per split-write piece);
+    #: Calls into the storage stack (one per group or split-write piece);
     #: ``backend_offloaded / backend_turns`` is the coalescing ratio.
     backend_turns: int = 0
     #: Large writes split into sub-writes so small requests interleave.
@@ -154,7 +153,8 @@ class _Connection(asyncio.Protocol):
 
 
 class AsyncProtocolServer:
-    """A TCP server multiplexing many clients onto one storage backend.
+    """A TCP server multiplexing many clients onto one storage backend,
+    served on the event loop's own thread.
 
     Parameters
     ----------
@@ -167,15 +167,15 @@ class AsyncProtocolServer:
         Bound of the request queue — the NIC-buffer analogue.  A
         connection stops reading while events it decoded wait for room.
     workers:
-        Number of drain tasks.  They interleave requests from different
-        connections; backend access is always serialized on the single
-        backend thread, so the event loop never blocks on storage-stack
-        CPU time (hashing, compression, table walks).
+        Number of drain tasks.  Each serves its group on the loop's
+        thread, so storage work never runs two at a time; what a second
+        worker buys is that other connections keep being served while
+        one worker's replies wait on a slow reader's ``writable``.
     write_split_chunks:
         The chunks of work one backend turn may carry: queued requests
         are grouped up to it, and a write spanning more is applied as a
-        sequence of sub-writes between which queued requests get a
-        turn.  A concurrent reader of the *same* region
+        sequence of sub-writes between which one queued group is
+        served.  A concurrent reader of the *same* region
         may observe a prefix of a split write (block devices promise
         per-chunk atomicity, not whole-request atomicity).
     """
@@ -217,7 +217,6 @@ class AsyncProtocolServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: list = []
         self._connections: set = set()
-        self._backend: Optional[ThreadPoolExecutor] = None
         # Pull-model publication of ServerMetrics (WeakMethod-held, so a
         # dropped server disappears from the registry on its own).
         self.registry.register_collector(self._publish_metrics)
@@ -241,11 +240,6 @@ class AsyncProtocolServer:
     async def start(self) -> "AsyncProtocolServer":
         """Bind the listening socket and launch the worker pool."""
         self._work, self._drained = asyncio.Event(), asyncio.Event()
-        # max_workers=1 is the thread-safety contract: the storage
-        # stack is only ever touched by this one thread.
-        self._backend = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="aserver-backend"
-        )
         self._server = await asyncio.get_running_loop().create_server(
             functools.partial(_Connection, self), self.host, self.port
         )
@@ -257,7 +251,7 @@ class AsyncProtocolServer:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting, drain queued requests, then flush the backend.
+        """Stop accepting, drain queued requests, then flush the storage.
 
         Live connections are closed server-side; their clients observe
         EOF and fail any still-pending calls with a
@@ -279,9 +273,6 @@ class AsyncProtocolServer:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        if self._backend is not None:
-            self._backend.shutdown(wait=True)
-            self._backend = None
         # The server-batch commit boundary: drains staged writes, seals
         # the open container and — when a journal is armed — fences the
         # final group commit, so every acked request is recoverable.
@@ -344,35 +335,49 @@ class AsyncProtocolServer:
                 return event.read_count
         return 1
 
+    def _splits(self, event: _Event) -> bool:
+        """Whether ``event`` is a write applied as sub-writes (an unaligned
+        one takes the unsplit path, to fail validation before any piece)."""
+        return (
+            isinstance(event, Frame) and event.op == Op.WRITE
+            and len(event.payload) % self.storage.chunk_size == 0
+            and self._chunks_of(event) > self.write_split_chunks
+        )
+
     async def _worker(self) -> None:
-        """Serve the queue in groups: per wake-up, everything already
-        queued (in queue order) up to ``write_split_chunks`` chunks of
-        work — the size of one non-preemptible backend turn, so no reply
-        waits on more than one bulk piece.  An op that alone exceeds the
-        budget (a write about to be split, a long read) is a group of one."""
-        queue = self._queue
+        """Serve the queue a group at a time, waiting while it is empty."""
         while True:
-            while not queue:
+            while not self._queue:
                 self._work.clear()
                 await self._work.wait()
-            group = [queue.popleft()]
-            room = self.write_split_chunks - self._chunks_of(group[0][1])
-            while queue:
-                room -= self._chunks_of(queue[0][1])
-                if room < 0:
-                    break
-                group.append(queue.popleft())
-            self._admit()
-            try:
-                await self._serve_group(group)
-            finally:
-                for connection, _, _ in group:
-                    connection.pending -= 1
-                    if connection.eof and not connection.pending:
-                        connection.transport.close()
-                self._unserved -= len(group)
-                if not self._unserved:
-                    self._drained.set()
+            await self._serve_next()
+
+    async def _serve_next(self) -> None:
+        """Take the next group off the queue and serve it: everything
+        already queued (in queue order) up to ``write_split_chunks``
+        chunks of work — the size of one non-preemptible backend turn, so
+        no reply waits on more than one bulk piece.  An op that alone
+        exceeds the budget (a write about to be split, a long read) is a
+        group of one."""
+        queue = self._queue
+        group = [queue.popleft()]
+        room = self.write_split_chunks - self._chunks_of(group[0][1])
+        while queue:
+            room -= self._chunks_of(queue[0][1])
+            if room < 0:
+                break
+            group.append(queue.popleft())
+        self._admit()
+        try:
+            await self._serve_group(group)
+        finally:
+            for connection, _, _ in group:
+                connection.pending -= 1
+                if connection.eof and not connection.pending:
+                    connection.transport.close()
+            self._unserved -= len(group)
+            if not self._unserved:
+                self._drained.set()
 
     async def _serve_group(self, group: list) -> None:
         """One backend turn for the group, then one reply write per
@@ -405,55 +410,43 @@ class AsyncProtocolServer:
 
     # -- backend dispatch --------------------------------------------------------
     async def _dispatch(self, events: List[_Event]) -> List[bytes]:
-        """Produce the response bytes for one group of queued events.
-
-        The group runs in one hop on the backend executor; an oversized
-        write (always a group of one, see :meth:`_worker`) is applied as
-        split sub-writes so queued requests from other connections
-        interleave between the pieces.
-        """
-        loop = asyncio.get_running_loop()
-        first = events[0]
-        split_bytes = self.write_split_chunks * self.storage.chunk_size
-        if (
-            isinstance(first, Frame)
-            and first.op == Op.WRITE
-            and len(first.payload) > split_bytes
-            # A payload that isn't chunk-aligned takes the unsplit path:
-            # it fails validation there before any sub-write is applied.
-            and len(first.payload) % self.storage.chunk_size == 0
-        ):
-            return [await self._split_write(loop, first, split_bytes)]
+        """The response bytes for one group of queued events: one
+        ``handle_group`` call or, for an oversized write (always a group
+        of one, see :meth:`_serve_next`), split sub-writes."""
+        if self._splits(events[0]):
+            return [await self._split_write(events[0])]
         self.metrics.backend_turns += 1
-        return await loop.run_in_executor(
-            self._backend, self.endpoint.handle_group, events
-        )
+        # The loop is the stack's only caller: its engine lock is uncontended.
+        return self.endpoint.handle_group(events)  # lockgraph: async-ok sole caller
 
-    async def _split_write(
-        self, loop, frame: Frame, split_bytes: int
-    ) -> bytes:
-        """Apply one large write as sequential sub-writes.
-
-        The ack is still sent only after the whole payload is applied;
-        what changes is that the backend thread becomes preemptible at
-        sub-write granularity.  On failure the client gets the same
-        typed error frame the unsplit path would produce (sub-writes
-        already applied stay applied — per-chunk atomicity).
+    async def _split_write(self, frame: Frame) -> bytes:
+        """Apply one large write as sequential sub-writes, between two of
+        which the loop reads its sockets and serves one queued group
+        (unless it is another write to split, which a worker takes after),
+        so small ops interleave with a bulk write.  The ack still waits
+        for the last piece; a failure is the typed error frame the unsplit
+        path would send (pieces applied stay applied — per-chunk atomicity).
         """
         self.endpoint.requests_served += 1  # parity with handle_frame
         self.metrics.writes_split += 1
         chunk_size = self.storage.chunk_size
         blocks_per_chunk = chunk_size // BLOCK_SIZE
-        try:
-            for start in range(0, len(frame.payload), split_bytes):
-                piece = frame.payload[start : start + split_bytes]
-                piece_lba = frame.lba + (start // chunk_size) * blocks_per_chunk
-                self.metrics.backend_turns += 1
-                await loop.run_in_executor(
-                    self._backend, self.storage.write, piece_lba, piece
-                )
-        except Exception as error:  # never kill a worker
-            return encode_error_reply(frame, error)
+        split_bytes = self.write_split_chunks * chunk_size
+        for start in range(0, len(frame.payload), split_bytes):
+            if start:
+                # Two loop iterations: the first resumes this task ahead
+                # of the socket reads its select found, the second after.
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                if self._queue and not self._splits(self._queue[0][1]):
+                    await self._serve_next()
+            piece = frame.payload[start : start + split_bytes]
+            piece_lba = frame.lba + (start // chunk_size) * blocks_per_chunk
+            self.metrics.backend_turns += 1
+            try:
+                self.storage.write(piece_lba, piece)
+            except Exception as error:  # never kill a worker
+                return encode_error_reply(frame, error)
         return encode_reply(frame, Op.WRITE_ACK, frame.lba)
 
 

@@ -275,8 +275,8 @@ class ProtocolServer:
     """Server endpoint: one request frame in, one ack frame out.
 
     :meth:`handle_group` is the transport-free dispatch the asyncio
-    serving layer (:class:`~repro.net.aserver.AsyncProtocolServer`) runs
-    on its backend thread, one :meth:`handle_frame` per request; every
+    serving layer (:class:`~repro.net.aserver.AsyncProtocolServer`) calls
+    on its event loop's thread, one :meth:`handle_frame` per request; every
     storage-stack exception becomes a structured ``Op.ERROR`` frame.
     """
 

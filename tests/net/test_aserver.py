@@ -5,7 +5,6 @@ loop with ``asyncio.run`` around an async body.
 """
 
 import asyncio
-import contextlib
 import copy
 import socket
 import struct
@@ -26,6 +25,7 @@ from repro.net.protocol import MAX_PAYLOAD, FrameDecoder, Op, encode_frame
 from repro.systems.server import StorageServer, SystemKind
 
 from ..systems.test_parallel_differential import ledger_view
+from .wire import held_backend
 
 CHUNK = 4096
 
@@ -85,6 +85,45 @@ class TestLifecycle:
                 await client.close()
 
         run(body())
+
+    def test_storage_is_served_on_the_loop_thread(self, rng):
+        """Every storage call made while serving — grouped writes, a run
+        of reads, the pieces of a split write — runs on the event loop's
+        own thread; no ``aserver-backend`` thread exists, and start() /
+        stop() leave the process's thread count where it was."""
+        storage = build_storage()
+        callers = set()
+        for name in ("write", "read", "read_extents"):
+            def traced(*args, _real=getattr(storage, name)):
+                callers.add(threading.get_ident())
+                return _real(*args)
+
+            setattr(storage, name, traced)
+        chunks = [rng.randbytes(CHUNK) for _ in range(16)]
+
+        async def body():
+            before = threading.active_count()
+            async with AsyncProtocolServer(storage) as server:
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    await asyncio.gather(*(
+                        client.write(lba, chunks[lba]) for lba in range(16)
+                    ))
+                    assert await asyncio.gather(*(
+                        client.read(lba, 1) for lba in range(16)
+                    )) == chunks
+                    await client.write(100, b"".join(chunks) * 5)  # 80 chunks
+                    assert server.metrics.writes_split == 1
+                    serving = threading.active_count()
+                    assert not [
+                        thread for thread in threading.enumerate()
+                        if thread.name.startswith("aserver-backend")
+                    ]
+            assert before == serving == threading.active_count()
+            return threading.get_ident()
+
+        assert callers == {run(body())}
 
     def test_constructor_validation(self):
         storage = build_storage()
@@ -386,19 +425,6 @@ class TestClientEdgeCases:
                     await client.read(0, 1)
 
         run(body())
-
-
-@contextlib.asynccontextmanager
-async def held_backend(server):
-    """Park the backend thread so everything sent inside the block is
-    queued (or submitted behind the gate) before any of it runs —
-    grouping then depends on the test, not on how TCP cut the burst."""
-    gate = threading.Event()
-    server._backend.submit(gate.wait)
-    try:
-        yield
-    finally:
-        gate.set()
 
 
 class TestGroups:

@@ -1,5 +1,8 @@
-"""One request through the transport-free dispatch, as wire bytes."""
+"""Wire helpers: one request through the transport-free dispatch, as
+wire bytes, and a gate that holds a served group before it runs."""
 
+import asyncio
+import contextlib
 import struct
 
 from repro.net.protocol import Frame, FrameDecoder, encode_frame
@@ -13,3 +16,24 @@ def roundtrip(endpoint, op, lba, payload=b"", **fields) -> Frame:
     (request,) = FrameDecoder().feed(encode_frame(op, lba, payload, **fields))
     (reply,) = FrameDecoder().feed(endpoint.handle_frame(request))
     return reply
+
+
+@contextlib.asynccontextmanager
+async def held_backend(server):
+    """Hold every group at ``server._dispatch`` so everything sent inside
+    the block is queued (or taken, and waiting at the gate) before any of
+    it runs — grouping then depends on the test, not on how TCP cut the
+    burst."""
+    gate = asyncio.Event()
+    dispatch = server._dispatch
+
+    async def gated(events):
+        await gate.wait()
+        return await dispatch(events)
+
+    server._dispatch = gated
+    try:
+        yield
+    finally:
+        gate.set()
+        del server._dispatch
