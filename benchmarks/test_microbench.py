@@ -42,7 +42,6 @@ from repro.datared.hash_pbn import (
     InMemoryBucketStore,
 )
 from repro.datared.hashing import fingerprint
-from repro.datared.sharded import ShardedDedupEngine
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.obs import trace
 from repro.parallel import StagePool
@@ -144,9 +143,10 @@ def _write_batch(rng):
     ]
 
 
-def _engine(pool=None, shards=None, clock=None):
-    knobs = dict(num_buckets=1 << 14, compressor=ZlibCompressor(), pool=pool)
-    engine = ShardedDedupEngine(shards, **knobs) if shards else DedupEngine(**knobs)
+def _engine(pool=None, clock=None):
+    engine = DedupEngine(
+        num_buckets=1 << 14, compressor=ZlibCompressor(), pool=pool
+    )
     engine.stage_clock = clock
     return engine
 
@@ -191,18 +191,6 @@ def test_packed_lookup_many_floor(rng):
     took = _fastest(50, {"packed": lambda: table.lookup_many(batch)})
     rate = len(batch) / took["packed"]
     assert rate >= 0.9 * PACKED_LOOKUPS_PER_S_FLOOR, f"{rate:,.0f} lookups/s"
-
-
-def test_single_shard_scatter_overhead(rng):
-    """``ShardedDedupEngine(1)`` runs the whole scatter path (shard
-    selection, fan-out, report re-merge) over one shard; it must write
-    at >= 0.9x the plain engine."""
-    batch = _write_batch(rng)
-    took = _fastest(500, {
-        "plain": lambda: _ingest(_engine(), batch),
-        "sharded": lambda: _ingest(_engine(shards=1), batch),
-    })
-    assert took["plain"] / took["sharded"] >= 0.9, took
 
 
 def test_thread_pools_keep_pace_with_serial(rng):

@@ -18,12 +18,6 @@ fence, and at the full (fenced) length — recover through
   rolls back whole, to the previous acknowledged state, and
 * snapshots recover with their pinned contents intact.
 
-The sharded harness additionally tears one or two shards' logs while
-the rest stay whole (the mixed-fence crash): cross-shard rewrites and
-snapshot fan-outs were in flight, so the cluster check asserts the
-resolved state is consistent, non-victim shards keep their exact final
-values, and every surviving value was acknowledged at some point.
-
 Run ``python -m repro.analysis crash`` (``--smoke`` for the CI leg,
 ``--sweep`` to tear at every single byte offset).
 """
@@ -47,7 +41,6 @@ from . import invariants
 __all__ = [
     "CrashReport",
     "PlainCrashHarness",
-    "ShardedCrashHarness",
     "main",
 ]
 
@@ -180,7 +173,7 @@ def _run_workload(engine, rng: random.Random, ops: int, tracker) -> None:
     """Drive one deterministic mixed workload against ``engine``.
 
     ``tracker`` is called after every engine call with a description of
-    the acknowledged mutation; the harnesses use it to pair journal
+    the acknowledged mutation; the harness uses it to pair journal
     captures with the logical state a client was acknowledged.
     """
     chunk_size = engine.chunker.chunk_size
@@ -390,247 +383,19 @@ class PlainCrashHarness:
         return report
 
 
-class ShardedCrashHarness:
-    """Mixed-fence crash testing of a journal-armed shard cluster.
-
-    Tears one or two shards' last append regions while the others keep
-    their whole logs — the state a real crash leaves when per-shard
-    fsyncs raced the power cut.  Exact-prefix equality is impossible to
-    demand here (a cross-shard rewrite was mid-flight, never
-    acknowledged), so the contract is: the recovered cluster passes
-    every consistency law, shards that lost nothing keep their exact
-    final values, and every surviving value was acknowledged at some
-    commit — old or new, never invented.
-    """
-
-    def __init__(
-        self,
-        *,
-        shards: int = 3,
-        seed: int = 0x51AB,
-        checkpoint_every_commits: int = 6,
-        num_buckets: int = 2048,
-    ) -> None:
-        self.config = SystemConfig(
-            shards=shards,
-            durability=DurabilityPolicy(
-                journal=True,
-                checkpoint_every_commits=checkpoint_every_commits,
-            ),
-        )
-        self.num_buckets = num_buckets
-        self.seed = seed
-        self.engine = build_engine(self.config, num_buckets=num_buckets)
-        self._last: Dict[int, CrashPoint] = {}
-        for index, shard in enumerate(self.engine.shards):
-            assert shard.journal is not None
-            shard.journal.on_durable = self._shard_hook(index, shard)
-        #: lba -> every payload (or None for trim) ever acknowledged.
-        self.history: Dict[int, List[Optional[bytes]]] = {}
-        self._state: Dict[int, bytes] = {}
-        self.snap_pins: Dict[str, Dict[int, bytes]] = {}
-        self.created_snaps: Set[str] = set()
-        self.final_state: Dict[int, bytes] = {}
-        self.final_images: List[bytes] = []
-        self.final_containers: List[ContainerStore] = []
-
-    def _shard_hook(self, index: int, shard):
-        def hook(image: bytes, stable: int) -> None:
-            self._last[index] = CrashPoint(
-                image=image,
-                stable=stable,
-                containers=copy.deepcopy(shard.containers),
-            )
-
-        return hook
-
-    def _track(self, writes=None, snap_create=None, snap_delete=None):
-        if writes:
-            for lba, data in writes.items():
-                self.history.setdefault(lba, [None]).append(data)
-                if data is None:
-                    self._state.pop(lba, None)
-                else:
-                    self._state[lba] = data
-        if snap_create is not None:
-            self.created_snaps.add(snap_create)
-            self.snap_pins[snap_create] = dict(self._state)
-        if snap_delete is not None:
-            pass  # pins stay recorded: a torn delete may resurrect it
-
-    def run_workload(self, ops: int = 40) -> None:
-        _run_workload(
-            self.engine, random.Random(self.seed), ops, self._track
-        )
-        self.final_state = dict(self._state)
-        # At-rest images and stores: the true on-disk state after the
-        # last fence, deferred frees included.
-        for shard in self.engine.shards:
-            assert shard.journal is not None
-            self.final_images.append(shard.journal.to_bytes())
-            self.final_containers.append(copy.deepcopy(shard.containers))
-        self.engine.close()
-
-    def _recover(
-        self, torn: Dict[int, int]
-    ) -> Tuple[Optional[object], str]:
-        """Rebuild the cluster with shard ``i`` torn at ``torn[i]``."""
-        images: List[RecoveryImage] = []
-        for index in range(self.config.shards):
-            if index in torn:
-                point = self._last[index]
-                images.append(
-                    RecoveryImage(
-                        journal=point.image[: torn[index]],
-                        containers=copy.deepcopy(point.containers),
-                    )
-                )
-            else:
-                images.append(
-                    RecoveryImage(
-                        journal=self.final_images[index],
-                        containers=copy.deepcopy(
-                            self.final_containers[index]
-                        ),
-                    )
-                )
-        try:
-            return (
-                build_engine(
-                    self.config,
-                    num_buckets=self.num_buckets,
-                    recover_from=images,
-                ),
-                "",
-            )
-        except JournalCorruptError as error:
-            return None, f"recovery refused a pure tear: {error}"
-
-    def _verify_cluster(self, recovered, victims: Set[int]) -> str:
-        violations = invariants.check_sharded_engine(
-            recovered, raise_on_violation=False
-        )
-        if violations:
-            return f"invariants: {violations[0]}"
-        directory = recovered._lba_shard
-        for lba, values in self.history.items():
-            owner = directory.get(lba)
-            actual = (
-                recovered.read(lba, 1).data if owner is not None else None
-            )
-            if not victims:
-                want = self.final_state.get(lba)
-                if actual != want:
-                    return (
-                        f"LBA {lba}: untorn recovery diverged from the "
-                        "final acknowledged state"
-                    )
-                continue
-            if actual not in values:
-                return (
-                    f"LBA {lba}: recovered value was never acknowledged"
-                )
-            final_owner = self.engine._lba_shard.get(lba)
-            if (
-                final_owner is not None
-                and final_owner not in victims
-                and actual != self.final_state.get(lba)
-            ):
-                return (
-                    f"LBA {lba}: owner shard {final_owner} lost nothing "
-                    "but the value moved"
-                )
-        names = set(recovered.snapshots())
-        if not names <= self.created_snaps:
-            return f"snapshots {sorted(names)} were never created"
-        for name in names:
-            for lba, data in self.snap_pins[name].items():
-                got = recovered.read_snapshot(name, lba).data
-                if got != data:
-                    return f"snapshot {name!r} LBA {lba} diverged"
-        return ""
-
-    def verify(self, *, every_byte: bool = False) -> CrashReport:
-        report = CrashReport(
-            mode="sharded", captures=len(self._last)
-        )
-
-        def run_scenario(
-            scenario: str, torn: Dict[int, int], tear_class: str
-        ) -> None:
-            report.tears += 1
-            report.classes[tear_class] = (
-                report.classes.get(tear_class, 0) + 1
-            )
-            recovered, detail = self._recover(torn)
-            if recovered is not None:
-                with recovered:
-                    detail = self._verify_cluster(
-                        recovered, set(torn)
-                    )
-            if detail:
-                report.failures.append(
-                    TearFailure(
-                        scenario=scenario,
-                        offset=next(iter(torn.values()), 0),
-                        tear_class=tear_class,
-                        detail=detail,
-                    )
-                )
-
-        # Baseline: nobody torn — recovery must be byte-exact.
-        run_scenario("no-victim", {}, "complete")
-
-        # Single victims, every tear class of their last append.
-        for index, point in sorted(self._last.items()):
-            for offset in tear_offsets(
-                point.image, point.stable, every_byte=every_byte
-            ):
-                run_scenario(
-                    f"victim shard {index}",
-                    {index: offset},
-                    classify_offset(point.image, offset),
-                )
-
-        # Double victims: two shards lose their tails at once.
-        indexes = sorted(self._last)
-        for first, second in zip(indexes, indexes[1:]):
-            a, b = self._last[first], self._last[second]
-            offsets_a = tear_offsets(a.image, a.stable)
-            offsets_b = tear_offsets(b.image, b.stable)
-            if not offsets_a or not offsets_b:
-                continue
-            torn = {
-                first: offsets_a[len(offsets_a) // 2],
-                second: offsets_b[0],
-            }
-            run_scenario(
-                f"victims shards {first}+{second}",
-                torn,
-                classify_offset(a.image, torn[first]),
-            )
-        return report
-
-
 def run(
     *,
     seed: int = 0xF1D8,
     ops: int = 48,
-    shards: int = 3,
     every_byte: bool = False,
     rounds: int = 2,
 ) -> CrashReport:
-    """Run the full harness: plain exact-prefix + sharded mixed-fence."""
-    total = CrashReport(mode="plain+sharded", captures=0)
+    """Run the exact-prefix harness over ``rounds`` seeded workloads."""
+    total = CrashReport(mode="plain", captures=0)
     for round_index in range(rounds):
         plain = PlainCrashHarness(seed=seed + round_index)
         plain.run_workload(ops=ops)
         total.merge(plain.verify(every_byte=every_byte))
-        sharded = ShardedCrashHarness(
-            shards=shards, seed=seed ^ (round_index + 1)
-        )
-        sharded.run_workload(ops=ops)
-        total.merge(sharded.verify(every_byte=every_byte))
     return total
 
 
@@ -643,7 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--ops", type=int, default=48, help="workload ops per round"
     )
-    parser.add_argument("--shards", type=int, default=3)
     parser.add_argument(
         "--rounds", type=int, default=2, help="independent workload rounds"
     )
@@ -661,7 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = run(
         seed=args.seed,
         ops=24 if args.smoke else args.ops,
-        shards=args.shards,
         every_byte=args.sweep,
         rounds=1 if args.smoke else args.rounds,
     )

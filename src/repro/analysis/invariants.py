@@ -32,13 +32,11 @@ from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..datared.dedup import DedupEngine
-    from ..datared.sharded import ShardedDedupEngine
     from ..systems.base import ReductionSystem
 
 __all__ = [
     "InvariantViolation",
     "check_engine",
-    "check_sharded_engine",
     "check_system",
 ]
 
@@ -176,118 +174,6 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
     return violations
 
 
-def _sharded_violations(engine: "ShardedDedupEngine") -> List[str]:
-    """Cluster invariants; the caller holds the router lock.
-
-    Beyond running every shard's own :func:`_engine_violations`, this
-    asserts the three laws DESIGN.md §5.7 adds:
-
-    * **Shard selection** — every live PBN record in shard *i* has a
-      fingerprint whose :func:`~repro.datared.sharded.shard_for_digest`
-      is *i* (content routing, the law global dedup rests on).
-    * **Directory consistency** — an LBA is mapped in exactly the shard
-      the router directory records, and the directory has no entries
-      for LBAs no shard maps.
-    * **Cluster ledger conservation** — the summed per-shard stats
-      ledger equals the summed container bytes and the summed live PBN
-      record bytes: per-shard ledgers add up to the global ledger.
-    """
-    from ..datared.sharded import shard_for_digest
-
-    violations: List[str] = []
-    directory = engine._lba_shard
-    total_container = 0
-    total_record = 0
-    mapped_anywhere: dict = {}
-    for index, shard in enumerate(engine.shards):
-        with shard.lock:
-            for violation in _engine_violations(shard):
-                violations.append(f"shard {index}: {violation}")
-            for pbn, record in shard.pbn_map.records():
-                owner = shard_for_digest(
-                    record.fingerprint, engine.num_shards
-                )
-                if owner != index:
-                    violations.append(
-                        f"shard {index}: live PBN {pbn}'s fingerprint "
-                        f"selects shard {owner} (shard-selection "
-                        "invariant)"
-                    )
-            for lba, _pbn in shard.lba_map.items():
-                if lba in mapped_anywhere:
-                    violations.append(
-                        f"LBA {lba} mapped in both shard "
-                        f"{mapped_anywhere[lba]} and shard {index}"
-                    )
-                mapped_anywhere[lba] = index
-                recorded = directory.get(lba)
-                if recorded != index:
-                    violations.append(
-                        f"LBA {lba} mapped in shard {index} but the "
-                        f"router directory records {recorded}"
-                    )
-            total_container += shard.containers.live_bytes
-            total_record += shard.pbn_map.live_stored_bytes
-    for lba, owner in directory.items():
-        if lba not in mapped_anywhere:
-            violations.append(
-                f"router directory records LBA {lba} on shard {owner} "
-                "but no shard maps it"
-            )
-    # Writers are parked on the router lock we hold, so the per-shard
-    # snapshots below are mutually consistent even though each takes
-    # only its own shard's lock.
-    merged_live = sum(
-        snap.live_stored_bytes
-        for snap in (shard.stats_snapshot() for shard in engine.shards)
-    )
-    if merged_live != total_container:
-        violations.append(
-            f"summed shard stats live_stored_bytes {merged_live} != "
-            f"summed container live_bytes {total_container}"
-        )
-    if merged_live != total_record:
-        violations.append(
-            f"summed shard stats live_stored_bytes {merged_live} != "
-            f"summed PBN record sizes {total_record}"
-        )
-
-    # -- durability cluster consistency (DESIGN.md §5.10) ----------------------
-    # Journaling is a cluster-uniform policy: either every shard carries
-    # a journal or none does, every durable per-shard image must decode
-    # cleanly, and snapshot names must exist on every shard (snapshot
-    # ops fan to all shards atomically under the router lock).
-    from ..datared.journal import MetadataJournal
-
-    journaled = [shard.journal is not None for shard in engine.shards]
-    if any(journaled) and not all(journaled):
-        violations.append(
-            f"only {sum(journaled)}/{len(journaled)} shards carry a "
-            "journal (cluster durability must be uniform)"
-        )
-    if all(journaled):
-        for index, shard in enumerate(engine.shards):
-            assert shard.journal is not None
-            _records, clean = MetadataJournal.decode(shard.journal.to_bytes())
-            if not clean:
-                violations.append(
-                    f"shard {index}: durable journal image does not "
-                    "decode cleanly"
-                )
-    names = None
-    for index, shard in enumerate(engine.shards):
-        with shard.lock:
-            shard_names = sorted(shard._snapshots)
-        if names is None:
-            names = shard_names
-        elif shard_names != names:
-            violations.append(
-                f"shard {index} snapshot names {shard_names} != shard 0's "
-                f"{names} (snapshot fan-out must be uniform)"
-            )
-    return violations
-
-
 def _raise_if(violations: List[str], raise_on_violation: bool) -> List[str]:
     if violations and raise_on_violation:
         raise InvariantViolation(
@@ -295,21 +181,6 @@ def _raise_if(violations: List[str], raise_on_violation: bool) -> List[str]:
             + "\n  ".join(violations)
         )
     return violations
-
-
-def check_sharded_engine(
-    engine: "ShardedDedupEngine", *, raise_on_violation: bool = True
-) -> List[str]:
-    """Verify per-shard and cluster-wide invariants (see
-    :func:`_sharded_violations`); returns the violation list.
-
-    Takes the router lock first, then each shard's lock in turn, so it
-    is safe to call while other threads are writing through the router
-    (the sharded race-stress harness does).
-    """
-    with engine.lock:
-        violations = _sharded_violations(engine)
-    return _raise_if(violations, raise_on_violation)
 
 
 def check_engine(
@@ -320,16 +191,8 @@ def check_engine(
     Takes the engine lock, so it is safe to call while other threads are
     writing (the stress harness does).  With ``raise_on_violation`` the
     first call with a non-empty list raises :class:`InvariantViolation`
-    carrying every violation found.  A
-    :class:`~repro.datared.sharded.ShardedDedupEngine` dispatches to
-    :func:`check_sharded_engine`.
+    carrying every violation found.
     """
-    from ..datared.sharded import ShardedDedupEngine
-
-    if isinstance(engine, ShardedDedupEngine):
-        return check_sharded_engine(
-            engine, raise_on_violation=raise_on_violation
-        )
     with engine.lock:
         violations = _engine_violations(engine)
     return _raise_if(violations, raise_on_violation)
@@ -342,23 +205,12 @@ def check_system(
 
     ``logical_write_bytes`` counts client bytes at the front door while
     the engine's stats count processed bytes, so they must differ by
-    exactly the bytes still staged in the pending batch.  A system
-    built with ``config.shards >= 2`` gets the cluster-wide checks of
-    :func:`check_sharded_engine` for its engine.
+    exactly the bytes still staged in the pending batch.
     """
-    from ..datared.sharded import ShardedDedupEngine
-
     engine = system.engine
     with system.lock:
-        if isinstance(engine, ShardedDedupEngine):
-            with engine.lock:
-                violations = _sharded_violations(engine)
-            processed = sum(
-                shard.stats.logical_bytes for shard in engine.shards
-            )
-        else:
-            violations = _engine_violations(engine)
-            processed = engine.stats.logical_bytes
+        violations = _engine_violations(engine)
+        processed = engine.stats.logical_bytes
         pending_bytes = sum(len(chunk.data) for chunk in system._pending)
         front_door = system.logical_write_bytes
         if front_door != processed + pending_bytes:

@@ -45,13 +45,13 @@ R008   No direct compression/hashing backend calls (``zlib.*``,
        carries its codec tag and the configured algorithms are actually
        the ones running (DESIGN.md §5.6).  CRC helpers (``zlib.crc32``/``adler32``)
        are not payload codecs and stay allowed.
-R009   No direct ``DedupEngine(…)``/``ShardedDedupEngine(…)``
-       construction in ``repro.net``/``repro.systems`` outside
+R009   No direct ``DedupEngine(…)`` construction in
+       ``repro.net``/``repro.systems`` outside
        ``repro.systems.factory`` — the serving layer must build
-       engines through ``build_engine`` so ``SystemConfig.shards``
-       (and the factory's table wiring and seal-lock policy) decide
-       the sharding; an ad-hoc engine could silently diverge from the
-       configured cluster (DESIGN.md §5.7).
+       engines through ``build_engine`` so the ``SystemConfig`` (and
+       the factory's table, journal and recovery wiring) decides the
+       engine; an ad-hoc engine could silently diverge from the
+       configured system.
 R010   No blocking wait (executor ``.result()``, ``queue.get``/
        ``put``, ``time.sleep``, socket/file I/O, ``subprocess``)
        while a :class:`~repro.sync.DisciplinedLock` is demonstrably
@@ -120,7 +120,7 @@ RULES: Dict[str, str] = {
     "R006": "byte copy inside a hot-path function without a copy-ok reason",
     "R007": "ad-hoc timing/print instrumentation outside repro.obs",
     "R008": "direct codec/hash backend call outside the plugin registries",
-    "R009": "direct engine construction outside the shard factory",
+    "R009": "direct engine construction outside the engine factory",
     "R010": "blocking wait while a DisciplinedLock is held",
     "R011": "lock acquisition violating the declared rank order, or an "
     "unranked DisciplinedLock",
@@ -234,8 +234,8 @@ _R008_BACKEND_CALLS = frozenset({"hashlib.sha256", "hashlib.new"})
 _R008_ALLOWED = frozenset({"zlib.crc32", "zlib.adler32"})
 
 #: Modules R009 covers: the serving/system layers must build engines
-#: through the shard factory so ``SystemConfig.shards`` is the one
-#: sharding decision point.
+#: through the factory so the ``SystemConfig`` is the one decision
+#: point for how an engine is wired.
 _R009_PACKAGES = ("repro.net", "repro.systems")
 
 #: The factory itself is where direct construction is the job.
@@ -250,7 +250,6 @@ _R012_PACKAGES = ("repro.net", "repro.systems")
 _R012_CTOR_NAMES = frozenset(
     {
         "DedupEngine",
-        "ShardedDedupEngine",
         "build_engine",
         "BaselineSystem",
         "FidrSystem",
@@ -264,7 +263,7 @@ _R012_CLOSERS = frozenset({"close", "shutdown"})
 
 #: Engine constructors R009 flags (matched on the last dotted
 #: component, so ``dedup.DedupEngine(...)`` is caught too).
-_R009_ENGINE_NAMES = frozenset({"DedupEngine", "ShardedDedupEngine"})
+_R009_ENGINE_NAMES = frozenset({"DedupEngine"})
 
 #: ``# lock: <class>`` binds an expression the resolver cannot type
 #: (a lock alias, a foreign attribute) to a named lock class — shared
@@ -1165,9 +1164,9 @@ class _RuleWalker(ast.NodeVisitor):
                     node,
                     f"direct {name}() construction in the serving layer; "
                     "build engines through "
-                    "repro.systems.factory.build_engine so "
-                    "SystemConfig.shards (and the factory's table/seal "
-                    "wiring) decide the sharding",
+                    "repro.systems.factory.build_engine so the "
+                    "SystemConfig (and the factory's table/journal "
+                    "wiring) decides the engine",
                 )
         if self.check_lock_waits and self._is_wait_call(node, name):
             held = self._disciplined_held()

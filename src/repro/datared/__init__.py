@@ -74,7 +74,6 @@ from .journal import (
     validate_placements,
 )
 from .lba_store import ENTRIES_PER_PAGE, PagedLbaStore
-from .sharded import ShardedDedupEngine, shard_for_digest
 from .hashing import (
     FINGERPRINT_SIZE,
     MAX_PBN,
@@ -157,8 +156,6 @@ __all__ = [
     "ReadReport",
     "ReductionStats",
     "RmwStats",
-    "ShardedDedupEngine",
-    "shard_for_digest",
     "WriteOptions",
     "WriteReport",
     "BucketStore",

@@ -72,7 +72,6 @@ __all__ = [
     "ChunkOutcome",
     "WriteOptions",
     "EngineStats",
-    "publish_engine_gauges",
     "WriteReport",
     "ReadReport",
     "ReductionStats",
@@ -82,8 +81,6 @@ __all__ = [
     "StageTimer",
     "active_clock",
     "batch_stage",
-    "chunk_and_hash",
-    "extent_lbas",
     "flush_stages",
     "READ_FANOUT_MIN_CHUNKS",
     "HASH_FANOUT_MIN_CHUNKS",
@@ -182,58 +179,11 @@ class EngineStats(_ReductionRatios):
     #: Hash-PBN index counters (PR 9): negative-filter outcomes, probes
     #: the batched resolve saved via intra-batch digest dedupe, and
     #: total buckets touched.  Defaults keep older snapshot call sites
-    #: (and merged sharded snapshots built field-by-field) valid.
+    #: valid.
     index_filter_hits: int = 0
     index_filter_misses: int = 0
     index_saved_lookups: int = 0
     index_probes: int = 0
-
-
-def publish_engine_gauges(registry: MetricsRegistry, snap: EngineStats) -> None:
-    """Export one snapshot as the ``engine.*`` / ``index.*`` gauges.
-
-    The one definition of the ``repro.stats/v1`` engine gauge set, for
-    the plain engine and for the sharded engine's summed snapshot.
-    Integral ledgers publish as integer gauges; the derived ratios are
-    the only floats, clamped finite so the snapshot stays strict-JSON
-    (``reduction_factor`` is ``inf`` before the first stored byte).
-    """
-    registry.gauge("engine.logical_bytes").set(snap.logical_bytes)
-    registry.gauge("engine.unique_logical_bytes").set(
-        snap.unique_logical_bytes
-    )
-    registry.gauge("engine.stored_bytes").set(snap.stored_bytes)
-    registry.gauge("engine.live_stored_bytes").set(snap.live_stored_bytes)
-    registry.gauge("engine.reclaimed_stored_bytes").set(
-        snap.reclaimed_stored_bytes
-    )
-    registry.gauge("engine.duplicate_chunks").set(snap.duplicate_chunks)
-    registry.gauge("engine.unique_chunks").set(snap.unique_chunks)
-    registry.gauge("engine.read_cache.hits").set(snap.read_cache_hits)
-    registry.gauge("engine.read_cache.misses").set(snap.read_cache_misses)
-    registry.gauge("engine.gc.containers_reclaimed").set(
-        snap.gc_containers_reclaimed
-    )
-    registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
-    registry.gauge("engine.plan.fallback_compressions").set(
-        snap.plan_fallback_compressions
-    )
-    registry.gauge("engine.plan.wasted_compressions").set(
-        snap.plan_wasted_compressions
-    )
-    registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
-    registry.gauge("index.filter.hits").set(snap.index_filter_hits)
-    registry.gauge("index.filter.misses").set(snap.index_filter_misses)
-    registry.gauge("index.batch.saved_lookups").set(
-        snap.index_saved_lookups
-    )
-    registry.gauge("index.probes").set(snap.index_probes)
-    registry.gauge("engine.dedup_ratio").set(snap.dedup_ratio)
-    registry.gauge("engine.compression_ratio").set(snap.compression_ratio)
-    reduction = snap.reduction_factor
-    if not math.isfinite(reduction):
-        reduction = 0.0
-    registry.gauge("engine.reduction_factor").set(reduction)
 
 
 class StageTimer(Protocol):
@@ -282,47 +232,6 @@ def batch_stage(
     clock-less path must not pay.
     """
     return _NO_STAGE if clock is None else clock.stage(name, chunks)
-
-
-def chunk_and_hash(
-    chunker: FixedChunker,
-    fingerprinter: Fingerprinter,
-    pool: StagePool,
-    clock: Optional[StageTimer],
-    requests: Sequence[Tuple[int, Union[bytes, bytearray, memoryview]]],
-    digests: Optional[Sequence[bytes]],
-) -> Tuple[List[Tuple[int, Chunk]], List[bytes]]:
-    """The front of every write batch, for the plain and the sharded
-    engine alike: split the requests into ``(request index, chunk)``
-    pairs and fingerprint each chunk on ``pool`` — or check that the
-    caller's precomputed ``digests`` number one per chunk."""
-    with batch_stage(clock, "chunk"):
-        flat = [
-            (index, chunk)
-            for index, (lba, payload) in enumerate(requests)
-            for chunk in chunker.split(lba, payload)
-        ]
-    if not flat:
-        return flat, []
-    if digests is None:
-        with batch_stage(clock, "hash"):
-            return flat, fingerprinter.digest_many(
-                [chunk.data for _, chunk in flat], pool=pool,
-                min_batch=HASH_FANOUT_MIN_CHUNKS,
-            )
-    if len(digests) != len(flat):
-        raise ValueError(f"got {len(digests)} digests for {len(flat)} chunks")
-    return flat, list(digests)
-
-
-def extent_lbas(chunker: FixedChunker, lba: int, num_chunks: int) -> range:
-    """The chunk LBAs of a ``num_chunks`` extent at chunk-aligned ``lba``."""
-    if num_chunks < 1:
-        raise ValueError("must read at least one chunk")
-    step = chunker.blocks_per_chunk
-    if lba % step != 0:
-        raise ValueError(f"LBA {lba} is not chunk-aligned")
-    return range(lba, lba + num_chunks * step, step)
 
 
 def flush_stages(clock: Optional[StageTimer]) -> None:
@@ -524,9 +433,8 @@ class DedupEngine:
         #: StagePool workers never touch guarded state (they run pure
         #: hash/compress/decompress), so holding the lock across a
         #: fan-out cannot deadlock.  Rank 20 in
-        #: :data:`repro.sync.LOCK_ORDER`: nests inside the
-        #: sharded-router lock (10) and around the shard-seal lock (30)
-        #: — the lockgraph/lockdep validators enforce the order.
+        #: :data:`repro.sync.LOCK_ORDER`, the stack's one lock class
+        #: (the lockgraph/lockdep validators enforce the order).
         self.lock = DisciplinedLock("dedup-engine")
         self.chunker = FixedChunker(chunk_size)
         self.table = table if table is not None else HashPbnTable(num_buckets)  # guarded-by: self.lock
@@ -650,8 +558,51 @@ class DedupEngine:
             )
 
     def _publish_metrics(self, registry: MetricsRegistry) -> None:
-        """Collector: export the ledgers as ``engine.*`` gauges."""
-        publish_engine_gauges(registry, self.stats_snapshot())
+        """Collector: export one snapshot as the ``engine.*`` /
+        ``index.*`` gauges of ``repro.stats/v1``.
+
+        Integral ledgers publish as integer gauges; the derived ratios
+        are the only floats, clamped finite so the snapshot stays
+        strict-JSON (``reduction_factor`` is ``inf`` before the first
+        stored byte).
+        """
+        snap = self.stats_snapshot()
+        registry.gauge("engine.logical_bytes").set(snap.logical_bytes)
+        registry.gauge("engine.unique_logical_bytes").set(
+            snap.unique_logical_bytes
+        )
+        registry.gauge("engine.stored_bytes").set(snap.stored_bytes)
+        registry.gauge("engine.live_stored_bytes").set(snap.live_stored_bytes)
+        registry.gauge("engine.reclaimed_stored_bytes").set(
+            snap.reclaimed_stored_bytes
+        )
+        registry.gauge("engine.duplicate_chunks").set(snap.duplicate_chunks)
+        registry.gauge("engine.unique_chunks").set(snap.unique_chunks)
+        registry.gauge("engine.read_cache.hits").set(snap.read_cache_hits)
+        registry.gauge("engine.read_cache.misses").set(snap.read_cache_misses)
+        registry.gauge("engine.gc.containers_reclaimed").set(
+            snap.gc_containers_reclaimed
+        )
+        registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
+        registry.gauge("engine.plan.fallback_compressions").set(
+            snap.plan_fallback_compressions
+        )
+        registry.gauge("engine.plan.wasted_compressions").set(
+            snap.plan_wasted_compressions
+        )
+        registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
+        registry.gauge("index.filter.hits").set(snap.index_filter_hits)
+        registry.gauge("index.filter.misses").set(snap.index_filter_misses)
+        registry.gauge("index.batch.saved_lookups").set(
+            snap.index_saved_lookups
+        )
+        registry.gauge("index.probes").set(snap.index_probes)
+        registry.gauge("engine.dedup_ratio").set(snap.dedup_ratio)
+        registry.gauge("engine.compression_ratio").set(snap.compression_ratio)
+        reduction = snap.reduction_factor
+        if not math.isfinite(reduction):
+            reduction = 0.0
+        registry.gauge("engine.reduction_factor").set(reduction)
 
     # -- write path (Figure 1a) ------------------------------------------------
     def write(
@@ -696,7 +647,7 @@ class DedupEngine:
         A chunk the index has no room for raises
         :class:`~repro.errors.CapacityError` before it mutates
         anything; the chunks before it stay applied (per-chunk
-        atomicity, like the sharded engine's split write).
+        atomicity, like a split write).
 
         Per-call behaviour is configured by ``options``
         (:class:`WriteOptions`): precomputed digests skip the hash
@@ -727,14 +678,28 @@ class DedupEngine:
         clock = active_clock(self.stage_clock)
         requests = list(requests)
         reports = [self._new_report() for _ in requests]
-        # Stages 0-1: chunk, then fingerprint (parallel) every chunk.
-        flat, digests = chunk_and_hash(
-            self.chunker, self.fingerprinter, self.pool, clock,
-            requests, digests,
-        )
+        # Stages 0-1: chunk, then fingerprint (parallel) every chunk —
+        # or check that the caller's precomputed digests number one per
+        # chunk.
+        with batch_stage(clock, "chunk"):
+            flat = [
+                (index, chunk)
+                for index, (lba, payload) in enumerate(requests)
+                for chunk in self.chunker.split(lba, payload)
+            ]
         if not flat:
             return reports
         chunks = [chunk for _, chunk in flat]
+        if digests is None:
+            with batch_stage(clock, "hash"):
+                digests = self.fingerprinter.digest_many(
+                    [chunk.data for chunk in chunks], pool=self.pool,
+                    min_batch=HASH_FANOUT_MIN_CHUNKS,
+                )
+        elif len(digests) != len(flat):
+            raise ValueError(
+                f"got {len(digests)} digests for {len(flat)} chunks"
+            )
 
         # Stage 1.5 (serial, private stores only): resolve the whole
         # batch against the table in one home-sorted, digest-deduped
@@ -1030,7 +995,17 @@ class DedupEngine:
     def read(self, lba: int, num_chunks: int = 1) -> ReadReport:
         """Read ``num_chunks`` chunks starting at chunk-aligned ``lba``:
         :meth:`read_many` over the extent's LBAs."""
-        return self.read_many(extent_lbas(self.chunker, lba, num_chunks))
+        return self.read_many(self._extent_lbas(lba, num_chunks))
+
+    def _extent_lbas(self, lba: int, num_chunks: int) -> range:
+        """The chunk LBAs of a ``num_chunks`` extent at chunk-aligned
+        ``lba``."""
+        if num_chunks < 1:
+            raise ValueError("must read at least one chunk")
+        step = self.chunker.blocks_per_chunk
+        if lba % step != 0:
+            raise ValueError(f"LBA {lba} is not chunk-aligned")
+        return range(lba, lba + num_chunks * step, step)
 
     def read_many(self, lbas: Sequence[int]) -> ReadReport:
         """Read the chunks at ``lbas`` — chunk-aligned, in any order,
@@ -1146,11 +1121,12 @@ class DedupEngine:
         The returned report carries ``reclaimed_chunks=1`` when the
         dropped reference was the chunk's last (its space is reclaimed
         and its fingerprint retired, exactly like an overwrite's
-        release); trimming an unmapped LBA is a no-op.  The sharded
-        engine and the scatter-gather router use this to evict an LBA's
-        stale mapping from a shard the LBA no longer lives on.  With a
-        journal armed the unmap emits an ``UNMAP`` record and commits,
-        so replay drops the mapping exactly as the live engine did.
+        release); trimming an unmapped LBA is a no-op.  The
+        scatter-gather router sends it (as a TRIM frame) to evict an
+        LBA's stale mapping from a backend the LBA no longer lives on.
+        With a journal armed the unmap emits an ``UNMAP`` record and
+        commits, so replay drops the mapping exactly as the live engine
+        did.
         """
         with self.lock:
             report = self._new_report()
@@ -1353,18 +1329,12 @@ class DedupEngine:
         with self.lock:
             return sorted(self._snapshots)
 
-    def snapshot_contains(self, name: str, lba: int) -> bool:
-        """Whether snapshot ``name`` pins a chunk at ``lba``."""
-        with self.lock:
-            pins = self._snapshots.get(name)
-            return pins is not None and lba in pins
-
     def read_snapshot(
         self, name: str, lba: int, num_chunks: int = 1
     ) -> ReadReport:
         """Read through a snapshot's pointer table instead of the live
         map — the same zero-fill/cache/decode path as :meth:`read`."""
-        lbas = extent_lbas(self.chunker, lba, num_chunks)
+        lbas = self._extent_lbas(lba, num_chunks)
         with self.lock:
             pins = self._snapshots.get(name)
             if pins is None:

@@ -560,8 +560,8 @@ def _scan(raw: bytes) -> Tuple[List[Tuple[JournalRecord, int]], bool]:
 class RecoveryImage:
     """What survives a crash: the durable journal + the container store.
 
-    Feed one (or a per-shard sequence) to
-    :func:`~repro.systems.factory.build_engine` via ``recover_from=``.
+    Feed one to :func:`~repro.systems.factory.build_engine` via
+    ``recover_from=``.
     """
 
     journal: bytes

@@ -101,14 +101,13 @@ class SnapshotError(ReproError, ValueError):
 
 
 class ShardError(ReproError, ValueError):
-    """A shard of a sharded engine (or cluster backend) failed.
+    """A backend of the scatter-gather router failed.
 
-    Raised by :class:`~repro.datared.sharded.ShardedDedupEngine` and the
-    scatter-gather router when one shard's resolve+publish fails while
-    the others complete: the healthy shards' ledgers stay conserved, but
-    the batch is only partially applied (the same per-chunk atomicity a
-    split write already has).  ``shard_indexes`` names the shards that
-    failed.
+    Raised by :class:`~repro.net.router.ShardRouter` when one backend's
+    sub-request fails while the others complete: the healthy backends'
+    ledgers stay conserved, but the request is only partially applied
+    (the same per-chunk atomicity a split write already has).
+    ``shard_indexes`` names the backends that failed.
     """
 
     def __init__(self, message: str, shard_indexes: Tuple[int, ...] = ()):

@@ -1,12 +1,14 @@
 """Command-line entry points for the serving layer.
 
 ``serve`` hosts a :class:`~repro.net.aserver.AsyncProtocolServer` over a
-freshly built storage system until interrupted; ``route`` hosts a
-:class:`~repro.net.router.ShardRouter` over external and/or self-hosted
-shard backends.  Both expose the ``--parallelism`` knob that fans the
-backend's GIL-releasing pipeline stages (hashing, compression,
-decompression) across worker threads.  The load generator is
-``bench/run.py``, which spawns its own ``serve`` subprocess.
+freshly built storage system — one dedup engine — until interrupted.
+``route`` hosts a :class:`~repro.net.router.ShardRouter`, the one
+sharding layer: it routes chunks by content across external ``serve``
+backends and/or backends it spawns in its own process, on its own event
+loop.  Both expose the ``--parallelism`` knob that fans the backend's
+GIL-releasing pipeline stages (hashing, compression, decompression)
+across worker threads.  The load generator is ``bench/run.py``, which
+spawns its own ``serve`` subprocess.
 
 Examples
 --------
@@ -42,7 +44,6 @@ def _build_storage(args: argparse.Namespace) -> StorageServer:
     checkpoint_every = getattr(args, "checkpoint_every", None)
     config = SystemConfig(
         parallelism=args.parallelism,
-        shards=getattr(args, "shards", 1),
         codec=CodecPolicy(codec=args.codec),
         durability=DurabilityPolicy(
             journal=bool(getattr(args, "journal", False))
@@ -73,13 +74,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="zlib",
         help="compression codec for unique chunks (reads decode by "
         "stored tag, whatever this is set to)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="fingerprint-space shards inside the storage engine "
-        "(>= 2 scatter-gathers resolve+publish across shard threads)",
     )
     parser.add_argument(
         "--workers",
@@ -187,9 +181,7 @@ async def _route(args: argparse.Namespace) -> int:
     if args.spawn:
         # Each spawned backend gets a private registry (as separate
         # processes would) so the router's STATS merge aggregates real
-        # per-shard snapshots; the router is the sharding layer, so the
-        # backends themselves are built single-shard.
-        args.shards = 1
+        # per-shard snapshots.
         original = get_registry()
         try:
             for _ in range(args.spawn):
@@ -279,8 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.parallelism < 1:
         parser.error("--parallelism must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.command == "serve":
         try:
             return asyncio.run(_serve(args))

@@ -3,12 +3,11 @@
 :class:`ShardRouter` speaks the same §6.2 protocol as a single server
 but owns no storage itself.  It fingerprints each written chunk inline
 (SHA-256 of a 4 KiB chunk is microseconds against a network
-round-trip), selects the owning backend with the same
-:func:`~repro.datared.sharded.shard_for_digest` range partition the
-in-process :class:`~repro.datared.sharded.ShardedDedupEngine` uses, and
-scatter-gathers the sub-requests over pipelined connections
-(:class:`~repro.net.aserver.AsyncProtocolClient`, one per backend), so
-a cluster of single-shard servers presents as one block device:
+round-trip), selects the owning backend with the :func:`shard_for_digest`
+range partition, and scatter-gathers the sub-requests over pipelined
+connections (:class:`~repro.net.aserver.AsyncProtocolClient`, one per
+backend), so a cluster of single-engine servers presents as one block
+device:
 
 * **WRITE** partitions the payload's chunks into contiguous same-shard
   runs, ``asyncio.gather``\\ s the sub-writes, then TRIMs any backend an
@@ -44,7 +43,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .. import obs as _obs
 from ..datared.chunking import BLOCK_SIZE
 from ..datared.hashing import SHA256
-from ..datared.sharded import shard_for_digest
 from ..errors import (
     AlignmentError,
     ErrorCode,
@@ -60,9 +58,24 @@ from .protocol import (
     encode_error_reply, encode_reply,
 )
 
-__all__ = ["ShardRouter"]
+__all__ = ["ShardRouter", "shard_for_digest"]
 
 _READ_CHUNK = 64 * 1024
+
+
+def shard_for_digest(digest: bytes, num_shards: int) -> int:
+    """Map a fingerprint to its owning shard.
+
+    The first 8 digest bytes index a contiguous range partition of the
+    64-bit prefix space (``prefix * N >> 64``), so each shard owns one
+    consistent slice of fingerprint space and a uniform hash spreads
+    chunks evenly.  A pure function of content: identical chunks always
+    land on the same backend, so dedup stays global across the cluster.
+    """
+    if num_shards == 1:
+        return 0
+    prefix = int.from_bytes(digest[:8], "big")
+    return (prefix * num_shards) >> 64
 
 
 class ShardRouter:

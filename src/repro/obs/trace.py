@@ -342,8 +342,8 @@ class TracedStages:
     with the ``chunks`` its entries covered (lookup/pack/publish enter
     once per chunk they handle, the vectorised chunk/hash/compress once
     per batch, a read's fetch/decompress once with the request's chunk
-    count).  Totals are per thread, so shards on pool threads can share
-    one clock.
+    count).  Totals are per thread, so threads sharing one clock never
+    mix their stages.
     """
 
     __slots__ = ("_prefix", "_local")

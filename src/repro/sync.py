@@ -22,11 +22,12 @@ itself on release.  Three consumers read that set:
 Lock hierarchy
 --------------
 Locks are grouped into **lock classes** by name (every
-``DisciplinedLock("dedup-engine")`` instance — one per shard — belongs
+``DisciplinedLock("dedup-engine")`` instance — one per engine — belongs
 to the class ``dedup-engine``), and the classes carry a declared total
-order in :data:`LOCK_ORDER` (DESIGN.md §5.8):
+order in :data:`LOCK_ORDER` (DESIGN.md §5.8).  The stack declares one
+class today:
 
-    ``sharded-router`` (10) < ``dedup-engine`` (20) < ``shard-seal`` (30)
+    ``dedup-engine`` (20)
 
 A thread may only acquire a lock of *higher* rank than every lock it
 already holds; re-acquiring the same lock object (reentrancy) is always
@@ -73,16 +74,9 @@ __all__ = [
 #: numbering are deliberate: future tiers (e.g. the durability
 #: journal's lock) slot in without renumbering.
 LOCK_ORDER: Dict[str, int] = {
-    # The sharded engine's router: LBA→shard directory and scatter
-    # orchestration.  Outermost — held while shard engine locks are
-    # taken (stats merge, cross-shard trim, flush/GC sweeps).
-    "sharded-router": 10,
-    # A DedupEngine's metadata lock (one instance per shard).  Guards
-    # the Hash-PBN table, PBN/LBA maps, containers, and stats.
+    # A DedupEngine's metadata lock.  Guards the Hash-PBN table,
+    # PBN/LBA maps, containers, and stats.
     "dedup-engine": 20,
-    # The factory's seal-callback serializer: shard worker threads seal
-    # containers while holding their shard's engine lock.  Innermost.
-    "shard-seal": 30,
 }
 
 

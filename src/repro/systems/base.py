@@ -115,9 +115,8 @@ class ReductionSystem:
         #: Shared fan-out pool for the GIL-releasing stages; serial (no
         #: workers) unless ``config.parallelism`` > 1.
         self.pool = StagePool(self.config.parallelism)
-        #: Built through the R009 factory: ``config.shards`` decides
-        #: between the plain engine over the table cache and the
-        #: fingerprint-sharded engine (DESIGN.md §5.7).
+        #: Built through the R009 factory: the Hash-PBN table sits over
+        #: the table cache, and sealed containers charge the data SSDs.
         self.engine = build_engine(
             self.config,
             num_buckets=num_buckets,

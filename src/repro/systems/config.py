@@ -32,11 +32,11 @@ class DurabilityPolicy:
     """Crash-consistency policy for the engines a config builds.
 
     ``journal=True`` arms a group-commit
-    :class:`~repro.datared.journal.MetadataJournal` on the engine (one
-    per shard for sharded configs): metadata records stage per batch and
-    are fenced — one modeled fsync — at the end of every public mutating
-    op, so every acknowledged write survives
-    ``build_engine(cfg, recover_from=...)`` replay (DESIGN.md §5.10).
+    :class:`~repro.datared.journal.MetadataJournal` on the engine:
+    metadata records stage per batch and are fenced — one modeled fsync
+    — at the end of every public mutating op, so every acknowledged
+    write survives ``build_engine(cfg, recover_from=...)`` replay
+    (DESIGN.md §5.10).
 
     ``checkpoint_every_commits`` additionally writes a compact
     checkpoint image every N commits and truncates the replay-dead
@@ -164,13 +164,6 @@ class SystemConfig:
     #: the data path fully serial (no threads are created); results are
     #: identical at every setting.
     parallelism: int = 1
-    #: Fingerprint-space shards behind the scatter-gather front door
-    #: (DESIGN.md §5.7).  ``1`` (default) builds the plain
-    #: :class:`~repro.datared.dedup.DedupEngine` over the table cache;
-    #: ``>= 2`` builds a :class:`~repro.datared.sharded.ShardedDedupEngine`
-    #: whose shards keep private in-memory tables (the table-cache /
-    #: device charging model is calibrated for the unsharded path).
-    shards: int = 1
     #: Decompressed-read LRU capacity in chunks (0 disables).  Hot
     #: re-reads served from the cache skip the container fetch and
     #: ``zlib.decompress``; entries are invalidated on free/GC.

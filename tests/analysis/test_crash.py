@@ -1,7 +1,7 @@
 """Tests for the kill-at-random-offset crash/recovery harness.
 
 The harness itself is the tentpole correctness proof (every byte-offset
-tear class, plain and sharded); these tests pin its contract so CI can
+tear class); these tests pin its contract so CI can
 run a small configuration and still trust the verdict.
 """
 
@@ -9,7 +9,6 @@ from repro.analysis.crash import (
     TEAR_CLASSES,
     CrashReport,
     PlainCrashHarness,
-    ShardedCrashHarness,
     classify_offset,
     main,
     run,
@@ -72,16 +71,6 @@ class TestPlainHarness:
         assert set(report.classes) == set(TEAR_CLASSES)
 
 
-class TestShardedHarness:
-    def test_small_run_is_clean(self):
-        harness = ShardedCrashHarness(shards=2, seed=11)
-        harness.run_workload(ops=24)
-        report = harness.verify()
-        assert report.ok, report.render()
-        assert report.tears > 0
-        assert set(report.classes) == set(TEAR_CLASSES)
-
-
 class TestReport:
     def test_ok_requires_every_class_exercised(self):
         report = CrashReport(mode="plain", captures=1)
@@ -93,7 +82,7 @@ class TestReport:
         left = CrashReport(mode="plain", captures=1)
         left.tears = 2
         left.classes = {"mid-header": 2}
-        right = CrashReport(mode="sharded", captures=2)
+        right = CrashReport(mode="plain", captures=2)
         right.tears = 3
         right.classes = {"mid-crc": 3}
         left.merge(right)
@@ -103,10 +92,12 @@ class TestReport:
 
 
 class TestEntryPoints:
-    def test_run_combines_both_modes(self):
-        report = run(seed=3, ops=12, shards=2, rounds=1)
-        assert report.ok, report.render()
-        assert report.mode == "plain+sharded"
+    def test_run_merges_its_rounds(self):
+        one = run(seed=3, ops=12, rounds=1)
+        two = run(seed=3, ops=12, rounds=2)
+        assert two.ok, two.render()
+        assert two.mode == "plain"
+        assert two.captures > one.captures
 
     def test_cli_smoke_exits_zero(self, capsys):
         assert main(["--smoke"]) == 0

@@ -652,13 +652,13 @@ class TestR009EngineFactory:
     FIXTURE = src(
         """
         from repro.datared.dedup import DedupEngine
-        from repro.datared.sharded import ShardedDedupEngine
+        from repro.datared.hash_pbn import HashPbnTable
 
         def build_backend():
             return DedupEngine(num_buckets=1024)
 
-        def build_cluster():
-            return ShardedDedupEngine(4, num_buckets=1024)
+        def build_over_table():
+            return DedupEngine(table=HashPbnTable(1024))
         """
     )
 
@@ -700,7 +700,7 @@ class TestR009EngineFactory:
             from repro.systems.config import SystemConfig
 
             def build():
-                return build_engine(SystemConfig(shards=2))
+                return build_engine(SystemConfig(parallelism=2))
             """
         )
         assert lint_source(clean, module="repro.net.fixture") == []
@@ -808,18 +808,18 @@ class TestR011LockRanks:
 
             class Stack:
                 def __init__(self):
-                    self.router = DisciplinedLock("sharded-router")
                     self.engine = DisciplinedLock("dedup-engine")
+                    self.inner = DisciplinedLock("fix-inner", rank=30)
 
                 def inverted(self):
-                    with self.engine:
-                        with self.router:
+                    with self.inner:
+                        with self.engine:
                             return 1
             """
         )
         findings = lint_source(fixture, module="repro.datared.fixture")
         assert rules_of(findings) == ["R011"]
-        assert "sharded-router" in findings[0].message
+        assert "'dedup-engine' (rank 20)" in findings[0].message
 
     def test_unranked_constructor_is_flagged(self):
         fixture = src(

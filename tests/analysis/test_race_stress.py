@@ -161,80 +161,6 @@ def test_stress_full_system_is_race_free(detector):
     assert check_system(system) == []
 
 
-def test_stress_sharded_engine_is_race_free(detector):
-    """8 threads through the sharded scatter path, detector silent.
-
-    Every shard's guarded structures are watched individually; the
-    fan-out worker threads must therefore hold the owning shard's lock
-    whenever they touch that shard's tables, and the router-level
-    directory updates must happen under the router lock — otherwise the
-    disjoint-lockset check fires exactly as in the negative control
-    below.  ``check_sharded_engine`` then asserts the cluster ledger
-    (summed per-shard stats == summed containers == summed records) and
-    the shard-selection invariant survived the contention.
-    """
-    from repro.analysis.invariants import check_sharded_engine
-    from repro.datared import ShardedDedupEngine
-
-    engine = ShardedDedupEngine(4, num_buckets=512, read_cache_chunks=32)
-    for shard in engine.shards:
-        detector.watch_engine(shard)
-    payloads = shared_payloads(0xCAB)
-    barrier = threading.Barrier(PARALLELISM)
-    errors = []
-
-    def client(index: int) -> None:
-        rng = random.Random(index)
-        region = index * 64 * BLOCKS  # own LBA region; shared content
-        written = {}
-        try:
-            barrier.wait()
-            for step in range(OPS_PER_THREAD):
-                slot = region + rng.randrange(16) * BLOCKS
-                data = payloads[rng.randrange(len(payloads))]
-                if step % 5 == 4:  # batched entry point, 2-chunk batch
-                    other = region + rng.randrange(16) * BLOCKS
-                    if other == slot:
-                        other = slot + 16 * BLOCKS
-                    partner = payloads[rng.randrange(len(payloads))]
-                    engine.write_many([(slot, data), (other, partner)])
-                    written[other] = partner
-                else:
-                    engine.write(slot, data)
-                written[slot] = data
-                if step % 11 == 10:  # cross-shard trim under contention
-                    engine.trim(slot)
-                    written[slot] = bytes(CHUNK)
-                if step % 7 == 6:
-                    check = rng.choice(sorted(written))
-                    if engine.read(check).data != written[check]:
-                        errors.append(f"thread {index}: stale read")
-                if index == 0 and step % 16 == 15:
-                    engine.flush()
-                if index == 1 and step % 16 == 15:
-                    engine.collect_garbage(0.3)
-        except Exception as error:  # surfaced after join
-            errors.append(f"thread {index}: {error!r}")
-
-    threads = [
-        threading.Thread(target=client, args=(index,), name=f"shard-{index}")
-        for index in range(PARALLELISM)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    try:
-        assert errors == []
-        races = detector.reports()
-        assert races == [], "\n".join(race.describe() for race in races)
-        engine.flush()
-        assert check_sharded_engine(engine) == []
-    finally:
-        engine.close()
-
-
 def test_detector_flags_a_seeded_lock_bypass(detector):
     """Negative control: the same harness with the discipline broken.
 

@@ -334,7 +334,7 @@ class TestFullIndexRefusal:
         assert check_engine(engine) == []
 
     def test_earlier_chunks_of_the_batch_stay_applied(self, rng):
-        """Per-chunk atomicity, as in the sharded engine's split write."""
+        """Per-chunk atomicity, as in a split write."""
         journal = MetadataJournal()
         engine = DedupEngine(
             num_buckets=1, compressor=ModeledCompressor(0.5), journal=journal

@@ -1,9 +1,9 @@
 """Engine lifecycle API: flush()/close()/context managers (DESIGN.md §5.10).
 
 The contract is uniform across layers — ``DedupEngine``,
-``ShardedDedupEngine``, ``ReductionSystem`` and ``StorageServer`` all
-expose ``flush()`` (batch boundary: seal + fence), idempotent
-``close()`` (shutdown barrier), and work as context managers.
+``ReductionSystem`` and ``StorageServer`` all expose ``flush()`` (batch
+boundary: seal + fence), idempotent ``close()`` (shutdown barrier), and
+work as context managers.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.datared.compression import ModeledCompressor
 from repro.datared.dedup import DedupEngine
 from repro.datared.journal import MetadataJournal, RecordKind
-from repro.datared.sharded import ShardedDedupEngine
 from repro.systems import FidrSystem
 from repro.systems.config import DurabilityPolicy, SystemConfig
 from repro.systems.factory import build_engine
@@ -64,17 +63,6 @@ def test_engine_flush_fences_the_journal(rng):
     assert clean
     assert records[-1].kind == RecordKind.COMMIT
     assert engine.journal.staged_bytes == 0
-
-
-def test_sharded_engine_lifecycle(rng):
-    with ShardedDedupEngine(num_shards=2, num_buckets=256) as engine:
-        engine.write(0, rng.randbytes(CHUNK))
-        engine.flush()
-    # close() sealed every shard's open container.
-    assert all(
-        shard.containers.sealed_count >= 0 for shard in engine.shards
-    )
-    engine.close()  # idempotent across the cluster
 
 
 def test_system_context_manager(rng):

@@ -44,7 +44,7 @@ def sequence(seed):
     return ops
 
 
-def serve_sequence(kind, journal, depth, ops, shards=1):
+def serve_sequence(kind, journal, depth, ops):
     """Run ``ops`` over one connection, ``depth`` at a time; returns
     what the reads returned and every ledger the store keeps."""
     storage = StorageServer.build(
@@ -53,7 +53,6 @@ def serve_sequence(kind, journal, depth, ops, shards=1):
         # Small batches: the sequence crosses many batch boundaries.
         config=SystemConfig(
             batch_chunks=8, durability=DurabilityPolicy(journal=journal),
-            shards=shards,
         ),
     )
 
@@ -90,16 +89,15 @@ def serve_sequence(kind, journal, depth, ops, shards=1):
         }, turns
 
 
-@pytest.mark.parametrize("kind, journal, shards", [
-    pytest.param(SystemKind.FIDR, False, 1, id="SystemKind.FIDR-False"),
-    pytest.param(SystemKind.BASELINE, False, 1, id="SystemKind.BASELINE-False"),
-    pytest.param(SystemKind.FIDR, True, 1, id="SystemKind.FIDR-True"),
-    pytest.param(SystemKind.FIDR, False, 2, id="SystemKind.FIDR-False-shards2"),
+@pytest.mark.parametrize("kind, journal", [
+    pytest.param(SystemKind.FIDR, False, id="SystemKind.FIDR-False"),
+    pytest.param(SystemKind.BASELINE, False, id="SystemKind.BASELINE-False"),
+    pytest.param(SystemKind.FIDR, True, id="SystemKind.FIDR-True"),
 ])
-def test_depth_16_leaves_the_same_store_as_depth_1(kind, journal, shards):
+def test_depth_16_leaves_the_same_store_as_depth_1(kind, journal):
     ops = sequence(seed=20)
-    serial, serial_turns = serve_sequence(kind, journal, 1, ops, shards)
-    pipelined, pipelined_turns = serve_sequence(kind, journal, 16, ops, shards)
+    serial, serial_turns = serve_sequence(kind, journal, 1, ops)
+    pipelined, pipelined_turns = serve_sequence(kind, journal, 16, ops)
     assert serial_turns == OPS
     assert pipelined_turns < OPS / 4  # the pipelined run really coalesced
     assert any(serial["replies"])  # reads returned data, not just acks

@@ -33,7 +33,7 @@ from repro.errors import (
 )
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.net.protocol import MAX_PAYLOAD, Op
-from repro.net.router import ShardRouter
+from repro.net.router import ShardRouter, shard_for_digest
 from repro.obs import STATS_SCHEMA
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.systems.server import StorageServer, SystemKind
@@ -104,13 +104,40 @@ async def cluster(num_shards):
 
 def payload_for_shard(rng, router, target):
     """Random chunk whose digest routes to shard ``target``."""
-    from repro.datared.sharded import shard_for_digest
-
     while True:
         data = rng.randbytes(CHUNK)
         digest = fingerprint(data)
         if shard_for_digest(digest, router.num_shards) == target:
             return data
+
+
+class TestShardForDigest:
+    def test_single_shard_is_always_zero(self, rng):
+        for _ in range(64):
+            assert shard_for_digest(rng.randbytes(32), 1) == 0
+
+    def test_in_range_and_deterministic(self, rng):
+        for num_shards in (2, 3, 4, 7):
+            for _ in range(128):
+                digest = rng.randbytes(32)
+                first = shard_for_digest(digest, num_shards)
+                assert 0 <= first < num_shards
+                assert shard_for_digest(digest, num_shards) == first
+
+    def test_all_shards_reachable(self, rng):
+        hit = {shard_for_digest(rng.randbytes(32), 4) for _ in range(512)}
+        assert hit == {0, 1, 2, 3}
+
+    def test_prefix_ranges_are_contiguous(self):
+        # The range partition: digests sorted by 8-byte prefix map to
+        # monotonically non-decreasing shard indexes.
+        digests = sorted(
+            (bytes([a, b]) + bytes(30))
+            for a in range(0, 256, 17)
+            for b in range(0, 256, 29)
+        )
+        owners = [shard_for_digest(digest, 5) for digest in digests]
+        assert owners == sorted(owners)
 
 
 class TestRouterOfOne:

@@ -61,7 +61,6 @@ CONFIGS = {
     "baseline-read-lru-small": (
         BaselineSystem, {"config": _config(read_cache_chunks=2)},
     ),
-    "shards-2": (FidrSystem, {"config": _config(shards=2)}),
 }
 
 
@@ -78,7 +77,7 @@ def ledgers(system) -> dict:
     """Every charge and counter a read can move, as plain data: the
     write-side ledger view plus what only reads touch."""
     report = system.report()
-    engines = getattr(system.engine, "shards", [system.engine])
+    engine = system.engine
     view = ledger_view(SimpleNamespace(system=system))
     view.update({
         "report": (
@@ -93,11 +92,10 @@ def ledgers(system) -> dict:
             (drive.stats.read_ops, drive.stats.bytes_read)
             for drive in system.data_array.drives
         ],
-        "read_lru": [
-            (engine.read_cache_hits, engine.read_cache_misses,
-             list(engine._read_cache or ()))
-            for engine in engines
-        ],
+        "read_lru": (
+            engine.read_cache_hits, engine.read_cache_misses,
+            list(engine._read_cache or ()),
+        ),
     })
     if isinstance(system, FidrSystem):
         view["nic_lookup"] = (
@@ -297,12 +295,10 @@ def test_a_corrupt_payload_mid_run_fails_exactly_its_op(name):
             for system in (grouped, single):
                 system.write(0, payload)
                 system.flush()
-                for engine in getattr(system.engine, "shards", [system.engine]):
-                    pbn = engine.lba_map.get(rotted)
-                    if pbn is not None:
-                        record = engine.pbn_map.get(pbn)
-                        container = engine.containers._get(record.container_id)
-                        container._payloads[record.offset] = rot
+                engine = system.engine
+                record = engine.pbn_map.get(engine.lba_map.get(rotted))
+                container = engine.containers._get(record.container_id)
+                container._payloads[record.offset] = rot
             got = grouped.read_extents(extents)
             assert [type(item) is ChunkDecodeError for item in got] == [
                 index == 9 for index in range(16)
