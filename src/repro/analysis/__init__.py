@@ -5,12 +5,11 @@ Two families live here:
 * **Performance analysis** — linear projection, throughput solving,
   scale-out planning, cost modelling (``projection``, ``throughput``,
   ``scaleout``, ``cost``, ``report``).
-* **Correctness analysis** — the concurrency-discipline suite
-  (``lint``: AST rules R001-R011, ``racecheck``: Eraser-style lock-set
-  race detection, ``lockgraph``: whole-program lock-order analysis
-  merged with runtime lockdep edges, ``invariants``: ledger/index
-  conservation checks).  Run ``python -m repro.analysis --help`` for
-  the CLI.
+* **Correctness analysis** — ``lint`` (AST contract rules R001-R009
+  and R012), ``racecheck`` (Eraser-style lock-set race detection),
+  ``invariants`` (ledger/index conservation checks) and ``crash`` (the
+  durability tier's crash/recovery harness).  Run
+  ``python -m repro.analysis --help`` for the CLI.
 
 Symbols are resolved lazily (PEP 562) so that importing the lightweight
 correctness tools does not pull in the numpy-backed projection stack,
@@ -39,7 +38,7 @@ _EXPORTS = {
     "sweep": ("projection", "sweep"),
 }
 
-__all__ = sorted(_EXPORTS) + ["invariants", "lint", "lockgraph", "racecheck"]
+__all__ = sorted(_EXPORTS) + ["crash", "invariants", "lint", "racecheck"]
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience only
     from .cost import CostBreakdown, CostParameters, StorageCostModel  # noqa: F401

@@ -2,12 +2,8 @@
 
 Tools:
 
-* ``lint`` — AST contract linter (rules R001-R012); also runnable
-  directly as ``python -m repro.analysis.lint``.
-* ``lockgraph`` — whole-program lock-order analysis: static call/lock
-  graph over a source tree, merged with observed runtime lockdep edges
-  (``--observed lockdep.json``); also runnable directly as
-  ``python -m repro.analysis.lockgraph``.
+* ``lint`` — AST contract linter (rules R001-R009 and R012); also
+  runnable directly as ``python -m repro.analysis.lint``.
 * ``invariants`` — run the ledger/index conservation checks against a
   freshly exercised engine (a self-test that the checker and the
   engine agree).
@@ -16,27 +12,19 @@ Tools:
   and asserts recovery restores exactly the acknowledged state
   (``--smoke`` is the CI leg); also runnable directly as
   ``python -m repro.analysis.crash``.
-* ``report`` — run lint + lockgraph + the invariants self-test and
-  emit one strict-JSON summary on stdout with a single exit code, so
-  CI runs one command instead of three.
 
 The race detector has no standalone CLI: enable it with
 ``REPRO_RACE_DETECT=1`` around any test or workload run, then read
-``repro.analysis.racecheck.reports()`` or the JSON dump.  The runtime
-lock-order validator is armed the same way with ``REPRO_LOCKDEP=1``
-(see :mod:`repro.sync`); dump its edges with
-``repro.sync.lockdep_dump_json`` and feed them to ``lockgraph
---observed``.
+``repro.analysis.racecheck.reports()`` or the JSON dump.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
-def _invariants_violations() -> List[str]:
+def _run_invariants_selftest() -> int:
     from ..datared.dedup import DedupEngine
     from . import invariants
 
@@ -49,16 +37,7 @@ def _invariants_violations() -> List[str]:
             engine.write(((index + 1) % 64) * step, payload[: engine.chunker.chunk_size])
     engine.flush()
     engine.collect_garbage(0.5)
-    return [
-        str(violation)
-        for violation in invariants.check_engine(
-            engine, raise_on_violation=False
-        )
-    ]
-
-
-def _run_invariants_selftest() -> int:
-    violations = _invariants_violations()
+    violations = invariants.check_engine(engine, raise_on_violation=False)
     for violation in violations:
         print(f"violation: {violation}")
     print(
@@ -66,47 +45,6 @@ def _run_invariants_selftest() -> int:
         + ("OK" if not violations else f"{len(violations)} violation(s)")
     )
     return 1 if violations else 0
-
-
-def _run_report(rest: Sequence[str]) -> int:
-    """Aggregate lint + lockgraph + invariants into one JSON summary.
-
-    Strict JSON on stdout (nothing else is printed) and one exit code:
-    0 only when every section passes.  ``rest`` may name the lint
-    paths (default ``src/ tests/``); lockgraph always covers
-    ``src/repro`` — the acceptance surface for the lock hierarchy.
-    """
-    from .lint import RULES, lint_paths
-    from .lockgraph import analyze_paths
-
-    lint_targets = list(rest) or ["src/", "tests/"]
-    findings, files_scanned = lint_paths(lint_targets)
-    lockgraph_report = analyze_paths(["src/repro"])
-    invariant_violations = _invariants_violations()
-
-    summary = {
-        "tool": "repro.analysis report",
-        "version": 1,
-        "lint": {
-            "rules": RULES,
-            "paths": lint_targets,
-            "files_scanned": files_scanned,
-            "findings": [finding.as_dict() for finding in findings],
-            "ok": not findings,
-        },
-        "lockgraph": lockgraph_report.as_dict(),
-        "invariants": {
-            "violations": invariant_violations,
-            "ok": not invariant_violations,
-        },
-    }
-    summary["ok"] = bool(
-        summary["lint"]["ok"]  # type: ignore[index]
-        and lockgraph_report.ok
-        and not invariant_violations
-    )
-    print(json.dumps(summary, indent=2))
-    return 0 if summary["ok"] else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -119,21 +57,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .lint import main as lint_main
 
         return lint_main(rest)
-    if tool == "lockgraph":
-        from .lockgraph import main as lockgraph_main
-
-        return lockgraph_main(rest)
     if tool == "invariants":
         return _run_invariants_selftest()
     if tool == "crash":
         from .crash import main as crash_main
 
         return crash_main(rest)
-    if tool == "report":
-        return _run_report(rest)
     print(
-        f"unknown tool {tool!r}; expected 'lint', 'lockgraph', "
-        "'invariants', 'crash', or 'report'"
+        f"unknown tool {tool!r}; expected 'lint', 'invariants' or 'crash'"
     )
     return 2
 

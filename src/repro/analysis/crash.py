@@ -1,6 +1,6 @@
 """Kill-at-random-offset crash harness for the durability tier.
 
-Proves the recovery contract of DESIGN.md §5.10 by *actually crashing*:
+Proves the recovery contract of DESIGN.md §5.9 by *actually crashing*:
 run a workload against a journal-armed engine, capture the durable
 journal image and the surviving container store at every group-commit
 boundary (the ``on_durable`` hook fires before deferred container frees

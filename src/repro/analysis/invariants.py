@@ -118,7 +118,7 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
         seen_placements.add(placement)
 
     # -- LBA map + snapshot pins vs. reference counts -------------------------
-    # The refcount law (DESIGN.md §5.10): every reference on a live PBN
+    # The refcount law (DESIGN.md §5.9): every reference on a live PBN
     # is either a mapped LBA or a snapshot pin, and nothing else.
     refcount_total = 0
     snapshot_pins = 0

@@ -52,20 +52,8 @@ R009   No direct ``DedupEngine(…)`` construction in
        the factory's table, journal and recovery wiring) decides the
        engine; an ad-hoc engine could silently diverge from the
        configured system.
-R010   No blocking wait (executor ``.result()``, ``queue.get``/
-       ``put``, ``time.sleep``, socket/file I/O, ``subprocess``)
-       while a :class:`~repro.sync.DisciplinedLock` is demonstrably
-       held — a parked owner stalls every thread queued on the lock,
-       and a wait that can re-enter the lock order deadlocks
-       (DESIGN.md §5.8).  The whole-program twin (including calls
-       that block transitively) is ``repro.analysis.lockgraph``.
-R011   Every ``DisciplinedLock`` carries a rank — from the declared
-       :data:`repro.sync.LOCK_ORDER` table or an explicit ``rank=``
-       keyword — and nested acquisition must follow strictly
-       increasing ranks; an inversion is the static signature of a
-       lock-order cycle (DESIGN.md §5.8).
 R012   Engine/system construction in ``repro.net``/``repro.systems``
-       must honour the lifecycle API (DESIGN.md §5.10): a local
+       must honour the lifecycle API (DESIGN.md §5.9): a local
        variable bound to ``build_engine(…)``, ``StorageServer(…)``/
        ``StorageServer.build(…)``, a ``ReductionSystem`` subclass or a
        raw engine class must be closed in the same scope —
@@ -106,8 +94,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..sync import LOCK_ORDER
-
 __all__ = ["Finding", "RULES", "lint_paths", "lint_source", "main"]
 
 RULES: Dict[str, str] = {
@@ -121,9 +107,6 @@ RULES: Dict[str, str] = {
     "R007": "ad-hoc timing/print instrumentation outside repro.obs",
     "R008": "direct codec/hash backend call outside the plugin registries",
     "R009": "direct engine construction outside the engine factory",
-    "R010": "blocking wait while a DisciplinedLock is held",
-    "R011": "lock acquisition violating the declared rank order, or an "
-    "unranked DisciplinedLock",
     "R012": "engine/system constructed in the serving layer but never "
     "closed (lifecycle API)",
 }
@@ -265,46 +248,6 @@ _R012_CLOSERS = frozenset({"close", "shutdown"})
 #: component, so ``dedup.DedupEngine(...)`` is caught too).
 _R009_ENGINE_NAMES = frozenset({"DedupEngine"})
 
-#: ``# lock: <class>`` binds an expression the resolver cannot type
-#: (a lock alias, a foreign attribute) to a named lock class — shared
-#: with :mod:`repro.analysis.lockgraph`.
-_LOCK_CLASS_RE = re.compile(r"#\s*lock:\s*([\w.\-]+)")
-
-#: Waits R010 flags while a DisciplinedLock is held.  Deliberately the
-#: *wait* set, not R001's CPU-work set: compressing under the engine
-#: lock is the engine's job; parking the owner thread is not.
-_R010_WAIT_CALLS = frozenset(
-    {
-        "time.sleep",
-        "open",
-        "input",
-        "os.system",
-        "os.popen",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "socket.create_connection",
-        "socket.getaddrinfo",
-        "select.select",
-    }
-)
-_R010_WAIT_PREFIXES = ("socket.", "requests.", "urllib.request.")
-#: Attribute waits, gated on the receiver's spelling so ``dict.get()``
-#: never trips: ``.result()`` blocks on any receiver (futures);
-#: ``.get()`` only counts when the receiver looks like a queue, etc.
-_R010_ATTR_WAITS: Dict[str, Tuple[str, ...]] = {
-    "result": (),
-    "get": ("queue",),
-    "put": ("queue",),
-    "join": ("thread", "queue", "proc", "pool"),
-    "wait": ("event", "barrier", "cond", "future", "proc"),
-    "recv": ("sock", "conn"),
-    "sendall": ("sock", "conn"),
-    "accept": ("sock", "listener"),
-    "connect": ("sock", "conn"),
-}
-
 #: Target names R004 treats as integral ledgers.
 _COUNTER_RE = re.compile(
     r"(?:^|_)(bytes|chunks?|count|counts|refcount|refcounts|cycles|ops|"
@@ -411,41 +354,6 @@ class _Registry:
         #: discipline (non-lock) guards, enforced by field name across
         #: every repro.* module: field -> (guard, declaring module, class).
         self.discipline_fields: Dict[str, Tuple[str, str, str]] = {}
-        #: (class, attr) -> DisciplinedLock class name, from
-        #: ``self.X = DisciplinedLock("n")`` or a ``# lock: n`` line.
-        self.lock_attrs: Dict[Tuple[str, str], str] = {}
-        #: (module, name) -> lock class, for bare-name bindings.
-        self.lock_names: Dict[Tuple[str, str], str] = {}
-        #: lock class -> declared rank (explicit ``rank=`` or LOCK_ORDER).
-        self.lock_ranks: Dict[str, Optional[int]] = {}
-
-    def declare_lock_class(self, name: str, rank: Optional[int]) -> None:
-        declared = rank if rank is not None else LOCK_ORDER.get(name)
-        if self.lock_ranks.get(name) is None:
-            self.lock_ranks[name] = declared
-
-    def lock_rank(self, name: str) -> Optional[int]:
-        rank = self.lock_ranks.get(name)
-        return rank if rank is not None else LOCK_ORDER.get(name)
-
-    def resolve_lock_attr(
-        self, class_name: Optional[str], attr: str
-    ) -> Optional[str]:
-        """Lock class bound to ``self.<attr>`` on a class or ancestor."""
-        seen: Set[str] = set()
-        queue = [class_name] if class_name else []
-        while queue:
-            current = queue.pop(0)
-            if current is None or current in seen:
-                continue
-            seen.add(current)
-            bound = self.lock_attrs.get((current, attr))
-            if bound is not None:
-                return bound
-            info = self.classes.get(current)
-            if info is not None:
-                queue.extend(info.bases)
-        return None
 
     def add(self, info: _ClassInfo) -> None:
         self.classes[info.name] = info
@@ -546,77 +454,6 @@ def _collect_classes(file: _File, registry: _Registry) -> None:
             name for name in (_base_name(base) for base in node.bases) if name
         ]
         registry.add(_ClassInfo(node.name, file.module, bases, guards))
-
-
-def _lock_ctor(node: ast.expr) -> Optional[Tuple[Optional[str], Optional[int]]]:
-    """``(name, explicit_rank)`` when ``node`` is ``DisciplinedLock(…)``.
-
-    ``name`` is None when the first argument is not a string literal —
-    still a construction site (R011 requires a rank it can check).
-    """
-    if not isinstance(node, ast.Call):
-        return None
-    callee = _dotted(node.func)
-    if callee is None or callee.rsplit(".", 1)[-1] != "DisciplinedLock":
-        return None
-    name: Optional[str] = None
-    if node.args and isinstance(node.args[0], ast.Constant):
-        if isinstance(node.args[0].value, str):
-            name = node.args[0].value
-    rank: Optional[int] = None
-    for keyword in node.keywords:
-        if keyword.arg == "rank" and isinstance(keyword.value, ast.Constant):
-            if isinstance(keyword.value.value, int):
-                rank = keyword.value.value
-    return name, rank
-
-
-def _collect_locks(file: _File, registry: _Registry) -> None:
-    """Pass-one twin of :func:`_collect_classes` for R010/R011:
-    bind ``DisciplinedLock`` construction sites and ``# lock:``
-    annotated assignments to named lock classes."""
-    if file.tree is None:
-        return
-
-    class_stack: List[str] = []
-
-    def record(target: ast.expr, value: ast.expr, line_number: int) -> None:
-        lock_name: Optional[str] = None
-        ctor = _lock_ctor(value)
-        if ctor is not None and ctor[0] is not None:
-            lock_name = ctor[0]
-            registry.declare_lock_class(ctor[0], ctor[1])
-        else:
-            match = _LOCK_CLASS_RE.search(file.line(line_number))
-            if match:
-                lock_name = match.group(1)
-                registry.declare_lock_class(lock_name, None)
-        if lock_name is None:
-            return
-        if isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ):
-            if target.value.id in ("self", "cls") and class_stack:
-                registry.lock_attrs[(class_stack[-1], target.attr)] = lock_name
-        elif isinstance(target, ast.Name):
-            registry.lock_names[(file.module, target.id)] = lock_name
-
-    def walk(node: ast.AST) -> None:
-        if isinstance(node, ast.ClassDef):
-            class_stack.append(node.name)
-            for child in ast.iter_child_nodes(node):
-                walk(child)
-            class_stack.pop()
-            return
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                record(target, node.value, node.lineno)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            record(node.target, node.value, node.lineno)
-        for child in ast.iter_child_nodes(node):
-            walk(child)
-
-    walk(file.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +596,6 @@ class _RuleWalker(ast.NodeVisitor):
             and module.startswith(_R009_PACKAGES)
             and module not in _R009_FACTORY_MODULES
         )
-        self.check_lock_waits = "R010" in rules and module.startswith("repro")
-        self.check_lock_ranks = "R011" in rules and module.startswith("repro")
         self.check_lifecycle = (
             "R012" in rules
             and module.startswith(_R012_PACKAGES)
@@ -777,12 +612,6 @@ class _RuleWalker(ast.NodeVisitor):
         #: parallel to func_stack: local names known to hold memoryviews
         #: (slicing those is zero-copy and never flagged).
         self.view_locals_stack: List[Set[str]] = []
-        #: DisciplinedLock classes held via enclosing ``with`` scopes
-        #: (R010/R011), innermost last.
-        self.held_lock_classes: List[str] = []
-        #: parallel to func_stack: lock classes resolved from ``holds``
-        #: annotations on the enclosing ``def`` lines.
-        self.lock_holds_stack: List[Set[str]] = []
 
     # -- helpers ----------------------------------------------------------
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
@@ -830,25 +659,17 @@ class _RuleWalker(ast.NodeVisitor):
             _HOT_PATH_RE.search(self.file.line(number))
             for number in range(node.lineno, signature_end)
         )
-        lock_holds: Set[str] = set()
-        if self.check_lock_waits or self.check_lock_ranks:
-            for token in held:
-                resolved_lock = self._resolve_lock_token(token)
-                if resolved_lock is not None:
-                    lock_holds.add(resolved_lock)
         self.func_stack.append((node.name, held, is_async))
         self.hot_stack.append(hot)
         self.view_locals_stack.append(
             _view_locals(node) if (hot and self.check_copies) else set()
         )
-        self.lock_holds_stack.append(lock_holds)
         if self.check_lifecycle:
             self._check_engine_lifecycle(node)
         self.generic_visit(node)
         self.func_stack.pop()
         self.hot_stack.pop()
         self.view_locals_stack.pop()
-        self.lock_holds_stack.pop()
 
     # -- structure --------------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -864,105 +685,17 @@ class _RuleWalker(ast.NodeVisitor):
 
     def _visit_with(self, node: Union[ast.With, ast.AsyncWith]) -> None:
         contexts = []
-        locks_pushed = 0
         for item in node.items:
             try:
                 contexts.append(_normalize(ast.unparse(item.context_expr)))
             except Exception:  # pragma: no cover - unparse is total on 3.9+
                 continue
-            if self.check_lock_waits or self.check_lock_ranks:
-                lock = self._resolve_lock_expr(item.context_expr, node.lineno)
-                if lock is not None:
-                    if self.check_lock_ranks:
-                        self._check_rank_order(node, lock)
-                    self.held_lock_classes.append(lock)
-                    locks_pushed += 1
         self.with_stack.extend(contexts)
         self.generic_visit(node)
         del self.with_stack[len(self.with_stack) - len(contexts):]
-        for _ in range(locks_pushed):
-            self.held_lock_classes.pop()
 
     visit_With = _visit_with
     visit_AsyncWith = _visit_with
-
-    # -- R010 / R011 ------------------------------------------------------
-    def _resolve_lock_token(self, token: str) -> Optional[str]:
-        """Lock class for a normalized ``holds`` guard token."""
-        if token.startswith(("self.", "cls.")):
-            attr = token.split(".", 1)[1].split(".", 1)[0]
-            current = self.class_stack[-1] if self.class_stack else None
-            return self.registry.resolve_lock_attr(current, attr)
-        if "." not in token:
-            by_name = self.registry.lock_names.get((self.file.module, token))
-            if by_name is not None:
-                return by_name
-            if token in self.registry.lock_ranks:
-                return token
-        return None
-
-    def _resolve_lock_expr(
-        self, node: ast.expr, line_number: int
-    ) -> Optional[str]:
-        """Lock class for a ``with``-item context expression."""
-        match = _LOCK_CLASS_RE.search(self.file.line(line_number))
-        if match:
-            self.registry.declare_lock_class(match.group(1), None)
-            return match.group(1)
-        ctor = _lock_ctor(node)
-        if ctor is not None:
-            return ctor[0]
-        if isinstance(node, ast.Name):
-            return self.registry.lock_names.get((self.file.module, node.id))
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.value, ast.Name
-        ):
-            if node.value.id in ("self", "cls"):
-                current = self.class_stack[-1] if self.class_stack else None
-                return self.registry.resolve_lock_attr(current, node.attr)
-        return None
-
-    def _disciplined_held(self) -> Set[str]:
-        held = set(self.held_lock_classes)
-        for locks in self.lock_holds_stack:
-            held |= locks
-        return held
-
-    def _check_rank_order(self, node: ast.stmt, acquiring: str) -> None:
-        acquiring_rank = self.registry.lock_rank(acquiring)
-        for held in sorted(self._disciplined_held()):
-            if held == acquiring:
-                continue  # reentrant same-class nesting: lockdep's job
-            held_rank = self.registry.lock_rank(held)
-            if (
-                held_rank is not None
-                and acquiring_rank is not None
-                and held_rank >= acquiring_rank
-            ):
-                self._emit(
-                    "R011",
-                    node,
-                    f"lock '{acquiring}' (rank {acquiring_rank}) acquired "
-                    f"while '{held}' (rank {held_rank}) is held; the "
-                    "declared LOCK_ORDER requires strictly increasing "
-                    "ranks — acquire in rank order or split the critical "
-                    "sections",
-                )
-
-    def _is_wait_call(self, node: ast.Call, name: Optional[str]) -> bool:
-        if name is not None:
-            if name in _R010_WAIT_CALLS or name.startswith(
-                _R010_WAIT_PREFIXES
-            ):
-                return True
-        if isinstance(node.func, ast.Attribute):
-            receivers = _R010_ATTR_WAITS.get(node.func.attr)
-            if receivers is not None:
-                receiver = (_dotted(node.func.value) or "").lower()
-                return not receivers or any(
-                    hint in receiver for hint in receivers
-                )
-        return False
 
     # -- R012 -------------------------------------------------------------
     @staticmethod
@@ -1033,7 +766,7 @@ class _RuleWalker(ast.NodeVisitor):
                 "never closed; use 'with ...:' or call "
                 f"'{name}.close()' before the scope ends — a leaked "
                 "engine never writes its final commit fence "
-                "(DESIGN.md §5.10)",
+                "(DESIGN.md §5.9)",
             )
 
     # -- R006 -------------------------------------------------------------
@@ -1168,42 +901,6 @@ class _RuleWalker(ast.NodeVisitor):
                     "SystemConfig (and the factory's table/journal "
                     "wiring) decides the engine",
                 )
-        if self.check_lock_waits and self._is_wait_call(node, name):
-            held = self._disciplined_held()
-            if held:
-                what = name or (
-                    "." + node.func.attr
-                    if isinstance(node.func, ast.Attribute)
-                    else "?"
-                )
-                self._emit(
-                    "R010",
-                    node,
-                    f"blocking wait {what}() while holding "
-                    f"{sorted(held)}; a parked owner stalls every thread "
-                    "queued on the lock — move the wait outside the "
-                    "critical section (DESIGN.md §5.8)",
-                )
-        if self.check_lock_ranks:
-            ctor = _lock_ctor(node)
-            if ctor is not None:
-                lock_name, explicit_rank = ctor
-                declared = explicit_rank
-                if declared is None and lock_name is not None:
-                    declared = self.registry.lock_rank(lock_name)
-                if declared is None:
-                    label = (
-                        f"lock class '{lock_name}'"
-                        if lock_name is not None
-                        else "DisciplinedLock with a non-literal name"
-                    )
-                    self._emit(
-                        "R011",
-                        node,
-                        f"{label} has no rank; register it in "
-                        "repro.sync.LOCK_ORDER or pass rank= explicitly "
-                        "so the lock hierarchy stays totally ordered",
-                    )
         self.generic_visit(node)
 
     # -- R005 -------------------------------------------------------------
@@ -1374,7 +1071,6 @@ def _analyze(files: Sequence[_File], rules: Set[str]) -> List[Finding]:
     registry = _Registry()
     for file in files:
         _collect_classes(file, registry)
-        _collect_locks(file, registry)
     findings: List[Finding] = []
     for file in files:
         if file.parse_error is not None:

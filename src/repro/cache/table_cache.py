@@ -29,7 +29,7 @@ walks a real B+-tree because the host pays per node visited;
 costs the host nothing (:mod:`repro.cache.hwtree` models its function,
 :class:`~repro.cache.cache_engine.CacheEngineModel` its timing).
 
-Packed-index interplay (DESIGN.md §5.9): the cache implements only the
+Packed-index interplay (DESIGN.md §5.8): the cache implements only the
 byte-page half of the :class:`~repro.datared.hash_pbn.BucketStore`
 interface, so the table running over it uses the inherited
 ``load_packed``/``store_packed`` defaults — every bucket access

@@ -432,9 +432,9 @@ class DedupEngine:
         #: backend pays one uncontended RLock acquire per request.  The
         #: StagePool workers never touch guarded state (they run pure
         #: hash/compress/decompress), so holding the lock across a
-        #: fan-out cannot deadlock.  Rank 20 in
-        #: :data:`repro.sync.LOCK_ORDER`, the stack's one lock class
-        #: (the lockgraph/lockdep validators enforce the order).
+        #: fan-out cannot deadlock.  It is the stack's one lock, shared
+        #: with the system that wraps the engine, so there is no lock
+        #: order to keep.
         self.lock = DisciplinedLock("dedup-engine")
         self.chunker = FixedChunker(chunk_size)
         self.table = table if table is not None else HashPbnTable(num_buckets)  # guarded-by: self.lock
@@ -452,7 +452,7 @@ class DedupEngine:
         self.allocator = PbnAllocator()  # guarded-by: self.lock
         self.stats = ReductionStats()  # guarded-by: self.lock
         self.observer = observer
-        #: Group-commit journal (DESIGN.md §5.10).  Armed by the factory
+        #: Group-commit journal (DESIGN.md §5.9).  Armed by the factory
         #: from the config's DurabilityPolicy; when set it is also the
         #: metadata observer, records stage per batch and the engine
         #: fences them (one modeled fsync) at the end of every public
@@ -1200,7 +1200,7 @@ class DedupEngine:
             self._commit_locked()
             return reclaimed
 
-    # -- durability barrier (DESIGN.md §5.10) ----------------------------------
+    # -- durability barrier (DESIGN.md §5.9) -----------------------------------
     def _fire_observer(self, hook_name: str, *args: Any) -> None:
         """Fire an *extended* observer callback through a getattr guard
         (pre-durability structural observers only have the core three)."""
@@ -1281,7 +1281,7 @@ class DedupEngine:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- snapshots (DESIGN.md §5.10) -------------------------------------------
+    # -- snapshots (DESIGN.md §5.9) --------------------------------------------
     def create_snapshot(self, name: str) -> int:
         """O(1)-in-data copy-on-write snapshot of the current LBA tree.
 

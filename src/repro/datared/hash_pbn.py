@@ -12,7 +12,7 @@ does.  Bucket overflow uses bucket-granular linear probing with a sticky
 per-bucket overflow bit, so lookups and deletes stay correct after any
 insertion history.
 
-Memory discipline (DESIGN.md §5.9): the hot path operates on **packed**
+Memory discipline (DESIGN.md §5.8): the hot path operates on **packed**
 4-KB pages in place.  :class:`PackedBucket` is a cursor over the raw
 page bytes — no per-entry tuples, no decode allocation — and the only
 page representation the table knows; the decoded entry-list bucket it
@@ -373,7 +373,7 @@ class BucketStore:
     The byte-page methods (:meth:`read_bucket`/:meth:`write_bucket`) are
     the canonical interface — caches and SSD adapters interpose on them
     and account 4-KB page traffic.  The *packed* methods are the
-    hot-path refinement (DESIGN.md §5.4, §5.9): stores that natively
+    hot-path refinement (DESIGN.md §5.4, §5.8): stores that natively
     hold :class:`PackedBucket` pages override them to skip the
     per-operation page round-trip.  The defaults delegate to the
     byte-page methods, so interposing stores keep exact page accounting
@@ -446,7 +446,7 @@ class InMemoryBucketStore(BucketStore):
 
 
 class ArenaBucketStore(BucketStore):
-    """All buckets in one preallocated flat arena (DESIGN.md §5.9).
+    """All buckets in one preallocated flat arena (DESIGN.md §5.8).
 
     The memory-dense configuration for tables sized to run near
     capacity: pages live at fixed offsets of a single ``bytearray``, so
@@ -591,7 +591,7 @@ class HashPbnTable:
         """Resolve a batch of digests against the current table state.
 
         Three batch effects the per-call :meth:`lookup` cannot get
-        (DESIGN.md §5.9): repeated digests resolve once (counted in
+        (DESIGN.md §5.8): repeated digests resolve once (counted in
         :attr:`saved_batch_lookups`), unique digests probe in home-
         bucket order, and every bucket loaded during the call is reused
         for the rest of it — so a batch touches each bucket once no

@@ -98,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--journal",
         action="store_true",
         help="arm the group-commit metadata journal (crash-consistent "
-        "durability tier; see DESIGN.md §5.10)",
+        "durability tier; see DESIGN.md §5.9)",
     )
     parser.add_argument(
         "--checkpoint-every",

@@ -417,7 +417,7 @@ class AsyncProtocolServer:
             return [await self._split_write(events[0])]
         self.metrics.backend_turns += 1
         # The loop is the stack's only caller: its engine lock is uncontended.
-        return self.endpoint.handle_group(events)  # lockgraph: async-ok sole caller
+        return self.endpoint.handle_group(events)
 
     async def _split_write(self, frame: Frame) -> bytes:
         """Apply one large write as sequential sub-writes, between two of

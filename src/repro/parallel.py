@@ -116,7 +116,7 @@ class StagePool:
         """Whether this pool actually owns workers."""
         return self._executor is not None
 
-    def map(  # lockgraph: blocking-ok stage fns are lock-free, wait cannot deadlock
+    def map(
         self,
         fn: Callable[[_T], _R],
         items: Iterable[_T],
@@ -129,9 +129,7 @@ class StagePool:
         pool gives no ordering between items, only between stages.
         That purity contract is also why callers may wait on the pool
         while holding a storage lock: a stage function can never try to
-        take one, so the ``future.result()`` waits below cannot re-enter
-        the lock order (sanctioned for ``repro.analysis.lockgraph`` on
-        the ``def`` line above).
+        take one, so the ``future.result()`` waits below cannot deadlock.
 
         ``min_batch`` is an inline threshold: batches smaller than it
         run on the calling thread even when the pool is parallel.

@@ -135,7 +135,7 @@ class ReductionSystem:
         #: One lock for the whole stack: the engine's.  It is reentrant,
         #: so system entry points lock once and the engine's own locked
         #: entry points nest for free.
-        self.lock = self.engine.lock  # lock: dedup-engine
+        self.lock = self.engine.lock
         self.logical_write_bytes = 0.0  # guarded-by: self.lock
         self.logical_read_bytes = 0.0  # guarded-by: self.lock
         self._pending: List[Chunk] = []  # guarded-by: self.lock

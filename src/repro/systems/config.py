@@ -36,7 +36,7 @@ class DurabilityPolicy:
     metadata records stage per batch and are fenced — one modeled fsync
     — at the end of every public mutating op, so every acknowledged
     write survives ``build_engine(cfg, recover_from=...)`` replay
-    (DESIGN.md §5.10).
+    (DESIGN.md §5.9).
 
     ``checkpoint_every_commits`` additionally writes a compact
     checkpoint image every N commits and truncates the replay-dead

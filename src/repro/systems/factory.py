@@ -83,6 +83,6 @@ def build_engine(
         journal=_make_journal(config, registry),
     )
     if recover_from is not None:
-        with engine.lock:  # lock: dedup-engine
+        with engine.lock:
             recover_into(engine, recover_from.journal)
     return engine

@@ -47,7 +47,7 @@ def run_in_thread(function):
 
 class TestLockDiscipline:
     def test_disciplined_lock_tracks_held_set(self):
-        lock = DisciplinedLock("test-lock", rank=1000)
+        lock = DisciplinedLock("test-lock")
         assert not lock.held_by_me()
         assert lock not in held_locks()
         with lock:
@@ -59,7 +59,7 @@ class TestLockDiscipline:
         assert lock not in held_locks()
 
     def test_held_set_is_per_thread(self):
-        lock = DisciplinedLock("test-lock", rank=1000)
+        lock = DisciplinedLock("test-lock")
         observed = {}
 
         def peek():
@@ -84,7 +84,7 @@ class TestDetector:
         assert "race on counter.value" in races[0].describe()
 
     def test_lock_disciplined_counter_is_clean(self, detector):
-        lock = DisciplinedLock("counter-lock", rank=1000)
+        lock = DisciplinedLock("counter-lock")
         counter = detector.watch(Counter(), name="counter")
 
         def locked_bumps():

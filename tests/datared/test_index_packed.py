@@ -1,4 +1,4 @@
-"""Packed-index differential and property suite (DESIGN.md §5.9).
+"""Packed-index differential and property suite (DESIGN.md §5.8).
 
 Proves the three PR-9 index claims the rest of the stack now relies on:
 

@@ -1,4 +1,4 @@
-"""Engine lifecycle API: flush()/close()/context managers (DESIGN.md §5.10).
+"""Engine lifecycle API: flush()/close()/context managers (DESIGN.md §5.9).
 
 The contract is uniform across layers — ``DedupEngine``,
 ``ReductionSystem`` and ``StorageServer`` all expose ``flush()`` (batch

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import threading
 
+import pytest
 
 from repro.analysis.invariants import check_engine
 from repro.datared.chunking import BLOCK_SIZE
 from repro.datared.dedup import DedupEngine
-from repro.sync import DisciplinedLock
+from repro.sync import DisciplinedLock, held_locks
 
 CHUNK = 4096
 BLOCKS = CHUNK // BLOCK_SIZE
@@ -111,3 +112,63 @@ def test_concurrent_read_write_flush_mix_stays_consistent():
         thread.join()
     assert errors == []
     assert check_engine(engine) == []
+
+
+def run_in_thread(function):
+    worker = threading.Thread(target=function, name="lock-worker")
+    worker.start()
+    worker.join()
+
+
+class TestReleaseOrdering:
+    """The held set changes only after the underlying lock operation
+    succeeded, so a failed release or acquire leaves it intact."""
+
+    def test_non_owner_release_raises_without_corrupting_held_set(self):
+        lock = DisciplinedLock("owner-lock")
+        failure = {}
+
+        def release_unowned():
+            try:
+                lock.release()
+            except RuntimeError as error:
+                failure["error"] = error
+            failure["held_after"] = lock in held_locks()
+
+        with lock:
+            run_in_thread(release_unowned)
+            # The non-owner got the RuntimeError and its held set was
+            # never touched...
+            assert isinstance(failure["error"], RuntimeError)
+            assert failure["held_after"] is False
+            # ...and the owner's bookkeeping survived intact.
+            assert lock.held_by_me()
+        assert not lock.held_by_me()
+
+    def test_over_release_by_owner_leaves_held_set_consistent(self):
+        lock = DisciplinedLock("over-release")
+        lock.acquire()
+        lock.release()
+        with pytest.raises(RuntimeError):
+            lock.release()
+        # The failed second release must not have resurrected or
+        # corrupted an entry.
+        assert not lock.held_by_me()
+        # The lock still works normally afterwards.
+        with lock:
+            assert lock.held_by_me()
+
+    def test_failed_nonblocking_acquire_does_not_enter_held_set(self):
+        lock = DisciplinedLock("contended")
+        result = {}
+
+        def try_acquire():
+            result["acquired"] = lock.acquire(blocking=False)
+            result["held"] = lock.held_by_me()
+
+        with lock:
+            run_in_thread(try_acquire)
+        assert result["acquired"] is False
+        assert result["held"] is False
+        # And a later successful acquire from that state is clean.
+        run_in_thread(lambda: (lock.acquire(blocking=False), lock.release()))
