@@ -351,11 +351,11 @@ def test_pipelined_small_ops_share_backend_turns(rng):
             ) as reader:
                 await writer.write(0, b"".join(seeded))
                 metrics = server.metrics
-                served, turns = metrics.backend_offloaded, metrics.backend_turns
+                served, turns = metrics.storage_ops, metrics.storage_turns
                 await _fine_grain_rounds(writer, reader, content, seeded)
                 return (
-                    metrics.backend_offloaded - served,
-                    metrics.backend_turns - turns,
+                    metrics.storage_ops - served,
+                    metrics.storage_turns - turns,
                 )
 
     with StorageServer.build(

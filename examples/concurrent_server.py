@@ -93,8 +93,8 @@ async def main() -> None:
         print(f"  queue high-water {gauges['server.max_queue_depth']:.0f}/32 "
               "(bounded: readers pause when full)")
         print(f"  coalescing       "
-              f"{gauges['server.backend_offloaded']:.0f} ops in "
-              f"{gauges['server.backend_turns']:.0f} backend turns")
+              f"{gauges['server.storage_ops']:.0f} ops in "
+              f"{gauges['server.storage_turns']:.0f} storage turns")
     stats = storage.reduction_stats
     print(f"  reduction        {stats.logical_bytes / 1e6:.1f} MB logical "
           f"-> {stats.live_stored_bytes / 1e6:.1f} MB stored "

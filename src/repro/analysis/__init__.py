@@ -5,16 +5,13 @@ Two families live here:
 * **Performance analysis** — linear projection, throughput solving,
   scale-out planning, cost modelling (``projection``, ``throughput``,
   ``scaleout``, ``cost``, ``report``).
-* **Correctness analysis** — ``lint`` (AST contract rules R001-R009
-  and R012), ``racecheck`` (Eraser-style lock-set race detection),
-  ``invariants`` (ledger/index conservation checks) and ``crash`` (the
-  durability tier's crash/recovery harness).  Run
-  ``python -m repro.analysis --help`` for the CLI.
+* **Correctness analysis** — ``lint`` (AST contract rules R001,
+  R003-R009 and R012), ``invariants`` (ledger/index conservation
+  checks) and ``crash`` (the durability tier's crash/recovery harness).
+  Run ``python -m repro.analysis --help`` for the CLI.
 
 Symbols are resolved lazily (PEP 562) so that importing the lightweight
-correctness tools does not pull in the numpy-backed projection stack,
-and so the storage stack can import ``racecheck`` at runtime without an
-import cycle through ``systems``.
+correctness tools does not pull in the numpy-backed projection stack.
 """
 
 from typing import TYPE_CHECKING
@@ -38,7 +35,7 @@ _EXPORTS = {
     "sweep": ("projection", "sweep"),
 }
 
-__all__ = sorted(_EXPORTS) + ["crash", "invariants", "lint", "racecheck"]
+__all__ = sorted(_EXPORTS) + ["crash", "invariants", "lint"]
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience only
     from .cost import CostBreakdown, CostParameters, StorageCostModel  # noqa: F401

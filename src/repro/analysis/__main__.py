@@ -2,8 +2,8 @@
 
 Tools:
 
-* ``lint`` — AST contract linter (rules R001-R009 and R012); also
-  runnable directly as ``python -m repro.analysis.lint``.
+* ``lint`` — AST contract linter (rules R001, R003-R009 and R012);
+  also runnable directly as ``python -m repro.analysis.lint``.
 * ``invariants`` — run the ledger/index conservation checks against a
   freshly exercised engine (a self-test that the checker and the
   engine agree).
@@ -12,10 +12,6 @@ Tools:
   and asserts recovery restores exactly the acknowledged state
   (``--smoke`` is the CI leg); also runnable directly as
   ``python -m repro.analysis.crash``.
-
-The race detector has no standalone CLI: enable it with
-``REPRO_RACE_DETECT=1`` around any test or workload run, then read
-``repro.analysis.racecheck.reports()`` or the JSON dump.
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ full-system SSD simulators apply to make results credible:
   population.
 
 ``check_engine`` returns the list of violations (empty = healthy) or
-raises :class:`InvariantViolation`; the differential tests and the
-race-stress harness both call it, so a regression that silently corrupts
-stats or bytes fails CI even when no test asserts the exact number it
-corrupted.
+raises :class:`InvariantViolation`; the differential, stateful and crash
+suites call it, so a regression that silently corrupts stats or bytes
+fails CI even when no test asserts the exact number it corrupted.
 """
 
 from __future__ import annotations
@@ -188,14 +187,12 @@ def check_engine(
 ) -> List[str]:
     """Verify all engine invariants; returns the violation list.
 
-    Takes the engine lock, so it is safe to call while other threads are
-    writing (the stress harness does).  With ``raise_on_violation`` the
-    first call with a non-empty list raises :class:`InvariantViolation`
-    carrying every violation found.
+    Reads the engine's structures directly, without an owner check:
+    call it between operations, from the owner thread or with the owner
+    idle (DESIGN.md §5.3).  With ``raise_on_violation`` a non-empty list
+    raises :class:`InvariantViolation` carrying every violation found.
     """
-    with engine.lock:
-        violations = _engine_violations(engine)
-    return _raise_if(violations, raise_on_violation)
+    return _raise_if(_engine_violations(engine), raise_on_violation)
 
 
 def check_system(
@@ -208,14 +205,13 @@ def check_system(
     exactly the bytes still staged in the pending batch.
     """
     engine = system.engine
-    with system.lock:
-        violations = _engine_violations(engine)
-        processed = engine.stats.logical_bytes
-        pending_bytes = sum(len(chunk.data) for chunk in system._pending)
-        front_door = system.logical_write_bytes
-        if front_door != processed + pending_bytes:
-            violations.append(
-                f"system logical_write_bytes {front_door} != engine "
-                f"logical_bytes {processed} + pending {pending_bytes}"
-            )
+    violations = _engine_violations(engine)
+    processed = engine.stats.logical_bytes
+    pending_bytes = sum(len(chunk.data) for chunk in system._pending)
+    front_door = system.logical_write_bytes
+    if front_door != processed + pending_bytes:
+        violations.append(
+            f"system logical_write_bytes {front_door} != engine "
+            f"logical_bytes {processed} + pending {pending_bytes}"
+        )
     return _raise_if(violations, raise_on_violation)

@@ -9,12 +9,6 @@ Rule   Contract enforced
 R001   No blocking calls (``time.sleep``, sync socket/file I/O, bulk
        ``zlib``) inside ``async def`` in the serving layer — one
        blocked coroutine stalls every connection on the loop.
-R002   Fields declared ``# guarded-by: <lock|discipline>`` are only
-       mutated with the guard demonstrably held: inside
-       ``with <lock>:``, in a function annotated
-       ``# repro-lint: holds <guard>``, or (for ownership
-       disciplines such as ``single-writer``) in the declaring
-       class/module.
 R003   No wall-clock or process-global randomness (``time.time``,
        ``random.random``, …) in ``repro.sim`` / ``repro.systems`` —
        results must be a pure function of inputs and seeds.
@@ -32,7 +26,7 @@ R006   No byte copies (``bytes(…)``/``bytearray(…)``/``.tobytes()``/
        ``# repro-lint: copy-ok <reason>``.
 R007   No ad-hoc instrumentation in the data/serving path
        (``repro.datared``/``net``/``systems``/``cache``/``hw``/
-       ``parallel``/``sync``, CLI ``__main__`` modules exempt):
+       ``parallel``, CLI ``__main__`` modules exempt):
        raw ``time.*`` timing calls and ``print``-style metric
        reporting bypass the one observability surface — record
        durations through :mod:`repro.obs.trace` spans and publish
@@ -47,11 +41,10 @@ R008   No direct compression/hashing backend calls (``zlib.*``,
        are not payload codecs and stay allowed.
 R009   No direct ``DedupEngine(…)`` construction in
        ``repro.net``/``repro.systems`` outside
-       ``repro.systems.factory`` — the serving layer must build
-       engines through ``build_engine`` so the ``SystemConfig`` (and
-       the factory's table, journal and recovery wiring) decides the
-       engine; an ad-hoc engine could silently diverge from the
-       configured system.
+       ``repro.systems.factory`` — ``build_engine`` is the one place
+       that wires an engine's table store, journal and crash recovery
+       from the ``SystemConfig``; an engine built anywhere else skips
+       that wiring.
 R012   Engine/system construction in ``repro.net``/``repro.systems``
        must honour the lifecycle API (DESIGN.md §5.9): a local
        variable bound to ``build_engine(…)``, ``StorageServer(…)``/
@@ -64,20 +57,8 @@ R012   Engine/system construction in ``repro.net``/``repro.systems``
 =====  ==============================================================
 
 Suppress a single line with ``# repro-lint: disable=R001`` (comma
-list allowed).  Mark a helper that is only called with a lock held
-with ``# repro-lint: holds self.lock`` on its ``def`` line; ``def``
-lines may combine annotations (``# repro-lint: holds self.lock,
-hot-path``).
-
-Static limits, by design:
-
-* R002 sees attribute *stores* (``self.x = …``, ``+=``, ``del``), not
-  mutating method calls (``self.items.append(…)``); the runtime
-  :mod:`~repro.analysis.racecheck` detector covers method-granularity
-  access.
-* Lock guards are enforced per class hierarchy (``self.lock`` means
-  *that object's* lock); ownership guards (``single-writer``) are
-  additionally enforced by field name across every ``repro.*`` module.
+list allowed).  Ids R002, R010 and R011 are retired and stay unused,
+so an old ``disable=`` comment never silences a different rule.
 
 CLI: ``python -m repro.analysis.lint src/ tests/ [--json report.json]``.
 Exit status 1 when findings remain after suppression.
@@ -99,7 +80,6 @@ __all__ = ["Finding", "RULES", "lint_paths", "lint_source", "main"]
 RULES: Dict[str, str] = {
     "R000": "file could not be parsed",
     "R001": "blocking call inside async def in the serving layer",
-    "R002": "guarded field mutated without its declared guard",
     "R003": "wall-clock/randomness in deterministic simulation code",
     "R004": "float-tainted arithmetic on an integral ledger field",
     "R005": "bare or silently swallowed exception in the serving layer",
@@ -112,8 +92,6 @@ RULES: Dict[str, str] = {
 }
 
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9,\s]+)")
-_HOLDS_RE = re.compile(r"#\s*repro-lint:\s*holds\s+([^#\n]+)")
-_GUARDED_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][\w.\-]*)")
 _HOT_PATH_RE = re.compile(r"#\s*repro-lint:[^#\n]*\bhot-path\b")
 #: ``copy-ok`` must state *why* the copy is sanctioned — a bare marker
 #: does not suppress.
@@ -195,14 +173,13 @@ _R007_PACKAGES = (
     "repro.cache",
     "repro.hw",
     "repro.parallel",
-    "repro.sync",
 )
 
 #: Modules R008 covers: every payload byte in the reduction path must
 #: go through the codec/fingerprint registries.
 _R008_PACKAGES = ("repro.datared", "repro.systems")
-#: The registries themselves (and their byte-compatible predecessors)
-#: are where the direct backend calls legitimately live.
+#: The registries themselves are where the direct backend calls
+#: legitimately live.
 _R008_REGISTRY_MODULES = (
     "repro.datared.codecs",
     "repro.datared.compression",
@@ -335,129 +312,7 @@ def _module_for_path(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Guard registry (R002, pass one)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ClassInfo:
-    name: str
-    module: str
-    bases: List[str]
-    #: field name -> guard token (``self.lock`` or a discipline name).
-    guards: Dict[str, str]
-
-
-class _Registry:
-    def __init__(self) -> None:
-        self.classes: Dict[str, _ClassInfo] = {}
-        #: discipline (non-lock) guards, enforced by field name across
-        #: every repro.* module: field -> (guard, declaring module, class).
-        self.discipline_fields: Dict[str, Tuple[str, str, str]] = {}
-
-    def add(self, info: _ClassInfo) -> None:
-        self.classes[info.name] = info
-        for field_name, guard in info.guards.items():
-            if not _is_lock_guard(guard):
-                self.discipline_fields[field_name] = (
-                    guard,
-                    info.module,
-                    info.name,
-                )
-
-    def resolve_guard(
-        self, class_name: Optional[str], field_name: str
-    ) -> Optional[Tuple[str, str]]:
-        """Guard for ``field_name`` on ``class_name`` or an ancestor.
-
-        Returns ``(guard, declaring_class)`` or None.  Ancestry is
-        resolved by simple name — enough for a single codebase, and it
-        keeps the linter free of import machinery.
-        """
-        seen: Set[str] = set()
-        queue = [class_name] if class_name else []
-        while queue:
-            current = queue.pop(0)
-            if current is None or current in seen:
-                continue
-            seen.add(current)
-            info = self.classes.get(current)
-            if info is None:
-                continue
-            if field_name in info.guards:
-                return info.guards[field_name], info.name
-            queue.extend(info.bases)
-        return None
-
-    def is_descendant(self, class_name: Optional[str], ancestor: str) -> bool:
-        seen: Set[str] = set()
-        queue = [class_name] if class_name else []
-        while queue:
-            current = queue.pop(0)
-            if current is None or current in seen:
-                continue
-            seen.add(current)
-            if current == ancestor:
-                return True
-            info = self.classes.get(current)
-            if info is not None:
-                queue.extend(info.bases)
-        return False
-
-
-def _is_lock_guard(guard: str) -> bool:
-    return "." in guard or guard.endswith("lock")
-
-
-def _base_name(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _collect_classes(file: _File, registry: _Registry) -> None:
-    if file.tree is None:
-        return
-    for node in ast.walk(file.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        guards: Dict[str, str] = {}
-
-        def _record(target: ast.expr, line_number: int) -> None:
-            match = _GUARDED_RE.search(file.line(line_number))
-            if not match:
-                return
-            if isinstance(target, ast.Name):
-                guards[target.id] = match.group(1)
-            elif isinstance(target, ast.Attribute) and isinstance(
-                target.value, ast.Name
-            ):
-                if target.value.id == "self":
-                    guards[target.attr] = match.group(1)
-
-        for statement in node.body:
-            if isinstance(statement, ast.AnnAssign):
-                _record(statement.target, statement.lineno)
-            elif isinstance(statement, ast.Assign):
-                for target in statement.targets:
-                    _record(target, statement.lineno)
-            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(statement):
-                    if isinstance(inner, ast.AnnAssign):
-                        _record(inner.target, inner.lineno)
-                    elif isinstance(inner, ast.Assign):
-                        for target in inner.targets:
-                            _record(target, inner.lineno)
-        bases = [
-            name for name in (_base_name(base) for base in node.bases) if name
-        ]
-        registry.add(_ClassInfo(node.name, file.module, bases, guards))
-
-
-# ---------------------------------------------------------------------------
-# Rule walker (pass two)
+# Rule walker
 # ---------------------------------------------------------------------------
 
 
@@ -482,10 +337,6 @@ def _dotted(node: ast.expr) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _normalize(expr: str) -> str:
-    return expr.replace(" ", "")
 
 
 def _attr_chain(node: ast.expr) -> Optional[Tuple[str, List[str]]]:
@@ -564,13 +415,11 @@ def _view_locals(
 
 
 class _RuleWalker(ast.NodeVisitor):
-    def __init__(self, file: _File, registry: _Registry, rules: Set[str]):
+    def __init__(self, file: _File, rules: Set[str]):
         self.file = file
-        self.registry = registry
         self.findings: List[Finding] = []
         module = file.module
         self.check_blocking = "R001" in rules and module.startswith("repro.net")
-        self.check_guards = "R002" in rules
         self.check_determinism = "R003" in rules and module.startswith(
             ("repro.sim", "repro.systems")
         )
@@ -601,11 +450,8 @@ class _RuleWalker(ast.NodeVisitor):
             and module.startswith(_R012_PACKAGES)
             and module not in _R009_FACTORY_MODULES
         )
-        self.name_based_guards = module.startswith("repro")
-        self.class_stack: List[str] = []
-        #: (function name, held guards, body-is-directly-async)
-        self.func_stack: List[Tuple[str, Set[str], bool]] = []
-        self.with_stack: List[str] = []
+        #: (function name, body-is-directly-async)
+        self.func_stack: List[Tuple[str, bool]] = []
         #: parallel to func_stack: is this function (or an enclosing
         #: one) annotated hot-path?
         self.hot_stack: List[bool] = []
@@ -625,14 +471,8 @@ class _RuleWalker(ast.NodeVisitor):
             )
         )
 
-    def _holds(self) -> Set[str]:
-        held: Set[str] = set()
-        for _, guards, _ in self.func_stack:
-            held |= guards
-        return held
-
     def _in_async(self) -> bool:
-        return bool(self.func_stack) and self.func_stack[-1][2]
+        return bool(self.func_stack) and self.func_stack[-1][1]
 
     def _current_function(self) -> Optional[str]:
         return self.func_stack[-1][0] if self.func_stack else None
@@ -640,14 +480,6 @@ class _RuleWalker(ast.NodeVisitor):
     def _enter_function(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef], is_async: bool
     ) -> None:
-        held: Set[str] = set()
-        match = _HOLDS_RE.search(self.file.line(node.lineno))
-        if match:
-            held = {
-                _normalize(token)
-                for token in match.group(1).split(",")
-                if token.strip() and token.strip() != "hot-path"
-            }
         # The hot-path marker may sit on any signature line (multi-line
         # ``def``s carry it on the closing-paren line); hotness also
         # propagates into nested helpers.
@@ -659,7 +491,7 @@ class _RuleWalker(ast.NodeVisitor):
             _HOT_PATH_RE.search(self.file.line(number))
             for number in range(node.lineno, signature_end)
         )
-        self.func_stack.append((node.name, held, is_async))
+        self.func_stack.append((node.name, is_async))
         self.hot_stack.append(hot)
         self.view_locals_stack.append(
             _view_locals(node) if (hot and self.check_copies) else set()
@@ -672,30 +504,11 @@ class _RuleWalker(ast.NodeVisitor):
         self.view_locals_stack.pop()
 
     # -- structure --------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.class_stack.append(node.name)
-        self.generic_visit(node)
-        self.class_stack.pop()
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._enter_function(node, is_async=False)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._enter_function(node, is_async=True)
-
-    def _visit_with(self, node: Union[ast.With, ast.AsyncWith]) -> None:
-        contexts = []
-        for item in node.items:
-            try:
-                contexts.append(_normalize(ast.unparse(item.context_expr)))
-            except Exception:  # pragma: no cover - unparse is total on 3.9+
-                continue
-        self.with_stack.extend(contexts)
-        self.generic_visit(node)
-        del self.with_stack[len(self.with_stack) - len(contexts):]
-
-    visit_With = _visit_with
-    visit_AsyncWith = _visit_with
 
     # -- R012 -------------------------------------------------------------
     @staticmethod
@@ -897,9 +710,9 @@ class _RuleWalker(ast.NodeVisitor):
                     node,
                     f"direct {name}() construction in the serving layer; "
                     "build engines through "
-                    "repro.systems.factory.build_engine so the "
-                    "SystemConfig (and the factory's table/journal "
-                    "wiring) decides the engine",
+                    "repro.systems.factory.build_engine, which wires "
+                    "their table store, journal and recovery from the "
+                    "SystemConfig",
                 )
         self.generic_visit(node)
 
@@ -943,7 +756,7 @@ class _RuleWalker(ast.NodeVisitor):
             return False
         return True
 
-    # -- R002 / R004 ------------------------------------------------------
+    # -- R004 -------------------------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_store(target, node, node.value)
@@ -959,81 +772,19 @@ class _RuleWalker(ast.NodeVisitor):
             self._check_store(node.target, node, node.value)
         self.generic_visit(node)
 
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._check_store(target, node, None)
-        self.generic_visit(node)
-
     def _check_store(
         self,
         target: ast.expr,
         node: ast.stmt,
-        value: Optional[ast.expr],
+        value: ast.expr,
         aug_floaty: Optional[bool] = None,
     ) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._check_store(element, node, value, aug_floaty)
             return
-        chain = _attr_chain(target)
-        if self.check_ledgers and value is not None:
-            self._check_ledger(target, chain, node, value, aug_floaty)
-        if not self.check_guards or not self.func_stack:
-            return
-        if chain is None:
-            return
-        root, attrs = chain
-        if root == "self" and self.class_stack:
-            resolved = self.registry.resolve_guard(self.class_stack[-1], attrs[0])
-            if resolved is not None:
-                guard, declaring = resolved
-                self._enforce_guard(node, attrs[0], guard, declaring)
-                return
-        # Ownership disciplines travel with the field name: a
-        # ``single-writer`` field is single-writer no matter which
-        # variable holds the object.
-        if self.name_based_guards:
-            entry = self.registry.discipline_fields.get(attrs[-1])
-            if entry is not None:
-                guard, module, class_name = entry
-                if self._discipline_ok(guard, module, class_name):
-                    return
-                self._emit(
-                    "R002",
-                    node,
-                    f"field '{attrs[-1]}' is guarded by '{guard}' "
-                    f"(declared on {class_name} in {module}); mutate it "
-                    "from the owning context or annotate the function "
-                    f"'# repro-lint: holds {guard}'",
-                )
-
-    def _enforce_guard(
-        self, node: ast.stmt, field_name: str, guard: str, declaring: str
-    ) -> None:
-        if not _is_lock_guard(guard):
-            return  # self-stores in the hierarchy own the discipline
-        function = self._current_function()
-        if function in {"__init__", "__post_init__", "__new__"}:
-            return  # construction is single-threaded by definition
-        normalized = _normalize(guard)
-        if normalized in self.with_stack or normalized in self._holds():
-            return
-        self._emit(
-            "R002",
-            node,
-            f"field '{field_name}' is guarded by {guard} (declared on "
-            f"{declaring}) but mutated without it; wrap the mutation in "
-            f"'with {guard}:' or annotate the function "
-            f"'# repro-lint: holds {guard}'",
-        )
-
-    def _discipline_ok(self, guard: str, module: str, class_name: str) -> bool:
-        if self.file.module == module:
-            return True
-        if _normalize(guard) in self._holds():
-            return True
-        current = self.class_stack[-1] if self.class_stack else None
-        return self.registry.is_descendant(current, class_name)
+        if self.check_ledgers:
+            self._check_ledger(target, _attr_chain(target), node, value, aug_floaty)
 
     def _check_ledger(
         self,
@@ -1068,16 +819,13 @@ class _RuleWalker(ast.NodeVisitor):
 
 
 def _analyze(files: Sequence[_File], rules: Set[str]) -> List[Finding]:
-    registry = _Registry()
-    for file in files:
-        _collect_classes(file, registry)
     findings: List[Finding] = []
     for file in files:
         if file.parse_error is not None:
             findings.append(file.parse_error)
             continue
         assert file.tree is not None
-        walker = _RuleWalker(file, registry, rules)
+        walker = _RuleWalker(file, rules)
         walker.visit(file.tree)
         findings.extend(
             finding

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from threading import get_ident
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -38,10 +38,9 @@ from typing import (
     Union,
 )
 
-from ..errors import CapacityError, SnapshotError
+from ..errors import CapacityError, SnapshotError, ThreadOwnershipError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..parallel import StagePool
-from ..sync import DisciplinedLock
 from . import codecs as _codecs
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker
 from .compression import CompressedChunk, Compressor, ZlibCompressor
@@ -307,12 +306,12 @@ class WriteReport:
     through :meth:`add`.
     """
 
-    chunks: List[ChunkOutcome] = field(default_factory=list)  # guarded-by: single-writer
-    containers_sealed: int = 0  # guarded-by: single-writer
-    reclaimed_chunks: int = 0  # guarded-by: single-writer  (last refs dropped)
-    _logical_bytes: int = field(default=0, init=False, repr=False, compare=False)  # guarded-by: single-writer
-    _stored_bytes: int = field(default=0, init=False, repr=False, compare=False)  # guarded-by: single-writer
-    _unique_chunks: int = field(default=0, init=False, repr=False, compare=False)  # guarded-by: single-writer
+    chunks: List[ChunkOutcome] = field(default_factory=list)
+    containers_sealed: int = 0
+    reclaimed_chunks: int = 0  #: last references dropped
+    _logical_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _stored_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _unique_chunks: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for outcome in self.chunks:
@@ -426,18 +425,15 @@ class DedupEngine:
         :class:`~repro.datared.hashing.Fingerprinter`, default
         :data:`~repro.datared.hashing.SHA256`); it must emit 32-byte
         digests, the width of a Hash-PBN entry."""
-        #: Guards every piece of mutable metadata below.  Concurrent
-        #: callers (the race-stress harness, any future multi-threaded
-        #: front end) serialize on it; the single-threaded serving
-        #: backend pays one uncontended RLock acquire per request.  The
-        #: StagePool workers never touch guarded state (they run pure
-        #: hash/compress/decompress), so holding the lock across a
-        #: fan-out cannot deadlock.  It is the stack's one lock, shared
-        #: with the system that wraps the engine, so there is no lock
-        #: order to keep.
-        self.lock = DisciplinedLock("dedup-engine")
+        #: The one thread that may call in: the one building the engine
+        #: (DESIGN.md §5.3).  Every public entry point that touches
+        #: metadata starts with :meth:`check_owner`, so a call from any
+        #: other thread is a typed error before it reads or writes
+        #: anything.  StagePool workers run pure hash/compress/decompress
+        #: and never call in.
+        self._owner = get_ident()
         self.chunker = FixedChunker(chunk_size)
-        self.table = table if table is not None else HashPbnTable(num_buckets)  # guarded-by: self.lock
+        self.table = table if table is not None else HashPbnTable(num_buckets)
         self.compressor = compressor if compressor is not None else ZlibCompressor()
         self.fingerprinter = fingerprinter if fingerprinter is not None else SHA256
         if self.fingerprinter.digest_size != FINGERPRINT_SIZE:
@@ -446,11 +442,11 @@ class DedupEngine:
                 f"{self.fingerprinter.digest_size}-byte digests; the "
                 f"Hash-PBN table requires {FINGERPRINT_SIZE}"
             )
-        self.containers = containers if containers is not None else ContainerStore()  # guarded-by: self.lock
-        self.lba_map: LbaStore = lba_map if lba_map is not None else LbaMap()  # guarded-by: self.lock
-        self.pbn_map = PbnMap()  # guarded-by: self.lock
-        self.allocator = PbnAllocator()  # guarded-by: self.lock
-        self.stats = ReductionStats()  # guarded-by: self.lock
+        self.containers = containers if containers is not None else ContainerStore()
+        self.lba_map: LbaStore = lba_map if lba_map is not None else LbaMap()
+        self.pbn_map = PbnMap()
+        self.allocator = PbnAllocator()
+        self.stats = ReductionStats()
         self.observer = observer
         #: Group-commit journal (DESIGN.md §5.9).  Armed by the factory
         #: from the config's DurabilityPolicy; when set it is also the
@@ -468,94 +464,88 @@ class DedupEngine:
                 )
         #: Named CoW snapshots: name -> {lba: pbn}, one pinned reference
         #: per entry (see :meth:`create_snapshot`).
-        self._snapshots: Dict[str, Dict[int, int]] = {}  # guarded-by: self.lock
+        self._snapshots: Dict[str, Dict[int, int]] = {}
         #: Container frees deferred until the journal commit that makes
         #: their records durable lands: freeing physical bytes before
         #: the fence would lose acknowledged data if the process died in
         #: between.  Always empty at rest (and when journaling is off).
-        self._pending_releases: List[Tuple[int, int, int]] = []  # guarded-by: self.lock
-        self._pending_drops: List[int] = []  # guarded-by: self.lock
-        self._closed = False  # guarded-by: self.lock
+        self._pending_releases: List[Tuple[int, int, int]] = []
+        self._pending_drops: List[int] = []
+        self._closed = False
         #: Attached by recovery (:func:`repro.datared.journal.recover_into`).
         self.recovery: Optional["RecoveryReport"] = None
         self.pool = pool if pool is not None else StagePool(1)
         if read_cache_chunks < 0:
             raise ValueError("read_cache_chunks must be >= 0")
         #: Decompressed-chunk LRU keyed by PBN (None when disabled).  An
-        #: ``int`` value exists only inside one ``_read_locked`` pass.
+        #: ``int`` value exists only inside one ``_read_pass``.
         self.read_cache_chunks = read_cache_chunks
         self._read_cache: Optional["OrderedDict[int, Union[bytes, int]]"] = (
             OrderedDict() if read_cache_chunks > 0 else None
-        )  # guarded-by: self.lock
-        self.read_cache_hits = 0  # guarded-by: self.lock
-        self.read_cache_misses = 0  # guarded-by: self.lock
+        )
+        self.read_cache_hits = 0
+        self.read_cache_misses = 0
         #: Optional per-stage instrumentation (the system layer installs
         #: a ``TracedStages``); ``None`` keeps the hot path uninstrumented.
         self.stage_clock: Optional[StageTimer] = None
         #: Garbage-collection work counters (see :meth:`collect_garbage`).
-        self.gc_containers_reclaimed = 0  # guarded-by: self.lock
-        self.gc_bytes_moved = 0  # guarded-by: self.lock
+        self.gc_containers_reclaimed = 0
+        self.gc_bytes_moved = 0
         #: Batch-planner accuracy counters: ``plan_fallback_compressions``
         #: counts uniques the planner missed (compressed inline on the
         #: serial stage), ``plan_wasted_compressions`` counts duplicates
         #: it compressed needlessly.  Both stay 0 unless the planner's
         #: shadow walk diverges from execution — a correctness canary,
         #: live on every batch since every batch plans.
-        self.plan_fallback_compressions = 0  # guarded-by: self.lock
-        self.plan_wasted_compressions = 0  # guarded-by: self.lock
+        self.plan_fallback_compressions = 0
+        self.plan_wasted_compressions = 0
         #: Live only during a batched-resolve serial walk: digest →
         #: current PBN (or None) for every fingerprint the walk has
         #: mutated since the batch lookup, so later chunks in the batch
         #: observe intra-batch inserts/retires exactly as per-chunk
         #: lookups would.
-        self._batch_overrides: Optional[Dict[bytes, Optional[int]]] = None  # guarded-by: self.lock
+        self._batch_overrides: Optional[Dict[bytes, Optional[int]]] = None
         #: Pull-model publication: the registry holds this collector via
         #: WeakMethod, so a garbage-collected engine drops out on its own.
         self.registry = registry if registry is not None else get_registry()
         self.registry.register_collector(self._publish_metrics)
-        #: When race detection is armed, every WriteReport this engine
-        #: creates is wrapped too (their aggregates are single-writer).
-        self._watch_report: Optional[Callable[..., Any]] = None
-        if os.environ.get("REPRO_RACE_DETECT"):
-            # Opt-in runtime race detection: wrap the shared metadata
-            # structures so every access records (thread, lock-set).
-            # When the variable is unset this costs one dict lookup at
-            # construction and installs nothing.
-            from ..analysis import racecheck
 
-            racecheck.watch_engine(self)
-            self._watch_report = racecheck.watch
-
-    def _new_report(self) -> WriteReport:
-        """A fresh WriteReport, race-instrumented when detection is on."""
-        report = WriteReport()
-        if self._watch_report is not None:
-            report = self._watch_report(report, name="write-report")
-        return report
+    def check_owner(self) -> None:
+        """Raise :class:`~repro.errors.ThreadOwnershipError` unless the
+        calling thread is the one that built this engine."""
+        if get_ident() != self._owner:
+            raise ThreadOwnershipError(
+                f"storage stack owned by thread {self._owner} called from "
+                f"thread {get_ident()}; build it on the thread that uses it"
+            )
 
     def stats_snapshot(self) -> EngineStats:
-        """A lock-consistent :class:`EngineStats` of every ledger."""
-        with self.lock:
-            stats = self.stats
-            return EngineStats(
-                logical_bytes=stats.logical_bytes,
-                unique_logical_bytes=stats.unique_logical_bytes,
-                stored_bytes=stats.stored_bytes,
-                reclaimed_stored_bytes=stats.reclaimed_stored_bytes,
-                duplicate_chunks=stats.duplicate_chunks,
-                unique_chunks=stats.unique_chunks,
-                read_cache_hits=self.read_cache_hits,
-                read_cache_misses=self.read_cache_misses,
-                gc_containers_reclaimed=self.gc_containers_reclaimed,
-                gc_bytes_moved=self.gc_bytes_moved,
-                plan_fallback_compressions=self.plan_fallback_compressions,
-                plan_wasted_compressions=self.plan_wasted_compressions,
-                containers_sealed=self.containers.sealed_count,
-                index_filter_hits=self.table.filter_hits,
-                index_filter_misses=self.table.filter_misses,
-                index_saved_lookups=self.table.saved_batch_lookups,
-                index_probes=self.table.probe_count,
-            )
+        """An :class:`EngineStats` of every ledger.
+
+        Unchecked, like the collector that calls it: the process
+        registry holds the collector of every live engine, so a STATS
+        answered on one thread also reads engines other threads own.
+        """
+        stats = self.stats
+        return EngineStats(
+            logical_bytes=stats.logical_bytes,
+            unique_logical_bytes=stats.unique_logical_bytes,
+            stored_bytes=stats.stored_bytes,
+            reclaimed_stored_bytes=stats.reclaimed_stored_bytes,
+            duplicate_chunks=stats.duplicate_chunks,
+            unique_chunks=stats.unique_chunks,
+            read_cache_hits=self.read_cache_hits,
+            read_cache_misses=self.read_cache_misses,
+            gc_containers_reclaimed=self.gc_containers_reclaimed,
+            gc_bytes_moved=self.gc_bytes_moved,
+            plan_fallback_compressions=self.plan_fallback_compressions,
+            plan_wasted_compressions=self.plan_wasted_compressions,
+            containers_sealed=self.containers.sealed_count,
+            index_filter_hits=self.table.filter_hits,
+            index_filter_misses=self.table.filter_misses,
+            index_saved_lookups=self.table.saved_batch_lookups,
+            index_probes=self.table.probe_count,
+        )
 
     def _publish_metrics(self, registry: MetricsRegistry) -> None:
         """Collector: export one snapshot as the ``engine.*`` /
@@ -656,28 +646,28 @@ class DedupEngine:
 
         Returns one :class:`WriteReport` per request, in order.
         """
+        self.check_owner()
         if options is None:
             options = _NO_OPTIONS
-        with self.lock:
-            try:
-                reports = self._write_many_locked(requests, options.digests)
-                if options.flush:
-                    self.containers.seal_open()
-            finally:
-                # Also on a refused chunk: the chunks applied before it
-                # are fenced and their deferred frees drained, so the
-                # engine is at rest whichever way the batch ended.
-                self._commit_locked()
-            return reports
+        try:
+            reports = self._write_batch(requests, options.digests)
+            if options.flush:
+                self.containers.seal_open()
+        finally:
+            # Also on a refused chunk: the chunks applied before it
+            # are fenced and their deferred frees drained, so the
+            # engine is at rest whichever way the batch ended.
+            self._commit()
+        return reports
 
-    def _write_many_locked(  # repro-lint: holds self.lock, hot-path
+    def _write_batch(  # repro-lint: hot-path
         self,
         requests: Iterable[Tuple[int, Union[bytes, bytearray, memoryview]]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
         clock = active_clock(self.stage_clock)
         requests = list(requests)
-        reports = [self._new_report() for _ in requests]
+        reports = [WriteReport() for _ in requests]
         # Stages 0-1: chunk, then fingerprint (parallel) every chunk —
         # or check that the caller's precomputed digests number one per
         # chunk.
@@ -765,7 +755,7 @@ class DedupEngine:
         )
         return reports
 
-    def _plan_batch(  # repro-lint: holds self.lock
+    def _plan_batch(
         self, chunks: Sequence[Chunk], digests: Sequence[bytes]
     ) -> List[int]:
         """Positions of the chunks the serial walk will compress.
@@ -832,7 +822,7 @@ class DedupEngine:
                 release(old)
         return plan
 
-    def _write_chunk(  # repro-lint: holds self.lock, hot-path
+    def _write_chunk(  # repro-lint: hot-path
         self,
         chunk: Chunk,
         report: WriteReport,
@@ -908,7 +898,7 @@ class DedupEngine:
         with clock.stage("publish"):
             return self._publish_chunk(chunk, report, digest, compressed, placement)
 
-    def _publish_chunk(  # repro-lint: holds self.lock, hot-path
+    def _publish_chunk(  # repro-lint: hot-path
         self,
         chunk: Chunk,
         report: WriteReport,
@@ -947,9 +937,7 @@ class DedupEngine:
             stored_size=compressed.stored_size,
         )
 
-    def _remap(  # repro-lint: holds self.lock
-        self, lba: int, new_pbn: int, report: WriteReport
-    ) -> None:
+    def _remap(self, lba: int, new_pbn: int, report: WriteReport) -> None:
         """Point the LBA at its new chunk, releasing the old one."""
         old_pbn = self.lba_map.set(lba, new_pbn)
         if self.observer is not None:
@@ -959,9 +947,7 @@ class DedupEngine:
             # place): that undoes the extra reference just taken.
             self._release(old_pbn, report)
 
-    def _release(  # repro-lint: holds self.lock
-        self, pbn: int, report: WriteReport
-    ) -> None:
+    def _release(self, pbn: int, report: WriteReport) -> None:
         dead = self.pbn_map.unref(pbn)
         if dead is None:
             return
@@ -1016,17 +1002,17 @@ class DedupEngine:
         position order, then decompressed together — across the shared
         pool when it is parallel.
         """
+        self.check_owner()
         step = self.chunker.blocks_per_chunk
         for lba in lbas if step != 1 else ():
             if lba % step != 0:
                 raise ValueError(f"LBA {lba} is not chunk-aligned")
-        with self.lock:
-            clock = active_clock(self.stage_clock)
-            report = self._read_locked(lbas, clock=clock)
-            flush_stages(clock)
-            return report
+        clock = active_clock(self.stage_clock)
+        report = self._read_pass(lbas, clock=clock)
+        flush_stages(clock)
+        return report
 
-    def _read_locked(  # repro-lint: holds self.lock, hot-path
+    def _read_pass(  # repro-lint: hot-path
         self, lbas: Sequence[int],
         mapping: Optional[Dict[int, int]] = None,
         clock: Optional[StageTimer] = None,
@@ -1128,21 +1114,21 @@ class DedupEngine:
         commits, so replay drops the mapping exactly as the live engine
         did.
         """
-        with self.lock:
-            report = self._new_report()
-            old_pbn = self.lba_map.unmap(lba)
-            if old_pbn is not None:
-                self._fire_observer("on_unmap", lba)
-                self._release(old_pbn, report)
-            self._commit_locked()
-            return report
+        self.check_owner()
+        report = WriteReport()
+        old_pbn = self.lba_map.unmap(lba)
+        if old_pbn is not None:
+            self._fire_observer("on_unmap", lba)
+            self._release(old_pbn, report)
+        self._commit()
+        return report
 
     def flush(self) -> None:
         """Seal the open container and commit the journal (batch
         boundary / shutdown barrier)."""
-        with self.lock:
-            self.containers.seal_open()
-            self._commit_locked()
+        self.check_owner()
+        self.containers.seal_open()
+        self._commit()
 
     def collect_garbage(self, threshold: float = 0.5) -> int:
         """Compact sealed containers above the garbage threshold.
@@ -1155,50 +1141,50 @@ class DedupEngine:
         incremental reverse index, so a collection's work scales with
         the victims' live chunks — not with the total PBN population.
         """
-        with self.lock:
-            reclaimed = 0
-            victims = self.containers.garbage_victims(threshold)
-            journaled = self.journal is not None
-            for victim in victims:
-                for offset, payload in victim.chunks():
-                    pbn = self.pbn_map.pbn_at(victim.container_id, offset)
-                    if pbn is None:
-                        raise KeyError(
-                            f"container {victim.container_id} offset {offset} "
-                            "has no owning PBN"
-                        )
-                    record = self.pbn_map.get(pbn)
-                    placement = self.containers.append(payload, record.stored_size)
-                    if journaled:
-                        # The old placement stays readable until the
-                        # REPOINT record is fenced: a crash before the
-                        # commit replays the pre-GC placements.
-                        self._pending_releases.append(
-                            (victim.container_id, offset, record.stored_size)
-                        )
-                    else:
-                        victim.mark_dead(offset, record.stored_size)
-                    self.pbn_map.repoint(
-                        pbn, placement.container_id, placement.offset
+        self.check_owner()
+        reclaimed = 0
+        victims = self.containers.garbage_victims(threshold)
+        journaled = self.journal is not None
+        for victim in victims:
+            for offset, payload in victim.chunks():
+                pbn = self.pbn_map.pbn_at(victim.container_id, offset)
+                if pbn is None:
+                    raise KeyError(
+                        f"container {victim.container_id} offset {offset} "
+                        "has no owning PBN"
                     )
-                    self._fire_observer(
-                        "on_repoint", pbn, placement.container_id,
-                        placement.offset,
-                    )
-                    # Conservative read-LRU hygiene: the moved chunk's
-                    # bytes are identical, but drop the entry anyway so
-                    # the cache can never outlive a compaction decision.
-                    if self._read_cache is not None:
-                        self._read_cache.pop(pbn, None)
-                    self.gc_bytes_moved += record.stored_size
+                record = self.pbn_map.get(pbn)
+                placement = self.containers.append(payload, record.stored_size)
                 if journaled:
-                    self._pending_drops.append(victim.container_id)
+                    # The old placement stays readable until the
+                    # REPOINT record is fenced: a crash before the
+                    # commit replays the pre-GC placements.
+                    self._pending_releases.append(
+                        (victim.container_id, offset, record.stored_size)
+                    )
                 else:
-                    self.containers.drop(victim.container_id)
-                reclaimed += 1
-            self.gc_containers_reclaimed += reclaimed
-            self._commit_locked()
-            return reclaimed
+                    victim.mark_dead(offset, record.stored_size)
+                self.pbn_map.repoint(
+                    pbn, placement.container_id, placement.offset
+                )
+                self._fire_observer(
+                    "on_repoint", pbn, placement.container_id,
+                    placement.offset,
+                )
+                # Conservative read-LRU hygiene: the moved chunk's
+                # bytes are identical, but drop the entry anyway so
+                # the cache can never outlive a compaction decision.
+                if self._read_cache is not None:
+                    self._read_cache.pop(pbn, None)
+                self.gc_bytes_moved += record.stored_size
+            if journaled:
+                self._pending_drops.append(victim.container_id)
+            else:
+                self.containers.drop(victim.container_id)
+            reclaimed += 1
+        self.gc_containers_reclaimed += reclaimed
+        self._commit()
+        return reclaimed
 
     # -- durability barrier (DESIGN.md §5.9) -----------------------------------
     def _fire_observer(self, hook_name: str, *args: Any) -> None:
@@ -1211,9 +1197,7 @@ class DedupEngine:
         if hook is not None:
             hook(*args)
 
-    def _commit_locked(  # repro-lint: holds self.lock
-        self, checkpoint_if_due: bool = True
-    ) -> None:
+    def _commit(self, checkpoint_if_due: bool = True) -> None:
         """Group-commit barrier at the end of every public mutating op.
 
         Fences the batch's staged journal records (one modeled fsync),
@@ -1234,9 +1218,9 @@ class DedupEngine:
                 self.containers.drop(container_id)
             self._pending_drops.clear()
         if checkpoint_if_due and journal.should_checkpoint():
-            self._checkpoint_locked()
+            self._write_checkpoint()
 
-    def _checkpoint_locked(self) -> None:  # repro-lint: holds self.lock
+    def _write_checkpoint(self) -> None:
         # Deferred import: repro.datared.journal imports this module.
         from .journal import CheckpointState
 
@@ -1252,11 +1236,11 @@ class DedupEngine:
         lazily on the next commit (see
         :meth:`~repro.datared.journal.MetadataJournal.write_checkpoint`).
         """
-        with self.lock:
-            if self.journal is None:
-                raise ValueError("engine has no journal to checkpoint")
-            self._commit_locked(checkpoint_if_due=False)
-            self._checkpoint_locked()
+        self.check_owner()
+        if self.journal is None:
+            raise ValueError("engine has no journal to checkpoint")
+        self._commit(checkpoint_if_due=False)
+        self._write_checkpoint()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -1268,12 +1252,12 @@ class DedupEngine:
         Engines also work as context managers (``with build_engine(cfg)
         as engine: ...``), which calls this on exit.
         """
-        with self.lock:
-            if self._closed:
-                return
-            self.containers.seal_open()
-            self._commit_locked()
-            self._closed = True
+        self.check_owner()
+        if self._closed:
+            return
+        self.containers.seal_open()
+        self._commit()
+        self._closed = True
 
     def __enter__(self) -> "DedupEngine":
         return self
@@ -1293,16 +1277,16 @@ class DedupEngine:
         would.  No chunk data is copied.  Returns the number of pinned
         chunks.
         """
-        with self.lock:
-            if name in self._snapshots:
-                raise SnapshotError(f"snapshot {name!r} already exists")
-            pins = dict(self.lba_map.items())
-            for pbn in pins.values():
-                self.pbn_map.ref(pbn)
-            self._snapshots[name] = pins
-            self._fire_observer("on_snapshot_create", name)
-            self._commit_locked()
-            return len(pins)
+        self.check_owner()
+        if name in self._snapshots:
+            raise SnapshotError(f"snapshot {name!r} already exists")
+        pins = dict(self.lba_map.items())
+        for pbn in pins.values():
+            self.pbn_map.ref(pbn)
+        self._snapshots[name] = pins
+        self._fire_observer("on_snapshot_create", name)
+        self._commit()
+        return len(pins)
 
     def delete_snapshot(self, name: str) -> WriteReport:
         """Drop a snapshot, releasing its pins.
@@ -1310,33 +1294,33 @@ class DedupEngine:
         The returned report's ``reclaimed_chunks`` counts chunks whose
         last reference the snapshot held (their space is reclaimed).
         """
-        with self.lock:
-            pins = self._snapshots.pop(name, None)
-            if pins is None:
-                raise SnapshotError(f"no snapshot named {name!r}")
-            # Journal the delete *before* the releases it implies, so
-            # replay (which performs the releases at SNAP_DELETE) sees
-            # the same order; the FREE records that follow are advisory.
-            self._fire_observer("on_snapshot_delete", name)
-            report = self._new_report()
-            for pbn in pins.values():
-                self._release(pbn, report)
-            self._commit_locked()
-            return report
+        self.check_owner()
+        pins = self._snapshots.pop(name, None)
+        if pins is None:
+            raise SnapshotError(f"no snapshot named {name!r}")
+        # Journal the delete *before* the releases it implies, so
+        # replay (which performs the releases at SNAP_DELETE) sees
+        # the same order; the FREE records that follow are advisory.
+        self._fire_observer("on_snapshot_delete", name)
+        report = WriteReport()
+        for pbn in pins.values():
+            self._release(pbn, report)
+        self._commit()
+        return report
 
     def snapshots(self) -> List[str]:
         """Names of the live snapshots, sorted."""
-        with self.lock:
-            return sorted(self._snapshots)
+        self.check_owner()
+        return sorted(self._snapshots)
 
     def read_snapshot(
         self, name: str, lba: int, num_chunks: int = 1
     ) -> ReadReport:
         """Read through a snapshot's pointer table instead of the live
         map — the same zero-fill/cache/decode path as :meth:`read`."""
+        self.check_owner()
         lbas = self._extent_lbas(lba, num_chunks)
-        with self.lock:
-            pins = self._snapshots.get(name)
-            if pins is None:
-                raise SnapshotError(f"no snapshot named {name!r}")
-            return self._read_locked(lbas, mapping=pins)
+        pins = self._snapshots.get(name)
+        if pins is None:
+            raise SnapshotError(f"no snapshot named {name!r}")
+        return self._read_pass(lbas, mapping=pins)

@@ -29,6 +29,7 @@ __all__ = [
     "JournalCorruptError",
     "ShardError",
     "SnapshotError",
+    "ThreadOwnershipError",
     "ErrorCode",
     "error_code_for",
     "exception_for_code",
@@ -98,6 +99,18 @@ class JournalCorruptError(ReproError, ValueError):
 
 class SnapshotError(ReproError, ValueError):
     """A snapshot operation named an unknown or conflicting snapshot."""
+
+
+class ThreadOwnershipError(ReproError, RuntimeError):
+    """A storage stack was called from a thread other than its owner.
+
+    A :class:`~repro.datared.dedup.DedupEngine` and the system wrapping
+    it belong to the thread that built them (DESIGN.md §5.3), as an
+    sqlite3 connection does under ``check_same_thread``.  Raised before
+    the call touches any state, so the owner finds the stack as it left
+    it.  A bug in the caller, not in the request: ``ErrorCode.INTERNAL``
+    on the wire.
+    """
 
 
 class ShardError(ReproError, ValueError):

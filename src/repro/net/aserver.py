@@ -96,12 +96,11 @@ class ServerMetrics:
     #: High-water mark of the request queue — never exceeds the
     #: configured ``queue_depth`` (the backpressure guarantee).
     max_queue_depth: int = 0
-    #: Requests the storage stack served (the name, like its gauge, is
-    #: kept from when the stack ran on an executor thread).
-    backend_offloaded: int = 0
+    #: Requests the storage stack served.
+    storage_ops: int = 0
     #: Calls into the storage stack (one per group or split-write piece);
-    #: ``backend_offloaded / backend_turns`` is the coalescing ratio.
-    backend_turns: int = 0
+    #: ``storage_ops / storage_turns`` is the coalescing ratio.
+    storage_turns: int = 0
     #: Large writes split into sub-writes so small requests interleave.
     writes_split: int = 0
 
@@ -159,7 +158,9 @@ class AsyncProtocolServer:
     Parameters
     ----------
     storage:
-        The shared :class:`~repro.systems.server.StorageServer`.
+        The shared :class:`~repro.systems.server.StorageServer`, built on
+        the thread that runs the loop: that thread owns it (DESIGN.md
+        §5.3), and a call from any other is a ``ThreadOwnershipError``.
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
@@ -232,8 +233,8 @@ class AsyncProtocolServer:
         registry.gauge("server.bytes_in").set(m.bytes_in)
         registry.gauge("server.bytes_out").set(m.bytes_out)
         registry.gauge("server.max_queue_depth").set(m.max_queue_depth)
-        registry.gauge("server.backend_offloaded").set(m.backend_offloaded)
-        registry.gauge("server.backend_turns").set(m.backend_turns)
+        registry.gauge("server.storage_ops").set(m.storage_ops)
+        registry.gauge("server.storage_turns").set(m.storage_turns)
         registry.gauge("server.writes_split").set(m.writes_split)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -394,7 +395,7 @@ class AsyncProtocolServer:
             if isinstance(event, ProtocolError):
                 self.metrics.frames_rejected += 1
             else:
-                self.metrics.backend_offloaded += 1
+                self.metrics.storage_ops += 1
             outbound.setdefault(connection, []).append(reply)
         for connection, parts in outbound.items():
             # A slow reader parks the worker before its next write, so a
@@ -415,8 +416,7 @@ class AsyncProtocolServer:
         of one, see :meth:`_serve_next`), split sub-writes."""
         if self._splits(events[0]):
             return [await self._split_write(events[0])]
-        self.metrics.backend_turns += 1
-        # The loop is the stack's only caller: its engine lock is uncontended.
+        self.metrics.storage_turns += 1
         return self.endpoint.handle_group(events)
 
     async def _split_write(self, frame: Frame) -> bytes:
@@ -442,7 +442,7 @@ class AsyncProtocolServer:
                     await self._serve_next()
             piece = frame.payload[start : start + split_bytes]
             piece_lba = frame.lba + (start // chunk_size) * blocks_per_chunk
-            self.metrics.backend_turns += 1
+            self.metrics.storage_turns += 1
             try:
                 self.storage.write(piece_lba, piece)
             except Exception as error:  # never kill a worker

@@ -124,9 +124,7 @@ class ShardRouter:
         # One frame mutates at a time (asyncio.Lock wakes waiters FIFO,
         # so frames apply in arrival order); *within* a frame the
         # sub-requests fan out concurrently.  An asyncio.Lock lives in
-        # the cooperative domain — it never blocks a thread, and the
-        # engine's DisciplinedLock is never held across an await, so
-        # the two cannot deadlock.
+        # the cooperative domain: it never blocks a thread.
         self._lock = asyncio.Lock()
         self.requests_served = 0
         self.registry.register_collector(self._publish_metrics)

@@ -17,7 +17,6 @@ from their staging buffer).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -91,12 +90,10 @@ class ReductionSystem:
                 "SystemConfig(codec=CodecPolicy(codec=...))"
             )
 
-        # Device ledgers.  Charged only while the engine lock is held
-        # (every client entry point below takes it), so byte/cycle
-        # accounting stays exact under concurrent callers.
-        self.memory = MemoryLedger(self.server.dram)  # guarded-by: self.lock
-        self.cpu = CpuLedger(self.server.cpu)  # guarded-by: self.lock
-        self.pcie = self._build_topology()  # guarded-by: self.lock
+        # Device ledgers.
+        self.memory = MemoryLedger(self.server.dram)
+        self.cpu = CpuLedger(self.server.cpu)
+        self.pcie = self._build_topology()
 
         # Functional storage stack.
         self.table_array = SsdArray(
@@ -132,20 +129,13 @@ class ReductionSystem:
         #: spans with no reconfiguration.
         self.engine.stage_clock = TracedStages()
 
-        #: One lock for the whole stack: the engine's.  It is reentrant,
-        #: so system entry points lock once and the engine's own locked
-        #: entry points nest for free.
-        self.lock = self.engine.lock
-        self.logical_write_bytes = 0.0  # guarded-by: self.lock
-        self.logical_read_bytes = 0.0  # guarded-by: self.lock
-        self._pending: List[Chunk] = []  # guarded-by: self.lock
-        self._closed = False  # guarded-by: self.lock
-        if os.environ.get("REPRO_RACE_DETECT"):
-            # The engine wrapped its own metadata already (it saw the
-            # same environment variable); add the device ledgers.
-            from ..analysis import racecheck
-
-            racecheck.watch_system(self)
+        #: One owner for the whole stack: the engine's (DESIGN.md §5.3).
+        #: Every client entry point below starts with this check.
+        self.check_owner = self.engine.check_owner
+        self.logical_write_bytes = 0.0
+        self.logical_read_bytes = 0.0
+        self._pending: List[Chunk] = []
+        self._closed = False
 
     # -- subclass hooks --------------------------------------------------------------
     def _build_topology(self) -> PcieTopology:
@@ -190,15 +180,15 @@ class ReductionSystem:
         after submission — the serving layer hands immutable ``bytes``
         decoded from the wire, which satisfies this for free.
         """
+        self.check_owner()
         chunks = self.engine.chunker.split(lba, payload)
-        with self.lock:
-            for chunk in chunks:
-                self.logical_write_bytes += len(chunk.data)
-                self._enqueue(chunk)
-                self._pending.append(chunk)
-            self._drain(self.config.batch_chunks)
+        for chunk in chunks:
+            self.logical_write_bytes += len(chunk.data)
+            self._enqueue(chunk)
+            self._pending.append(chunk)
+        self._drain(self.config.batch_chunks)
 
-    def _drain(self, leave_below: int = 1) -> None:  # repro-lint: holds self.lock
+    def _drain(self, leave_below: int = 1) -> None:
         """Run the backend, a batch at a time, until fewer than ``leave_below`` chunks are staged."""
         while len(self._pending) >= leave_below:
             batch = self._pending[: self.config.batch_chunks]
@@ -208,9 +198,9 @@ class ReductionSystem:
 
     def flush(self) -> None:
         """Drain staged writes and seal the open container."""
-        with self.lock:
-            self._drain()
-            self.engine.flush()
+        self.check_owner()
+        self._drain()
+        self.engine.flush()
 
     def _extent_step(self, lba: int, num_chunks: int) -> int:
         """Blocks per chunk, once ``num_chunks`` at ``lba`` is an extent."""
@@ -229,11 +219,11 @@ class ReductionSystem:
         state (and draining also clears any NIC-buffered copy a read
         could otherwise still hit).  Trimmed LBAs read back as zeros.
         """
+        self.check_owner()
         step = self._extent_step(lba, num_chunks)
-        with self.lock:
-            self._drain()
-            for position in range(num_chunks):
-                self.engine.trim(lba + position * step)
+        self._drain()
+        for position in range(num_chunks):
+            self.engine.trim(lba + position * step)
 
     def read(self, lba: int, num_chunks: int = 1) -> bytes:
         """Client read of ``num_chunks`` chunks at chunk-aligned ``lba``:
@@ -247,9 +237,10 @@ class ReductionSystem:
         self, extents: Sequence[Tuple[int, int]]
     ) -> List[Union[bytes, Exception]]:
         """Client reads of ``(lba, num_chunks)`` extents served as one
-        (DESIGN.md §5.2): one lock, one staging pass, one engine pass
-        over every chunk nothing staged serves, one ledger charge.
+        (DESIGN.md §5.2): one staging pass, one engine pass over every
+        chunk nothing staged serves, one ledger charge.
         Returns, per extent, its bytes — or the exception it alone drew."""
+        self.check_owner()
         step = self.engine.chunker.blocks_per_chunk
         results: List[Union[bytes, Exception]] = [b""] * len(extents)
         pieces: List[Optional[bytes]] = []  # per chunk of every well-formed extent
@@ -275,31 +266,30 @@ class ReductionSystem:
                         results[extent] = failure
             del opened[:]
 
-        with self.lock:
-            serves = self._staged_lookup(close)
-            for extent, (lba, num_chunks) in enumerate(extents):
-                try:
-                    self._extent_step(lba, num_chunks)
-                except AlignmentError as error:
-                    results[extent] = error
-                    continue
-                start = len(pieces)
-                for chunk_lba in range(lba, lba + num_chunks * step, step):
-                    staged = serves(chunk_lba) if serves is not None else None
-                    if staged is None:
-                        opened.append((chunk_lba, len(pieces), extent))
-                    pieces.append(staged)
-                bounds.append((extent, start, len(pieces)))
-            close()
-            for extent, start, end in bounds:
-                if not isinstance(results[extent], Exception):
-                    # (joined even when alone: a staged hit is a view of its write)
-                    data = b"".join(pieces[start:end])  # repro-lint: copy-ok a list's slice
-                    self.logical_read_bytes += len(data)
-                    results[extent] = data
+        serves = self._staged_lookup(close)
+        for extent, (lba, num_chunks) in enumerate(extents):
+            try:
+                self._extent_step(lba, num_chunks)
+            except AlignmentError as error:
+                results[extent] = error
+                continue
+            start = len(pieces)
+            for chunk_lba in range(lba, lba + num_chunks * step, step):
+                staged = serves(chunk_lba) if serves is not None else None
+                if staged is None:
+                    opened.append((chunk_lba, len(pieces), extent))
+                pieces.append(staged)
+            bounds.append((extent, start, len(pieces)))
+        close()
+        for extent, start, end in bounds:
+            if not isinstance(results[extent], Exception):
+                # (joined even when alone: a staged hit is a view of its write)
+                data = b"".join(pieces[start:end])  # repro-lint: copy-ok a list's slice
+                self.logical_read_bytes += len(data)
+                results[extent] = data
         return results
 
-    def _engine_pass(  # repro-lint: holds self.lock, hot-path
+    def _engine_pass(  # repro-lint: hot-path
         self, chunks: List[Tuple[int, int, int]], pieces: List[Optional[bytes]]
     ) -> None:
         """One ``engine.read_many`` and one ledger charge for ``chunks``
@@ -322,19 +312,19 @@ class ReductionSystem:
         processed must be inside the snapshot, the same drain-first rule
         :meth:`trim` follows.  Returns the number of pinned chunks.
         """
-        with self.lock:
-            self._drain()
-            return self.engine.create_snapshot(name)
+        self.check_owner()
+        self._drain()
+        return self.engine.create_snapshot(name)
 
     def delete_snapshot(self, name: str) -> int:
         """Drop snapshot ``name``; returns chunks reclaimed by unpinning."""
-        with self.lock:
-            return self.engine.delete_snapshot(name).reclaimed_chunks
+        self.check_owner()
+        return self.engine.delete_snapshot(name).reclaimed_chunks
 
     def snapshots(self) -> List[str]:
         """Names of the live snapshots."""
-        with self.lock:
-            return self.engine.snapshots()
+        self.check_owner()
+        return self.engine.snapshots()
 
     def read_snapshot(self, name: str, lba: int, num_chunks: int = 1) -> bytes:
         """Read ``num_chunks`` chunks at ``lba`` as of snapshot ``name``.
@@ -343,9 +333,9 @@ class ReductionSystem:
         read outside the modeled client data path, so no device ledger
         charges (the functional bytes are still exact).
         """
+        self.check_owner()
         self._extent_step(lba, num_chunks)
-        with self.lock:
-            return self.engine.read_snapshot(name, lba, num_chunks).data
+        return self.engine.read_snapshot(name, lba, num_chunks).data
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
@@ -357,12 +347,12 @@ class ReductionSystem:
         stage pool.  Idempotent, so ``with system: ...`` plus an
         explicit late ``close()`` is safe.
         """
-        with self.lock:
-            if self._closed:
-                return
-            self._drain()
-            self.engine.close()
-            self._closed = True
+        self.check_owner()
+        if self._closed:
+            return
+        self._drain()
+        self.engine.close()
+        self._closed = True
         self.pool.shutdown()
 
     def __enter__(self) -> "ReductionSystem":
@@ -443,15 +433,15 @@ class ReductionSystem:
     # -- reporting ----------------------------------------------------------------------
     def _publish_table_cache(self, registry: MetricsRegistry) -> None:
         """The table cache's ledger as ``system.table_cache.*`` gauges
-        (each system's collector calls this)."""
-        with self.lock:
-            stats, index = self.table_cache.stats, self.table_cache.index
-            values = {
-                name: getattr(stats, name)
-                for name in ("hits", "warm_hits", "misses", "evictions", "flushes", "hit_rate")
-            }
-            values["index.searches"] = index.searches
-            values["index.updates"] = index.updates
+        (each system's collector calls this; unchecked, see
+        :meth:`~repro.datared.dedup.DedupEngine.stats_snapshot`)."""
+        stats, index = self.table_cache.stats, self.table_cache.index
+        values = {
+            name: getattr(stats, name)
+            for name in ("hits", "warm_hits", "misses", "evictions", "flushes", "hit_rate")
+        }
+        values["index.searches"] = index.searches
+        values["index.updates"] = index.updates
         for name, value in values.items():
             registry.gauge(f"system.table_cache.{name}").set(value)
 

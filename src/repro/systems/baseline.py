@@ -178,7 +178,7 @@ class BaselineSystem(ReductionSystem):
         self.cpu.charge(CpuTask.DATA_SSD, self.config.cpu.data_ssd_io)
 
     # -- read flow (Figure 2b) ---------------------------------------------------------------
-    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:
         costs = self.config.cpu
         count, chunk_size = len(lbas), self.engine.chunker.chunk_size
         logical = count * chunk_size

@@ -156,7 +156,7 @@ class ExtendedFidrSystem(FidrSystem):
 
         return serves
 
-    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:
         super()._charge_read(lbas, report, fetched)
         hot = self.hot_read_cache
         if hot is None or not fetched:

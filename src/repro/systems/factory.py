@@ -83,6 +83,5 @@ def build_engine(
         journal=_make_journal(config, registry),
     )
     if recover_from is not None:
-        with engine.lock:
-            recover_into(engine, recover_from.journal)
+        recover_into(engine, recover_from.journal)
     return engine

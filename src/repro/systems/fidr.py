@@ -238,7 +238,7 @@ class FidrSystem(ReductionSystem):
         """Steps 1-2: LBA Lookup against the in-NIC write buffer."""
         return self.nic.lookup_read
 
-    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:  # repro-lint: holds self.lock
+    def _charge_read(self, lbas: List[int], report: ReadReport, fetched: int) -> None:
         costs = self.config.cpu
         count, chunk_size = len(lbas), self.engine.chunker.chunk_size
         # Step 3-4: LBAs to the host; LBA-PBA lookups.

@@ -114,7 +114,7 @@ class StorageServer:
 
     @property
     def engine_stats(self) -> EngineStats:
-        """Typed, lock-consistent snapshot of every engine ledger."""
+        """Typed snapshot of every engine ledger."""
         return self.system.engine.stats_snapshot()
 
     def stats_snapshot(self) -> Dict[str, Any]:

@@ -442,14 +442,14 @@ class TestGroups:
                     chunks = [rng.randbytes(CHUNK) for _ in range(16)]
                     await client.write(0, b"".join(chunks))
                     metrics = server.metrics
-                    turns, sent = metrics.backend_turns, metrics.responses_sent
-                    offloaded = metrics.backend_offloaded
+                    turns, sent = metrics.storage_turns, metrics.responses_sent
+                    ops = metrics.storage_ops
                     reads = await asyncio.gather(*(
                         client.read(lba, 1) for lba in range(16)
                     ))
                     assert reads == chunks
-                    assert metrics.backend_turns - turns <= 2
-                    assert metrics.backend_offloaded - offloaded == 16
+                    assert metrics.storage_turns - turns <= 2
+                    assert metrics.storage_ops - ops == 16
                     assert metrics.responses_sent - sent == 16
                     assert metrics.requests_enqueued == 17
 
@@ -495,7 +495,7 @@ class TestGroups:
                     server.host, server.port
                 ) as client:
                     old, new = rng.randbytes(CHUNK), rng.randbytes(CHUNK)
-                    turns = server.metrics.backend_turns
+                    turns = server.metrics.storage_turns
                     async with held_backend(server):
                         burst = asyncio.gather(
                             client.write(5, old), client.read(5, 1),
@@ -505,7 +505,7 @@ class TestGroups:
                             lambda: server.metrics.requests_enqueued == 4
                         )
                     assert await burst == [None, old, None, new]
-                    assert server.metrics.backend_turns - turns == 1
+                    assert server.metrics.storage_turns - turns == 1
 
         run(body())
 
@@ -673,7 +673,7 @@ class TestGroups:
                 async with await AsyncProtocolClient.connect(
                     server.host, server.port
                 ) as client:
-                    turns = server.metrics.backend_turns
+                    turns = server.metrics.storage_turns
                     async with held_backend(server):
                         burst = asyncio.gather(*(
                             client.write(lba, data)
@@ -685,7 +685,7 @@ class TestGroups:
                     results = await burst
                     # One worker: the group it took before the gate
                     # closed behind it, then everything else.
-                    assert server.metrics.backend_turns - turns <= 2
+                    assert server.metrics.storage_turns - turns <= 2
                     assert type(results[7]) is ProtocolError  # BAD_REQUEST
                     assert "not aligned" in str(results[7])
                     assert type(results[9]) is ReproError  # wire INTERNAL
@@ -809,9 +809,9 @@ class TestReplyFlowControl:
                 burst = asyncio.gather(*(client.read(0, 64) for _ in range(64)))
                 await wait_until(lambda: not connection.writable.is_set(), 10)
                 await asyncio.sleep(0.05)
-                served = server.metrics.backend_turns, server.metrics.responses_sent
+                served = server.metrics.storage_turns, server.metrics.responses_sent
                 await asyncio.sleep(0.1)
-                assert (server.metrics.backend_turns,
+                assert (server.metrics.storage_turns,
                         server.metrics.responses_sent) == served
                 assert server._queue and not connection.writable.is_set()
                 high = connection.transport.get_write_buffer_limits()[1]

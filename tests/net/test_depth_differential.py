@@ -71,7 +71,7 @@ def serve_sequence(kind, journal, depth, ops):
                         *map(issue, ops[at:at + depth])
                     )
                 assert server.metrics.responses_sent == len(ops)
-                return replies, server.metrics.backend_turns
+                return replies, server.metrics.storage_turns
 
     with storage:
         replies, turns = asyncio.run(body())

@@ -10,6 +10,7 @@ whole write's.
 
 import asyncio
 import contextlib
+import functools
 import os
 import threading
 import time
@@ -17,7 +18,10 @@ import time
 import pytest
 
 from repro.datared.compression import Compressor, ModeledCompressor
+from repro.datared.dedup import DedupEngine
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
+from repro.obs import STATS_SCHEMA
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.systems.server import StorageServer, SystemKind
 
 CHUNK = 4096
@@ -54,18 +58,20 @@ def run(coro):
 
 
 @contextlib.contextmanager
-def served_on_own_loop(storage, **options):
+def served_on_own_loop(build, **options):
     """An :class:`AsyncProtocolServer` on an event loop of its own thread,
     as ``python -m repro.net serve`` is a process of its own: storage work
-    it runs inline never blocks the caller's loop, where the clients are."""
+    it runs inline never blocks the caller's loop, where the clients are.
+    ``build()`` makes the storage on that thread, which then owns it."""
     started, box = threading.Event(), {}
 
     async def serve():
-        async with AsyncProtocolServer(storage, **options) as server:
-            box["loop"], box["stop"] = asyncio.get_running_loop(), asyncio.Event()
-            box["server"] = server
-            started.set()
-            await box["stop"].wait()
+        with build() as storage:
+            async with AsyncProtocolServer(storage, **options) as server:
+                box["loop"], box["stop"] = asyncio.get_running_loop(), asyncio.Event()
+                box["server"] = server
+                started.set()
+                await box["stop"].wait()
 
     thread = threading.Thread(target=asyncio.run, args=(serve(),))
     thread.start()
@@ -76,6 +82,7 @@ def served_on_own_loop(storage, **options):
         if "stop" in box:
             box["loop"].call_soon_threadsafe(box["stop"].set)
         thread.join(10)
+        assert not thread.is_alive(), "server did not stop"
 
 
 def check_small_read_p99_bounded_during_large_write(workers):
@@ -85,7 +92,6 @@ def check_small_read_p99_bounded_during_large_write(workers):
     With write splitting, every read slots in between sub-writes, so
     read p99 stays an order of magnitude below the large write's
     duration."""
-    storage = build_storage(delay_s=0.002)
 
     async def body(server):
         async with await AsyncProtocolClient.connect(
@@ -114,12 +120,13 @@ def check_small_read_p99_bounded_during_large_write(workers):
             await write_task
             return latencies, write_elapsed
 
-    with served_on_own_loop(storage, workers=workers, write_split_chunks=8) as server:
+    slow = functools.partial(build_storage, delay_s=0.002)
+    with served_on_own_loop(slow, workers=workers, write_split_chunks=8) as server:
         latencies, write_elapsed = run(body(server))
     metrics = server.metrics
 
     assert metrics.writes_split >= 1
-    assert metrics.backend_offloaded > 0
+    assert metrics.storage_ops > 0
     # The reads really did overlap the slow write...
     assert len(latencies) >= 5
     # ...and none of them waited anywhere near the full write duration.
@@ -140,6 +147,41 @@ def test_a_lone_worker_serves_small_reads_between_pieces():
     """With one worker there is no other task to take the reads: the
     split writer serves a queued group between two of its pieces."""
     check_small_read_p99_bounded_during_large_write(workers=1)
+
+
+def test_stats_on_a_server_thread_reads_engines_other_threads_own():
+    """The process registry collects every live engine, so a STATS
+    answered on the server's loop thread also reads the stacks this
+    thread built and owns: the collectors take no owner check, and the
+    owner's stacks are untouched by the scrape."""
+    previous = set_registry(MetricsRegistry())
+    try:
+        with StorageServer.build(
+            SystemKind.BASELINE, num_buckets=256, cache_lines=16,
+            compressor=ModeledCompressor(0.5),
+        ) as local, DedupEngine(num_buckets=64) as engine:
+            local.write(0, b"m" * CHUNK)
+            local.flush()
+            engine.write(0, b"n" * CHUNK)
+
+            async def scrape(server):
+                async with await AsyncProtocolClient.connect(
+                    server.host, server.port
+                ) as client:
+                    await client.write(0, b"s" * (64 * CHUNK))
+                    return await client.stats()
+
+            served = functools.partial(build_storage, delay_s=0.0)
+            with served_on_own_loop(served) as server:
+                snapshot = run(scrape(server))
+            assert snapshot["schema"] == STATS_SCHEMA
+            assert snapshot["gauges"]["server.storage_ops"] == 1
+            assert "system.table_cache.hits" in snapshot["gauges"]
+            assert "system.predictor.accuracy" in snapshot["gauges"]  # local's
+            assert local.read(0, 1) == b"m" * CHUNK
+            assert engine.read(0).data == b"n" * CHUNK
+    finally:
+        set_registry(previous)
 
 
 def test_split_write_surfaces_same_typed_error_as_unsplit():
