@@ -6,10 +6,11 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): seven
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, and five counts — the
-serving tier's ops per backend turn, its cross-thread wake-ups, its READ
-ops per engine pass, the transports a bulk reply pauses, and the page
-faults a client process takes per bulk read.
+alternative on the same host inside one test, and six counts — the
+bytes the table-SSD model holds per bucket, the serving tier's ops per
+backend turn, its cross-thread wake-ups, its READ ops per engine pass,
+the transports a bulk reply pauses, and the page faults a client process
+takes per bulk read.
 """
 
 import asyncio
@@ -37,6 +38,8 @@ from repro.datared.compression import (
 from repro.datared.dedup import DedupEngine
 from repro.datared.hash_pbn import (
     BUCKET_CAPACITY,
+    BUCKET_SIZE,
+    ENTRY_SIZE,
     ArenaBucketStore,
     HashPbnTable,
     InMemoryBucketStore,
@@ -296,6 +299,31 @@ def test_served_table_path_walks_no_tree(rng):
         took = _fastest(rounds, runs)
         assert counted.table_cache.stats == walked.table_cache.stats
     assert took["walked"] / took["counted"] >= 1.3, took
+
+
+def test_table_ssd_holds_each_buckets_used_bytes():
+    """The table-SSD model stores each bucket's used bytes (DESIGN.md
+    §5.8), as a count: after 4,096 unique chunk writes through served
+    FIDR and a flush of its table cache, the table SSDs hold
+    3 + 38 bytes per entry of every written bucket — each entry in
+    exactly one — while their ledger still counts a 4-KiB page per
+    bucket.  Whole pages would hold 4,096 bytes per bucket."""
+    content = ContentFactory()
+    with StorageServer.build(
+        SystemKind.FIDR, num_buckets=1 << 12, compressor=ModeledCompressor(0.5)
+    ) as storage:
+        for lba in range(0, 4096, BATCH_CHUNKS):
+            storage.write(lba, b"".join(
+                content.chunk(lba + i) for i in range(BATCH_CHUNKS)))
+        storage.flush()
+        system = storage.system
+        system.table_cache.flush_all()
+        assert len(system.engine.table) == 4096
+        drives = system.table_array.drives
+        buckets = sum(len(drive._blocks) for drive in drives)
+        held = sum(len(data) for drive in drives for data, _ in drive._blocks.values())
+        assert held == 3 * buckets + ENTRY_SIZE * 4096, (held, buckets)
+        assert sum(drive.bytes_stored for drive in drives) == BUCKET_SIZE * buckets
 
 
 def test_one_batched_read_beats_reads_of_one(rng):

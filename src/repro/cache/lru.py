@@ -6,91 +6,55 @@ for deletions".  :class:`LruList` supports exactly that protocol: O(1)
 touch/insert/remove plus :meth:`evict_batch` returning the coldest *n*
 keys in one shot.
 
-Implemented as the classic doubly-linked list + dict, with an optional
-pin set so in-flight cache lines cannot be evicted underneath a scan.
+Implemented over an :class:`~collections.OrderedDict` kept cold-to-hot,
+with an optional pin set so in-flight cache lines cannot be evicted
+underneath a scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from collections import OrderedDict
+from itertools import islice
+from typing import Iterator, List, Optional, Set
 
 __all__ = ["LruList"]
 
 
-class _Link:
-    __slots__ = ("key", "prev", "next")
-
-    def __init__(self, key):
-        self.key = key
-        self.prev: Optional["_Link"] = None
-        self.next: Optional["_Link"] = None
-
-
 class LruList:
-    """Recency ordering over hashable keys; head = hottest, tail = coldest."""
+    """Recency ordering over hashable keys: hottest first, coldest last."""
 
     def __init__(self):
-        self._links: Dict = {}
-        self._head: Optional[_Link] = None
-        self._tail: Optional[_Link] = None
+        self._order: OrderedDict = OrderedDict()  # coldest first
         self._pinned: Set = set()
 
-    # -- linked-list plumbing ---------------------------------------------------
-    def _unlink(self, link: _Link) -> None:
-        if link.prev is not None:
-            link.prev.next = link.next
-        else:
-            self._head = link.next
-        if link.next is not None:
-            link.next.prev = link.prev
-        else:
-            self._tail = link.prev
-        link.prev = link.next = None
-
-    def _push_front(self, link: _Link) -> None:
-        link.next = self._head
-        link.prev = None
-        if self._head is not None:
-            self._head.prev = link
-        self._head = link
-        if self._tail is None:
-            self._tail = link
-
-    # -- public API -----------------------------------------------------------------
     def touch(self, key) -> None:
         """Mark ``key`` most-recently-used, inserting it if new."""
-        link = self._links.get(key)
-        if link is None:
-            link = _Link(key)
-            self._links[key] = link
-        else:
-            self._unlink(link)
-        self._push_front(link)
+        self._order[key] = None
+        self._order.move_to_end(key)
 
     def remove(self, key) -> bool:
         """Drop ``key`` from the list; returns whether it was present."""
-        link = self._links.pop(key, None)
-        if link is None:
+        if key not in self._order:
             return False
-        self._unlink(link)
+        del self._order[key]
         self._pinned.discard(key)
         return True
 
     def pin(self, key) -> None:
         """Protect ``key`` from eviction (line has IO in flight)."""
-        if key not in self._links:
+        if key not in self._order:
             raise KeyError(f"{key!r} not tracked")
         self._pinned.add(key)
 
     def unpin(self, key) -> None:
         self._pinned.discard(key)
 
+    def _unpinned_cold_to_hot(self) -> Iterator:
+        return (key for key in self._order if key not in self._pinned)
+
     def coldest(self) -> Optional[object]:
         """The least-recently-used unpinned key, or None."""
-        link = self._tail
-        while link is not None and link.key in self._pinned:
-            link = link.prev
-        return link.key if link is not None else None
+        return next(self._unpinned_cold_to_hot(), None)
 
     def evict_batch(self, count: int) -> List:
         """Remove and return up to ``count`` coldest unpinned keys.
@@ -100,26 +64,17 @@ class LruList:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        victims: List = []
-        link = self._tail
-        while link is not None and len(victims) < count:
-            previous = link.prev
-            if link.key not in self._pinned:
-                victims.append(link.key)
-                self._unlink(link)
-                del self._links[link.key]
-            link = previous
+        victims = list(islice(self._unpinned_cold_to_hot(), count))
+        for key in victims:
+            del self._order[key]
         return victims
 
     def __contains__(self, key) -> bool:
-        return key in self._links
+        return key in self._order
 
     def __len__(self) -> int:
-        return len(self._links)
+        return len(self._order)
 
     def keys_hot_to_cold(self) -> Iterator:
         """All keys from most- to least-recently used (for tests)."""
-        link = self._head
-        while link is not None:
-            yield link.key
-            link = link.next
+        return reversed(self._order)

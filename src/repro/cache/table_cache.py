@@ -29,14 +29,14 @@ walks a real B+-tree because the host pays per node visited;
 costs the host nothing (:mod:`repro.cache.hwtree` models its function,
 :class:`~repro.cache.cache_engine.CacheEngineModel` its timing).
 
-Packed-index interplay (DESIGN.md §5.8): the cache implements only the
-byte-page half of the :class:`~repro.datared.hash_pbn.BucketStore`
-interface, so the table running over it uses the inherited
-``load_packed``/``store_packed`` defaults — every bucket access
-flows through :meth:`read_bucket`/:meth:`write_bucket` and the
-:class:`CacheStats` counts (hence the calibrated device charges) are
-bit-for-bit what they were calibrated at.  The table's *negative
-filter* and *batched resolve* are off over this store
+Packed lines (DESIGN.md §5.8): the table reaches the cache through
+:meth:`load_packed`/:meth:`store_packed`, so its lines hold
+:class:`~repro.datared.hash_pbn.PackedBucket` pages it mutates in place;
+byte-page users (:class:`~repro.datared.lba_store.PagedLbaStore`) reach
+lines through :meth:`read_bucket`/:meth:`write_bucket`.  A line converts
+lazily to the form asked for, is handed down in the form it holds, and
+counts identical :class:`CacheStats` either way.  The table's
+*negative filter* and *batched resolve* are off over this store
 (:attr:`~repro.datared.hash_pbn.HashPbnTable.private_store` is false
 for it) precisely because they would elide bucket accesses the device
 models are calibrated to observe.
@@ -45,14 +45,17 @@ models are calibrated to observe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Set
+from typing import Callable, Dict, List, Optional, Protocol, Set, Union
 
-from ..datared.hash_pbn import BUCKET_SIZE, BucketStore
+from ..datared.hash_pbn import BUCKET_SIZE, BucketStore, PackedBucket
 from .btree import BPlusTree
 from .freelist import CircularFreeList
 from .lru import LruList
 
 __all__ = ["CacheIndex", "BTreeIndex", "HwTreeIndex", "CacheStats", "TableCache"]
+
+#: A cache line's content: a packed bucket or a raw 4-KB byte page.
+_Line = Union[PackedBucket, bytes]
 
 
 class CacheIndex(Protocol):
@@ -166,7 +169,7 @@ class TableCache(BucketStore):
         self.index = index if index is not None else BTreeIndex()
         self.eviction_batch = eviction_batch
         self.stats = CacheStats()
-        self._lines: List[Optional[bytes]] = [None] * capacity_lines
+        self._lines: List[Optional[_Line]] = [None] * capacity_lines
         self._free = CircularFreeList.full(capacity_lines)
         self._lru = lru if lru is not None else LruList()
         self._dirty: Set[int] = set()  # bucket indexes with unflushed writes
@@ -185,67 +188,95 @@ class TableCache(BucketStore):
 
     # -- BucketStore interface -------------------------------------------------------
     def read_bucket(self, bucket: int) -> bytes:
+        line = self._lines[self._read(bucket, self.backing.read_bucket)]
+        assert line is not None
+        return line.to_bytes() if isinstance(line, PackedBucket) else line
+
+    def load_packed(self, bucket: int) -> PackedBucket:  # repro-lint: hot-path
+        slot = self._read(bucket, self.backing.load_packed)
+        line = self._lines[slot]
+        if not isinstance(line, PackedBucket):
+            assert line is not None
+            line = self._lines[slot] = PackedBucket.from_page(line)
+        return line
+
+    def write_bucket(self, bucket: int, page: bytes) -> None:
+        if len(page) != BUCKET_SIZE:
+            raise ValueError("bucket pages must be 4 KB")
+        self._write(bucket, page)
+
+    def store_packed(self, bucket: int, packed: PackedBucket) -> None:  # repro-lint: hot-path
+        self._write(bucket, packed)
+
+    # -- internals ---------------------------------------------------------------------
+    def _read(self, bucket: int, fetch: Callable[[int], _Line]) -> int:  # repro-lint: hot-path
+        """Account one table read of ``bucket``; returns its line's
+        slot, ``fetch``-ing the bucket from the table SSD on a miss."""
         slot = self._resident.get(bucket)
         if slot is not None and bucket == self._warm_bucket:
             # Back-to-back access to the same page (lookup-then-insert):
             # served from the CPU cache, no DRAM or index traffic.
             self.stats.warm_hits += 1
-            page = self._lines[slot]
-            assert page is not None
-            return page
+            return slot
         self.index.search(bucket)
         if slot is not None:
             self.stats.hits += 1
             self._lru.touch(bucket)
         else:
             self.stats.misses += 1
-            slot = self._install(bucket, self.backing.read_bucket(bucket))
+            slot = self._install(bucket, fetch(bucket))
             self.stats.fetches += 1
         # The host scans the cached content for dedup detection (§5.3 #5).
         self.stats.content_scans += 1
         self.stats.host_bytes_read += BUCKET_SIZE
         self._warm_bucket = bucket
-        page = self._lines[slot]
-        assert page is not None
-        return page
+        return slot
 
-    def write_bucket(self, bucket: int, page: bytes) -> None:
-        if len(page) != BUCKET_SIZE:
-            raise ValueError("bucket pages must be 4 KB")
+    def _write(self, bucket: int, line: _Line) -> None:  # repro-lint: hot-path
         slot = self._resident.get(bucket)
         if slot is not None and bucket == self._warm_bucket:
             # In-place update of the page just examined: one dirty
             # cache line, no index walk.  Not counted as a table
             # access — it is the tail of the same logical operation
             # whose read was already counted.
-            self._lines[slot] = page
+            self._lines[slot] = line
             self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
             self._dirty.add(bucket)
             return
         self.index.search(bucket)
         if slot is None:
             self.stats.misses += 1
-            slot = self._install(bucket, page)
+            slot = self._install(bucket, line)
         else:
             self.stats.hits += 1
-            self._lines[slot] = page
+            self._lines[slot] = line
             self._lru.touch(bucket)
             self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
         self._warm_bucket = bucket
         self._dirty.add(bucket)
 
-    # -- internals ---------------------------------------------------------------------
-    def _install(self, bucket: int, page: bytes) -> int:
+    def _install(self, bucket: int, line: _Line) -> int:
         if self._free.is_empty:
             self._evict_batch()
         slot = self._free.pop()
-        self._lines[slot] = page
+        self._lines[slot] = line
         self._resident[bucket] = slot
         self.index.insert(bucket, slot)
         self._lru.touch(bucket)
         # The fetched page lands in host memory.
         self.stats.host_bytes_written += BUCKET_SIZE
         return slot
+
+    def _write_back(self, bucket: int, slot: int) -> None:
+        """Flush one dirty line to the table SSD, in the form it holds."""
+        line = self._lines[slot]
+        if isinstance(line, PackedBucket):
+            self.backing.store_packed(bucket, line)
+        else:
+            assert line is not None
+            self.backing.write_bucket(bucket, line)
+        self.stats.flushes += 1
+        self.stats.host_bytes_read += BUCKET_SIZE
 
     def _evict_batch(self) -> None:
         """Evict the coldest lines (batched, §5.5's LRU-batch protocol)."""
@@ -256,12 +287,8 @@ class TableCache(BucketStore):
             self.index.search(bucket)
             slot = self._resident.pop(bucket)
             if bucket in self._dirty:
-                page = self._lines[slot]
-                assert page is not None
-                self.backing.write_bucket(bucket, page)
+                self._write_back(bucket, slot)
                 self._dirty.discard(bucket)
-                self.stats.flushes += 1
-                self.stats.host_bytes_read += BUCKET_SIZE
             self.index.delete(bucket)
             self._lines[slot] = None
             if self._warm_bucket == bucket:
@@ -272,15 +299,10 @@ class TableCache(BucketStore):
     # -- maintenance ------------------------------------------------------------------------
     def flush_all(self) -> int:
         """Write every dirty line back to the table SSD (shutdown)."""
-        flushed = 0
         for bucket in sorted(self._dirty):
             self.index.search(bucket)
-            page = self._lines[self._resident[bucket]]
-            assert page is not None
-            self.backing.write_bucket(bucket, page)
-            self.stats.flushes += 1
-            self.stats.host_bytes_read += BUCKET_SIZE
-            flushed += 1
+            self._write_back(bucket, self._resident[bucket])
+        flushed = len(self._dirty)
         self._dirty.clear()
         return flushed
 

@@ -229,6 +229,19 @@ class PackedBucket:
         private to its store)."""
         return bytes(self.buf[self.base : self.base + BUCKET_SIZE])  # repro-lint: copy-ok page export at the byte-store boundary
 
+    def used_bytes(self) -> bytes:
+        """The header and entries: every op keeps the rest of the page
+        zero, so these bytes alone are the page (:meth:`from_used`)."""
+        end = self.base + _HEADER.size + self.entry_count * ENTRY_SIZE
+        return bytes(self.buf[self.base : end])
+
+    @classmethod
+    def from_used(cls, used: bytes) -> "PackedBucket":
+        """Rebuild the page whose :meth:`used_bytes` were ``used``."""
+        page = bytearray(BUCKET_SIZE)
+        page[: len(used)] = used
+        return cls(page)
+
 
 class NegativeFilter:
     """Compact per-home-bucket multiset of 16-bit digest prefixes.
@@ -368,16 +381,13 @@ class NegativeFilter:
 
 
 class BucketStore:
-    """Backing store interface for table buckets (4-KB pages).
-
-    The byte-page methods (:meth:`read_bucket`/:meth:`write_bucket`) are
-    the canonical interface — caches and SSD adapters interpose on them
-    and account 4-KB page traffic.  The *packed* methods are the
-    hot-path refinement (DESIGN.md §5.4, §5.8): stores that natively
-    hold :class:`PackedBucket` pages override them to skip the
-    per-operation page round-trip.  The defaults delegate to the
-    byte-page methods, so interposing stores keep exact page accounting
-    without any change.
+    """Backing store interface for table buckets (4-KB pages), in two
+    forms that count a page access alike (DESIGN.md §5.8).  The table
+    uses the *packed* methods; stores that hold :class:`PackedBucket`
+    pages override them, so the table mutates the resident page in
+    place.  The byte-page methods serve pages that are not
+    bucket-encoded (:class:`~repro.datared.lba_store.PagedLbaStore`);
+    the packed defaults wrap them at one page copy per access.
     """
 
     def read_bucket(self, index: int) -> bytes:
@@ -399,15 +409,10 @@ class BucketStore:
 class InMemoryBucketStore(BucketStore):
     """Dict-backed store; unwritten buckets read back empty.
 
-    The store serves two page flavours through one dict: raw byte
-    pages (the generic 4-KB interface —
-    :class:`~repro.datared.lba_store.PagedLbaStore` stores LBA array
-    pages here that are *not* bucket-encoded) and :class:`PackedBucket`
-    pages (the table hot path, which skips the 4-KB page copy per
-    access).  A page converts lazily on the first access in the other
-    form, so mixed access per index stays coherent.  The
-    ``reads``/``writes`` counters count page accesses identically in
-    both forms.
+    One dict serves both page forms (:class:`BucketStore`): a page
+    converts lazily on the first access in the other form, so mixed
+    access per index stays coherent, and ``reads``/``writes`` count
+    page accesses identically in both.
     """
 
     def __init__(self) -> None:
@@ -556,9 +561,6 @@ class HashPbnTable:
         self.probe_count += 1
         return self.store.load_packed(index)
 
-    def _save(self, index: int, bucket: PackedBucket) -> None:  # repro-lint: hot-path
-        self.store.store_packed(index, bucket)
-
     def _filter_says_absent(self, home: int, digest: bytes) -> bool:  # repro-lint: hot-path
         """Consult the negative filter; True means skip all probes."""
         if self.filter is None:
@@ -652,14 +654,14 @@ class HashPbnTable:
             bucket = self._load(index)
             if not bucket.is_full:
                 bucket.insert(digest, pbn)
-                self._save(index, bucket)
+                self.store.store_packed(index, bucket)
                 self.entry_count += 1
                 if self.filter is not None:
                     self.filter.add(home, digest)
                 return
             if not bucket.overflowed:
                 bucket.overflowed = True
-                self._save(index, bucket)
+                self.store.store_packed(index, bucket)
             index = (index + 1) % self.num_buckets
         raise CapacityError("Hash-PBN table is full")
 
@@ -672,7 +674,7 @@ class HashPbnTable:
         for _ in range(self.num_buckets):
             bucket = self._load(index)
             if bucket.remove(digest):
-                self._save(index, bucket)
+                self.store.store_packed(index, bucket)
                 self.entry_count -= 1
                 if self.filter is not None:
                     self.filter.discard(home, digest)
@@ -690,7 +692,7 @@ class HashPbnTable:
         for _ in range(self.num_buckets):
             bucket = self._load(index)
             if bucket.update(digest, pbn):
-                self._save(index, bucket)
+                self.store.store_packed(index, bucket)
                 return True
             if not bucket.overflowed:
                 return False

@@ -19,9 +19,9 @@ table/cache stack runs against "real" table SSDs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from ..datared.hash_pbn import BUCKET_SIZE, EMPTY_PAGE, BucketStore
+from ..datared.hash_pbn import BUCKET_SIZE, BucketStore, PackedBucket
 from .specs import SsdSpec, SAMSUNG_970_PRO
 
 __all__ = ["IoStats", "NvmeSsd", "SsdArray", "SsdBucketStore"]
@@ -35,10 +35,6 @@ class IoStats:
     write_ops: int = 0
     bytes_read: float = 0.0
     bytes_written: float = 0.0
-
-    @property
-    def total_ops(self) -> int:
-        return self.read_ops + self.write_ops
 
     @property
     def total_bytes(self) -> float:
@@ -60,37 +56,48 @@ class NvmeSsd:
         self.spec = spec if spec is not None else SAMSUNG_970_PRO
         self.name = name
         self.stats = IoStats()
-        self._blocks: Dict[int, bytes] = {}
+        #: address -> (data, block size); see :meth:`write_block`.
+        self._blocks: Dict[int, Tuple[bytes, int]] = {}
         self.bytes_stored = 0
 
     # -- functional IO -------------------------------------------------------------
-    def write_block(self, address: int, data: bytes) -> None:
+    def write_block(self, address: int, data: bytes, size: Optional[int] = None) -> None:
+        """Write a ``size``-byte block (default ``len(data)``) that is
+        ``data`` and then zeros.  The model keeps only ``data``, which
+        :meth:`read_block` returns; every ledger counts ``size``."""
         if address < 0:
             raise ValueError("negative address")
         if not data:
             raise ValueError("empty write")
+        if size is None:
+            size = len(data)
+        elif size < len(data):
+            raise ValueError("block size below its data")
         previous = self._blocks.get(address)
         if previous is not None:
-            self.bytes_stored -= len(previous)
-        self._blocks[address] = data
-        self.bytes_stored += len(data)
+            self.bytes_stored -= previous[1]
+        self._blocks[address] = (data, size)
+        self.bytes_stored += size
         if self.bytes_stored > self.spec.capacity:
             raise RuntimeError(f"{self.name}: capacity exceeded")
         self.stats.write_ops += 1
-        self.stats.bytes_written += len(data)
+        self.stats.bytes_written += size
 
     def read_block(self, address: int) -> bytes:
-        data = self._blocks.get(address)
-        if data is None:
+        block = self._blocks.get(address)
+        if block is None:
             raise KeyError(f"{self.name}: nothing stored at {address}")
         self.stats.read_ops += 1
-        self.stats.bytes_read += len(data)
-        return data
+        self.stats.bytes_read += block[1]
+        return block[0]
 
     def trim(self, address: int) -> None:
-        data = self._blocks.pop(address, None)
-        if data is not None:
-            self.bytes_stored -= len(data)
+        block = self._blocks.pop(address, None)
+        if block is not None:
+            self.bytes_stored -= block[1]
+
+    def __contains__(self, address: int) -> bool:
+        return address in self._blocks
 
     # -- accounting-only IO (performance paths that skip content) ------------------
     def account_read(self, num_bytes: float, ops: int = 1) -> None:
@@ -105,9 +112,6 @@ class NvmeSsd:
     def read_service_time(self, num_bytes: float) -> float:
         """Seconds for one read: access latency + transfer time."""
         return self.spec.read_latency_s + num_bytes / self.spec.read_bw
-
-    def write_service_time(self, num_bytes: float) -> float:
-        return self.spec.write_latency_s + num_bytes / self.spec.write_bw
 
     def utilization(self, data_throughput: float, logical_bytes: float) -> float:
         """Busy fraction at a projected client throughput (BW terms)."""
@@ -133,11 +137,14 @@ class SsdArray:
     def _drive_for(self, address: int) -> NvmeSsd:
         return self.drives[address % len(self.drives)]
 
-    def write_block(self, address: int, data: bytes) -> None:
-        self._drive_for(address).write_block(address, data)
+    def write_block(self, address: int, data: bytes, size: Optional[int] = None) -> None:
+        self._drive_for(address).write_block(address, data, size)
 
     def read_block(self, address: int) -> bytes:
         return self._drive_for(address).read_block(address)
+
+    def __contains__(self, address: int) -> bool:
+        return address in self._drive_for(address)
 
     @property
     def stats(self) -> IoStats:
@@ -161,6 +168,10 @@ class SsdArray:
 class SsdBucketStore(BucketStore):
     """Hash-PBN bucket pages stored on a table-SSD array.
 
+    A packed bucket's 4-KB block keeps only its
+    :meth:`~repro.datared.hash_pbn.PackedBucket.used_bytes` (3 + 38
+    per entry), a byte page's keeps all of it; every ledger counts 4 KB.
+
     ``queue_owner`` records who pays the NVMe submission cost: the host
     IO stack in the baseline, the Cache HW-Engine in FIDR (§6.1).  The
     system layers read it when charging CPU cycles.
@@ -173,13 +184,19 @@ class SsdBucketStore(BucketStore):
         self.queue_owner = queue_owner
 
     def read_bucket(self, index: int) -> bytes:
-        try:
-            return self.array.read_block(index)
-        except KeyError:
-            # Never-written buckets read back empty, like a fresh table.
-            return EMPTY_PAGE
+        return self.load_packed(index).to_bytes()
 
     def write_bucket(self, index: int, page: bytes) -> None:
         if len(page) != BUCKET_SIZE:
             raise ValueError("bucket pages must be 4 KB")
         self.array.write_block(index, page)
+
+    def load_packed(self, index: int) -> PackedBucket:
+        if index not in self.array:
+            # Never-written buckets read back empty, like a fresh table.
+            return PackedBucket.empty()
+        # A whole byte page is its own used bytes.
+        return PackedBucket.from_used(self.array.read_block(index))
+
+    def store_packed(self, index: int, bucket: PackedBucket) -> None:
+        self.array.write_block(index, bucket.used_bytes(), BUCKET_SIZE)

@@ -7,11 +7,13 @@ from repro.cache.policy import PartitionedLru
 from repro.cache.table_cache import BTreeIndex, HwTreeIndex, TableCache
 from repro.datared.hash_pbn import (
     BUCKET_CAPACITY,
+    BucketStore,
     HashPbnTable,
     InMemoryBucketStore,
     PackedBucket,
 )
 from repro.datared.hashing import fingerprint
+from repro.hw.ssd import SsdArray, SsdBucketStore
 
 
 def page_with(value: int) -> bytes:
@@ -197,13 +199,9 @@ KEY = st.one_of(st.sampled_from(CHAIN), st.integers(0, 4000))
 OP = st.tuples(st.sampled_from(["lookup", "insert", "remove", "update", "tenant"]), KEY)
 
 
-def drive(index, ops, batch, partitioned):
-    """Run ``PREFILL + ops`` through a Hash-PBN table on a cache over
-    ``index``; return everything the ledgers and the backing store saw."""
-    lru = PartitionedLru({"a": 2.0, "b": 1.0}, default_tenant="a") if partitioned else None
-    backing = InMemoryBucketStore()
-    cache = TableCache(backing, capacity_lines=8, index=index, eviction_batch=batch, lru=lru)
-    table = HashPbnTable(BUCKETS, store=cache)
+def replay(table, ops, lru=None):
+    """Run ``PREFILL + ops`` through ``table`` against a dict model;
+    returns every answer the table gave."""
     model, answers = {}, []
     for step, (op, key) in enumerate(PREFILL + ops):
         digest = key.to_bytes(32, "big")
@@ -222,9 +220,21 @@ def drive(index, ops, batch, partitioned):
                 model[key] = step
         elif op == "tenant" and lru is not None:
             lru.set_active("ab"[key % 2])
+    return answers
+
+
+def drive(index, ops, batch, partitioned):
+    """Run ``PREFILL + ops`` through a Hash-PBN table on a cache over
+    ``index``; return everything the ledgers and the backing store saw."""
+    lru = PartitionedLru({"a": 2.0, "b": 1.0}, default_tenant="a") if partitioned else None
+    backing = InMemoryBucketStore()
+    cache = TableCache(backing, capacity_lines=8, index=index, eviction_batch=batch, lru=lru)
+    answers = replay(HashPbnTable(BUCKETS, store=cache), ops, lru)
     cache.flush_all()
     cache.check_invariants()
-    return answers, cache.stats, index.searches, index.updates, backing._pages
+    # As bytes: the backing holds packed pages, which compare by identity.
+    pages = {bucket: backing.read_bucket(bucket) for bucket in backing._pages}
+    return answers, cache.stats, index.searches, index.updates, pages
 
 
 class TestCountedIndexDifferential:
@@ -239,3 +249,63 @@ class TestCountedIndexDifferential:
         counted = drive(HwTreeIndex(), ops, batch, partitioned)
         assert counted == walked
         assert walked[1].evictions > 0 and walked[2] > 0
+
+
+class BytePagesOnly(BucketStore):
+    """Forwards only the byte-page methods, so a table over it takes
+    the inherited ``load_packed``/``store_packed`` defaults: one page
+    copy in and one out per access, lines held as bytes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def read_bucket(self, index):
+        return self.inner.read_bucket(index)
+
+    def write_bucket(self, index, page):
+        self.inner.write_bucket(index, page)
+
+
+def ledgers(ops, batch, byte_pages):
+    """Run ``PREFILL + ops`` through a table on a cache over table SSDs,
+    packed or through :class:`BytePagesOnly`; return every ledger."""
+    array = SsdArray(2)
+    backing = SsdBucketStore(array, queue_owner="engine")
+    cache = TableCache(backing, capacity_lines=8, index=HwTreeIndex(), eviction_batch=batch)
+    store = BytePagesOnly(cache) if byte_pages else cache
+    answers = replay(HashPbnTable(BUCKETS, store=store), ops)
+    cache.flush_all()
+    cache.check_invariants()
+    seen = (
+        answers, cache.stats, cache.index.searches, cache.index.updates,
+        array.stats, [drive.bytes_stored for drive in array.drives],
+    )
+    return seen + ([backing.read_bucket(bucket) for bucket in range(BUCKETS)],)
+
+
+class TestPackedLedgerIdentity:
+    """Packed lines and compact table-SSD blocks change what is resident,
+    never what is counted: the same history leaves the same cache stats,
+    index counts, table-SSD IO and stored bytes, and the same pages, as
+    the byte-page path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(OP, max_size=150), st.sampled_from([1, 8]))
+    def test_packed_and_byte_page_stacks_agree(self, ops, batch):
+        packed = ledgers(ops, batch, byte_pages=False)
+        paged = ledgers(ops, batch, byte_pages=True)
+        assert packed == paged
+        assert packed[1].evictions > 0 and packed[4].write_ops > 0
+
+    def test_lines_hold_the_form_they_were_handed(self):
+        backing, cache = make_cache(lines=2, batch=1)
+        cache.write_bucket(1, page_with(1))
+        packed = cache.load_packed(1)  # converts the byte line in place
+        assert cache.load_packed(1) is packed
+        assert cache.read_bucket(1) == page_with(1)
+        packed.insert(fingerprint(b"more"), 2)
+        cache.store_packed(1, packed)
+        cache.write_bucket(2, page_with(2))
+        cache.write_bucket(3, page_with(3))  # evicts 1, a packed line
+        assert backing.load_packed(1) is packed
+        assert cache.read_bucket(2) == page_with(2)
