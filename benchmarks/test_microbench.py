@@ -4,7 +4,7 @@ Not paper figures — these track the Python implementation's own
 performance (ops/s of the dedup write path, tree indexes, table cache),
 useful for spotting regressions while extending the library.
 
-The ratio gates at the bottom are CI-enforced (``bench-smoke``): seven
+The ratio gates at the bottom are CI-enforced (``bench-smoke``): six
 properties no ``bench/`` workload exercises, each timed against its
 alternative on the same host inside one test, and six counts — the
 bytes the table-SSD model holds per bucket, the serving tier's ops per
@@ -22,7 +22,6 @@ import threading
 import time
 import zlib
 from asyncio import selector_events
-from contextlib import ExitStack
 
 import pytest
 
@@ -47,7 +46,6 @@ from repro.datared.hash_pbn import (
 from repro.datared.hashing import fingerprint
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.obs import trace
-from repro.parallel import StagePool
 from repro.systems.fidr import FidrSystem
 from repro.systems.server import StorageServer, SystemKind
 from repro.workloads.content import ContentFactory
@@ -146,10 +144,8 @@ def _write_batch(rng):
     ]
 
 
-def _engine(pool=None, clock=None):
-    engine = DedupEngine(
-        num_buckets=1 << 14, compressor=ZlibCompressor(), pool=pool
-    )
+def _engine(clock=None):
+    engine = DedupEngine(num_buckets=1 << 14, compressor=ZlibCompressor())
     engine.stage_clock = clock
     return engine
 
@@ -194,27 +190,6 @@ def test_packed_lookup_many_floor(rng):
     took = _fastest(50, {"packed": lambda: table.lookup_many(batch)})
     rate = len(batch) / took["packed"]
     assert rate >= 0.9 * PACKED_LOOKUPS_PER_S_FLOOR, f"{rate:,.0f} lookups/s"
-
-
-def test_thread_pools_keep_pace_with_serial(rng):
-    """A 2/4/8-thread ``StagePool`` may never cost more than 20% of the
-    serial engine on a 64-chunk batch, writing or reading, even on a
-    host with no cores to overlap on."""
-    batch = _write_batch(rng)
-    with ExitStack() as stack:
-        pools = [stack.enter_context(StagePool(width)) for width in (1, 2, 4, 8)]
-        writes = _fastest(700, {
-            pool.parallelism: lambda pool=pool: _ingest(_engine(pool), batch)
-            for pool in pools
-        })
-        loaded = [_ingest(_engine(pool), batch) for pool in pools]
-        reads = _fastest(200, {
-            engine.pool.parallelism: lambda engine=engine: engine.read(0, BATCH_CHUNKS)
-            for engine in loaded
-        })
-    for width in (2, 4, 8):
-        assert writes[1] / writes[width] >= 0.8, ("write", width, writes)
-        assert reads[1] / reads[width] >= 0.8, ("read", width, reads)
 
 
 def test_entropy_gate_pays_where_it_claims(rng):

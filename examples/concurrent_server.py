@@ -21,7 +21,6 @@ import random
 
 from repro.datared.compression import ModeledCompressor
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
-from repro.systems.config import SystemConfig
 from repro.systems.server import StorageServer, SystemKind
 
 CHUNK = 4096
@@ -61,9 +60,6 @@ async def main() -> None:
         num_buckets=4096,
         cache_lines=256,
         compressor=ModeledCompressor(0.5),
-        # Fan the GIL-releasing pipeline stages (hashing, compression)
-        # across two worker threads; results are identical at any value.
-        config=SystemConfig(parallelism=2),
     )
     pool = [random.Random(7).randbytes(CHUNK) for _ in range(8)]
     async with AsyncProtocolServer(

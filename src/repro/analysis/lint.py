@@ -25,8 +25,8 @@ R006   No byte copies (``bytes(…)``/``bytearray(…)``/``.tobytes()``/
        (DESIGN.md §5.4).  Each sanctioned copy carries a same-line
        ``# repro-lint: copy-ok <reason>``.
 R007   No ad-hoc instrumentation in the data/serving path
-       (``repro.datared``/``net``/``systems``/``cache``/``hw``/
-       ``parallel``, CLI ``__main__`` modules exempt):
+       (``repro.datared``/``net``/``systems``/``cache``/``hw``, CLI
+       ``__main__`` modules exempt):
        raw ``time.*`` timing calls and ``print``-style metric
        reporting bypass the one observability surface — record
        durations through :mod:`repro.obs.trace` spans and publish
@@ -172,7 +172,6 @@ _R007_PACKAGES = (
     "repro.systems",
     "repro.cache",
     "repro.hw",
-    "repro.parallel",
 )
 
 #: Modules R008 covers: every payload byte in the reduction path must

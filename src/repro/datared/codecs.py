@@ -43,7 +43,7 @@ single sanctioned copy happens at the container boundary via
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..errors import ChunkDecodeError
 from .compression import (
@@ -54,9 +54,6 @@ from .compression import (
     ZlibCompressor,
     raw_escape,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..parallel import StagePool
 
 __all__ = [
     "Codec",
@@ -184,21 +181,10 @@ def decode_chunk(chunk: CompressedChunk) -> bytes:  # repro-lint: hot-path
     return data
 
 
-def decode_many(
-    chunks: Sequence[CompressedChunk],
-    pool: Optional["StagePool"] = None,
-    *,
-    min_batch: int = 0,
-) -> List[bytes]:  # repro-lint: hot-path
-    """Tag-dispatched batch decode, in input order.
-
-    The batched twin of :func:`decode_chunk`: ``min_batch`` gates the
-    fan-out so small reads decompress inline (decompression is several
-    times cheaper than compression — see the engine's read path).
-    """
-    if pool is None:
-        return [decode_chunk(chunk) for chunk in chunks]
-    return pool.map(decode_chunk, chunks, min_batch=min_batch)
+def decode_many(chunks: Sequence[CompressedChunk]) -> List[bytes]:  # repro-lint: hot-path
+    """Tag-dispatched batch decode, in input order: the batched twin of
+    :func:`decode_chunk`, and the one the engine's read path calls."""
+    return [decode_chunk(chunk) for chunk in chunks]
 
 
 # -- codec implementations ---------------------------------------------------

@@ -29,13 +29,10 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..parallel import StagePool
 
 __all__ = [
     "CompressedChunk",
@@ -128,36 +125,18 @@ class Compressor:
         raise NotImplementedError
 
     def compress_many(
-        self,
-        buffers: Sequence[Buffer],
-        pool: Optional["StagePool"] = None,
+        self, buffers: Sequence[Buffer]
     ) -> List[CompressedChunk]:  # repro-lint: hot-path
-        """Compress a batch (the FPGA DEFLATE engine takes batches, §5.2).
-
-        With a parallel :class:`~repro.parallel.StagePool` the batch
-        fans out across its worker threads (``zlib`` releases the GIL).
-        Results are in input order either way.
+        """Compress a batch (the FPGA DEFLATE engine takes batches, §5.2),
+        in input order.
 
         The batch runs under a ``compress.<name>`` trace span, so when
         tracing is enabled each codec's stage time lands in its own
         ``compress.<name>.ns`` histogram; disabled, the span is the
         shared no-op (one dict lookup per batch).
         """
-        with _trace.span("compress." + self.name, chunks=len(buffers)) as live:
-            if pool is None:
-                packed = [self._batch_item(data) for data in buffers]
-            else:
-                packed = pool.map(self._batch_item, buffers)
-            return self._batch_done(packed, live)
-
-    def _batch_item(self, data: Buffer) -> Any:
-        """What a batch maps over its buffers, on whichever thread."""
-        return self.compress(data)
-
-    def _batch_done(self, packed: List[Any], live: Any) -> List[CompressedChunk]:
-        """The batch's chunks; runs once per batch, in the submitting
-        thread, inside the batch's span (``live``, when one is open)."""
-        return packed
+        with _trace.span("compress." + self.name, chunks=len(buffers)):
+            return [self.compress(data) for data in buffers]
 
 
 #: The entropy gate's geometry (:func:`_probe`): segment size, strided
@@ -233,8 +212,9 @@ class ZlibCompressor(Compressor):
       deflated run is emitted as complete deflate blocks terminated by a
       ``Z_FULL_FLUSH``, which resets the dictionary so the output is
       byte-identical whether the state is fresh or reused.  That makes
-      chunks self-contained (decompressible independently) and keeps
-      serial and thread-pool runs byte-identical.
+      chunks self-contained (decompressible independently).  The state
+      is per thread so that servers on different loop threads of one
+      process never interleave two streams in one ``compressobj``.
     """
 
     name = "zlib"
@@ -263,47 +243,51 @@ class ZlibCompressor(Compressor):
         return squeezer
 
     def compress(self, data: Buffer) -> CompressedChunk:  # repro-lint: hot-path
+        return self._compress(data)[0]
+
+    def _compress(self, data: Buffer) -> Tuple[CompressedChunk, int]:  # repro-lint: hot-path
+        """The chunk, and how many of its bytes went through C deflate."""
         size = len(data)
         if not size:
             raise ValueError("cannot compress an empty chunk")
         raw = data if type(data) is bytes else bytes(data)  # repro-lint: copy-ok one 0.3 us memcpy per 4 KiB saves 2 us of strided view reads
         runs = _probe(raw, 1 << self.window_bits)
-        # Bytes bound for C deflate, left for _batch_item on this thread.
         fed = sum(end - start for start, end, stored in runs if not stored)
-        self._local.deflated = fed
         if fed:
             payload = self._emit(raw, runs)
             if len(payload) <= size:
                 return CompressedChunk(
                     payload=payload, logical_size=size, stored_size=len(payload)
-                )
-        return raw_escape(data, size)
+                ), fed
+        return raw_escape(data, size), fed
 
-    def _batch_item(self, data: Buffer) -> Tuple[CompressedChunk, int]:
-        return self.compress(data), self._local.deflated
-
-    def _batch_done(
-        self, packed: List[Tuple[CompressedChunk, int]], live: Any
-    ) -> List[CompressedChunk]:
-        """The batch's routing, published once from the submitting thread:
-        ``codec.zlib.chosen.{deflate,mixed,raw}`` counters, and on the span
-        the bytes that skipped (``stored``) and reached (``deflated``) C."""
-        chosen = {"deflate": 0, "mixed": 0, "raw": 0}
-        deflated = 0
-        for chunk, fed in packed:
-            deflated += fed
-            chosen[
-                "raw" if chunk.prefix
-                else "deflate" if fed == chunk.logical_size else "mixed"
-            ] += 1
-        counter = _metrics.get_registry().counter
-        for route, count in chosen.items():
-            if count:
-                counter("codec.zlib.chosen." + route).inc(count)
-        if live is not None:
-            logical = sum(chunk.logical_size for chunk, _ in packed)
-            live.tag(stored=logical - deflated, deflated=deflated)
-        return [chunk for chunk, _ in packed]
+    def compress_many(
+        self, buffers: Sequence[Buffer]
+    ) -> List[CompressedChunk]:  # repro-lint: hot-path
+        """:meth:`Compressor.compress_many` plus the batch's routing,
+        published once per batch: ``codec.zlib.chosen.{deflate,mixed,raw}``
+        counters, and on the span the bytes that skipped (``stored``) and
+        reached (``deflated``) C."""
+        with _trace.span("compress." + self.name, chunks=len(buffers)) as live:
+            chosen = {"deflate": 0, "mixed": 0, "raw": 0}
+            chunks = []
+            logical = deflated = 0
+            for data in buffers:
+                chunk, fed = self._compress(data)
+                chunks.append(chunk)
+                logical += chunk.logical_size
+                deflated += fed
+                chosen[
+                    "raw" if chunk.prefix
+                    else "deflate" if fed == chunk.logical_size else "mixed"
+                ] += 1
+            counter = _metrics.get_registry().counter
+            for route, count in chosen.items():
+                if count:
+                    counter("codec.zlib.chosen." + route).inc(count)
+            if live is not None:
+                live.tag(stored=logical - deflated, deflated=deflated)
+            return chunks
 
     def _emit(self, raw: bytes, runs: List[Tuple[int, int, bool]]) -> bytes:  # repro-lint: hot-path
         """The tagged stream for ``raw`` cut into ``runs``."""

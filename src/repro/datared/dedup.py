@@ -40,7 +40,6 @@ from typing import (
 
 from ..errors import CapacityError, SnapshotError, ThreadOwnershipError
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..parallel import StagePool
 from . import codecs as _codecs
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker
 from .compression import CompressedChunk, Compressor, ZlibCompressor
@@ -56,17 +55,6 @@ if TYPE_CHECKING:
 #: batch planner's shadow map.
 _UNSET: Any = object()
 
-#: Multi-chunk reads smaller than this decompress inline even on a
-#: parallel pool: ``zlib.decompress`` of a 4-KB chunk is only a few
-#: microseconds, so small batches lose more to slice dispatch than they
-#: gain from overlap (the PR-2 parallel-read regression).
-READ_FANOUT_MIN_CHUNKS = 128
-
-#: Write batches smaller than this fingerprint inline even on a parallel
-#: pool: 64 digests cost ~0.25 ms inline, 0.35-1.3 ms through a 2/4/8-thread
-#: pool, which first draws level at 512 chunks (EXPERIMENTS.md, PR 17, 22).
-HASH_FANOUT_MIN_CHUNKS = 512
-
 __all__ = [
     "ChunkOutcome",
     "WriteOptions",
@@ -81,8 +69,6 @@ __all__ = [
     "active_clock",
     "batch_stage",
     "flush_stages",
-    "READ_FANOUT_MIN_CHUNKS",
-    "HASH_FANOUT_MIN_CHUNKS",
 ]
 
 
@@ -398,7 +384,6 @@ class DedupEngine:
         num_buckets: int = 1 << 16,
         observer: Optional[MetadataObserver] = None,
         lba_map: Optional[LbaStore] = None,
-        pool: Optional[StagePool] = None,
         read_cache_chunks: int = 0,
         registry: Optional[MetricsRegistry] = None,
         fingerprinter: Optional[Fingerprinter] = None,
@@ -409,9 +394,6 @@ class DedupEngine:
         :class:`~repro.datared.journal.MetadataJournal` plugs into.
         ``lba_map`` accepts any LbaMap-compatible store, e.g. the paged
         :class:`~repro.datared.lba_store.PagedLbaStore` (§2.1.4).
-        ``pool`` is the shared :class:`~repro.parallel.StagePool` the
-        batched paths (:meth:`write_many`, multi-chunk :meth:`read`)
-        fan hashing/compression out on; the default is a serial pool.
         ``read_cache_chunks`` bounds the decompressed-read LRU (0
         disables it): hot re-reads of the same PBN skip the container
         fetch and ``zlib.decompress``.  PBNs are content-addressed while
@@ -429,8 +411,8 @@ class DedupEngine:
         #: (DESIGN.md §5.3).  Every public entry point that touches
         #: metadata starts with :meth:`check_owner`, so a call from any
         #: other thread is a typed error before it reads or writes
-        #: anything.  StagePool workers run pure hash/compress/decompress
-        #: and never call in.
+        #: anything.  Hashing, compression and decompression run inline
+        #: on that thread too.
         self._owner = get_ident()
         self.chunker = FixedChunker(chunk_size)
         self.table = table if table is not None else HashPbnTable(num_buckets)
@@ -474,7 +456,6 @@ class DedupEngine:
         self._closed = False
         #: Attached by recovery (:func:`repro.datared.journal.recover_into`).
         self.recovery: Optional["RecoveryReport"] = None
-        self.pool = pool if pool is not None else StagePool(1)
         if read_cache_chunks < 0:
             raise ValueError("read_cache_chunks must be >= 0")
         #: Decompressed-chunk LRU keyed by PBN (None when disabled).  An
@@ -621,18 +602,17 @@ class DedupEngine:
         """Write a batch of ``(lba, payload)`` requests, stage-split.
 
         The batch runs the paper's offload topology in software (§5.2,
-        §5.4): fingerprinting fans out across the shared pool (the NIC
-        SHA-256 core), the Hash-PBN resolution walks serially (the one
-        order-dependent stage), compression of the chunks that will be
-        unique fans out (the FPGA DEFLATE engine), and the final
-        container-append/metadata-publish stage replays the exact serial
-        write path with the precomputed artifacts injected.  Results —
-        bytes, :class:`ReductionStats`, container placements, journal
-        event order — are identical to calling :meth:`write` per
-        request, and every batch takes these stages whatever the pool
-        or the tracing state: batching the compress stage is faster and
-        smaller-heap than compressing inside the walk even serially
-        (DESIGN.md §5.4).
+        §5.4), every stage inline on the owner thread: fingerprint the
+        whole batch (the NIC SHA-256 core), resolve it against the
+        Hash-PBN table in chunk order (the one order-dependent stage),
+        compress the chunks that will be unique as one batch (the FPGA
+        DEFLATE engine), and replay the exact per-chunk write path with
+        the precomputed artifacts injected.  Results — bytes,
+        :class:`ReductionStats`, container placements, journal event
+        order — are identical to calling :meth:`write` per request, and
+        every batch takes these stages whatever the tracing state:
+        batching the compress stage is faster and smaller-heap than
+        compressing inside the walk (DESIGN.md §5.2).
 
         A chunk the index has no room for raises
         :class:`~repro.errors.CapacityError` before it mutates
@@ -668,9 +648,8 @@ class DedupEngine:
         clock = active_clock(self.stage_clock)
         requests = list(requests)
         reports = [WriteReport() for _ in requests]
-        # Stages 0-1: chunk, then fingerprint (parallel) every chunk —
-        # or check that the caller's precomputed digests number one per
-        # chunk.
+        # Stages 0-1: chunk, then fingerprint every chunk — or check
+        # that the caller's precomputed digests number one per chunk.
         with batch_stage(clock, "chunk"):
             flat = [
                 (index, chunk)
@@ -683,8 +662,7 @@ class DedupEngine:
         if digests is None:
             with batch_stage(clock, "hash"):
                 digests = self.fingerprinter.digest_many(
-                    [chunk.data for chunk in chunks], pool=self.pool,
-                    min_batch=HASH_FANOUT_MIN_CHUNKS,
+                    [chunk.data for chunk in chunks]
                 )
         elif len(digests) != len(flat):
             raise ValueError(
@@ -708,13 +686,12 @@ class DedupEngine:
         # unique — a pure shadow simulation, no engine state is touched.
         plan = self._plan_batch(chunks, digests)
 
-        # Stage 3 (parallel): compress exactly those chunks.
+        # Stage 3: compress exactly those chunks, as one batch.
         staged: Dict[int, CompressedChunk] = {}
         if plan:
             with batch_stage(clock, "compress"):
                 packed = self.compressor.compress_many(
-                    [chunks[position].data for position in plan],
-                    pool=self.pool,
+                    [chunks[position].data for position in plan]
                 )
             staged = dict(zip(plan, packed))
 
@@ -998,9 +975,8 @@ class DedupEngine:
         repeats allowed — in one pass, reported per position.
 
         Unwritten holes read back as zeros (block-device semantics).
-        Mapped chunks' container payloads are gathered serially, in
-        position order, then decompressed together — across the shared
-        pool when it is parallel.
+        Mapped chunks' container payloads are gathered in position
+        order, then decompressed together as one batch.
         """
         self.check_owner()
         step = self.chunker.blocks_per_chunk
@@ -1070,16 +1046,10 @@ class DedupEngine:
                         stored_size=record.stored_size,
                     ))
             if pending:
-                # Fan out only when the batch is big enough to amortize the
-                # dispatch (min_batch): small reads decompress inline.  The
-                # tag-dispatched decoder reads every registered codec's
+                # The tag-dispatched decoder reads every registered codec's
                 # payloads regardless of the *configured* write codec.
                 with batch_stage(clock, "decompress", len(pending)):
-                    plain = _codecs.decode_many(
-                        pending,
-                        pool=self.pool if self.pool.is_parallel else None,
-                        min_batch=READ_FANOUT_MIN_CHUNKS,
-                    )
+                    plain = _codecs.decode_many(pending)
         finally:
             # Bytes for the pending indexes — or, after a failed fetch or
             # decode, no entry at all: none may outlive this pass.

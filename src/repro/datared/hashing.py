@@ -22,10 +22,7 @@ identity.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..parallel import StagePool
+from typing import Iterable, List, Union
 
 #: Anything the fingerprint functions accept: ``hashlib`` consumes the
 #: buffer protocol directly, so chunk views need no materialization.
@@ -64,19 +61,9 @@ def fingerprint(data: Buffer) -> bytes:
     return _sha256(data).digest()
 
 
-def fingerprint_many(
-    chunks: Iterable[Buffer], pool: Optional["StagePool"] = None, min_batch: int = 0
-) -> List[bytes]:  # repro-lint: hot-path
-    """Fingerprint a batch of chunks (the NIC hashes per batch, §5.4).
-
-    ``pool`` is an optional :class:`~repro.parallel.StagePool`; when it
-    is parallel the batch fans out across its worker threads
-    (``hashlib`` releases the GIL on 4-KB buffers), otherwise the batch
-    is hashed inline.  Batches under ``min_batch`` chunks hash inline on
-    any pool.  Results are in input order either way.
-    """
-    if pool is not None:
-        return pool.map(fingerprint, chunks, min_batch=min_batch)
+def fingerprint_many(chunks: Iterable[Buffer]) -> List[bytes]:  # repro-lint: hot-path
+    """Fingerprint a batch of chunks (the NIC hashes per batch, §5.4),
+    in input order, on the calling thread."""
     sha256 = _sha256
     return [sha256(data).digest() for data in chunks]
 
@@ -95,16 +82,8 @@ class Fingerprinter:
     def digest(self, data: Buffer) -> bytes:
         raise NotImplementedError
 
-    def digest_many(
-        self, chunks: Iterable[Buffer], pool: Optional["StagePool"] = None, min_batch: int = 0
-    ) -> List[bytes]:  # repro-lint: hot-path
-        """Fingerprint a batch, in input order.
-
-        Mirrors :func:`fingerprint_many`'s pool policy: fan out on a
-        pool, hash inline without one.
-        """
-        if pool is not None:
-            return pool.map(self.digest, chunks, min_batch=min_batch)
+    def digest_many(self, chunks: Iterable[Buffer]) -> List[bytes]:  # repro-lint: hot-path
+        """Fingerprint a batch, in input order."""
         digest = self.digest
         return [digest(data) for data in chunks]
 
@@ -117,10 +96,8 @@ class Sha256Fingerprinter(Fingerprinter):
     def digest(self, data: Buffer) -> bytes:  # repro-lint: hot-path
         return _sha256(data).digest()
 
-    def digest_many(
-        self, chunks: Iterable[Buffer], pool: Optional["StagePool"] = None, min_batch: int = 0
-    ) -> List[bytes]:  # repro-lint: hot-path
-        return fingerprint_many(chunks, pool, min_batch)
+    def digest_many(self, chunks: Iterable[Buffer]) -> List[bytes]:  # repro-lint: hot-path
+        return fingerprint_many(chunks)
 
 
 #: The algorithm: module-level :func:`fingerprint` /

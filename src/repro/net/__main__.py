@@ -5,16 +5,16 @@ freshly built storage system — one dedup engine — until interrupted.
 ``route`` hosts a :class:`~repro.net.router.ShardRouter`, the one
 sharding layer: it routes chunks by content across external ``serve``
 backends and/or backends it spawns in its own process, on its own event
-loop.  Both expose the ``--parallelism`` knob that fans the backend's
-GIL-releasing pipeline stages (hashing, compression, decompression)
-across worker threads.  The load generator is ``bench/run.py``, which
-spawns its own ``serve`` subprocess.
+loop.  A backend's storage stack runs every pipeline stage (hashing,
+compression, decompression) inline on the loop thread that serves it;
+there are no worker threads.  The load generator is ``bench/run.py``,
+which spawns its own ``serve`` subprocess.
 
 Examples
 --------
-Run a FIDR-architecture server with a 4-way stage pool::
+Run a FIDR-architecture server::
 
-    python -m repro.net serve --system fidr --parallelism 4 --port 9876
+    python -m repro.net serve --system fidr --port 9876
 
 Front a self-hosted 4-shard cluster with the scatter-gather router::
 
@@ -43,7 +43,6 @@ __all__ = ["main"]
 def _build_storage(args: argparse.Namespace) -> StorageServer:
     checkpoint_every = getattr(args, "checkpoint_every", None)
     config = SystemConfig(
-        parallelism=args.parallelism,
         codec=CodecPolicy(codec=args.codec),
         durability=DurabilityPolicy(
             journal=bool(getattr(args, "journal", False))
@@ -60,13 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=[kind.value for kind in SystemKind],
         default=SystemKind.FIDR.value,
         help="which architecture backs the server (default: fidr)",
-    )
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker threads for the hash/compress pipeline stages "
-        "(1 = fully serial; results are identical at every setting)",
     )
     parser.add_argument(
         "--codec",
@@ -118,7 +110,7 @@ async def _serve(args: argparse.Namespace) -> int:
     _trace.set_enabled(not args.no_trace)
     # The lifecycle contract (rule R012): the storage stack is closed on
     # every exit path — the async-with stop() is the last commit fence,
-    # close() then releases the stage pool and journal.
+    # close() then seals the open container and fences the journal.
     with _build_storage(args) as storage:
         return await _serve_storage(args, storage)
 
@@ -136,8 +128,7 @@ async def _serve_storage(
     ) as server:
         print(
             f"serving {args.system} on {server.host}:{server.port} "
-            f"(parallelism={args.parallelism}, "
-            f"codec={storage.system.engine.compressor.name}, "
+            f"(codec={storage.system.engine.compressor.name}, "
             f"tracing={_trace.is_enabled()})",
             flush=True,
         )
@@ -154,7 +145,7 @@ async def _serve_storage(
 async def _until_stopped() -> None:
     """Park until SIGTERM or Ctrl-C.  Either way the caller then leaves
     its ``async with``, so ``stop()`` fences the last commit and
-    ``close()`` reaps the stage pool's workers before the process exits."""
+    ``close()`` seals the open container before the process exits."""
     stopped = asyncio.Event()
     asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stopped.set)
     try:
@@ -269,8 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.parallelism < 1:
-        parser.error("--parallelism must be >= 1")
     if args.command == "serve":
         try:
             return asyncio.run(_serve(args))

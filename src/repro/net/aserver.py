@@ -37,9 +37,8 @@ group.  While a group runs the loop does nothing else, and a group
 carries at most ``write_split_chunks`` chunks of work; a write spanning
 more is applied as that-sized sub-writes, between which the loop reads
 its sockets and serves one queued group, so one bulk ingest cannot
-convoy every other client's latency.  Inside a turn the engine fans
-hashing/compression out on its own :class:`~repro.parallel.StagePool`
-when the system was built with ``parallelism > 1``.
+convoy every other client's latency.  Inside a turn the engine runs
+hashing, compression and decompression inline on that same thread.
 """
 
 from __future__ import annotations

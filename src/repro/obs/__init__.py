@@ -26,7 +26,6 @@ from .metrics import (
     set_registry,
 )
 from .trace import (
-    ExecutorContext,
     SpanRecord,
     TracedStages,
     is_enabled,
@@ -49,7 +48,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     # trace
-    "ExecutorContext",
     "SpanRecord",
     "TracedStages",
     "span",

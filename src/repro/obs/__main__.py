@@ -107,9 +107,7 @@ def _render(snapshot: Dict[str, Any]) -> str:
 
     interesting = [
         name for name in sorted(counters)
-        if counters[name] and (
-            name.startswith("proto.") or name.startswith("pool.")
-        )
+        if counters[name] and name.startswith("proto.")
     ]
     server_gauges = [
         name for name in sorted(gauges) if name.startswith("server.")

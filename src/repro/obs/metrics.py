@@ -21,7 +21,8 @@ distinction DESIGN.md §5.5 draws:
     from the hot path while tracing is enabled.
 
 Locking is striped: instruments hash onto one of ``stripes`` locks, so
-concurrent publishers (server workers, pool workers, the engine) do not
+concurrent publishers (servers on their own loop threads in one
+process, a STATS read collecting engines other threads own) do not
 serialize on a single registry-wide lock.  Instrument *creation* takes
 a separate meta lock; steady-state publication never does.
 

@@ -16,13 +16,10 @@ clock at ≥ 0.97× the clock-less write path, and the engine's
 Code therefore calls :func:`span` unconditionally; it never needs its
 own ``if`` around instrumentation.
 
-**Executor propagation.**  Spans created inside a
-:class:`~repro.parallel.StagePool` worker thread carry the submitting
-task's trace id.  The pool ships an :class:`ExecutorContext` with each
-slice; the worker adopts it with :func:`adopt`, which captures the
-slice's spans into a plain list that returns with the results, and the
-parent merges them with :func:`merge`.  Capture-and-merge rather than
-worker-side commit keeps the ring's ordering parent-consistent.
+A span finishes on the thread that opened it: the storage stack runs
+every stage on its one owner thread (DESIGN.md §5.3), so no span ever
+crosses a thread boundary.  The ring keeps its lock because several
+servers, each on its own loop thread, may share one process.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from typing import (
     Any,
     ContextManager,
     Dict,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -50,7 +46,6 @@ from . import metrics as _metrics
 
 __all__ = [
     "SpanRecord",
-    "ExecutorContext",
     "TracedStages",
     "span",
     "observe",
@@ -59,9 +54,6 @@ __all__ = [
     "is_enabled",
     "set_enabled",
     "enabled",
-    "current_context",
-    "adopt",
-    "merge",
     "tail",
     "clear",
     "RING_CAPACITY",
@@ -82,18 +74,13 @@ _ids = itertools.count(1)
 
 #: Trace id of the current task/thread context (None = not in a trace).
 _TRACE_ID: ContextVar[Optional[int]] = ContextVar("repro-obs-trace", default=None)
-#: When set, finished spans append here instead of committing — the
-#: capture side of executor propagation.
-_CAPTURE: ContextVar[Optional[List["SpanRecord"]]] = ContextVar(
-    "repro-obs-capture", default=None
-)
 
 now_ns = time.perf_counter_ns
 
 
 class SpanRecord(NamedTuple):
-    """One finished span (plain primitives: it is shipped from pool
-    workers to the submitter and serialized by the exporters)."""
+    """One finished span (plain primitives, so the exporters serialize
+    it as is)."""
 
     name: str
     trace_id: int
@@ -111,12 +98,6 @@ class SpanRecord(NamedTuple):
             "thread": self.thread,
             "tags": self.tags,
         }
-
-
-class ExecutorContext(NamedTuple):
-    """What a pool slice needs to continue its parent's trace."""
-
-    trace_id: int
 
 
 # -- enable/disable ---------------------------------------------------------
@@ -224,7 +205,7 @@ def observe(name: str, dur_ns: int, **tags: Any) -> None:
 def observe_group(name: str, durations: Sequence[int], **tags: Any) -> None:
     """:func:`observe` for a group handled as one: one ring record (the
     longest of ``durations``, tagged ``ops=<n>``) but still one histogram
-    sample per member, so count and sum stay per op.  Not for captures."""
+    sample per member, so count and sum stay per op."""
     if _STATE["enabled"] and durations:
         observe(name, max(durations), ops=len(durations), **tags)
         histogram = _metrics.get_registry().histogram(name + ".ns")
@@ -233,64 +214,13 @@ def observe_group(name: str, durations: Sequence[int], **tags: Any) -> None:
 
 
 def _record(*records: SpanRecord) -> None:
-    """Finished spans go to the enclosing capture, else to the ring and
-    their latency histograms (one lock round for all of them)."""
-    buffer = _CAPTURE.get()
-    if buffer is not None:
-        buffer.extend(records)
-        return
+    """Finished spans go to the ring and their latency histograms (one
+    lock round for all of them)."""
     with _ring_lock:
         _ring.extend(records)
     histogram = _metrics.get_registry().histogram
     for record in records:
         histogram(record.name + ".ns").observe(record.dur_ns)
-
-
-# -- executor propagation ---------------------------------------------------
-def current_context() -> Optional[ExecutorContext]:
-    """The context a pool should ship with a slice; None when tracing
-    is disabled (the pool then dispatches the plain, untraced slice).
-
-    Outside any span, mints a fresh id for the returned context *without
-    binding it to the caller* — the one ``map`` ships that context to
-    every sibling slice, and the next root span must not inherit it.
-    """
-    if not _STATE["enabled"]:
-        return None
-    trace_id = _TRACE_ID.get()
-    if trace_id is None:
-        trace_id = next(_ids)
-    return ExecutorContext(trace_id=trace_id)
-
-
-@contextmanager
-def adopt(context: ExecutorContext) -> Iterator[List[SpanRecord]]:
-    """Run a worker slice under the parent's trace context.
-
-    Yields the capture list: every span finished inside the block lands
-    there (never in the worker's own ring), and the caller returns it
-    alongside the slice results for the parent to :func:`merge`.
-    Forces tracing on for the scope — the context exists because the
-    submitter was tracing, so the slice is captured even if the flag
-    was cleared since.
-    """
-    was = _STATE["enabled"]
-    _STATE["enabled"] = True
-    captured: List[SpanRecord] = []
-    id_token = _TRACE_ID.set(context.trace_id)
-    capture_token = _CAPTURE.set(captured)
-    try:
-        yield captured
-    finally:
-        _CAPTURE.reset(capture_token)
-        _TRACE_ID.reset(id_token)
-        _STATE["enabled"] = was
-
-
-def merge(records: Iterable[SpanRecord]) -> None:
-    """Fold worker-captured spans into the caller's context (respects
-    an enclosing capture, so nested fan-outs compose)."""
-    _record(*records)
 
 
 # -- exporters --------------------------------------------------------------

@@ -34,7 +34,6 @@ from ..hw.ssd import SsdArray, SsdBucketStore
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TracedStages
-from ..parallel import StagePool
 from .accounting import SystemReport
 from .config import SystemConfig
 from .factory import build_engine
@@ -109,9 +108,6 @@ class ReductionSystem:
             index=self._make_index(),
             eviction_batch=self.config.eviction_batch,
         )
-        #: Shared fan-out pool for the GIL-releasing stages; serial (no
-        #: workers) unless ``config.parallelism`` > 1.
-        self.pool = StagePool(self.config.parallelism)
         #: Built through the R009 factory: the Hash-PBN table sits over
         #: the table cache, and sealed containers charge the data SSDs.
         self.engine = build_engine(
@@ -120,7 +116,6 @@ class ReductionSystem:
             table_store=self.table_cache,
             compressor=compressor,
             on_seal=self._on_container_seal,
-            pool=self.pool,
         )
         #: Always-installed stage tracing.  While tracing is disabled
         #: the clock reports itself inactive and the engine takes its
@@ -341,11 +336,10 @@ class ReductionSystem:
     def close(self) -> None:
         """Drain, seal, fence and release: the end of the lifecycle API.
 
-        Flushes staged writes (their clients were already acked), closes
-        the engine — which seals the open container and, when a journal
-        is armed, writes the final commit fence — and stops the shared
-        stage pool.  Idempotent, so ``with system: ...`` plus an
-        explicit late ``close()`` is safe.
+        Flushes staged writes (their clients were already acked) and
+        closes the engine — which seals the open container and, when a
+        journal is armed, writes the final commit fence.  Idempotent, so
+        ``with system: ...`` plus an explicit late ``close()`` is safe.
         """
         self.check_owner()
         if self._closed:
@@ -353,7 +347,6 @@ class ReductionSystem:
         self._drain()
         self.engine.close()
         self._closed = True
-        self.pool.shutdown()
 
     def __enter__(self) -> "ReductionSystem":
         return self
@@ -411,10 +404,9 @@ class ReductionSystem:
 
         The batch goes through the stage-split
         :meth:`~repro.datared.dedup.DedupEngine.write_many`, so hashing
-        and compression fan out on the shared pool while every
-        table-cache access (and hence every ledger charge captured
-        here) happens on this thread, in chunk order, exactly as the
-        serial per-chunk path would issue it.
+        and compression run once per batch while every table-cache
+        access (and hence every ledger charge captured here) happens in
+        chunk order, exactly as the per-chunk path would issue it.
 
         ``digests`` optionally carries per-chunk fingerprints already
         computed upstream (FIDR's NIC hashes on ingest); the engine then

@@ -158,12 +158,6 @@ class SystemConfig:
     eviction_batch: int = 8
     #: Chunks per NIC digest batch (FIDR) / predictor batch (baseline).
     batch_chunks: int = 64
-    #: Worker threads for the GIL-releasing pipeline stages (hashing,
-    #: compression, decompression) — the software analogue of the
-    #: paper's NIC SHA-256 core and FPGA DEFLATE engine.  ``1`` keeps
-    #: the data path fully serial (no threads are created); results are
-    #: identical at every setting.
-    parallelism: int = 1
     #: Decompressed-read LRU capacity in chunks (0 disables).  Hot
     #: re-reads served from the cache skip the container fetch and
     #: ``zlib.decompress``; entries are invalidated on free/GC.

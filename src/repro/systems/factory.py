@@ -21,7 +21,6 @@ from ..datared.dedup import DedupEngine
 from ..datared.hash_pbn import BucketStore, HashPbnTable
 from ..datared.journal import MetadataJournal, RecoveryImage, recover_into
 from ..obs.metrics import MetricsRegistry
-from ..parallel import StagePool
 from .config import SystemConfig
 
 __all__ = ["build_engine"]
@@ -45,15 +44,13 @@ def build_engine(
     table_store: Optional[BucketStore] = None,
     compressor: Optional[Compressor] = None,
     on_seal: Optional[Callable[[Container], None]] = None,
-    pool: Optional[StagePool] = None,
     registry: Optional[MetricsRegistry] = None,
     recover_from: Optional[RecoveryImage] = None,
 ) -> DedupEngine:
     """Build the engine ``config`` asks for (the R009 factory).
 
     ``table_store`` backs the Hash-PBN table; ``on_seal`` is the
-    system's container-seal charge hook; ``pool`` is the shared
-    hash/compress fan-out pool.
+    system's container-seal charge hook.
 
     ``config.durability`` arms a group-commit metadata journal on the
     engine.  ``recover_from`` rebuilds the engine from a crash
@@ -77,7 +74,6 @@ def build_engine(
         compressor=compressor,
         containers=containers,
         chunk_size=config.chunk_size,
-        pool=pool,
         read_cache_chunks=config.read_cache_chunks,
         registry=registry,
         journal=_make_journal(config, registry),

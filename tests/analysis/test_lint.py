@@ -360,7 +360,6 @@ class TestR007ObservabilityDiscipline:
         )
         for package in (
             "repro.datared", "repro.net", "repro.cache", "repro.hw",
-            "repro.parallel",
         ):
             findings = lint_source(planted, module=f"{package}.fixture")
             assert "R007" in rules_of(findings), package
@@ -587,7 +586,7 @@ class TestR009EngineFactory:
             from repro.systems.config import SystemConfig
 
             def build():
-                return build_engine(SystemConfig(parallelism=2))
+                return build_engine(SystemConfig())
             """
         )
         assert lint_source(clean, module="repro.net.fixture") == []

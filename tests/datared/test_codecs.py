@@ -48,7 +48,6 @@ from repro.datared.hashing import (
 from repro.errors import ChunkDecodeError, ErrorCode, error_code_for
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.parallel import StagePool
 from repro.workloads.content import ContentFactory
 
 CHUNK = 4096
@@ -165,16 +164,6 @@ class TestTagRoundTrips:
         data = corpus(rng, 12)
         chunks = [as_container_chunk(codec.compress(d)) for d in data]
         assert decode_many(chunks) == data
-
-    def test_decode_many_fans_out_on_a_pool(self, rng):
-        codec = create_codec("zlib")
-        data = corpus(rng, 12)
-        chunks = [as_container_chunk(codec.compress(d)) for d in data]
-        pool = StagePool(2)
-        try:
-            assert decode_many(chunks, pool=pool) == data
-        finally:
-            pool.shutdown()
 
 
 # -- the one decode error ---------------------------------------------------
@@ -379,13 +368,11 @@ class TestAdaptiveCodec:
             "chunks": 3, "stored": CHUNK + CHUNK // 2,
             "deflated": CHUNK + CHUNK // 2,
         }
-        # Per batch, in the submitting thread: a lone compress() counts
-        # nothing, a pooled batch counts once.
+        # Per batch: a lone compress() counts nothing, a second batch
+        # counts once more.
         codec.compress(batch[0])
-        with StagePool(2, min_slice_items=1) as pool:
-            pooled = codec.compress_many(batch, pool=pool)
-            assert pool._slices_dispatched.value > 0
-        assert [c.materialize() for c in pooled] == [
+        again = codec.compress_many(batch)
+        assert [c.materialize() for c in again] == [
             c.materialize() for c in (redundant, random_, mixed)
         ]
         assert zlib_routes(registry) == {"deflate": 2, "raw": 2, "mixed": 2}
@@ -489,20 +476,15 @@ class TestGateFormat:
         )
         assert zlib.decompressobj(-15).decompress(payload[1:]) == data
 
-    def test_serial_and_pooled_batches_are_byte_identical(self, rng):
+    def test_batched_and_single_chunks_are_byte_identical(self, rng):
         codec = ZlibCompressor()
         batch = [
             assemble([("random", seed, 1500), ("text", seed, 1100),
                       ("random", seed + 1, 1024), ("constant", seed, 472)])
             for seed in range(24)
         ] + corpus(rng, 8)
-        serial = [c.materialize() for c in codec.compress_many(batch)]
-        with StagePool(4, min_slice_items=1) as pool:
-            pooled = [
-                c.materialize() for c in codec.compress_many(batch, pool=pool)
-            ]
-            assert pool._slices_dispatched.value > 0
-        assert pooled == serial
+        batched = [c.materialize() for c in codec.compress_many(batch)]
+        assert batched == [codec.compress(data).materialize() for data in batch]
 
     def test_a_payload_the_parent_commit_wrote_still_decodes(self):
         # ZlibCompressor().compress(data).materialize() at 5d8d0cf.
@@ -747,12 +729,12 @@ class TestMixedCodecEngine:
         assert snap.stored_bytes == CHUNK // 2  # modeled accounting held
 
 
-# -- differential: serial / thread pool, every codec ------------------------
+# -- differential: one batch / one write per chunk, every codec -------------
 
 
-class TestExecutorDifferential:
+class TestBatchDifferential:
     @pytest.mark.parametrize("name", codec_names())
-    def test_bytes_and_ledgers_identical_across_backends(self, name, rng):
+    def test_per_chunk_writes_match_one_batch(self, name, rng):
         requests = []
         lba = 0
         for data in corpus(rng, 8) + [b"\x07" * CHUNK]:
@@ -760,22 +742,21 @@ class TestExecutorDifferential:
             lba += CHUNK // 512
         requests.append(requests[1])  # a duplicate write
 
-        def run(pool):
-            engine = DedupEngine(
-                num_buckets=256, compressor=create_codec(name), pool=pool
-            )
-            engine.write_many(requests)
+        def run(batched):
+            engine = DedupEngine(num_buckets=256, compressor=create_codec(name))
+            if batched:
+                engine.write_many(requests)
+            else:
+                for request in requests:
+                    engine.write(*request)
             reads = [engine.read(lba, 1).data for lba, _ in requests]
-            return reads, engine.stats_snapshot()
+            # The reduction ledger: index probe counts differ by design
+            # (a batch resolves each distinct digest once).
+            return reads, engine.stats
 
-        serial_reads, serial_stats = run(None)
-        assert serial_reads == [data for _, data in requests]
-
-        with StagePool(2, min_slice_items=1) as pool:
-            reads, stats = run(pool)
-            assert pool._slices_dispatched.value > 0
-        assert reads == serial_reads
-        assert stats == serial_stats
+        batch_reads, batch_stats = run(True)
+        assert batch_reads == [data for _, data in requests]
+        assert run(False) == (batch_reads, batch_stats)
 
 
 # -- the fingerprint seam ---------------------------------------------------
@@ -799,19 +780,15 @@ class TestFingerprinterRegistry:
         with pytest.raises(ValueError, match="32"):
             DedupEngine(num_buckets=256, fingerprinter=Short())
 
-    def test_digest_many_fans_out_on_thread_pools_only(self, rng):
+    def test_digest_many_matches_digest(self, rng):
         class Counting(Fingerprinter):
             def digest(self, data) -> bytes:
                 return fingerprint(data)
 
         batch = corpus(rng, 6)
         expected = [fingerprint(data) for data in batch]
-        with StagePool(2, min_slice_items=1) as pool:
-            for algo in (SHA256, Counting()):
-                before = pool._slices_dispatched.value
-                assert algo.digest_many(batch, pool=pool) == expected
-                assert pool._slices_dispatched.value > before
-                assert algo.digest_many(batch) == expected
+        for algo in (SHA256, Counting()):
+            assert algo.digest_many(batch) == expected
 
     def test_engine_accepts_an_injected_fingerprinter(self, rng):
         class Counting(Fingerprinter):

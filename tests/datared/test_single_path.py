@@ -1,9 +1,8 @@
 """The engine has one ingest path, and these tests pin it.
 
-``write`` is ``write_many`` of one request, and every batch — serial or
-parallel pool, traced or not, private or interposed index store — runs
-chunk → hash → (batched resolve) → plan → ``compress_many`` → serial
-walk.  The inline ``compressor.compress`` in the walk survives only as
+``write`` is ``write_many`` of one request, and every batch — traced
+or not, private or interposed index store — runs chunk → hash →
+(batched resolve) → plan → ``compress_many`` → serial walk.  The inline ``compressor.compress`` in the walk survives only as
 the counted fallback for a unique the plan missed.
 """
 
@@ -89,8 +88,7 @@ def test_write_is_write_many_of_one(rng, interposed, with_digests):
 
 
 class _CountingZlib(ZlibCompressor):
-    """Counts batch calls, and single calls made outside a batch call
-    (``compress_many`` itself compresses through ``compress``)."""
+    """Counts batch calls, and single calls made outside a batch call."""
 
     def __init__(self):
         super().__init__()
@@ -103,22 +101,21 @@ class _CountingZlib(ZlibCompressor):
             self.inline_calls += 1
         return super().compress(data)
 
-    def compress_many(self, buffers, pool=None):
+    def compress_many(self, buffers):
         self.batch_calls += 1
         self._in_batch = True
         try:
-            return super().compress_many(buffers, pool=pool)
+            return super().compress_many(buffers)
         finally:
             self._in_batch = False
 
 
 @pytest.mark.parametrize("clock", ["none", "installed-but-disabled"])
 def test_untraced_serial_batch_plans_and_batch_compresses(rng, clock):
-    """Serial pool, tracing off: the configuration that used to skip the
-    plan and compress inside the walk."""
+    """Tracing off: the configuration that used to skip the plan and
+    compress inside the walk."""
     compressor = _CountingZlib()
     engine = DedupEngine(num_buckets=256, compressor=compressor)
-    assert not engine.pool.is_parallel
     if clock == "installed-but-disabled":
         engine.stage_clock = trace.TracedStages()
     assert not trace.is_enabled()

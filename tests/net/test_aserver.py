@@ -24,7 +24,7 @@ from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.net.protocol import MAX_PAYLOAD, FrameDecoder, Op, encode_frame
 from repro.systems.server import StorageServer, SystemKind
 
-from ..systems.test_parallel_differential import ledger_view
+from ..ledgers import ledger_view
 from .wire import held_backend
 
 CHUNK = 4096

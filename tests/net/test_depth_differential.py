@@ -17,7 +17,7 @@ from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.systems.config import DurabilityPolicy, SystemConfig
 from repro.systems.server import StorageServer, SystemKind
 
-from ..systems.test_parallel_differential import ledger_view
+from ..ledgers import ledger_view
 
 CHUNK = 4096
 OPS = 300

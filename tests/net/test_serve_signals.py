@@ -1,6 +1,6 @@
 """``python -m repro.net serve`` / ``route`` as real processes: SIGTERM
-is a clean shutdown — exit code 0 with stage-pool workers started, and
-no wait on a client that is merely still connected."""
+is a clean shutdown — exit code 0 after an acknowledged write, and no
+wait on a client that is merely still connected."""
 
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ def _await_listening(proc: subprocess.Popen, timeout: float) -> Tuple[str, int]:
 
 
 async def _write_one_batch(host: str, port: int) -> None:
-    """64 distinct chunks in one op: enough for the stage pool to fan
-    out, so its worker threads exist by the time it is acked."""
+    """64 distinct chunks in one op: one full engine batch, acknowledged
+    before the signal arrives."""
     payload = b"".join(
         index.to_bytes(2, "big") * (CHUNK // 2) for index in range(64)
     )
@@ -62,8 +62,8 @@ async def _write_one_batch(host: str, port: int) -> None:
         await client.write(0, payload)
 
 
-def test_sigterm_stops_a_pooled_server_and_exits_zero():
-    proc = _spawn("serve", "--parallelism", "2")
+def test_sigterm_stops_a_serving_server_and_exits_zero():
+    proc = _spawn("serve")
     try:
         host, port = _await_listening(proc, timeout=60)
         asyncio.run(_write_one_batch(host, port))

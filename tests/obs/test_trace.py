@@ -1,6 +1,7 @@
 """Trace-span unit tests: the zero-overhead disabled path, recording
-semantics, trace-id scoping, capture/merge, and the TracedStages
-adapter the engine installs."""
+semantics, trace-id scoping, the TracedStages adapter the engine
+installs, and the differential guarantee that arming tracing changes
+no output byte or ledger entry."""
 
 from __future__ import annotations
 
@@ -35,9 +36,6 @@ class TestDisabledPath:
             pass
         trace.observe("server.queue.wait", 123)
         assert trace.tail() == []
-
-    def test_current_context_is_none(self):
-        assert trace.current_context() is None
 
 
 class TestEnabledPath:
@@ -102,45 +100,6 @@ class TestEnabledPath:
                     pass
         names = [record.name for record in trace.tail(2)]
         assert names == ["s3", "s4"]
-
-
-class TestCaptureAndMerge:
-    def test_adopt_captures_instead_of_committing(self):
-        with trace.enabled():
-            context = trace.current_context()
-            assert context is not None
-            with trace.adopt(context) as captured:
-                with trace.span("pool.slice"):
-                    pass
-            assert trace.tail() == []
-            assert [record.name for record in captured] == ["pool.slice"]
-            assert captured[0].trace_id == context.trace_id
-            trace.merge(captured)
-        assert [record.name for record in trace.tail()] == ["pool.slice"]
-
-    def test_current_context_does_not_bind_the_caller(self):
-        # Regression: minting a context outside any span must not leave
-        # the caller's thread carrying that trace id — later root spans
-        # would all inherit it and trace ids would stop partitioning
-        # work.  (Sibling slices still share, because one map() ships
-        # the same ExecutorContext to every slice.)
-        with trace.enabled():
-            context = trace.current_context()
-            with trace.span("later.root"):
-                pass
-        (record,) = trace.tail()
-        assert record.trace_id != context.trace_id
-
-    def test_adopt_captures_where_the_flag_reads_disabled(self):
-        # The submitter traced (it minted the context); adopt() must
-        # capture even where the flag reads disabled.
-        context = trace.ExecutorContext(trace_id=77)
-        with trace.adopt(context) as captured:
-            assert trace.is_enabled()
-            with trace.span("pool.slice"):
-                pass
-        assert not trace.is_enabled()
-        assert captured[0].trace_id == 77
 
 
 class TestTracedStages:
@@ -255,8 +214,7 @@ class TestPerBatchStageSpans:
         assert sorted(r.name for r in large) == six
 
     def test_totals_are_per_thread(self):
-        """Shards share one clock from pool threads; a flush publishes
-        only the calling thread's stages."""
+        """A flush publishes only the calling thread's stages."""
         import threading
 
         clock = trace.TracedStages()
@@ -317,3 +275,38 @@ class TestReadStageSpans:
 
     def test_tracing_off_records_none(self):
         assert self._read_64_chunks(traced=False) == []
+
+
+# -- differential: tracing on / off -----------------------------------------
+
+
+def _write_fleet(clock) -> tuple:
+    from repro.datared.compression import ZlibCompressor
+    from repro.datared.dedup import DedupEngine
+
+    engine = DedupEngine(num_buckets=1 << 12, compressor=ZlibCompressor())
+    engine.stage_clock = clock
+    lba = 0
+    payloads = []
+    for index in range(48):
+        if index % 3 == 0:
+            data = bytes([index % 7]) * 4096
+        else:
+            data = index.to_bytes(2, "big") * 2048
+        payloads.append((lba, data))
+        lba += engine.chunker.blocks_per_chunk
+    engine.write_many(payloads)
+    engine.flush()
+    reads = [engine.read(lba, 1).data for lba, _ in payloads]
+    return reads, engine.stats_snapshot()
+
+
+def test_tracing_does_not_change_bytes_or_ledgers():
+    baseline_reads, baseline_stats = _write_fleet(None)
+    with trace.enabled():
+        traced_reads, traced_stats = _write_fleet(trace.TracedStages())
+    assert traced_reads == baseline_reads
+    assert traced_stats == baseline_stats
+    assert any(
+        record.name.startswith("engine.stage.") for record in trace.tail()
+    )

@@ -18,7 +18,7 @@ from repro.systems.baseline import BaselineSystem
 from repro.systems.config import SystemConfig
 from repro.systems.fidr import FidrSystem
 
-from .test_parallel_differential import ledger_view
+from ..ledgers import ledger_view
 
 CHUNK = 4096
 

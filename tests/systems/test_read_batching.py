@@ -31,7 +31,7 @@ from repro.systems.extensions import ExtendedFidrSystem
 from repro.systems.fidr import FidrSystem
 from repro.systems.server import StorageServer
 
-from .test_parallel_differential import ledger_view
+from ..ledgers import ledger_view
 
 CHUNK = 4096
 SPAN = 48  # LBAs the script touches; reads reach past it into holes

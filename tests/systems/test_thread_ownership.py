@@ -18,7 +18,7 @@ from repro.errors import ErrorCode, ReproError, ThreadOwnershipError, error_code
 from repro.systems.config import SystemConfig
 from repro.systems.server import StorageServer, SystemKind
 
-from .test_parallel_differential import ledger_view
+from ..ledgers import ledger_view
 
 CHUNK = 4096
 
