@@ -7,7 +7,7 @@ useful for spotting regressions while extending the library.
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): six
 properties no ``bench/`` workload exercises, each timed against its
 alternative on the same host inside one test, and six counts — the
-bytes the table-SSD model holds per bucket, the serving tier's ops per
+bytes the page store holds per bucket, the serving tier's ops per
 backend turn, its cross-thread wake-ups, its READ ops per engine pass,
 the transports a bulk reply pauses, and the page faults a client process
 takes per bulk read.
@@ -42,6 +42,7 @@ from repro.datared.hash_pbn import (
     ArenaBucketStore,
     HashPbnTable,
     InMemoryBucketStore,
+    PackedBucket,
 )
 from repro.datared.hashing import fingerprint
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
@@ -276,13 +277,13 @@ def test_served_table_path_walks_no_tree(rng):
     assert took["walked"] / took["counted"] >= 1.3, took
 
 
-def test_table_ssd_holds_each_buckets_used_bytes():
-    """The table-SSD model stores each bucket's used bytes (DESIGN.md
+def test_each_bucket_page_lives_in_one_compact_home():
+    """Every bucket page has one home, sized to what it holds (DESIGN.md
     §5.8), as a count: after 4,096 unique chunk writes through served
-    FIDR and a flush of its table cache, the table SSDs hold
-    3 + 38 bytes per entry of every written bucket — each entry in
-    exactly one — while their ledger still counts a 4-KiB page per
-    bucket.  Whole pages would hold 4,096 bytes per bucket."""
+    FIDR and a flush of its table cache, the page store under the cache
+    holds 3 + 38 bytes per entry of every written bucket — each entry
+    in exactly one page, no page a whole 4 KiB — and the table SSDs are
+    a ledger: 4 KiB stored per flushed bucket, one write per flush."""
     content = ContentFactory()
     with StorageServer.build(
         SystemKind.FIDR, num_buckets=1 << 12, compressor=ModeledCompressor(0.5)
@@ -292,13 +293,19 @@ def test_table_ssd_holds_each_buckets_used_bytes():
                 content.chunk(lba + i) for i in range(BATCH_CHUNKS)))
         storage.flush()
         system = storage.system
-        system.table_cache.flush_all()
+        cache = system.table_cache
+        cache.flush_all()
         assert len(system.engine.table) == 4096
+        pages = list(cache.pages._pages.values())
+        assert all(isinstance(page, PackedBucket) for page in pages)
+        held = sum(len(page.buf) for page in pages)
+        assert held == 3 * len(pages) + ENTRY_SIZE * 4096, (held, len(pages))
+        assert not [page for page in pages if len(page.buf) == BUCKET_SIZE]
         drives = system.table_array.drives
-        buckets = sum(len(drive._blocks) for drive in drives)
-        held = sum(len(data) for drive in drives for data, _ in drive._blocks.values())
-        assert held == 3 * buckets + ENTRY_SIZE * 4096, (held, buckets)
-        assert sum(drive.bytes_stored for drive in drives) == BUCKET_SIZE * buckets
+        flushed = sum(len(drive._blocks) for drive in drives)
+        assert flushed == len(pages)
+        assert sum(drive.bytes_stored for drive in drives) == BUCKET_SIZE * flushed
+        assert system.table_array.stats.write_ops == cache.stats.flushes
 
 
 def test_one_batched_read_beats_reads_of_one(rng):

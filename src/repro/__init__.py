@@ -26,7 +26,8 @@ Subpackages
     Hash-PBN / LBA-PBA tables, compression, containers, dedup engine.
 ``repro.cache``
     Table caching: software B+-tree, speculative HW tree (Algorithms
-    1-2), LRU/free-list machinery, Cache HW-Engine timing model.
+    1-2), the LRU table cache's residency model, Cache HW-Engine
+    timing model.
 ``repro.systems``
     End-to-end baseline (CIDR-extended) and FIDR systems with full
     device accounting.

@@ -198,7 +198,8 @@ def check_engine(
 def check_system(
     system: "ReductionSystem", *, raise_on_violation: bool = True
 ) -> List[str]:
-    """Engine invariants plus the system layer's staging accounting.
+    """Engine invariants plus the system layer's staging accounting
+    and the table cache's residency model.
 
     ``logical_write_bytes`` counts client bytes at the front door while
     the engine's stats count processed bytes, so they must differ by
@@ -214,4 +215,8 @@ def check_system(
             f"system logical_write_bytes {front_door} != engine "
             f"logical_bytes {processed} + pending {pending_bytes}"
         )
+    violations += [
+        f"table cache: {violation}"
+        for violation in system.table_cache.check_invariants(raise_on_violation=False)
+    ]
     return _raise_if(violations, raise_on_violation)

@@ -8,7 +8,6 @@ from .cache_engine import (
     CycleSimResult,
     ThroughputBreakdown,
 )
-from .freelist import CircularFreeList
 from .hwtree import OpResult, SpeculativeTreeEngine, TreeOp
 from .lru import LruList
 from .policy import PartitionedLru
@@ -21,7 +20,6 @@ __all__ = [
     "CacheEngineModel",
     "CacheIndex",
     "CacheStats",
-    "CircularFreeList",
     "CycleSimResult",
     "HwTreeIndex",
     "LruList",

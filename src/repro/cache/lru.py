@@ -76,5 +76,6 @@ class LruList:
         return len(self._order)
 
     def keys_hot_to_cold(self) -> Iterator:
-        """All keys from most- to least-recently used (for tests)."""
+        """All keys from most- to least-recently used (for tests and
+        :meth:`~repro.cache.table_cache.TableCache.check_invariants`)."""
         return reversed(self._order)

@@ -20,23 +20,26 @@ Both variants use this class; the system layers charge the per-event
 costs (CPU cycles, DRAM bytes, SSD transfers) to different devices using
 the :class:`CacheStats` event counts it maintains.
 
-Lines resolve through the cache's own ``_resident`` map, whatever the
-index.  The :class:`CacheIndex` is the ledgers': the cache calls it
-exactly where the modelled CPU or engine searches or updates its tree,
-and the ledgers read what those calls counted.  :class:`BTreeIndex`
-walks a real B+-tree because the host pays per node visited;
+One home per page (DESIGN.md §5.8): every bucket page lives in the
+``pages`` store under the cache — compact
+:class:`~repro.datared.hash_pbn.PackedBucket`\\ s the table mutates in
+place, or the byte pages of a
+:class:`~repro.datared.lba_store.PagedLbaStore` — and never moves.  The
+cache is a *residency model*: it decides which buckets a 4-KB line
+would hold, counts every access, fetch, flush and eviction as a cache
+of moving pages would, and hands back the page from ``pages``.  The
+optional ``ledger`` is the table-SSD array, a pure IO ledger like the
+data SSDs: one 4-KB read per fetch of a bucket flushed before, one
+4-KB write per flush.
+
+The :class:`CacheIndex` is the ledgers': the cache calls it exactly
+where the modelled CPU or engine searches or updates its tree, and the
+ledgers read what those calls counted.  :class:`BTreeIndex` walks a
+real B+-tree because the host pays per node visited;
 :class:`HwTreeIndex` only counts, because the Cache HW-Engine's tree
 costs the host nothing (:mod:`repro.cache.hwtree` models its function,
-:class:`~repro.cache.cache_engine.CacheEngineModel` its timing).
-
-Packed lines (DESIGN.md §5.8): the table reaches the cache through
-:meth:`load_packed`/:meth:`store_packed`, so its lines hold
-:class:`~repro.datared.hash_pbn.PackedBucket` pages it mutates in place;
-byte-page users (:class:`~repro.datared.lba_store.PagedLbaStore`) reach
-lines through :meth:`read_bucket`/:meth:`write_bucket`.  A line converts
-lazily to the form asked for, is handed down in the form it holds, and
-counts identical :class:`CacheStats` either way.  The table's
-*negative filter* and *batched resolve* are off over this store
+:class:`~repro.cache.cache_engine.CacheEngineModel` its timing).  The
+table's *negative filter* and *batched resolve* are off over this store
 (:attr:`~repro.datared.hash_pbn.HashPbnTable.private_store` is false
 for it) precisely because they would elide bucket accesses the device
 models are calibrated to observe.
@@ -45,36 +48,36 @@ models are calibrated to observe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Set, Union
+from typing import List, Optional, Protocol, Set
 
-from ..datared.hash_pbn import BUCKET_SIZE, BucketStore, PackedBucket
+from ..datared.hash_pbn import BUCKET_SIZE, EMPTY_PAGE, BucketStore, PackedBucket
+from ..hw.ssd import SsdArray
 from .btree import BPlusTree
-from .freelist import CircularFreeList
 from .lru import LruList
 
 __all__ = ["CacheIndex", "BTreeIndex", "HwTreeIndex", "CacheStats", "TableCache"]
 
-#: A cache line's content: a packed bucket or a raw 4-KB byte page.
-_Line = Union[PackedBucket, bytes]
-
 
 class CacheIndex(Protocol):
-    """Bucket index → cache-line slot, as the ledgers see it: what each
-    search and update cost.  The cache never reads an answer from it."""
+    """The index over resident buckets, as the ledgers see it: what
+    each search and update cost.  The cache never reads an answer
+    from it."""
 
     searches: int
     updates: int
 
     def search(self, bucket: int) -> object: ...
 
-    def insert(self, bucket: int, slot: int) -> None: ...
+    def insert(self, bucket: int) -> None: ...
 
     def delete(self, bucket: int) -> None: ...
 
 
 class BTreeIndex:
     """Software B+-tree walked by the CPU (§7.1): the baseline's, and
-    FIDR's without the Cache HW-Engine; every node visit is charged."""
+    FIDR's without the Cache HW-Engine; every node visit is charged.
+    It maps each resident bucket to its page's key in the page store,
+    the bucket itself."""
 
     def __init__(self, order: int = 16):
         self.tree = BPlusTree(order=order)
@@ -85,9 +88,9 @@ class BTreeIndex:
         self.searches += 1
         return self.tree.search(bucket)
 
-    def insert(self, bucket: int, slot: int) -> None:
+    def insert(self, bucket: int) -> None:
         self.updates += 1
-        self.tree.insert(bucket, slot)
+        self.tree.insert(bucket, bucket)
 
     def delete(self, bucket: int) -> None:
         self.updates += 1
@@ -111,7 +114,7 @@ class HwTreeIndex:
     def search(self, bucket: int) -> None:
         self.searches += 1
 
-    def insert(self, bucket: int, slot: int) -> None:
+    def insert(self, bucket: int) -> None:
         self.updates += 1
 
     def delete(self, bucket: int) -> None:
@@ -147,39 +150,41 @@ class CacheStats:
 
 
 class TableCache(BucketStore):
-    """Write-back, LRU bucket cache over a table-SSD bucket store."""
+    """Write-back, LRU residency model over the pages of a bucket store."""
 
     def __init__(
         self,
-        backing: BucketStore,
+        pages: BucketStore,
         capacity_lines: int,
         index: Optional[CacheIndex] = None,
         eviction_batch: int = 8,
         lru: Optional[LruList] = None,
+        ledger: Optional[SsdArray] = None,
     ):
         """``lru`` injects a replacement policy; anything API-compatible
         with :class:`~repro.cache.lru.LruList` works — e.g. the
-        tenant-aware :class:`~repro.cache.policy.PartitionedLru` (§8)."""
+        tenant-aware :class:`~repro.cache.policy.PartitionedLru` (§8).
+        ``ledger`` is the table-SSD array the fetches and flushes are
+        counted on; without one the cache counts only :class:`CacheStats`."""
         if capacity_lines < 1:
             raise ValueError("cache needs at least one line")
         if not 1 <= eviction_batch <= capacity_lines:
             raise ValueError("eviction batch must be in [1, capacity]")
-        self.backing = backing
+        self.pages = pages
+        self.ledger = ledger
         self.capacity_lines = capacity_lines
         self.index = index if index is not None else BTreeIndex()
         self.eviction_batch = eviction_batch
         self.stats = CacheStats()
-        self._lines: List[Optional[_Line]] = [None] * capacity_lines
-        self._free = CircularFreeList.full(capacity_lines)
         self._lru = lru if lru is not None else LruList()
-        self._dirty: Set[int] = set()  # bucket indexes with unflushed writes
-        # What resolves a bucket to its line.  ``self.index`` is called
-        # beside it only so the ledgers see the modelled searches/updates.
-        self._resident: Dict[int, int] = {}
+        self._resident: Set[int] = set()  # buckets a line holds
+        self._dirty: Set[int] = set()  # resident buckets with unflushed writes
         # The bucket touched by the immediately preceding access: a
         # lookup-then-insert pair hits the same page while it is still in
         # the CPU's caches, so the second access costs neither a DRAM
-        # scan nor a fresh index walk.
+        # scan nor a fresh index walk.  Always resident (or None): only
+        # an install evicts, and the access that installs a bucket then
+        # makes it the warm one.
         self._warm_bucket: Optional[int] = None
 
     #: DRAM burst charged for an in-place entry update of a cached page
@@ -188,93 +193,84 @@ class TableCache(BucketStore):
 
     # -- BucketStore interface -------------------------------------------------------
     def read_bucket(self, bucket: int) -> bytes:
-        line = self._lines[self._read(bucket, self.backing.read_bucket)]
-        assert line is not None
-        return line.to_bytes() if isinstance(line, PackedBucket) else line
+        self._read(bucket)
+        return self.pages.read_bucket(bucket)
 
     def load_packed(self, bucket: int) -> PackedBucket:  # repro-lint: hot-path
-        slot = self._read(bucket, self.backing.load_packed)
-        line = self._lines[slot]
-        if not isinstance(line, PackedBucket):
-            assert line is not None
-            line = self._lines[slot] = PackedBucket.from_page(line)
-        return line
+        self._read(bucket)
+        return self.pages.load_packed(bucket)
 
     def write_bucket(self, bucket: int, page: bytes) -> None:
         if len(page) != BUCKET_SIZE:
             raise ValueError("bucket pages must be 4 KB")
-        self._write(bucket, page)
+        self._write(bucket)
+        self.pages.write_bucket(bucket, page)
 
     def store_packed(self, bucket: int, packed: PackedBucket) -> None:  # repro-lint: hot-path
-        self._write(bucket, packed)
+        self._write(bucket)
+        self.pages.store_packed(bucket, packed)
 
     # -- internals ---------------------------------------------------------------------
-    def _read(self, bucket: int, fetch: Callable[[int], _Line]) -> int:  # repro-lint: hot-path
-        """Account one table read of ``bucket``; returns its line's
-        slot, ``fetch``-ing the bucket from the table SSD on a miss."""
-        slot = self._resident.get(bucket)
-        if slot is not None and bucket == self._warm_bucket:
+    def _read(self, bucket: int) -> None:  # repro-lint: hot-path
+        """Account one table read of ``bucket``, fetching it from the
+        table SSD on a miss."""
+        if bucket == self._warm_bucket:
             # Back-to-back access to the same page (lookup-then-insert):
             # served from the CPU cache, no DRAM or index traffic.
             self.stats.warm_hits += 1
-            return slot
+            return
         self.index.search(bucket)
-        if slot is not None:
+        if bucket in self._resident:
             self.stats.hits += 1
             self._lru.touch(bucket)
         else:
             self.stats.misses += 1
-            slot = self._install(bucket, fetch(bucket))
+            # A bucket never flushed reads back empty without an IO.
+            if self.ledger is not None and bucket in self.ledger:
+                self.ledger.read_block(bucket)
+            self._install(bucket)
             self.stats.fetches += 1
         # The host scans the cached content for dedup detection (§5.3 #5).
         self.stats.content_scans += 1
         self.stats.host_bytes_read += BUCKET_SIZE
         self._warm_bucket = bucket
-        return slot
 
-    def _write(self, bucket: int, line: _Line) -> None:  # repro-lint: hot-path
-        slot = self._resident.get(bucket)
-        if slot is not None and bucket == self._warm_bucket:
+    def _write(self, bucket: int) -> None:  # repro-lint: hot-path
+        """Account one table write of ``bucket``; a miss allocates its
+        line without a fetch (the whole page is being written)."""
+        if bucket == self._warm_bucket:
             # In-place update of the page just examined: one dirty
             # cache line, no index walk.  Not counted as a table
             # access — it is the tail of the same logical operation
             # whose read was already counted.
-            self._lines[slot] = line
             self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
             self._dirty.add(bucket)
             return
         self.index.search(bucket)
-        if slot is None:
-            self.stats.misses += 1
-            slot = self._install(bucket, line)
-        else:
+        if bucket in self._resident:
             self.stats.hits += 1
-            self._lines[slot] = line
             self._lru.touch(bucket)
             self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
+        else:
+            self.stats.misses += 1
+            self._install(bucket)
         self._warm_bucket = bucket
         self._dirty.add(bucket)
 
-    def _install(self, bucket: int, line: _Line) -> int:
-        if self._free.is_empty:
+    def _install(self, bucket: int) -> None:
+        if len(self._resident) >= self.capacity_lines:
             self._evict_batch()
-        slot = self._free.pop()
-        self._lines[slot] = line
-        self._resident[bucket] = slot
-        self.index.insert(bucket, slot)
+        self._resident.add(bucket)
+        self.index.insert(bucket)
         self._lru.touch(bucket)
         # The fetched page lands in host memory.
         self.stats.host_bytes_written += BUCKET_SIZE
-        return slot
 
-    def _write_back(self, bucket: int, slot: int) -> None:
-        """Flush one dirty line to the table SSD, in the form it holds."""
-        line = self._lines[slot]
-        if isinstance(line, PackedBucket):
-            self.backing.store_packed(bucket, line)
-        else:
-            assert line is not None
-            self.backing.write_bucket(bucket, line)
+    def _write_back(self, bucket: int) -> None:
+        """Flush one dirty line: one 4-KB write on the table SSD, whose
+        block the page store's copy stands for."""
+        if self.ledger is not None:
+            self.ledger.write_block(bucket, EMPTY_PAGE)
         self.stats.flushes += 1
         self.stats.host_bytes_read += BUCKET_SIZE
 
@@ -285,15 +281,11 @@ class TableCache(BucketStore):
             raise RuntimeError("cache full of pinned lines; cannot evict")
         for bucket in victims:
             self.index.search(bucket)
-            slot = self._resident.pop(bucket)
+            self._resident.remove(bucket)
             if bucket in self._dirty:
-                self._write_back(bucket, slot)
+                self._write_back(bucket)
                 self._dirty.discard(bucket)
             self.index.delete(bucket)
-            self._lines[slot] = None
-            if self._warm_bucket == bucket:
-                self._warm_bucket = None
-            self._free.push(slot)
             self.stats.evictions += 1
 
     # -- maintenance ------------------------------------------------------------------------
@@ -301,26 +293,37 @@ class TableCache(BucketStore):
         """Write every dirty line back to the table SSD (shutdown)."""
         for bucket in sorted(self._dirty):
             self.index.search(bucket)
-            self._write_back(bucket, self._resident[bucket])
+            self._write_back(bucket)
         flushed = len(self._dirty)
         self._dirty.clear()
         return flushed
 
     @property
     def resident_lines(self) -> int:
-        return self.capacity_lines - len(self._free)
+        return len(self._resident)
 
-    def check_invariants(self) -> None:
-        """Structural consistency between the resident map, lines, LRU,
-        free list and — if it is walked — the index's tree.  Counts no
-        search or node visit."""
-        slots = set(self._resident.values())
-        assert len(slots) == len(self._resident), "two buckets share a line"
-        occupied = {slot for slot, page in enumerate(self._lines) if page is not None}
-        assert slots == occupied, "resident map and lines disagree"
-        lru_keys = set(self._lru.keys_hot_to_cold())
-        assert self._resident.keys() == lru_keys, "LRU tracks a different resident set"
-        assert self._dirty <= lru_keys, "dirty bucket not resident"
-        assert len(slots) + len(self._free) == self.capacity_lines
+    def check_invariants(self, *, raise_on_violation: bool = True) -> List[str]:
+        """Structural consistency of the residency model: the resident
+        set is the LRU's keys, dirty buckets are resident, residency
+        fits the capacity, the warm bucket is resident, and — if it is
+        walked — the index's tree holds the resident set.  Counts no
+        search or node visit.  Returns the violations; with
+        ``raise_on_violation`` a non-empty list raises
+        :class:`AssertionError`."""
+        violations: List[str] = []
+        if set(self._lru.keys_hot_to_cold()) != self._resident:
+            violations.append("LRU tracks a different resident set")
+        if not self._dirty <= self._resident:
+            violations.append(f"dirty buckets not resident: {self._dirty - self._resident}")
+        if len(self._resident) > self.capacity_lines:
+            violations.append(
+                f"{len(self._resident)} resident buckets exceed {self.capacity_lines} lines"
+            )
+        if self._warm_bucket is not None and self._warm_bucket not in self._resident:
+            violations.append(f"warm bucket {self._warm_bucket} not resident")
         if isinstance(self.index, BTreeIndex):
-            assert dict(self.index.tree.items()) == self._resident, "index mismatch"
+            if {key for key, _ in self.index.tree.items()} != self._resident:
+                violations.append("index tree holds a different resident set")
+        if violations and raise_on_violation:
+            raise AssertionError("; ".join(violations))
+        return violations

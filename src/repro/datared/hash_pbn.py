@@ -13,8 +13,9 @@ per-bucket overflow bit, so lookups and deletes stay correct after any
 insertion history.
 
 Memory discipline (DESIGN.md §5.8): the hot path operates on **packed**
-4-KB pages in place.  :class:`PackedBucket` is a cursor over the raw
-page bytes — no per-entry tuples, no decode allocation — and the only
+pages in place.  :class:`PackedBucket` is a cursor over the raw page
+bytes — no per-entry tuples, no decode allocation, and outside an
+:class:`ArenaBucketStore` no bytes past its last entry — and the only
 page representation the table knows; the decoded entry-list bucket it
 replaced lives on in ``tests/datared/reference.py`` as the model the
 differential suites compare every page against.
@@ -75,19 +76,20 @@ PREFIX_SIZE = 2
 
 
 class PackedBucket:
-    """A cursor over one packed 4-KB bucket page, operated on in place.
+    """A cursor over one packed bucket page, operated on in place.
 
-    Holds a reference into a backing ``bytearray`` (either a private
-    page or a slice of an :class:`ArenaBucketStore` arena at ``base``)
-    and performs every operation directly on the page bytes: lookups
-    run a C-speed aligned ``find`` over the entry region, inserts write
-    the 38-byte entry into the next slot, removes shift the tail left
-    and zero the vacated slot.  The page therefore stays **byte
-    identical** to what the decoded reference bucket
+    Holds a reference into a backing ``bytearray`` and performs every
+    operation directly on the page bytes: lookups run a C-speed aligned
+    ``find`` over the entry region, inserts write the 38-byte entry
+    into the next slot, removes close the vacated slot.  The page is
+    either a 4-KB slot of an :class:`ArenaBucketStore` arena at
+    ``base`` or a private **compact** page that ends at its last entry
+    (3 + 38 bytes per entry): a compact page grows by one entry per
+    insert and shrinks by one per remove, and :meth:`to_bytes` pads it
+    with the zeros a full page would hold.  Either way the exported
+    page stays **byte identical** to what the decoded reference bucket
     (``tests/datared/reference.py``) would serialize after the same
-    operation history — the property the differential suite pins —
-    while costing ~38 bytes per entry resident instead of a
-    tuple/bytes/int object graph.
+    operation history — the property the differential suite pins.
     """
 
     __slots__ = ("buf", "base")
@@ -98,22 +100,24 @@ class PackedBucket:
 
     @classmethod
     def empty(cls) -> "PackedBucket":
-        return cls(bytearray(BUCKET_SIZE))
+        """A compact page holding no entries: its 3-byte header."""
+        return cls(bytearray(_HEADER.size))
 
     @classmethod
     def from_page(
         cls, raw: Union[bytes, bytearray, memoryview]
     ) -> "PackedBucket":
-        """Wrap a copy of ``raw``; validates size and entry count."""
+        """A compact copy of the 4-KB page ``raw`` (header and entries;
+        the rest of a bucket page is zero); validates size and entry
+        count."""
         if len(raw) != BUCKET_SIZE:
             raise ValueError(
                 f"bucket pages are {BUCKET_SIZE} bytes, got {len(raw)}"
             )
-        page = bytearray(raw)  # repro-lint: copy-ok private mutable page
-        bucket = cls(page)
-        if bucket.entry_count > BUCKET_CAPACITY:
-            raise ValueError(f"corrupt bucket: {bucket.entry_count} entries")
-        return bucket
+        count = (raw[0] << 8) | raw[1]
+        if count > BUCKET_CAPACITY:
+            raise ValueError(f"corrupt bucket: {count} entries")
+        return cls(bytearray(raw[: _HEADER.size + count * ENTRY_SIZE]))  # repro-lint: copy-ok private mutable page
 
     # -- header ------------------------------------------------------------
     @property
@@ -176,6 +180,8 @@ class PackedBucket:
             raise BucketFullError(
                 f"bucket already holds {BUCKET_CAPACITY} entries"
             )
+        # On a compact page ``offset`` is its end, so both slice
+        # assignments append.
         offset = self.base + _HEADER.size + count * ENTRY_SIZE
         self.buf[offset : offset + FINGERPRINT_SIZE] = digest
         self.buf[offset + FINGERPRINT_SIZE : offset + ENTRY_SIZE] = (
@@ -189,12 +195,16 @@ class PackedBucket:
             return False
         count = self.entry_count
         end = self.base + _HEADER.size + count * ENTRY_SIZE
-        # Shift the tail left over the vacated slot (bytearray slice
-        # assignment copies the source first, so overlap is safe), then
-        # zero the freed last slot: the page must read back exactly as
-        # the reference bucket would re-serialize it.
-        self.buf[pos : end - ENTRY_SIZE] = self.buf[pos + ENTRY_SIZE : end]
-        self.buf[end - ENTRY_SIZE : end] = bytes(ENTRY_SIZE)
+        if end == len(self.buf):
+            # A compact page ends at its last entry: drop the slot.
+            del self.buf[pos : pos + ENTRY_SIZE]
+        else:
+            # A 4-KB page: shift the tail left over the vacated slot
+            # (slice assignment copies the source first, so overlap is
+            # safe), then zero the freed last slot, so the page reads
+            # back exactly as the reference bucket would serialize it.
+            self.buf[pos : end - ENTRY_SIZE] = self.buf[pos + ENTRY_SIZE : end]
+            self.buf[end - ENTRY_SIZE : end] = bytes(ENTRY_SIZE)
         self._set_count(count - 1)
         return True
 
@@ -225,22 +235,10 @@ class PackedBucket:
         return out
 
     def to_bytes(self) -> bytes:
-        """Export the page (one 4-KB copy; the packed page itself stays
-        private to its store)."""
-        return bytes(self.buf[self.base : self.base + BUCKET_SIZE])  # repro-lint: copy-ok page export at the byte-store boundary
-
-    def used_bytes(self) -> bytes:
-        """The header and entries: every op keeps the rest of the page
-        zero, so these bytes alone are the page (:meth:`from_used`)."""
-        end = self.base + _HEADER.size + self.entry_count * ENTRY_SIZE
-        return bytes(self.buf[self.base : end])
-
-    @classmethod
-    def from_used(cls, used: bytes) -> "PackedBucket":
-        """Rebuild the page whose :meth:`used_bytes` were ``used``."""
-        page = bytearray(BUCKET_SIZE)
-        page[: len(used)] = used
-        return cls(page)
+        """Export the 4-KB page: one copy, a compact page padded with
+        zeros (the packed page itself stays private to its store)."""
+        page = bytes(self.buf[self.base : self.base + BUCKET_SIZE])  # repro-lint: copy-ok page export at the byte-store boundary
+        return page.ljust(BUCKET_SIZE, b"\0")
 
 
 class NegativeFilter:

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..datared.hash_pbn import BUCKET_SIZE, EMPTY_PAGE, BucketStore
-from .ssd import NvmeSsd, SsdArray
+from .ssd import NvmeSsd
 
 __all__ = [
     "NvmeOpcode",
@@ -30,7 +29,6 @@ __all__ = [
     "CompletionQueue",
     "QueuePair",
     "NvmeController",
-    "QueuedBucketStore",
 ]
 
 
@@ -183,55 +181,3 @@ class NvmeController:
             executed += 1
         self.commands_executed += executed
         return executed
-
-
-class QueuedBucketStore(BucketStore):
-    """A bucket store that drives table SSDs through real queue pairs.
-
-    One queue pair + controller per drive; each bucket IO is a full
-    submit → process → reap cycle, so doorbell counts (and their owner)
-    fall out mechanistically.  Unwritten buckets read back empty, like
-    a fresh table.
-    """
-
-    def __init__(self, array: SsdArray, depth: int = 64, owner: str = "host"):
-        self.array = array
-        self.owner = owner
-        self.pairs = [QueuePair(depth, owner) for _ in array.drives]
-        self.controllers = [
-            NvmeController(drive, pair)
-            for drive, pair in zip(array.drives, self.pairs)
-        ]
-
-    def _lane(self, index: int) -> int:
-        return index % len(self.pairs)
-
-    def read_bucket(self, index: int) -> bytes:
-        lane = self._lane(index)
-        pair, controller = self.pairs[lane], self.controllers[lane]
-        command_id = pair.submit(NvmeOpcode.READ, index)
-        controller.process()
-        for completion in pair.reap():
-            if completion.command_id == command_id:
-                if completion.status == 0:
-                    assert completion.data is not None
-                    return completion.data
-                # Never-written buckets read back empty, like a fresh
-                # table.
-                return EMPTY_PAGE
-        raise RuntimeError("completion lost")  # cannot happen synchronously
-
-    def write_bucket(self, index: int, page: bytes) -> None:
-        if len(page) != BUCKET_SIZE:
-            raise ValueError("bucket pages must be 4 KB")
-        lane = self._lane(index)
-        pair, controller = self.pairs[lane], self.controllers[lane]
-        pair.submit(NvmeOpcode.WRITE, index, page)
-        controller.process()
-        pair.reap()
-
-    @property
-    def doorbell_interactions(self) -> int:
-        """Total stack interactions across lanes (the CPU-cost driver
-        when ``owner == 'host'``)."""
-        return sum(pair.stats.total_interactions for pair in self.pairs)

@@ -10,21 +10,20 @@ Two roles:
   host IO stack (a large CPU cost, Table 2); FIDR moves their queues into
   the Cache HW-Engine (§6.1).
 
-:class:`NvmeSsd` is both a functional byte store and an IO ledger;
-:class:`SsdBucketStore` adapts an SSD (array) to the
-:class:`~repro.datared.hash_pbn.BucketStore` interface so the functional
-table/cache stack runs against "real" table SSDs.
+:class:`NvmeSsd` is both a functional byte store and an IO ledger.  Both
+roles use it as a ledger: the containers hold the data SSDs' bytes, and
+the page store under :class:`~repro.cache.table_cache.TableCache` holds
+the table SSDs' (DESIGN.md §5.8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..datared.hash_pbn import BUCKET_SIZE, BucketStore, PackedBucket
 from .specs import SsdSpec, SAMSUNG_970_PRO
 
-__all__ = ["IoStats", "NvmeSsd", "SsdArray", "SsdBucketStore"]
+__all__ = ["IoStats", "NvmeSsd", "SsdArray"]
 
 
 @dataclass
@@ -56,45 +55,37 @@ class NvmeSsd:
         self.spec = spec if spec is not None else SAMSUNG_970_PRO
         self.name = name
         self.stats = IoStats()
-        #: address -> (data, block size); see :meth:`write_block`.
-        self._blocks: Dict[int, Tuple[bytes, int]] = {}
+        self._blocks: Dict[int, bytes] = {}
         self.bytes_stored = 0
 
     # -- functional IO -------------------------------------------------------------
-    def write_block(self, address: int, data: bytes, size: Optional[int] = None) -> None:
-        """Write a ``size``-byte block (default ``len(data)``) that is
-        ``data`` and then zeros.  The model keeps only ``data``, which
-        :meth:`read_block` returns; every ledger counts ``size``."""
+    def write_block(self, address: int, data: bytes) -> None:
         if address < 0:
             raise ValueError("negative address")
         if not data:
             raise ValueError("empty write")
-        if size is None:
-            size = len(data)
-        elif size < len(data):
-            raise ValueError("block size below its data")
         previous = self._blocks.get(address)
         if previous is not None:
-            self.bytes_stored -= previous[1]
-        self._blocks[address] = (data, size)
-        self.bytes_stored += size
+            self.bytes_stored -= len(previous)
+        self._blocks[address] = data
+        self.bytes_stored += len(data)
         if self.bytes_stored > self.spec.capacity:
             raise RuntimeError(f"{self.name}: capacity exceeded")
         self.stats.write_ops += 1
-        self.stats.bytes_written += size
+        self.stats.bytes_written += len(data)
 
     def read_block(self, address: int) -> bytes:
-        block = self._blocks.get(address)
-        if block is None:
+        data = self._blocks.get(address)
+        if data is None:
             raise KeyError(f"{self.name}: nothing stored at {address}")
         self.stats.read_ops += 1
-        self.stats.bytes_read += block[1]
-        return block[0]
+        self.stats.bytes_read += len(data)
+        return data
 
     def trim(self, address: int) -> None:
-        block = self._blocks.pop(address, None)
-        if block is not None:
-            self.bytes_stored -= block[1]
+        data = self._blocks.pop(address, None)
+        if data is not None:
+            self.bytes_stored -= len(data)
 
     def __contains__(self, address: int) -> bool:
         return address in self._blocks
@@ -137,8 +128,8 @@ class SsdArray:
     def _drive_for(self, address: int) -> NvmeSsd:
         return self.drives[address % len(self.drives)]
 
-    def write_block(self, address: int, data: bytes, size: Optional[int] = None) -> None:
-        self._drive_for(address).write_block(address, data, size)
+    def write_block(self, address: int, data: bytes) -> None:
+        self._drive_for(address).write_block(address, data)
 
     def read_block(self, address: int) -> bytes:
         return self._drive_for(address).read_block(address)
@@ -163,40 +154,3 @@ class SsdArray:
 
     def __len__(self) -> int:
         return len(self.drives)
-
-
-class SsdBucketStore(BucketStore):
-    """Hash-PBN bucket pages stored on a table-SSD array.
-
-    A packed bucket's 4-KB block keeps only its
-    :meth:`~repro.datared.hash_pbn.PackedBucket.used_bytes` (3 + 38
-    per entry), a byte page's keeps all of it; every ledger counts 4 KB.
-
-    ``queue_owner`` records who pays the NVMe submission cost: the host
-    IO stack in the baseline, the Cache HW-Engine in FIDR (§6.1).  The
-    system layers read it when charging CPU cycles.
-    """
-
-    def __init__(self, array: SsdArray, queue_owner: str = "host"):
-        if queue_owner not in ("host", "engine"):
-            raise ValueError("queue_owner must be 'host' or 'engine'")
-        self.array = array
-        self.queue_owner = queue_owner
-
-    def read_bucket(self, index: int) -> bytes:
-        return self.load_packed(index).to_bytes()
-
-    def write_bucket(self, index: int, page: bytes) -> None:
-        if len(page) != BUCKET_SIZE:
-            raise ValueError("bucket pages must be 4 KB")
-        self.array.write_block(index, page)
-
-    def load_packed(self, index: int) -> PackedBucket:
-        if index not in self.array:
-            # Never-written buckets read back empty, like a fresh table.
-            return PackedBucket.empty()
-        # A whole byte page is its own used bytes.
-        return PackedBucket.from_used(self.array.read_block(index))
-
-    def store_packed(self, index: int, bucket: PackedBucket) -> None:
-        self.array.write_block(index, bucket.used_bytes(), BUCKET_SIZE)

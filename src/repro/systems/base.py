@@ -2,12 +2,12 @@
 
 A :class:`ReductionSystem` owns one functional data-reduction stack —
 dedup engine, Hash-PBN table over a :class:`~repro.cache.TableCache`
-backed by table SSDs, containers accounted to data SSDs — plus the
-device ledgers.  Subclasses differ **only** in flow topology: which
-devices move the bytes, which memory paths get charged, which tasks the
-host CPU pays for.  That is the paper's thesis rendered as code
-structure: both systems do identical logical work; the architecture
-decides who pays.
+whose fetches and flushes the table SSDs count, containers accounted
+to data SSDs — plus the device ledgers.  Subclasses differ **only** in
+flow topology: which devices move the bytes, which memory paths get
+charged, which tasks the host CPU pays for.  That is the paper's
+thesis rendered as code structure: both systems do identical logical
+work; the architecture decides who pays.
 
 Writes accumulate into batches of ``config.batch_chunks`` before the
 backend runs (both CIDR's predictor and FIDR's NIC operate on batches);
@@ -26,11 +26,12 @@ from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..datared.container import Container
 from ..datared.dedup import ChunkOutcome, ReadReport, WriteOptions
+from ..datared.hash_pbn import InMemoryBucketStore
 from ..hw.cpu import CpuLedger
 from ..hw.memory import MemoryLedger
 from ..hw.pcie import PcieTopology
 from ..hw.specs import PROTOTYPE_SERVER, ServerSpec
-from ..hw.ssd import SsdArray, SsdBucketStore
+from ..hw.ssd import SsdArray
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TracedStages
@@ -101,12 +102,14 @@ class ReductionSystem:
         self.data_array = SsdArray(
             self.server.num_data_ssds, self.server.data_ssd, name="data-ssd"
         )
-        backing = SsdBucketStore(self.table_array, queue_owner=self.TABLE_QUEUE_OWNER)
+        # Every bucket page lives in one page store; the cache models
+        # residency over it and the table SSDs count its IO.
         self.table_cache = TableCache(
-            backing,
+            InMemoryBucketStore(),
             capacity_lines=cache_lines,
             index=self._make_index(),
             eviction_batch=self.config.eviction_batch,
+            ledger=self.table_array,
         )
         #: Built through the R009 factory: the Hash-PBN table sits over
         #: the table cache, and sealed containers charge the data SSDs.

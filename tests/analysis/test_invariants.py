@@ -109,6 +109,17 @@ class TestSeededCorruption:
         with pytest.raises(InvariantViolation, match="logical_write_bytes"):
             check_system(storage.system)
 
+    def test_table_cache_residency_drift_is_caught(self):
+        from repro.systems.server import StorageServer, SystemKind
+
+        storage = StorageServer.build(SystemKind.FIDR, num_buckets=256, cache_lines=16)
+        storage.write(0, bytes(CHUNK))
+        storage.flush()
+        assert check_system(storage.system) == []
+        storage.system.table_cache._dirty.add(10_000)  # dirty, never resident
+        with pytest.raises(InvariantViolation, match="table cache: dirty buckets"):
+            check_system(storage.system)
+
     def test_violation_message_lists_every_law_broken(self):
         engine = exercised_engine()
         engine.pbn_map._by_fingerprint.clear()

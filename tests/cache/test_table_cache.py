@@ -1,4 +1,5 @@
-"""Tests for the table cache (write-back LRU over table SSDs)."""
+"""Tests for the table cache (a write-back LRU residency model over one
+page store, with the table SSDs as its IO ledger)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +8,15 @@ from repro.cache.policy import PartitionedLru
 from repro.cache.table_cache import BTreeIndex, HwTreeIndex, TableCache
 from repro.datared.hash_pbn import (
     BUCKET_CAPACITY,
-    BucketStore,
+    BUCKET_SIZE,
     HashPbnTable,
     InMemoryBucketStore,
     PackedBucket,
 )
 from repro.datared.hashing import fingerprint
-from repro.hw.ssd import SsdArray, SsdBucketStore
+from repro.hw.ssd import IoStats, SsdArray
+
+from .reference import MovingPageCache, ReferenceTableSsd
 
 
 def page_with(value: int) -> bytes:
@@ -23,10 +26,12 @@ def page_with(value: int) -> bytes:
 
 
 def make_cache(lines=4, index=None, batch=2):
-    backing = InMemoryBucketStore()
-    cache = TableCache(backing, capacity_lines=lines, index=index,
-                       eviction_batch=batch)
-    return backing, cache
+    """A cache over an in-memory page store; returns the table-SSD
+    ledger it counts on, and the cache."""
+    ledger = SsdArray(2)
+    cache = TableCache(InMemoryBucketStore(), capacity_lines=lines, index=index,
+                       eviction_batch=batch, ledger=ledger)
+    return ledger, cache
 
 
 class TestHitMiss:
@@ -60,20 +65,23 @@ class TestHitMiss:
 
 class TestWriteBack:
     def test_write_through_read(self):
-        backing, cache = make_cache()
+        _, cache = make_cache()
         page = page_with(7)
         cache.write_bucket(3, page)
         assert cache.read_bucket(3) == page
 
     def test_dirty_flushes_on_eviction(self):
-        backing, cache = make_cache(lines=2, batch=1)
+        ledger, cache = make_cache(lines=2, batch=1)
         cache.write_bucket(1, page_with(1))
         cache.write_bucket(2, page_with(2))
-        assert backing.writes == 0  # write-back: nothing flushed yet
+        assert ledger.stats == IoStats()  # write-back: nothing flushed yet
         cache.write_bucket(3, page_with(3))  # evicts bucket 1
-        assert backing.writes == 1
+        assert ledger.stats == IoStats(write_ops=1, bytes_written=BUCKET_SIZE)
         assert cache.stats.flushes == 1
-        assert PackedBucket.from_page(backing.read_bucket(1)).entries
+        assert 1 in ledger and ledger.drives[1].bytes_stored == BUCKET_SIZE
+        # Fetching the flushed bucket again reads its 4-KB block.
+        assert cache.read_bucket(1) == page_with(1)
+        assert ledger.stats.read_ops == 1
 
     def test_clean_eviction_skips_flush(self):
         backing, cache = make_cache(lines=2, batch=1)
@@ -84,12 +92,13 @@ class TestWriteBack:
         assert cache.stats.evictions == 1
 
     def test_flush_all(self):
-        backing, cache = make_cache()
+        ledger, cache = make_cache()
         cache.write_bucket(1, page_with(1))
         cache.write_bucket(2, page_with(2))
         assert cache.flush_all() == 2
-        assert backing.writes == 2
+        assert ledger.stats.write_ops == 2
         assert cache.flush_all() == 0  # now clean
+        assert ledger.stats.write_ops == 2
 
     def test_in_place_write_charges_a_cache_line(self):
         _, cache = make_cache()
@@ -165,7 +174,7 @@ class TestIndexes:
 
 class TestWithHashPbnTable:
     def test_cached_table_is_transparent(self):
-        backing, cache = make_cache(lines=8, batch=2)
+        _, cache = make_cache(lines=8, batch=2)
         table = HashPbnTable(64, store=cache)
         digests = [fingerprint(str(i).encode()) for i in range(300)]
         for position, digest in enumerate(digests):
@@ -177,7 +186,7 @@ class TestWithHashPbnTable:
         cache.check_invariants()
 
     def test_dirty_data_survives_eviction_pressure(self):
-        backing, cache = make_cache(lines=2, batch=1)
+        _, cache = make_cache(lines=2, batch=1)
         table = HashPbnTable(32, store=cache)
         digests = [fingerprint(str(i).encode()) for i in range(100)]
         for position, digest in enumerate(digests):
@@ -227,13 +236,13 @@ def drive(index, ops, batch, partitioned):
     """Run ``PREFILL + ops`` through a Hash-PBN table on a cache over
     ``index``; return everything the ledgers and the backing store saw."""
     lru = PartitionedLru({"a": 2.0, "b": 1.0}, default_tenant="a") if partitioned else None
-    backing = InMemoryBucketStore()
-    cache = TableCache(backing, capacity_lines=8, index=index, eviction_batch=batch, lru=lru)
+    pages = InMemoryBucketStore()
+    cache = TableCache(pages, capacity_lines=8, index=index, eviction_batch=batch, lru=lru)
     answers = replay(HashPbnTable(BUCKETS, store=cache), ops, lru)
     cache.flush_all()
     cache.check_invariants()
-    # As bytes: the backing holds packed pages, which compare by identity.
-    pages = {bucket: backing.read_bucket(bucket) for bucket in backing._pages}
+    # As bytes: the store holds packed pages, which compare by identity.
+    pages = {bucket: pages.read_bucket(bucket) for bucket in pages._pages}
     return answers, cache.stats, index.searches, index.updates, pages
 
 
@@ -251,61 +260,69 @@ class TestCountedIndexDifferential:
         assert walked[1].evictions > 0 and walked[2] > 0
 
 
-class BytePagesOnly(BucketStore):
-    """Forwards only the byte-page methods, so a table over it takes
-    the inherited ``load_packed``/``store_packed`` defaults: one page
-    copy in and one out per access, lines held as bytes."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def read_bucket(self, index):
-        return self.inner.read_bucket(index)
-
-    def write_bucket(self, index, page):
-        self.inner.write_bucket(index, page)
+#: A step of the ledger-identity history: a table op on a key (as in
+#: ``OP``), or a read or write of one of the byte pages that share the
+#: cache with the table, past its buckets (a ``PagedLbaStore``'s kind).
+BYTE_PAGES = 4
+STEP = st.one_of(
+    st.tuples(st.sampled_from(["lookup", "insert", "insert", "remove"]), KEY),
+    st.tuples(st.sampled_from(["read page", "write page"]), st.integers(0, BYTE_PAGES - 1)),
+)
 
 
-def ledgers(ops, batch, byte_pages):
-    """Run ``PREFILL + ops`` through a table on a cache over table SSDs,
-    packed or through :class:`BytePagesOnly`; return every ledger."""
-    array = SsdArray(2)
-    backing = SsdBucketStore(array, queue_owner="engine")
-    cache = TableCache(backing, capacity_lines=8, index=HwTreeIndex(), eviction_batch=batch)
-    store = BytePagesOnly(cache) if byte_pages else cache
-    answers = replay(HashPbnTable(BUCKETS, store=store), ops)
-    cache.flush_all()
-    cache.check_invariants()
-    seen = (
-        answers, cache.stats, cache.index.searches, cache.index.updates,
-        array.stats, [drive.bytes_stored for drive in array.drives],
+class TestLedgerIdentity:
+    """The residency model over one page store against the cache whose
+    lines hold moving copies of the pages (``tests/cache/reference.py``):
+    one history leaves equal answers and equal ledgers after every step
+    and after ``flush_all``."""
+
+    @staticmethod
+    def ledgers(cache, table, ssd_stats, ssd_stored):
+        index = cache.index
+        return (
+            cache.stats, index.searches, index.updates,
+            getattr(index, "node_visits", 0), table.probe_count, ssd_stats, ssd_stored,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(STEP, max_size=150),
+        st.sampled_from([BTreeIndex, HwTreeIndex]),
+        st.integers(4, 8),
+        st.integers(1, 4),
     )
-    return seen + ([backing.read_bucket(bucket) for bucket in range(BUCKETS)],)
+    def test_residency_model_matches_moving_pages(self, steps, index, lines, batch):
+        ssd = ReferenceTableSsd(drives=2)
+        reference = MovingPageCache(ssd, lines, index(), batch)
+        ledger = SsdArray(2)
+        cache = TableCache(InMemoryBucketStore(), capacity_lines=lines, index=index(),
+                           eviction_batch=batch, ledger=ledger)
+        old, new = HashPbnTable(BUCKETS, store=reference), HashPbnTable(BUCKETS, store=cache)
 
+        def seen():
+            stored = [drive.bytes_stored for drive in ledger.drives]
+            assert self.ledgers(cache, new, [d.stats for d in ledger.drives], stored) == (
+                self.ledgers(reference, old, ssd.stats, ssd.bytes_stored)
+            )
+            cache.check_invariants()
 
-class TestPackedLedgerIdentity:
-    """Packed lines and compact table-SSD blocks change what is resident,
-    never what is counted: the same history leaves the same cache stats,
-    index counts, table-SSD IO and stored bytes, and the same pages, as
-    the byte-page path."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(OP, max_size=150), st.sampled_from([1, 8]))
-    def test_packed_and_byte_page_stacks_agree(self, ops, batch):
-        packed = ledgers(ops, batch, byte_pages=False)
-        paged = ledgers(ops, batch, byte_pages=True)
-        assert packed == paged
-        assert packed[1].evictions > 0 and packed[4].write_ops > 0
-
-    def test_lines_hold_the_form_they_were_handed(self):
-        backing, cache = make_cache(lines=2, batch=1)
-        cache.write_bucket(1, page_with(1))
-        packed = cache.load_packed(1)  # converts the byte line in place
-        assert cache.load_packed(1) is packed
-        assert cache.read_bucket(1) == page_with(1)
-        packed.insert(fingerprint(b"more"), 2)
-        cache.store_packed(1, packed)
-        cache.write_bucket(2, page_with(2))
-        cache.write_bucket(3, page_with(3))  # evicts 1, a packed line
-        assert backing.load_packed(1) is packed
-        assert cache.read_bucket(2) == page_with(2)
+        for step, (op, key) in enumerate(PREFILL + steps):
+            digest = key.to_bytes(32, "big")
+            if op in ("lookup", "insert"):
+                found = old.lookup(digest)
+                assert new.lookup(digest) == found
+                if op == "insert" and found is None:
+                    old.insert(digest, step)
+                    new.insert(digest, step)
+            elif op == "remove":
+                assert new.remove(digest) == old.remove(digest)
+            elif op == "read page":
+                page = BUCKETS + key
+                assert cache.read_bucket(page) == reference.read_bucket(page)
+            else:
+                content = step.to_bytes(8, "big") * (BUCKET_SIZE // 8)
+                cache.write_bucket(BUCKETS + key, content)
+                reference.write_bucket(BUCKETS + key, content)
+            seen()
+        assert cache.flush_all() == reference.flush_all()
+        seen()

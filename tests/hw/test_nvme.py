@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.datared.hash_pbn import HashPbnTable, PackedBucket
-from repro.datared.hashing import fingerprint
 from repro.hw.nvme import (
     NvmeCommand,
     NvmeController,
     NvmeOpcode,
     QueueFull,
     QueuePair,
-    QueuedBucketStore,
     SubmissionQueue,
 )
-from repro.hw.ssd import NvmeSsd, SsdArray
+from repro.hw.ssd import NvmeSsd
 
 
 class TestRing:
@@ -116,39 +113,3 @@ class TestController:
             pair.submit(NvmeOpcode.WRITE, address, b"x")
         assert controller.process(limit=4) == 4
         assert controller.process() == 2
-
-
-class TestQueuedBucketStore:
-    def test_unwritten_reads_empty(self):
-        store = QueuedBucketStore(SsdArray(2))
-        assert PackedBucket.from_page(store.read_bucket(3)).entries == []
-
-    def test_hash_table_over_queued_store(self):
-        store = QueuedBucketStore(SsdArray(2))
-        table = HashPbnTable(32, store=store)
-        digests = [fingerprint(str(i).encode()) for i in range(120)]
-        for position, digest in enumerate(digests):
-            table.insert(digest, position)
-        for position, digest in enumerate(digests):
-            assert table.lookup(digest) == position
-
-    def test_doorbells_counted_per_owner(self):
-        for owner in ("host", "engine"):
-            store = QueuedBucketStore(SsdArray(1), owner=owner)
-            store.write_bucket(0, PackedBucket.empty().to_bytes())
-            store.read_bucket(0)
-            assert store.owner == owner
-            # write: 1 submit + 1 reap; read: 1 submit + 1 reap.
-            assert store.doorbell_interactions == 4
-
-    def test_lanes_spread_across_drives(self):
-        array = SsdArray(2)
-        store = QueuedBucketStore(array)
-        store.write_bucket(0, PackedBucket.empty().to_bytes())
-        store.write_bucket(1, PackedBucket.empty().to_bytes())
-        assert array.drives[0].stats.write_ops == 1
-        assert array.drives[1].stats.write_ops == 1
-
-    def test_page_size_enforced(self):
-        with pytest.raises(ValueError):
-            QueuedBucketStore(SsdArray(1)).write_bucket(0, b"tiny")
