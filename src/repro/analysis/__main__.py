@@ -5,8 +5,9 @@ Tools:
 * ``lint`` — AST contract linter (rules R001, R003-R009 and R012);
   also runnable directly as ``python -m repro.analysis.lint``.
 * ``invariants`` — run the ledger/index conservation checks against a
-  freshly exercised engine (a self-test that the checker and the
-  engine agree).
+  freshly exercised engine and against FIDR and baseline systems, one
+  of them driven into a refused write by a one-bucket table (a
+  self-test that the checker and the served write walk agree).
 * ``crash`` — kill-at-random-offset crash/recovery harness for the
   durability tier: tears journal images at every framing-offset class
   and asserts recovery restores exactly the acknowledged state
@@ -17,7 +18,34 @@ Tools:
 from __future__ import annotations
 
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..systems.base import ReductionSystem
+
+
+def _exercised_systems() -> List[Tuple[str, "ReductionSystem"]]:
+    """FIDR and baseline after a mixed workload, and a FIDR system whose
+    one-bucket table refused part of an acked batch."""
+    from ..errors import CapacityError
+    from ..systems import BaselineSystem, FidrSystem
+
+    systems: List[Tuple[str, "ReductionSystem"]] = []
+    for cls in (FidrSystem, BaselineSystem):
+        system = cls(num_buckets=64, cache_lines=8)
+        for index in range(200):
+            system.write(index % 150, bytes([index % 97]) * 4096)
+        system.flush()
+        systems.append((cls.name, system))
+    refused = FidrSystem(num_buckets=1, cache_lines=16)
+    try:  # a bucket holds 107 entries: the second batch is refused
+        for lba in range(2 * refused.config.batch_chunks):
+            refused.write(lba, lba.to_bytes(4, "big") * 1024)
+    except CapacityError:
+        systems.append(("FIDR after a refused batch", refused))
+    else:
+        raise AssertionError("a one-bucket table accepted every chunk")
+    return systems
 
 
 def _run_invariants_selftest() -> int:
@@ -33,11 +61,16 @@ def _run_invariants_selftest() -> int:
             engine.write(((index + 1) % 64) * step, payload[: engine.chunker.chunk_size])
     engine.flush()
     engine.collect_garbage(0.5)
-    violations = invariants.check_engine(engine, raise_on_violation=False)
+    checked = [("engine", invariants.check_engine(engine, raise_on_violation=False))]
+    checked += [
+        (name, invariants.check_system(system, raise_on_violation=False))
+        for name, system in _exercised_systems()
+    ]
+    violations = [f"{name}: {found}" for name, each in checked for found in each]
     for violation in violations:
         print(f"violation: {violation}")
     print(
-        "invariants: "
+        f"invariants: {len(checked)} checked, "
         + ("OK" if not violations else f"{len(violations)} violation(s)")
     )
     return 1 if violations else 0

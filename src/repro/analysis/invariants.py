@@ -14,8 +14,9 @@ full-system SSD simulators apply to make results credible:
   incremental reverse indexes (fingerprint→PBN, placement→PBN) must
   mirror the forward records exactly; every LBA mapping must point at a
   live PBN; reference counts must equal the number of LBAs referencing
-  each PBN; the Hash-PBN table's entry count must equal the live-chunk
-  population.
+  each PBN; every live record's fingerprint must resolve in the
+  Hash-PBN table itself to its PBN, and the table's entry count must
+  equal the live-chunk population.
 
 ``check_engine`` returns the list of violations (empty = healthy) or
 raises :class:`InvariantViolation`; the differential, stateful and crash
@@ -31,6 +32,7 @@ from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..datared.dedup import DedupEngine
+    from ..datared.hash_pbn import HashPbnTable
     from ..systems.base import ReductionSystem
 
 __all__ = [
@@ -42,6 +44,18 @@ __all__ = [
 
 class InvariantViolation(ReproError):
     """A conservation law or index-consistency law does not hold."""
+
+
+def _page_view(table: "HashPbnTable") -> "HashPbnTable":
+    """A table over ``table``'s page store, past any table cache that
+    interposes, so a check moves no residency, ledger or probe count."""
+    from ..cache.table_cache import TableCache
+    from ..datared.hash_pbn import HashPbnTable
+
+    store = table.store
+    if isinstance(store, TableCache):
+        store = store.pages
+    return HashPbnTable(table.num_buckets, store=store)
 
 
 def _engine_violations(engine: "DedupEngine") -> List[str]:
@@ -164,12 +178,22 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
             "at rest (missing commit barrier)"
         )
 
-    # -- Hash-PBN table population --------------------------------------------
-    if len(engine.table) != len(engine.pbn_map):
+    # -- Hash-PBN table vs. the live records -----------------------------------
+    table = engine.table
+    if table.entry_count != len(engine.pbn_map):
         violations.append(
-            f"Hash-PBN entry count {len(engine.table)} != live PBN records "
+            f"Hash-PBN entry count {table.entry_count} != live PBN records "
             f"{len(engine.pbn_map)}"
         )
+    records = list(engine.pbn_map.records())
+    resolved = _page_view(table).lookup_many(
+        [record.fingerprint for _, record in records]
+    )
+    for (pbn, _), found in zip(records, resolved):
+        if found != pbn:
+            violations.append(
+                f"Hash-PBN table maps PBN {pbn}'s fingerprint to {found}"
+            )
     return violations
 
 

@@ -39,10 +39,8 @@ real B+-tree because the host pays per node visited;
 :class:`HwTreeIndex` only counts, because the Cache HW-Engine's tree
 costs the host nothing (:mod:`repro.cache.hwtree` models its function,
 :class:`~repro.cache.cache_engine.CacheEngineModel` its timing).  The
-table's *negative filter* and *batched resolve* are off over this store
-(:attr:`~repro.datared.hash_pbn.HashPbnTable.private_store` is false
-for it) precisely because they would elide bucket accesses the device
-models are calibrated to observe.
+table probes every lookup's home chain through this store, so the
+device models see each bucket access the write walk makes.
 """
 
 from __future__ import annotations

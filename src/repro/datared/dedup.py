@@ -76,11 +76,8 @@ __all__ = [
 class WriteOptions:
     """Typed per-call options for the engine's write entry points.
 
-    Replaces the kwarg sprawl that accreted on :meth:`DedupEngine.write`
-    / :meth:`DedupEngine.write_many` (PR 5 API consolidation): every
-    per-call knob lives here, construction-time knobs stay on the engine
-    constructor.  The PR-5 ``digests=`` keyword shim has been removed;
-    this object is the only way to pass per-call options.
+    Every per-call knob lives here; construction-time knobs stay on the
+    engine constructor.
 
     ``digests``
         Precomputed SHA-256 fingerprints (e.g. from a NIC that hashed on
@@ -161,13 +158,8 @@ class EngineStats(_ReductionRatios):
     plan_fallback_compressions: int
     plan_wasted_compressions: int
     containers_sealed: int
-    #: Hash-PBN index counters (PR 9): negative-filter outcomes, probes
-    #: the batched resolve saved via intra-batch digest dedupe, and
-    #: total buckets touched.  Defaults keep older snapshot call sites
-    #: valid.
-    index_filter_hits: int = 0
-    index_filter_misses: int = 0
-    index_saved_lookups: int = 0
+    #: Hash-PBN buckets touched.  The default keeps older snapshot call
+    #: sites valid.
     index_probes: int = 0
 
 
@@ -209,8 +201,8 @@ def batch_stage(
 ) -> ContextManager[None]:
     """``clock.stage(name, chunks)``, or a no-op when no clock is live.
 
-    For the stages entered once per *batch* (chunk, hash, batched
-    lookup, compress, a read's fetch and decompress), where a no-op
+    For the stages entered once per *batch* (chunk, hash, compress, a
+    read's fetch and decompress), where a no-op
     ``with`` costs nothing measurable.  The per-*chunk* stages
     (lookup/pack/publish in ``_write_chunk``) keep an explicit ``clock is
     None`` check instead: a context manager per chunk is a cost the
@@ -480,12 +472,6 @@ class DedupEngine:
         #: live on every batch since every batch plans.
         self.plan_fallback_compressions = 0
         self.plan_wasted_compressions = 0
-        #: Live only during a batched-resolve serial walk: digest →
-        #: current PBN (or None) for every fingerprint the walk has
-        #: mutated since the batch lookup, so later chunks in the batch
-        #: observe intra-batch inserts/retires exactly as per-chunk
-        #: lookups would.
-        self._batch_overrides: Optional[Dict[bytes, Optional[int]]] = None
         #: Pull-model publication: the registry holds this collector via
         #: WeakMethod, so a garbage-collected engine drops out on its own.
         self.registry = registry if registry is not None else get_registry()
@@ -522,9 +508,6 @@ class DedupEngine:
             plan_fallback_compressions=self.plan_fallback_compressions,
             plan_wasted_compressions=self.plan_wasted_compressions,
             containers_sealed=self.containers.sealed_count,
-            index_filter_hits=self.table.filter_hits,
-            index_filter_misses=self.table.filter_misses,
-            index_saved_lookups=self.table.saved_batch_lookups,
             index_probes=self.table.probe_count,
         )
 
@@ -562,11 +545,6 @@ class DedupEngine:
             snap.plan_wasted_compressions
         )
         registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
-        registry.gauge("index.filter.hits").set(snap.index_filter_hits)
-        registry.gauge("index.filter.misses").set(snap.index_filter_misses)
-        registry.gauge("index.batch.saved_lookups").set(
-            snap.index_saved_lookups
-        )
         registry.gauge("index.probes").set(snap.index_probes)
         registry.gauge("engine.dedup_ratio").set(snap.dedup_ratio)
         registry.gauge("engine.compression_ratio").set(snap.compression_ratio)
@@ -603,11 +581,11 @@ class DedupEngine:
 
         The batch runs the paper's offload topology in software (§5.2,
         §5.4), every stage inline on the owner thread: fingerprint the
-        whole batch (the NIC SHA-256 core), resolve it against the
-        Hash-PBN table in chunk order (the one order-dependent stage),
-        compress the chunks that will be unique as one batch (the FPGA
-        DEFLATE engine), and replay the exact per-chunk write path with
-        the precomputed artifacts injected.  Results — bytes,
+        whole batch (the NIC SHA-256 core), compress the chunks that
+        will be unique as one batch (the FPGA DEFLATE engine), and walk
+        the batch in chunk order — one Hash-PBN lookup per chunk through
+        whatever store is below — with the precomputed artifacts
+        injected.  Results — bytes,
         :class:`ReductionStats`, container placements, journal event
         order — are identical to calling :meth:`write` per request, and
         every batch takes these stages whatever the tracing state:
@@ -622,7 +600,6 @@ class DedupEngine:
         Per-call behaviour is configured by ``options``
         (:class:`WriteOptions`): precomputed digests skip the hash
         stage, ``flush`` seals the open container after the batch.
-        (The PR-5 deprecated ``digests=`` keyword has been removed.)
 
         Returns one :class:`WriteReport` per request, in order.
         """
@@ -669,19 +646,6 @@ class DedupEngine:
                 f"got {len(digests)} digests for {len(flat)} chunks"
             )
 
-        # Stage 1.5 (serial, private stores only): resolve the whole
-        # batch against the table in one home-sorted, digest-deduped
-        # probe pass.  The serial walk then consults the result plus an
-        # override map of its own intra-batch mutations instead of
-        # issuing one table lookup per chunk.  An interposing store
-        # (the table cache under a calibrated device model) must see
-        # the per-lookup access pattern its accounting was calibrated
-        # against, so over one the walk looks up chunk by chunk.
-        resolved: Optional[List[Optional[int]]] = None
-        if self.table.private_store:
-            with batch_stage(clock, "lookup"):
-                resolved = self.table.lookup_many(digests)
-
         # Stage 2 (serial): plan which chunks the serial walk will find
         # unique — a pure shadow simulation, no engine state is touched.
         plan = self._plan_batch(chunks, digests)
@@ -700,8 +664,6 @@ class DedupEngine:
         # mirror what per-request write() calls would report.
         current = -1
         sealed_before = self.containers.sealed_count
-        if resolved is not None:
-            self._batch_overrides = {}
         try:
             for position, ((index, chunk), digest) in enumerate(
                 zip(flat, digests)
@@ -715,8 +677,7 @@ class DedupEngine:
                     sealed_before = self.containers.sealed_count
                 precompressed = staged.pop(position, None)
                 outcome = self._write_chunk(
-                    chunk, reports[index], clock, digest, precompressed,
-                    resolved[position] if resolved is not None else _UNSET,
+                    chunk, reports[index], clock, digest, precompressed
                 )
                 reports[index].add(outcome)
                 if outcome.duplicate:
@@ -725,7 +686,6 @@ class DedupEngine:
                 elif precompressed is None:
                     self.plan_fallback_compressions += 1
         finally:
-            self._batch_overrides = None
             flush_stages(clock)
         reports[current].containers_sealed = (
             self.containers.sealed_count - sealed_before
@@ -806,24 +766,12 @@ class DedupEngine:
         clock: Optional[StageTimer],
         digest: bytes,
         precompressed: Optional[CompressedChunk],
-        resolved: Optional[int],
     ) -> ChunkOutcome:
-        """One chunk of the serial walk.  ``precompressed`` is the
-        batch plan's artifact (``None`` = the plan missed this unique:
-        compress inline, counted in ``plan_fallback_compressions``);
-        ``resolved`` is the batched lookup's answer, or ``_UNSET`` to
-        look the digest up here."""
-        if resolved is not _UNSET:
-            # Batched resolve: the batch lookup answered for table state
-            # at batch start; the override map carries every mutation
-            # the walk has made since, so the merged view is exactly
-            # what a per-chunk lookup would return now.
-            overrides = self._batch_overrides
-            if overrides is not None and digest in overrides:
-                existing_pbn = overrides[digest]
-            else:
-                existing_pbn = resolved
-        elif clock is None:
+        """One chunk of the serial walk: one table lookup through
+        whatever store is below.  ``precompressed`` is the batch plan's
+        artifact (``None`` = the plan missed this unique: compress
+        inline, counted in ``plan_fallback_compressions``)."""
+        if clock is None:
             existing_pbn = self.table.lookup(digest)
         else:
             with clock.stage("lookup"):
@@ -895,8 +843,6 @@ class DedupEngine:
             ),
         )
         self.table.insert(digest, pbn)
-        if self._batch_overrides is not None:
-            self._batch_overrides[digest] = pbn
         if self.observer is not None:
             self.observer.on_new_chunk(
                 pbn, digest, placement.container_id, placement.offset,
@@ -946,8 +892,6 @@ class DedupEngine:
                 dead.container_id, dead.offset, dead.stored_size
             )
         self.table.remove(dead.fingerprint)
-        if self._batch_overrides is not None:
-            self._batch_overrides[dead.fingerprint] = None
         self.allocator.free(pbn)
         if self.observer is not None:
             self.observer.on_free(pbn)

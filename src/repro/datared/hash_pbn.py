@@ -13,22 +13,15 @@ per-bucket overflow bit, so lookups and deletes stay correct after any
 insertion history.
 
 Memory discipline (DESIGN.md §5.8): the hot path operates on **packed**
-pages in place.  :class:`PackedBucket` is a cursor over the raw page
-bytes — no per-entry tuples, no decode allocation, and outside an
-:class:`ArenaBucketStore` no bytes past its last entry — and the only
-page representation the table knows; the decoded entry-list bucket it
-replaced lives on in ``tests/datared/reference.py`` as the model the
-differential suites compare every page against.
-:class:`NegativeFilter` keeps a compact per-home-bucket multiset
-of 16-bit digest prefixes so lookups of absent fingerprints (the
-unique-heavy common case) skip bucket probing entirely, and
-:meth:`HashPbnTable.lookup_many` batches resolution: repeated digests
-within a batch resolve once and unique digests probe in home-bucket
-order so bucket loads (and table-cache lines) are touched once per
-batch.  Stores that *account* page traffic (the table cache under the
-calibrated device models) keep the exact per-lookup access pattern: the
-filter and batched resolve are on exactly over the private in-memory
-stores (:attr:`HashPbnTable.private_store`).
+pages in place.  :class:`PackedBucket` is a cursor over a compact page —
+no per-entry tuples, no decode allocation, no bytes past its last entry
+— and the only page representation the table knows; the decoded
+entry-list bucket it replaced lives on in ``tests/datared/reference.py``
+as the model the differential suites compare every page against.  Every
+lookup, insert, remove and update probes its home chain through
+whatever store is below, so a store that accounts page traffic (the
+table cache under the calibrated device models) sees every bucket
+access the walk makes.
 """
 
 from __future__ import annotations
@@ -44,12 +37,9 @@ __all__ = [
     "BUCKET_SIZE",
     "BUCKET_CAPACITY",
     "EMPTY_PAGE",
-    "PREFIX_SIZE",
     "PackedBucket",
-    "NegativeFilter",
     "BucketStore",
     "InMemoryBucketStore",
-    "ArenaBucketStore",
     "HashPbnTable",
     "table_bytes_for_capacity",
     "buckets_for_capacity",
@@ -71,9 +61,6 @@ BUCKET_CAPACITY = (BUCKET_SIZE - _HEADER.size) // ENTRY_SIZE
 #: every store reads back for a bucket that was never written.
 EMPTY_PAGE = bytes(BUCKET_SIZE)
 
-#: Digest-prefix width the negative filter keys on (first two bytes).
-PREFIX_SIZE = 2
-
 
 class PackedBucket:
     """A cursor over one packed bucket page, operated on in place.
@@ -82,21 +69,19 @@ class PackedBucket:
     operation directly on the page bytes: lookups run a C-speed aligned
     ``find`` over the entry region, inserts write the 38-byte entry
     into the next slot, removes close the vacated slot.  The page is
-    either a 4-KB slot of an :class:`ArenaBucketStore` arena at
-    ``base`` or a private **compact** page that ends at its last entry
-    (3 + 38 bytes per entry): a compact page grows by one entry per
-    insert and shrinks by one per remove, and :meth:`to_bytes` pads it
-    with the zeros a full page would hold.  Either way the exported
-    page stays **byte identical** to what the decoded reference bucket
-    (``tests/datared/reference.py``) would serialize after the same
-    operation history — the property the differential suite pins.
+    **compact**: it ends at its last entry (3 + 38 bytes per entry),
+    grows by one entry per insert and shrinks by one per remove, and
+    :meth:`to_bytes` pads it with the zeros a full page would hold, so
+    the exported page stays **byte identical** to what the decoded
+    reference bucket (``tests/datared/reference.py``) would serialize
+    after the same operation history — the property the differential
+    suite pins.
     """
 
-    __slots__ = ("buf", "base")
+    __slots__ = ("buf",)
 
-    def __init__(self, buf: bytearray, base: int = 0) -> None:
+    def __init__(self, buf: bytearray) -> None:
         self.buf = buf
-        self.base = base
 
     @classmethod
     def empty(cls) -> "PackedBucket":
@@ -122,24 +107,22 @@ class PackedBucket:
     # -- header ------------------------------------------------------------
     @property
     def entry_count(self) -> int:
-        base = self.base
-        return (self.buf[base] << 8) | self.buf[base + 1]
+        return (self.buf[0] << 8) | self.buf[1]
 
     def _set_count(self, count: int) -> None:
-        base = self.base
-        self.buf[base] = (count >> 8) & 0xFF
-        self.buf[base + 1] = count & 0xFF
+        self.buf[0] = (count >> 8) & 0xFF
+        self.buf[1] = count & 0xFF
 
     @property
     def overflowed(self) -> bool:
-        return bool(self.buf[self.base + 2] & _FLAG_OVERFLOWED)
+        return bool(self.buf[2] & _FLAG_OVERFLOWED)
 
     @overflowed.setter
     def overflowed(self, value: bool) -> None:
         if value:
-            self.buf[self.base + 2] |= _FLAG_OVERFLOWED
+            self.buf[2] |= _FLAG_OVERFLOWED
         else:
-            self.buf[self.base + 2] &= ~_FLAG_OVERFLOWED & 0xFF
+            self.buf[2] &= ~_FLAG_OVERFLOWED & 0xFF
 
     @property
     def is_full(self) -> bool:
@@ -155,13 +138,11 @@ class PackedBucket:
         """
         if len(digest) != FINGERPRINT_SIZE:
             raise ValueError("fingerprints are 32 bytes")
-        lo = self.base + _HEADER.size
-        hi = lo + self.entry_count * ENTRY_SIZE
-        pos = self.buf.find(digest, lo, hi)
+        pos = self.buf.find(digest, _HEADER.size)
         while pos >= 0:
-            if (pos - lo) % ENTRY_SIZE == 0:
+            if (pos - _HEADER.size) % ENTRY_SIZE == 0:
                 return pos
-            pos = self.buf.find(digest, pos + 1, hi)
+            pos = self.buf.find(digest, pos + 1)
         return -1
 
     def lookup(self, digest: bytes) -> Optional[int]:
@@ -180,32 +161,16 @@ class PackedBucket:
             raise BucketFullError(
                 f"bucket already holds {BUCKET_CAPACITY} entries"
             )
-        # On a compact page ``offset`` is its end, so both slice
-        # assignments append.
-        offset = self.base + _HEADER.size + count * ENTRY_SIZE
-        self.buf[offset : offset + FINGERPRINT_SIZE] = digest
-        self.buf[offset + FINGERPRINT_SIZE : offset + ENTRY_SIZE] = (
-            pbn.to_bytes(PBN_SIZE, "big")
-        )
+        self.buf += digest
+        self.buf += pbn.to_bytes(PBN_SIZE, "big")
         self._set_count(count + 1)
 
     def remove(self, digest: bytes) -> bool:
         pos = self._find(digest)
         if pos < 0:
             return False
-        count = self.entry_count
-        end = self.base + _HEADER.size + count * ENTRY_SIZE
-        if end == len(self.buf):
-            # A compact page ends at its last entry: drop the slot.
-            del self.buf[pos : pos + ENTRY_SIZE]
-        else:
-            # A 4-KB page: shift the tail left over the vacated slot
-            # (slice assignment copies the source first, so overlap is
-            # safe), then zero the freed last slot, so the page reads
-            # back exactly as the reference bucket would serialize it.
-            self.buf[pos : end - ENTRY_SIZE] = self.buf[pos + ENTRY_SIZE : end]
-            self.buf[end - ENTRY_SIZE : end] = bytes(ENTRY_SIZE)
-        self._set_count(count - 1)
+        del self.buf[pos : pos + ENTRY_SIZE]
+        self._set_count(self.entry_count - 1)
         return True
 
     def update(self, digest: bytes, pbn: int) -> bool:
@@ -223,7 +188,7 @@ class PackedBucket:
     def entries(self) -> List[Tuple[bytes, int]]:
         """Decoded entry list (tests and tooling; not the hot path)."""
         out: List[Tuple[bytes, int]] = []
-        offset = self.base + _HEADER.size
+        offset = _HEADER.size
         for _ in range(self.entry_count):
             digest = bytes(self.buf[offset : offset + FINGERPRINT_SIZE])
             pbn = int.from_bytes(
@@ -237,145 +202,7 @@ class PackedBucket:
     def to_bytes(self) -> bytes:
         """Export the 4-KB page: one copy, a compact page padded with
         zeros (the packed page itself stays private to its store)."""
-        page = bytes(self.buf[self.base : self.base + BUCKET_SIZE])  # repro-lint: copy-ok page export at the byte-store boundary
-        return page.ljust(BUCKET_SIZE, b"\0")
-
-
-class NegativeFilter:
-    """Compact per-home-bucket multiset of 16-bit digest prefixes.
-
-    Answers "might this digest be in the table?" without touching any
-    bucket page.  Every resident fingerprint contributes the 16-bit
-    prefix of its digest under its **home** bucket (where its probe
-    sequence starts — overflowed entries stay filed under their home),
-    so a lookup whose prefix is absent from the home's multiset can
-    return "unique" with zero bucket probes.  With ~100 entries per
-    bucket the false-maybe rate is ~100/65536 ≈ 0.2%, so unique-heavy
-    workloads skip essentially all probing.  False negatives are
-    structurally impossible: membership is checked before any add is
-    ever dropped (dense mode saturates a bucket *sticky* — it then
-    answers "maybe" forever).
-
-    Two storage modes share the API:
-
-    * sparse (default) — a lazy dict of per-home prefix blobs; pays
-      only for touched buckets, suits the default engine's mostly-empty
-      2^16-bucket table.
-    * ``dense=True`` — one flat preallocated slot array
-      (:data:`BUCKET_CAPACITY` prefixes + a 16-bit count per bucket,
-      ~2 bytes/entry); suits :class:`ArenaBucketStore` tables sized to
-      run full, where per-object overheads would dominate.
-    """
-
-    #: Dense-mode count sentinel: the home exceeded its slot capacity;
-    #: membership answers "maybe" forever (sticky, like overflow bits).
-    _SATURATED = 0xFFFF
-
-    def __init__(self, num_buckets: int, dense: bool = False) -> None:
-        if num_buckets < 1:
-            raise ValueError("need at least one bucket")
-        self.num_buckets = num_buckets
-        self.dense = dense
-        self._blobs: Dict[int, bytearray] = {}
-        #: Dense mode only (empty otherwise): flat slot arena plus a
-        #: 16-bit per-home occupancy count.
-        self._slots: bytearray = (
-            bytearray(num_buckets * BUCKET_CAPACITY * PREFIX_SIZE)
-            if dense else bytearray()
-        )
-        self._counts: bytearray = (
-            bytearray(num_buckets * 2) if dense else bytearray()
-        )
-
-    # -- dense helpers -----------------------------------------------------
-    def _dense_count(self, home: int) -> int:
-        counts = self._counts
-        return (counts[home * 2] << 8) | counts[home * 2 + 1]
-
-    def _set_dense_count(self, home: int, count: int) -> None:
-        counts = self._counts
-        counts[home * 2] = (count >> 8) & 0xFF
-        counts[home * 2 + 1] = count & 0xFF
-
-    @staticmethod
-    def _aligned_find(blob: Union[bytes, bytearray], prefix: bytes,
-                      lo: int, hi: int) -> int:
-        pos = blob.find(prefix, lo, hi)
-        while pos >= 0:
-            if (pos - lo) % PREFIX_SIZE == 0:
-                return pos
-            pos = blob.find(prefix, pos + 1, hi)
-        return -1
-
-    # -- operations --------------------------------------------------------
-    def might_contain(self, home: int, digest: bytes) -> bool:
-        prefix = digest[:PREFIX_SIZE]  # repro-lint: copy-ok 2-byte filter needle
-        if self.dense:
-            count = self._dense_count(home)
-            if count == self._SATURATED:
-                return True
-            lo = home * BUCKET_CAPACITY * PREFIX_SIZE
-            return self._aligned_find(
-                self._slots, prefix, lo, lo + count * PREFIX_SIZE
-            ) >= 0
-        blob = self._blobs.get(home)
-        if blob is None:
-            return False
-        return self._aligned_find(blob, prefix, 0, len(blob)) >= 0
-
-    def add(self, home: int, digest: bytes) -> None:
-        prefix = digest[:PREFIX_SIZE]  # repro-lint: copy-ok 2-byte filter needle
-        if self.dense:
-            count = self._dense_count(home)
-            if count == self._SATURATED:
-                return
-            if count >= BUCKET_CAPACITY:
-                # More same-home entries than slots (deep overflow
-                # chains): give up on this home, sticky.
-                self._set_dense_count(home, self._SATURATED)
-                return
-            slots = self._slots
-            offset = (home * BUCKET_CAPACITY + count) * PREFIX_SIZE
-            slots[offset : offset + PREFIX_SIZE] = prefix
-            self._set_dense_count(home, count + 1)
-            return
-        blob = self._blobs.get(home)
-        if blob is None:
-            blob = self._blobs[home] = bytearray()
-        blob.extend(prefix)
-
-    def discard(self, home: int, digest: bytes) -> None:
-        """Drop one occurrence of the digest's prefix under ``home``.
-
-        The filter is a multiset, so removing one of several equal
-        prefixes keeps the rest visible; order within a home does not
-        matter, so removal swaps the last prefix into the hole.
-        """
-        prefix = digest[:PREFIX_SIZE]  # repro-lint: copy-ok 2-byte filter needle
-        if self.dense:
-            count = self._dense_count(home)
-            if count == self._SATURATED or count == 0:
-                return
-            lo = home * BUCKET_CAPACITY * PREFIX_SIZE
-            hi = lo + count * PREFIX_SIZE
-            pos = self._aligned_find(self._slots, prefix, lo, hi)
-            if pos < 0:
-                return
-            slots = self._slots
-            slots[pos : pos + PREFIX_SIZE] = slots[hi - PREFIX_SIZE : hi]
-            slots[hi - PREFIX_SIZE : hi] = bytes(PREFIX_SIZE)
-            self._set_dense_count(home, count - 1)
-            return
-        blob = self._blobs.get(home)
-        if blob is None:
-            return
-        pos = self._aligned_find(blob, prefix, 0, len(blob))
-        if pos < 0:
-            return
-        blob[pos : pos + PREFIX_SIZE] = blob[-PREFIX_SIZE:]
-        del blob[-PREFIX_SIZE:]
-        if not blob:
-            del self._blobs[home]
+        return bytes(self.buf).ljust(BUCKET_SIZE, b"\0")  # repro-lint: copy-ok page export at the byte-store boundary
 
 
 class BucketStore:
@@ -448,72 +275,12 @@ class InMemoryBucketStore(BucketStore):
         self._pages[index] = bucket
 
 
-class ArenaBucketStore(BucketStore):
-    """All buckets in one preallocated flat arena (DESIGN.md §5.8).
-
-    The memory-dense configuration for tables sized to run near
-    capacity: pages live at fixed offsets of a single ``bytearray``, so
-    the resident cost is exactly :data:`BUCKET_SIZE` per bucket — no
-    dict entry, no per-page object header — and :meth:`load_packed`
-    hands out a zero-copy :class:`PackedBucket` cursor into the arena.
-    Allocation is eager (``num_buckets × 4 KB`` up front), which is why
-    this is not the default store for sparsely-filled tables.
-    """
-
-    def __init__(self, num_buckets: int) -> None:
-        if num_buckets < 1:
-            raise ValueError("need at least one bucket")
-        self.num_buckets = num_buckets
-        self._arena = bytearray(num_buckets * BUCKET_SIZE)
-        self.reads = 0
-        self.writes = 0
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.num_buckets:
-            raise IndexError(
-                f"bucket {index} outside arena of {self.num_buckets}"
-            )
-
-    def read_bucket(self, index: int) -> bytes:
-        self._check(index)
-        self.reads += 1
-        base = index * BUCKET_SIZE
-        return bytes(self._arena[base : base + BUCKET_SIZE])  # repro-lint: copy-ok page export at the byte-store boundary
-
-    def write_bucket(self, index: int, page: bytes) -> None:
-        self._check(index)
-        if len(page) != BUCKET_SIZE:
-            raise ValueError("bucket pages must be 4 KB")
-        self.writes += 1
-        base = index * BUCKET_SIZE
-        self._arena[base : base + BUCKET_SIZE] = page
-
-    def load_packed(self, index: int) -> PackedBucket:  # repro-lint: hot-path
-        self._check(index)
-        self.reads += 1
-        return PackedBucket(self._arena, index * BUCKET_SIZE)
-
-    def store_packed(self, index: int, bucket: PackedBucket) -> None:  # repro-lint: hot-path
-        self._check(index)
-        self.writes += 1
-        if bucket.buf is not self._arena or bucket.base != index * BUCKET_SIZE:
-            # A foreign page (built elsewhere): copy it into place.
-            base = index * BUCKET_SIZE
-            self._arena[base : base + BUCKET_SIZE] = bucket.to_bytes()
-        # Arena-resident cursors mutated in place; nothing to move.
-
-
 class HashPbnTable:
     """Fingerprint → PBN store over a bucket-granular backing store.
 
     All bucket IO flows through the injected :class:`BucketStore`; the
     table itself holds no pages, so a cached store sees every access.
-
-    Pages are operated on in place through :class:`PackedBucket`.  The
-    :class:`NegativeFilter` probe-skip is armed exactly when
-    :attr:`private_store` holds: an interposing store such as the table
-    cache feeds the calibrated device models from its page accounting
-    and must keep the exact per-lookup access pattern.
+    Pages are operated on in place through :class:`PackedBucket`.
     """
 
     def __init__(
@@ -525,28 +292,8 @@ class HashPbnTable:
             raise ValueError("need at least one bucket")
         self.num_buckets = num_buckets
         self.store = store if store is not None else InMemoryBucketStore()
-        #: True when no accounting store interposes on page traffic —
-        #: the condition under which probe-skipping/batching fast paths
-        #: cannot perturb a calibrated device model.
-        self.private_store = isinstance(
-            self.store, (InMemoryBucketStore, ArenaBucketStore)
-        )
-        self.filter: Optional[NegativeFilter] = (
-            NegativeFilter(
-                num_buckets, dense=isinstance(self.store, ArenaBucketStore)
-            )
-            if self.private_store
-            else None
-        )
         self.entry_count = 0
         self.probe_count = 0  # buckets touched, for locality analysis
-        #: Lookups the negative filter resolved with zero bucket probes.
-        self.filter_hits = 0
-        #: Lookups the filter passed through to the probe loop.
-        self.filter_misses = 0
-        #: Table probes :meth:`lookup_many` skipped because the digest
-        #: repeated within the batch (the intra-batch dedupe).
-        self.saved_batch_lookups = 0
 
     # -- helpers -------------------------------------------------------------
     def _home(self, digest: bytes) -> int:  # repro-lint: hot-path
@@ -559,22 +306,10 @@ class HashPbnTable:
         self.probe_count += 1
         return self.store.load_packed(index)
 
-    def _filter_says_absent(self, home: int, digest: bytes) -> bool:  # repro-lint: hot-path
-        """Consult the negative filter; True means skip all probes."""
-        if self.filter is None:
-            return False
-        if self.filter.might_contain(home, digest):
-            self.filter_misses += 1
-            return False
-        self.filter_hits += 1
-        return True
-
     # -- operations ------------------------------------------------------------
     def lookup(self, digest: bytes) -> Optional[int]:
         """Return the PBN stored for ``digest``, or ``None`` if unique."""
         index = self._home(digest)
-        if self._filter_says_absent(index, digest):
-            return None
         for _ in range(self.num_buckets):
             bucket = self._load(index)
             pbn = bucket.lookup(digest)
@@ -588,52 +323,8 @@ class HashPbnTable:
     def lookup_many(
         self, digests: Sequence[bytes]
     ) -> List[Optional[int]]:
-        """Resolve a batch of digests against the current table state.
-
-        Three batch effects the per-call :meth:`lookup` cannot get
-        (DESIGN.md §5.8): repeated digests resolve once (counted in
-        :attr:`saved_batch_lookups`), unique digests probe in home-
-        bucket order, and every bucket loaded during the call is reused
-        for the rest of it — so a batch touches each bucket once no
-        matter how many digests land in it.  Results are positionally
-        aligned with ``digests`` and identical to calling ``lookup``
-        per digest.  Read-only: callers interleaving mutations must
-        re-resolve affected digests themselves (the engine's batched
-        write path keeps an override map for exactly that).
-        """
-        unique_of: Dict[bytes, int] = {}
-        unique: List[bytes] = []
-        for digest in digests:
-            if digest not in unique_of:
-                unique_of[digest] = len(unique)
-                unique.append(digest)
-        self.saved_batch_lookups += len(digests) - len(unique)
-
-        homes = [self._home(digest) for digest in unique]
-        order = sorted(range(len(unique)), key=homes.__getitem__)
-        results: List[Optional[int]] = [None] * len(unique)
-        loaded: Dict[int, PackedBucket] = {}
-        for position in order:
-            digest = unique[position]
-            home = homes[position]
-            if self._filter_says_absent(home, digest):
-                continue
-            index = home
-            for _ in range(self.num_buckets):
-                bucket = loaded.get(index)
-                if bucket is None:
-                    bucket = self._load(index)
-                    loaded[index] = bucket
-                else:
-                    self.probe_count += 1
-                pbn = bucket.lookup(digest)
-                if pbn is not None:
-                    results[position] = pbn
-                    break
-                if not bucket.overflowed:
-                    break
-                index = (index + 1) % self.num_buckets
-        return [results[unique_of[digest]] for digest in digests]
+        """:meth:`lookup` of each digest, in order."""
+        return [self.lookup(digest) for digest in digests]
 
     def insert(self, digest: bytes, pbn: int) -> None:
         """Insert a new fingerprint.  The caller must have checked
@@ -646,16 +337,13 @@ class HashPbnTable:
             raise ValueError(f"PBN {pbn} out of range")
         if len(digest) != FINGERPRINT_SIZE:
             raise ValueError("fingerprints are 32 bytes")
-        home = self._home(digest)
-        index = home
+        index = self._home(digest)
         for _ in range(self.num_buckets):
             bucket = self._load(index)
             if not bucket.is_full:
                 bucket.insert(digest, pbn)
                 self.store.store_packed(index, bucket)
                 self.entry_count += 1
-                if self.filter is not None:
-                    self.filter.add(home, digest)
                 return
             if not bucket.overflowed:
                 bucket.overflowed = True
@@ -665,17 +353,12 @@ class HashPbnTable:
 
     def remove(self, digest: bytes) -> bool:
         """Remove a fingerprint (garbage collection of freed chunks)."""
-        home = self._home(digest)
-        if self._filter_says_absent(home, digest):
-            return False
-        index = home
+        index = self._home(digest)
         for _ in range(self.num_buckets):
             bucket = self._load(index)
             if bucket.remove(digest):
                 self.store.store_packed(index, bucket)
                 self.entry_count -= 1
-                if self.filter is not None:
-                    self.filter.discard(home, digest)
                 return True
             if not bucket.overflowed:
                 return False
@@ -685,8 +368,6 @@ class HashPbnTable:
     def update(self, digest: bytes, pbn: int) -> bool:
         """Repoint an existing fingerprint at a new PBN (defragmentation)."""
         index = self._home(digest)
-        if self._filter_says_absent(index, digest):
-            return False
         for _ in range(self.num_buckets):
             bucket = self._load(index)
             if bucket.update(digest, pbn):

@@ -155,6 +155,14 @@ class FidrNic:
                 unique_batch.append(staged)
         return unique_batch
 
+    def discard(self, lba: int, data: bytes) -> None:
+        """Drop ``lba``'s buffered chunk if it is still ``data`` (the
+        very object buffered, not a newer write of that LBA)."""
+        staged = self._buffer.get(lba)
+        if staged is not None and staged.data is data:
+            del self._buffer[lba]
+            self._buffered_bytes -= len(data)
+
     # -- read path ---------------------------------------------------------------------
     def lookup_read(self, lba: int) -> Optional[bytes]:
         """LBA Lookup: serve a read from the write buffer when possible."""

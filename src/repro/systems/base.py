@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..cache.table_cache import CacheIndex, TableCache
-from ..errors import AlignmentError
+from ..errors import AlignmentError, CapacityError
 from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..datared.container import Container
@@ -150,6 +150,11 @@ class ReductionSystem:
         """Run the backend write flow for one staged batch."""
         raise NotImplementedError
 
+    def _unstage(self, chunks: List[Chunk]) -> None:
+        """Drop a refused batch's chunks from wherever they are staged
+        beyond ``_pending``.  Default: nowhere (a host buffer is the
+        pending list itself)."""
+
     def _staged_lookup(
         self, close: Callable[[], None]
     ) -> Optional[Callable[[int], Optional[bytes]]]:
@@ -191,8 +196,22 @@ class ReductionSystem:
         while len(self._pending) >= leave_below:
             batch = self._pending[: self.config.batch_chunks]
             del self._pending[: self.config.batch_chunks]
-            with _trace.span("system.batch", chunks=len(batch)):
-                self._process_batch(batch)
+            processed = self.engine.stats.logical_bytes
+            try:
+                with _trace.span("system.batch", chunks=len(batch)):
+                    self._process_batch(batch)
+            except CapacityError:
+                # The engine applied a prefix of the batch and refused
+                # the rest (DESIGN.md §5.8): the refused chunks leave
+                # staging and the front-door count, acked or not.
+                applied = (
+                    self.engine.stats.logical_bytes - processed
+                ) // self.engine.chunker.chunk_size
+                self.logical_write_bytes -= sum(
+                    len(chunk.data) for chunk in batch[applied:]
+                )
+                self._unstage(batch)
+                raise
 
     def flush(self) -> None:
         """Drain staged writes and seal the open container."""

@@ -199,6 +199,13 @@ class FidrSystem(ReductionSystem):
             CpuTask.CONTENT_UPDATE, costs.cache_content_update * unique_count
         )
 
+    def _unstage(self, chunks: List[Chunk]) -> None:
+        """A refused batch leaves the NIC buffer: its applied chunks
+        are the engine's now and its refused ones are dropped.  A newer
+        same-LBA write staged behind the batch keeps its entry."""
+        for chunk in chunks:
+            self.nic.discard(chunk.lba, chunk.data)
+
     def _charge_table_cache(self, delta) -> None:
         """Hybrid split (§5.5): content stays host-side, machinery moves
         to the engine — the host never pays tree/SSD/eviction cycles.

@@ -100,6 +100,35 @@ class TestSeededCorruption:
         violations = check_engine(engine, raise_on_violation=False)
         assert any("entry count" in violation for violation in violations)
 
+    @pytest.mark.parametrize("where", ["engine", "FIDR"])
+    def test_table_losing_a_digest_is_caught(self, where):
+        """A digest removed from its bucket page behind the engine's
+        back: the entry count and the fingerprint mirror still agree,
+        only the table itself no longer resolves the record."""
+        if where == "engine":
+            engine = exercised_engine()
+            pages = engine.table.store
+        else:
+            from repro.systems.config import SystemConfig
+            from repro.systems.server import StorageServer, SystemKind
+
+            storage = StorageServer.build(
+                SystemKind.FIDR, num_buckets=512, cache_lines=64,
+                config=SystemConfig(batch_chunks=8),
+            )
+            for index in range(40):
+                storage.write(index % 30, bytes([index]) * CHUNK)
+            storage.system.flush()
+            engine = storage.system.engine
+            pages = storage.system.table_cache.pages
+        pbn, record = next(iter(engine.pbn_map.records()))
+        home = engine.table._home(record.fingerprint)
+        assert pages.load_packed(home).remove(record.fingerprint)
+        violations = check_engine(engine, raise_on_violation=False)
+        assert violations == [
+            f"Hash-PBN table maps PBN {pbn}'s fingerprint to None"
+        ]
+
     def test_system_front_door_drift_is_caught(self):
         from repro.systems.server import StorageServer, SystemKind
 

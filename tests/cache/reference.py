@@ -80,7 +80,7 @@ class MovingPageCache(BucketStore):
     def read_bucket(self, bucket: int) -> bytes:
         line = self._lines[self._read(bucket)]
         if isinstance(line, PackedBucket):
-            return bytes(line.buf)
+            return line.to_bytes()
         assert line is not None
         return line
 
@@ -89,7 +89,7 @@ class MovingPageCache(BucketStore):
         line = self._lines[slot]
         if not isinstance(line, PackedBucket):
             assert line is not None
-            line = self._lines[slot] = PackedBucket(bytearray(line))
+            line = self._lines[slot] = PackedBucket.from_page(line)
         return line
 
     def write_bucket(self, bucket: int, page: bytes) -> None:
@@ -110,9 +110,7 @@ class MovingPageCache(BucketStore):
         else:
             self.stats.misses += 1
             used = self.ssd.fetch(bucket) or b""
-            page = bytearray(BUCKET_SIZE)
-            page[: len(used)] = used
-            slot = self._install(bucket, PackedBucket(page))
+            slot = self._install(bucket, used.ljust(BUCKET_SIZE, b"\0"))
             self.stats.fetches += 1
         self.stats.content_scans += 1
         self.stats.host_bytes_read += BUCKET_SIZE

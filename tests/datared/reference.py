@@ -5,9 +5,9 @@ before the packed index (PR 9); it left ``src/`` once
 :class:`~repro.datared.hash_pbn.PackedBucket` became the only page
 representation and stays here as the readable statement of the on-disk
 format.  :class:`ReferenceTable` is the bucket-granular linear-probing
-table over it, and :class:`InterposingStore` is the smallest store that
-is *not* private — what selects the per-chunk lookup path (no negative
-filter, no batched resolve) the table cache runs under.
+table over it, and :class:`InterposingStore` is the smallest store
+that interposes on page traffic the way the table cache does: byte
+pages only, every access counted.
 """
 
 from __future__ import annotations
@@ -180,12 +180,11 @@ class ReferenceTable:
 
 
 class InterposingStore(BucketStore):
-    """A counting byte-page store that is not one of the private ones.
+    """A counting byte-page store.
 
     Implements only the canonical ``read_bucket``/``write_bucket`` pair,
-    as the table cache does, so a table over it sees
-    ``private_store == False``: no negative filter, and an engine over
-    that table looks digests up chunk by chunk.
+    so every packed access goes through a page copy and is counted —
+    the parity suites compare its counts with an engine's own store.
     """
 
     def __init__(self) -> None:

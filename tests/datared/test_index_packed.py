@@ -1,15 +1,14 @@
 """Packed-index differential and property suite (DESIGN.md §5.8).
 
-Proves the three PR-9 index claims the rest of the stack now relies on:
+Proves the index claims the rest of the stack relies on:
 
 * :class:`PackedBucket` is **byte-identical** to the decoded reference
   :class:`~tests.datared.reference.Bucket` after any operation history
   (the on-disk format never changed);
 * the sticky per-bucket overflow bit keeps every lookup/remove correct
   across random insert/delete/overflow-probe histories, in the packed
-  table and the reference table alike;
-* the :class:`NegativeFilter` never produces a false negative, and
-  :meth:`HashPbnTable.lookup_many` returns exactly what per-call
+  table and the reference table alike, probing the same buckets;
+* :meth:`HashPbnTable.lookup_many` returns exactly what per-call
   lookups would.
 """
 
@@ -19,9 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datared.hash_pbn import (
     BUCKET_CAPACITY,
     BUCKET_SIZE,
-    ArenaBucketStore,
     HashPbnTable,
-    NegativeFilter,
     PackedBucket,
 )
 from repro.datared.hashing import fingerprint
@@ -163,10 +160,9 @@ class TestPackedVsLegacyTable:
         buckets mid-chain without clearing the bit, and every
         subsequent lookup/remove must still resolve identically in
         both representations (and against the dict model).  The packed
-        table runs twice: over its private store (negative filter
-        armed, native packed pages) and over an interposing byte-page
-        store (no filter — the probe sequence must then match the
-        reference bucket for bucket).
+        table runs twice: over its own store (native packed pages) and
+        over an interposing byte-page store; both probe the same
+        buckets as the reference.
         """
         packed = HashPbnTable(2)
         interposed = HashPbnTable(2, store=InterposingStore())
@@ -193,9 +189,7 @@ class TestPackedVsLegacyTable:
                 hits = {table.lookup(digest) for table in tables}
                 assert hits == {model.get(key)}
         assert len(packed) == len(interposed) == len(legacy) == len(model)
-        assert interposed.probe_count == legacy.probe_count
-        # The filter elides probes, never adds them.
-        assert packed.probe_count <= legacy.probe_count
+        assert packed.probe_count == interposed.probe_count == legacy.probe_count
         assert _pages(packed) == _pages(interposed) == _pages(legacy)
 
     def test_sticky_overflow_survives_emptying(self):
@@ -235,123 +229,6 @@ class TestPackedVsLegacyTable:
             for key in spilled:
                 assert table.lookup(digest_of(key)) == key
 
-    def test_arena_store_differential(self):
-        """Arena-backed packed table matches the reference table."""
-        arena = HashPbnTable(4, store=ArenaBucketStore(4))
-        legacy = ReferenceTable(4)
-        keys = list(range(150))
-        for key in keys:
-            arena.insert(digest_of(key), key)
-            legacy.insert(digest_of(key), key)
-        for key in keys[::3]:
-            assert arena.remove(digest_of(key))
-            assert legacy.remove(digest_of(key))
-        for key in keys:
-            assert arena.lookup(digest_of(key)) == legacy.lookup(digest_of(key))
-        assert _pages(arena) == _pages(legacy)
-
-
-class TestArenaBucketStore:
-    def test_zero_copy_mutation_persists(self):
-        store = ArenaBucketStore(4)
-        bucket = store.load_packed(2)
-        bucket.insert(digest_of(1), 5)
-        # No store_packed call: the cursor IS the arena page.
-        assert store.load_packed(2).lookup(digest_of(1)) == 5
-        assert Bucket.from_bytes(store.read_bucket(2)).entries == [
-            (digest_of(1), 5)
-        ]
-
-    def test_foreign_page_copied_in(self):
-        store = ArenaBucketStore(2)
-        foreign = PackedBucket.empty()
-        foreign.insert(digest_of(7), 9)
-        store.store_packed(1, foreign)
-        assert store.load_packed(1).lookup(digest_of(7)) == 9
-
-    def test_bounds_checked(self):
-        store = ArenaBucketStore(2)
-        with pytest.raises(IndexError):
-            store.read_bucket(2)
-        with pytest.raises(IndexError):
-            store.load_packed(-1)
-
-    def test_io_counted(self):
-        store = ArenaBucketStore(2)
-        store.load_packed(0)
-        store.store_packed(0, store.load_packed(0))
-        store.read_bucket(1)
-        store.write_bucket(1, bytes(BUCKET_SIZE))
-        assert store.reads == 3
-        assert store.writes == 2
-
-
-class TestNegativeFilter:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(0, 60)), max_size=200
-        ),
-        st.booleans(),
-    )
-    def test_no_false_negatives(self, operations, dense):
-        """A digest whose prefix is resident always answers "maybe"."""
-        nf = NegativeFilter(4, dense=dense)
-        model = {}  # (home, prefix) -> count
-        for is_add, key in operations:
-            digest = digest_of(key)
-            home = key % 4
-            slot = (home, digest[:2])
-            if is_add:
-                nf.add(home, digest)
-                model[slot] = model.get(slot, 0) + 1
-            else:
-                nf.discard(home, digest)
-                if model.get(slot, 0) > 0:
-                    model[slot] -= 1
-            for (h, prefix), count in model.items():
-                if count > 0:
-                    probe = prefix + digest_of(0)[:30]
-                    assert nf.might_contain(h, probe)
-
-    def test_absent_prefix_filters(self):
-        nf = NegativeFilter(2)
-        nf.add(0, digest_of(1))
-        other = digest_of(2)
-        assume_differs = other[:2] != digest_of(1)[:2]
-        if assume_differs:
-            assert not nf.might_contain(0, other)
-        assert not nf.might_contain(1, digest_of(1))
-
-    def test_dense_saturation_is_sticky(self):
-        nf = NegativeFilter(1, dense=True)
-        for i in range(BUCKET_CAPACITY + 1):
-            nf.add(0, digest_of(i))
-        # Saturated: everything answers "maybe", discards are no-ops.
-        assert nf.might_contain(0, digest_of(12345))
-        nf.discard(0, digest_of(0))
-        assert nf.might_contain(0, digest_of(0))
-        assert nf.might_contain(0, digest_of(54321))
-
-    def test_table_results_identical_with_filter(self):
-        with_filter = HashPbnTable(8)
-        without = HashPbnTable(8, store=InterposingStore())
-        assert with_filter.filter is not None and without.filter is None
-        for key in range(120):
-            with_filter.insert(digest_of(key), key)
-            without.insert(digest_of(key), key)
-        for key in range(90):
-            assert with_filter.remove(digest_of(key)) == without.remove(
-                digest_of(key)
-            )
-        for key in range(200):
-            assert with_filter.lookup(digest_of(key)) == without.lookup(
-                digest_of(key)
-            )
-        assert with_filter.filter_hits > 0
-        # The filter elides probes, never adds them.
-        assert with_filter.probe_count <= without.probe_count
-
 
 class TestLookupMany:
     @settings(max_examples=30, deadline=None)
@@ -370,80 +247,6 @@ class TestLookupMany:
 
     def test_empty_batch(self):
         assert HashPbnTable(4).lookup_many([]) == []
-
-    def test_intra_batch_dedupe_counted(self):
-        table = HashPbnTable(4)
-        table.insert(digest_of(1), 1)
-        batch = [digest_of(1)] * 5 + [digest_of(2)] * 3
-        assert table.lookup_many(batch) == [1] * 5 + [None] * 3
-        assert table.saved_batch_lookups == 6  # 8 digests, 2 unique
-
-    def test_bucket_loaded_once_per_batch(self):
-        # Many digests landing in the same bucket cost one store read.
-        store = InterposingStore()  # no filter: every lookup probes
-        table = HashPbnTable(1, store=store)
-        for key in range(10):
-            table.insert(digest_of(key), key)
-        reads_before = store.reads
-        table.lookup_many([digest_of(key) for key in range(10)])
-        assert store.reads == reads_before + 1
-
-    def test_arena_store_batch(self):
-        table = HashPbnTable(4, store=ArenaBucketStore(4))
-        for key in range(50):
-            table.insert(digest_of(key), key)
-        batch = [digest_of(key) for key in range(100)]
-        assert table.lookup_many(batch) == [
-            key if key < 50 else None for key in range(100)
-        ]
-        assert table.filter_hits > 0
-
-
-class TestAutoRules:
-    def test_private_stores_arm_filter(self):
-        assert HashPbnTable(4).filter is not None
-        assert HashPbnTable(4, store=ArenaBucketStore(4)).filter is not None
-        assert HashPbnTable(4, store=ArenaBucketStore(4)).filter.dense
-
-    def test_interposing_store_disarms_filter(self):
-        table = HashPbnTable(4, store=InterposingStore())
-        assert table.filter is None
-        assert not table.private_store
-
-
-class TestEngineBatchedResolve:
-    def test_intra_batch_dedupe_surfaces_in_stats(self):
-        from repro.datared.dedup import DedupEngine
-
-        engine = DedupEngine(num_buckets=64)
-        assert engine.table.private_store  # → one lookup_many per batch
-        step = engine.chunker.blocks_per_chunk
-        payload = b"\xcd" * 4096
-        engine.write_many([(i * step, payload) for i in range(8)])
-        snap = engine.stats_snapshot()
-        # Eight identical digests resolve as one table probe + seven
-        # saved lookups, and the absent-digest probe was a filter hit.
-        assert snap.index_saved_lookups == 7
-        assert snap.index_filter_hits >= 1
-        assert snap.index_probes >= 1
-        assert snap.duplicate_chunks == 7
-        assert snap.unique_chunks == 1
-
-    def test_batched_resolve_off_for_interposing_store(self):
-        from repro.datared.dedup import DedupEngine
-
-        store = InterposingStore()
-        engine = DedupEngine(table=HashPbnTable(64, store=store))
-        assert not engine.table.private_store
-        step = engine.chunker.blocks_per_chunk
-        engine.write_many([(i * step, b"\xab" * 4096) for i in range(4)])
-        snap = engine.stats_snapshot()
-        assert snap.index_saved_lookups == 0
-        assert snap.index_filter_hits == 0
-        assert snap.duplicate_chunks == 3
-        # One probe per chunk reached the store: the access pattern an
-        # accounting store is calibrated against.
-        assert snap.index_probes >= 4 and store.reads == snap.index_probes
 
 
 class TestBucketFullErrorMapping:

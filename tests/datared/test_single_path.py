@@ -1,9 +1,10 @@
 """The engine has one ingest path, and these tests pin it.
 
 ``write`` is ``write_many`` of one request, and every batch — traced
-or not, private or interposed index store — runs chunk → hash →
-(batched resolve) → plan → ``compress_many`` → serial walk.  The inline ``compressor.compress`` in the walk survives only as
-the counted fallback for a unique the plan missed.
+or not, over the table's own page store or an interposing one — runs
+chunk → hash → plan → ``compress_many`` → serial walk, one table lookup
+per chunk.  The inline ``compressor.compress`` in the walk survives
+only as the counted fallback for a unique the plan missed.
 """
 
 import pytest
@@ -44,7 +45,6 @@ def _build(interposed):
         compressor=ModeledCompressor(0.5),
         journal=journal,
     )
-    assert engine.table.private_store is not interposed
     return engine, journal, store
 
 
@@ -52,6 +52,43 @@ def _records(engine):
     return [
         (pbn, r.container_id, r.offset, r.stored_size, r.fingerprint, r.refcount)
         for pbn, r in engine.pbn_map.records()
+    ]
+
+
+def _random_batches(rng):
+    """Twelve 16-chunk batches over a 48-chunk region: fresh content,
+    repeats from a small hot pool, and overwrites within and across
+    batches."""
+    hot = [rng.randbytes(CHUNK) for _ in range(8)]
+    return [
+        [
+            (
+                rng.randrange(48),
+                rng.choice(hot) if rng.random() < 0.5 else rng.randbytes(CHUNK),
+            )
+            for _ in range(16)
+        ]
+        for _ in range(12)
+    ]
+
+
+def test_bare_and_interposed_engines_walk_alike(rng):
+    """One walk: an engine over its own page store and the same engine
+    over an interposing store give equal reports, records, probes and
+    page traffic."""
+    bare, _, _ = _build(interposed=False)
+    over, _, store = _build(interposed=True)
+    stream = [[request] for request in _self_overwriting_stream(rng)]
+    stream += _random_batches(rng)
+    for batch in stream:
+        assert bare.write_many(batch) == over.write_many(batch)
+    assert bare.table.probe_count == over.table.probe_count
+    pages = bare.table.store
+    assert (pages.reads, pages.writes) == (store.reads, store.writes)
+    assert _records(bare) == _records(over)
+    assert bare.stats_snapshot() == over.stats_snapshot()
+    assert [pages.read_bucket(index) for index in range(64)] == [
+        store.read_bucket(index) for index in range(64)
     ]
 
 

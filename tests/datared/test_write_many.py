@@ -22,10 +22,7 @@ from repro.datared.dedup import (
     WriteOptions,
     WriteReport,
 )
-from repro.datared.hash_pbn import HashPbnTable
 from repro.datared.hashing import fingerprint
-
-from .reference import InterposingStore
 
 CHUNK = 4096
 BLOCKS = CHUNK // BLOCK_SIZE  #: LBA step between adjacent chunk slots
@@ -167,35 +164,6 @@ def test_write_many_matches_per_chunk_writes(
         batched.read(0, 24).data
         == b"".join(single.read(i * BLOCKS).data for i in range(24))
     )
-
-    # Index-path differential on the same grid cell: an engine whose
-    # table sits over an interposing store (no negative filter, one
-    # table lookup per chunk — the configuration the table cache runs)
-    # must be byte- and ledger-identical to the filtered, batch-resolved
-    # engine above — including every stored 4-KB table page.  (Page
-    # identity against the decoded reference bucket is pinned at table
-    # level by test_index_packed.TestPackedVsLegacyTable.)
-    legacy = DedupEngine(
-        table=HashPbnTable(512, store=InterposingStore()),
-        compressor=ZlibCompressor(),
-    )
-    assert not legacy.table.private_store
-    legacy_reports = []
-    for start in range(0, len(requests), batch_size):
-        legacy_reports.extend(
-            legacy.write_many(requests[start : start + batch_size])
-        )
-    for left, right in zip(batched_reports, legacy_reports):
-        assert reports_equal(left, right)
-    assert legacy.stats == batched.stats
-    assert legacy.table.entry_count == batched.table.entry_count
-    for index in range(512):
-        assert (
-            legacy.table.store.read_bucket(index)
-            == batched.table.store.read_bucket(index)
-        )
-    assert check_engine(legacy) == []
-    assert legacy.read(0, 24).data == batched.read(0, 24).data
 
 
 def test_write_many_intra_batch_retire_then_rewrite():

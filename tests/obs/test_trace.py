@@ -169,9 +169,7 @@ class TestPerBatchStageSpans:
 
         from ..datared.reference import InterposingStore
 
-        # Per-chunk table lookups, as over the FIDR table cache: an
-        # interposing store selects them (a private in-memory index
-        # resolves the whole batch in one lookup_many).
+        # Over an interposing store, as over the FIDR table cache.
         engine = DedupEngine(
             table=HashPbnTable(1 << 10, store=InterposingStore()),
             compressor=ZlibCompressor(),
