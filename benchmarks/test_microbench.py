@@ -6,20 +6,24 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): five
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, and six counts — the
+alternative on the same host inside one test, eight counts — the
 bytes the page store holds per bucket, the serving tier's ops per
 backend turn, its cross-thread wake-ups, its READ ops per engine pass,
-the transports a bulk reply pauses, and the page faults a client process
-takes per bulk read.
+the transports a bulk reply pauses, the page faults a client process
+takes per bulk read and a server process per bulk write, and the heap
+bytes held per unique chunk of metadata — and the time a checkpoint
+takes per live chunk.
 """
 
 import asyncio
+import gc
 import os
 import random
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from asyncio import selector_events
 
@@ -43,6 +47,7 @@ from repro.datared.hash_pbn import (
     PackedBucket,
 )
 from repro.datared.hashing import fingerprint
+from repro.datared.journal import CheckpointState
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.obs import trace
 from repro.systems.fidr import FidrSystem
@@ -515,3 +520,132 @@ def test_bulk_reads_recycle_their_buffers():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert float(ran.stdout) < 8, ran.stdout
+
+
+_BULK_WRITE_FAULTS = """
+import asyncio, resource
+from repro.net.aserver import AsyncProtocolServer, _Connection
+from repro.net.protocol import Op, encode_frame
+from repro.systems.server import StorageServer, SystemKind
+from repro.workloads.content import ContentFactory
+
+class Socket:
+    # The transport of one connection: replies dropped, reads never
+    # held (one frame is in flight at a time), close is a loss.
+    def __init__(self, protocol):
+        self.protocol = protocol
+        protocol.connection_made(self)
+    def write(self, data):
+        pass
+    def pause_reading(self):
+        pass
+    def resume_reading(self):
+        pass
+    def is_closing(self):
+        return False
+    def close(self):
+        self.protocol.connection_lost(None)
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+async def drive(storage):
+    content = ContentFactory(compress_fraction=0.5)
+    frames = [encode_frame(Op.WRITE, 64 * extent, b"".join(
+        content.chunk(64 * extent + i) for i in range(64)),
+        request_id=extent + 1) for extent in range(16)]
+    server = await AsyncProtocolServer(storage).start()
+    connection = _Connection(server)
+    Socket(connection)
+
+    async def write(op):
+        # A fresh buffer per frame, as each socket read hands over.
+        connection.data_received(memoryview(frames[op % 16]).tobytes())
+        while connection.pending:
+            await asyncio.sleep(0)
+
+    for op in range(32):  # first touches are not the subject
+        await write(op)
+    before = faults()
+    for op in range(128):
+        await write(op)
+    per_write = (faults() - before) / 128
+    await server.stop()
+    return per_write
+
+with StorageServer.build(SystemKind.FIDR) as storage:
+    print(asyncio.run(drive(storage)))
+"""
+
+
+def test_bulk_writes_recycle_their_buffers():
+    """The server's 256-KiB WRITE frames must not map their buffers
+    afresh per op (``AsyncProtocolServer.start`` settles the allocator,
+    DESIGN.md §5.1), as a count: minor page faults per write in a fresh
+    interpreter holding only the server side — frames fed straight to a
+    ``_Connection``, no client, whose construction would settle the
+    allocator itself — 128 writes after 32 warming ones: 0.0 settled,
+    224 when ``start`` leaves the allocator in the mode the process's
+    earlier frees put it in."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    ran = subprocess.run(
+        [sys.executable, "-c", _BULK_WRITE_FAULTS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert float(ran.stdout) < 8, ran.stdout
+
+
+METADATA_CHUNKS = 32_768
+
+
+def test_metadata_heap_per_unique_chunk():
+    """Per-chunk metadata is columns, not objects (DESIGN.md §5.8), as a
+    count: Python heap held per unique chunk after 32,768 unique 4-KiB
+    writes through served FIDR, the stored payload objects excluded
+    (tracemalloc; the content generator's own allocations filtered).
+    754 B with one object per chunk in four dicts; 481 B in columns.
+    What stays is the fingerprint mirror (~145 B) and the bucket pages
+    (~150 B at the default 32,768 buckets)."""
+    content = ContentFactory(compress_fraction=0.5)
+    with StorageServer.build(SystemKind.FIDR) as storage:
+        engine = storage.system.engine
+        tracemalloc.start()
+        try:
+            for lba in range(0, METADATA_CHUNKS, BATCH_CHUNKS):
+                storage.write(lba, b"".join(
+                    content.chunk(lba + i) for i in range(BATCH_CHUNKS)))
+            storage.flush()
+            gc.collect()
+            held = tracemalloc.take_snapshot().filter_traces([
+                tracemalloc.Filter(False, "*/workloads/content.py"),
+                tracemalloc.Filter(False, tracemalloc.__file__),
+            ])
+        finally:
+            tracemalloc.stop()
+        heap = sum(stat.size for stat in held.statistics("filename"))
+        payloads = sum(
+            sys.getsizeof(payload)
+            for container in engine.containers._containers.values()
+            for payload in container._payloads.values()
+        )
+        assert engine.stats.unique_chunks == METADATA_CHUNKS
+    per_chunk = (heap - payloads) / METADATA_CHUNKS
+    assert per_chunk <= 500, per_chunk
+
+
+def test_checkpoint_copies_columns():
+    """A checkpoint copies the metadata columns and LBA pages rather than
+    packing one record per chunk, as a time per live chunk: capture +
+    encode of 32,768 live chunks, fastest of five, ≤ 0.3 µs a chunk
+    (0.7–1.1 µs packing records; ~0.08 µs copying columns)."""
+    engine = DedupEngine(num_buckets=1 << 14, compressor=ModeledCompressor(0.5))
+    content = ContentFactory()
+    for lba in range(0, METADATA_CHUNKS, BATCH_CHUNKS):
+        engine.write_many(
+            [(lba + i, content.chunk(lba + i)) for i in range(BATCH_CHUNKS)]
+        )
+    live = len(engine.pbn_map)
+    assert live == METADATA_CHUNKS
+    took = _fastest(5, {"checkpoint": lambda: CheckpointState.capture(engine).encode()})
+    assert took["checkpoint"] / live <= 0.3e-6, took

@@ -11,9 +11,12 @@ full-system SSD simulators apply to make results credible:
   ``live_stored_bytes`` must agree between :class:`ReductionStats`, the
   container store, and the sum of live PBN records.
 * **Index consistency** — the :class:`~repro.datared.lba_map.PbnMap`'s
-  incremental reverse indexes (fingerprint→PBN, placement→PBN) must
-  mirror the forward records exactly; every LBA mapping must point at a
-  live PBN; reference counts must equal the number of LBAs referencing
+  columns and its incremental reverse indexes (fingerprint→PBN, each
+  container's PBN list) must agree exactly: the live count, the
+  fingerprint mirror and the Hash-PBN entry count are one number, each
+  live PBN's digest column entry is its mirror key, and each live PBN
+  is listed under its container at its own offset; every LBA mapping
+  must point at a live PBN; reference counts must equal the number of LBAs referencing
   each PBN; every live record's fingerprint must resolve in the
   Hash-PBN table itself to its PBN, and the table's entry count must
   equal the live-chunk population.
@@ -26,7 +29,7 @@ fails CI even when no test asserts the exact number it corrupted.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Dict, List
 
 from ..errors import ReproError
 
@@ -104,17 +107,28 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
         )
 
     # -- forward/reverse index consistency ------------------------------------
+    pbn_map = engine.pbn_map
+    live_pbns = sum(1 for _ in pbn_map.pbns())
+    if not live_pbns == len(pbn_map) == pbn_map.mirrored:
+        violations.append(
+            f"live PBN count: {live_pbns} in the columns, {len(pbn_map)} "
+            f"counted, {pbn_map.mirrored} in the fingerprint index"
+        )
     seen_fingerprints = set()
     seen_placements = set()
-    for pbn, record in engine.pbn_map.records():
+    owners: Dict[int, Dict[int, int]] = {}
+    for pbn, record in pbn_map.records():
         if record.refcount <= 0:
             violations.append(f"live PBN {pbn} has refcount {record.refcount}")
-        mirrored = engine.pbn_map.find_by_fingerprint(record.fingerprint)
+        mirrored = pbn_map.find_by_fingerprint(record.fingerprint)
         if mirrored != pbn:
             violations.append(
-                f"fingerprint index maps PBN {pbn}'s fingerprint to {mirrored}"
+                f"fingerprint index maps PBN {pbn}'s digest column entry "
+                f"to {mirrored}"
             )
-        placed = engine.pbn_map.pbn_at(record.container_id, record.offset)
+        if record.container_id not in owners:
+            owners[record.container_id] = pbn_map.owners(record.container_id)
+        placed = owners[record.container_id].get(record.offset)
         if placed != pbn:
             violations.append(
                 f"placement index maps PBN {pbn}'s placement "
@@ -150,7 +164,7 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
                 )
                 continue
             lba_refs[pbn] = lba_refs.get(pbn, 0) + 1
-    for pbn, record in engine.pbn_map.records():
+    for pbn, record in pbn_map.records():
         refcount_total += record.refcount
         actual = lba_refs.get(pbn, 0)
         if record.refcount != actual:
@@ -185,7 +199,7 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
             f"Hash-PBN entry count {table.entry_count} != live PBN records "
             f"{len(engine.pbn_map)}"
         )
-    records = list(engine.pbn_map.records())
+    records = list(pbn_map.records())
     resolved = _page_view(table).lookup_many(
         [record.fingerprint for _, record in records]
     )

@@ -23,8 +23,8 @@ the :class:`CacheStats` event counts it maintains.
 One home per page (DESIGN.md §5.8): every bucket page lives in the
 ``pages`` store under the cache — compact
 :class:`~repro.datared.hash_pbn.PackedBucket`\\ s the table mutates in
-place, or the byte pages of a
-:class:`~repro.datared.lba_store.PagedLbaStore` — and never moves.  The
+place, or plain byte pages (``read_bucket``/``write_bucket``) — and
+never moves.  The
 cache is a *residency model*: it decides which buckets a 4-KB line
 would hold, counts every access, fetch, flush and eviction as a cache
 of moving pages would, and hands back the page from ``pages``.  The

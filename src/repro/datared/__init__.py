@@ -16,7 +16,6 @@ This package implements the paper's §2 components on real bytes:
   on-disk payloads and the tag-dispatched read path.
 * :mod:`~repro.datared.container` — 4-MB compressed-chunk containers.
 * :mod:`~repro.datared.dedup` — the end-to-end write/read engine.
-* :mod:`~repro.datared.lba_store` — the paged, cached LBA→PBN store.
 * :mod:`~repro.datared.journal` — metadata journaling + crash recovery.
 * :mod:`~repro.datared.cdc` — content-defined chunking (the §2.1.1
   alternative) and a content-addressed stream store.
@@ -73,7 +72,6 @@ from .journal import (
     replay_journal,
     validate_placements,
 )
-from .lba_store import ENTRIES_PER_PAGE, PagedLbaStore
 from .hashing import (
     FINGERPRINT_SIZE,
     MAX_PBN,
@@ -123,8 +121,6 @@ __all__ = [
     "recover_into",
     "replay_journal",
     "validate_placements",
-    "ENTRIES_PER_PAGE",
-    "PagedLbaStore",
     "BUCKET_CAPACITY",
     "BUCKET_SIZE",
     "CONTAINER_SIZE",

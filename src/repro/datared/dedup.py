@@ -23,11 +23,9 @@ from threading import get_ident
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     ContextManager,
     Dict,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -46,7 +44,7 @@ from .compression import CompressedChunk, Compressor, ZlibCompressor
 from .container import ContainerStore, Placement
 from .hash_pbn import HashPbnTable
 from .hashing import FINGERPRINT_SIZE, SHA256, Fingerprinter
-from .lba_map import LbaMap, PbnAllocator, PbnMap, PbnRecord
+from .lba_map import LbaMap, PbnAllocator, PbnMap
 
 if TYPE_CHECKING:
     from .journal import MetadataJournal, RecoveryReport
@@ -63,7 +61,6 @@ __all__ = [
     "ReadReport",
     "ReductionStats",
     "DedupEngine",
-    "LbaStore",
     "MetadataObserver",
     "StageTimer",
     "active_clock",
@@ -239,24 +236,6 @@ class MetadataObserver(Protocol):
     def on_free(self, pbn: int) -> None: ...
 
 
-class LbaStore(Protocol):
-    """LBA→PBN mapping interface the engine requires.
-
-    Satisfied by the in-memory :class:`~repro.datared.lba_map.LbaMap`
-    and the paged :class:`~repro.datared.lba_store.PagedLbaStore`.
-    """
-
-    def get(self, lba: int) -> Optional[int]: ...
-
-    def set(self, lba: int, pbn: int) -> Optional[int]: ...
-
-    def unmap(self, lba: int) -> Optional[int]: ...
-
-    def __len__(self) -> int: ...
-
-    def items(self) -> Iterator[Tuple[int, int]]: ...
-
-
 class ChunkOutcome(NamedTuple):
     """What happened to one chunk of a write request.
 
@@ -375,7 +354,6 @@ class DedupEngine:
         chunk_size: int = BLOCK_SIZE,
         num_buckets: int = 1 << 16,
         observer: Optional[MetadataObserver] = None,
-        lba_map: Optional[LbaStore] = None,
         read_cache_chunks: int = 0,
         registry: Optional[MetricsRegistry] = None,
         fingerprinter: Optional[Fingerprinter] = None,
@@ -384,8 +362,6 @@ class DedupEngine:
         """``observer`` receives metadata-mutation callbacks
         (``on_new_chunk``/``on_map``/``on_free``) — the hook
         :class:`~repro.datared.journal.MetadataJournal` plugs into.
-        ``lba_map`` accepts any LbaMap-compatible store, e.g. the paged
-        :class:`~repro.datared.lba_store.PagedLbaStore` (§2.1.4).
         ``read_cache_chunks`` bounds the decompressed-read LRU (0
         disables it): hot re-reads of the same PBN skip the container
         fetch and ``zlib.decompress``.  PBNs are content-addressed while
@@ -417,7 +393,7 @@ class DedupEngine:
                 f"Hash-PBN table requires {FINGERPRINT_SIZE}"
             )
         self.containers = containers if containers is not None else ContainerStore()
-        self.lba_map: LbaStore = lba_map if lba_map is not None else LbaMap()
+        self.lba_map = LbaMap()
         self.pbn_map = PbnMap()
         self.allocator = PbnAllocator()
         self.stats = ReductionStats()
@@ -699,8 +675,9 @@ class DedupEngine:
 
         Replays the write path's metadata effects against *shadow*
         state: batch-local uniques, reference-count deltas on
-        pre-existing PBNs, retired fingerprints and remapped LBAs are
-        all tracked on the side, so a chunk's classification accounts
+        pre-existing PBNs, the pre-existing PBNs fully released (whose
+        fingerprints the walk retires) and remapped LBAs are all
+        tracked on the side, so a chunk's classification accounts
         for every earlier chunk in the batch — duplicates of a unique
         planned two positions back, fingerprints retired by an
         overwrite in between, same-LBA rewrites — without touching the
@@ -709,7 +686,6 @@ class DedupEngine:
         """
         plan: List[int] = []
         fresh: Dict[bytes, Dict[str, Any]] = {}  # digest -> live batch-unique token
-        retired: Set[bytes] = set()  # fingerprints the walk removes from the table
         ref_delta: Dict[int, int] = {}  # pre-existing pbn -> refcount delta
         dead: Set[int] = set()  # pre-existing pbns fully released
         shadow_lba: Dict[int, Tuple[str, Any]] = {}
@@ -725,10 +701,8 @@ class DedupEngine:
                     del fresh[target["digest"]]
             else:
                 ref_delta[target] = ref_delta.get(target, 0) - 1
-                record = self.pbn_map.get(target)
-                if record.refcount + ref_delta[target] == 0:
+                if self.pbn_map.refcount(target) + ref_delta[target] == 0:
                     dead.add(target)
-                    retired.add(record.fingerprint)
 
         for position, (chunk, digest) in enumerate(zip(chunks, digests)):
             token = fresh.get(digest)
@@ -736,10 +710,11 @@ class DedupEngine:
                 hit: Optional[Tuple[str, Any]] = ("new", token)
             else:
                 hit = None
-                if digest not in retired:
-                    pbn = self.pbn_map.find_by_fingerprint(digest)
-                    if pbn is not None and pbn not in dead:
-                        hit = ("pre", pbn)
+                # A released PBN's fingerprint is retired by the walk:
+                # the mirror still names it, the shadow knows it is dead.
+                pbn = self.pbn_map.find_by_fingerprint(digest)
+                if pbn is not None and pbn not in dead:
+                    hit = ("pre", pbn)
             if hit is None:
                 token = {"digest": digest, "refs": 1}
                 fresh[digest] = token
@@ -834,13 +809,8 @@ class DedupEngine:
         """Metadata publication for a freshly packed unique chunk."""
         pbn = self.allocator.allocate()
         self.pbn_map.add(
-            pbn,
-            PbnRecord(
-                container_id=placement.container_id,
-                offset=placement.offset,
-                stored_size=placement.stored_size,
-                fingerprint=digest,
-            ),
+            pbn, placement.container_id, placement.offset,
+            placement.stored_size, digest,
         )
         self.table.insert(digest, pbn)
         if self.observer is not None:
@@ -874,6 +844,7 @@ class DedupEngine:
         dead = self.pbn_map.unref(pbn)
         if dead is None:
             return
+        container_id, offset, stored_size, fingerprint = dead
         # Last reference: reclaim space and retire the fingerprint.
         # The freed PBN may be reallocated for different content, so any
         # cached decompressed bytes for it must go *now*.
@@ -884,18 +855,14 @@ class DedupEngine:
             # may be the only copy of data whose release record is not
             # durable yet (crash before the fence -> replay resurrects
             # the old mapping and must still read these bytes).
-            self._pending_releases.append(
-                (dead.container_id, dead.offset, dead.stored_size)
-            )
+            self._pending_releases.append((container_id, offset, stored_size))
         else:
-            self.containers.mark_dead(
-                dead.container_id, dead.offset, dead.stored_size
-            )
-        self.table.remove(dead.fingerprint)
+            self.containers.mark_dead(container_id, offset, stored_size)
+        self.table.remove(fingerprint)
         self.allocator.free(pbn)
         if self.observer is not None:
             self.observer.on_free(pbn)
-        self.stats.reclaimed_stored_bytes += dead.stored_size
+        self.stats.reclaimed_stored_bytes += stored_size
         report.reclaimed_chunks += 1
 
     # -- read path (Figure 1b) ---------------------------------------------------
@@ -941,9 +908,6 @@ class DedupEngine:
         num_chunks = len(lbas)
         chunk_size = self.chunker.chunk_size
         cache = self._read_cache
-        get_pbn: Callable[[int], Optional[int]] = (
-            self.lba_map.get if mapping is None else mapping.get
-        )
         #: Per position: decompressed bytes (hole zeros / cache hit) or
         #: the index into ``pending`` its bytes will come from.
         slots: List[Union[bytes, int]] = []
@@ -954,9 +918,13 @@ class DedupEngine:
         zero = b"\x00" * chunk_size
         try:
             with batch_stage(clock, "fetch", num_chunks):
-                for chunk_lba in lbas:
-                    pbn = get_pbn(chunk_lba)
-                    if pbn is None:
+                pbns = (
+                    self.lba_map.get_many(lbas)
+                    if mapping is None
+                    else [mapping.get(lba) for lba in lbas]
+                )
+                for pbn, placed in zip(pbns, self.pbn_map.placements(pbns)):
+                    if pbn is None or placed is None:
                         slots.append(zero)
                         sizes.append(0)
                         continue
@@ -970,8 +938,8 @@ class DedupEngine:
                             sizes.append(0)
                             continue
                         self.read_cache_misses += 1
-                    record = self.pbn_map.get(pbn)
-                    payload = self.containers.read(record.container_id, record.offset)
+                    container_id, offset, stored_size = placed
+                    payload = self.containers.read(container_id, offset)
                     if cache is not None:
                         # Probe, insert and evict in position order, as a
                         # read per chunk would: the entry holds the pending
@@ -983,11 +951,11 @@ class DedupEngine:
                         if len(cache) > self.read_cache_chunks:
                             cache.popitem(last=False)
                     slots.append(len(pending))
-                    sizes.append(record.stored_size)
+                    sizes.append(stored_size)
                     pending.append(CompressedChunk(
                         payload=payload,
                         logical_size=chunk_size,
-                        stored_size=record.stored_size,
+                        stored_size=stored_size,
                     ))
             if pending:
                 # The tag-dispatched decoder reads every registered codec's
@@ -1051,33 +1019,35 @@ class DedupEngine:
         repointed; fingerprints (and hence dedup identity) are unchanged.
         Returns the number of containers reclaimed.
 
-        Placements resolve through the :class:`~repro.datared.lba_map.PbnMap`
-        incremental reverse index, so a collection's work scales with
-        the victims' live chunks — not with the total PBN population.
+        Placements resolve through one offset → PBN map per victim,
+        built from the :class:`~repro.datared.lba_map.PbnMap`'s PBN list
+        for that container, so a collection's work scales with the
+        victims' chunks — not with the total PBN population.
         """
         self.check_owner()
         reclaimed = 0
         victims = self.containers.garbage_victims(threshold)
         journaled = self.journal is not None
         for victim in victims:
+            owners = self.pbn_map.owners(victim.container_id)
             for offset, payload in victim.chunks():
-                pbn = self.pbn_map.pbn_at(victim.container_id, offset)
+                pbn = owners.get(offset)
                 if pbn is None:
                     raise KeyError(
                         f"container {victim.container_id} offset {offset} "
                         "has no owning PBN"
                     )
-                record = self.pbn_map.get(pbn)
-                placement = self.containers.append(payload, record.stored_size)
+                stored_size = self.pbn_map.get(pbn).stored_size
+                placement = self.containers.append(payload, stored_size)
                 if journaled:
                     # The old placement stays readable until the
                     # REPOINT record is fenced: a crash before the
                     # commit replays the pre-GC placements.
                     self._pending_releases.append(
-                        (victim.container_id, offset, record.stored_size)
+                        (victim.container_id, offset, stored_size)
                     )
                 else:
-                    victim.mark_dead(offset, record.stored_size)
+                    victim.mark_dead(offset, stored_size)
                 self.pbn_map.repoint(
                     pbn, placement.container_id, placement.offset
                 )
@@ -1090,7 +1060,9 @@ class DedupEngine:
                 # the cache can never outlive a compaction decision.
                 if self._read_cache is not None:
                     self._read_cache.pop(pbn, None)
-                self.gc_bytes_moved += record.stored_size
+                self.gc_bytes_moved += stored_size
+            # Every live chunk moved out: the victim's PBN list is stale.
+            self.pbn_map.forget_container(victim.container_id)
             if journaled:
                 self._pending_drops.append(victim.container_id)
             else:

@@ -211,8 +211,7 @@ class BucketStore:
     uses the *packed* methods; stores that hold :class:`PackedBucket`
     pages override them, so the table mutates the resident page in
     place.  The byte-page methods serve pages that are not
-    bucket-encoded (:class:`~repro.datared.lba_store.PagedLbaStore`);
-    the packed defaults wrap them at one page copy per access.
+    bucket-encoded; the packed defaults wrap them at one page copy per access.
     """
 
     def read_bucket(self, index: int) -> bytes:

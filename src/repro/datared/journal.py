@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import JournalCorruptError
@@ -48,7 +48,14 @@ from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
 from .container import ContainerStore
 from .dedup import DedupEngine
-from .lba_map import PbnRecord
+from .hashing import FINGERPRINT_SIZE
+from .lba_map import (
+    LBA_PAGE_BYTES,
+    PBN_COLUMN_WIDTHS,
+    LbaMap,
+    PbnColumns,
+    PbnMap,
+)
 
 __all__ = [
     "RecordKind",
@@ -73,9 +80,9 @@ _UNMAP = struct.Struct(">Q")  # lba
 _REPOINT = struct.Struct(">QQH")  # pbn, container, offset
 _COMMIT = struct.Struct(">Q")  # commit sequence number
 
-_CKPT_HEAD = struct.Struct(">QIII6Q")  # next_pbn, n_pbn, n_lba, n_snap, stats
-_CKPT_PBN = struct.Struct(">Q32sQHHI")  # pbn, digest, container, offset, stored, refcount
-_CKPT_LBA = struct.Struct(">QQ")  # lba, pbn
+_CKPT_HEAD = struct.Struct(">QIII6Q")  # next_pbn, n_pbn, n_page, n_snap, stats
+_CKPT_PAGE = struct.Struct(">Q")  # LBA page index, then its image
+_CKPT_LBA = struct.Struct(">QQ")  # lba, pbn (snapshot pins)
 _CKPT_NAME = struct.Struct(">H")  # snapshot-name byte length
 _CKPT_COUNT = struct.Struct(">I")  # snapshot entry count
 
@@ -117,17 +124,18 @@ class JournalRecord:
 class CheckpointState:
     """A compact image of one engine's entire metadata tier.
 
-    Everything replay would otherwise reconstruct record-by-record:
-    Hash-PBN placements with refcounts, the LBA map, snapshot pin
-    tables, the allocator cursor, and the six conserved ledger
-    counters.  ``capture`` reads it off a live engine (under the
-    engine lock); ``encode``/``decode`` round-trip the wire payload.
+    Everything replay would otherwise reconstruct record-by-record: the
+    PBN map's columns (placements, refcounts, fingerprints), the LBA
+    map's pages, snapshot pin tables, the allocator cursor, and the six
+    conserved ledger counters.  ``capture`` copies the columns and pages
+    as byte images (no per-chunk work); ``encode``/``decode`` round-trip
+    the wire payload, whose column and page images are little-endian.
     """
 
     next_pbn: int
-    #: (pbn, digest, container_id, offset, stored_size, refcount)
-    pbn_records: List[Tuple[int, bytes, int, int, int, int]]
-    lba_entries: List[Tuple[int, int]]
+    pbn_columns: PbnColumns
+    #: ``(page index, page image)`` per LBA page holding a mapping
+    lba_pages: List[Tuple[int, bytes]]
     #: (name, [(lba, pbn), ...]) per snapshot
     snapshots: List[Tuple[str, List[Tuple[int, int]]]]
     #: (logical, unique_logical, stored, reclaimed, dup_chunks, unique_chunks)
@@ -135,22 +143,12 @@ class CheckpointState:
 
     @classmethod
     def capture(cls, engine: DedupEngine) -> "CheckpointState":
-        """Snapshot ``engine``'s metadata (caller holds the engine lock)."""
+        """Snapshot ``engine``'s metadata (between operations)."""
         stats = engine.stats
         return cls(
             next_pbn=engine.allocator.next_pbn,
-            pbn_records=[
-                (
-                    pbn,
-                    record.fingerprint,
-                    record.container_id,
-                    record.offset,
-                    record.stored_size,
-                    record.refcount,
-                )
-                for pbn, record in engine.pbn_map.records()
-            ],
-            lba_entries=sorted(engine.lba_map.items()),
+            pbn_columns=engine.pbn_map.columns(),
+            lba_pages=engine.lba_map.page_images(),
             snapshots=[
                 (name, sorted(pins.items()))
                 for name, pins in sorted(engine._snapshots.items())
@@ -166,26 +164,27 @@ class CheckpointState:
         )
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out += _CKPT_HEAD.pack(
-            self.next_pbn,
-            len(self.pbn_records),
-            len(self.lba_entries),
-            len(self.snapshots),
-            *self.stats,
-        )
-        for pbn, digest, container_id, offset, stored, refcount in self.pbn_records:
-            out += _CKPT_PBN.pack(pbn, digest, container_id, offset, stored, refcount)
-        for lba, pbn in self.lba_entries:
-            out += _CKPT_LBA.pack(lba, pbn)
+        pbns = len(self.pbn_columns.digests) // FINGERPRINT_SIZE
+        parts = [
+            _CKPT_HEAD.pack(
+                self.next_pbn,
+                pbns,
+                len(self.lba_pages),
+                len(self.snapshots),
+                *self.stats,
+            ),
+            *self.pbn_columns,
+        ]
+        for index, image in self.lba_pages:
+            parts.append(_CKPT_PAGE.pack(index))
+            parts.append(image)
         for name, entries in self.snapshots:
             encoded = name.encode("utf-8")
-            out += _CKPT_NAME.pack(len(encoded))
-            out += encoded
-            out += _CKPT_COUNT.pack(len(entries))
-            for lba, pbn in entries:
-                out += _CKPT_LBA.pack(lba, pbn)
-        return bytes(out)
+            parts.append(_CKPT_NAME.pack(len(encoded)))
+            parts.append(encoded)
+            parts.append(_CKPT_COUNT.pack(len(entries)))
+            parts.extend(_CKPT_LBA.pack(lba, pbn) for lba, pbn in entries)
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "CheckpointState":
@@ -198,19 +197,24 @@ class CheckpointState:
         try:
             head = _CKPT_HEAD.unpack_from(payload, 0)
             position = _CKPT_HEAD.size
-            next_pbn, n_pbn, n_lba, n_snap = head[0], head[1], head[2], head[3]
+            next_pbn, n_pbn, n_page, n_snap = head[0], head[1], head[2], head[3]
             stats = (head[4], head[5], head[6], head[7], head[8], head[9])
-            pbn_records: List[Tuple[int, bytes, int, int, int, int]] = []
-            for _ in range(n_pbn):
-                pbn_records.append(
-                    _CKPT_PBN.unpack_from(payload, position)  # type: ignore[arg-type]
-                )
-                position += _CKPT_PBN.size
-            lba_entries: List[Tuple[int, int]] = []
-            for _ in range(n_lba):
-                lba, pbn = _CKPT_LBA.unpack_from(payload, position)
-                lba_entries.append((lba, pbn))
-                position += _CKPT_LBA.size
+            images: List[bytes] = []
+            for width in PBN_COLUMN_WIDTHS:
+                end = position + n_pbn * width
+                if end > len(payload):
+                    raise JournalCorruptError("checkpoint PBN columns overrun")
+                images.append(payload[position:end])
+                position = end
+            lba_pages: List[Tuple[int, bytes]] = []
+            for _ in range(n_page):
+                (index,) = _CKPT_PAGE.unpack_from(payload, position)
+                position += _CKPT_PAGE.size
+                end = position + LBA_PAGE_BYTES
+                if end > len(payload):
+                    raise JournalCorruptError("checkpoint LBA page overruns")
+                lba_pages.append((index, payload[position:end]))
+                position = end
             snapshots: List[Tuple[str, List[Tuple[int, int]]]] = []
             for _ in range(n_snap):
                 (name_len,) = _CKPT_NAME.unpack_from(payload, position)
@@ -238,8 +242,8 @@ class CheckpointState:
             ) from error
         return cls(
             next_pbn=next_pbn,
-            pbn_records=pbn_records,
-            lba_entries=lba_entries,
+            pbn_columns=PbnColumns(*images),
+            lba_pages=lba_pages,
             snapshots=snapshots,
             stats=stats,
         )
@@ -602,7 +606,9 @@ class _Replayer:
             self._apply(record)
         except JournalCorruptError:
             raise
-        except (KeyError, ValueError) as error:
+        except (KeyError, ValueError, OverflowError) as error:
+            # OverflowError: a value too wide for its metadata column
+            # (e.g. a container id past 32 bits).
             raise JournalCorruptError(
                 f"journal record {index} (kind {record.kind}) cannot be "
                 f"replayed: {error}"
@@ -618,14 +624,9 @@ class _Replayer:
                     f"(PBN {record.pbn})"
                 )
             engine.pbn_map.add(
-                record.pbn,
-                PbnRecord(
-                    container_id=record.container_id,
-                    offset=record.offset,
-                    stored_size=record.stored_size,
-                    fingerprint=record.digest,
-                    refcount=0,  # references arrive via MAP records
-                ),
+                record.pbn, record.container_id, record.offset,
+                record.stored_size, record.digest,
+                refcount=0,  # references arrive via MAP records
             )
             engine.table.insert(record.digest, record.pbn)
             engine.allocator.ensure_allocated(record.pbn)
@@ -696,28 +697,25 @@ class _Replayer:
         physical space accounting."""
         dead = self.engine.pbn_map.unref(pbn)
         if dead is not None:
-            self.engine.table.remove(dead.fingerprint)
+            _container_id, _offset, stored_size, fingerprint = dead
+            self.engine.table.remove(fingerprint)
             self.engine.allocator.free(pbn)
-            self.engine.stats.reclaimed_stored_bytes += dead.stored_size
+            self.engine.stats.reclaimed_stored_bytes += stored_size
 
     def restore_checkpoint(self, state: CheckpointState) -> None:
+        """Rebuild the engine's maps from a checkpoint's column and page
+        images; the Hash-PBN table is re-indexed one live PBN at a time."""
         engine = self.engine
-        engine.allocator.reserve_through(state.next_pbn)
-        for pbn, digest, container_id, offset, stored, refcount in state.pbn_records:
-            engine.pbn_map.add(
-                pbn,
-                PbnRecord(
-                    container_id=container_id,
-                    offset=offset,
-                    stored_size=stored,
-                    fingerprint=digest,
-                    refcount=refcount,
-                ),
-            )
-            engine.table.insert(digest, pbn)
-            engine.allocator.ensure_allocated(pbn)
-        for lba, pbn in state.lba_entries:
-            engine.lba_map.set(lba, pbn)
+        try:
+            engine.pbn_map = pbn_map = PbnMap.from_columns(state.pbn_columns)
+            engine.lba_map = LbaMap.from_page_images(state.lba_pages)
+            engine.allocator.restore(state.next_pbn, pbn_map)
+        except ValueError as error:
+            raise JournalCorruptError(
+                f"checkpoint does not restore: {error}"
+            ) from error
+        for pbn in pbn_map.pbns():
+            engine.table.insert(pbn_map.fingerprint(pbn), pbn)
         for name, entries in state.snapshots:
             engine._snapshots[name] = dict(entries)
         (
@@ -792,15 +790,16 @@ def validate_placements(engine: DedupEngine) -> None:
     }
     owned: set[Tuple[int, int]] = set()
     for pbn, record in engine.pbn_map.records():
-        key = (record.container_id, record.offset)
+        container_id, offset = record.container_id, record.offset
+        key = (container_id, offset)
         if key not in live:
             raise JournalCorruptError(
-                f"PBN {pbn} points at container {record.container_id} "
-                f"offset {record.offset}, which holds no chunk"
+                f"PBN {pbn} points at container {container_id} "
+                f"offset {offset}, which holds no chunk"
             )
         if key in owned:
             raise JournalCorruptError(
-                f"container {record.container_id} offset {record.offset} "
+                f"container {container_id} offset {offset} "
                 f"is claimed by two PBNs"
             )
         owned.add(key)
@@ -816,8 +815,11 @@ def reconcile_containers(engine: DedupEngine) -> int:
     Returns the number of placements reclaimed.
     """
     reclaimed = 0
+    owners: Dict[int, Dict[int, int]] = {}
     for container_id, offset, stored_size in engine.containers.live_placements():
-        if engine.pbn_map.pbn_at(container_id, offset) is None:
+        if container_id not in owners:
+            owners[container_id] = engine.pbn_map.owners(container_id)
+        if offset not in owners[container_id]:
             engine.containers.mark_dead(container_id, offset, stored_size)
             reclaimed += 1
     return reclaimed

@@ -74,9 +74,11 @@ _Event = Union[Frame, ProtocolError]
 @functools.cache
 def _settle_allocator() -> None:
     """Free one untouched 16-MiB block, once a process: glibc's mmap and
-    heap-trim thresholds rise to it, so a client's bulk buffers are
-    recycled rather than mapped afresh (64 page faults a 256-KiB buffer)
-    on every op or on none, as its earlier frees decided (DESIGN.md §5.1)."""
+    heap-trim thresholds rise to it, so the 256-KiB wire buffers of
+    either end — a client's replies, a server's WRITE frames — are
+    recycled rather than mapped afresh (64 page faults a buffer) on
+    every op or on none, as the process's earlier frees decided
+    (DESIGN.md §5.1)."""
     bytes(16 * 1024 * 1024)
 
 
@@ -239,6 +241,7 @@ class AsyncProtocolServer:
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> "AsyncProtocolServer":
         """Bind the listening socket and launch the worker pool."""
+        _settle_allocator()
         self._work, self._drained = asyncio.Event(), asyncio.Event()
         self._server = await asyncio.get_running_loop().create_server(
             functools.partial(_Connection, self), self.host, self.port

@@ -18,6 +18,7 @@ from repro.analysis.invariants import (
 )
 from repro.datared.chunking import BLOCK_SIZE
 from repro.datared.dedup import DedupEngine
+from repro.datared.hashing import FINGERPRINT_SIZE
 
 CHUNK = 4096
 BLOCKS = CHUNK // BLOCK_SIZE
@@ -73,6 +74,34 @@ class TestSeededCorruption:
         engine.pbn_map._by_fingerprint.clear()
         with pytest.raises(InvariantViolation, match="fingerprint index"):
             check_engine(engine)
+
+    def test_digest_column_corruption_is_caught(self):
+        """One PBN's digest column entry zeroed behind the engine's
+        back: the mirror and the table still hold its fingerprint, the
+        column no longer names it."""
+        engine = exercised_engine()
+        pbn = next(engine.pbn_map.pbns())
+        start = pbn * FINGERPRINT_SIZE
+        engine.pbn_map._digests[start : start + FINGERPRINT_SIZE] = bytes(
+            FINGERPRINT_SIZE
+        )
+        violations = check_engine(engine, raise_on_violation=False)
+        assert (
+            f"fingerprint index maps PBN {pbn}'s digest column entry to None"
+            in violations
+        )
+
+    def test_placement_list_corruption_is_caught(self):
+        engine = exercised_engine()
+        pbn = next(engine.pbn_map.pbns())
+        record = engine.pbn_map.get(pbn)
+        container_id, offset = record.container_id, record.offset
+        engine.pbn_map.forget_container(container_id)
+        violations = check_engine(engine, raise_on_violation=False)
+        assert (
+            f"placement index maps PBN {pbn}'s placement "
+            f"({container_id}, {offset}) to None" in violations
+        )
 
     def test_stats_corruption_is_caught(self):
         engine = exercised_engine()

@@ -262,7 +262,7 @@ class TestCountedIndexDifferential:
 
 #: A step of the ledger-identity history: a table op on a key (as in
 #: ``OP``), or a read or write of one of the byte pages that share the
-#: cache with the table, past its buckets (a ``PagedLbaStore``'s kind).
+#: cache with the table, past its buckets (pages no bucket encodes).
 BYTE_PAGES = 4
 STEP = st.one_of(
     st.tuples(st.sampled_from(["lookup", "insert", "insert", "remove"]), KEY),

@@ -1,4 +1,4 @@
-"""Reference models the Hash-PBN differential suites compare against.
+"""Reference models the differential suites compare against.
 
 :class:`Bucket` is the decoded entry-list bucket the table operated on
 before the packed index (PR 9); it left ``src/`` once
@@ -8,6 +8,12 @@ format.  :class:`ReferenceTable` is the bucket-granular linear-probing
 table over it, and :class:`InterposingStore` is the smallest store
 that interposes on page traffic the way the table cache does: byte
 pages only, every access counted.
+
+:class:`ReferencePbnMap` and :class:`ReferenceLbaMap` are the
+metadata maps as the dicts of records they were before the PBN columns
+and the paged LBA slots: the readable statement of what
+:class:`~repro.datared.lba_map.PbnMap` and
+:class:`~repro.datared.lba_map.LbaMap` must answer.
 """
 
 from __future__ import annotations
@@ -199,3 +205,93 @@ class InterposingStore(BucketStore):
     def write_bucket(self, index: int, page: bytes) -> None:
         self.writes += 1
         self.pages[index] = page
+
+
+@dataclass
+class ChunkRecord:
+    """One live chunk of :class:`ReferencePbnMap`."""
+
+    container_id: int
+    offset: int
+    stored_size: int
+    fingerprint: bytes
+    refcount: int
+
+
+class ReferencePbnMap:
+    """PBN → :class:`ChunkRecord`, a dict; every reverse answer is a scan."""
+
+    def __init__(self) -> None:
+        self.records: Dict[int, ChunkRecord] = {}
+
+    def add(
+        self, pbn: int, container_id: int, offset: int, stored_size: int,
+        fingerprint: bytes, refcount: int = 1,
+    ) -> None:
+        assert pbn not in self.records
+        self.records[pbn] = ChunkRecord(
+            container_id, offset, stored_size, fingerprint, refcount
+        )
+
+    def ref(self, pbn: int) -> int:
+        self.records[pbn].refcount += 1
+        return self.records[pbn].refcount
+
+    def unref(self, pbn: int) -> Optional[Tuple[int, int, int, bytes]]:
+        record = self.records[pbn]
+        record.refcount -= 1
+        if record.refcount:
+            return None
+        del self.records[pbn]
+        return (
+            record.container_id, record.offset, record.stored_size,
+            record.fingerprint,
+        )
+
+    def repoint(self, pbn: int, container_id: int, offset: int) -> None:
+        self.records[pbn].container_id = container_id
+        self.records[pbn].offset = offset
+
+    def find_by_fingerprint(self, digest: bytes) -> Optional[int]:
+        for pbn, record in self.records.items():
+            if record.fingerprint == digest:
+                return pbn
+        return None
+
+    def owners(self, container_id: int) -> Dict[int, int]:
+        return {
+            record.offset: pbn
+            for pbn, record in self.records.items()
+            if record.container_id == container_id
+        }
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    @property
+    def live_stored_bytes(self) -> int:
+        return sum(record.stored_size for record in self.records.values())
+
+
+class ReferenceLbaMap:
+    """LBA → PBN, a dict; ``items`` in ascending LBA order."""
+
+    def __init__(self) -> None:
+        self.map: Dict[int, int] = {}
+
+    def get(self, lba: int) -> Optional[int]:
+        return self.map.get(lba)
+
+    def set(self, lba: int, pbn: int) -> Optional[int]:
+        previous = self.map.get(lba)
+        self.map[lba] = pbn
+        return previous
+
+    def unmap(self, lba: int) -> Optional[int]:
+        return self.map.pop(lba, None)
+
+    def __len__(self) -> int:
+        return len(self.map)
+
+    def items(self) -> List[Tuple[int, int]]:
+        return sorted(self.map.items())

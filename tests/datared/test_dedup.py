@@ -251,19 +251,22 @@ class TestGcIndexedPlacement:
                 rng, cold_chunks=cold
             )
             calls = []
-            original = engine.pbn_map.pbn_at
-            monkeypatch.setattr(
-                engine.pbn_map,
-                "pbn_at",
-                lambda c, o: calls.append((c, o)) or original(c, o),
-            )
+            original = engine.pbn_map.owners
+
+            def counted(container_id, original=original, calls=calls):
+                found = original(container_id)
+                calls.extend(found.values())
+                return found
+
+            monkeypatch.setattr(engine.pbn_map, "owners", counted)
             assert engine.collect_garbage(threshold=0.5) > 0
             lookups[label] = len(calls)
             for lba, data in survivors.items():
                 assert engine.read(lba, 1).data == data
         assert lookups["small"] == lookups["large"]
-        # Exactly the victims' live chunks get looked up: the 2 never-
-        # overwritten survivors in the 6/8-dead container.
+        # Exactly the victims' live chunks get resolved (one offset map
+        # per victim container): the 2 never-overwritten survivors in
+        # the 6/8-dead container.
         assert lookups["small"] == 2
 
 

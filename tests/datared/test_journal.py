@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.datared.compression import ModeledCompressor
 from repro.datared.dedup import DedupEngine
 from repro.datared.hash_pbn import HashPbnTable
+from repro.datared.lba_map import LbaMap, PbnMap
 from repro.datared.journal import (
     CheckpointState,
     MetadataJournal,
@@ -29,6 +30,25 @@ def journaled_engine(checkpoint_every=None):
         journal=journal,
     )
     return engine, journal
+
+
+def state_of(next_pbn, chunks=(), mappings=(), snapshots=(),
+             stats=(0, 0, 0, 0, 0, 0)):
+    """A :class:`CheckpointState` over maps holding ``chunks`` —
+    ``(pbn, digest, container, offset, stored, refcount)`` — and
+    ``mappings`` — ``(lba, pbn)``."""
+    pbn_map, lba_map = PbnMap(), LbaMap()
+    for pbn, digest, container, offset, stored, refcount in chunks:
+        pbn_map.add(pbn, container, offset, stored, digest, refcount)
+    for lba, pbn in mappings:
+        lba_map.set(lba, pbn)
+    return CheckpointState(
+        next_pbn=next_pbn,
+        pbn_columns=pbn_map.columns(),
+        lba_pages=lba_map.page_images(),
+        snapshots=list(snapshots),
+        stats=stats,
+    )
 
 
 def fresh_engine(containers):
@@ -184,29 +204,22 @@ class TestJournalFraming:
 
 class TestCheckpoint:
     def test_state_roundtrip(self):
-        state = CheckpointState(
-            next_pbn=17,
-            pbn_records=[(3, b"\x11" * 32, 0, 2, 900, 2)],
-            lba_entries=[(8, 3), (16, 3)],
+        state = state_of(
+            17,
+            chunks=[(3, b"\x11" * 32, 0, 2, 900, 2)],
+            mappings=[(8, 3), (16, 3), (2**40, 3)],
             snapshots=[("snap-a", [(8, 3)])],
             stats=(8192, 4096, 900, 0, 1, 1),
         )
         assert CheckpointState.decode(state.encode()) == state
 
     def test_decode_rejects_trailing_bytes(self):
-        state = CheckpointState(
-            next_pbn=1, pbn_records=[], lba_entries=[], snapshots=[],
-            stats=(0, 0, 0, 0, 0, 0),
-        )
+        state = state_of(1)
         with pytest.raises(JournalCorruptError):
             CheckpointState.decode(state.encode() + b"\x00")
 
     def test_decode_rejects_truncation(self):
-        state = CheckpointState(
-            next_pbn=1,
-            pbn_records=[(1, b"\x22" * 32, 0, 0, 10, 1)],
-            lba_entries=[], snapshots=[], stats=(0, 0, 0, 0, 0, 0),
-        )
+        state = state_of(2, chunks=[(1, b"\x22" * 32, 0, 0, 10, 1)])
         with pytest.raises(JournalCorruptError):
             CheckpointState.decode(state.encode()[:-4])
 
@@ -214,12 +227,7 @@ class TestCheckpoint:
         journal = MetadataJournal()
         journal.on_map(1, 1)
         with pytest.raises(ValueError, match="commit first"):
-            journal.write_checkpoint(
-                CheckpointState(
-                    next_pbn=0, pbn_records=[], lba_entries=[],
-                    snapshots=[], stats=(0, 0, 0, 0, 0, 0),
-                )
-            )
+            journal.write_checkpoint(state_of(0))
 
     def test_truncation_is_lazy(self, rng):
         engine, journal = journaled_engine()
@@ -403,6 +411,13 @@ class TestCorruptionIsTyped:
         journal.on_new_chunk(2, b"\x01" * 32, 0, 1, 100, CHUNK)
         journal.commit()
         with pytest.raises(JournalCorruptError, match="duplicate NEW_CHUNK"):
+            self._replay(journal)
+
+    def test_placement_too_wide_for_its_column_raises(self):
+        journal = MetadataJournal()
+        journal.on_new_chunk(1, b"\x01" * 32, 2**40, 0, 100, CHUNK)
+        journal.commit()
+        with pytest.raises(JournalCorruptError, match="cannot be replayed"):
             self._replay(journal)
 
     def test_map_to_unplaced_pbn_raises(self):

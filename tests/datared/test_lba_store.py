@@ -1,139 +1,60 @@
-"""Tests for the paged, cached LBA→PBN store."""
+"""Tests for the LBA→PBN store as a paged map: mappings that span pages.
 
-import random
+:class:`~repro.datared.lba_map.LbaMap` keeps its slots in 4-KiB pages of
+512; these cases put the addresses on separate, far-apart pages so a
+slot or count that leaks between pages shows.
+"""
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.cache.table_cache import TableCache
 from repro.datared.compression import ModeledCompressor
 from repro.datared.dedup import DedupEngine
-from repro.datared.hash_pbn import InMemoryBucketStore
-from repro.datared.lba_store import ENTRIES_PER_PAGE, PagedLbaStore
+from repro.datared.lba_map import LBA_PAGE_SLOTS, LbaMap
+
+#: One LBA on each of three pages, none of them adjacent.
+SPREAD = (3, 7 * LBA_PAGE_SLOTS + 1, 1000 * LBA_PAGE_SLOTS + LBA_PAGE_SLOTS - 1)
 
 
 class TestBasics:
-    def test_entries_per_page(self):
-        assert ENTRIES_PER_PAGE == 4096 // 6 == 682
-
-    def test_get_unmapped(self):
-        assert PagedLbaStore().get(0) is None
-        assert 0 not in PagedLbaStore()
-
     def test_set_get(self):
-        store = PagedLbaStore()
-        assert store.set(10, 5) is None
-        assert store.get(10) == 5
-        assert len(store) == 1
+        store = LbaMap()
+        for pbn, lba in enumerate(SPREAD):
+            assert store.set(lba, pbn) is None
+        for pbn, lba in enumerate(SPREAD):
+            assert store.get(lba) == pbn
+        assert store.get(SPREAD[1] + 1) is None
+        assert len(store) == len(SPREAD)
 
     def test_remap_returns_previous(self):
-        store = PagedLbaStore()
-        store.set(10, 5)
-        assert store.set(10, 7) == 5
-        assert len(store) == 1
+        store = LbaMap()
+        for pbn, lba in enumerate(SPREAD):
+            store.set(lba, pbn)
+        assert store.set(SPREAD[2], 50) == 2
+        assert store.get(SPREAD[2]) == 50
+        assert store.get(SPREAD[0]) == 0
+        assert len(store) == len(SPREAD)
 
     def test_unmap(self):
-        store = PagedLbaStore()
-        store.set(3, 9)
-        assert store.unmap(3) == 9
-        assert store.unmap(3) is None
-        assert len(store) == 0
-
-    def test_pbn_zero_is_representable(self):
-        store = PagedLbaStore()
-        store.set(0, 0)
-        assert store.get(0) == 0
-
-    def test_cross_page_addresses(self):
-        store = PagedLbaStore()
-        lbas = [0, ENTRIES_PER_PAGE - 1, ENTRIES_PER_PAGE, 5 * ENTRIES_PER_PAGE + 7]
-        for index, lba in enumerate(lbas):
-            store.set(lba, index)
-        for index, lba in enumerate(lbas):
-            assert store.get(lba) == index
+        store = LbaMap()
+        for pbn, lba in enumerate(SPREAD):
+            store.set(lba, pbn)
+        assert store.unmap(SPREAD[1]) == 1
+        assert store.unmap(SPREAD[1]) is None
+        assert store.unmap(SPREAD[1] + LBA_PAGE_SLOTS) is None
+        assert store.get(SPREAD[2]) == 2
+        assert len(store) == len(SPREAD) - 1
 
     def test_items(self):
-        store = PagedLbaStore()
-        store.set(1, 10)
-        store.set(ENTRIES_PER_PAGE + 2, 20)
-        assert dict(store.items()) == {1: 10, ENTRIES_PER_PAGE + 2: 20}
-
-    def test_validation(self):
-        store = PagedLbaStore()
-        with pytest.raises(ValueError):
-            store.get(-1)
-        with pytest.raises(ValueError):
-            store.set(0, -1)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(
-        st.tuples(st.integers(0, 3000), st.integers(0, 500)),
-        max_size=80,
-    ))
-    def test_matches_dict_model(self, ops):
-        store = PagedLbaStore()
-        model = {}
-        for lba, pbn in ops:
-            assert store.set(lba, pbn) == model.get(lba)
-            model[lba] = pbn
-        for lba, pbn in model.items():
-            assert store.get(lba) == pbn
-        assert len(store) == len(model)
-
-
-class TestLocality:
-    """§2.1.4's claim: address locality makes a small page cache enough."""
-
-    def _hit_rate(self, lbas) -> float:
-        cache = TableCache(InMemoryBucketStore(), capacity_lines=4,
-                           eviction_batch=1)
-        store = PagedLbaStore(store=cache)
-        for pbn, lba in enumerate(lbas):
+        store = LbaMap()
+        for pbn, lba in reversed(list(enumerate(SPREAD))):
             store.set(lba, pbn)
-        return cache.stats.hit_rate
-
-    def test_sequential_addresses_hit_almost_always(self):
-        sequential = self._hit_rate(range(4000))
-        assert sequential > 0.95
-
-    def test_random_addresses_hit_rarely(self):
-        rng = random.Random(3)
-        random_rate = self._hit_rate(
-            [rng.randrange(400 * ENTRIES_PER_PAGE) for _ in range(4000)]
-        )
-        assert random_rate < 0.5
-
-    def test_locality_gap(self):
-        rng = random.Random(4)
-        sequential = self._hit_rate(range(3000))
-        scattered = self._hit_rate(
-            [rng.randrange(300 * ENTRIES_PER_PAGE) for _ in range(3000)]
-        )
-        assert sequential > scattered + 0.4
+        assert list(store.items()) == [(lba, pbn) for pbn, lba in enumerate(SPREAD)]
 
 
 class TestEngineIntegration:
-    def test_dedup_engine_over_paged_store(self, rng):
-        engine = DedupEngine(
-            num_buckets=512,
-            compressor=ModeledCompressor(0.5),
-            lba_map=PagedLbaStore(),
-        )
-        state = {}
-        for _ in range(150):
-            lba = rng.randrange(2000)
-            data = rng.randbytes(4096)
-            engine.write(lba, data)
-            state[lba] = data
-        for lba, data in state.items():
-            assert engine.read(lba, 1).data == data
-
     def test_overwrite_reclaim_still_works(self, rng):
-        engine = DedupEngine(
-            num_buckets=512,
-            compressor=ModeledCompressor(0.5),
-            lba_map=PagedLbaStore(),
-        )
-        engine.write(0, rng.randbytes(4096))
-        report = engine.write(0, rng.randbytes(4096))
+        engine = DedupEngine(num_buckets=512, compressor=ModeledCompressor(0.5))
+        lba = 5 * LBA_PAGE_SLOTS + 7
+        engine.write(lba, rng.randbytes(4096))
+        report = engine.write(lba, rng.randbytes(4096))
         assert report.reclaimed_chunks == 1
+        assert engine.lba_map.get(lba) is not None
+        assert len(engine.lba_map) == 1
