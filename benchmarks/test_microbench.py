@@ -30,7 +30,6 @@ from asyncio import selector_events
 import pytest
 
 from repro.cache.btree import BPlusTree
-from repro.cache.hwtree import SpeculativeTreeEngine, TreeOp
 from repro.cache.table_cache import BTreeIndex, TableCache
 from repro.datared.codecs import decode_many
 from repro.datared.compression import (
@@ -83,19 +82,6 @@ def test_btree_search(benchmark, rng):
         tree.insert(key, key)
     probe = iter(keys * 100)
     benchmark(lambda: tree.search(next(probe)))
-
-
-def test_speculative_tree_batch(benchmark, rng):
-    engine = SpeculativeTreeEngine(window=4)
-    counter = iter(range(100_000_000))
-
-    def batch():
-        engine.execute(
-            [TreeOp("insert", next(counter) * 7919 % 1_000_003, 1)
-             for _ in range(64)]
-        )
-
-    benchmark(batch)
 
 
 def test_table_cache_access(benchmark, rng):

@@ -59,23 +59,6 @@ def main() -> None:
     print("\nreading the table: reduction hardware scales with throughput,"
           "\nsaved flash scales with capacity — big, fast tiers still win.")
 
-    # Bill of materials: what a 300 GB/s, 500 TB FIDR tier actually buys.
-    from repro.analysis import plan_deployment
-    from repro.experiments import DEFAULT_SCALE, get_report
-
-    report = get_report("fidr", "write-h", DEFAULT_SCALE, server="target")
-    plan = plan_deployment(report, 300 * GB, 500 * TB)
-    print()
-    print(format_table(
-        headers=["item", "count / value"],
-        rows=plan.summary_rows(),
-        title=(
-            f"bill of materials: 300 GB/s, 500 TB effective "
-            f"({plan.per_socket_throughput / GB:.0f} GB/s per socket, "
-            f"bottleneck: {plan.bottleneck})"
-        ),
-    ))
-
 
 if __name__ == "__main__":
     main()

@@ -3,34 +3,17 @@
 
 The crash/replay optimization lets several tree updates run
 concurrently.  How wide should the window be, and when does it stop
-paying?  This study sweeps the window across cache-miss regimes using
-both the functional engine (measuring *real* crash rates on a live
-B+-tree) and the timing model (throughput), reproducing Figure 13's
+paying?  This study sweeps the window across cache-miss regimes with
+the engine's timing model (throughput), then runs its queueing
+simulation, whose crash/replay rate emerges from leaf collisions among
+in-flight updates, over several tree sizes — reproducing Figure 13's
 regimes and showing where each constraint binds.
 
 Run:  python examples/tree_concurrency_study.py
 """
 
-import random
-
-from repro.analysis import format_table, gbps, pct
-from repro.cache import CacheEngineModel, SpeculativeTreeEngine, TreeOp
-
-
-def functional_crash_rates(window: int, tree_keys: int) -> float:
-    """Measured mis-speculation rate on a live tree of ``tree_keys``."""
-    rng = random.Random(window * 1000 + tree_keys)
-    key_space = tree_keys * 100
-    engine = SpeculativeTreeEngine(window=window)
-    engine.execute(
-        [TreeOp("insert", rng.randrange(key_space), 1) for _ in range(tree_keys)]
-    )
-    churn = min(8000, tree_keys)
-    mixed = [TreeOp("delete", rng.randrange(key_space)) for _ in range(churn)]
-    mixed += [TreeOp("insert", rng.randrange(key_space), 1) for _ in range(churn)]
-    rng.shuffle(mixed)
-    engine.execute(mixed)
-    return engine.crash_rate
+from repro.analysis import format_table
+from repro.cache import CacheEngineModel
 
 
 def main() -> None:
@@ -55,19 +38,22 @@ def main() -> None:
     print("\nwindow 4 is where the commit port takes over — wider windows"
           "\nbuy nothing, which is why the paper stops there.\n")
 
-    # 2. Real crash rates on a live tree: conflicts need two in-flight
-    # updates to land on the same leaf, so the rate falls inversely with
-    # tree size.
+    # 2. Crash/replay rates from the queueing simulation: a crash needs
+    # two in-flight updates on the same or an adjacent leaf, so the rate
+    # falls inversely with tree size.  Cold cache: the most updates.
     rows = []
-    for tree_keys in (2_000, 16_000, 64_000):
-        row = [f"{tree_keys:,}-key tree"]
+    for leaves in (1_000, 10_000, 100_000, 1_500_000):
+        row = [f"{leaves:,} leaves"]
         for window in (1, 2, 4):
-            row.append(pct(functional_crash_rates(window, tree_keys)))
+            simulated = model.simulate(
+                30_000, 0.47, window=window, num_leaves=leaves, seed=leaves
+            )
+            row.append(f"{simulated.crash_rate:.3%}")
         rows.append(row)
     print(format_table(
         headers=["tree size", "crash rate w=1", "w=2", "w=4"],
         rows=rows,
-        title="measured crash/replay rates (functional tree)",
+        title="simulated crash/replay rates (cold cache, 30,000 requests)",
     ))
     print("\nthe rate shrinks with tree size; the prototype's 100-GB cache"
           "\nindex has ~1.5M leaves, which is where the paper's <0.1% lives.")

@@ -3,8 +3,8 @@
 Two families live here:
 
 * **Performance analysis** — linear projection, throughput solving,
-  scale-out planning, cost modelling (``projection``, ``throughput``,
-  ``scaleout``, ``cost``, ``report``).
+  cost modelling (``projection``, ``throughput``, ``cost``,
+  ``report``).
 * **Correctness analysis** — ``lint`` (AST contract rules R001,
   R003-R009 and R012), ``invariants`` (ledger/index conservation
   checks) and ``crash`` (the durability tier's crash/recovery harness).
@@ -20,9 +20,7 @@ _EXPORTS = {
     "Comparison": ("report", "Comparison"),
     "CostBreakdown": ("cost", "CostBreakdown"),
     "CostParameters": ("cost", "CostParameters"),
-    "DeploymentPlan": ("scaleout", "DeploymentPlan"),
     "LinearFit": ("projection", "LinearFit"),
-    "plan_deployment": ("scaleout", "plan_deployment"),
     "StorageCostModel": ("cost", "StorageCostModel"),
     "ThroughputCeilings": ("throughput", "ThroughputCeilings"),
     "fit_least_squares": ("projection", "fit_least_squares"),
@@ -52,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience only
         gbps,
         pct,
     )
-    from .scaleout import DeploymentPlan, plan_deployment  # noqa: F401
     from .throughput import ThroughputCeilings, solve_throughput  # noqa: F401
 
 

@@ -1,5 +1,5 @@
 """Table-cache subsystem: indexes, replacement machinery, and the
-Cache HW-Engine models (paper §4.3, §5.5, §6.3)."""
+Cache HW-Engine's timing model (paper §4.3, §5.5, §6.3)."""
 
 from .btree import BPlusTree
 from .cache_engine import (
@@ -8,7 +8,6 @@ from .cache_engine import (
     CycleSimResult,
     ThroughputBreakdown,
 )
-from .hwtree import OpResult, SpeculativeTreeEngine, TreeOp
 from .lru import LruList
 from .policy import PartitionedLru
 from .table_cache import BTreeIndex, CacheIndex, CacheStats, HwTreeIndex, TableCache
@@ -24,9 +23,6 @@ __all__ = [
     "HwTreeIndex",
     "LruList",
     "PartitionedLru",
-    "OpResult",
-    "SpeculativeTreeEngine",
     "TableCache",
     "ThroughputBreakdown",
-    "TreeOp",
 ]

@@ -37,8 +37,8 @@ where the modelled CPU or engine searches or updates its tree, and the
 ledgers read what those calls counted.  :class:`BTreeIndex` walks a
 real B+-tree because the host pays per node visited;
 :class:`HwTreeIndex` only counts, because the Cache HW-Engine's tree
-costs the host nothing (:mod:`repro.cache.hwtree` models its function,
-:class:`~repro.cache.cache_engine.CacheEngineModel` its timing).  The
+costs the host nothing (:class:`~repro.cache.cache_engine.CacheEngineModel`
+models its timing and its crash/replay rate, Fig. 13).  The
 table probes every lookup's home chain through this store, so the
 device models see each bucket access the write walk makes.
 """

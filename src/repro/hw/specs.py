@@ -124,7 +124,6 @@ class ServerSpec:
     dram: DramSpec
     socket_pcie_bw: float  #: total PCIe IO bandwidth of the socket
     nic: NicSpec
-    fpga: FpgaSpec
     data_ssd: SsdSpec
     table_ssd: SsdSpec
     num_data_ssds: int
@@ -215,7 +214,6 @@ PROTOTYPE_SERVER = ServerSpec(
     dram=PROTOTYPE_DRAM,
     socket_pcie_bw=40 * GB,
     nic=FIDR_NIC_64G,
-    fpga=VCU1525,
     data_ssd=SAMSUNG_970_PRO,
     table_ssd=TABLE_SSD,
     num_data_ssds=2,
@@ -233,7 +231,6 @@ TARGET_SERVER = ServerSpec(
         FIDR_NIC_64G, name="FIDR NIC array (10x)", network_bw=80 * GB,
         hash_bw=80 * GB,
     ),
-    fpga=VCU1525,
     data_ssd=SAMSUNG_970_PRO,
     table_ssd=TABLE_SSD,
     num_data_ssds=16,

@@ -26,7 +26,6 @@ from ..datared.compression import Compressor
 from ..obs.metrics import MetricsRegistry
 from ..datared.container import Container
 from ..datared.dedup import ReadReport
-from ..hw.fpga import CompressionEngine, DecompressionEngine
 from ..hw.nic import FidrNic
 from ..hw.pcie import HOST, PcieTopology
 from ..hw.specs import ServerSpec
@@ -81,10 +80,6 @@ class FidrSystem(ReductionSystem):
         self.nic = FidrNic(
             self.server.nic, fingerprinter=self.engine.fingerprinter
         )
-        self.compression = CompressionEngine(
-            compressor=self.engine.compressor, spec=self.server.fpga
-        )
-        self.decompression = DecompressionEngine(spec=self.server.fpga)
         self.engine.registry.register_collector(self._publish_fidr_metrics)
 
     def _publish_fidr_metrics(self, registry: MetricsRegistry) -> None:
@@ -181,8 +176,6 @@ class FidrSystem(ReductionSystem):
                 unique_bytes += len(chunk.data)
         self.nic.schedule_unique(flags)
         self.pcie.transfer(_NIC, _COMP, unique_bytes)  # P2P: no host DRAM
-        self.compression.traffic.pcie_in += unique_bytes
-        self.compression.traffic.payload_processed += unique_bytes
 
         # Step 8: compressed sizes + metadata to the host (tiny).
         unique_count = sum(1 for _, is_unique in flags if is_unique)
@@ -231,8 +224,6 @@ class FidrSystem(ReductionSystem):
         """Step 9: the data SSD pulls the batch from the Compression
         Engine's memory, peer-to-peer."""
         size = container.fill_bytes
-        self.compression.traffic.pcie_out += size
-        self.compression.traffic.board_dram += 2 * size  # land + DMA out
         self.pcie.transfer(_COMP, _DATA_SSD, size)
         self.data_array.drives[
             container.container_id % len(self.data_array)
@@ -258,9 +249,6 @@ class FidrSystem(ReductionSystem):
             if not self.nvme_read_offload:
                 self.cpu.charge(CpuTask.DATA_SSD, costs.data_ssd_read_io * fetched)
             self.pcie.transfer(_DATA_SSD, _DECOMP, report.stored_bytes_read)
-            self.decompression.traffic.pcie_in += report.stored_bytes_read
-            self.decompression.traffic.pcie_out += inflated
-            self.decompression.traffic.payload_processed += inflated
             self.pcie.transfer(_DECOMP, _NIC, inflated)
         # Step 8: NIC sends the data to the client.
         self.nic.send_read_data(count * chunk_size)

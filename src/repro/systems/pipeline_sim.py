@@ -26,7 +26,7 @@ from ..sim.resources import Resource
 from ..sim.stats import StreamingSummary
 from .accounting import SystemReport
 
-__all__ = ["PipelineResult", "simulate_write_pipeline", "simulate_read_pipeline"]
+__all__ = ["PipelineResult", "simulate_write_pipeline"]
 
 
 class _StageServer:
@@ -187,106 +187,3 @@ def simulate_write_pipeline(
         outstanding=outstanding,
     )
 
-
-def simulate_read_pipeline(
-    report: SystemReport,
-    batch_chunks: int = 64,
-    num_batches: int = 300,
-    outstanding: int = 16,
-    fidr_datapath: bool = False,
-    decompress_bw: float = 12.8e9,
-) -> PipelineResult:
-    """Batched 4-KB reads through the measured read datapath.
-
-    The stage set follows the architecture: the baseline's reads cross
-    host DRAM twice and take two software passes (Figure 2b); with
-    ``fidr_datapath=True`` the SSD → Decompression Engine → NIC chain is
-    peer-to-peer, so the host stages shrink to the LBA lookup and NVMe
-    submission work the report actually charged (Figure 6b).  Per-batch
-    demands come from the measured per-byte intensities, like the write
-    pipeline.
-    """
-    if report.logical_read_bytes <= 0:
-        raise ValueError("report covers no read bytes")
-    if outstanding < 1 or num_batches < 1:
-        raise ValueError("need at least one batch in flight")
-
-    chunk_size = 4096
-    batch_bytes = batch_chunks * chunk_size
-    logical = report.logical_bytes
-    stored_fraction = (
-        report.reduction.compression_ratio
-        if report.reduction.unique_logical_bytes
-        else 0.5
-    )
-
-    sim = Simulator()
-    server = report.server
-    stages: Dict[str, _StageServer] = {
-        "data_ssd": _StageServer(
-            sim, server.data_ssd.read_bw * server.num_data_ssds, "ssd"
-        ),
-        "decompress": _StageServer(sim, decompress_bw, "decompress"),
-        "host_cpu": _StageServer(sim, server.cpu.total_cycles_per_s, "cpu"),
-        "pcie_root": _StageServer(sim, server.socket_pcie_bw, "root"),
-    }
-    demands: Dict[str, float] = {
-        "data_ssd": stored_fraction * batch_bytes,
-        "decompress": float(batch_bytes),
-        # CPU/root intensities measured over the whole workload scale to
-        # this batch of logical bytes.
-        "host_cpu": report.cpu.total_cycles / logical * batch_bytes,
-        "pcie_root": report.pcie.root_complex_bytes / logical * batch_bytes,
-    }
-    if not fidr_datapath:
-        # Baseline: compressed data lands in DRAM, decompressed data
-        # lands again (Figure 2b's two store-and-forward hops).
-        stages["host_dram"] = _StageServer(sim, server.dram.peak_bw, "dram")
-        demands["host_dram"] = (1.0 + stored_fraction) * 2 * batch_bytes
-
-    latencies = StreamingSummary()
-    window = {"slots": outstanding, "waiters": []}
-    completed = {"count": 0, "last_finish": 0.0}
-    order = ("host_cpu", "data_ssd", "host_dram", "decompress", "pcie_root")
-
-    def batch_process():
-        start = sim.now
-        for stage_name in order:
-            stage = stages.get(stage_name)
-            if stage is None:
-                continue
-            demand = demands.get(stage_name, 0.0)
-            if demand > 0:
-                yield from stage.serve(demand)
-        latencies.add(sim.now - start)
-        completed["count"] += 1
-        completed["last_finish"] = sim.now
-        window["slots"] += 1
-        if window["waiters"]:
-            window["waiters"].pop(0).succeed(None)
-
-    def generator():
-        for _ in range(num_batches):
-            if window["slots"] == 0:
-                gate = sim.event()
-                window["waiters"].append(gate)
-                yield gate
-            window["slots"] -= 1
-            sim.spawn(batch_process())
-            yield sim.timeout(0.0)
-
-    sim.spawn(generator())
-    sim.run()
-
-    elapsed = completed["last_finish"]
-    total_bytes = completed["count"] * batch_bytes
-    return PipelineResult(
-        throughput_bytes_per_s=total_bytes / elapsed if elapsed else 0.0,
-        mean_batch_latency_s=latencies.mean,
-        p99ish_batch_latency_s=latencies.maximum,
-        stage_utilization={
-            name: stage.utilization() for name, stage in stages.items()
-        },
-        batches=completed["count"],
-        outstanding=outstanding,
-    )

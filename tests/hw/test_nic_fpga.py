@@ -1,11 +1,8 @@
-"""Tests for the NIC and FPGA engine models."""
+"""Tests for the NIC models."""
 
 import pytest
 
-from repro.datared.codecs import decode_chunk
-from repro.datared.compression import ModeledCompressor, ZlibCompressor
 from repro.datared.hashing import fingerprint
-from repro.hw.fpga import CompressionEngine, DecompressionEngine, HashAccelerator
 from repro.hw.nic import BaselineNic, FidrNic
 from repro.hw.specs import NicSpec
 
@@ -96,67 +93,3 @@ class TestFidrNicReadPath:
         assert nic.traffic.network_tx == 4096
         assert nic.traffic.pcie_from_host == 4096
 
-
-class TestHashAccelerator:
-    def test_batch_hashing(self, rng):
-        accel = HashAccelerator(hash_bw=8e9)
-        chunks = [rng.randbytes(4096) for _ in range(3)]
-        digests = accel.hash_batch(chunks)
-        assert digests == [fingerprint(c) for c in chunks]
-        assert accel.chunks_hashed == 3
-        assert accel.traffic.payload_processed == 3 * 4096
-
-    def test_timing(self):
-        accel = HashAccelerator(hash_bw=8e9)
-        assert accel.hashing_time(8e9) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashAccelerator(hash_bw=0)
-
-
-class TestCompressionEngine:
-    def test_batch_threshold_signals(self, rng):
-        engine = CompressionEngine(
-            compressor=ModeledCompressor(0.5), batch_threshold=4096
-        )
-        _, ready = engine.compress_chunk(rng.randbytes(4096))  # 2 KB stored
-        assert not ready
-        _, ready = engine.compress_chunk(rng.randbytes(4096))  # 4 KB total
-        assert ready
-        batch = engine.take_batch()
-        assert len(batch) == 2
-        assert engine.pending_bytes == 0
-        assert engine.batches_completed == 1
-
-    def test_real_compression_roundtrip(self):
-        engine = CompressionEngine(compressor=ZlibCompressor())
-        data = b"abc" * 1400
-        chunk, _ = engine.compress_chunk(data)
-        assert decode_chunk(chunk) == data
-
-    def test_traffic_accounting(self, rng):
-        engine = CompressionEngine(compressor=ModeledCompressor(0.5))
-        engine.compress_chunk(rng.randbytes(4096))
-        assert engine.traffic.pcie_in == 4096
-        assert engine.traffic.board_dram == 4096 + 2048
-
-    def test_timing(self):
-        engine = CompressionEngine(compress_bw=12.8e9)
-        assert engine.compression_time(12.8e9) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CompressionEngine(batch_threshold=0)
-
-
-class TestDecompressionEngine:
-    def test_roundtrip_and_accounting(self):
-        compressor = ZlibCompressor()
-        engine = DecompressionEngine()
-        data = b"xyz" * 1400
-        compressed = compressor.compress(data)
-        assert engine.decompress_chunk(compressed) == data
-        assert engine.chunks_decompressed == 1
-        assert engine.traffic.pcie_in == compressed.stored_size
-        assert engine.traffic.pcie_out == len(data)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.experiments import SMOKE_SCALE, get_report
-from repro.hw.fpga import EngineTraffic
-from repro.hw.specs import VCU1525
 from repro.systems.accounting import CpuTask, FIG5B_GROUPS
 
 
@@ -75,16 +73,3 @@ class TestGroupMap:
                                                       CpuTask.DATA_SSD,
                                                       CpuTask.NETWORK}
 
-
-class TestEngineTraffic:
-    def test_utilization(self):
-        traffic = EngineTraffic(pcie_in=VCU1525.pcie.bw, pcie_out=0,
-                                board_dram=VCU1525.board_dram_bw)
-        shares = traffic.utilization(VCU1525, data_throughput=1e9,
-                                     logical_bytes=1e9)
-        assert shares["pcie"] == pytest.approx(1.0)
-        assert shares["board_dram"] == pytest.approx(1.0)
-
-    def test_requires_logical_bytes(self):
-        with pytest.raises(ValueError):
-            EngineTraffic().utilization(VCU1525, 1e9, 0)

@@ -90,60 +90,3 @@ class TestAccounting:
         with pytest.raises(ValueError):
             simulate_write_pipeline(reports["fidr"], num_batches=0)
 
-
-class TestReadPipeline:
-    @pytest.fixture(scope="class")
-    def read_reports(self):
-        return {
-            "baseline": get_report(
-                "baseline", "read-mixed", SMOKE_SCALE, server="target"
-            ),
-            "fidr": get_report(
-                "fidr", "read-mixed", SMOKE_SCALE, server="target"
-            ),
-        }
-
-    def test_single_engine_binds_both(self, read_reports):
-        from repro.systems.pipeline_sim import simulate_read_pipeline
-
-        base = simulate_read_pipeline(read_reports["baseline"], outstanding=16)
-        fidr = simulate_read_pipeline(
-            read_reports["fidr"], outstanding=16, fidr_datapath=True
-        )
-        assert base.bottleneck == fidr.bottleneck == "decompress"
-        # Same cap, but FIDR leaves the host almost idle.
-        assert fidr.stage_utilization["host_cpu"] < (
-            base.stage_utilization["host_cpu"]
-        )
-        assert fidr.stage_utilization["pcie_root"] < 0.05
-
-    def test_scaling_engines_exposes_host_gap(self, read_reports):
-        from repro.systems.pipeline_sim import simulate_read_pipeline
-
-        wide = 4 * 12.8e9  # four decompression engines
-        base = simulate_read_pipeline(
-            read_reports["baseline"], outstanding=16, decompress_bw=wide
-        )
-        fidr = simulate_read_pipeline(
-            read_reports["fidr"], outstanding=16, fidr_datapath=True,
-            decompress_bw=wide,
-        )
-        assert fidr.throughput_bytes_per_s > base.throughput_bytes_per_s
-        assert base.bottleneck in ("host_cpu", "host_dram")
-
-    def test_baseline_dram_stage_present_only_without_p2p(self, read_reports):
-        from repro.systems.pipeline_sim import simulate_read_pipeline
-
-        base = simulate_read_pipeline(read_reports["baseline"], outstanding=4)
-        fidr = simulate_read_pipeline(
-            read_reports["fidr"], outstanding=4, fidr_datapath=True
-        )
-        assert "host_dram" in base.stage_utilization
-        assert "host_dram" not in fidr.stage_utilization
-
-    def test_validation(self, read_reports):
-        from repro.systems.pipeline_sim import simulate_read_pipeline
-
-        write_only = get_report("fidr", "write-h", SMOKE_SCALE, server="target")
-        with pytest.raises(ValueError):
-            simulate_read_pipeline(write_only)

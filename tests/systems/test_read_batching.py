@@ -101,7 +101,6 @@ def ledgers(system) -> dict:
         view["nic_lookup"] = (
             system.nic.read_buffer_hits, system.nic.read_buffer_misses
         )
-        view["decompression"] = dataclasses.asdict(system.decompression.traffic)
     hot = getattr(system, "hot_read_cache", None)
     if hot is not None:
         view["hot"] = (hot.hits, hot.misses, list(hot._data), list(hot._ghost))
