@@ -6,8 +6,10 @@ Tools:
   also runnable directly as ``python -m repro.analysis.lint``.
 * ``invariants`` — run the ledger/index conservation checks against a
   freshly exercised engine and against FIDR and baseline systems, one
-  of them driven into a refused write by a one-bucket table (a
-  self-test that the checker and the served write walk agree).
+  of them driven into a refused write by a one-bucket table and one a
+  journaled FIDR stack overwritten pass after pass, so whole containers
+  and bucket pages die (a self-test that the checker and the served
+  write walk agree).
 * ``crash`` — kill-at-random-offset crash/recovery harness for the
   durability tier: tears journal images at every framing-offset class
   and asserts recovery restores exactly the acknowledged state
@@ -25,10 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _exercised_systems() -> List[Tuple[str, "ReductionSystem"]]:
-    """FIDR and baseline after a mixed workload, and a FIDR system whose
-    one-bucket table refused part of an acked batch."""
+    """FIDR and baseline after a mixed workload, a FIDR system whose
+    one-bucket table refused part of an acked batch, and a journaled
+    FIDR system after overwrite passes."""
     from ..errors import CapacityError
     from ..systems import BaselineSystem, FidrSystem
+    from ..systems.config import DurabilityPolicy, SystemConfig
 
     systems: List[Tuple[str, "ReductionSystem"]] = []
     for cls in (FidrSystem, BaselineSystem):
@@ -45,6 +49,17 @@ def _exercised_systems() -> List[Tuple[str, "ReductionSystem"]]:
         systems.append(("FIDR after a refused batch", refused))
     else:
         raise AssertionError("a one-bucket table accepted every chunk")
+    journaled = FidrSystem(
+        num_buckets=64, cache_lines=8,
+        config=SystemConfig(durability=DurabilityPolicy(journal=True)),
+    )
+    for stamp in range(4):  # each pass kills the last: whole containers die
+        for lba in range(96):
+            journaled.write(lba, (stamp << 16 | lba).to_bytes(4, "big") * 1024)
+        journaled.flush()
+    if not journaled.engine.containers.garbage_victims(0.999):
+        raise AssertionError("overwrite passes left no fully-dead container")
+    systems.append(("journaled FIDR after overwrite passes", journaled))
     return systems
 
 

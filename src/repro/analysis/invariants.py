@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
+from ..datared.hash_pbn import InMemoryBucketStore
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,6 +192,27 @@ def _engine_violations(engine: "DedupEngine") -> List[str]:
             f"journal holds {engine.journal.staged_bytes} staged bytes "
             "at rest (missing commit barrier)"
         )
+
+    # -- memory follows live data (DESIGN.md §5.8, §5.9) ------------------------
+    # A page that holds nothing has no home, a container with no live
+    # chunk keeps only its counters, and no PBN list outlives the last
+    # live chunk of its container.
+    pages = _page_view(engine.table).store
+    if isinstance(pages, InMemoryBucketStore):
+        for bucket in pages.empty_pages():
+            violations.append(f"page store holds an empty page for bucket {bucket}")
+    for container in engine.containers._containers.values():
+        if container.sealed and not container.live_bytes and container.holds_tables:
+            violations.append(
+                f"fully-dead container {container.container_id} still holds "
+                "per-chunk tables"
+            )
+    for container_id in pbn_map.listed_containers():
+        if not engine.containers.holds_live(container_id):
+            violations.append(
+                f"PBN list kept for container {container_id}, which holds "
+                "no live chunk"
+            )
 
     # -- Hash-PBN table vs. the live records -----------------------------------
     table = engine.table

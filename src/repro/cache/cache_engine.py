@@ -148,7 +148,8 @@ class CacheEngineModel:
         in-order through the commit port.  Two in-flight updates landing
         on the same (or adjacent) leaf crash the younger one, which
         replays after the older retires — the cost structure of
-        Algorithms 1–2.
+        Algorithms 1–2.  With ``window=1`` there is no speculation, so
+        no crash: each update starts when the one slot frees.
         """
         if num_requests < 1:
             raise ValueError("need at least one request")
@@ -196,8 +197,10 @@ class CacheEngineModel:
             for _ in range(int(whole_updates)):
                 leaf = rng.randrange(num_leaves)
                 # Crash check against leaves claimed by busy slots
-                # (adjacency: the neighbor leaf counts too).
-                while True:
+                # (adjacency: the neighbor leaf counts too).  A one-slot
+                # engine never speculates: its update waits for the
+                # slot, which is the replay's wait, and nothing crashes.
+                while window > 1:
                     conflicting = [
                         slot for slot in slots
                         if slot[0] > ready and abs(slot[1] - leaf) <= 1

@@ -30,7 +30,10 @@ would hold, counts every access, fetch, flush and eviction as a cache
 of moving pages would, and hands back the page from ``pages``.  The
 optional ``ledger`` is the table-SSD array, a pure IO ledger like the
 data SSDs: one 4-KB read per fetch of a bucket flushed before, one
-4-KB write per flush.
+4-KB write per flush, and one byte per block remembering which
+buckets were ever flushed.  A page that holds nothing has no home in
+``pages`` and reads back empty; the ledger still fetches its block if
+it was flushed once, as a drive would.
 
 The :class:`CacheIndex` is the ledgers': the cache calls it exactly
 where the modelled CPU or engine searches or updates its tree, and the
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Set
 
-from ..datared.hash_pbn import BUCKET_SIZE, EMPTY_PAGE, BucketStore, PackedBucket
+from ..datared.hash_pbn import BUCKET_SIZE, BucketStore, PackedBucket
 from ..hw.ssd import SsdArray
 from .btree import BPlusTree
 from .lru import LruList
@@ -268,7 +271,7 @@ class TableCache(BucketStore):
         """Flush one dirty line: one 4-KB write on the table SSD, whose
         block the page store's copy stands for."""
         if self.ledger is not None:
-            self.ledger.write_block(bucket, EMPTY_PAGE)
+            self.ledger.write_block(bucket)
         self.stats.flushes += 1
         self.stats.host_bytes_read += BUCKET_SIZE
 

@@ -17,6 +17,7 @@ reclaim space when overwrites drop the last reference to a chunk.
 from __future__ import annotations
 
 import copy
+import sys
 from array import array
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -34,6 +35,10 @@ CONTAINER_SIZE = 4 * 1024 * 1024
 #: Allocation granule inside a container, sized so a 2-byte offset field
 #: addresses the whole 4-MB container (4 MiB / 65536).
 OFFSET_GRANULE = 64
+
+
+#: ``sys.getsizeof`` of a dict that never held a key.
+_EMPTY_DICT_BYTES = sys.getsizeof({})
 
 
 def _granules(num_bytes: int) -> int:
@@ -67,6 +72,11 @@ class Container:
     a chunk is live while its offset still has a payload.  The payloads
     stay a dict: a read resolves its offset there in one hash probe,
     where a bisect over the offset column costs ~17x that.
+
+    A sealed container whose last live chunk dies drops its payload
+    dict and both columns (a dict never shrinks on delete, so an
+    emptied one would keep its whole table) and keeps only its
+    counters: live, total and fill bytes, and ``sealed``.
     """
 
     def __init__(
@@ -125,17 +135,39 @@ class Container:
                 f"container {self.container_id} has no chunk at offset {offset}"
             ) from None
 
-    def mark_dead(self, offset: int, stored_size: int) -> None:
-        """Account a chunk as garbage (last reference dropped)."""
+    def mark_dead(self, offset: int, stored_size: int) -> bool:
+        """Account a chunk as garbage (last reference dropped); True
+        when it was the container's last live chunk."""
         if offset not in self._payloads:
             raise KeyError(f"no chunk at offset {offset}")
         del self._payloads[offset]
         self.live_bytes -= stored_size
         if self.live_bytes < 0:
             raise ValueError("live bytes went negative; double free?")
+        if self._payloads:
+            return False
+        if self.sealed:
+            self._release()
+        return True
 
     def seal(self) -> None:
         self.sealed = True
+        if not self._payloads:
+            self._release()
+
+    def _release(self) -> None:
+        """Drop the per-chunk tables of a container with no live chunk."""
+        self._payloads = {}
+        self._offsets = array("H")
+        self._sizes = array("I")
+
+    @property
+    def holds_tables(self) -> bool:
+        """Whether any per-chunk table still holds memory: an entry in
+        a column, or a payload dict grown past an empty one."""
+        return bool(self._offsets or self._sizes) or (
+            sys.getsizeof(self._payloads) > _EMPTY_DICT_BYTES
+        )
 
     @property
     def fill_bytes(self) -> int:
@@ -231,8 +263,15 @@ class ContainerStore:
     def read(self, container_id: int, offset: int) -> bytes:
         return self._get(container_id).read(offset)
 
-    def mark_dead(self, container_id: int, offset: int, stored_size: int) -> None:
-        self._get(container_id).mark_dead(offset, stored_size)
+    def mark_dead(self, container_id: int, offset: int, stored_size: int) -> bool:
+        """:meth:`Container.mark_dead` by id; True when the container
+        has no live chunk left."""
+        return self._get(container_id).mark_dead(offset, stored_size)
+
+    def holds_live(self, container_id: int) -> bool:
+        """Whether the container exists and holds a live chunk."""
+        container = self._containers.get(container_id)
+        return container is not None and container.live_bytes > 0
 
     def _get(self, container_id: int) -> Container:
         try:

@@ -857,13 +857,19 @@ class DedupEngine:
             # the old mapping and must still read these bytes).
             self._pending_releases.append((container_id, offset, stored_size))
         else:
-            self.containers.mark_dead(container_id, offset, stored_size)
+            self._mark_dead(container_id, offset, stored_size)
         self.table.remove(fingerprint)
         self.allocator.free(pbn)
         if self.observer is not None:
             self.observer.on_free(pbn)
         self.stats.reclaimed_stored_bytes += stored_size
         report.reclaimed_chunks += 1
+
+    def _mark_dead(self, container_id: int, offset: int, stored_size: int) -> None:
+        """Free one placement; a container left with no live chunk also
+        loses its PBN list, which then names only dead chunks."""
+        if self.containers.mark_dead(container_id, offset, stored_size):
+            self.pbn_map.forget_container(container_id)
 
     # -- read path (Figure 1b) ---------------------------------------------------
     def read(self, lba: int, num_chunks: int = 1) -> ReadReport:
@@ -1097,7 +1103,7 @@ class DedupEngine:
         journal.commit()
         if self._pending_releases:
             for container_id, offset, stored_size in self._pending_releases:
-                self.containers.mark_dead(container_id, offset, stored_size)
+                self._mark_dead(container_id, offset, stored_size)
             self._pending_releases.clear()
         if self._pending_drops:
             for container_id in self._pending_drops:

@@ -237,6 +237,13 @@ class InMemoryBucketStore(BucketStore):
     converts lazily on the first access in the other form, so mixed
     access per index stays coherent, and ``reads``/``writes`` count
     page accesses identically in both.
+
+    A page that holds nothing — a packed page with zero entries and no
+    overflow flag, or the all-zero byte page — has no home (DESIGN.md
+    §5.8): storing one drops the bucket from the dict, and it reads
+    back empty as a never-written bucket does.  A page whose only
+    content is the overflow flag stays, since probe chains run through
+    it.
     """
 
     def __init__(self) -> None:
@@ -257,7 +264,10 @@ class InMemoryBucketStore(BucketStore):
         if len(page) != BUCKET_SIZE:
             raise ValueError("bucket pages must be 4 KB")
         self.writes += 1
-        self._pages[index] = page
+        if page != EMPTY_PAGE:
+            self._pages[index] = page
+        else:
+            self._pages.pop(index, None)
 
     def load_packed(self, index: int) -> PackedBucket:  # repro-lint: hot-path
         self.reads += 1
@@ -271,7 +281,23 @@ class InMemoryBucketStore(BucketStore):
 
     def store_packed(self, index: int, bucket: PackedBucket) -> None:  # repro-lint: hot-path
         self.writes += 1
-        self._pages[index] = bucket
+        if len(bucket.buf) > _HEADER.size or bucket.buf[2]:
+            self._pages[index] = bucket
+        else:
+            self._pages.pop(index, None)
+
+    def empty_pages(self) -> List[int]:
+        """Stored buckets whose page holds nothing (none, when every
+        write went through this store's methods)."""
+        return sorted(
+            index
+            for index, page in self._pages.items()
+            if (
+                not (page.entry_count or page.buf[2])
+                if isinstance(page, PackedBucket)
+                else page == EMPTY_PAGE
+            )
+        )
 
 
 class HashPbnTable:

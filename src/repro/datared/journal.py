@@ -812,6 +812,10 @@ def reconcile_containers(engine: DedupEngine) -> int:
     appended by a batch whose commit fence never landed, and frees the
     engine deferred behind a commit that never returned.  Either way the
     bytes are garbage the moment the journal is the source of truth.
+    Replay re-lists every chunk it re-places under its container, the
+    ones it then releases included, so afterwards the PBN list of every
+    container left with no live chunk (or dropped) is forgotten, as the
+    engine forgets it when the last live chunk dies.
     Returns the number of placements reclaimed.
     """
     reclaimed = 0
@@ -822,6 +826,9 @@ def reconcile_containers(engine: DedupEngine) -> int:
         if offset not in owners[container_id]:
             engine.containers.mark_dead(container_id, offset, stored_size)
             reclaimed += 1
+    for container_id in engine.pbn_map.listed_containers():
+        if not engine.containers.holds_live(container_id):
+            engine.pbn_map.forget_container(container_id)
     return reclaimed
 
 

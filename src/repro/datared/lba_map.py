@@ -345,9 +345,10 @@ class PbnMap:
     * container → the PBNs placed in it, in placement order
       (:meth:`owners`) — used by garbage collection and recovery to
       resolve a container's offsets without rescanning every PBN.  A
-      list only grows: an entry whose chunk died or moved away stays
-      until compaction forgets the container, and reads check every
-      entry against the columns.
+      list only grows while its container holds a live chunk: an entry
+      whose chunk died or moved away stays, and reads check every
+      entry against the columns.  The engine forgets the list when the
+      container's last live chunk dies or compaction empties it.
     """
 
     def __init__(self) -> None:
@@ -524,8 +525,12 @@ class PbnMap:
                 found[offsets[pbn]] = pbn
         return found
 
+    def listed_containers(self) -> List[int]:
+        """Every container id that has a PBN list."""
+        return list(self._by_container)
+
     def forget_container(self, container_id: int) -> None:
-        """Drop a container's PBN list (it was compacted away)."""
+        """Drop a container's PBN list (it holds no live chunk)."""
         self._by_container.pop(container_id, None)
 
     def __len__(self) -> int:

@@ -10,20 +10,25 @@ Two roles:
   host IO stack (a large CPU cost, Table 2); FIDR moves their queues into
   the Cache HW-Engine (§6.1).
 
-:class:`NvmeSsd` is both a functional byte store and an IO ledger.  Both
-roles use it as a ledger: the containers hold the data SSDs' bytes, and
-the page store under :class:`~repro.cache.table_cache.TableCache` holds
-the table SSDs' (DESIGN.md §5.8).
+:class:`NvmeSsd` is an IO ledger, not a byte store (DESIGN.md §5.8):
+it counts the IO each role issues (:class:`IoStats`) and the bytes it
+would hold, and keeps one byte per block saying whether the block was
+ever written.  The containers hold the data SSDs' bytes, and the page
+store under :class:`~repro.cache.table_cache.TableCache` holds the
+table SSDs'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from .specs import SsdSpec, SAMSUNG_970_PRO
 
-__all__ = ["IoStats", "NvmeSsd", "SsdArray"]
+__all__ = ["BLOCK_SIZE", "IoStats", "NvmeSsd", "SsdArray"]
+
+#: Bytes of one ledgered block: a 4-KB table bucket page.
+BLOCK_SIZE = 4096
 
 
 @dataclass
@@ -49,46 +54,46 @@ class IoStats:
 
 
 class NvmeSsd:
-    """Functional block store + IO ledger for one NVMe drive."""
+    """IO ledger for one NVMe drive: block IO counted, blocks written
+    remembered, no bytes kept."""
 
     def __init__(self, spec: Optional[SsdSpec] = None, name: str = "ssd"):
         self.spec = spec if spec is not None else SAMSUNG_970_PRO
         self.name = name
         self.stats = IoStats()
-        self._blocks: Dict[int, bytes] = {}
+        self._written = bytearray()  # 1 per block ever written
         self.bytes_stored = 0
 
-    # -- functional IO -------------------------------------------------------------
-    def write_block(self, address: int, data: bytes) -> None:
+    # -- block IO --------------------------------------------------------------------
+    def write_block(self, address: int) -> None:
+        """Count one block write; the first write of a block stores it."""
         if address < 0:
             raise ValueError("negative address")
-        if not data:
-            raise ValueError("empty write")
-        previous = self._blocks.get(address)
-        if previous is not None:
-            self.bytes_stored -= len(previous)
-        self._blocks[address] = data
-        self.bytes_stored += len(data)
-        if self.bytes_stored > self.spec.capacity:
-            raise RuntimeError(f"{self.name}: capacity exceeded")
+        written = self._written
+        if address >= len(written):
+            written.extend(bytes(address + 1 - len(written)))
+        if not written[address]:
+            if self.bytes_stored + BLOCK_SIZE > self.spec.capacity:
+                raise RuntimeError(f"{self.name}: capacity exceeded")
+            written[address] = 1
+            self.bytes_stored += BLOCK_SIZE
         self.stats.write_ops += 1
-        self.stats.bytes_written += len(data)
+        self.stats.bytes_written += BLOCK_SIZE
 
-    def read_block(self, address: int) -> bytes:
-        data = self._blocks.get(address)
-        if data is None:
+    def read_block(self, address: int) -> None:
+        """Count one block read of a block written before."""
+        if address not in self:
             raise KeyError(f"{self.name}: nothing stored at {address}")
         self.stats.read_ops += 1
-        self.stats.bytes_read += len(data)
-        return data
-
-    def trim(self, address: int) -> None:
-        data = self._blocks.pop(address, None)
-        if data is not None:
-            self.bytes_stored -= len(data)
+        self.stats.bytes_read += BLOCK_SIZE
 
     def __contains__(self, address: int) -> bool:
-        return address in self._blocks
+        return 0 <= address < len(self._written) and self._written[address] == 1
+
+    @property
+    def written_blocks(self) -> int:
+        """Blocks ever written (each holds ``BLOCK_SIZE`` stored bytes)."""
+        return len(self._written) - self._written.count(0)
 
     # -- accounting-only IO (performance paths that skip content) ------------------
     def account_read(self, num_bytes: float, ops: int = 1) -> None:
@@ -116,7 +121,9 @@ class NvmeSsd:
 
 
 class SsdArray:
-    """A stripe of identical SSDs with round-robin block placement."""
+    """A stripe of identical SSDs with round-robin block placement:
+    array block ``address`` is block ``address // count`` of drive
+    ``address % count``."""
 
     def __init__(self, count: int, spec: Optional[SsdSpec] = None, name: str = "array"):
         if count < 1:
@@ -125,17 +132,17 @@ class SsdArray:
             NvmeSsd(spec=spec, name=f"{name}[{index}]") for index in range(count)
         ]
 
-    def _drive_for(self, address: int) -> NvmeSsd:
-        return self.drives[address % len(self.drives)]
+    def write_block(self, address: int) -> None:
+        block, drive = divmod(address, len(self.drives))
+        self.drives[drive].write_block(block)
 
-    def write_block(self, address: int, data: bytes) -> None:
-        self._drive_for(address).write_block(address, data)
-
-    def read_block(self, address: int) -> bytes:
-        return self._drive_for(address).read_block(address)
+    def read_block(self, address: int) -> None:
+        block, drive = divmod(address, len(self.drives))
+        self.drives[drive].read_block(block)
 
     def __contains__(self, address: int) -> bool:
-        return address in self._drive_for(address)
+        block, drive = divmod(address, len(self.drives))
+        return block in self.drives[drive]
 
     @property
     def stats(self) -> IoStats:

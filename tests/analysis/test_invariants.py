@@ -37,6 +37,31 @@ def exercised_engine(seed: int = 7) -> DedupEngine:
     return engine
 
 
+def overwritten_fidr():
+    """A journaled FIDR system after four overwrite passes of a 96-chunk
+    region, each sealed by a flush: three whole containers have died,
+    and bucket pages have emptied."""
+    from repro.systems.config import DurabilityPolicy, SystemConfig
+    from repro.systems.server import StorageServer, SystemKind
+
+    storage = StorageServer.build(
+        SystemKind.FIDR, num_buckets=64, cache_lines=8,
+        config=SystemConfig(durability=DurabilityPolicy(journal=True)),
+    )
+    for stamp in range(4):
+        for lba in range(96):
+            storage.write(lba, (stamp << 16 | lba).to_bytes(4, "big") * 1024)
+        storage.flush()
+    system = storage.system
+    dead = [
+        container for container in system.engine.containers._containers.values()
+        if not container.live_bytes
+    ]
+    assert len(dead) == 3 and all(container.sealed for container in dead)
+    assert check_system(system) == []
+    return system, dead[0]
+
+
 class TestHealthyStates:
     def test_fresh_engine_is_clean(self):
         assert check_engine(DedupEngine(num_buckets=64)) == []
@@ -152,10 +177,44 @@ class TestSeededCorruption:
             pages = storage.system.table_cache.pages
         pbn, record = next(iter(engine.pbn_map.records()))
         home = engine.table._home(record.fingerprint)
-        assert pages.load_packed(home).remove(record.fingerprint)
+        page = pages.load_packed(home)
+        assert page.remove(record.fingerprint)
+        expected = [f"Hash-PBN table maps PBN {pbn}'s fingerprint to None"]
+        if not page.entry_count:  # the digest was the page's only entry
+            expected.insert(0, f"page store holds an empty page for bucket {home}")
         violations = check_engine(engine, raise_on_violation=False)
-        assert violations == [
-            f"Hash-PBN table maps PBN {pbn}'s fingerprint to None"
+        assert violations == expected
+
+    def test_stored_empty_page_is_caught(self):
+        from repro.datared.hash_pbn import PackedBucket
+
+        system, _ = overwritten_fidr()
+        pages = system.table_cache.pages
+        bucket = next(b for b in range(64) if b not in pages._pages)
+        pages._pages[bucket] = PackedBucket.empty()
+        assert check_system(system, raise_on_violation=False) == [
+            f"page store holds an empty page for bucket {bucket}"
+        ]
+
+    def test_dead_container_keeping_its_tables_is_caught(self):
+        """The leak itself: a payload dict that held chunks and had them
+        all deleted keeps its table, though its length reads 0."""
+        system, dead = overwritten_fidr()
+        emptied = dict.fromkeys(range(64))
+        for offset in range(64):
+            del emptied[offset]
+        dead._payloads = emptied
+        assert check_system(system, raise_on_violation=False) == [
+            f"fully-dead container {dead.container_id} still holds "
+            "per-chunk tables"
+        ]
+
+    def test_pbn_list_of_a_dead_container_is_caught(self):
+        system, dead = overwritten_fidr()
+        system.engine.pbn_map._place(0, dead.container_id)
+        assert check_system(system, raise_on_violation=False) == [
+            f"PBN list kept for container {dead.container_id}, which holds "
+            "no live chunk"
         ]
 
     def test_system_front_door_drift_is_caught(self):

@@ -83,6 +83,19 @@ class TestSimulation:
         result = CacheEngineModel().simulate(5_000, 0.3, window=1, seed=4)
         assert result.crashes == 0
 
+    def test_one_slot_never_speculates_on_a_dense_tree(self):
+        """With one slot an update only ever waits for that slot, so
+        neighbouring leaves crash nothing, and the wait is the same
+        latency-bound timing a sparse tree gives."""
+        model = CacheEngineModel()
+        dense = model.simulate(10_000, 0.47, window=1, num_leaves=50, seed=3)
+        sparse = model.simulate(10_000, 0.47, window=1, num_leaves=100_000, seed=3)
+        assert dense.crashes == 0 and dense.crash_rate == 0.0
+        assert dense.updates == pytest.approx(sparse.updates, rel=0.05)
+        assert dense.throughput_bytes_per_s == pytest.approx(
+            sparse.throughput_bytes_per_s, rel=0.05
+        )
+
     def test_updates_counted(self):
         result = CacheEngineModel().simulate(10_000, 0.2, window=2, seed=5)
         # ~2 updates per miss on ~20% of requests.

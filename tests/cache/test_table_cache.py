@@ -16,6 +16,7 @@ from repro.datared.hash_pbn import (
 from repro.datared.hashing import fingerprint
 from repro.hw.ssd import IoStats, SsdArray
 
+from ..datared.reference import ReferenceTable
 from .reference import MovingPageCache, ReferenceTableSsd
 
 
@@ -261,20 +262,28 @@ class TestCountedIndexDifferential:
 
 
 #: A step of the ledger-identity history: a table op on a key (as in
-#: ``OP``), or a read or write of one of the byte pages that share the
-#: cache with the table, past its buckets (pages no bucket encodes).
+#: ``OP``), a drain that removes every live key homing to one bucket —
+#: emptying its page, or leaving bucket 0 only its overflow flag — or a
+#: read or write of one of the byte pages that share the cache with the
+#: table, past its buckets (pages no bucket encodes).
 BYTE_PAGES = 4
 STEP = st.one_of(
-    st.tuples(st.sampled_from(["lookup", "insert", "insert", "remove"]), KEY),
+    st.tuples(st.sampled_from(["lookup", "insert", "insert", "remove", "update"]), KEY),
+    st.tuples(st.just("drain"), st.integers(0, BUCKETS - 1)),
     st.tuples(st.sampled_from(["read page", "write page"]), st.integers(0, BYTE_PAGES - 1)),
 )
+#: Every history ends by draining bucket 0, whose page then holds only
+#: its overflow flag, and probing a chain key through it again.
+EPILOGUE = [("drain", 0), ("insert", CHAIN[-1]), ("lookup", CHAIN[-1]), ("lookup", CHAIN[0])]
 
 
 class TestLedgerIdentity:
-    """The residency model over one page store against the cache whose
-    lines hold moving copies of the pages (``tests/cache/reference.py``):
-    one history leaves equal answers and equal ledgers after every step
-    and after ``flush_all``."""
+    """The residency model over one page store against the reference
+    table on the cache whose lines hold moving copies of the pages
+    (``tests/datared/reference.py``, ``tests/cache/reference.py``): one
+    history — including buckets emptied and pages dropped from the page
+    store — leaves equal answers and equal ledgers after every step and
+    after ``flush_all``, and no empty page in the store."""
 
     @staticmethod
     def ledgers(cache, table, ssd_stats, ssd_stored):
@@ -295,18 +304,21 @@ class TestLedgerIdentity:
         ssd = ReferenceTableSsd(drives=2)
         reference = MovingPageCache(ssd, lines, index(), batch)
         ledger = SsdArray(2)
-        cache = TableCache(InMemoryBucketStore(), capacity_lines=lines, index=index(),
+        pages = InMemoryBucketStore()
+        cache = TableCache(pages, capacity_lines=lines, index=index(),
                            eviction_batch=batch, ledger=ledger)
-        old, new = HashPbnTable(BUCKETS, store=reference), HashPbnTable(BUCKETS, store=cache)
+        old, new = ReferenceTable(BUCKETS, store=reference), HashPbnTable(BUCKETS, store=cache)
+        live = set()
 
         def seen():
             stored = [drive.bytes_stored for drive in ledger.drives]
             assert self.ledgers(cache, new, [d.stats for d in ledger.drives], stored) == (
                 self.ledgers(reference, old, ssd.stats, ssd.bytes_stored)
             )
+            assert pages.empty_pages() == []
             cache.check_invariants()
 
-        for step, (op, key) in enumerate(PREFILL + steps):
+        for step, (op, key) in enumerate(PREFILL + steps + EPILOGUE):
             digest = key.to_bytes(32, "big")
             if op in ("lookup", "insert"):
                 found = old.lookup(digest)
@@ -314,8 +326,19 @@ class TestLedgerIdentity:
                 if op == "insert" and found is None:
                     old.insert(digest, step)
                     new.insert(digest, step)
+                    live.add(key)
             elif op == "remove":
                 assert new.remove(digest) == old.remove(digest)
+                live.discard(key)
+            elif op == "update":
+                assert new.update(digest, step) == old.update(digest, step)
+            elif op == "drain":
+                for gone in sorted(k for k in live if k % BUCKETS == key):
+                    gone_digest = gone.to_bytes(32, "big")
+                    assert new.remove(gone_digest) and old.remove(gone_digest)
+                    live.discard(gone)
+                if key == 0:  # the prefill overflowed bucket 0: its flag keeps a home
+                    assert pages.load_packed(0).overflowed
             elif op == "read page":
                 page = BUCKETS + key
                 assert cache.read_bucket(page) == reference.read_bucket(page)

@@ -116,15 +116,16 @@ class Bucket:
 class ReferenceTable:
     """Fingerprint → PBN table over decoded :class:`Bucket` pages.
 
-    Every access decodes the 4-KB page from ``store`` and every
-    mutation re-encodes it, so ``store`` holds exactly the bytes the
-    packed table must also hold after the same operation history, and
-    ``probe_count`` counts the buckets an unfiltered table touches.
+    Every access decodes the 4-KB page from ``store`` (its own
+    in-memory store unless one is given) and every mutation re-encodes
+    it, so ``store`` holds exactly the bytes the packed table must also
+    hold after the same operation history, and ``probe_count`` counts
+    the buckets an unfiltered table touches.
     """
 
-    def __init__(self, num_buckets: int) -> None:
+    def __init__(self, num_buckets: int, store: Optional[BucketStore] = None) -> None:
         self.num_buckets = num_buckets
-        self.store = InMemoryBucketStore()
+        self.store = store if store is not None else InMemoryBucketStore()
         self.entry_count = 0
         self.probe_count = 0
 
