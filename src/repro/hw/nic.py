@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..datared.hashing import SHA256, Fingerprinter
 from .specs import NicSpec, FIDR_NIC_64G
@@ -45,11 +45,11 @@ class NicTraffic:
     hashed_bytes: float = 0.0
 
 
-@dataclass(frozen=True)
-class BufferedWrite:
-    """One chunk staged in the FIDR NIC's write buffer; ``data`` is the
-    object ``buffer_write`` was handed, not a copy — the host recognises
-    its own entries by identity (DESIGN.md §5.4)."""
+class BufferedWrite(NamedTuple):
+    """One chunk staged in the FIDR NIC's write buffer, a tuple like
+    every per-chunk record; ``data`` is the object ``buffer_write`` was
+    handed, not a copy — the host recognises its own entries by
+    identity (DESIGN.md §5.4)."""
 
     lba: int
     data: bytes
@@ -103,22 +103,24 @@ class FidrNic:
     # -- write path ------------------------------------------------------------------
     def buffer_write(self, lba: int, data: bytes) -> None:
         """Stage one chunk (client write) in NIC DRAM; ack is immediate."""
-        if not data:
+        size = len(data)
+        if not size:
             raise ValueError("empty chunk")
-        self.traffic.network_rx += len(data)
+        traffic = self.traffic
+        traffic.network_rx += size
         previous = self._buffer.pop(lba, None)
         if previous is not None:
             self._buffered_bytes -= len(previous.data)
-        if self._buffered_bytes + len(data) > self.spec.buffer_capacity:
+        if self._buffered_bytes + size > self.spec.buffer_capacity:
             raise OverflowError(
                 f"{self.name}: write buffer overflow "
-                f"({self._buffered_bytes + len(data)} bytes)"
+                f"({self._buffered_bytes + size} bytes)"
             )
         digest = self.fingerprinter.digest(data)
-        self.traffic.hashed_bytes += len(data)
-        self.traffic.nic_dram += len(data)  # buffered once on arrival
-        self._buffer[lba] = BufferedWrite(lba=lba, data=data, digest=digest)
-        self._buffered_bytes += len(data)
+        traffic.hashed_bytes += size
+        traffic.nic_dram += size  # buffered once on arrival
+        self._buffer[lba] = BufferedWrite(lba, data, digest)
+        self._buffered_bytes += size
 
     def pending_chunks(self) -> int:
         return len(self._buffer)

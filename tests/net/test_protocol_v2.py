@@ -197,6 +197,29 @@ class TestServerErrorHandling:
         assert code is ErrorCode.BAD_REQUEST
 
 
+class TestGroupNeverRaises:
+    """A frame built through the API, not decoded, may carry an LBA or id
+    no reply header holds; its failure is still its own reply, naming
+    LBA 0 or id 0 in place of what does not fit."""
+
+    def test_unencodable_fields_become_error_replies(self, rng):
+        endpoint = make_endpoint()
+        storage = endpoint.server
+        data = rng.randbytes(CHUNK)
+        replies = endpoint.handle_group([
+            Frame(op=Op.WRITE, lba=-64, payload=b"x" * CHUNK, request_id=1),
+            Frame(op=Op.READ, lba=1 << 64, request_id=2),
+            Frame(op=Op.READ, lba=8, request_id=1 << 32),
+            Frame(op=Op.WRITE, lba=0, payload=data, request_id=3),
+        ])
+        decoded = [FrameDecoder().feed(reply)[0] for reply in replies]
+        assert [(f.op, f.lba, f.request_id) for f in decoded] == [
+            (Op.ERROR, 0, 1), (Op.ERROR, 0, 2), (Op.ERROR, 8, 0), (Op.WRITE_ACK, 0, 3),
+        ]
+        assert decode_error_payload(decoded[0].payload)[0] is ErrorCode.BAD_REQUEST
+        assert storage.read(0, 1) == data
+
+
 class TestInterop:
     def test_server_answers_v2_request_in_v2(self, rng):
         frame = roundtrip(
