@@ -18,10 +18,10 @@ This package implements the paper's §2 components on real bytes:
 * :mod:`~repro.datared.dedup` — the end-to-end write/read engine.
 * :mod:`~repro.datared.journal` — metadata journaling + crash recovery.
 * :mod:`~repro.datared.cdc` — content-defined chunking (the §2.1.1
-  alternative) and a content-addressed stream store.
+  alternative).
 """
 
-from .cdc import CdcDedupStore, GearChunker, StreamStats
+from .cdc import GearChunker
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker, LargeChunkAssembler, RmwStats
 from .codecs import (
     Codec,
@@ -97,7 +97,6 @@ from .lba_map import (
 
 __all__ = [
     "BLOCK_SIZE",
-    "CdcDedupStore",
     "Codec",
     "Fingerprinter",
     "RawCodec",
@@ -116,7 +115,6 @@ __all__ = [
     "RecordKind",
     "RecoveryImage",
     "RecoveryReport",
-    "StreamStats",
     "reconcile_containers",
     "recover_into",
     "replay_journal",

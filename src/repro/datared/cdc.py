@@ -3,16 +3,11 @@
 The paper chooses fixed 4-KB chunking "due to high computational
 overheads of variable sized chunking", citing systems that offload CDC
 to GPUs/FPGAs [9, 28].  This module supplies the alternative so the
-trade-off is measurable in this codebase:
-
-* :class:`GearChunker` — Gear-hash CDC (the rolling-hash family those
-  accelerators implement): a chunk boundary falls where the rolling
-  hash's low bits hit zero, so boundaries follow *content* and survive
-  insertions/deletions that shift byte offsets.
-* :class:`CdcDedupStore` — a content-addressed store over the same
-  Hash-PBN + container machinery the block engine uses: streams are
-  recipes of chunk fingerprints; identical content dedupes regardless
-  of alignment.
+trade-off is measurable in this codebase: :class:`GearChunker` is
+Gear-hash CDC (the rolling-hash family those accelerators implement).
+A chunk boundary falls where the rolling hash's low bits hit zero, so
+boundaries follow *content* and survive insertions/deletions that shift
+byte offsets.  ``experiments.ext_cdc`` counts the dedup it buys.
 
 The ``bytes_scanned`` counter captures CDC's cost honestly: every input
 byte passes through the rolling hash, which is exactly the
@@ -22,17 +17,9 @@ byte passes through the rolling hash, which is exactly the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from .codecs import decode_chunk
-from .compression import CompressedChunk, Compressor, ZlibCompressor
-from .container import ContainerStore
-from .hash_pbn import HashPbnTable
-from .hashing import fingerprint
-from .lba_map import PbnAllocator
-
-__all__ = ["GearChunker", "CdcDedupStore", "StreamStats"]
+__all__ = ["GearChunker"]
 
 
 def _gear_table(seed: int) -> List[int]:
@@ -101,96 +88,3 @@ class GearChunker:
             start = cut
         return chunks
 
-
-@dataclass
-class StreamStats:
-    """Reduction effectiveness of a CDC store."""
-
-    logical_bytes: int = 0
-    unique_chunks: int = 0
-    duplicate_chunks: int = 0
-    stored_bytes: int = 0
-
-    @property
-    def dedup_ratio(self) -> float:
-        total = self.unique_chunks + self.duplicate_chunks
-        return self.duplicate_chunks / total if total else 0.0
-
-    @property
-    def reduction_factor(self) -> float:
-        if self.stored_bytes == 0:
-            return float("inf") if self.logical_bytes else 1.0
-        return self.logical_bytes / self.stored_bytes
-
-
-class CdcDedupStore:
-    """Content-addressed stream store over CDC chunks.
-
-    ``write_stream(name, payload)`` chunks, dedupes and compresses;
-    ``read_stream(name)`` reassembles exactly.  Reuses the block
-    engine's substrates: a :class:`HashPbnTable` for fingerprints and a
-    :class:`ContainerStore` for packed compressed chunks.
-    """
-
-    def __init__(
-        self,
-        chunker: Optional[GearChunker] = None,
-        table: Optional[HashPbnTable] = None,
-        compressor: Optional[Compressor] = None,
-        containers: Optional[ContainerStore] = None,
-    ) -> None:
-        self.chunker = chunker if chunker is not None else GearChunker()
-        self.table = table if table is not None else HashPbnTable(1 << 14)
-        self.compressor = compressor if compressor is not None else ZlibCompressor()
-        self.containers = containers if containers is not None else ContainerStore()
-        self.allocator = PbnAllocator()
-        # PBN -> (container, offset, logical, stored); recipes hold PBNs.
-        self._chunks: Dict[int, Tuple[int, int, int, int]] = {}
-        self._recipes: Dict[str, List[int]] = {}
-        self.stats = StreamStats()
-
-    def write_stream(self, name: str, payload: bytes) -> StreamStats:
-        """Store (or replace) a named stream; returns cumulative stats."""
-        recipe: List[int] = []
-        for chunk in self.chunker.split(payload):
-            digest = fingerprint(chunk)
-            pbn = self.table.lookup(digest)
-            if pbn is None:
-                compressed = self.compressor.compress(chunk)
-                placement = self.containers.append(
-                    compressed.materialize(), compressed.stored_size
-                )
-                pbn = self.allocator.allocate()
-                self._chunks[pbn] = (
-                    placement.container_id,
-                    placement.offset,
-                    len(chunk),
-                    compressed.stored_size,
-                )
-                self.table.insert(digest, pbn)
-                self.stats.unique_chunks += 1
-                self.stats.stored_bytes += compressed.stored_size
-            else:
-                self.stats.duplicate_chunks += 1
-            recipe.append(pbn)
-            self.stats.logical_bytes += len(chunk)
-        self._recipes[name] = recipe
-        return self.stats
-
-    def read_stream(self, name: str) -> bytes:
-        """Reassemble a stream from its recipe."""
-        recipe = self._recipes.get(name)
-        if recipe is None:
-            raise KeyError(f"unknown stream {name!r}")
-        pieces: List[bytes] = []
-        for pbn in recipe:
-            container_id, offset, logical, stored = self._chunks[pbn]
-            payload = self.containers.read(container_id, offset)
-            compressed = CompressedChunk(
-                payload=payload, logical_size=logical, stored_size=stored
-            )
-            pieces.append(decode_chunk(compressed))
-        return b"".join(pieces)
-
-    def streams(self) -> List[str]:
-        return sorted(self._recipes)

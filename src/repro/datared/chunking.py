@@ -26,6 +26,7 @@ Buffer = Union[bytes, bytearray, memoryview]
 
 __all__ = [
     "BLOCK_SIZE",
+    "LBA_LIMIT",
     "Chunk",
     "FixedChunker",
     "RmwStats",
@@ -34,6 +35,9 @@ __all__ = [
 
 #: The unit of client addressing: 4 KB, matching the paper's trace blocks.
 BLOCK_SIZE = 4096
+
+#: One past the last LBA a 64-bit wire field (§6.2) can name.
+LBA_LIMIT = 1 << 64
 
 
 class Chunk:
@@ -112,6 +116,7 @@ class FixedChunker:
         """
         if lba < 0:
             raise ValueError(f"negative LBA: {lba}")
+        self.check_extent_end(lba, -(-len(payload) // self.chunk_size))
         if lba % self.blocks_per_chunk != 0:
             raise ValueError(
                 f"write at LBA {lba} is not aligned to "
@@ -131,6 +136,15 @@ class FixedChunker:
                 piece = bytes(piece) + b"\x00" * (chunk_size - len(piece))  # repro-lint: copy-ok zero-padding requires a new buffer
             chunks.append(Chunk(lba + offset // BLOCK_SIZE, piece))
         return chunks
+
+    def check_extent_end(self, lba: int, num_chunks: int) -> None:
+        """Refuse an extent whose last chunk's LBA is at or past
+        :data:`LBA_LIMIT`, before anything of it is staged or read."""
+        if lba + (num_chunks - 1) * self.blocks_per_chunk >= LBA_LIMIT:
+            raise ValueError(
+                f"{num_chunks} chunks at LBA {lba} run past the 64-bit "
+                "LBA space"
+            )
 
     def chunk_lba(self, block_lba: int) -> int:
         """The aligned chunk LBA containing a 4-KB block address."""

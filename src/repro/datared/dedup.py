@@ -885,6 +885,7 @@ class DedupEngine:
         step = self.chunker.blocks_per_chunk
         if lba % step != 0:
             raise ValueError(f"LBA {lba} is not chunk-aligned")
+        self.chunker.check_extent_end(lba, num_chunks)
         return range(lba, lba + num_chunks * step, step)
 
     def read_many(self, lbas: Sequence[int]) -> ReadReport:
@@ -995,12 +996,10 @@ class DedupEngine:
         The returned report carries ``reclaimed_chunks=1`` when the
         dropped reference was the chunk's last (its space is reclaimed
         and its fingerprint retired, exactly like an overwrite's
-        release); trimming an unmapped LBA is a no-op.  The
-        scatter-gather router sends it (as a TRIM frame) to evict an
-        LBA's stale mapping from a backend the LBA no longer lives on.
-        With a journal armed the unmap emits an ``UNMAP`` record and
-        commits, so replay drops the mapping exactly as the live engine
-        did.
+        release); trimming an unmapped LBA is a no-op.  A client's TRIM
+        frame (a block-device discard) lands here.  With a journal armed
+        the unmap emits an ``UNMAP`` record and commits, so replay drops
+        the mapping exactly as the live engine did.
         """
         self.check_owner()
         report = WriteReport()

@@ -10,7 +10,7 @@ The module also provides the fixed-width encodings the Hash-PBN table
 needs: 32-byte fingerprints and 6-byte physical block numbers (§2.1.3).
 
 There is one algorithm, so it is a constant: :data:`SHA256`, the
-:class:`Fingerprinter` every engine, NIC model and router defaults to.
+:class:`Fingerprinter` every engine and NIC model defaults to.
 The class is the seam a test injects a counting or colliding stand-in
 through; whatever is injected must emit :data:`FINGERPRINT_SIZE` (32)
 bytes — the Hash-PBN table's entry layout, the bucket index function,

@@ -27,7 +27,6 @@ __all__ = [
     "CapacityError",
     "ChunkDecodeError",
     "JournalCorruptError",
-    "ShardError",
     "SnapshotError",
     "ThreadOwnershipError",
     "ErrorCode",
@@ -113,21 +112,6 @@ class ThreadOwnershipError(ReproError, RuntimeError):
     """
 
 
-class ShardError(ReproError, ValueError):
-    """A backend of the scatter-gather router failed.
-
-    Raised by :class:`~repro.net.router.ShardRouter` when one backend's
-    sub-request fails while the others complete: the healthy backends'
-    ledgers stay conserved, but the request is only partially applied
-    (the same per-chunk atomicity a split write already has).
-    ``shard_indexes`` names the backends that failed.
-    """
-
-    def __init__(self, message: str, shard_indexes: Tuple[int, ...] = ()):
-        super().__init__(message)
-        self.shard_indexes = shard_indexes
-
-
 class ErrorCode(enum.IntEnum):
     """Structured codes carried in ``Op.ERROR`` payloads."""
 
@@ -138,13 +122,13 @@ class ErrorCode(enum.IntEnum):
     CAPACITY = 4
     CORRUPT_FRAME = 5
     INTERNAL = 6
-    SHARD_FAILED = 7
+    # 7 is retired (a deleted router's failure code) and is not reused:
+    # an old peer's 7 decodes as UNKNOWN.
 
 
 _CODE_FOR_EXCEPTION = (
     (AlignmentError, ErrorCode.ALIGNMENT),
     (CapacityError, ErrorCode.CAPACITY),
-    (ShardError, ErrorCode.SHARD_FAILED),
     (SnapshotError, ErrorCode.BAD_REQUEST),
     (ProtocolError, ErrorCode.BAD_REQUEST),
     (ReproError, ErrorCode.INTERNAL),
@@ -158,7 +142,6 @@ _EXCEPTION_FOR_CODE = {
     ErrorCode.CAPACITY: CapacityError,
     ErrorCode.CORRUPT_FRAME: ProtocolError,
     ErrorCode.INTERNAL: ReproError,
-    ErrorCode.SHARD_FAILED: ShardError,
 }
 
 

@@ -1,12 +1,11 @@
 """The storage network protocol layer (paper §6.2).
 
 ``protocol`` is the wire format and the transport-free request dispatch;
-``aserver`` is the asyncio server and pipelined client on top of it;
-``router`` scatter-gathers one endpoint across N shard backends.
+``aserver`` is the asyncio server and pipelined client on top of it.
+Each served process is one engine; there is no routing tier.
 """
 
 from .aserver import AsyncProtocolClient, AsyncProtocolServer, ServerMetrics
-from .router import ShardRouter
 from .protocol import (
     Frame,
     FrameDecoder,
@@ -26,7 +25,6 @@ __all__ = [
     "ProtocolError",
     "ProtocolServer",
     "ServerMetrics",
-    "ShardRouter",
     "encode_frame",
     "encode_reply",
 ]

@@ -2,23 +2,15 @@
 
 ``serve`` hosts a :class:`~repro.net.aserver.AsyncProtocolServer` over a
 freshly built storage system — one dedup engine — until interrupted.
-``route`` hosts a :class:`~repro.net.router.ShardRouter`, the one
-sharding layer: it routes chunks by content across external ``serve``
-backends and/or backends it spawns in its own process, on its own event
-loop.  A backend's storage stack runs every pipeline stage (hashing,
-compression, decompression) inline on the loop thread that serves it;
-there are no worker threads.  The load generator is ``bench/run.py``,
-which spawns its own ``serve`` subprocess.
+Each ``serve`` process is one engine; there is no routing tier.  The
+storage stack runs every pipeline stage (hashing, compression,
+decompression) inline on the loop thread that serves it; there are no
+worker threads.  The load generator is ``bench/run.py``, which spawns
+its own ``serve`` subprocess.
 
-Examples
---------
-Run a FIDR-architecture server::
+Example: run a FIDR-architecture server::
 
     python -m repro.net serve --system fidr --port 9876
-
-Front a self-hosted 4-shard cluster with the scatter-gather router::
-
-    python -m repro.net route --spawn 4 --port 9876
 """
 
 from __future__ import annotations
@@ -31,29 +23,25 @@ from typing import List, Optional
 
 from ..datared import codecs as _codecs
 from ..obs import trace as _trace
-from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..systems.config import CodecPolicy, DurabilityPolicy, SystemConfig
 from ..systems.server import StorageServer, SystemKind
 from .aserver import AsyncProtocolServer
-from .router import ShardRouter
 
 __all__ = ["main"]
 
 
 def _build_storage(args: argparse.Namespace) -> StorageServer:
-    checkpoint_every = getattr(args, "checkpoint_every", None)
     config = SystemConfig(
         codec=CodecPolicy(codec=args.codec),
         durability=DurabilityPolicy(
-            journal=bool(getattr(args, "journal", False))
-            or checkpoint_every is not None,
-            checkpoint_every_commits=checkpoint_every,
+            journal=args.journal or args.checkpoint_every is not None,
+            checkpoint_every_commits=args.checkpoint_every,
         ),
     )
     return StorageServer.build(SystemKind(args.system), config=config)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--system",
         choices=[kind.value for kind in SystemKind],
@@ -99,6 +87,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="with the journal armed, checkpoint + truncate every N "
         "group commits (implies --journal)",
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0, help="0 = ephemeral")
+    parser.add_argument(
+        "--no-trace",
+        action="store_true",
+        help="disable trace spans (metrics registry and the STATS op "
+        "stay live; only the per-stage span histograms go dark)",
     )
 
 
@@ -154,65 +150,6 @@ async def _until_stopped() -> None:
         pass
 
 
-def _parse_backend(spec: str) -> tuple:
-    host, _, port = spec.rpartition(":")
-    try:
-        return (host or "127.0.0.1", int(port))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--backend takes host:port, got {spec!r}"
-        ) from None
-
-
-async def _route(args: argparse.Namespace) -> int:
-    """Host a :class:`ShardRouter` over external and/or spawned backends."""
-    _trace.set_enabled(not args.no_trace)
-    backends: List[tuple] = list(args.backend or [])
-    spawned: List[AsyncProtocolServer] = []
-    if args.spawn:
-        # Each spawned backend gets a private registry (as separate
-        # processes would) so the router's STATS merge aggregates real
-        # per-shard snapshots.
-        original = get_registry()
-        try:
-            for _ in range(args.spawn):
-                registry = MetricsRegistry()
-                set_registry(registry)
-                server = AsyncProtocolServer(
-                    _build_storage(args),
-                    queue_depth=args.queue_depth,
-                    workers=args.workers,
-                    write_split_chunks=args.write_split_chunks,
-                    registry=registry,
-                )
-                await server.start()
-                spawned.append(server)
-                backends.append(server.address)
-        finally:
-            set_registry(original)
-    if not backends:
-        print("route needs --backend and/or --spawn", file=sys.stderr)
-        return 2
-    try:
-        async with ShardRouter(
-            backends, host=args.host, port=args.port
-        ) as router:
-            print(
-                f"routing {len(backends)} shards on "
-                f"{router.host}:{router.port} "
-                f"(spawned={len(spawned)})",
-                flush=True,
-            )
-            for index, address in enumerate(router.backend_addresses):
-                print(f"  shard {index}: {address[0]}:{address[1]}")
-            await _until_stopped()
-    finally:
-        for server in spawned:
-            await server.stop()
-            server.storage.close()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.net",
@@ -220,55 +157,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    serve = commands.add_parser("serve", help="host a protocol server")
-    _add_common(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    serve.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable trace spans (metrics registry and the STATS op "
-        "stay live; only the per-stage span histograms go dark)",
+    _add_serve_options(
+        commands.add_parser("serve", help="host a protocol server")
     )
-
-    route = commands.add_parser(
-        "route",
-        help="host a scatter-gather router over N shard backends",
-    )
-    _add_common(route)
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    route.add_argument(
-        "--backend",
-        action="append",
-        type=_parse_backend,
-        metavar="HOST:PORT",
-        help="an already-running shard server (repeat per shard, "
-        "shard index = argument order)",
-    )
-    route.add_argument(
-        "--spawn",
-        type=int,
-        default=0,
-        help="additionally self-host this many single-shard backends "
-        "in-process (appended after --backend shards)",
-    )
-    route.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable trace spans on the router and spawned backends",
-    )
-
     args = parser.parse_args(argv)
-    if args.command == "serve":
-        try:
-            return asyncio.run(_serve(args))
-        except KeyboardInterrupt:
-            return 0
-    if args.spawn < 0:
-        parser.error("--spawn must be >= 0")
     try:
-        return asyncio.run(_route(args))
+        return asyncio.run(_serve(args))
     except KeyboardInterrupt:
         return 0
 

@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from ..datared.chunking import BLOCK_SIZE
+from ..datared.chunking import BLOCK_SIZE, LBA_LIMIT
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..errors import ProtocolError, raise_for_error_payload
@@ -287,10 +287,6 @@ class AsyncProtocolServer:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.stop()
 
-    @property
-    def address(self) -> tuple:
-        return (self.host, self.port)
-
     # -- admission ---------------------------------------------------------------
     def _enqueue(self, connection: _Connection, events: List[_Event]) -> None:
         """Take what one socket read decoded, in one step: into the queue
@@ -340,11 +336,16 @@ class AsyncProtocolServer:
 
     def _splits(self, event: _Event) -> bool:
         """Whether ``event`` is a write applied as sub-writes (an unaligned
-        one takes the unsplit path, to fail validation before any piece)."""
+        one, or one running past the LBA space, takes the unsplit path, to
+        fail validation before any piece)."""
+        if not isinstance(event, Frame) or event.op != Op.WRITE:
+            return False
+        chunk_size = self.storage.chunk_size
+        chunks = self._chunks_of(event)
         return (
-            isinstance(event, Frame) and event.op == Op.WRITE
-            and len(event.payload) % self.storage.chunk_size == 0
-            and self._chunks_of(event) > self.write_split_chunks
+            len(event.payload) % chunk_size == 0
+            and chunks > self.write_split_chunks
+            and event.lba + (chunks - 1) * (chunk_size // BLOCK_SIZE) < LBA_LIMIT
         )
 
     async def _worker(self) -> None:

@@ -73,9 +73,8 @@ class Op:
     #: JSON).
     STATS = 6
     STATS_ACK = 7
-    #: Drop ``count`` chunk mappings starting at ``lba`` (TRIM/discard).
-    #: The scatter-gather router uses it to evict an LBA's stale mapping
-    #: from a backend the LBA moved away from.
+    #: Drop ``count`` chunk mappings starting at ``lba`` (TRIM/discard);
+    #: trimmed LBAs read back as zeros.
     TRIM = 8
     TRIM_ACK = 9
     #: Snapshot management.  The request payload is JSON —

@@ -226,6 +226,7 @@ class ReductionSystem:
         step = self.engine.chunker.blocks_per_chunk
         if lba % step != 0:
             raise AlignmentError(f"LBA {lba} is not chunk-aligned")
+        self.engine.chunker.check_extent_end(lba, num_chunks)
         return step
 
     def trim(self, lba: int, num_chunks: int = 1) -> None:
@@ -287,7 +288,7 @@ class ReductionSystem:
         for extent, (lba, num_chunks) in enumerate(extents):
             try:
                 self._extent_step(lba, num_chunks)
-            except AlignmentError as error:
+            except ValueError as error:
                 results[extent] = error
                 continue
             start = len(pieces)

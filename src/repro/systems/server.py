@@ -77,12 +77,8 @@ class StorageServer:
         self.system.flush()
 
     def trim(self, lba: int, num_chunks: int = 1) -> None:
-        """Drop ``num_chunks`` chunk-aligned LBAs' mappings (TRIM).
-
-        The scatter-gather router issues these to evict an LBA's stale
-        mapping from a backend the LBA no longer lives on; trimmed LBAs
-        read back as zeros.
-        """
+        """Drop ``num_chunks`` chunk-aligned LBAs' mappings (TRIM, a
+        block-device discard); trimmed LBAs read back as zeros."""
         self.system.trim(lba, num_chunks)
 
     # -- snapshots -----------------------------------------------------------------

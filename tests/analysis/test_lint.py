@@ -563,7 +563,7 @@ class TestR009EngineFactory:
                 return dedup.DedupEngine(num_buckets=64)
             """
         )
-        findings = lint_source(fixture, module="repro.net.router_fixture")
+        findings = lint_source(fixture, module="repro.net.server_fixture")
         assert rules_of(findings) == ["R009"]
 
     def test_factory_module_is_exempt(self):

@@ -1,11 +1,10 @@
-"""Tests for content-defined chunking and the CDC store."""
+"""Tests for content-defined chunking."""
 
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datared.cdc import CdcDedupStore, GearChunker
-from repro.datared.compression import ModeledCompressor
+from repro.datared.cdc import GearChunker
 
 
 class TestGearChunker:
@@ -74,57 +73,3 @@ class TestGearChunker:
         assert b"".join(chunks) == data
         assert all(chunks)  # no empty chunks
 
-
-class TestCdcDedupStore:
-    def test_roundtrip(self, rng):
-        store = CdcDedupStore(compressor=ModeledCompressor(0.5))
-        data = rng.randbytes(30_000)
-        store.write_stream("s", data)
-        assert store.read_stream("s") == data
-
-    def test_the_raw_escape_keeps_its_tag_in_the_container(self, rng):
-        # Incompressible chunks take zlib's raw escape, whose tag rides
-        # in the chunk's prefix: the store must write it with the body.
-        store = CdcDedupStore()
-        data = rng.randbytes(30_000)
-        store.write_stream("s", data)
-        assert store.read_stream("s") == data
-
-    def test_identical_streams_fully_dedupe(self, rng):
-        store = CdcDedupStore(compressor=ModeledCompressor(0.5))
-        data = rng.randbytes(30_000)
-        store.write_stream("a", data)
-        before = store.stats.unique_chunks
-        store.write_stream("b", data)
-        assert store.stats.unique_chunks == before
-        assert store.read_stream("b") == data
-
-    def test_shifted_stream_mostly_dedupes(self, rng):
-        store = CdcDedupStore(compressor=ModeledCompressor(0.5))
-        data = rng.randbytes(80_000)
-        store.write_stream("orig", data)
-        uniques_before = store.stats.unique_chunks
-        store.write_stream("shifted", b"HEADER" + data)
-        new_uniques = store.stats.unique_chunks - uniques_before
-        assert new_uniques <= 4  # only the chunks around the edit
-        assert store.read_stream("shifted") == b"HEADER" + data
-
-    def test_unknown_stream(self):
-        with pytest.raises(KeyError):
-            CdcDedupStore().read_stream("ghost")
-
-    def test_stream_listing_and_replace(self, rng):
-        store = CdcDedupStore(compressor=ModeledCompressor(0.5))
-        store.write_stream("x", rng.randbytes(5000))
-        replacement = rng.randbytes(5000)
-        store.write_stream("x", replacement)
-        assert store.streams() == ["x"]
-        assert store.read_stream("x") == replacement
-
-    def test_reduction_factor(self, rng):
-        store = CdcDedupStore(compressor=ModeledCompressor(0.5))
-        data = rng.randbytes(20_000)
-        store.write_stream("a", data)
-        store.write_stream("b", data)
-        # 2x from dedup, 2x from compression.
-        assert store.stats.reduction_factor == pytest.approx(4.0, rel=0.1)

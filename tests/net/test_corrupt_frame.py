@@ -25,11 +25,22 @@ from repro.net.protocol import (
     encode_frame,
 )
 
+from repro.obs.metrics import MetricsRegistry, set_registry
+
 from .test_aserver import CHUNK, build_storage, run
-from .test_router import _fresh_registry, cluster  # noqa: F401 (fixture)
 from .wire import RETIRED_READ
 
 FRAME = 28 + CHUNK  # one 1-chunk WRITE on the wire
+
+
+@pytest.fixture(autouse=True)
+def _fresh_registry():
+    """Isolate every test's metrics in its own default registry."""
+    previous = set_registry(MetricsRegistry())
+    try:
+        yield
+    finally:
+        set_registry(previous)
 
 
 def corrupt_sent_byte(client, offset):
@@ -80,17 +91,6 @@ def test_corrupt_frame_mid_burst_fails_its_call_only(rng):
     run(body())
 
 
-def test_corrupt_frame_mid_burst_through_the_router(rng):
-    async def body():
-        async with cluster(2) as nodes:
-            async with await AsyncProtocolClient.connect(
-                nodes.router.host, nodes.router.port
-            ) as client:
-                await burst_with_one_corrupt_frame(client, rng)
-
-    run(body())
-
-
 @pytest.mark.parametrize("damage", ["crc", "op"])
 def test_reply_names_the_request_when_the_header_survived(damage, rng):
     wire = bytearray(encode_frame(
@@ -127,8 +127,7 @@ async def replies(reader, decoder, count):
     return frames
 
 
-@pytest.mark.parametrize("through", ["server", "router"])
-def test_retired_magic_mid_pipeline_is_one_corrupt_frame(through, rng):
+def test_retired_magic_mid_pipeline_is_one_corrupt_frame(rng):
     """A frame in the retired ``0xF1`` header between two requests, all
     in one segment: exactly one ``CORRUPT_FRAME`` in its wire position,
     and the request behind it is served on the same connection."""
@@ -153,10 +152,6 @@ def test_retired_magic_mid_pipeline_is_one_corrupt_frame(through, rng):
         assert (read.op, read.request_id, read.payload) == (Op.READ_ACK, 2, data)
 
     async def body():
-        if through == "router":
-            async with cluster(2) as nodes:
-                await probe(nodes.router.host, nodes.router.port)
-            return
         async with AsyncProtocolServer(build_storage()) as server:
             await probe(server.host, server.port)
             assert server.metrics.frames_rejected == 1

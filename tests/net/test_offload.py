@@ -185,7 +185,8 @@ def test_stats_on_a_server_thread_reads_engines_other_threads_own():
 
 
 def test_split_write_surfaces_same_typed_error_as_unsplit():
-    """A misaligned LBA fails identically whether or not the write is
+    """A misaligned LBA, or an extent whose last chunk lies past the
+    64-bit LBA space, fails identically whether or not the write is
     large enough to take the split path — and without applying any
     sub-write first."""
     from repro.systems.config import SystemConfig
@@ -214,6 +215,12 @@ def test_split_write_surfaces_same_typed_error_as_unsplit():
                 assert server.metrics.writes_split >= 1
                 # Nothing was applied by the failed split write...
                 assert await client.read(0, 1) == bytes(storage.chunk_size)
+                # ...nor by one whose first four of eight chunks fit.
+                edge = (1 << 64) - 8
+                with pytest.raises(Exception) as past_end:
+                    await client.write(edge, big)
+                assert type(past_end.value) is type(unsplit_error.value)
+                assert await client.read(edge, 1) == bytes(storage.chunk_size)
                 # ...and the server still serves.
                 await client.write(0, big)
                 assert await client.read(0, 8) == big

@@ -211,12 +211,23 @@ class TestGroupNeverRaises:
             Frame(op=Op.READ, lba=1 << 64, request_id=2),
             Frame(op=Op.READ, lba=8, request_id=1 << 32),
             Frame(op=Op.WRITE, lba=0, payload=data, request_id=3),
+            # Past the 64-bit LBA space — the whole extent or only its
+            # last chunk: refused before anything is staged.
+            Frame(op=Op.WRITE, lba=1 << 64, payload=b"y" * CHUNK, request_id=4),
+            Frame(op=Op.WRITE, lba=(1 << 64) - 1, payload=b"z" * (2 * CHUNK), request_id=5),
+            Frame(op=Op.READ, lba=(1 << 64) - 1, count=2, request_id=6),
         ])
         decoded = [FrameDecoder().feed(reply)[0] for reply in replies]
         assert [(f.op, f.lba, f.request_id) for f in decoded] == [
-            (Op.ERROR, 0, 1), (Op.ERROR, 0, 2), (Op.ERROR, 8, 0), (Op.WRITE_ACK, 0, 3),
+            (Op.ERROR, 0, 1), (Op.ERROR, 0, 2), (Op.ERROR, 8, 0),
+            (Op.WRITE_ACK, 0, 3), (Op.ERROR, 0, 4),
+            (Op.ERROR, (1 << 64) - 1, 5), (Op.ERROR, (1 << 64) - 1, 6),
         ]
-        assert decode_error_payload(decoded[0].payload)[0] is ErrorCode.BAD_REQUEST
+        for reply in (decoded[0], decoded[1], *decoded[4:]):
+            assert decode_error_payload(reply.payload)[0] is ErrorCode.BAD_REQUEST
+        assert storage.system.logical_write_bytes == CHUNK  # lba 0's alone
+        storage.flush()
+        assert storage.system.engine.stats.logical_bytes == CHUNK
         assert storage.read(0, 1) == data
 
 

@@ -1,4 +1,4 @@
-"""``python -m repro.net serve`` / ``route`` as real processes: SIGTERM
+"""``python -m repro.net serve`` as a real process: SIGTERM
 is a clean shutdown — exit code 0 after an acknowledged write, and no
 wait on a client that is merely still connected."""
 
@@ -20,7 +20,7 @@ import repro
 from repro.net.aserver import AsyncProtocolClient
 
 CHUNK = 4096
-_LISTENING = re.compile(r"(?:serving \S+|routing \d+ shards) on ([\w.\-]+):(\d+)")
+_LISTENING = re.compile(r"serving \S+ on ([\w.\-]+):(\d+)")
 
 
 def _spawn(*command: str) -> subprocess.Popen:
@@ -76,16 +76,16 @@ def test_sigterm_stops_a_serving_server_and_exits_zero():
         proc.stdout.close()
 
 
-def test_sigterm_stops_the_router_while_a_client_is_still_connected():
-    """``ShardRouter.stop()`` closes its client connections itself: on
-    Python >= 3.12.1 ``wait_closed()`` waits for every handler, and one
-    parked in ``reader.read()`` on an idle connection never returns."""
-    proc = _spawn("route", "--spawn", "2")
+def test_sigterm_stops_serve_while_a_client_is_still_connected():
+    """``AsyncProtocolServer.stop()`` closes its client connections
+    itself: on Python >= 3.12.1 ``wait_closed()`` waits for every
+    connection, and an idle one would never end on its own."""
+    proc = _spawn("serve")
     idle = None
     try:
         host, port = _await_listening(proc, timeout=60)
         idle = socket.create_connection((host, port), timeout=10)
-        asyncio.run(_write_one_batch(host, port))  # the router is serving
+        asyncio.run(_write_one_batch(host, port))  # the server is serving
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=20) == 0
     finally:

@@ -11,7 +11,7 @@ from repro.datared.compression import ModeledCompressor
 from repro.errors import ProtocolError
 from repro.net.aserver import AsyncProtocolClient, AsyncProtocolServer
 from repro.net.protocol import FrameDecoder, Op, ProtocolServer, encode_frame
-from repro.obs import STATS_SCHEMA, merge_stats_snapshots, trace
+from repro.obs import STATS_SCHEMA, trace
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.systems.server import StorageServer, SystemKind
 
@@ -77,18 +77,6 @@ class TestSyncStats:
         assert gauges["system.table_cache.index.searches"] == cache.index.searches
         assert gauges["system.table_cache.index.updates"] == cache.index.updates
         assert cache.stats.evictions > 0 and 0.0 < cache.stats.hit_rate < 1.0
-
-    def test_merged_hit_rate_is_recomputed_from_summed_bases(self):
-        shards = [
-            {"gauges": {"system.table_cache.hits": hits,
-                        "system.table_cache.warm_hits": warm,
-                        "system.table_cache.misses": misses,
-                        "system.table_cache.hit_rate": (hits + warm) / (hits + warm + misses)}}
-            for hits, warm, misses in ((1, 0, 9), (30, 30, 0))
-        ]
-        gauges = merge_stats_snapshots(shards)["gauges"]
-        assert gauges["system.table_cache.hit_rate"] == 61 / 70
-        assert gauges["system.table_cache.misses"] == 9
 
     def test_payload_is_strict_json(self):
         _, endpoint = make_stack()
