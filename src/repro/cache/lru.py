@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-from typing import Iterator, List, Optional, Set
+from typing import Callable, Iterator, List, Optional, Set
 
 __all__ = ["LruList"]
 
@@ -26,6 +26,10 @@ class LruList:
     def __init__(self):
         self._order: OrderedDict = OrderedDict()  # coldest first
         self._pinned: Set = set()
+        #: The owning cache's replay (see
+        #: :attr:`~repro.cache.policy.PartitionedLru.settle`); recency
+        #: alone orders these keys, so nothing here needs to call it.
+        self.settle: Optional[Callable[[], None]] = None
 
     def touch(self, key) -> None:
         """Mark ``key`` most-recently-used, inserting it if new."""

@@ -18,7 +18,7 @@ it drops into :class:`~repro.cache.table_cache.TableCache` unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from .lru import LruList
 
@@ -43,12 +43,18 @@ class PartitionedLru:
             default_tenant if default_tenant is not None else next(iter(weights))
         )
         self.evictions_by_tenant: Dict[str, int] = {t: 0 for t in weights}
+        #: Replays the accesses the owning cache has traced but not yet
+        #: touched (set by :class:`~repro.cache.table_cache.TableCache`),
+        #: so a switch credits each of them to the tenant that made it.
+        self.settle: Optional[Callable[[], None]] = None
 
     # -- tenancy -----------------------------------------------------------------
     def set_active(self, tenant: str) -> None:
         """Attribute subsequent touches to ``tenant``."""
         if tenant not in self._partitions:
             raise KeyError(f"unknown tenant {tenant!r}")
+        if self.settle is not None:
+            self.settle()
         self.active_tenant = tenant
 
     def tenant_of(self, key) -> Optional[str]:

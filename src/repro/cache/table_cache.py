@@ -35,7 +35,18 @@ buckets were ever flushed.  A page that holds nothing has no home in
 ``pages`` and reads back empty; the ledger still fetches its block if
 it was flushed once, as a drive would.
 
-The :class:`CacheIndex` is the ledgers': the cache calls it exactly
+The model runs per batch, as FIDR's host hands the Cache HW-Engine its
+bucket indexes and LRU victims in batches (Fig. 6, §5.5): an access
+only appends its bucket to a trace (``b`` for a read, ``~b`` for a
+write) and returns the page, and :meth:`TableCache.replay` runs the
+residency model over the whole trace in one loop.  The engine replays
+at its group-commit barrier, at the end of every public mutating op,
+and every accounting read (``stats``, ``resident_lines``,
+``check_invariants``, ``flush_all``) replays first, so the ledgers
+read what accesses modelled one at a time would have left.  A caller
+that reads ``ledger`` or ``index`` directly mid-batch replays first.
+
+The :class:`CacheIndex` is the ledgers': the replay calls it exactly
 where the modelled CPU or engine searches or updates its tree, and the
 ledgers read what those calls counted.  :class:`BTreeIndex` walks a
 real B+-tree because the host pays per node visited;
@@ -151,7 +162,8 @@ class CacheStats:
 
 
 class TableCache(BucketStore):
-    """Write-back, LRU residency model over the pages of a bucket store."""
+    """Write-back, LRU residency model over the pages of a bucket store,
+    replayed from its access trace once per batch."""
 
     def __init__(
         self,
@@ -176,8 +188,14 @@ class TableCache(BucketStore):
         self.capacity_lines = capacity_lines
         self.index = index if index is not None else BTreeIndex()
         self.eviction_batch = eviction_batch
-        self.stats = CacheStats()
+        self._stats = CacheStats()
         self._lru = lru if lru is not None else LruList()
+        # A policy whose touches read state outside the trace (the
+        # partitioned LRU's active tenant) replays it before that changes.
+        self._lru.settle = self.replay
+        #: Accesses not yet replayed, in order: ``b`` reads bucket ``b``,
+        #: ``~b`` (negative) writes it.
+        self._trace: List[int] = []
         self._resident: Set[int] = set()  # buckets a line holds
         self._dirty: Set[int] = set()  # resident buckets with unflushed writes
         # The bucket touched by the immediately preceding access: a
@@ -194,123 +212,169 @@ class TableCache(BucketStore):
 
     # -- BucketStore interface -------------------------------------------------------
     def read_bucket(self, bucket: int) -> bytes:
-        self._read(bucket)
+        self._trace.append(bucket)
         return self.pages.read_bucket(bucket)
 
     def load_packed(self, bucket: int) -> PackedBucket:  # repro-lint: hot-path
-        self._read(bucket)
+        self._trace.append(bucket)
         return self.pages.load_packed(bucket)
 
     def write_bucket(self, bucket: int, page: bytes) -> None:
         if len(page) != BUCKET_SIZE:
             raise ValueError("bucket pages must be 4 KB")
-        self._write(bucket)
+        self._trace.append(~bucket)
         self.pages.write_bucket(bucket, page)
 
     def store_packed(self, bucket: int, packed: PackedBucket) -> None:  # repro-lint: hot-path
-        self._write(bucket)
+        self._trace.append(~bucket)
         self.pages.store_packed(bucket, packed)
 
-    # -- internals ---------------------------------------------------------------------
-    def _read(self, bucket: int) -> None:  # repro-lint: hot-path
-        """Account one table read of ``bucket``, fetching it from the
-        table SSD on a miss."""
-        if bucket == self._warm_bucket:
-            # Back-to-back access to the same page (lookup-then-insert):
-            # served from the CPU cache, no DRAM or index traffic.
-            self.stats.warm_hits += 1
+    # -- the residency model ----------------------------------------------------------
+    def replay(self) -> None:  # repro-lint: hot-path
+        """Run the residency model over every access traced since the
+        last replay, in order, and settle the ledgers.
+
+        A read of a bucket that is not the warm one searches the index
+        and scans the page; a miss fetches it from the table SSD (no IO
+        for a bucket never flushed) and installs it.  A write of the
+        warm bucket updates it in place; any other write searches the
+        index, and a miss allocates the line without a fetch (the whole
+        page is being written).  An install into a full cache evicts the
+        LRU's coldest batch (§5.5's LRU-batch protocol): each victim is
+        searched, flushed if dirty and deleted from the index.  The
+        counts, index calls and ledger IO are those of the same accesses
+        modelled one at a time; only when they are made differs.
+        """
+        trace = self._trace
+        if not trace:
             return
-        self.index.search(bucket)
-        if bucket in self._resident:
-            self.stats.hits += 1
-            self._lru.touch(bucket)
-        else:
-            self.stats.misses += 1
-            # A bucket never flushed reads back empty without an IO.
-            if self.ledger is not None and bucket in self.ledger:
-                self.ledger.read_block(bucket)
-            self._install(bucket)
-            self.stats.fetches += 1
-        # The host scans the cached content for dedup detection (§5.3 #5).
-        self.stats.content_scans += 1
-        self.stats.host_bytes_read += BUCKET_SIZE
-        self._warm_bucket = bucket
+        index, lru, ledger = self.index, self._lru, self.ledger
+        search, insert, delete = index.search, index.insert, index.delete
+        touch, evict_batch = lru.touch, lru.evict_batch
+        fetch = ledger.fetch_block if ledger is not None else None
+        flush = ledger.write_block if ledger is not None else None
+        resident, dirty = self._resident, self._dirty
+        capacity, batch = self.capacity_lines, self.eviction_batch
+        warm = self._warm_bucket
+        hits = misses = fetches = warm_hits = scans = in_place = 0
+        flushes = evictions = 0
+        try:
+            for event in trace:
+                if event >= 0:
+                    if event == warm:
+                        # Back-to-back access to the same page
+                        # (lookup-then-insert): served from the CPU
+                        # cache, no DRAM or index traffic.
+                        warm_hits += 1
+                        continue
+                    search(event)
+                    # The host scans the cached content (§5.3 #5).
+                    scans += 1
+                    if event in resident:
+                        hits += 1
+                        touch(event)
+                        warm = event
+                        continue
+                    misses += 1
+                    fetches += 1
+                    if fetch is not None:
+                        fetch(event)
+                    bucket = event
+                else:
+                    bucket = ~event
+                    if bucket == warm:
+                        # In-place update of the page just examined: one
+                        # dirty cache line, no index walk, not a table
+                        # access of its own.
+                        in_place += 1
+                        dirty.add(bucket)
+                        continue
+                    search(bucket)
+                    if bucket in resident:
+                        hits += 1
+                        in_place += 1
+                        touch(bucket)
+                        warm = bucket
+                        dirty.add(bucket)
+                        continue
+                    misses += 1
+                # Install ``bucket``'s line, evicting a batch if full.
+                if len(resident) >= capacity:
+                    victims = evict_batch(batch)
+                    if not victims:
+                        raise RuntimeError("cache full of pinned lines; cannot evict")
+                    for victim in victims:
+                        search(victim)
+                        resident.remove(victim)
+                        if victim in dirty:
+                            # One 4-KB write on the table SSD, whose
+                            # block the page store's copy stands for.
+                            if flush is not None:
+                                flush(victim)
+                            flushes += 1
+                            dirty.discard(victim)
+                        delete(victim)
+                        evictions += 1
+                resident.add(bucket)
+                insert(bucket)
+                touch(bucket)
+                warm = bucket
+                if event < 0:
+                    dirty.add(bucket)
+        finally:
+            trace.clear()
+            self._warm_bucket = warm
+            stats = self._stats
+            stats.hits += hits
+            stats.misses += misses
+            stats.fetches += fetches
+            stats.warm_hits += warm_hits
+            stats.content_scans += scans
+            stats.flushes += flushes
+            stats.evictions += evictions
+            # Scans and flushes read a page of DRAM; every miss installs
+            # a fetched or allocated page, and an in-place update
+            # dirties one cache line.
+            stats.host_bytes_read += (scans + flushes) * BUCKET_SIZE
+            stats.host_bytes_written += (
+                misses * BUCKET_SIZE + in_place * self.IN_PLACE_WRITE_BYTES
+            )
 
-    def _write(self, bucket: int) -> None:  # repro-lint: hot-path
-        """Account one table write of ``bucket``; a miss allocates its
-        line without a fetch (the whole page is being written)."""
-        if bucket == self._warm_bucket:
-            # In-place update of the page just examined: one dirty
-            # cache line, no index walk.  Not counted as a table
-            # access — it is the tail of the same logical operation
-            # whose read was already counted.
-            self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
-            self._dirty.add(bucket)
-            return
-        self.index.search(bucket)
-        if bucket in self._resident:
-            self.stats.hits += 1
-            self._lru.touch(bucket)
-            self.stats.host_bytes_written += self.IN_PLACE_WRITE_BYTES
-        else:
-            self.stats.misses += 1
-            self._install(bucket)
-        self._warm_bucket = bucket
-        self._dirty.add(bucket)
-
-    def _install(self, bucket: int) -> None:
-        if len(self._resident) >= self.capacity_lines:
-            self._evict_batch()
-        self._resident.add(bucket)
-        self.index.insert(bucket)
-        self._lru.touch(bucket)
-        # The fetched page lands in host memory.
-        self.stats.host_bytes_written += BUCKET_SIZE
-
-    def _write_back(self, bucket: int) -> None:
-        """Flush one dirty line: one 4-KB write on the table SSD, whose
-        block the page store's copy stands for."""
-        if self.ledger is not None:
-            self.ledger.write_block(bucket)
-        self.stats.flushes += 1
-        self.stats.host_bytes_read += BUCKET_SIZE
-
-    def _evict_batch(self) -> None:
-        """Evict the coldest lines (batched, §5.5's LRU-batch protocol)."""
-        victims = self._lru.evict_batch(self.eviction_batch)
-        if not victims:
-            raise RuntimeError("cache full of pinned lines; cannot evict")
-        for bucket in victims:
-            self.index.search(bucket)
-            self._resident.remove(bucket)
-            if bucket in self._dirty:
-                self._write_back(bucket)
-                self._dirty.discard(bucket)
-            self.index.delete(bucket)
-            self.stats.evictions += 1
+    @property
+    def stats(self) -> CacheStats:
+        """The event counts, with every traced access replayed."""
+        self.replay()
+        return self._stats
 
     # -- maintenance ------------------------------------------------------------------------
     def flush_all(self) -> int:
         """Write every dirty line back to the table SSD (shutdown)."""
+        self.replay()
         for bucket in sorted(self._dirty):
             self.index.search(bucket)
-            self._write_back(bucket)
+            if self.ledger is not None:
+                self.ledger.write_block(bucket)
         flushed = len(self._dirty)
+        self._stats.flushes += flushed
+        self._stats.host_bytes_read += flushed * BUCKET_SIZE
         self._dirty.clear()
         return flushed
 
     @property
     def resident_lines(self) -> int:
+        self.replay()
         return len(self._resident)
 
     def check_invariants(self, *, raise_on_violation: bool = True) -> List[str]:
-        """Structural consistency of the residency model: the resident
-        set is the LRU's keys, dirty buckets are resident, residency
-        fits the capacity, the warm bucket is resident, and — if it is
-        walked — the index's tree holds the resident set.  Counts no
-        search or node visit.  Returns the violations; with
+        """Structural consistency of the residency model, once the
+        trace is replayed: the resident set is the LRU's keys, dirty
+        buckets are resident, residency fits the capacity, the warm
+        bucket is resident, and — if it is walked — the index's tree
+        holds the resident set.  Counts no search or node visit beyond
+        the replay's.  Returns the violations; with
         ``raise_on_violation`` a non-empty list raises
         :class:`AssertionError`."""
+        self.replay()
         violations: List[str] = []
         if set(self._lru.keys_hot_to_cold()) != self._resident:
             violations.append("LRU tracks a different resident set")

@@ -1091,11 +1091,15 @@ class DedupEngine:
     def _commit(self, checkpoint_if_due: bool = True) -> None:
         """Group-commit barrier at the end of every public mutating op.
 
-        Fences the batch's staged journal records (one modeled fsync),
-        *then* applies the container frees those records acknowledge —
-        freeing first would lose committed data if the fence never
-        landed.  Runs the configured checkpoint cadence last.
+        Replays the batch's table accesses through the table store
+        (the table cache's residency model and its ledgers, DESIGN.md
+        §5.8) with or without a journal.  Then fences the batch's staged
+        journal records (one modeled fsync), *then* applies the
+        container frees those records acknowledge — freeing first would
+        lose committed data if the fence never landed.  Runs the
+        configured checkpoint cadence last.
         """
+        self.table.store.replay()
         journal = self.journal
         if journal is None:
             return

@@ -229,6 +229,11 @@ class BucketStore:
         """Packed write; default exports to a byte page."""
         self.write_bucket(index, bucket.to_bytes())
 
+    def replay(self) -> None:
+        """Settle whatever the store defers to the end of a batch; the
+        engine calls it at every group-commit barrier.  A plain store
+        defers nothing (the table cache replays its access trace)."""
+
 
 class InMemoryBucketStore(BucketStore):
     """Dict-backed store; unwritten buckets read back empty.

@@ -260,9 +260,10 @@ class MetadataJournal:
     exactly that when the config's
     :class:`~repro.systems.config.DurabilityPolicy` arms journaling.
 
-    Records *stage* in memory; :meth:`commit` makes the whole staged
-    batch durable at once behind a ``COMMIT`` fence (one fsync per
-    batch, the group-commit discipline).  :meth:`to_bytes` exposes only
+    Records *stage* in memory as ``(kind, payload)``; :meth:`commit`
+    frames the whole staged run and makes it durable at once behind a
+    ``COMMIT`` fence (one fsync per batch, the group-commit
+    discipline).  :meth:`to_bytes` exposes only
     the durable image — exactly what a crash would leave behind.
 
     ``on_durable`` (if given) fires after every durable mutation with
@@ -280,7 +281,9 @@ class MetadataJournal:
     ) -> None:
         if checkpoint_every_commits is not None and checkpoint_every_commits < 1:
             raise ValueError("checkpoint_every_commits must be >= 1")
-        self._staged = bytearray()
+        #: Records of the open batch, unframed, in order: ``(kind,
+        #: payload)``.  :meth:`commit` frames the run at the fence.
+        self._staged: List[Tuple[int, bytes]] = []
         self._durable = bytearray()
         #: Durable-prefix length superseded by a checkpoint, cut on the
         #: next commit (lazy truncation: the old log survives any crash
@@ -304,19 +307,21 @@ class MetadataJournal:
         self._truncated_bytes_total = reg.counter("journal.truncated_bytes_total")
 
     # -- framing --------------------------------------------------------------
-    @staticmethod
-    def _frame(buffer: bytearray, kind: int, payload: bytes) -> None:
-        header = _HEADER.pack(kind, len(payload))
-        buffer += header
-        buffer += payload
-        # CRC covers header *and* payload: a flipped kind or length byte
-        # must not be able to alias one record into another.
-        buffer += _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))
+    def _frame(self, buffer: bytearray, records: List[Tuple[int, bytes]]) -> None:
+        """Append ``records`` to ``buffer`` as one framed run — per
+        record its header, payload and CRC32 — and count them once."""
+        pack_header, pack_crc, crc32 = _HEADER.pack, _CRC.pack, zlib.crc32
+        for kind, payload in records:
+            record = pack_header(kind, len(payload)) + payload
+            buffer += record
+            # CRC covers header *and* payload: a flipped kind or length
+            # byte must not be able to alias one record into another.
+            buffer += pack_crc(crc32(record))
+        self.records_written += len(records)
+        self._records_total.inc(len(records))
 
     def _stage(self, kind: int, payload: bytes) -> None:
-        self._frame(self._staged, kind, payload)
-        self.records_written += 1
-        self._records_total.inc()
+        self._staged.append((kind, payload))
 
     # -- observer protocol (called by the engine) -----------------------------
     def on_new_chunk(
@@ -366,18 +371,19 @@ class MetadataJournal:
         pending (the model of the post-fsync rename).  Returns the
         number of bytes appended (0 when nothing was staged).
         """
-        if not self._staged and self._truncate_at is None:
+        staged = self._staged
+        if not staged and self._truncate_at is None:
             return 0
-        with trace.span("journal.commit", staged=len(self._staged)):
+        with trace.span("journal.commit", records=len(staged)):
             self._apply_pending_truncation()
             appended = 0
             stable = len(self._durable)
-            if self._staged:
-                self._stage(RecordKind.COMMIT, _COMMIT.pack(self._next_commit_seq))
+            if staged:
+                staged.append((RecordKind.COMMIT, _COMMIT.pack(self._next_commit_seq)))
                 self._next_commit_seq += 1
-                appended = len(self._staged)
-                self._durable += self._staged
-                self._staged.clear()
+                self._frame(self._durable, staged)
+                staged.clear()
+                appended = len(self._durable) - stable
                 self.commits += 1
                 self._commits_since_checkpoint += 1
                 self._commits_total.inc()
@@ -411,18 +417,14 @@ class MetadataJournal:
             payload = state.encode()
             self._apply_pending_truncation()
             stable = len(self._durable)
-            frame = bytearray()
-            self._frame(frame, RecordKind.CHECKPOINT, payload)
-            self.records_written += 1
-            self._records_total.inc()
-            self._durable += frame
+            self._frame(self._durable, [(RecordKind.CHECKPOINT, payload)])
             self._truncate_at = stable
             self.checkpoints += 1
             self._commits_since_checkpoint = 0
             self._checkpoints_total.inc()
             if self.on_durable is not None:
                 self.on_durable(bytes(self._durable), stable)
-        return len(frame)
+        return len(self._durable) - stable
 
     # -- persistence ----------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -456,8 +458,11 @@ class MetadataJournal:
 
     @property
     def staged_bytes(self) -> int:
-        """Bytes staged but not yet committed (lost on crash)."""
-        return len(self._staged)
+        """Bytes staged but not yet committed (lost on crash): what the
+        staged records take once framed."""
+        staged = self._staged
+        framing = _HEADER.size + _CRC.size
+        return sum(len(payload) for _kind, payload in staged) + framing * len(staged)
 
     #: Framing sizes, exposed for the crash harness's tear-offset
     #: classification (header = kind + payload length, trailer = CRC32).
@@ -841,6 +846,9 @@ def recover_into(engine: DedupEngine, image: bytes) -> RecoveryReport:
     seamlessly, and ``engine.recovery`` carries the report.
     """
     report = replay_journal(engine, image)
+    # Recovery re-indexes the table through its store: settle those
+    # accesses so the rebuilt engine's ledgers are exact at rest.
+    engine.table.store.replay()
     validate_placements(engine)
     report.orphans_reclaimed = reconcile_containers(engine)
     if engine.journal is not None:

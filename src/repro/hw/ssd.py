@@ -136,9 +136,14 @@ class SsdArray:
         block, drive = divmod(address, len(self.drives))
         self.drives[drive].write_block(block)
 
-    def read_block(self, address: int) -> None:
+    def fetch_block(self, address: int) -> None:
+        """Count one block read if the block was ever written; a block
+        never written reads back empty without an IO (the table cache's
+        fetch of a bucket never flushed)."""
         block, drive = divmod(address, len(self.drives))
-        self.drives[drive].read_block(block)
+        ssd = self.drives[drive]
+        if block in ssd:
+            ssd.account_read(BLOCK_SIZE)
 
     def __contains__(self, address: int) -> bool:
         block, drive = divmod(address, len(self.drives))

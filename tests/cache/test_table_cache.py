@@ -2,7 +2,7 @@
 page store, with the table SSDs as its IO ledger)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.policy import PartitionedLru
 from repro.cache.table_cache import BTreeIndex, HwTreeIndex, TableCache
@@ -77,11 +77,13 @@ class TestWriteBack:
         cache.write_bucket(2, page_with(2))
         assert ledger.stats == IoStats()  # write-back: nothing flushed yet
         cache.write_bucket(3, page_with(3))  # evicts bucket 1
+        cache.replay()  # the ledger settles at the batch's fence
         assert ledger.stats == IoStats(write_ops=1, bytes_written=BUCKET_SIZE)
         assert cache.stats.flushes == 1
         assert 1 in ledger and ledger.drives[1].bytes_stored == BUCKET_SIZE
         # Fetching the flushed bucket again reads its 4-KB block.
         assert cache.read_bucket(1) == page_with(1)
+        cache.replay()
         assert ledger.stats.read_ops == 1
 
     def test_clean_eviction_skips_flush(self):
@@ -122,6 +124,7 @@ class TestEviction:
         cache.read_bucket(2)
         cache.read_bucket(1)  # 2 is now coldest
         cache.read_bucket(3)
+        cache.replay()
         assert cache.index.search(2) is None
         assert cache.index.search(1) is not None
 
@@ -157,6 +160,7 @@ class TestIndexes:
         _, cache = make_cache(lines=4, index=index)
         for bucket in range(4):
             cache.read_bucket(bucket)
+        cache.replay()
         assert index.searches >= 4
         assert index.node_visits > 0
 
@@ -311,6 +315,7 @@ class TestLedgerIdentity:
         live = set()
 
         def seen():
+            cache.replay()  # the drives' ledgers are read before cache.stats
             stored = [drive.bytes_stored for drive in ledger.drives]
             assert self.ledgers(cache, new, [d.stats for d in ledger.drives], stored) == (
                 self.ledgers(reference, old, ssd.stats, ssd.bytes_stored)
@@ -349,3 +354,99 @@ class TestLedgerIdentity:
             seen()
         assert cache.flush_all() == reference.flush_all()
         seen()
+
+
+class TestReplayDifferential:
+    """The residency model is a replay of the access trace (DESIGN.md
+    §5.8): one history through two caches, one replayed after every
+    step and one only where a random-length run ends (and where a
+    tenant switch settles it), leaves equal answers and equal ledgers
+    at every run's end — counted or walked index, eviction batches of
+    1 to 8, plain or partitioned LRU.  A scan reads eight fresh byte
+    pages in a row, so one tenant's scan can push out another's lines."""
+
+    @staticmethod
+    def ledgers(cache, table, ledger):
+        index = cache.index
+        return (
+            cache.stats, index.searches, index.updates,
+            getattr(index, "node_visits", 0), table.probe_count,
+            [drive.stats for drive in ledger.drives],
+            [drive.bytes_stored for drive in ledger.drives],
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(STEP, st.tuples(st.sampled_from(["tenant", "scan"]), st.integers(0, 1))),
+                 max_size=150),
+        st.lists(st.integers(1, 24), min_size=1, max_size=20),
+        st.sampled_from([BTreeIndex, HwTreeIndex]),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    @example(  # tenant b scans over a's lines, then a reads its own again
+        [("tenant", 1), ("scan", 0), ("tenant", 0), ("lookup", 1), ("lookup", 2)],
+        [1000], HwTreeIndex, 1, True,
+    )
+    def test_replay_per_run_matches_replay_per_step(self, steps, runs, index, batch, partitioned):
+        def build():
+            lru = PartitionedLru({"a": 2.0, "b": 1.0}, default_tenant="a") if partitioned else None
+            ledger = SsdArray(2)
+            cache = TableCache(InMemoryBucketStore(), capacity_lines=8, index=index(),
+                               eviction_batch=batch, lru=lru, ledger=ledger)
+            return HashPbnTable(BUCKETS, store=cache), cache, ledger, lru
+
+        def apply(table, cache, lru, op, key, step):
+            """One step on one stack; returns the answers it gave."""
+            digest = key.to_bytes(32, "big")
+            if op in ("lookup", "insert"):
+                found = table.lookup(digest)
+                if op == "insert" and found is None:
+                    table.insert(digest, step)
+                return [found]
+            if op == "remove":
+                return [table.remove(digest)]
+            if op == "update":
+                return [table.update(digest, step)]
+            if op == "drain":
+                return [table.remove(gone.to_bytes(32, "big"))
+                        for gone in sorted(k for k in live if k % BUCKETS == key)]
+            if op == "read page":
+                return [cache.read_bucket(BUCKETS + key)]
+            if op == "write page":
+                cache.write_bucket(BUCKETS + key, step.to_bytes(8, "big") * (BUCKET_SIZE // 8))
+            elif op == "scan":
+                return [cache.read_bucket(page) for page in range(64 + 8 * key, 72 + 8 * key)]
+            elif op == "tenant" and lru is not None:
+                lru.set_active("ab"[key])
+            return []
+
+        stepped, stepped_cache, stepped_ledger, stepped_lru = build()
+        batched, batched_cache, batched_ledger, batched_lru = build()
+        history = PREFILL + steps + EPILOGUE
+        ends, position = set(), 0
+        while position < len(history):
+            position += runs[len(ends) % len(runs)]
+            ends.add(min(position, len(history)) - 1)
+        live = set()
+        for step, (op, key) in enumerate(history):
+            assert apply(stepped, stepped_cache, stepped_lru, op, key, step) == (
+                apply(batched, batched_cache, batched_lru, op, key, step)
+            )
+            stepped_cache.replay()
+            if op == "insert":
+                live.add(key)
+            elif op == "remove":
+                live.discard(key)
+            elif op == "drain":
+                live = {k for k in live if k % BUCKETS != key}
+            if step in ends:
+                assert self.ledgers(stepped_cache, stepped, stepped_ledger) == (
+                    self.ledgers(batched_cache, batched, batched_ledger)
+                )
+        assert stepped_cache.flush_all() == batched_cache.flush_all()
+        stepped_cache.check_invariants()
+        batched_cache.check_invariants()
+        assert self.ledgers(stepped_cache, stepped, stepped_ledger) == (
+            self.ledgers(batched_cache, batched, batched_ledger)
+        )

@@ -90,10 +90,11 @@ class TestSsdArray:
         assert array.drives[1].stats.write_ops == 1
         assert 0 in array.drives[0] and 2 in array.drives[1]
         assert 5 in array and 1 not in array
-        array.read_block(5)
+        array.fetch_block(5)
         assert array.drives[1].stats.read_ops == 1
-        with pytest.raises(KeyError):
-            array.read_block(1)
+        array.fetch_block(1)  # never written: no IO
+        array.fetch_block(-2)
+        assert array.stats.read_ops == 1
 
     def test_combined_stats(self):
         array = SsdArray(3)
