@@ -6,8 +6,9 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): five
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, ten counts — the
-table-trace replays per served write, the
+alternative on the same host inside one test, twelve counts — the
+Python calls per unique chunk of a served write, untraced and the
+calls tracing adds, the table-trace replays per served write, the
 bytes the page store holds per bucket, the serving tier's ops per
 backend turn, its cross-thread wake-ups, its READ ops per engine pass,
 the transports a bulk reply pauses, the page faults a client process
@@ -325,6 +326,58 @@ def test_served_writes_settle_at_each_fence(monkeypatch):
         assert len(replays) == writes, replays
         assert min(replays) >= 2 * BATCH_CHUNKS
         assert engine.journal.checkpoints == writes // 4
+
+
+#: Python calls per unique chunk of a served 64-chunk FIDR write, tracing
+#: off: 58.2 with the write walk one loop per batch; 72.4 with a call
+#: per chunk per structure step (``_write_chunk`` → ``_publish_chunk``
+#: → ``_remap``) and the table's ``_home``/``_load`` helper frames.
+CALLS_PER_UNIQUE_CHUNK = 62
+
+
+def _served_calls_per_chunk(traced):
+    """Python calls (``sys.setprofile`` ``call`` events: frames, not C
+    builtins) per chunk over 32 served 64-chunk writes of unique
+    50%-compressible content to fresh LBAs, through a FIDR
+    ``StorageServer`` as ``serve`` builds it."""
+    content = ContentFactory(compress_fraction=0.5)
+    writes = 32
+    payloads = [
+        b"".join(content.chunk(op * BATCH_CHUNKS + i) for i in range(BATCH_CHUNKS))
+        for op in range(writes + 1)
+    ]
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    with StorageServer.build(SystemKind.FIDR) as storage:
+        storage.write(writes * BATCH_CHUNKS, payloads[writes])  # warm: first container and pages
+        with trace.enabled(traced):
+            sys.setprofile(count)
+            try:
+                for op, payload in enumerate(payloads):
+                    storage.write(op * BATCH_CHUNKS, payload)
+            finally:
+                sys.setprofile(None)
+        trace.clear()
+        assert storage.system.engine.stats.unique_chunks == (writes + 1) * BATCH_CHUNKS
+    return calls[0] / (writes * BATCH_CHUNKS)
+
+
+def test_the_write_walk_is_one_loop_per_batch():
+    """The engine's write walk is one loop per batch, with no stage span
+    per chunk (DESIGN.md §5.4, §5.5), as two counts of Python calls per
+    unique chunk through served FIDR: at most
+    ``CALLS_PER_UNIQUE_CHUNK`` with tracing off (58.2; 72.4 with a
+    helper frame per chunk per walk step), and tracing on — as ``serve``
+    runs — adds at most one (0.65: the per-batch spans; 9.9 with a
+    ``lookup``/``pack``/``publish`` stage entered per chunk)."""
+    untraced = _served_calls_per_chunk(traced=False)
+    traced = _served_calls_per_chunk(traced=True)
+    assert untraced <= CALLS_PER_UNIQUE_CHUNK, untraced
+    assert traced - untraced <= 1.0, (untraced, traced)
 
 
 def test_each_bucket_page_lives_in_one_compact_home():

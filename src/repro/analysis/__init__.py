@@ -11,7 +11,7 @@ Two families live here:
   Run ``python -m repro.analysis --help`` for the CLI.
 
 Symbols are resolved lazily (PEP 562) so that importing the lightweight
-correctness tools does not pull in the numpy-backed projection stack.
+correctness tools does not pull in the projection and cost stack.
 """
 
 from typing import TYPE_CHECKING

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Protocol, Set
 
 from ..datared.hash_pbn import BUCKET_SIZE, BucketStore, PackedBucket
+from ..errors import CapacityError
 from ..hw.ssd import SsdArray
 from .btree import BPlusTree
 from .lru import LruList
@@ -302,7 +303,7 @@ class TableCache(BucketStore):
                 if len(resident) >= capacity:
                     victims = evict_batch(batch)
                     if not victims:
-                        raise RuntimeError("cache full of pinned lines; cannot evict")
+                        raise CapacityError("cache full of pinned lines; cannot evict")
                     for victim in victims:
                         search(victim)
                         resident.remove(victim)

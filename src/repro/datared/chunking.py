@@ -124,10 +124,12 @@ class FixedChunker:
             )
         if not payload:
             return []
-        view = memoryview(payload)
         chunk_size = self.chunk_size
-        if len(view) == chunk_size:  # one chunk as it came; a view is not wrapped again
-            return [Chunk(lba, payload if type(payload) is memoryview else view)]
+        if len(payload) == chunk_size:  # one chunk as it came; a view is not wrapped again
+            return [Chunk(
+                lba, payload if type(payload) is memoryview else memoryview(payload)
+            )]
+        view = memoryview(payload)
         chunks: List[Chunk] = []
         for offset in range(0, len(view), chunk_size):
             piece: Union[bytes, memoryview] = view[offset : offset + chunk_size]

@@ -114,12 +114,14 @@ class Container:
             raise ValueError("container is sealed")
         if stored_size <= 0:
             raise ValueError("stored_size must be positive")
-        if not self.has_room(stored_size):
+        # :meth:`has_room`, inlined: one append per unique chunk.
+        offset = self._fill_granules
+        fill = offset - (-stored_size // OFFSET_GRANULE)
+        if fill > self.capacity // OFFSET_GRANULE:
             raise ValueError("container has no room")
         if type(payload) is not bytes:
             payload = bytes(payload)  # repro-lint: copy-ok the container must own its payload bytes
-        offset = self._fill_granules
-        self._fill_granules += -(-stored_size // OFFSET_GRANULE)
+        self._fill_granules = fill
         self._payloads[offset] = payload
         self._offsets.append(offset)
         self._sizes.append(stored_size)

@@ -41,7 +41,7 @@ from ..obs.metrics import MetricsRegistry, get_registry
 from . import codecs as _codecs
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker
 from .compression import CompressedChunk, Compressor, ZlibCompressor
-from .container import ContainerStore, Placement
+from .container import ContainerStore
 from .hash_pbn import HashPbnTable
 from .hashing import FINGERPRINT_SIZE, SHA256, Fingerprinter
 from .lba_map import LbaMap, PbnAllocator, PbnMap
@@ -167,10 +167,11 @@ class StageTimer(Protocol):
     hot paths resolve the clock once per call through
     :func:`active_clock`; while ``active`` is false they take the exact
     path they would with no clock installed.  A live clock has
-    ``stage(name)`` entered around each stage — lookup/pack/publish once
-    per chunk, so timers hand out cached accumulators, a read's fetch
-    and decompress once with the ``chunks`` they cover — and ``flush()``
-    called once per write/write_many/read to publish what accumulated.
+    ``stage(name, chunks)`` entered once per stage per batch — a write's
+    chunk, hash, compress and walk, a read's fetch and decompress, the
+    walk, fetch and decompress tagged with the ``chunks`` they cover —
+    and ``flush()`` called once per write/write_many/read to publish
+    what accumulated.
     """
 
     @property
@@ -198,12 +199,10 @@ def batch_stage(
 ) -> ContextManager[None]:
     """``clock.stage(name, chunks)``, or a no-op when no clock is live.
 
-    For the stages entered once per *batch* (chunk, hash, compress, a
-    read's fetch and decompress), where a no-op
-    ``with`` costs nothing measurable.  The per-*chunk* stages
-    (lookup/pack/publish in ``_write_chunk``) keep an explicit ``clock is
-    None`` check instead: a context manager per chunk is a cost the
-    clock-less path must not pay.
+    Every engine stage is entered once per *batch* (a write's chunk,
+    hash, compress and walk, a read's fetch and decompress), so the
+    clock-less path pays one no-op ``with`` per stage per batch and
+    nothing per chunk.
     """
     return _NO_STAGE if clock is None else clock.stage(name, chunks)
 
@@ -256,53 +255,35 @@ class ChunkOutcome(NamedTuple):
 class WriteReport:
     """Everything the system layer needs to account one write request.
 
-    Aggregates are maintained incrementally as outcomes arrive through
-    :meth:`add` (load generators read them per request, so re-scanning
-    the outcome list on every access was O(chunks) per read).  Appending
-    to :attr:`chunks` directly bypasses the running totals — always go
-    through :meth:`add`.
+    The byte and chunk totals are read off :attr:`chunks` when asked
+    for.  The engine builds one report per request (a 4-KiB request
+    each, on the served path) and nothing on that path reads a total,
+    so the write walk keeps only the outcomes and the seal count.
     """
 
     chunks: List[ChunkOutcome] = field(default_factory=list)
     containers_sealed: int = 0
     reclaimed_chunks: int = 0  #: last references dropped
-    _logical_bytes: int = field(default=0, init=False, repr=False, compare=False)
-    _stored_bytes: int = field(default=0, init=False, repr=False, compare=False)
-    _unique_chunks: int = field(default=0, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for outcome in self.chunks:
-            self._tally(outcome)
-
-    def _tally(self, outcome: ChunkOutcome) -> None:
-        self._logical_bytes += outcome.logical_size
-        self._stored_bytes += outcome.stored_size
-        if not outcome.duplicate:
-            self._unique_chunks += 1
-
-    def add(self, outcome: ChunkOutcome) -> None:  # repro-lint: hot-path
-        """Record one chunk outcome, keeping the aggregates current."""
+    def add(self, outcome: ChunkOutcome) -> None:
+        """Record one chunk outcome."""
         self.chunks.append(outcome)
-        self._logical_bytes += outcome.logical_size
-        self._stored_bytes += outcome.stored_size
-        if not outcome.duplicate:
-            self._unique_chunks += 1
 
     @property
     def logical_bytes(self) -> int:
-        return self._logical_bytes
+        return sum(outcome.logical_size for outcome in self.chunks)
 
     @property
     def unique_chunks(self) -> int:
-        return self._unique_chunks
+        return sum(1 for outcome in self.chunks if not outcome.duplicate)
 
     @property
     def duplicate_chunks(self) -> int:
-        return len(self.chunks) - self._unique_chunks
+        return len(self.chunks) - self.unique_chunks
 
     @property
     def stored_bytes(self) -> int:
-        return self._stored_bytes
+        return sum(outcome.stored_size for outcome in self.chunks)
 
 
 @dataclass
@@ -603,11 +584,12 @@ class DedupEngine:
         reports = [WriteReport() for _ in requests]
         # Stages 0-1: chunk, then fingerprint every chunk — or check
         # that the caller's precomputed digests number one per chunk.
+        split = self.chunker.split
         with batch_stage(clock, "chunk"):
             flat = [
                 (index, chunk)
                 for index, (lba, payload) in enumerate(requests)
-                for chunk in self.chunker.split(lba, payload)
+                for chunk in split(lba, payload)
             ]
         if not flat:
             return reports
@@ -635,37 +617,112 @@ class DedupEngine:
                 )
             staged = dict(zip(plan, packed))
 
-        # Stage 4 (serial): the per-chunk write path, with digest and
-        # compression injected.  Per-request sealed-container deltas
-        # mirror what per-request write() calls would report.
+        # Stage 4 (serial): the walk — one loop over the batch, in
+        # chunk order, each structure's own method bound once.  Per
+        # chunk: one table lookup; a unique packs, takes a PBN, is
+        # indexed and journaled; every chunk then remaps its LBA and
+        # releases the chunk it replaces.  Ledgers stay in locals and
+        # land once, also when a refused chunk ends the batch early.
+        table = self.table
+        lookup, insert = table.lookup, table.insert
+        containers = self.containers
+        append = containers.append
+        allocate = self.allocator.allocate
+        pbn_map = self.pbn_map
+        add, ref = pbn_map.add, pbn_map.ref
+        set_lba = self.lba_map.set
+        observer = self.observer
+        if observer is not None:
+            on_new_chunk, on_map = observer.on_new_chunk, observer.on_map
+        release = self._release
+        compress = self.compressor.compress
+        logical = duplicates = uniques = unique_logical = stored = 0
+        wasted = fallback = 0
+        # The open request: its report and the sealed-container count
+        # it started at.
         current = -1
-        sealed_before = self.containers.sealed_count
+        report = reports[0]
+        outcomes = report.chunks
+        sealed_before = containers.sealed_count
         try:
-            for position, ((index, chunk), digest) in enumerate(
-                zip(flat, digests)
-            ):
-                if index != current:
-                    if current >= 0:
-                        reports[current].containers_sealed = (
-                            self.containers.sealed_count - sealed_before
+            with batch_stage(clock, "walk", len(flat)):
+                for position, ((index, chunk), digest) in enumerate(
+                    zip(flat, digests)
+                ):
+                    if index != current:
+                        if current >= 0:
+                            report.containers_sealed = (
+                                containers.sealed_count - sealed_before
+                            )
+                            sealed_before = containers.sealed_count
+                        current = index
+                        report = reports[index]
+                        outcomes = report.chunks
+                    lba = chunk.lba
+                    data = chunk.data
+                    size = len(data)
+                    pbn = lookup(digest)
+                    if pbn is None and table.is_full:
+                        # Refuse before anything is stored or counted:
+                        # past this point a failed index insert would
+                        # leave a container payload and a PBN record
+                        # nothing points at.
+                        raise CapacityError(
+                            f"Hash-PBN table is full ({table.entry_count} "
+                            f"entries): cannot index the chunk at LBA {lba}"
                         )
-                    current = index
-                    sealed_before = self.containers.sealed_count
-                precompressed = staged.pop(position, None)
-                outcome = self._write_chunk(
-                    chunk, reports[index], clock, digest, precompressed
-                )
-                reports[index].add(outcome)
-                if outcome.duplicate:
-                    if precompressed is not None:
-                        self.plan_wasted_compressions += 1
-                elif precompressed is None:
-                    self.plan_fallback_compressions += 1
+                    logical += size
+                    if pbn is None:
+                        # Unique: the plan's artifact (``None`` = the
+                        # plan missed it, so it compresses inline), packed
+                        # — the container boundary takes the defensive
+                        # copy of a view-backed payload (DESIGN.md §5.4)
+                        # — then a PBN, its record, its index entry.
+                        compressed = staged.pop(position, None)
+                        if compressed is None:
+                            fallback += 1
+                            compressed = compress(data)
+                        container_id, offset, stored_size = append(
+                            compressed.materialize(), compressed.stored_size
+                        )
+                        pbn = allocate()
+                        add(pbn, container_id, offset, stored_size, digest)
+                        insert(digest, pbn)
+                        if observer is not None:
+                            on_new_chunk(
+                                pbn, digest, container_id, offset,
+                                stored_size, size,
+                            )
+                        uniques += 1
+                        unique_logical += size
+                        stored += stored_size
+                        outcome = ChunkOutcome(lba, pbn, False, size, stored_size)
+                    else:
+                        # Duplicate: bump the reference, no data moves.
+                        if position in staged:
+                            wasted += 1
+                        ref(pbn)
+                        duplicates += 1
+                        outcome = ChunkOutcome(lba, pbn, True, size, 0)
+                    old = set_lba(lba, pbn)
+                    if observer is not None:
+                        on_map(lba, pbn)
+                    if old is not None:
+                        # Also when old == pbn (same content rewritten in
+                        # place): that undoes the extra reference taken.
+                        release(old, report)
+                    outcomes.append(outcome)
         finally:
+            stats = self.stats
+            stats.logical_bytes += logical
+            stats.duplicate_chunks += duplicates
+            stats.unique_chunks += uniques
+            stats.unique_logical_bytes += unique_logical
+            stats.stored_bytes += stored
+            self.plan_wasted_compressions += wasted
+            self.plan_fallback_compressions += fallback
             flush_stages(clock)
-        reports[current].containers_sealed = (
-            self.containers.sealed_count - sealed_before
-        )
+        report.containers_sealed = containers.sealed_count - sealed_before
         return reports
 
     def _plan_batch(
@@ -685,160 +742,53 @@ class DedupEngine:
         :meth:`~repro.datared.lba_map.PbnMap.find_by_fingerprint`).
         """
         plan: List[int] = []
-        fresh: Dict[bytes, Dict[str, Any]] = {}  # digest -> live batch-unique token
+        #: digest -> the token ``[digest, references]`` of a live
+        #: batch-unique chunk.
+        fresh: Dict[bytes, List[Any]] = {}
         ref_delta: Dict[int, int] = {}  # pre-existing pbn -> refcount delta
         dead: Set[int] = set()  # pre-existing pbns fully released
-        shadow_lba: Dict[int, Tuple[str, Any]] = {}
-
-        def release(ref: Tuple[str, Any]) -> None:
-            kind, target = ref
-            if kind == "new":
-                target["refs"] -= 1
-                if (
-                    target["refs"] == 0
-                    and fresh.get(target["digest"]) is target
-                ):
-                    del fresh[target["digest"]]
-            else:
-                ref_delta[target] = ref_delta.get(target, 0) - 1
-                if self.pbn_map.refcount(target) + ref_delta[target] == 0:
-                    dead.add(target)
+        #: lba -> what the walk leaves it pointing at: a batch-unique's
+        #: token, a pre-existing PBN, or None (unmapped).
+        shadow_lba: Dict[int, Union[List[Any], int, None]] = {}
+        find = self.pbn_map.find_by_fingerprint
+        refcount = self.pbn_map.refcount
+        get_lba = self.lba_map.get
 
         for position, (chunk, digest) in enumerate(zip(chunks, digests)):
+            hit: Union[List[Any], int]
             token = fresh.get(digest)
             if token is not None:
-                hit: Optional[Tuple[str, Any]] = ("new", token)
+                token[1] += 1
+                hit = token
             else:
-                hit = None
                 # A released PBN's fingerprint is retired by the walk:
                 # the mirror still names it, the shadow knows it is dead.
-                pbn = self.pbn_map.find_by_fingerprint(digest)
-                if pbn is not None and pbn not in dead:
-                    hit = ("pre", pbn)
-            if hit is None:
-                token = {"digest": digest, "refs": 1}
-                fresh[digest] = token
-                plan.append(position)
-                hit = ("new", token)
-            elif hit[0] == "new":
-                hit[1]["refs"] += 1
-            else:
-                ref_delta[hit[1]] = ref_delta.get(hit[1], 0) + 1
+                pbn = find(digest)
+                if pbn is None or pbn in dead:
+                    hit = fresh[digest] = [digest, 1]
+                    plan.append(position)
+                else:
+                    ref_delta[pbn] = ref_delta.get(pbn, 0) + 1
+                    hit = pbn
 
-            old = shadow_lba.get(chunk.lba, _UNSET)
+            lba = chunk.lba
+            old = shadow_lba.get(lba, _UNSET)
             if old is _UNSET:
-                pre = self.lba_map.get(chunk.lba)
-                old = ("pre", pre) if pre is not None else None
-            shadow_lba[chunk.lba] = hit
-            if old is not None:
-                release(old)
+                old = get_lba(lba)
+            shadow_lba[lba] = hit
+            # Release the chunk the LBA pointed at.
+            if old is None:
+                continue
+            if isinstance(old, list):
+                old[1] -= 1
+                if old[1] == 0 and fresh.get(old[0]) is old:
+                    del fresh[old[0]]
+            else:
+                delta = ref_delta.get(old, 0) - 1
+                ref_delta[old] = delta
+                if refcount(old) + delta == 0:
+                    dead.add(old)
         return plan
-
-    def _write_chunk(  # repro-lint: hot-path
-        self,
-        chunk: Chunk,
-        report: WriteReport,
-        clock: Optional[StageTimer],
-        digest: bytes,
-        precompressed: Optional[CompressedChunk],
-    ) -> ChunkOutcome:
-        """One chunk of the serial walk: one table lookup through
-        whatever store is below.  ``precompressed`` is the batch plan's
-        artifact (``None`` = the plan missed this unique: compress
-        inline, counted in ``plan_fallback_compressions``)."""
-        if clock is None:
-            existing_pbn = self.table.lookup(digest)
-        else:
-            with clock.stage("lookup"):
-                existing_pbn = self.table.lookup(digest)
-        if existing_pbn is None and self.table.is_full:
-            # Refuse before anything is stored or counted: past this
-            # point a failed index insert would leave a container
-            # payload and a PBN record nothing points at.
-            raise CapacityError(
-                f"Hash-PBN table is full ({self.table.entry_count} "
-                f"entries): cannot index the chunk at LBA {chunk.lba}"
-            )
-        self.stats.logical_bytes += len(chunk.data)
-
-        if existing_pbn is not None:
-            # Duplicate: bump the reference, remap the LBA, no data moves.
-            self.pbn_map.ref(existing_pbn)
-            self._remap(chunk.lba, existing_pbn, report)
-            self.stats.duplicate_chunks += 1
-            outcome = ChunkOutcome(
-                lba=chunk.lba,
-                pbn=existing_pbn,
-                duplicate=True,
-                logical_size=len(chunk.data),
-                stored_size=0,
-            )
-            return outcome
-
-        # Unique: pack, allocate a PBN, publish metadata (compressing
-        # first only if the batch plan missed this chunk).
-        compressed = (
-            precompressed
-            if precompressed is not None
-            else self.compressor.compress(chunk.data)
-        )
-        # Materialize here — the container boundary takes the defensive
-        # copy of any view-backed payload (DESIGN.md §5.4).
-        if clock is None:
-            placement = self.containers.append(
-                compressed.materialize(), compressed.stored_size
-            )
-        else:
-            with clock.stage("pack"):
-                placement = self.containers.append(
-                    compressed.materialize(), compressed.stored_size
-                )
-        if clock is None:
-            return self._publish_chunk(chunk, report, digest, compressed, placement)
-        with clock.stage("publish"):
-            return self._publish_chunk(chunk, report, digest, compressed, placement)
-
-    def _publish_chunk(  # repro-lint: hot-path
-        self,
-        chunk: Chunk,
-        report: WriteReport,
-        digest: bytes,
-        compressed: CompressedChunk,
-        placement: Placement,
-    ) -> ChunkOutcome:
-        """Metadata publication for a freshly packed unique chunk."""
-        pbn = self.allocator.allocate()
-        self.pbn_map.add(
-            pbn, placement.container_id, placement.offset,
-            placement.stored_size, digest,
-        )
-        self.table.insert(digest, pbn)
-        if self.observer is not None:
-            self.observer.on_new_chunk(
-                pbn, digest, placement.container_id, placement.offset,
-                placement.stored_size, len(chunk.data),
-            )
-        self._remap(chunk.lba, pbn, report)
-        self.stats.unique_chunks += 1
-        self.stats.unique_logical_bytes += len(chunk.data)
-        self.stats.stored_bytes += compressed.stored_size
-        return ChunkOutcome(
-            lba=chunk.lba,
-            pbn=pbn,
-            duplicate=False,
-            logical_size=len(chunk.data),
-            stored_size=compressed.stored_size,
-        )
-
-    def _remap(self, lba: int, new_pbn: int, report: WriteReport) -> None:
-        """Point the LBA at its new chunk, releasing the old one."""
-        old_pbn = self.lba_map.set(lba, new_pbn)
-        if self.observer is not None:
-            self.observer.on_map(lba, new_pbn)
-        if old_pbn is not None:
-            # Also when old_pbn == new_pbn (same content rewritten in
-            # place): that undoes the extra reference just taken.
-            self._release(old_pbn, report)
 
     def _release(self, pbn: int, report: WriteReport) -> None:
         dead = self.pbn_map.unref(pbn)

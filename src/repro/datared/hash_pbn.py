@@ -126,7 +126,8 @@ class PackedBucket:
 
     @property
     def is_full(self) -> bool:
-        return self.entry_count >= BUCKET_CAPACITY
+        buf = self.buf
+        return ((buf[0] << 8) | buf[1]) >= BUCKET_CAPACITY
 
     # -- entry operations --------------------------------------------------
     def _find(self, digest: bytes) -> int:
@@ -156,14 +157,17 @@ class PackedBucket:
     def insert(self, digest: bytes, pbn: int) -> None:
         if len(digest) != FINGERPRINT_SIZE:
             raise ValueError("fingerprints are 32 bytes")
-        count = self.entry_count
+        buf = self.buf
+        count = (buf[0] << 8) | buf[1]
         if count >= BUCKET_CAPACITY:
             raise BucketFullError(
                 f"bucket already holds {BUCKET_CAPACITY} entries"
             )
-        self.buf += digest
-        self.buf += pbn.to_bytes(PBN_SIZE, "big")
-        self._set_count(count + 1)
+        buf += digest
+        buf += pbn.to_bytes(PBN_SIZE, "big")
+        count += 1
+        buf[0] = count >> 8
+        buf[1] = count & 0xFF
 
     def remove(self, digest: bytes) -> bool:
         pos = self._find(digest)
@@ -332,22 +336,23 @@ class HashPbnTable:
         # 32-byte invariant holds structurally.
         return int.from_bytes(digest[-8:], "big") % self.num_buckets  # repro-lint: copy-ok 8-byte index slice
 
-    def _load(self, index: int) -> PackedBucket:  # repro-lint: hot-path
-        self.probe_count += 1
-        return self.store.load_packed(index)
-
     # -- operations ------------------------------------------------------------
     def lookup(self, digest: bytes) -> Optional[int]:
         """Return the PBN stored for ``digest``, or ``None`` if unique."""
-        index = self._home(digest)
-        for _ in range(self.num_buckets):
-            bucket = self._load(index)
+        # The write walk's per-chunk call: :meth:`_home` inlined, and
+        # each probe counted and loaded without a helper frame.
+        num_buckets = self.num_buckets
+        load = self.store.load_packed
+        index = int.from_bytes(digest[-8:], "big") % num_buckets  # repro-lint: copy-ok 8-byte index slice
+        for _ in range(num_buckets):
+            self.probe_count += 1
+            bucket = load(index)
             pbn = bucket.lookup(digest)
             if pbn is not None:
                 return pbn
             if not bucket.overflowed:
                 return None
-            index = (index + 1) % self.num_buckets
+            index = (index + 1) % num_buckets
         return None
 
     def lookup_many(
@@ -367,25 +372,30 @@ class HashPbnTable:
             raise ValueError(f"PBN {pbn} out of range")
         if len(digest) != FINGERPRINT_SIZE:
             raise ValueError("fingerprints are 32 bytes")
-        index = self._home(digest)
-        for _ in range(self.num_buckets):
-            bucket = self._load(index)
+        # Per unique chunk, like :meth:`lookup`: no helper frames.
+        num_buckets = self.num_buckets
+        store = self.store
+        index = int.from_bytes(digest[-8:], "big") % num_buckets  # repro-lint: copy-ok 8-byte index slice
+        for _ in range(num_buckets):
+            self.probe_count += 1
+            bucket = store.load_packed(index)
             if not bucket.is_full:
                 bucket.insert(digest, pbn)
-                self.store.store_packed(index, bucket)
+                store.store_packed(index, bucket)
                 self.entry_count += 1
                 return
             if not bucket.overflowed:
                 bucket.overflowed = True
-                self.store.store_packed(index, bucket)
-            index = (index + 1) % self.num_buckets
+                store.store_packed(index, bucket)
+            index = (index + 1) % num_buckets
         raise CapacityError("Hash-PBN table is full")
 
     def remove(self, digest: bytes) -> bool:
         """Remove a fingerprint (garbage collection of freed chunks)."""
         index = self._home(digest)
         for _ in range(self.num_buckets):
-            bucket = self._load(index)
+            self.probe_count += 1
+            bucket = self.store.load_packed(index)
             if bucket.remove(digest):
                 self.store.store_packed(index, bucket)
                 self.entry_count -= 1
@@ -399,7 +409,8 @@ class HashPbnTable:
         """Repoint an existing fingerprint at a new PBN (defragmentation)."""
         index = self._home(digest)
         for _ in range(self.num_buckets):
-            bucket = self._load(index)
+            self.probe_count += 1
+            bucket = self.store.load_packed(index)
             if bucket.update(digest, pbn):
                 self.store.store_packed(index, bucket)
                 return True

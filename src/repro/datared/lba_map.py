@@ -402,7 +402,11 @@ class PbnMap:
             start = pbn * FINGERPRINT_SIZE
             self._digests[start : start + FINGERPRINT_SIZE] = fingerprint
         self._by_fingerprint[fingerprint] = pbn
-        self._place(pbn, container_id)
+        # :meth:`_place`, inlined: one add per unique chunk.
+        pbns = self._by_container.get(container_id)
+        if pbns is None:
+            pbns = self._by_container[container_id] = array("Q")
+        pbns.append(pbn)
         self._live += 1
 
     def _grow(self, length: int) -> None:

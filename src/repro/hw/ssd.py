@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import CapacityError
 from .specs import SsdSpec, SAMSUNG_970_PRO
 
 __all__ = ["BLOCK_SIZE", "IoStats", "NvmeSsd", "SsdArray"]
@@ -74,7 +75,7 @@ class NvmeSsd:
             written.extend(bytes(address + 1 - len(written)))
         if not written[address]:
             if self.bytes_stored + BLOCK_SIZE > self.spec.capacity:
-                raise RuntimeError(f"{self.name}: capacity exceeded")
+                raise CapacityError(f"{self.name}: capacity exceeded")
             written[address] = 1
             self.bytes_stored += BLOCK_SIZE
         self.stats.write_ops += 1

@@ -269,11 +269,11 @@ class TracedStages:
     accumulator, and :meth:`flush` — called by the engine once per
     write/write_many/read — records one ``<prefix>.<name>`` span per
     stage entered since the last flush: its summed busy time, tagged
-    with the ``chunks`` its entries covered (lookup/pack/publish enter
-    once per chunk they handle, the vectorised chunk/hash/compress once
-    per batch, a read's fetch/decompress once with the request's chunk
-    count).  Totals are per thread, so threads sharing one clock never
-    mix their stages.
+    with the ``chunks`` its entries covered (the engine enters each
+    stage once per batch: a write's walk with the batch's chunk count,
+    its vectorised chunk/hash/compress with 1, a read's
+    fetch/decompress with the request's chunk count).  Totals are per
+    thread, so threads sharing one clock never mix their stages.
     """
 
     __slots__ = ("_prefix", "_local")

@@ -14,6 +14,7 @@ from repro.datared.hash_pbn import (
     PackedBucket,
 )
 from repro.datared.hashing import fingerprint
+from repro.errors import CapacityError, ErrorCode, error_code_for
 from repro.hw.ssd import IoStats, SsdArray
 
 from ..datared.reference import ReferenceTable
@@ -135,6 +136,20 @@ class TestEviction:
         cache.read_bucket(5)
         assert cache.stats.evictions == 4
         assert cache.resident_lines == 1  # all 4 evicted, #5 installed
+
+    def test_pinned_full_cache_refuses_with_capacity_error(self):
+        """Every line pinned, a miss cannot install: the replay at the
+        fence refuses with a typed error (``CAPACITY`` on the wire)."""
+        _, cache = make_cache(lines=2, batch=1)
+        cache.read_bucket(1)
+        cache.read_bucket(2)
+        cache.replay()
+        cache._lru.pin(1)
+        cache._lru.pin(2)
+        cache.read_bucket(3)
+        with pytest.raises(CapacityError, match="pinned") as refused:
+            cache.replay()
+        assert error_code_for(refused.value) is ErrorCode.CAPACITY
 
     def test_invariants_hold_through_churn(self):
         _, cache = make_cache(lines=8, batch=2)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import CapacityError, ErrorCode, error_code_for
 from repro.hw.specs import SAMSUNG_970_PRO, SsdSpec
 from repro.hw.ssd import BLOCK_SIZE, NvmeSsd, SsdArray
 
@@ -48,9 +49,23 @@ class TestNvmeSsd:
         ssd.write_block(0)
         ssd.write_block(1)
         ssd.write_block(1)  # a rewrite needs no new space
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CapacityError):
             ssd.write_block(2)
         assert 2 not in ssd and ssd.bytes_stored == 2 * BLOCK_SIZE
+
+    def test_full_drive_answers_capacity_on_the_wire(self):
+        """A full drive's refusal is typed, so a client would be told
+        ``CAPACITY``, not a generic failure."""
+        tiny = SsdSpec(
+            name="tiny", capacity=BLOCK_SIZE, read_bw=1e9, write_bw=1e9,
+            read_iops=1e5, write_iops=1e5,
+            read_latency_s=1e-5, write_latency_s=1e-5,
+        )
+        ssd = NvmeSsd(spec=tiny, name="table-ssd")
+        ssd.write_block(0)
+        with pytest.raises(CapacityError, match="table-ssd: capacity exceeded") as refused:
+            ssd.write_block(1)
+        assert error_code_for(refused.value) is ErrorCode.CAPACITY
 
     def test_accounting_only_io(self):
         ssd = NvmeSsd()

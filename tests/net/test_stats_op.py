@@ -95,7 +95,7 @@ class TestSyncStats:
         storage, endpoint = make_stack()
         with trace.enabled():
             roundtrip(endpoint, Op.WRITE, 0, b"c" * CHUNK)
-            storage.flush()  # push the batch through the six stages
+            storage.flush()  # push the batch through the engine stages
             snapshot = scrape(endpoint)
         assert snapshot["tracing"] is True
         names = {record["name"] for record in snapshot["spans"]}

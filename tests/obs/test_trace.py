@@ -193,23 +193,23 @@ class TestPerBatchStageSpans:
         records = self._stage_spans(uniques, duplicates)
         by_name = {record.name: record for record in records}
         assert len(by_name) == len(records)  # exactly one span per stage
-        assert by_name["engine.stage.lookup"].tags == {
+        assert by_name["engine.stage.walk"].tags == {
             "chunks": uniques + duplicates
         }
-        assert by_name["engine.stage.pack"].tags == {"chunks": uniques}
-        assert by_name["engine.stage.publish"].tags == {"chunks": uniques}
+        for name in ("chunk", "hash", "compress"):  # one vectorised call
+            assert by_name[f"engine.stage.{name}"].tags == {"chunks": 1}
         assert len({record.trace_id for record in records}) == 1
         assert all(record.dur_ns > 0 for record in records)
 
     def test_span_count_does_not_grow_with_the_batch(self):
         small = self._stage_spans(uniques=2, duplicates=2)
         large = self._stage_spans(uniques=64, duplicates=128)
-        six = sorted(
+        four = sorted(
             f"engine.stage.{name}"
-            for name in ("chunk", "hash", "lookup", "compress", "pack", "publish")
+            for name in ("chunk", "hash", "compress", "walk")
         )
-        assert sorted(r.name for r in small) == six
-        assert sorted(r.name for r in large) == six
+        assert sorted(r.name for r in small) == four
+        assert sorted(r.name for r in large) == four
 
     def test_totals_are_per_thread(self):
         """A flush publishes only the calling thread's stages."""
