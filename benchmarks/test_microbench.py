@@ -6,19 +6,21 @@ useful for spotting regressions while extending the library.
 
 The ratio gates at the bottom are CI-enforced (``bench-smoke``): five
 properties no ``bench/`` workload exercises, each timed against its
-alternative on the same host inside one test, twelve counts — the
+alternative on the same host inside one test, thirteen counts — the
 Python calls per unique chunk of a served write, untraced and the
 calls tracing adds, the table-trace replays per served write, the
 bytes the page store holds per bucket, the serving tier's ops per
 backend turn, its cross-thread wake-ups, its READ ops per engine pass,
 the transports a bulk reply pauses, the page faults a client process
-takes per bulk read and a server process per bulk write, the heap
+takes per bulk read, a server process per bulk write and an engine's
+process per 256-KiB buffer, the heap
 bytes held per unique chunk of metadata, and the heap an overwriting
 stack gains from 4 to 12 passes — and the time a checkpoint takes per
 live chunk.
 """
 
 import asyncio
+import contextlib
 import gc
 import os
 import random
@@ -138,10 +140,8 @@ def _write_batch(rng):
     ]
 
 
-def _engine(clock=None):
-    engine = DedupEngine(num_buckets=1 << 14, compressor=ZlibCompressor())
-    engine.stage_clock = clock
-    return engine
+def _engine():
+    return DedupEngine(num_buckets=1 << 14, compressor=ZlibCompressor())
 
 
 def _ingest(engine, batch):
@@ -150,17 +150,33 @@ def _ingest(engine, batch):
     return engine
 
 
+_NULL_STAGE = contextlib.nullcontext()
+
+
+def _stubbed_ingest(batch):
+    """:func:`_ingest` with the engine's stage hook stubbed out: a stage
+    is a shared no-op context and a flush does nothing."""
+    stage, flush = trace.stage, trace.flush_stages
+    trace.stage = lambda name, chunks=1: _NULL_STAGE
+    trace.flush_stages = lambda: None
+    try:
+        return _ingest(_engine(), batch)
+    finally:
+        trace.stage, trace.flush_stages = stage, flush
+
+
 def test_disabled_tracing_is_free(rng):
     """The zero-overhead contract (DESIGN.md §5.5): with tracing off, an
-    engine with ``TracedStages`` installed writes at >= 0.97x the speed
-    of one with no clock at all."""
+    engine whose stages go through the disabled ``trace.stage`` and
+    ``trace.flush_stages`` writes at >= 0.97x the speed of one whose
+    stage hook is stubbed to no-ops."""
     batch = _write_batch(rng)
     assert not trace.is_enabled()
     took = _fastest(800, {
-        "plain": lambda: _ingest(_engine(), batch),
-        "traced": lambda: _ingest(_engine(clock=trace.TracedStages()), batch),
+        "stubbed": lambda: _stubbed_ingest(batch),
+        "traced": lambda: _ingest(_engine(), batch),
     })
-    assert took["plain"] / took["traced"] >= 0.97, took
+    assert took["stubbed"] / took["traced"] >= 0.97, took
 
 
 def test_entropy_gate_pays_where_it_claims(rng):
@@ -636,7 +652,7 @@ with StorageServer.build(
 
 def test_bulk_reads_recycle_their_buffers():
     """A client's 256-KiB reads must not map their buffers afresh per op
-    (``aserver._settle_allocator``), as a count: minor page faults per
+    (``dedup.settle_allocator``), as a count: minor page faults per
     read in a fresh interpreter, 128 reads after 16 warming ones — 0.0
     settled, 106 (every buffer of every op) when the allocator is left
     to the mode the process's earlier frees put it in.  The subprocess
@@ -708,16 +724,56 @@ with StorageServer.build(SystemKind.FIDR) as storage:
 
 def test_bulk_writes_recycle_their_buffers():
     """The server's 256-KiB WRITE frames must not map their buffers
-    afresh per op (``AsyncProtocolServer.start`` settles the allocator,
-    DESIGN.md §5.1), as a count: minor page faults per write in a fresh
-    interpreter holding only the server side — frames fed straight to a
-    ``_Connection``, no client, whose construction would settle the
-    allocator itself — 128 writes after 32 warming ones: 0.0 settled,
-    224 when ``start`` leaves the allocator in the mode the process's
-    earlier frees put it in."""
+    afresh per op (building the stack's ``DedupEngine`` settles the
+    allocator, DESIGN.md §5.1), as a count: minor page faults per write
+    in a fresh interpreter holding only the server side — frames fed
+    straight to a ``_Connection``, no client, whose construction would
+    settle the allocator too — 128 writes after 32 warming ones: 0.0
+    settled, 224 when nothing leaves the allocator in any mode but the
+    one the process's earlier frees put it in."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     ran = subprocess.run(
         [sys.executable, "-c", _BULK_WRITE_FAULTS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert float(ran.stdout) < 8, ran.stdout
+
+
+_ENGINE_BUFFER_FAULTS = """
+import resource
+from repro.datared.dedup import DedupEngine
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def burst():
+    # Four 256-KiB buffers live at once, as a bulk read's pieces are,
+    # then all freed.
+    buffers = [b"\\x01" * (256 * 1024) for _ in range(4)]
+    del buffers
+
+engine = DedupEngine(num_buckets=1 << 10)
+for _ in range(8):  # first touches are not the subject
+    burst()
+before = faults()
+for _ in range(64):
+    burst()
+print((faults() - before) / (64 * 4))
+"""
+
+
+def test_an_engine_settles_the_allocator():
+    """Building a ``DedupEngine`` settles the process's allocator
+    (``dedup.settle_allocator``, DESIGN.md §5.1), so an in-process stack
+    with no server or client recycles 256-KiB buffers rather than
+    mapping them afresh, as a count: minor page faults per buffer in a
+    fresh interpreter that builds one engine, then allocates and frees
+    four 256-KiB buffers at a time, 64 times after 8 warming ones — 0.0
+    settled, 56 when only the serving tier settles the allocator."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    ran = subprocess.run(
+        [sys.executable, "-c", _ENGINE_BUFFER_FAULTS],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120, check=True,
     )

@@ -43,7 +43,7 @@ Subpackages
     One module per paper table/figure.
 """
 
-from .datared import DedupEngine, EngineStats, WriteOptions
+from .datared import DedupEngine, EngineStats
 from .errors import AlignmentError, CapacityError, ProtocolError, ReproError
 from .obs.metrics import MetricsRegistry, get_registry
 from .systems import BaselineSystem, FidrSystem, StorageServer, SystemKind  # noqa: E501
@@ -62,7 +62,6 @@ __all__ = [
     "ReproError",
     "StorageServer",
     "SystemKind",
-    "WriteOptions",
     "get_registry",
     "__version__",
 ]

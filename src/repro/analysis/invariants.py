@@ -8,7 +8,7 @@ full-system SSD simulators apply to make results credible:
 
 * **Byte conservation** — every logical byte written is either unique
   (stored, possibly compressed) or removed by dedup;
-  ``live_stored_bytes`` must agree between :class:`ReductionStats`, the
+  ``live_stored_bytes`` must agree between ``engine.stats``, the
   container store, and the sum of live PBN records.
 * **Index consistency** — the :class:`~repro.datared.lba_map.PbnMap`'s
   columns and its incremental reverse indexes (fingerprint→PBN, each

@@ -46,8 +46,6 @@ from .dedup import (
     DedupEngine,
     EngineStats,
     ReadReport,
-    ReductionStats,
-    WriteOptions,
     WriteReport,
 )
 from .hash_pbn import (
@@ -148,9 +146,7 @@ __all__ = [
     "PbnRecord",
     "Placement",
     "ReadReport",
-    "ReductionStats",
     "RmwStats",
-    "WriteOptions",
     "WriteReport",
     "BucketStore",
     "bucket_index",

@@ -15,21 +15,19 @@ device ledgers from those reports according to their own flow topology.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from threading import get_ident
 from typing import (
     TYPE_CHECKING,
     Any,
-    ContextManager,
     Dict,
     Iterable,
     List,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -37,6 +35,7 @@ from typing import (
 )
 
 from ..errors import CapacityError, SnapshotError, ThreadOwnershipError
+from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, get_registry
 from . import codecs as _codecs
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker
@@ -55,56 +54,57 @@ _UNSET: Any = object()
 
 __all__ = [
     "ChunkOutcome",
-    "WriteOptions",
     "EngineStats",
     "WriteReport",
     "ReadReport",
-    "ReductionStats",
     "DedupEngine",
-    "MetadataObserver",
-    "StageTimer",
-    "active_clock",
-    "batch_stage",
-    "flush_stages",
+    "settle_allocator",
 ]
 
 
-@dataclass(frozen=True)
-class WriteOptions:
-    """Typed per-call options for the engine's write entry points.
+@functools.cache
+def settle_allocator() -> None:
+    """Free one untouched 16-MiB block, once a process: glibc's mmap and
+    heap-trim thresholds rise to it, so 256-KiB buffers — a bulk read's
+    pieces and reply, a client's replies, a server's WRITE frames — are
+    recycled rather than mapped afresh (64 page faults a buffer) on
+    every op or on none, as the process's earlier frees decided
+    (DESIGN.md §5.1)."""
+    bytes(16 * 1024 * 1024)
 
-    Every per-call knob lives here; construction-time knobs stay on the
-    engine constructor.
 
-    ``digests``
-        Precomputed SHA-256 fingerprints (e.g. from a NIC that hashed on
-        ingest), one per 4-KB chunk in flattened request order; the hash
-        stage is skipped.  Length must match the chunk count exactly.
-    ``flush``
-        Seal the open container once the batch has been written — the
-        batch-boundary behaviour systems otherwise issue as a separate
-        :meth:`DedupEngine.flush` call.
+@dataclass
+class EngineStats:
+    """Every integral ledger of one engine: ``engine.stats``.
+
+    ``stored_bytes`` is cumulative (never decremented);
+    ``reclaimed_stored_bytes`` tracks space later freed by overwrites, so
+    ``live_stored_bytes`` is the current on-SSD footprint.  All raw
+    fields are integral (R004); the ratios are derived properties.
+    ``containers_sealed`` and ``index_probes`` are counted by the
+    container store and the table: the live ledger leaves them 0, and
+    :meth:`DedupEngine.stats_snapshot` fills them into its copy.
     """
 
-    digests: Optional[Sequence[bytes]] = None
-    flush: bool = False
-
-
-#: Shared default so hot paths compare identity instead of building an
-#: options object per call.
-_NO_OPTIONS = WriteOptions()
-
-
-class _ReductionRatios:
-    """The derived figures of a reduction ledger, defined once for the
-    live :class:`ReductionStats` and the frozen :class:`EngineStats`."""
-
-    logical_bytes: int
-    unique_logical_bytes: int
-    stored_bytes: int
-    reclaimed_stored_bytes: int
-    duplicate_chunks: int
-    unique_chunks: int
+    logical_bytes: int = 0
+    unique_logical_bytes: int = 0
+    stored_bytes: int = 0
+    reclaimed_stored_bytes: int = 0
+    duplicate_chunks: int = 0
+    unique_chunks: int = 0
+    read_cache_hits: int = 0
+    read_cache_misses: int = 0
+    #: Garbage-collection work (see :meth:`DedupEngine.collect_garbage`).
+    gc_containers_reclaimed: int = 0
+    gc_bytes_moved: int = 0
+    #: Batch-planner accuracy: uniques the planner missed (compressed
+    #: inline by the walk) and duplicates it compressed needlessly.  Both
+    #: stay 0 unless the planner's shadow walk diverges from execution —
+    #: a correctness canary, live on every batch since every batch plans.
+    plan_fallback_compressions: int = 0
+    plan_wasted_compressions: int = 0
+    containers_sealed: int = 0
+    index_probes: int = 0  #: Hash-PBN buckets touched
 
     @property
     def live_stored_bytes(self) -> int:
@@ -129,110 +129,6 @@ class _ReductionRatios:
         if self.stored_bytes == 0:
             return float("inf") if self.logical_bytes else 1.0
         return self.logical_bytes / self.stored_bytes
-
-
-@dataclass(frozen=True)
-class EngineStats(_ReductionRatios):
-    """Point-in-time, lock-consistent snapshot of one engine's ledgers.
-
-    The typed return of :meth:`DedupEngine.stats_snapshot` — all raw
-    fields are integral (R004), all ratios are derived properties, and
-    the whole object is taken under the engine lock so the fields are
-    mutually consistent (reading ``engine.stats`` plus the loose
-    counters one by one is not).
-    """
-
-    logical_bytes: int
-    unique_logical_bytes: int
-    stored_bytes: int
-    reclaimed_stored_bytes: int
-    duplicate_chunks: int
-    unique_chunks: int
-    read_cache_hits: int
-    read_cache_misses: int
-    gc_containers_reclaimed: int
-    gc_bytes_moved: int
-    plan_fallback_compressions: int
-    plan_wasted_compressions: int
-    containers_sealed: int
-    #: Hash-PBN buckets touched.  The default keeps older snapshot call
-    #: sites valid.
-    index_probes: int = 0
-
-
-class StageTimer(Protocol):
-    """Per-stage instrumentation hook on :attr:`DedupEngine.stage_clock`.
-
-    :class:`~repro.obs.trace.TracedStages` is the implementation.  The
-    hot paths resolve the clock once per call through
-    :func:`active_clock`; while ``active`` is false they take the exact
-    path they would with no clock installed.  A live clock has
-    ``stage(name, chunks)`` entered once per stage per batch — a write's
-    chunk, hash, compress and walk, a read's fetch and decompress, the
-    walk, fetch and decompress tagged with the ``chunks`` they cover —
-    and ``flush()`` called once per write/write_many/read to publish
-    what accumulated.
-    """
-
-    @property
-    def active(self) -> bool: ...
-
-    def stage(self, name: str, chunks: int = 1) -> ContextManager[None]: ...
-
-    def flush(self) -> None: ...
-
-
-def active_clock(clock: Optional[StageTimer]) -> Optional[StageTimer]:
-    """``clock``, or ``None`` when it is absent or inactive — the hook
-    behind the zero-overhead tracing contract (no stage context
-    managers while tracing is disabled)."""
-    return clock if clock is not None and clock.active else None
-
-
-#: What :func:`batch_stage` hands out when no clock is live (stateless,
-#: so one shared instance serves every engine and thread).
-_NO_STAGE: ContextManager[None] = contextlib.nullcontext()
-
-
-def batch_stage(
-    clock: Optional[StageTimer], name: str, chunks: int = 1
-) -> ContextManager[None]:
-    """``clock.stage(name, chunks)``, or a no-op when no clock is live.
-
-    Every engine stage is entered once per *batch* (a write's chunk,
-    hash, compress and walk, a read's fetch and decompress), so the
-    clock-less path pays one no-op ``with`` per stage per batch and
-    nothing per chunk.
-    """
-    return _NO_STAGE if clock is None else clock.stage(name, chunks)
-
-
-def flush_stages(clock: Optional[StageTimer]) -> None:
-    """End of a write/write_many/read: a live clock publishes its batch."""
-    if clock is not None:
-        clock.flush()
-
-
-class MetadataObserver(Protocol):
-    """Receiver of the engine's metadata-mutation callbacks.
-
-    :class:`~repro.datared.journal.MetadataJournal` is the canonical
-    implementation; anything structurally compatible can plug in.  The
-    durability tier added *optional* extended callbacks —
-    ``on_unmap(lba)``, ``on_repoint(pbn, container_id, offset)``,
-    ``on_snapshot_create(name)`` and ``on_snapshot_delete(name)`` —
-    which the engine fires through ``getattr`` guards, so structural
-    observers implementing only the three required methods keep working.
-    """
-
-    def on_new_chunk(
-        self, pbn: int, digest: bytes, container_id: int, offset: int,
-        stored_size: int, logical_size: int,
-    ) -> None: ...
-
-    def on_map(self, lba: int, pbn: int) -> None: ...
-
-    def on_free(self, pbn: int) -> None: ...
 
 
 class ChunkOutcome(NamedTuple):
@@ -307,23 +203,6 @@ class ReadReport:
         return self.pieces[0] if len(self.pieces) == 1 else b"".join(self.pieces)
 
 
-@dataclass
-class ReductionStats(_ReductionRatios):
-    """Cumulative data-reduction effectiveness of an engine.
-
-    ``stored_bytes`` is cumulative (never decremented);
-    ``reclaimed_stored_bytes`` tracks space later freed by overwrites, so
-    ``live_stored_bytes`` is the current on-SSD footprint.
-    """
-
-    logical_bytes: int = 0
-    unique_logical_bytes: int = 0
-    stored_bytes: int = 0
-    reclaimed_stored_bytes: int = 0
-    duplicate_chunks: int = 0
-    unique_chunks: int = 0
-
-
 class DedupEngine:
     """End-to-end inline deduplication + compression over containers."""
 
@@ -334,16 +213,12 @@ class DedupEngine:
         containers: Optional[ContainerStore] = None,
         chunk_size: int = BLOCK_SIZE,
         num_buckets: int = 1 << 16,
-        observer: Optional[MetadataObserver] = None,
         read_cache_chunks: int = 0,
         registry: Optional[MetricsRegistry] = None,
         fingerprinter: Optional[Fingerprinter] = None,
         journal: Optional["MetadataJournal"] = None,
     ) -> None:
-        """``observer`` receives metadata-mutation callbacks
-        (``on_new_chunk``/``on_map``/``on_free``) — the hook
-        :class:`~repro.datared.journal.MetadataJournal` plugs into.
-        ``read_cache_chunks`` bounds the decompressed-read LRU (0
+        """``read_cache_chunks`` bounds the decompressed-read LRU (0
         disables it): hot re-reads of the same PBN skip the container
         fetch and ``zlib.decompress``.  PBNs are content-addressed while
         live, but a freed PBN may be *reallocated* for new content, so
@@ -355,7 +230,11 @@ class DedupEngine:
         ``fingerprinter`` injects the content-identity algorithm (a
         :class:`~repro.datared.hashing.Fingerprinter`, default
         :data:`~repro.datared.hashing.SHA256`); it must emit 32-byte
-        digests, the width of a Hash-PBN entry."""
+        digests, the width of a Hash-PBN entry.
+
+        Building an engine settles the process's allocator
+        (:func:`settle_allocator`), so its bulk reads take one speed
+        whatever the write path allocated before."""
         #: The one thread that may call in: the one building the engine
         #: (DESIGN.md §5.3).  Every public entry point that touches
         #: metadata starts with :meth:`check_owner`, so a call from any
@@ -377,22 +256,14 @@ class DedupEngine:
         self.lba_map = LbaMap()
         self.pbn_map = PbnMap()
         self.allocator = PbnAllocator()
-        self.stats = ReductionStats()
-        self.observer = observer
-        #: Group-commit journal (DESIGN.md §5.9).  Armed by the factory
-        #: from the config's DurabilityPolicy; when set it is also the
-        #: metadata observer, records stage per batch and the engine
-        #: fences them (one modeled fsync) at the end of every public
-        #: mutating op.  ``None`` costs one identity check per batch.
+        self.stats = EngineStats()
+        #: Group-commit journal (DESIGN.md §5.9), the engine's one
+        #: metadata sink.  Armed by the factory from the config's
+        #: DurabilityPolicy; when set, every metadata mutation stages a
+        #: record in it and the engine fences them (one modeled fsync)
+        #: at the end of every public mutating op.  ``None`` costs one
+        #: identity check per batch.
         self.journal = journal
-        if journal is not None:
-            if observer is None:
-                self.observer = journal
-            elif observer is not journal:
-                raise ValueError(
-                    "pass either journal= or observer=, not two different "
-                    "sinks (an armed journal is the engine's observer)"
-                )
         #: Named CoW snapshots: name -> {lba: pbn}, one pinned reference
         #: per entry (see :meth:`create_snapshot`).
         self._snapshots: Dict[str, Dict[int, int]] = {}
@@ -413,26 +284,11 @@ class DedupEngine:
         self._read_cache: Optional["OrderedDict[int, Union[bytes, int]]"] = (
             OrderedDict() if read_cache_chunks > 0 else None
         )
-        self.read_cache_hits = 0
-        self.read_cache_misses = 0
-        #: Optional per-stage instrumentation (the system layer installs
-        #: a ``TracedStages``); ``None`` keeps the hot path uninstrumented.
-        self.stage_clock: Optional[StageTimer] = None
-        #: Garbage-collection work counters (see :meth:`collect_garbage`).
-        self.gc_containers_reclaimed = 0
-        self.gc_bytes_moved = 0
-        #: Batch-planner accuracy counters: ``plan_fallback_compressions``
-        #: counts uniques the planner missed (compressed inline on the
-        #: serial stage), ``plan_wasted_compressions`` counts duplicates
-        #: it compressed needlessly.  Both stay 0 unless the planner's
-        #: shadow walk diverges from execution — a correctness canary,
-        #: live on every batch since every batch plans.
-        self.plan_fallback_compressions = 0
-        self.plan_wasted_compressions = 0
         #: Pull-model publication: the registry holds this collector via
         #: WeakMethod, so a garbage-collected engine drops out on its own.
         self.registry = registry if registry is not None else get_registry()
         self.registry.register_collector(self._publish_metrics)
+        settle_allocator()
 
     def check_owner(self) -> None:
         """Raise :class:`~repro.errors.ThreadOwnershipError` unless the
@@ -444,26 +300,15 @@ class DedupEngine:
             )
 
     def stats_snapshot(self) -> EngineStats:
-        """An :class:`EngineStats` of every ledger.
+        """A copy of :attr:`stats` with the container store's seal count
+        and the table's probe count filled in — a value, not a view.
 
         Unchecked, like the collector that calls it: the process
         registry holds the collector of every live engine, so a STATS
         answered on one thread also reads engines other threads own.
         """
-        stats = self.stats
-        return EngineStats(
-            logical_bytes=stats.logical_bytes,
-            unique_logical_bytes=stats.unique_logical_bytes,
-            stored_bytes=stats.stored_bytes,
-            reclaimed_stored_bytes=stats.reclaimed_stored_bytes,
-            duplicate_chunks=stats.duplicate_chunks,
-            unique_chunks=stats.unique_chunks,
-            read_cache_hits=self.read_cache_hits,
-            read_cache_misses=self.read_cache_misses,
-            gc_containers_reclaimed=self.gc_containers_reclaimed,
-            gc_bytes_moved=self.gc_bytes_moved,
-            plan_fallback_compressions=self.plan_fallback_compressions,
-            plan_wasted_compressions=self.plan_wasted_compressions,
+        return replace(
+            self.stats,
             containers_sealed=self.containers.sealed_count,
             index_probes=self.table.probe_count,
         )
@@ -515,7 +360,8 @@ class DedupEngine:
         self,
         lba: int,
         payload: Union[bytes, bytearray, memoryview],
-        options: Optional[WriteOptions] = None,
+        *,
+        digests: Optional[Sequence[bytes]] = None,
     ) -> WriteReport:
         """Write ``payload`` at chunk-aligned ``lba``; dedupe + compress.
 
@@ -523,16 +369,16 @@ class DedupEngine:
         boundary materializes them, all within this call (DESIGN.md
         §5.4) — the caller's buffer may be reused once it returns.
 
-        Per-call behaviour (precomputed digests, trailing flush) is
-        configured by ``options``; see :class:`WriteOptions`.  A single
-        write is a batch of one — there is no second write path.
+        ``digests`` as in :meth:`write_many`.  A single write is a batch
+        of one — there is no second write path.
         """
-        return self.write_many([(lba, payload)], options)[0]
+        return self.write_many([(lba, payload)], digests=digests)[0]
 
     def write_many(
         self,
         requests: Iterable[Tuple[int, Union[bytes, bytearray, memoryview]]],
-        options: Optional[WriteOptions] = None,
+        *,
+        digests: Optional[Sequence[bytes]] = None,
     ) -> List[WriteReport]:
         """Write a batch of ``(lba, payload)`` requests, stage-split.
 
@@ -543,7 +389,7 @@ class DedupEngine:
         the batch in chunk order — one Hash-PBN lookup per chunk through
         whatever store is below — with the precomputed artifacts
         injected.  Results — bytes,
-        :class:`ReductionStats`, container placements, journal event
+        :class:`EngineStats`, container placements, journal event
         order — are identical to calling :meth:`write` per request, and
         every batch takes these stages whatever the tracing state:
         batching the compress stage is faster and smaller-heap than
@@ -554,23 +400,21 @@ class DedupEngine:
         anything; the chunks before it stay applied (per-chunk
         atomicity, like a split write).
 
-        Per-call behaviour is configured by ``options``
-        (:class:`WriteOptions`): precomputed digests skip the hash
-        stage, ``flush`` seals the open container after the batch.
+        ``digests`` hands in precomputed SHA-256 fingerprints (e.g. from
+        a NIC that hashed on ingest), one per chunk in flattened request
+        order, and the hash stage is skipped; any other count is a
+        :class:`ValueError`.
 
         Returns one :class:`WriteReport` per request, in order.
         """
         self.check_owner()
-        if options is None:
-            options = _NO_OPTIONS
         try:
-            reports = self._write_batch(requests, options.digests)
-            if options.flush:
-                self.containers.seal_open()
+            reports = self._write_batch(requests, digests)
         finally:
             # Also on a refused chunk: the chunks applied before it
             # are fenced and their deferred frees drained, so the
             # engine is at rest whichever way the batch ended.
+            _trace.flush_stages()
             self._commit()
         return reports
 
@@ -579,13 +423,13 @@ class DedupEngine:
         requests: Iterable[Tuple[int, Union[bytes, bytearray, memoryview]]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
-        clock = active_clock(self.stage_clock)
+        stage = _trace.stage
         requests = list(requests)
         reports = [WriteReport() for _ in requests]
         # Stages 0-1: chunk, then fingerprint every chunk — or check
         # that the caller's precomputed digests number one per chunk.
         split = self.chunker.split
-        with batch_stage(clock, "chunk"):
+        with stage("chunk"):
             flat = [
                 (index, chunk)
                 for index, (lba, payload) in enumerate(requests)
@@ -595,7 +439,7 @@ class DedupEngine:
             return reports
         chunks = [chunk for _, chunk in flat]
         if digests is None:
-            with batch_stage(clock, "hash"):
+            with stage("hash"):
                 digests = self.fingerprinter.digest_many(
                     [chunk.data for chunk in chunks]
                 )
@@ -611,7 +455,7 @@ class DedupEngine:
         # Stage 3: compress exactly those chunks, as one batch.
         staged: Dict[int, CompressedChunk] = {}
         if plan:
-            with batch_stage(clock, "compress"):
+            with stage("compress"):
                 packed = self.compressor.compress_many(
                     [chunks[position].data for position in plan]
                 )
@@ -631,9 +475,9 @@ class DedupEngine:
         pbn_map = self.pbn_map
         add, ref = pbn_map.add, pbn_map.ref
         set_lba = self.lba_map.set
-        observer = self.observer
-        if observer is not None:
-            on_new_chunk, on_map = observer.on_new_chunk, observer.on_map
+        journal = self.journal
+        if journal is not None:
+            on_new_chunk, on_map = journal.on_new_chunk, journal.on_map
         release = self._release
         compress = self.compressor.compress
         logical = duplicates = uniques = unique_logical = stored = 0
@@ -645,7 +489,7 @@ class DedupEngine:
         outcomes = report.chunks
         sealed_before = containers.sealed_count
         try:
-            with batch_stage(clock, "walk", len(flat)):
+            with stage("walk", len(flat)):
                 for position, ((index, chunk), digest) in enumerate(
                     zip(flat, digests)
                 ):
@@ -688,7 +532,7 @@ class DedupEngine:
                         pbn = allocate()
                         add(pbn, container_id, offset, stored_size, digest)
                         insert(digest, pbn)
-                        if observer is not None:
+                        if journal is not None:
                             on_new_chunk(
                                 pbn, digest, container_id, offset,
                                 stored_size, size,
@@ -705,7 +549,7 @@ class DedupEngine:
                         duplicates += 1
                         outcome = ChunkOutcome(lba, pbn, True, size, 0)
                     old = set_lba(lba, pbn)
-                    if observer is not None:
+                    if journal is not None:
                         on_map(lba, pbn)
                     if old is not None:
                         # Also when old == pbn (same content rewritten in
@@ -719,9 +563,8 @@ class DedupEngine:
             stats.unique_chunks += uniques
             stats.unique_logical_bytes += unique_logical
             stats.stored_bytes += stored
-            self.plan_wasted_compressions += wasted
-            self.plan_fallback_compressions += fallback
-            flush_stages(clock)
+            stats.plan_wasted_compressions += wasted
+            stats.plan_fallback_compressions += fallback
         report.containers_sealed = containers.sealed_count - sealed_before
         return reports
 
@@ -800,7 +643,10 @@ class DedupEngine:
         # cached decompressed bytes for it must go *now*.
         if self._read_cache is not None:
             self._read_cache.pop(pbn, None)
+        self.table.remove(fingerprint)
+        self.allocator.free(pbn)
         if self.journal is not None:
+            self.journal.on_free(pbn)
             # Defer the physical free to the commit barrier: the bytes
             # may be the only copy of data whose release record is not
             # durable yet (crash before the fence -> replay resurrects
@@ -808,10 +654,6 @@ class DedupEngine:
             self._pending_releases.append((container_id, offset, stored_size))
         else:
             self._mark_dead(container_id, offset, stored_size)
-        self.table.remove(fingerprint)
-        self.allocator.free(pbn)
-        if self.observer is not None:
-            self.observer.on_free(pbn)
         self.stats.reclaimed_stored_bytes += stored_size
         report.reclaimed_chunks += 1
 
@@ -851,16 +693,12 @@ class DedupEngine:
         for lba in lbas if step != 1 else ():
             if lba % step != 0:
                 raise ValueError(f"LBA {lba} is not chunk-aligned")
-        clock = active_clock(self.stage_clock)
-        report = self._read_pass(lbas, clock=clock)
-        flush_stages(clock)
-        return report
+        return self._read_pass(lbas)
 
     def _read_pass(  # repro-lint: hot-path
-        self, lbas: Sequence[int],
-        mapping: Optional[Dict[int, int]] = None,
-        clock: Optional[StageTimer] = None,
+        self, lbas: Sequence[int], mapping: Optional[Dict[int, int]] = None
     ) -> ReadReport:
+        stage = _trace.stage
         report = ReadReport()
         num_chunks = len(lbas)
         chunk_size = self.chunker.chunk_size
@@ -873,8 +711,9 @@ class DedupEngine:
         pending_pbn: List[int] = []  # parallel to pending; cache on only
         plain: List[bytes] = []
         zero = b"\x00" * chunk_size
+        misses = 0
         try:
-            with batch_stage(clock, "fetch", num_chunks):
+            with stage("fetch", num_chunks):
                 pbns = (
                     self.lba_map.get_many(lbas)
                     if mapping is None
@@ -889,12 +728,11 @@ class DedupEngine:
                         hit = cache.get(pbn)
                         if hit is not None:
                             cache.move_to_end(pbn)
-                            self.read_cache_hits += 1
                             report.cache_hits += 1
                             slots.append(hit)
                             sizes.append(0)
                             continue
-                        self.read_cache_misses += 1
+                        misses += 1
                     container_id, offset, stored_size = placed
                     payload = self.containers.read(container_id, offset)
                     if cache is not None:
@@ -917,7 +755,7 @@ class DedupEngine:
             if pending:
                 # The tag-dispatched decoder reads every registered codec's
                 # payloads regardless of the *configured* write codec.
-                with batch_stage(clock, "decompress", len(pending)):
+                with stage("decompress", len(pending)):
                     plain = _codecs.decode_many(pending)
         finally:
             # Bytes for the pending indexes — or, after a failed fetch or
@@ -928,6 +766,10 @@ class DedupEngine:
                         cache[pbn] = plain[index]  # same PBN, same bytes
                     else:
                         del cache[pbn]
+            if cache is not None:
+                self.stats.read_cache_hits += report.cache_hits
+                self.stats.read_cache_misses += misses
+            _trace.flush_stages()
         report.chunks_read = report.cache_hits + len(pending)
         report.unmapped_chunks = num_chunks - report.chunks_read
         report.stored_bytes_read = sum(sizes)
@@ -955,7 +797,8 @@ class DedupEngine:
         report = WriteReport()
         old_pbn = self.lba_map.unmap(lba)
         if old_pbn is not None:
-            self._fire_observer("on_unmap", lba)
+            if self.journal is not None:
+                self.journal.on_unmap(lba)
             self._release(old_pbn, report)
         self._commit()
         return report
@@ -982,7 +825,7 @@ class DedupEngine:
         self.check_owner()
         reclaimed = 0
         victims = self.containers.garbage_victims(threshold)
-        journaled = self.journal is not None
+        journal = self.journal
         for victim in victims:
             owners = self.pbn_map.owners(victim.container_id)
             for offset, payload in victim.chunks():
@@ -994,7 +837,13 @@ class DedupEngine:
                     )
                 stored_size = self.pbn_map.get(pbn).stored_size
                 placement = self.containers.append(payload, stored_size)
-                if journaled:
+                self.pbn_map.repoint(
+                    pbn, placement.container_id, placement.offset
+                )
+                if journal is not None:
+                    journal.on_repoint(
+                        pbn, placement.container_id, placement.offset
+                    )
                     # The old placement stays readable until the
                     # REPOINT record is fenced: a crash before the
                     # commit replays the pre-GC placements.
@@ -1003,41 +852,24 @@ class DedupEngine:
                     )
                 else:
                     victim.mark_dead(offset, stored_size)
-                self.pbn_map.repoint(
-                    pbn, placement.container_id, placement.offset
-                )
-                self._fire_observer(
-                    "on_repoint", pbn, placement.container_id,
-                    placement.offset,
-                )
                 # Conservative read-LRU hygiene: the moved chunk's
                 # bytes are identical, but drop the entry anyway so
                 # the cache can never outlive a compaction decision.
                 if self._read_cache is not None:
                     self._read_cache.pop(pbn, None)
-                self.gc_bytes_moved += stored_size
+                self.stats.gc_bytes_moved += stored_size
             # Every live chunk moved out: the victim's PBN list is stale.
             self.pbn_map.forget_container(victim.container_id)
-            if journaled:
+            if journal is not None:
                 self._pending_drops.append(victim.container_id)
             else:
                 self.containers.drop(victim.container_id)
             reclaimed += 1
-        self.gc_containers_reclaimed += reclaimed
+        self.stats.gc_containers_reclaimed += reclaimed
         self._commit()
         return reclaimed
 
     # -- durability barrier (DESIGN.md §5.9) -----------------------------------
-    def _fire_observer(self, hook_name: str, *args: Any) -> None:
-        """Fire an *extended* observer callback through a getattr guard
-        (pre-durability structural observers only have the core three)."""
-        observer = self.observer
-        if observer is None:
-            return
-        hook = getattr(observer, hook_name, None)
-        if hook is not None:
-            hook(*args)
-
     def _commit(self, checkpoint_if_due: bool = True) -> None:
         """Group-commit barrier at the end of every public mutating op.
 
@@ -1129,7 +961,8 @@ class DedupEngine:
         for pbn in pins.values():
             self.pbn_map.ref(pbn)
         self._snapshots[name] = pins
-        self._fire_observer("on_snapshot_create", name)
+        if self.journal is not None:
+            self.journal.on_snapshot_create(name)
         self._commit()
         return len(pins)
 
@@ -1146,7 +979,8 @@ class DedupEngine:
         # Journal the delete *before* the releases it implies, so
         # replay (which performs the releases at SNAP_DELETE) sees
         # the same order; the FREE records that follow are advisory.
-        self._fire_observer("on_snapshot_delete", name)
+        if self.journal is not None:
+            self.journal.on_snapshot_delete(name)
         report = WriteReport()
         for pbn in pins.values():
             self._release(pbn, report)

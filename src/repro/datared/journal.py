@@ -30,8 +30,9 @@ system that loses its Hash-PBN table or LBA map after a crash loses the
   placed) raises :class:`~repro.errors.JournalCorruptError` — recovery
   never guesses.
 
-The engine emits journal records through its observer hook, so
-journaling is opt-in and costs nothing when unused.  Arm it through
+The engine calls its armed journal (``DedupEngine.journal``) at every
+metadata mutation, so journaling is opt-in and costs nothing when
+unused.  Arm it through
 :class:`~repro.systems.config.DurabilityPolicy` and
 :func:`~repro.systems.factory.build_engine`.
 """
@@ -252,13 +253,13 @@ class CheckpointState:
 class MetadataJournal:
     """Group-committed metadata log with per-record CRC framing.
 
-    Implements the engine-observer protocol (``on_new_chunk``,
-    ``on_map``, ``on_free``, ``on_unmap``, ``on_repoint``,
-    ``on_snapshot_create``, ``on_snapshot_delete``), so an instance can
-    be handed directly to :class:`~repro.datared.dedup.DedupEngine` as
-    its observer — :func:`~repro.systems.factory.build_engine` does
-    exactly that when the config's
-    :class:`~repro.systems.config.DurabilityPolicy` arms journaling.
+    The engine's one metadata sink: a
+    :class:`~repro.datared.dedup.DedupEngine` built with ``journal=``
+    calls ``on_new_chunk``, ``on_map``, ``on_free``, ``on_unmap``,
+    ``on_repoint``, ``on_snapshot_create`` and ``on_snapshot_delete``
+    on it — :func:`~repro.systems.factory.build_engine` arms one when
+    the config's :class:`~repro.systems.config.DurabilityPolicy` turns
+    journaling on.
 
     Records *stage* in memory as ``(kind, payload)``; :meth:`commit`
     frames the whole staged run and makes it durable at once behind a
@@ -323,7 +324,7 @@ class MetadataJournal:
     def _stage(self, kind: int, payload: bytes) -> None:
         self._staged.append((kind, payload))
 
-    # -- observer protocol (called by the engine) -----------------------------
+    # -- metadata events (called by the engine) -------------------------------
     def on_new_chunk(
         self, pbn: int, digest: bytes, container_id: int, offset: int,
         stored_size: int, logical_size: int,

@@ -42,7 +42,7 @@ def _churn(engine: DedupEngine, rng: random.Random, num_writes: int,
                 gc_runs += 1
     engine.flush()
     stats = engine.stats
-    gc_moved = engine.gc_bytes_moved
+    gc_moved = stats.gc_bytes_moved
     flash_writes = stats.stored_bytes + gc_moved
     return {
         "logical": stats.logical_bytes,

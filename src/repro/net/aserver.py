@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..datared.chunking import BLOCK_SIZE, LBA_LIMIT
+from ..datared.dedup import settle_allocator
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..errors import ProtocolError, raise_for_error_payload
@@ -69,17 +70,6 @@ __all__ = ["AsyncProtocolServer", "AsyncProtocolClient", "ServerMetrics"]
 
 #: What a connection's decoder yields and the queue carries.
 _Event = Union[Frame, ProtocolError]
-
-
-@functools.cache
-def _settle_allocator() -> None:
-    """Free one untouched 16-MiB block, once a process: glibc's mmap and
-    heap-trim thresholds rise to it, so the 256-KiB wire buffers of
-    either end — a client's replies, a server's WRITE frames — are
-    recycled rather than mapped afresh (64 page faults a buffer) on
-    every op or on none, as the process's earlier frees decided
-    (DESIGN.md §5.1)."""
-    bytes(16 * 1024 * 1024)
 
 
 @dataclass
@@ -241,7 +231,6 @@ class AsyncProtocolServer:
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> "AsyncProtocolServer":
         """Bind the listening socket and launch the worker pool."""
-        _settle_allocator()
         self._work, self._drained = asyncio.Event(), asyncio.Event()
         self._server = await asyncio.get_running_loop().create_server(
             functools.partial(_Connection, self), self.host, self.port
@@ -475,7 +464,8 @@ class AsyncProtocolClient(asyncio.Protocol):
         #: ``(wire, future)`` of this tick's requests, sent by ``_flush``.
         self._corked: list = []
         self._closed = False
-        _settle_allocator()
+        # A client process may build no engine, which would settle it.
+        settle_allocator()
 
     @classmethod
     async def connect(

@@ -27,7 +27,6 @@ from .metrics import (
 )
 from .trace import (
     SpanRecord,
-    TracedStages,
     is_enabled,
     set_enabled,
     span,
@@ -48,7 +47,6 @@ __all__ = [
     "set_registry",
     # trace
     "SpanRecord",
-    "TracedStages",
     "span",
     "is_enabled",
     "set_enabled",

@@ -9,12 +9,11 @@ so percentiles survive long after the ring has wrapped.
 **The zero-overhead contract.**  Tracing is off by default and the
 disabled path is one module-level dict lookup plus a shared no-op
 context manager — no allocation, no clock read, no lock
-(``benchmarks/test_microbench.py`` gates an installed-but-disabled
-clock at ≥ 0.97× the clock-less write path, and the engine's
-``stage_clock`` resolves to ``None`` outright while a
-:class:`TracedStages` clock is inactive).
-Code therefore calls :func:`span` unconditionally; it never needs its
-own ``if`` around instrumentation.
+(``benchmarks/test_microbench.py`` gates the engine's write path
+through the disabled :func:`stage`/:func:`flush_stages` at ≥ 0.97× the
+same path through stubbed no-ops).  Code therefore calls :func:`span`
+and :func:`stage` unconditionally; it never needs its own ``if`` around
+instrumentation.
 
 A span finishes on the thread that opened it: the storage stack runs
 every stage on its one owner thread (DESIGN.md §5.3), so no span ever
@@ -46,8 +45,9 @@ from . import metrics as _metrics
 
 __all__ = [
     "SpanRecord",
-    "TracedStages",
     "span",
+    "stage",
+    "flush_stages",
     "observe",
     "observe_group",
     "now_ns",
@@ -237,7 +237,7 @@ def clear() -> None:
         _ring.clear()
 
 
-# -- the engine's StageTimer ------------------------------------------------
+# -- the engine's per-batch stages ------------------------------------------
 class _StageTotal:
     """One stage's busy time and covered-chunk count on one thread since
     the last flush (re-enterable, non-reentrant)."""
@@ -256,61 +256,50 @@ class _StageTotal:
         self.covered += self.entering
 
 
-class TracedStages:
-    """A :class:`~repro.datared.dedup.StageTimer` publishing spans.
+#: Each thread's stage accumulators, by stage name.
+_stages = threading.local()
 
-    Installed on ``DedupEngine.stage_clock`` by the system layer.  The
-    :attr:`active` property is the hook the engine's hot path checks:
-    while tracing is disabled the engine treats the clock as absent
-    (``None`` path — no context managers, no batch shadow-plan), so an
-    installed-but-inactive clock costs one attribute read per call.
 
-    Stages are **per batch**: ``stage(name)`` is the calling thread's
-    accumulator, and :meth:`flush` — called by the engine once per
-    write/write_many/read — records one ``<prefix>.<name>`` span per
-    stage entered since the last flush: its summed busy time, tagged
-    with the ``chunks`` its entries covered (the engine enters each
-    stage once per batch: a write's walk with the batch's chunk count,
-    its vectorised chunk/hash/compress with 1, a read's
-    fetch/decompress with the request's chunk count).  Totals are per
-    thread, so threads sharing one clock never mix their stages.
+def stage(name: str, chunks: int = 1) -> ContextManager[Any]:
+    """One engine stage of the current batch: the calling thread's
+    ``engine.stage.<name>`` accumulator, or the shared no-op while
+    tracing is disabled.
+
+    The engine enters each stage once per batch — a write's walk with
+    the batch's chunk count, its vectorised chunk/hash/compress with 1,
+    a read's fetch/decompress with the request's chunk count — and
+    :func:`flush_stages` publishes what accumulated.
     """
+    if not _STATE["enabled"]:
+        return _NOOP
+    totals = _stages.__dict__
+    total = totals.get(name)
+    if total is None:
+        total = totals[name] = _StageTotal(f"engine.stage.{name}")
+    total.entering = chunks
+    return total
 
-    __slots__ = ("_prefix", "_local")
 
-    def __init__(self, prefix: str = "engine.stage") -> None:
-        self._prefix = prefix
-        self._local = threading.local()
-
-    @property
-    def active(self) -> bool:
-        return _STATE["enabled"]
-
-    def stage(self, name: str, chunks: int = 1) -> ContextManager[Any]:
-        if not _STATE["enabled"]:
-            return _NOOP
-        totals = self._local.__dict__
-        total = totals.get(name)
-        if total is None:
-            total = totals[name] = _StageTotal(f"{self._prefix}.{name}")
-        total.entering = chunks
-        return total
-
-    def flush(self) -> None:
-        """Record this thread's accumulated stages, one span each (the
-        fields they share read once: a 1-chunk read flushes two)."""
-        end = now_ns()
-        trace_id = _TRACE_ID.get() or 0
-        thread = threading.current_thread().name
-        records = []
-        for total in self._local.__dict__.values():
-            if total.covered:
-                records.append(SpanRecord(
-                    total.name, trace_id, end - total.busy_ns, total.busy_ns,
-                    thread, {"chunks": total.covered},
-                ))
-                total.busy_ns = total.covered = 0
-        _record(*records)
+def flush_stages() -> None:
+    """End of a write/write_many/read pass: record one span per stage
+    this thread entered since the last flush — its summed busy time,
+    tagged with the ``chunks`` its entries covered — in one ring round
+    (the fields they share read once: a 1-chunk read flushes two).
+    Totals are per thread, so threads never mix their stages."""
+    if not _STATE["enabled"]:
+        return
+    end = now_ns()
+    trace_id = _TRACE_ID.get() or 0
+    thread = threading.current_thread().name
+    records = []
+    for total in _stages.__dict__.values():
+        if total.covered:
+            records.append(SpanRecord(
+                total.name, trace_id, end - total.busy_ns, total.busy_ns,
+                thread, {"chunks": total.covered},
+            ))
+            total.busy_ns = total.covered = 0
+    _record(*records)
 
 
 Span = Union[_NoopSpan, _Span]

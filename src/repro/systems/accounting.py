@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..cache.table_cache import CacheStats
-from ..datared.dedup import ReductionStats
+from ..datared.dedup import EngineStats
 from ..hw.cpu import CpuLedger
 from ..hw.memory import MemoryLedger
 from ..hw.pcie import PcieTopology
@@ -92,7 +92,7 @@ class SystemReport:
     cpu: CpuLedger
     pcie: PcieTopology
     cache_stats: CacheStats
-    reduction: ReductionStats
+    reduction: EngineStats
     tree_node_visits: int = 0
     engine_tree_updates: int = 0  #: updates handled by the Cache HW-Engine
     predictor_accuracy: Optional[float] = None

@@ -25,7 +25,7 @@ from ..errors import AlignmentError, CapacityError
 from ..datared.chunking import Chunk
 from ..datared.compression import Compressor
 from ..datared.container import Container
-from ..datared.dedup import ChunkOutcome, ReadReport, WriteOptions
+from ..datared.dedup import ChunkOutcome, ReadReport
 from ..datared.hash_pbn import InMemoryBucketStore
 from ..hw.cpu import CpuLedger
 from ..hw.memory import MemoryLedger
@@ -34,7 +34,6 @@ from ..hw.specs import PROTOTYPE_SERVER, ServerSpec
 from ..hw.ssd import SsdArray
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import TracedStages
 from .accounting import SystemReport
 from .config import SystemConfig
 from .factory import build_engine
@@ -120,13 +119,6 @@ class ReductionSystem:
             compressor=compressor,
             on_seal=self._on_container_seal,
         )
-        #: Always-installed stage tracing.  While tracing is disabled
-        #: the clock reports itself inactive and the engine takes its
-        #: clock-less fast path, so this costs one attribute read per
-        #: batch; enabling tracing at runtime lights up the per-stage
-        #: spans with no reconfiguration.
-        self.engine.stage_clock = TracedStages()
-
         #: One owner for the whole stack: the engine's (DESIGN.md §5.3).
         #: Every client entry point below starts with this check.
         self.check_owner = self.engine.check_owner
@@ -437,8 +429,7 @@ class ReductionSystem:
         """
         snapshot = self._snapshot()
         reports = self.engine.write_many(
-            [(chunk.lba, chunk.data) for chunk in chunks],
-            WriteOptions(digests=digests) if digests is not None else None,
+            [(chunk.lba, chunk.data) for chunk in chunks], digests=digests
         )
         outcomes = [
             outcome for report in reports for outcome in report.chunks

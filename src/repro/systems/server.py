@@ -14,7 +14,7 @@ import enum
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .. import obs as _obs
-from ..datared.dedup import EngineStats, ReductionStats
+from ..datared.dedup import EngineStats
 from .accounting import SystemReport
 from .base import ReductionSystem
 from .baseline import BaselineSystem
@@ -104,7 +104,7 @@ class StorageServer:
 
     # -- introspection -------------------------------------------------------------
     @property
-    def reduction_stats(self) -> ReductionStats:
+    def reduction_stats(self) -> EngineStats:
         """Dedup/compression effectiveness so far."""
         return self.system.engine.stats
 

@@ -385,9 +385,8 @@ class TestRecovery:
 
     def test_unjournaled_engine_pays_nothing(self, rng):
         engine = DedupEngine(num_buckets=256, compressor=ModeledCompressor(0.5))
-        assert engine.observer is None
         assert engine.journal is None
-        engine.write(0, rng.randbytes(CHUNK))  # no observer calls, no error
+        engine.write(0, rng.randbytes(CHUNK))  # no journal calls, no error
 
     def test_journal_size_scales_with_mutations(self, rng):
         engine, journal = journaled_engine()

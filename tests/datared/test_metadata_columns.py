@@ -200,7 +200,7 @@ class TestCheckpointRoundTrip:
         engine.trim(14)
         engine.write(2**40, pool[1])  # a sparse LBA page
         reused = [pbn for pbn in engine.pbn_map.pbns() if pbn < 16]
-        assert reused and engine.gc_bytes_moved > 0
+        assert reused and engine.stats.gc_bytes_moved > 0
         check_engine(engine)
 
         engine.checkpoint()

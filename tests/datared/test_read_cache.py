@@ -48,7 +48,7 @@ class TestReadCacheServing:
         first = engine.read(0)
         assert first.data == data
         assert first.cache_hits == 0
-        assert engine.read_cache_misses == 1
+        assert engine.stats.read_cache_misses == 1
 
         second = engine.read(0)
         assert second.data == data
@@ -56,7 +56,7 @@ class TestReadCacheServing:
         assert second.chunks_read == 1
         # A cache hit moves no stored bytes — that is the point.
         assert second.stored_bytes_read == 0
-        assert engine.read_cache_hits == 1
+        assert engine.stats.read_cache_hits == 1
 
     def test_cache_is_pbn_keyed_so_duplicates_share_entries(self, rng):
         engine = build_engine(cache_chunks=8)
@@ -90,7 +90,7 @@ class TestReadCacheServing:
         assert engine._read_cache is None
         assert engine.read(0).data == data
         assert engine.read(0).cache_hits == 0
-        assert engine.read_cache_hits == engine.read_cache_misses == 0
+        assert engine.stats.read_cache_hits == engine.stats.read_cache_misses == 0
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ only as the counted fallback for a unique the plan missed.
 import pytest
 
 from repro.datared.compression import ModeledCompressor, ZlibCompressor
-from repro.datared.dedup import DedupEngine, WriteOptions, active_clock
+from repro.datared.dedup import DedupEngine
 from repro.datared.hash_pbn import HashPbnTable
 from repro.datared.hashing import fingerprint
 from repro.datared.journal import MetadataJournal
@@ -98,14 +98,14 @@ def test_write_is_write_many_of_one(rng, interposed, with_digests):
     solo, solo_journal, solo_store = _build(interposed)
     batch, batch_journal, batch_store = _build(interposed)
     for lba, payload in _self_overwriting_stream(rng):
-        options = None
+        digests = None
         if with_digests:
-            options = WriteOptions(digests=[
+            digests = [
                 fingerprint(payload[offset : offset + CHUNK])
                 for offset in range(0, len(payload), CHUNK)
-            ])
-        report = solo.write(lba, payload, options)
-        twin = batch.write_many([(lba, payload)], options)[0]
+            ]
+        report = solo.write(lba, payload, digests=digests)
+        twin = batch.write_many([(lba, payload)], digests=digests)[0]
         assert report == twin
         # Journal record order, fence by fence.
         assert solo_journal.to_bytes() == batch_journal.to_bytes()
@@ -147,16 +147,12 @@ class _CountingZlib(ZlibCompressor):
             self._in_batch = False
 
 
-@pytest.mark.parametrize("clock", ["none", "installed-but-disabled"])
-def test_untraced_serial_batch_plans_and_batch_compresses(rng, clock):
+def test_untraced_serial_batch_plans_and_batch_compresses(rng):
     """Tracing off: the configuration that used to skip the plan and
     compress inside the walk."""
     compressor = _CountingZlib()
     engine = DedupEngine(num_buckets=256, compressor=compressor)
-    if clock == "installed-but-disabled":
-        engine.stage_clock = trace.TracedStages()
     assert not trace.is_enabled()
-    assert active_clock(engine.stage_clock) is None
 
     engine.write_many(
         [(lba, rng.randbytes(CHUNK // 2) + bytes(CHUNK // 2))
@@ -166,8 +162,8 @@ def test_untraced_serial_batch_plans_and_batch_compresses(rng, clock):
     assert engine.stats.unique_chunks == 64
     assert compressor.batch_calls == 1
     assert compressor.inline_calls == 0
-    assert engine.plan_fallback_compressions == 0
-    assert engine.plan_wasted_compressions == 0
+    assert engine.stats.plan_fallback_compressions == 0
+    assert engine.stats.plan_wasted_compressions == 0
 
 
 def test_a_unique_the_plan_missed_falls_back_and_is_counted(rng):
@@ -180,6 +176,6 @@ def test_a_unique_the_plan_missed_falls_back_and_is_counted(rng):
     engine.write_many(list(enumerate(payloads)))
     assert compressor.batch_calls == 0
     assert compressor.inline_calls == 5
-    assert engine.plan_fallback_compressions == 5
+    assert engine.stats.plan_fallback_compressions == 5
     for lba, data in enumerate(payloads):
         assert engine.read(lba).data == data

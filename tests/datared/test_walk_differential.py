@@ -27,13 +27,11 @@ from repro.datared.dedup import (
     ChunkOutcome,
     DedupEngine,
     WriteReport,
-    active_clock,
-    batch_stage,
-    flush_stages,
 )
 from repro.datared.hash_pbn import HashPbnTable
 from repro.datared.journal import MetadataJournal
 from repro.errors import CapacityError
+from repro.obs import trace
 from repro.systems.baseline import BaselineSystem
 from repro.systems.config import DurabilityPolicy, SystemConfig
 from repro.systems.fidr import FidrSystem
@@ -52,10 +50,9 @@ class PerChunkWalk(DedupEngine):
     """The write walk as a call per chunk (the reference)."""
 
     def _write_batch(self, requests, digests):
-        clock = active_clock(self.stage_clock)
         requests = list(requests)
         reports = [WriteReport() for _ in requests]
-        with batch_stage(clock, "chunk"):
+        with trace.stage("chunk"):
             flat = [
                 (index, chunk)
                 for index, (lba, payload) in enumerate(requests)
@@ -65,7 +62,7 @@ class PerChunkWalk(DedupEngine):
             return reports
         chunks = [chunk for _, chunk in flat]
         if digests is None:
-            with batch_stage(clock, "hash"):
+            with trace.stage("hash"):
                 digests = self.fingerprinter.digest_many(
                     [chunk.data for chunk in chunks]
                 )
@@ -76,7 +73,7 @@ class PerChunkWalk(DedupEngine):
         plan = self._plan_batch(chunks, digests)
         staged = {}
         if plan:
-            with batch_stage(clock, "compress"):
+            with trace.stage("compress"):
                 packed = self.compressor.compress_many(
                     [chunks[position].data for position in plan]
                 )
@@ -96,16 +93,16 @@ class PerChunkWalk(DedupEngine):
                     sealed_before = self.containers.sealed_count
                 precompressed = staged.pop(position, None)
                 outcome = self._write_chunk(
-                    chunk, reports[index], clock, digest, precompressed
+                    chunk, reports[index], digest, precompressed
                 )
                 reports[index].add(outcome)
                 if outcome.duplicate:
                     if precompressed is not None:
-                        self.plan_wasted_compressions += 1
+                        self.stats.plan_wasted_compressions += 1
                 elif precompressed is None:
-                    self.plan_fallback_compressions += 1
+                    self.stats.plan_fallback_compressions += 1
         finally:
-            flush_stages(clock)
+            trace.flush_stages()
         reports[current].containers_sealed = (
             self.containers.sealed_count - sealed_before
         )
@@ -161,12 +158,9 @@ class PerChunkWalk(DedupEngine):
                 release(old)
         return plan
 
-    def _write_chunk(self, chunk, report, clock, digest, precompressed):
-        if clock is None:
+    def _write_chunk(self, chunk, report, digest, precompressed):
+        with trace.stage("lookup"):
             existing_pbn = self.table.lookup(digest)
-        else:
-            with clock.stage("lookup"):
-                existing_pbn = self.table.lookup(digest)
         if existing_pbn is None and self.table.is_full:
             raise CapacityError(
                 f"Hash-PBN table is full ({self.table.entry_count} "
@@ -198,8 +192,8 @@ class PerChunkWalk(DedupEngine):
             placement.stored_size, digest,
         )
         self.table.insert(digest, pbn)
-        if self.observer is not None:
-            self.observer.on_new_chunk(
+        if self.journal is not None:
+            self.journal.on_new_chunk(
                 pbn, digest, placement.container_id, placement.offset,
                 placement.stored_size, len(chunk.data),
             )
@@ -214,8 +208,8 @@ class PerChunkWalk(DedupEngine):
 
     def _remap(self, lba, new_pbn, report):
         old_pbn = self.lba_map.set(lba, new_pbn)
-        if self.observer is not None:
-            self.observer.on_map(lba, new_pbn)
+        if self.journal is not None:
+            self.journal.on_map(lba, new_pbn)
         if old_pbn is not None:
             self._release(old_pbn, report)
 
@@ -326,8 +320,8 @@ class _Stack:
         self.reports: List[List[Tuple]] = []
         write_many = self.engine.write_many
 
-        def recorded(requests, options=None):
-            reports = write_many(requests, options)
+        def recorded(requests, digests=None):
+            reports = write_many(requests, digests=digests)
             self.reports.append([_report_view(report) for report in reports])
             return reports
 

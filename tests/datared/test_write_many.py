@@ -4,7 +4,7 @@ Covers the incrementally-maintained ``WriteReport`` aggregates and —
 the load-bearing property of the stage-split design — the differential
 guarantee that a batched :meth:`~repro.datared.dedup.DedupEngine.write_many`
 is *indistinguishable* from one ``write`` per chunk: same bytes, same
-reports, same :class:`~repro.datared.dedup.ReductionStats`.
+reports, same :class:`~repro.datared.dedup.EngineStats`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.datared.compression import ZlibCompressor
 from repro.datared.dedup import (
     ChunkOutcome,
     DedupEngine,
-    WriteOptions,
     WriteReport,
 )
 from repro.datared.hashing import fingerprint
@@ -148,8 +147,8 @@ def test_write_many_matches_per_chunk_writes(
     assert single.table.entry_count == batched.table.entry_count
 
     # Planner never diverged from execution on any grid cell.
-    assert batched.plan_fallback_compressions == 0
-    assert batched.plan_wasted_compressions == 0
+    assert batched.stats.plan_fallback_compressions == 0
+    assert batched.stats.plan_wasted_compressions == 0
 
     # Both engines obey every ledger/index conservation law.
     assert check_engine(single) == []
@@ -186,8 +185,8 @@ def test_write_many_intra_batch_retire_then_rewrite():
     assert single.stats == batched.stats
     assert single.read(0).data == batched.read(0).data
     assert single.read(BLOCKS).data == batched.read(BLOCKS).data
-    assert batched.plan_fallback_compressions == 0
-    assert batched.plan_wasted_compressions == 0
+    assert batched.stats.plan_fallback_compressions == 0
+    assert batched.stats.plan_wasted_compressions == 0
 
 
 def test_write_many_with_precomputed_digests(rng):
@@ -200,12 +199,10 @@ def test_write_many_with_precomputed_digests(rng):
     plain = DedupEngine(num_buckets=64)
     offloaded = DedupEngine(num_buckets=64)
     plain_reports = plain.write_many(requests)
-    offload_reports = offloaded.write_many(
-        requests, WriteOptions(digests=digests)
-    )
+    offload_reports = offloaded.write_many(requests, digests=digests)
     for left, right in zip(plain_reports, offload_reports):
         assert left.chunks == right.chunks
     assert plain.stats == offloaded.stats
 
     with pytest.raises(ValueError):
-        offloaded.write_many(requests, WriteOptions(digests=digests[:-1]))
+        offloaded.write_many(requests, digests=digests[:-1])

@@ -1,14 +1,12 @@
-"""The typed write-call surface: WriteOptions replaces the kwarg
-sprawl (the PR-5 deprecated ``digests=`` keyword is now gone), and
-EngineStats/stats_snapshot give a lock-consistent typed view of the
-ledgers plus the registry publication."""
+"""The write-call surface: the one per-call write option is the
+keyword ``digests=`` on ``write``/``write_many``, and
+EngineStats/stats_snapshot give a consistent typed view of the ledgers
+plus the registry publication."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.datared.compression import ModeledCompressor
-from repro.datared.dedup import DedupEngine, EngineStats, WriteOptions
+from repro.datared.dedup import DedupEngine, EngineStats
 from repro.datared.hashing import fingerprint
 from repro.obs.metrics import MetricsRegistry
 
@@ -38,9 +36,7 @@ class TestWriteOptions:
         digests = [fingerprint(payload) for _, payload in requests]
 
         plain_reports = plain.write_many(requests)
-        offload_reports = offloaded.write_many(
-            requests, WriteOptions(digests=digests)
-        )
+        offload_reports = offloaded.write_many(requests, digests=digests)
         assert offload_reports == plain_reports
         assert offloaded.stats_snapshot() == plain.stats_snapshot()
         for lba, payload in requests:
@@ -49,37 +45,16 @@ class TestWriteOptions:
     def test_single_write_accepts_digest_options(self):
         engine = make_engine()
         payload = b"z" * CHUNK
-        report = engine.write(0, payload, WriteOptions(digests=[fingerprint(payload)]))
+        report = engine.write(0, payload, digests=[fingerprint(payload)])
         assert report.logical_bytes == CHUNK
         assert engine.read(0, 1).data == payload
-
-    def test_flush_option_seals_the_open_container(self):
-        engine = make_engine()
-        engine.write(0, b"q" * CHUNK)
-        assert engine.containers.sealed_count == 0
-        engine.write(8, b"r" * CHUNK, WriteOptions(flush=True))
-        assert engine.containers.sealed_count == 1
-
-    def test_digests_keyword_shim_is_gone(self):
-        # The PR-5 deprecated ``digests=`` alias was removed; the typed
-        # WriteOptions object is the only way to pass precomputed
-        # digests now, and the old spelling fails loudly.
-        engine = make_engine()
-        requests = requests_for(3)
-        digests = [fingerprint(payload) for _, payload in requests]
-        with pytest.raises(TypeError, match="digests"):
-            engine.write_many(requests, digests=digests)
-
-    def test_options_are_immutable(self):
-        options = WriteOptions(flush=True)
-        with pytest.raises(AttributeError):
-            options.flush = False
 
 
 class TestEngineStats:
     def test_snapshot_mirrors_the_ledgers(self):
         engine = make_engine()
-        engine.write_many(requests_for(10), WriteOptions(flush=True))
+        engine.write_many(requests_for(10))
+        engine.flush()
         snap = engine.stats_snapshot()
         assert isinstance(snap, EngineStats)
         assert snap.logical_bytes == engine.stats.logical_bytes
@@ -103,7 +78,8 @@ class TestEngineStats:
     def test_engine_publishes_gauges_into_injected_registry(self):
         registry = MetricsRegistry()
         engine = make_engine(registry=registry)
-        engine.write_many(requests_for(8), WriteOptions(flush=True))
+        engine.write_many(requests_for(8))
+        engine.flush()
         gauges = registry.snapshot()["gauges"]
         assert gauges["engine.logical_bytes"] == 8 * CHUNK
         assert gauges["engine.unique_chunks"] == 5
@@ -119,3 +95,51 @@ class TestEngineStats:
         fresh = fresh_registry.snapshot()["gauges"]
         assert math.isfinite(fresh["engine.reduction_factor"])
         del fresh_engine
+
+    def test_published_gauge_set_is_pinned(self):
+        """After a fixed write/overwrite/read/GC history, the engine
+        publishes exactly these ``engine.*``/``index.*`` gauges of
+        ``repro.stats/v1`` with exactly these values — the names
+        ``bench/loadgen.py`` and ``repro.obs top`` read among them."""
+        registry = MetricsRegistry()
+        engine = make_engine(registry=registry, read_cache_chunks=4)
+        engine.containers.container_size = 4 * CHUNK
+        engine.write_many([(lba, bytes([lba % 5]) * CHUNK) for lba in range(12)])
+        engine.write_many(
+            [(lba, bytes([100 + lba]) * CHUNK) for lba in range(0, 12, 2)]
+        )
+        engine.write_many([(lba, bytes([200 + lba]) * CHUNK) for lba in range(20, 28)])
+        engine.write_many([(lba, bytes([lba % 5]) * CHUNK) for lba in range(20, 26)])
+        # A plan that compresses a duplicate and misses a unique.
+        engine._plan_batch = lambda chunks, digests: [0]
+        engine.write_many([(30, bytes([0]) * CHUNK), (31, bytes([250]) * CHUNK)])
+        del engine._plan_batch
+        engine.read(0, 6)
+        engine.read(2, 6)
+        engine.flush()
+        assert engine.collect_garbage(threshold=0.3) == 1
+        gauges = {
+            name: value
+            for name, value in registry.snapshot()["gauges"].items()
+            if name.startswith(("engine.", "index."))
+        }
+        assert gauges == {
+            "engine.compression_ratio": 0.5,
+            "engine.containers_sealed": 3,
+            "engine.dedup_ratio": 14 / 34,
+            "engine.duplicate_chunks": 14,
+            "engine.gc.bytes_moved": 6144,
+            "engine.gc.containers_reclaimed": 1,
+            "engine.live_stored_bytes": 28672,
+            "engine.logical_bytes": 139264,
+            "engine.plan.fallback_compressions": 1,
+            "engine.plan.wasted_compressions": 1,
+            "engine.read_cache.hits": 4,
+            "engine.read_cache.misses": 8,
+            "engine.reclaimed_stored_bytes": 12288,
+            "engine.reduction_factor": 139264 / 40960,
+            "engine.stored_bytes": 40960,
+            "engine.unique_chunks": 20,
+            "engine.unique_logical_bytes": 81920,
+            "index.probes": 60,
+        }

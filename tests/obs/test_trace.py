@@ -1,7 +1,7 @@
 """Trace-span unit tests: the zero-overhead disabled path, recording
-semantics, trace-id scoping, the TracedStages adapter the engine
-installs, and the differential guarantee that arming tracing changes
-no output byte or ledger entry."""
+semantics, trace-id scoping, the per-batch stage hook the engine calls
+(``trace.stage``/``trace.flush_stages``), and the differential
+guarantee that arming tracing changes no output byte or ledger entry."""
 
 from __future__ import annotations
 
@@ -104,51 +104,38 @@ class TestEnabledPath:
 
 class TestTracedStages:
     def test_active_mirrors_the_module_flag(self):
-        clock = trace.TracedStages()
-        assert not clock.active
+        assert trace.stage("lookup") is trace.span("anything")
         with trace.enabled():
-            assert clock.active
+            assert trace.stage("lookup") is not trace.span("anything")
 
     def test_stage_names_are_prefixed(self):
-        clock = trace.TracedStages()
         with trace.enabled():
-            with clock.stage("lookup"):
+            with trace.stage("lookup"):
                 pass
             assert trace.tail() == []  # accumulated, not yet a span
-            clock.flush()
+            trace.flush_stages()
         (record,) = trace.tail()
         assert record.name == "engine.stage.lookup"
         assert record.tags == {"chunks": 1}
 
     def test_stage_is_noop_while_disabled(self):
-        clock = trace.TracedStages()
-        assert clock.stage("lookup") is trace.span("anything")
+        with trace.stage("lookup"):
+            pass
+        trace.flush_stages()
         assert trace.tail() == []
 
-    def test_satisfies_the_stage_timer_contract(self):
-        """``StageTimer`` has one implementation; the engine's two
-        helpers call its members without duck-typing."""
-        from repro.datared.dedup import active_clock, flush_stages
-
-        clock = trace.TracedStages()
-        assert isinstance(type(clock).active, property)
-        assert callable(clock.stage) and callable(clock.flush)
-        assert active_clock(None) is None
-        assert active_clock(clock) is None  # installed, tracing off
+    def test_flush_without_stages_publishes_nothing(self):
         with trace.enabled():
-            assert active_clock(clock) is clock
-            flush_stages(clock)  # nothing accumulated: publishes nothing
-        flush_stages(None)  # what the hot paths pass while inactive
+            trace.flush_stages()
+        trace.flush_stages()
         assert trace.tail() == []
 
-    def test_disabled_clock_leaves_a_write_untimed(self):
+    def test_disabled_tracing_leaves_a_write_untimed(self):
         from repro.datared.compression import ZlibCompressor
-        from repro.datared.dedup import DedupEngine, active_clock
+        from repro.datared.dedup import DedupEngine
         from repro.obs.metrics import get_registry
 
         engine = DedupEngine(num_buckets=256, compressor=ZlibCompressor())
-        engine.stage_clock = trace.TracedStages()
-        assert active_clock(engine.stage_clock) is None
         engine.write_many([(lba, bytes([lba]) * 4096) for lba in range(8)])
         assert engine.stats.unique_chunks == 8
         assert trace.tail() == []
@@ -174,7 +161,6 @@ class TestPerBatchStageSpans:
             table=HashPbnTable(1 << 10, store=InterposingStore()),
             compressor=ZlibCompressor(),
         )
-        engine.stage_clock = trace.TracedStages()
         unique = [index.to_bytes(2, "big") * 2048 for index in range(uniques)]
         batch = unique + [unique[0]] * duplicates
         with trace.enabled():
@@ -215,22 +201,21 @@ class TestPerBatchStageSpans:
         """A flush publishes only the calling thread's stages."""
         import threading
 
-        clock = trace.TracedStages()
         with trace.enabled():
-            with clock.stage("lookup"):
+            with trace.stage("lookup"):
                 pass
 
             def other() -> None:
-                with clock.stage("pack"):
+                with trace.stage("pack"):
                     pass
-                clock.flush()
+                trace.flush_stages()
 
             worker = threading.Thread(target=other)
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
             assert [r.name for r in trace.tail()] == ["engine.stage.pack"]
-            clock.flush()
+            trace.flush_stages()
         assert [r.name for r in trace.tail()] == [
             "engine.stage.pack", "engine.stage.lookup",
         ]
@@ -278,12 +263,11 @@ class TestReadStageSpans:
 # -- differential: tracing on / off -----------------------------------------
 
 
-def _write_fleet(clock) -> tuple:
+def _write_fleet() -> tuple:
     from repro.datared.compression import ZlibCompressor
     from repro.datared.dedup import DedupEngine
 
     engine = DedupEngine(num_buckets=1 << 12, compressor=ZlibCompressor())
-    engine.stage_clock = clock
     lba = 0
     payloads = []
     for index in range(48):
@@ -300,9 +284,9 @@ def _write_fleet(clock) -> tuple:
 
 
 def test_tracing_does_not_change_bytes_or_ledgers():
-    baseline_reads, baseline_stats = _write_fleet(None)
+    baseline_reads, baseline_stats = _write_fleet()
     with trace.enabled():
-        traced_reads, traced_stats = _write_fleet(trace.TracedStages())
+        traced_reads, traced_stats = _write_fleet()
     assert traced_reads == baseline_reads
     assert traced_stats == baseline_stats
     assert any(

@@ -93,7 +93,7 @@ def ledgers(system) -> dict:
             for drive in system.data_array.drives
         ],
         "read_lru": (
-            engine.read_cache_hits, engine.read_cache_misses,
+            engine.stats.read_cache_hits, engine.stats.read_cache_misses,
             list(engine._read_cache or ()),
         ),
     })
@@ -353,8 +353,8 @@ def test_engine_read_lru_keeps_per_position_order(capacity, lbas, reads):
         assert list(batched._read_cache.items()) == list(
             single._read_cache.items()
         )
-        assert (batched.read_cache_hits, batched.read_cache_misses) == (
-            single.read_cache_hits, single.read_cache_misses
+        assert (batched.stats.read_cache_hits, batched.stats.read_cache_misses) == (
+            single.stats.read_cache_hits, single.stats.read_cache_misses
         )
 
 
